@@ -22,6 +22,10 @@ proves:
   the donating instruction with no arena key (the buffer lives on as
   the output), and — for fused chains — is read only by the first link;
   a ``donating``-variant instruction's clobbered inputs all die there;
+* **precomputed slots** — each names a registered transform over frozen
+  program state, and declares exactly the shape/dtype that transform
+  emits (the slot layout is a kernel contract: a stale layout must not
+  bind);
 * **dtype/shape consistency** — each instruction's slots map to exactly
   the node's input/output names, arity and inferred output specs match
   the kernel schema, and the recorded ``out=`` shape/dtype equals the
@@ -193,6 +197,31 @@ class _PlanChecker:
             return
         self.names[slot] = name
 
+    def _check_precomputed_shape(self, entry, where: str) -> None:
+        """The declared slot shape/dtype is what the transform emits.
+
+        Transforms are layout changes of the weight — output shape and
+        dtype depend on the source's shape and dtype only — so a zero
+        stand-in of the source's declared spec decides it without state.
+        """
+        transform = PRECOMPUTE_TRANSFORMS.get(entry.transform)
+        if transform is None:
+            return  # already flagged as unknown-transform
+        source = self.graph.spec(entry.state)
+        try:
+            out = transform(np.zeros(source.shape, source.dtype.np))
+        except (ValueError, IndexError, TypeError) as exc:
+            self.flag("precompute-shape", where,
+                      f"transform rejects source {entry.state!r} "
+                      f"{tuple(source.shape)}: {exc!r}")
+            return
+        declared = (tuple(entry.shape), np.dtype(entry.dtype))
+        if (out.shape, out.dtype) != declared:
+            self.flag("precompute-shape", where,
+                      f"declares {declared[0]} {declared[1].name} but "
+                      f"{entry.transform!r} emits {out.shape} "
+                      f"{out.dtype.name}")
+
     # -- main walk ------------------------------------------------------------
 
     def run(self) -> list[Finding]:
@@ -239,6 +268,8 @@ class _PlanChecker:
                 self.flag("precompute-mutable", where,
                           f"source {entry.state!r} is mutated in-place; "
                           f"hoisting it is not bitwise-safe")
+            else:
+                self._check_precomputed_shape(entry, where)
 
         # Producer/consumer facts over the spec stream (recomputed, never
         # trusted from the spec) — recyclability needs them.

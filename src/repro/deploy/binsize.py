@@ -21,7 +21,7 @@ from ..ir.node import Node
 #: Compiled code bytes per kernel (ARM Thumb-2, -Os, CMSIS-NN-class).
 KERNEL_CODE_BYTES: dict[str, int] = {
     "conv2d": 7400,           # im2col + tiled GEMM inner kernels
-    "conv2d_dx": 8200,        # transposed conv (col2im path)
+    "conv2d_dx": 8200,        # flipped-weight gather + strided col2im fold
     "conv2d_dw": 6800,
     "conv2d_i8": 5200,        # int8 direct conv + requantization
     "matmul": 3600,

@@ -171,25 +171,29 @@ def load_graph(path: str | Path) -> Graph:
     return graph_from_dict(doc, weights=weights)
 
 
+def _attr_to_json(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return {"__tuple__": [_attr_to_json(v) for v in value]}
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+def _attr_from_json(value: Any) -> Any:
+    """Inverse of :func:`_attr_to_json`, at every nesting depth (``pad``
+    carries a tuple of per-axis tuples)."""
+    if isinstance(value, dict) and "__tuple__" in value:
+        value = value["__tuple__"]
+    if isinstance(value, list):
+        return tuple(_attr_from_json(v) for v in value)
+    return value
+
+
 def _attrs_to_json(attrs: dict[str, Any]) -> dict[str, Any]:
-    out = {}
-    for key, value in attrs.items():
-        if isinstance(value, tuple):
-            value = {"__tuple__": [_attrs_to_json({"v": v})["v"] for v in value]}
-        elif isinstance(value, np.integer):
-            value = int(value)
-        elif isinstance(value, np.floating):
-            value = float(value)
-        out[key] = value
-    return out
+    return {key: _attr_to_json(value) for key, value in attrs.items()}
 
 
 def _attrs_from_json(attrs: dict[str, Any]) -> dict[str, Any]:
-    out = {}
-    for key, value in attrs.items():
-        if isinstance(value, dict) and "__tuple__" in value:
-            value = tuple(value["__tuple__"])
-        elif isinstance(value, list):
-            value = tuple(value)
-        out[key] = value
-    return out
+    return {key: _attr_from_json(value) for key, value in attrs.items()}

@@ -1,4 +1,4 @@
-"""Convolution kernels: im2col forward, transposed-conv input gradient,
+"""Convolution kernels: im2col forward, input gradient as a gather,
 im2col-matmul weight gradient. Grouped (incl. depthwise) convolutions are
 supported throughout.
 
@@ -6,6 +6,43 @@ Layout is NCHW with OIHW weights; the layout pass may annotate nodes with a
 ``layout`` attribute for cost modelling, but numeric kernels always compute
 in NCHW (the transform only affects the *device cost model*, matching how we
 simulate hardware rather than own it).
+
+``conv2d_dx`` — the input gradient is itself a convolution, so wherever it
+pays it runs through the *forward* kernel (im2col + one GEMM) instead of a
+GEMM followed by :func:`col2im`'s ``kh*kw`` strided ``+=`` scatters:
+
+* stride 1, any ``groups``: ``dx = conv2d_forward(grad, flipT(w), stride=1,
+  padding=k-1-p)`` with ``flipT`` the 180-degree-rotated,
+  in/out-transposed-per-group weight (:func:`_flip_transpose`);
+* 1x1 / stride 1 / pad 0 / ungrouped: the GEMM result *is* ``dx`` —
+  nothing to unfold and nothing to fold;
+* stride > 1, depthwise: the same gather over the zero-inserted gradient
+  (:func:`_dilate`). The inserted zeros waste ``sh*sw``x multiplies, which
+  depthwise convs (9 multiplies per output) never notice;
+* stride > 1, dense or grouped-but-not-depthwise: GEMM + ``col2im`` stays.
+  There the multiplies are the cost, zero-insertion does ``sh*sw`` times
+  too many of them, and the phase (sub-pixel) decomposition that avoids
+  them pays ``sh*sw`` im2cols and GEMMs for the one it saves;
+* ``pad > k-1`` has no gather form (negative padding) and also folds.
+
+The rule reads only static attrs (stride, groups, kernel size, padding).
+Best-of-N µs on the development host, one BLAS thread, old = GEMM +
+``col2im`` everywhere (``zins`` = zero-insertion, ``phase`` = sub-pixel):
+
+====================================  =======  =======  =======  =======
+``conv2d_dx`` case (input, k3 p1)     old      gather   zins     phase
+====================================  =======  =======  =======  =======
+depthwise (2,24,16,16) s1                 360       93
+depthwise (8,64,32,32) s1               15470     3950
+dense (8,64->64,32,32) s1               11340     8420
+dense (8,16->32,16,16) s1                 869      882
+1x1 (2,24->8,16,16) s1 p0                  12        7
+depthwise (2,24,16,16) s2                 228                107      191
+depthwise (8,64,32,32) s2                6790               3810     2970
+dense (8,64->64,32,32) s2                4300               8660     4550
+dense (8,16->32,16,16) s2                 254                673      298
+groups=2 (8,16->32,16,16) s2              242                543      410
+====================================  =======  =======  =======  =======
 """
 
 from __future__ import annotations
@@ -37,16 +74,19 @@ def _pair(value) -> tuple[int, int]:
     return pair
 
 
-def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad H/W. np.pad's generic machinery costs tens of µs per call,
-    which dominates small-resolution convs; border-zero + interior-assign
-    is ~5x cheaper, writes every element exactly once (so the buffer can
-    come from the recycled workspace), and padding-free convs (every 1x1)
-    skip the copy entirely."""
-    if ph == 0 and pw == 0:
+def _pad2d(x: np.ndarray, ph: int, pw: int,
+           extra_h: int = 0, extra_w: int = 0) -> np.ndarray:
+    """Zero-pad H/W (``extra_*`` more trailing rows/cols: Winograd rounds
+    the padded input up to whole tiles). np.pad's generic machinery costs
+    tens of µs per call, which dominates small-resolution convs;
+    border-zero + interior-assign is ~5x cheaper, writes every element
+    exactly once (so the buffer can come from the recycled workspace), and
+    padding-free convs (every 1x1) skip the copy entirely."""
+    if not (ph or pw or extra_h or extra_w):
         return x
     n, c, h, w = x.shape
-    xp = workspace.take((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
+    xp = workspace.take((n, c, h + 2 * ph + extra_h, w + 2 * pw + extra_w),
+                        x.dtype)
     xp[:, :, :ph] = 0
     xp[:, :, ph + h:] = 0
     xp[:, :, ph:ph + h, :pw] = 0
@@ -178,7 +218,8 @@ def _conv2d_winograd_precomputed(inputs, attrs):
     The precompute_frozen pass appends the plan-owned ``U`` as the trailing
     input; everything else mirrors the ``algo == "winograd"`` branch of the
     base kernel, so outputs are bitwise identical — the transform was
-    computed by the same function the base kernel would call inline.
+    computed by the same function the base kernel would call inline, in
+    the ``(16, O, C)`` layout the batched GEMM consumes as is.
     """
     from .winograd import winograd_conv2d
 
@@ -229,6 +270,36 @@ def _conv2d_im2col_precomputed(inputs, attrs):
     return [apply_activation(y, attrs.get("activation"))]
 
 
+def _flip_transpose(w: np.ndarray, groups: int) -> np.ndarray:
+    """The weight of the adjoint conv: every filter rotated 180 degrees and
+    in/out channels swapped within each group, ``(O, I/g, kh, kw)`` ->
+    ``(I, O/g, kh, kw)``."""
+    cout, cin_g, kh, kw = w.shape
+    cg_out = cout // groups
+    wf = w.reshape(groups, cg_out, cin_g, kh, kw)[..., ::-1, ::-1]
+    return np.ascontiguousarray(wf.transpose(0, 2, 1, 3, 4)).reshape(
+        groups * cin_g, cg_out, kh, kw)
+
+
+def _dilate(grad: np.ndarray, in_hw: tuple[int, int], k_hw: tuple[int, int],
+            stride: tuple[int, int], pad: tuple[int, int]) -> np.ndarray:
+    """Zero-insert a strided conv's output gradient (and pad it) so that a
+    stride-1, pad-0 conv over the flipped weight yields ``dx`` exactly.
+
+    Rows/cols past the last window (``(h + 2p - k) % s != 0``) stay zero:
+    they never reached the forward output, so they receive no gradient.
+    Workspace scratch — the caller gives it back.
+    """
+    n, c, gh, gw = grad.shape
+    top, left = k_hw[0] - 1 - pad[0], k_hw[1] - 1 - pad[1]
+    z = workspace.take((n, c, in_hw[0] + k_hw[0] - 1,
+                        in_hw[1] + k_hw[1] - 1), grad.dtype)
+    z[...] = 0
+    z[:, :, top:top + stride[0] * gh:stride[0],
+      left:left + stride[1] * gw:stride[1]] = grad
+    return z
+
+
 @kernel("conv2d_dx")
 def _conv2d_dx(inputs, attrs):
     grad, w = inputs
@@ -238,15 +309,40 @@ def _conv2d_dx(inputs, attrs):
     in_shape = tuple(int(d) for d in attrs["input_shape"])
     n, cin, h, wdim = in_shape
     cout, cin_g, kh, kw = w.shape
+    cg_out = cout // groups
+    unit_stride = sh == 1 and sw == 1
+    if ph > kh - 1 or pw > kw - 1 \
+            or not (unit_stride or cin_g == cg_out == 1):
+        return [_conv2d_dx_fold(grad, w, in_shape, sh, sw, ph, pw, groups)]
+    if unit_stride and kh == kw == 1 and groups == 1:
+        # 1x1/s1/p0: the GEMM result *is* dx, nothing to unfold or fold.
+        return [np.matmul(w.reshape(cout, cin).transpose(),
+                          grad.reshape(n, cout, -1)).reshape(in_shape)]
+    wT = _flip_transpose(w, groups)
+    if unit_stride:
+        return [conv2d_forward(grad, wT, 1, (kh - 1 - ph, kw - 1 - pw),
+                               groups)]
+    z = _dilate(grad, (h, wdim), (kh, kw), (sh, sw), (ph, pw))
+    dx = conv2d_forward(z, wT, 1, 0, groups)
+    workspace.give(z)
+    return [dx]
+
+
+def _conv2d_dx_fold(grad, w, in_shape, sh, sw, ph, pw, groups):
+    """``dx`` as GEMM + :func:`col2im` scatter — the static cases where the
+    gather is not available (``pad > k - 1``) or loses (strided convs that
+    are not depthwise; see the module docstring)."""
+    n, cin, h, wdim = in_shape
+    cout, cin_g, kh, kw = w.shape
     if groups == 1:
-        g2 = grad.reshape(n, cout, -1)
-        # Batched w^T @ grad (einsum would re-derive its contraction path
-        # on every call, ~50µs of pure overhead per node).
-        dcols = np.matmul(w.reshape(cout, -1).transpose()[None], g2)
-        return [col2im(dcols, in_shape, kh, kw, sh, sw, ph, pw)]
-    # Grouped path, vectorised over group chunks: scatter each chunk's
-    # column gradients into a channel-major block and fold it back with one
-    # col2im per chunk (scratch bounded by _GROUP_SCRATCH_CAP).
+        # w^T @ grad broadcast over the batch (einsum would re-derive its
+        # contraction path on every call, ~50µs of overhead per node).
+        dcols = np.matmul(w.reshape(cout, -1).transpose(),
+                          grad.reshape(n, cout, -1))
+        return col2im(dcols, in_shape, kh, kw, sh, sw, ph, pw)
+    # Vectorised over group chunks: each chunk's column gradients form a
+    # channel-major block folded back with one col2im (scratch bounded by
+    # _GROUP_SCRATCH_CAP).
     cg_out = cout // groups
     k = cin_g * kh * kw
     l = grad.shape[2] * grad.shape[3]
@@ -255,7 +351,7 @@ def _conv2d_dx(inputs, attrs):
     chunk = _group_chunk(groups, n * k * l * grad.itemsize)
     if chunk >= groups:
         dcols = np.matmul(wgT[None], g2).reshape(n, cin * kh * kw, l)
-        return [col2im(dcols, in_shape, kh, kw, sh, sw, ph, pw)]
+        return col2im(dcols, in_shape, kh, kw, sh, sw, ph, pw)
     dx = np.empty(in_shape, dtype=grad.dtype)
     for g0 in range(0, groups, chunk):
         g1 = min(groups, g0 + chunk)
@@ -263,7 +359,7 @@ def _conv2d_dx(inputs, attrs):
         dcols = dcols.reshape(n, (g1 - g0) * k, l)
         dx[:, g0 * cin_g:g1 * cin_g] = col2im(
             dcols, (n, (g1 - g0) * cin_g, h, wdim), kh, kw, sh, sw, ph, pw)
-    return [dx]
+    return dx
 
 
 @kernel("conv2d_dw")

@@ -16,7 +16,7 @@ Three hoists, each gated on the runtime actually registering the variant
 and transform:
 
 * ``winograd_precomputed`` — the ``U = G g Gᵀ`` weight transform for
-  3x3 winograd convs (since PR 5);
+  3x3 winograd convs, in the kernel's GEMM-ready ``(16, O, C)`` layout;
 * ``im2col_precomputed`` — 1x1/pad-0/groups-1 convs: the weight
   pre-flattened to its (cout, cin) GEMM operand, and the variant kernel
   feeds the activation into the GEMM as a reshape view instead of paying
@@ -74,7 +74,7 @@ def _hoist_winograd(op: LoweredOp, ctx: LoweringContext) -> int:
     op.precompute = PrecomputeRequest(
         state=weight, transform=_WINOGRAD_TRANSFORM,
         variant=_WINOGRAD_VARIANT,
-        shape=(cout, cin, 4, 4), dtype="float32")
+        shape=(16, cout, cin), dtype="float32")
     return cout * cin * 16 * 4
 
 

@@ -42,10 +42,10 @@ The lowering is split in two so plans are **portable**:
   kernels (and the passes that shaped it), it never holds them.
   ``to_dict``/``from_dict`` round-trip it through deployment artifacts
   (:mod:`repro.deploy.artifact`), so a plan compiled in one process
-  executes in another that never imports the compiler. Version-1 specs
-  (pre-pipeline) still load through a compat shim; versions this runtime
-  does not speak raise :class:`~repro.errors.PlanVersionError` so callers
-  like the program cache can fall back to recompilation.
+  executes in another that never imports the compiler. Only the current
+  spec version decodes; any other raises
+  :class:`~repro.errors.PlanVersionError` so callers like the program
+  cache fall back to recompilation (``plan_version_miss``).
 * :func:`bind_plan` is the thin load-time step that resolves those names
   against the live registries in :mod:`repro.kernels` and produces the
   executable :class:`ExecutionPlan`.
@@ -71,22 +71,19 @@ from ..kernels import (DONATING_KERNELS, KERNELS, OUT_KERNELS,
                        PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS,
                        make_fused_kernel)
 
-#: arena bucket key: (nbytes, dtype). Byte-bucketing (spec v3) lets a
-#: freed buffer of one shape satisfy a later request of another shape with
-#: the same byte count — the executor reshapes the (always C-contiguous)
-#: pooled buffer, a free view. Exact-shape matching (spec v2) recycled
-#: nothing across shape boundaries even when the bytes lined up.
+#: arena bucket key: (nbytes, dtype). Byte-bucketing lets a freed buffer
+#: of one shape satisfy a later request of another shape with the same
+#: byte count — the executor reshapes the (always C-contiguous) pooled
+#: buffer, a free view.
 ArenaKey = tuple[int, Any]
 
-#: bump when the serialized PlanSpec layout changes incompatibly.
-#: v1: flat instruction stream, no pass pipeline. v2: records applied
-#: passes, fused instruction forms, and precomputed constant slots.
-#: v3: byte-bucketed arena keys, scalar-constant folded inputs
-#: (``const_args``), and the autotune decision table (``tuned_variants``).
-PLAN_SPEC_VERSION = 3
-
-#: versions :meth:`PlanSpec.from_dict` can still decode (v1/v2 via shims)
-SUPPORTED_PLAN_SPEC_VERSIONS = (1, 2, 3)
+#: bump when the serialized PlanSpec layout — or the contract of anything
+#: it names — changes incompatibly. Older documents are refused, not
+#: shimmed: plans are a cache of a compile, and the program cache
+#: recompiles on :class:`PlanVersionError`.
+#: v4: the ``winograd_weight`` precomputed slot is the GEMM-ready
+#: ``(16, O, C)`` layout (v3 declared ``(O, C, 4, 4)``).
+PLAN_SPEC_VERSION = 4
 
 #: kernel variants an instruction may reference (resolved at bind time);
 #: anything else is looked up in :data:`repro.kernels.VARIANT_KERNELS`
@@ -395,32 +392,19 @@ class PlanSpec:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "PlanSpec":
-        """Inverse of :meth:`to_dict`, with a v1 compat shim.
-
-        Version-1 documents (written before the pass pipeline existed)
-        decode to a spec with no passes, no fused instructions, and no
-        precomputed slots — exactly the stream they always described.
-        Version-2 documents keyed their arena on exact shapes; the shim
-        converts every key to its byte bucket and merges pool caps that
-        collapse onto the same bucket, which only ever widens reuse.
+        """Inverse of :meth:`to_dict`.
 
         Raises:
-            PlanVersionError: when the document speaks a plan version this
-                runtime does not (callers may fall back to re-lowering).
+            PlanVersionError: when the document speaks any plan version
+                but this runtime's (callers fall back to re-lowering).
             ExecutionError: on a structurally garbled document.
         """
         version = doc.get("plan_version")
-        if version not in SUPPORTED_PLAN_SPEC_VERSIONS:
+        if version != PLAN_SPEC_VERSION:
             raise PlanVersionError(
                 f"unsupported plan spec version {version!r} "
-                f"(runtime speaks {SUPPORTED_PLAN_SPEC_VERSIONS})")
+                f"(runtime speaks {PLAN_SPEC_VERSION})")
         try:
-            # Legacy shape-keyed caps can collide once byte-bucketed; sum
-            # the counts (first-seen order) so no pool shrinks.
-            caps: dict[ArenaKey, int] = {}
-            for key_doc, count in doc["arena_caps"]:
-                key = _key_from_json(key_doc)
-                caps[key] = caps.get(key, 0) + int(count)
             return cls(
                 num_slots=int(doc["num_slots"]),
                 feed_specs=tuple((name, int(slot))
@@ -430,18 +414,18 @@ class PlanSpec:
                 output_slots=tuple((name, int(slot))
                                    for name, slot in doc["output_slots"]),
                 clear_slots=tuple(doc["clear_slots"]),
-                arena_caps=tuple(caps.items()),
+                arena_caps=tuple((_key_from_json(key), int(count))
+                                 for key, count in doc["arena_caps"]),
                 peak_transient_bytes=int(doc["peak_transient_bytes"]),
                 final_transient_bytes=int(doc["final_transient_bytes"]),
                 instructions=tuple(InstructionSpec.from_dict(entry)
                                    for entry in doc["instructions"]),
-                passes=tuple(doc.get("passes", ())),
+                passes=tuple(doc["passes"]),
                 precomputed=tuple(PrecomputedSpec.from_dict(entry)
-                                  for entry in doc.get("precomputed", ())),
-                precomputed_bytes=int(doc.get("precomputed_bytes", 0)),
-                tuned_variants=tuple(
-                    TunedVariantSpec.from_dict(entry)
-                    for entry in doc.get("tuned_variants", ())),
+                                  for entry in doc["precomputed"]),
+                precomputed_bytes=int(doc["precomputed_bytes"]),
+                tuned_variants=tuple(TunedVariantSpec.from_dict(entry)
+                                     for entry in doc["tuned_variants"]),
             )
         except ExecutionError:
             raise
@@ -494,10 +478,8 @@ def _key_to_json(key: ArenaKey | None) -> list | None:
 def _key_from_json(doc: list | None) -> ArenaKey | None:
     if doc is None:
         return None
-    head, dtype = doc
-    if isinstance(head, (list, tuple)):  # v1/v2: exact-shape key
-        return arena_key_for(tuple(int(d) for d in head), dtype)
-    return (int(head), np.dtype(dtype))
+    nbytes, dtype = doc
+    return (int(nbytes), np.dtype(dtype))
 
 
 class Instruction:

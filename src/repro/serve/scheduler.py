@@ -144,6 +144,9 @@ class BatchScheduler:
         self._ready: deque[str] = deque()   # sessions awaiting dispatch
         self._sessions: dict[str, TenantSession] = {}
         self._inflight: set[str] = set()
+        #: batches executed and released but whose futures are still being
+        #: resolved — keeps drain() meaning "and every result delivered"
+        self._acking = 0
         self._closing = False
         self._closed = False
         self._pool = ThreadPoolExecutor(
@@ -193,10 +196,11 @@ class BatchScheduler:
         return request.future
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Block until every queued request has been executed."""
+        """Block until every queued request has been executed and its
+        future resolved."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._idle:
-            while self._queues or self._inflight:
+            while self._queues or self._inflight or self._acking:
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -373,6 +377,13 @@ class BatchScheduler:
             request.cut_at = cut
             if request.trace is not None:
                 request.trace.add("queue_wait", request.submitted_at, cut)
+        # Run first, acknowledge last: "ack" and "not busy" must be one
+        # transition, so the session leaves ``_inflight`` (or is re-queued)
+        # *before* any future resolves. A client holding a step response
+        # may immediately close or checkpoint the session; it must never
+        # see ``pending()`` still true for the step it was just acked.
+        outcomes: list = []
+        error: BaseException | None = None
         try:
             if batch:
                 result = self._run_batch(session, batch)
@@ -390,13 +401,12 @@ class BatchScheduler:
                         # that receives the ack and instantly retries the
                         # same key must hit the window, never re-execute.
                         session.remember(request.idem_key, final)
-                    request.future.set_result(final)
+                    outcomes.append((request, final))
         except BaseException as exc:  # noqa: BLE001 - futures carry it
+            error = exc
             for request in batch:
                 if request.idem_key is not None:
                     request.session.release(request.idem_key)
-                if not request.future.done():
-                    request.future.set_exception(exc)
         finally:
             with self._work:
                 self._inflight.discard(session_id)
@@ -404,4 +414,15 @@ class BatchScheduler:
                         and session_id not in self._ready:
                     self._ready.append(session_id)
                     self._work.notify_all()
+                self._acking += 1
+        try:
+            if error is not None:
+                for request in batch:
+                    request.future.set_exception(error)
+            else:
+                for request, final in outcomes:
+                    request.future.set_result(final)
+        finally:
+            with self._idle:
+                self._acking -= 1
                 self._idle.notify_all()

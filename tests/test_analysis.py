@@ -204,6 +204,22 @@ class TestMutationHarness:
         with pytest.raises(PlanVerifyError, match="unknown-node"):
             check_plan(bad, program, stage="mutation harness")
 
+    def test_stale_precomputed_layout(self):
+        """A slot declaring the pre-v4 ``(O, I, 4, 4)`` Winograd layout —
+        same bytes, so the byte ledger alone would pass it — is refused:
+        the declared shape must be what the registered transform emits."""
+        program = _mcunet_program()
+        spec = program.plan_spec()
+        idx, entry = next((i, e) for i, e in enumerate(spec.precomputed)
+                          if e.transform == "winograd_weight")
+        sixteen, cout, cin = entry.shape
+        assert sixteen == 16
+        stale = dataclasses.replace(entry, shape=(cout, cin, 4, 4))
+        assert stale.nbytes == entry.nbytes
+        pre = spec.precomputed[:idx] + (stale,) + spec.precomputed[idx + 1:]
+        bad = dataclasses.replace(spec, precomputed=pre)
+        assert "precompute-shape" in _rules(bad, program)
+
 
 class TestTunedVariantMutations:
     """A lying ``tuned_variants`` table must not verify: every claim in

@@ -82,6 +82,34 @@ class TestArtifactRoundTrip:
         np.testing.assert_array_equal(want, got)
 
 
+ZOO_MODELS = ("mcunet_micro", "mobilenetv2_micro", "resnet_micro",
+              "bert_micro", "distilbert_micro", "llama_micro")
+
+
+class TestZooArtifactsVerifyOnLoad:
+    @pytest.mark.parametrize("scheme_name", ["paper_scheme", "full_update"])
+    @pytest.mark.parametrize("model", ZOO_MODELS)
+    def test_saved_artifact_loads_with_verification(self, tmp_path, model,
+                                                    scheme_name):
+        """save -> load(verify=True) for every zoo model: the manifest must
+        carry every attr back exactly (``pad`` is a tuple of tuples), or the
+        loader's plan verifier cannot re-infer the schemas."""
+        from repro.models import paper_scheme
+        from repro.sparse import full_update
+        from repro.train import Adam
+
+        forward = build_model(model, batch=2)
+        scheme, optimizer = (paper_scheme, SGD(0.05)) \
+            if scheme_name == "paper_scheme" else (full_update, Adam(1e-3))
+        program = compile_training(forward, optimizer=optimizer,
+                                   scheme=scheme(forward))
+        save_artifact(program, tmp_path / "model")
+        deployed = load_artifact(tmp_path / "model", verify=True)
+        assert deployed.program.plan_spec() == program.plan_spec()
+        for want, got in zip(program.schedule, deployed.program.schedule):
+            assert got.attrs == want.attrs, want.name
+
+
 class TestArtifactErrors:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(GraphError, match="manifest"):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import run_op
+from repro.kernels import (PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS, run_op,
+                           workspace)
 from repro.kernels.conv2d import col2im, conv2d_forward, im2col
 from repro.kernels.winograd import transform_weights, winograd_conv2d
 
@@ -112,7 +113,114 @@ class TestConvGrads:
         assert dx.shape == x.shape and dw.shape == w.shape
 
 
+@st.composite
+def conv_cases(draw):
+    """(x shape, w shape, attrs) over every static branch of conv2d_dx:
+    dense / grouped / depthwise, unit and non-unit (also mixed) strides,
+    ``pad <= k-1`` and the ``pad > k-1`` fallback, sizes where the last
+    rows/cols fall off the strided window grid."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    sh, sw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        ph, pw = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    else:  # at least one side beyond k-1: no gather form exists
+        ph, pw = draw(st.integers(k, k + 1)), draw(st.integers(0, k + 1))
+    kind = draw(st.sampled_from(["dense", "grouped", "depthwise"]))
+    if kind == "depthwise":
+        groups = draw(st.integers(1, 4))
+        cin_g = cg_out = 1
+    else:
+        groups = 1 if kind == "dense" else 2
+        cin_g, cg_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    h = draw(st.integers(max(1, k - 2 * ph), 9))
+    wd = draw(st.integers(max(1, k - 2 * pw), 9))
+    attrs = {"stride": (sh, sw), "padding": (ph, pw), "groups": groups}
+    return ((n, groups * cin_g, h, wd), (groups * cg_out, cin_g, k, k),
+            attrs)
+
+
+class TestConvDxAdjoint:
+    @given(case=conv_cases(), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=150, deadline=None)
+    def test_dx_is_the_adjoint_of_forward(self, case, seed):
+        """<conv2d(x, w), g> == <x, conv2d_dx(g, w)> — exact up to float64
+        rounding, whichever formulation the static attrs select."""
+        x_shape, w_shape, attrs = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
+        [y] = run_op("conv2d", [x, w], attrs)
+        g = rng.standard_normal(y.shape)
+        [dx] = run_op("conv2d_dx", [g, w], {**attrs, "input_shape": x_shape})
+        assert dx.shape == x_shape and dx.dtype == g.dtype
+        lhs, rhs = (y * g).sum(), (x * dx).sum()
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("groups,stride", [(1, 1), (1, 2), (4, 1),
+                                               (4, 2)])
+    def test_untouched_trailing_rows_get_zero_gradient(self, rng, groups,
+                                                       stride):
+        """(h + 2p - k) % s != 0: the last input row/col is in no window."""
+        x_shape = (2, 4, 8, 8)
+        w = rng.standard_normal((4, 4 // groups, 3, 3)).astype(np.float32)
+        attrs = {"stride": stride, "padding": 0, "groups": groups}
+        ho = (8 - 3) // stride + 1
+        g = rng.standard_normal((2, 4, ho, ho)).astype(np.float32)
+        [dx] = run_op("conv2d_dx", [g, w], {**attrs, "input_shape": x_shape})
+        assert dx.flags.c_contiguous
+        if stride == 2:
+            assert not dx[:, :, 7].any() and not dx[:, :, :, 7].any()
+        assert dx[:, :, :7, :7].any()
+
+
 class TestWinograd:
+    @pytest.mark.parametrize("shape,cout,padding", [
+        ((1, 1, 5, 9), 7, 1), ((3, 5, 7, 4), 3, 0), ((2, 3, 3, 3), 2, 0),
+        ((2, 7, 11, 6), 5, (1, 0)), ((1, 2, 2, 2), 3, 1),
+    ])
+    def test_matches_direct_odd_shapes(self, rng, shape, cout, padding):
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = rng.standard_normal((cout, shape[1], 3, 3)).astype(np.float32)
+        got = winograd_conv2d(x, w, padding=padding)
+        want = conv2d_forward(x, w, 1, padding)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, atol=1e-3)
+
+    @pytest.mark.parametrize("hw", [(8, 8), (7, 5)])
+    def test_base_precomputed_and_recycled_scratch_bitwise_equal(self, rng,
+                                                                 hw):
+        """One implementation behind three entry points: the base
+        ``algo="winograd"`` kernel, the ``winograd_precomputed`` variant
+        fed by the registered transform, and a call whose every scratch
+        buffer is recycled dirty memory must agree byte for byte."""
+        from repro.runtime.plan import BufferArena
+
+        x = rng.standard_normal((2, 3) + hw).astype(np.float32)
+        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+        bias = rng.standard_normal(5).astype(np.float32)
+        attrs = {"padding": 1, "algo": "winograd", "activation": "relu"}
+        [base] = run_op("conv2d", [x, w, bias], attrs)
+
+        u = PRECOMPUTE_TRANSFORMS["winograd_weight"](w)
+        assert u.shape == (16, 5, 3) and u.flags.c_contiguous
+        variant = VARIANT_KERNELS["conv2d", "winograd_precomputed"]
+        [hoisted] = variant([x, w, bias, u], attrs)
+        assert hoisted.tobytes() == base.tobytes()
+
+        arena = BufferArena()
+        previous = workspace.set_arena(arena)
+        try:
+            # NaN in, NaN through every scratch buffer, all handed back.
+            run_op("conv2d", [np.full_like(x, np.nan), w, bias], attrs)
+            assert arena.recycled > 0
+            taken = arena.takes
+            [recycled] = variant([x, w, bias, u], attrs)
+            assert arena.takes > taken, "second call recycled nothing"
+        finally:
+            workspace.set_arena(previous)
+        assert recycled.tobytes() == base.tobytes()
+
     @pytest.mark.parametrize("hw,padding", [(8, 1), (7, 1), (6, 0), (9, 1)])
     def test_matches_direct(self, rng, hw, padding):
         x = rng.standard_normal((2, 3, hw, hw)).astype(np.float32)

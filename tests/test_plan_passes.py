@@ -576,95 +576,18 @@ class TestPretransposedMatmul:
 
 
 class TestSpecCompatAndConfig:
-    def test_v1_spec_loads_through_shim(self, rng):
-        b, _ = make_mlp_graph(seed=29)
-        program = compile_training(b.graph, optimizer=SGD(0.1))
-        doc = build_plan_spec(program, passes="none").to_dict()
-        # Regress the document to what a v1 writer produced.
-        doc["plan_version"] = 1
-        del doc["passes"]
-        del doc["precomputed"]
-        del doc["precomputed_bytes"]
-        for instr in doc["instructions"]:
-            assert "fused" not in instr
-        spec = PlanSpec.from_dict(json.loads(json.dumps(doc)))
-        assert spec.passes == ()
-        assert spec.precomputed == ()
-        plan = bind_plan(spec, {n.name: n for n in program.schedule})
-        clone = with_passes(program, "none")
-        clone.attach_plan_spec(spec)
-        clone.meta["__plan__"] = plan
-        feeds = {"x": rng.standard_normal((4, 5)).astype(np.float32),
-                 program.meta["labels"]: np.array([0, 1, 2, 0], np.int64)}
-        got = Executor(clone).run(feeds)
-        want = Executor(with_passes(program, "none"),
-                        backend="interpreter").run(feeds)
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes()
-
-    def test_v2_spec_loads_through_shim(self, rng):
-        """A v2 writer keyed the arena on exact shapes and knew nothing
-        of const_args or tuned_variants; the shim byte-buckets every key
-        (merging caps that collapse onto one bucket) and the spec runs."""
-        b, _ = make_mlp_graph(seed=31)
-        program = compile_training(
-            b.graph, optimizer=SGD(0.1),
-            options=CompileOptions(
-                plan_passes=("fuse_elementwise", "precompute_frozen")))
-        v3 = program.plan_spec()
-        doc = v3.to_dict()
-        doc["plan_version"] = 2
-        del doc["tuned_variants"]
-        for instr in doc["instructions"]:
-            assert "const_args" not in instr  # v2 pipeline: none folded
-
-        def as_shape_key(key_doc):
-            if key_doc is None:
-                return None
-            nbytes, dtype = key_doc
-            itemsize = np.dtype(dtype).itemsize
-            return [[nbytes // itemsize], dtype]  # flat exact-shape key
-
-        doc["arena_caps"] = [[as_shape_key(key), count]
-                             for key, count in doc["arena_caps"]]
-        for instr in doc["instructions"]:
-            instr["frees"] = [[slot, as_shape_key(key)]
-                              for slot, key in instr["frees"]]
-        spec = PlanSpec.from_dict(json.loads(json.dumps(doc)))
-        assert spec.arena_caps == v3.arena_caps
-        assert spec.instructions == v3.instructions
-        assert spec.tuned_variants == ()
-
-        clone = with_passes(program, "none")
-        clone.attach_plan_spec(spec)
-        clone.meta["__plan__"] = bind_plan(
-            spec, {n.name: n for n in program.schedule})
-        feeds = {"x": rng.standard_normal((4, 5)).astype(np.float32),
-                 program.meta["labels"]: np.array([0, 1, 2, 0], np.int64)}
-        got = Executor(clone).run(feeds)
-        want = Executor(with_passes(program, "none"),
-                        backend="interpreter").run(feeds)
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes()
-
-    def test_v2_colliding_shape_keys_merge_caps(self):
-        """Two exact-shape caps that bucket to the same byte size must
-        merge by summing counts — reuse only ever widens."""
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_spec_versions_refused(self, version):
+        """No compat shims: an older document — even one that would
+        decode field-for-field, like a v3 whose Winograd slot declares
+        the ``(O, C, 4, 4)`` layout this runtime's kernel cannot consume —
+        raises ``PlanVersionError`` and the cache recompiles."""
         b, _ = make_mlp_graph()
-        program = compile_training(b.graph, optimizer=SGD(0.1))
-        doc = build_plan_spec(program, passes="none").to_dict()
-        doc["plan_version"] = 2
-        doc.pop("tuned_variants", None)
-        for instr in doc["instructions"]:
-            instr["frees"] = [
-                [slot, None if key is None
-                 else [[key[0] // np.dtype(key[1]).itemsize], key[1]]]
-                for slot, key in instr["frees"]]
-        # (8, 2) float32 and (4, 4) float32 are both 64-byte buckets.
-        doc["arena_caps"] = [[[[8, 2], "float32"], 2],
-                             [[[4, 4], "float32"], 3]]
-        spec = PlanSpec.from_dict(json.loads(json.dumps(doc)))
-        assert dict(spec.arena_caps)[(64, np.dtype("float32"))] == 5
+        doc = build_plan_spec(Program.from_graph(b.graph)).to_dict()
+        assert doc["plan_version"] == 4
+        doc["plan_version"] = version
+        with pytest.raises(PlanVersionError):
+            PlanSpec.from_dict(json.loads(json.dumps(doc)))
 
     def test_unsupported_version_raises_plan_version_error(self):
         b, _ = make_mlp_graph()

@@ -580,6 +580,75 @@ class TestSchedulerLifecycle:
                                    workers=workers, metrics=metrics)
         return scheduler, release
 
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_ack_implies_not_busy(self, fail):
+        """A resolved step future means the session is no longer busy.
+
+        The done-callback runs on the worker thread inside
+        ``set_result``/``set_exception`` — the earliest instant any client
+        can observe the ack — so what it sees is exactly what a client
+        that closes or checkpoints right after its response would see.
+        """
+        from repro.serve import BatchScheduler, StepResult
+
+        def runner(session, batch):
+            assert release.wait(timeout=30)
+            if fail:
+                raise RuntimeError("boom")
+            return StepResult(session_id=session.id, loss=0.0, step=0,
+                              batch_size=len(batch), program_key="k")
+
+        release = threading.Event()
+        scheduler = BatchScheduler(runner, max_batch=1, workers=1)
+        busy_at_ack = []
+        try:
+            future = scheduler.submit(self.StubSession("s"), np.int64(0),
+                                      np.int64(0))
+            future.add_done_callback(
+                lambda _: busy_at_ack.append(scheduler.pending("s")))
+            release.set()
+            if fail:
+                with pytest.raises(RuntimeError):
+                    future.result(timeout=30)
+            else:
+                future.result(timeout=30)
+            assert scheduler.drain(timeout=10)
+        finally:
+            release.set()
+            scheduler.close()
+        assert busy_at_ack == [False]
+
+    def test_drain_waits_for_every_future_of_the_batch(self):
+        """Releasing the session before acking must not weaken drain():
+        it returns only once every future of the batch has resolved."""
+        scheduler, release = self._stalled_scheduler(max_batch=2)
+        first_acked, proceed = threading.Event(), threading.Event()
+        try:
+            session = self.StubSession("s")
+            blocker = scheduler.submit(self.StubSession("b"), np.int64(0),
+                                       np.int64(0))
+            futures = [scheduler.submit(session, np.int64(i), np.int64(0))
+                       for i in range(2)]
+
+            def stall(_):
+                first_acked.set()
+                assert proceed.wait(timeout=30)
+
+            futures[0].add_done_callback(stall)
+            release.set()
+            blocker.result(timeout=30)
+            assert first_acked.wait(timeout=30)
+            assert not scheduler.pending("s")
+            assert not futures[1].done()
+            assert scheduler.drain(timeout=0.05) is False
+            proceed.set()
+            assert scheduler.drain(timeout=30) is True
+            assert futures[1].done()
+        finally:
+            release.set()
+            proceed.set()
+            scheduler.close()
+
     def test_queue_depth_gauge_is_live(self):
         """Regression: the gauge must sample live queues on every read,
         not the depth at the last metrics render."""
