@@ -180,9 +180,24 @@ def apply_activation(y: np.ndarray, activation: str | None) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-approximated GELU (the variant BERT uses)."""
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)
-    return (0.5 * x * (1.0 + np.tanh(inner))).astype(x.dtype)
+    """tanh-approximated GELU (the variant BERT uses).
+
+    ``0.5*x * (1 + tanh(c * (x + 0.044715*x*x*x)))`` as one result buffer
+    and one scratch, every product in the textbook order.
+    """
+    inner = np.multiply(x, 0.044715)
+    inner *= x
+    inner *= x
+    inner += x
+    # The float32 constant widens a float16 polynomial, exactly as the
+    # textbook expression does; any other dtype stays in its buffer.
+    inner = np.multiply(inner, _SQRT_2_OVER_PI,
+                        out=None if x.dtype == np.float16 else inner)
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    out = np.multiply(x, 0.5)
+    out *= inner
+    return out
 
 
 @kernel("relu")
@@ -211,13 +226,18 @@ def _gelu(inputs, attrs):
 
 
 def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # Writes to out[pos] never disturb the x[~pos] reads (disjoint masks),
-    # so out may alias x.
-    pos = x >= 0
-    neg_exp = np.exp(x[~pos])
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    out[~pos] = neg_exp / (1.0 + neg_exp)
-    return out
+    # Branch-free stable sigmoid: e = exp(-|x|) lies in [0, 1] and never
+    # overflows; the numerator is 1 where x >= 0 and e elsewhere, which is
+    # max([x >= 0], e). Seven ufunc calls, no fancy indexing. ``e`` is
+    # complete before ``out`` is first written and every later read of x is
+    # the same-index read of an elementwise ufunc, so out may alias x.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0, out=out, casting="unsafe")
+    np.maximum(out, e, out=out)
+    e += 1.0
+    return np.true_divide(out, e, out=out)
 
 
 @kernel("sigmoid")

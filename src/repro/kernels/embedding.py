@@ -27,5 +27,9 @@ def _embedding_grad(inputs, attrs):
 def _onehot(inputs, attrs):
     (ids,) = inputs
     depth = int(attrs["depth"])
-    eye = np.eye(depth, dtype=np.float32)
-    return [eye[ids]]
+    # One indexed store into zeros: O(ids * depth), where indexing an
+    # identity matrix was O(depth^2) per call. Same IndexError on an
+    # out-of-range id and the same wrap of a negative one.
+    out = np.zeros(ids.shape + (depth,), dtype=np.float32)
+    out.reshape(-1, depth)[np.arange(ids.size), ids.reshape(-1)] = 1.0
+    return [out]

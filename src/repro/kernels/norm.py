@@ -1,43 +1,66 @@
-"""Normalization and softmax kernels (numerically stable)."""
+"""Normalization and softmax kernels (numerically stable).
+
+Same rule as :mod:`.reduce`: one result buffer, at most one scratch,
+ufuncs in the order of the textbook expression, so each kernel is
+bitwise-equal to that expression (``x.mean`` / ``x.var`` included) when
+``gamma`` / ``beta`` share ``x``'s dtype. Two deliberate departures, both
+off the float32 path: a wider scale or shift is rounded into ``x``'s dtype
+after each op rather than once at the end, and a float16 layernorm takes
+its variance around the float32-accumulated mean (``np.var`` would re-sum
+the mean in float16).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import kernel
+from .reduce import mean
 
 
 @kernel("softmax")
 def _softmax(inputs, attrs):
     x = inputs[0]
     axis = int(attrs.get("axis", -1))
-    shifted = x - x.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return [ex / ex.sum(axis=axis, keepdims=True)]
+    out = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True))
+    np.exp(out, out=out)
+    return [np.true_divide(out, np.add.reduce(out, axis=axis, keepdims=True),
+                           out=out)]
 
 
 @kernel("log_softmax")
 def _log_softmax(inputs, attrs):
     x = inputs[0]
     axis = int(attrs.get("axis", -1))
-    shifted = x - x.max(axis=axis, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return [shifted - logsum]
+    out = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True))
+    logsum = np.add.reduce(np.exp(out), axis=axis, keepdims=True)
+    np.log(logsum, out=logsum)
+    out -= logsum
+    return [out]
 
 
 @kernel("layernorm")
 def _layernorm(inputs, attrs):
     x, gamma, beta = inputs
     eps = float(attrs.get("eps", 1e-5))
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mean) / np.sqrt(var + eps)
-    return [(xhat * gamma + beta).astype(x.dtype)]
+    out = np.subtract(x, mean(x, (-1,), True))
+    var = mean(np.square(out), (-1,), True)
+    var += eps
+    np.sqrt(var, out=var)
+    out /= var
+    out *= gamma
+    out += beta
+    return [out]
 
 
 @kernel("rmsnorm")
 def _rmsnorm(inputs, attrs):
     x, gamma = inputs
     eps = float(attrs.get("eps", 1e-6))
-    ms = np.mean(x * x, axis=-1, keepdims=True)
-    return [(x / np.sqrt(ms + eps) * gamma).astype(x.dtype)]
+    out = np.multiply(x, x)
+    ms = mean(out, (-1,), True)
+    ms += eps
+    np.sqrt(ms, out=ms)
+    np.true_divide(x, ms, out=out)
+    out *= gamma
+    return [out]

@@ -5,9 +5,21 @@ state) are updated in place and the param array is returned as the output.
 The ``slice_k``/``slice_axis`` attributes implement the paper's sub-layer
 (channel-sparse) update: the provided gradient covers only the leading ``k``
 input channels, so only that slice of the parameter/state is touched.
+
+Adam and Lion follow the rule of :mod:`.reduce` / :mod:`.norm` — a fixed
+ufunc sequence through ``out=`` — with every temporary in gradient-shaped
+scratch: one buffer for Adam (``weight_decay`` adds the one array that is
+the decayed gradient), two for Lion. Lion keeps the textbook operand order
+and so its bits. Adam is the one kernel that does not: the single-buffer
+form needs the bias corrections folded into Python scalars (``sqrt(v/c2)``
+becomes ``sqrt(v)/sqrt(c2)`` and moves to the other side of the division),
+which rounds differently in the last bit; tests hold it to a float64
+reference.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -105,16 +117,27 @@ def _apply_adam(inputs, attrs):
     wd = float(attrs.get("weight_decay", 0.0))
     view = _param_view(param, attrs)
     if wd:
-        grad = grad + wd * view
-    step += 1.0
-    t = float(step.reshape(-1)[0])
+        decayed = np.multiply(view, wd)
+        grad = np.add(grad, decayed, out=decayed)
+    t = float(step.reshape(-1)[0]) + 1.0
+    step.fill(t)
+    # Bias corrections as Python scalars, so no mhat / vhat pass exists:
+    #   lr * (m/c1) / (sqrt(v/c2) + eps)
+    #     == m * (lr*sqrt(c2)/c1) / (sqrt(v) + eps*sqrt(c2))
+    root_c2 = math.sqrt(1 - b2 ** t)
+    # m, v, view and the scratch all have the gradient's shape.
+    s = np.multiply(grad, 1 - b1)
     m *= b1
-    m += (1 - b1) * grad
+    m += s
+    np.multiply(grad, grad, out=s)
+    s *= 1 - b2
     v *= b2
-    v += (1 - b2) * grad * grad
-    mhat = m / (1 - b1 ** t)
-    vhat = v / (1 - b2 ** t)
-    view -= lr * mhat / (np.sqrt(vhat) + eps)
+    v += s
+    np.sqrt(v, out=s)
+    s += eps * root_c2
+    np.true_divide(m, s, out=s)
+    s *= lr * root_c2 / (1 - b1 ** t)
+    view -= s
     return [param]
 
 
@@ -132,10 +155,19 @@ def _apply_lion(inputs, attrs):
     b2 = float(attrs.get("beta2", 0.99))
     wd = float(attrs.get("weight_decay", 0.0))
     view = _param_view(param, attrs)
-    update = np.sign(b1 * m + (1 - b1) * grad)
+    # Two gradient-shaped buffers, the interpolation and its sign: written
+    # over its own input, np.sign leaves numpy's vectorised loop and costs
+    # 4x at every size.
+    s = np.multiply(m, b1)
+    update = np.multiply(grad, 1 - b1)
+    s += update
+    np.sign(s, out=update)
     if wd:
-        update = update + wd * view
-    view -= lr * update
+        np.multiply(view, wd, out=s)
+        update += s
+    update *= lr
+    view -= update
+    np.multiply(grad, 1 - b2, out=s)
     m *= b2
-    m += (1 - b2) * grad
+    m += s
     return [param]

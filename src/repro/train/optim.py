@@ -93,14 +93,21 @@ def attach_optimizer(
             attrs["slice_k"] = slice_k[param]
             attrs["slice_axis"] = slice_axis.get(param, 0)
 
-        def state(suffix: str, shape=None) -> str:
+        def state(suffix: str, shape=grad_spec.shape,
+                  dtype=grad_spec.dtype.np) -> str:
             # Zero-stride views cost nothing to declare; Program.from_graph
             # copies state, which materialises real writable buffers only
             # for programs that will actually execute. State matches the
             # gradient dtype (fp16 training keeps fp16 optimizer state).
-            shape = grad_spec.shape if shape is None else shape
-            view = np.broadcast_to(grad_spec.dtype.np.type(0), shape)
+            view = np.broadcast_to(dtype.type(0), shape)
             return b.initializer(f"{param}.{suffix}", view)
+
+        def counter(suffix: str) -> str:
+            # Step counters are float32 whatever the gradient dtype: in
+            # float16 2048 + 1 == 2048, which freezes Adam's bias
+            # correction and parks the accumulation gate on a micro-step
+            # forever. float32 counts exactly to 2**24.
+            return state(suffix, (1,), np.dtype(np.float32))
 
         if isinstance(spec, SGD):
             attrs["momentum"] = spec.momentum
@@ -110,7 +117,7 @@ def attach_optimizer(
             op = "apply_sgd"
         elif isinstance(spec, Adam):
             attrs.update(beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps)
-            inputs = [param, grad, state("m"), state("v"), state("t", (1,))]
+            inputs = [param, grad, state("m"), state("v"), counter("t")]
             op = "apply_adam"
         elif isinstance(spec, Lion):
             attrs.update(beta1=spec.beta1, beta2=spec.beta2)
@@ -122,7 +129,7 @@ def attach_optimizer(
             # Gradient accumulator + micro-step counter live with the
             # other optimizer state (this is the buffer conventional
             # frameworks also pay for when accumulating).
-            inputs.extend([state("accum"), state("tick", (1,))])
+            inputs.extend([state("accum"), counter("tick")])
         out = b.emit(op, inputs, attrs, name_hint=f"upd.{param}")
         b.mark_output(out)
         updated_outputs.append(out)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import (PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS, run_op,
-                           workspace)
+from repro.kernels import (OUT_KERNELS, PRECOMPUTE_TRANSFORMS,
+                           VARIANT_KERNELS, run_op, workspace)
 from repro.kernels.conv2d import col2im, conv2d_forward, im2col
 from repro.kernels.winograd import transform_weights, winograd_conv2d
 
@@ -328,6 +328,196 @@ class TestEmbedding:
         [y] = run_op("onehot", [np.array([2, 0])], {"depth": 3})
         np.testing.assert_array_equal(
             y, np.array([[0, 0, 1], [1, 0, 0]], np.float32))
+
+    @pytest.mark.parametrize("ids", [
+        np.array(3), np.array([4, 0, 4]), np.array([[1, -1], [0, -5]]),
+        np.zeros((2, 0), np.int64),
+    ])
+    def test_onehot_is_a_row_gather_from_the_identity(self, ids):
+        [y] = run_op("onehot", [ids], {"depth": 5})
+        want = np.eye(5, dtype=np.float32)[ids]
+        assert y.dtype == want.dtype and y.shape == want.shape
+        np.testing.assert_array_equal(y, want)
+
+    @pytest.mark.parametrize("bad", [5, -6])
+    def test_onehot_rejects_out_of_range_ids(self, bad):
+        with pytest.raises(IndexError):
+            run_op("onehot", [np.array([0, bad])], {"depth": 5})
+
+    def test_onehot_cost_is_linear_in_depth(self):
+        # A depth x depth identity would be 10 GB here.
+        depth = 50_000
+        ids = np.array([[0, depth - 1, 7], [-1, 123, 7]])
+        [y] = run_op("onehot", [ids], {"depth": depth})
+        assert y.shape == (2, 3, depth) and y.dtype == np.float32
+        assert y.sum() == ids.size
+        np.testing.assert_array_equal(y.argmax(-1), ids % depth)
+
+
+# The textbook forms the single-pass kernels replaced, kept verbatim: the
+# kernels must reproduce their bytes, not merely their values.
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    neg_exp = np.exp(x[~pos])
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    out[~pos] = neg_exp / (1.0 + neg_exp)
+    return out
+
+
+def ref_gelu(x):
+    inner = np.float32(np.sqrt(2.0 / np.pi)) * (x + 0.044715 * x * x * x)
+    return (0.5 * x * (1.0 + np.tanh(inner))).astype(x.dtype)
+
+
+def ref_softmax(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=axis, keepdims=True)
+
+
+def ref_log_softmax(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    logsum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted - logsum
+
+
+def ref_layernorm(x, gamma, beta, eps):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    xhat = (x - mean) / np.sqrt(var + eps)
+    return (xhat * gamma + beta).astype(x.dtype)
+
+
+def ref_rmsnorm(x, gamma, eps):
+    ms = np.mean(x * x, axis=-1, keepdims=True)
+    return (x / np.sqrt(ms + eps) * gamma).astype(x.dtype)
+
+
+def same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def tensors(draw):
+    """A float16/float32 tensor, C-contiguous or a transposed view."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    dtype = draw(st.sampled_from([np.float16, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1.0, 8.0]))
+    x = (rng.standard_normal(shape) * scale).astype(dtype)
+    if draw(st.booleans()):
+        x = x.T
+    return x
+
+
+class TestSinglePassKernels:
+    """One result buffer, ufuncs in the textbook order: same bytes."""
+
+    @given(tensors())
+    @settings(max_examples=60, deadline=None)
+    def test_sigmoid_and_gelu(self, x):
+        same_bytes(run_op("sigmoid", [x], {})[0], ref_sigmoid(x))
+        same_bytes(run_op("gelu", [x], {})[0], ref_gelu(x))
+
+    @given(tensors(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_softmax_and_log_softmax(self, x, data):
+        axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
+        same_bytes(run_op("softmax", [x], {"axis": axis})[0],
+                   ref_softmax(x, axis))
+        same_bytes(run_op("log_softmax", [x], {"axis": axis})[0],
+                   ref_log_softmax(x, axis))
+
+    @given(tensors(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_rmsnorm_and_layernorm(self, x, seed):
+        rng = np.random.default_rng(seed)
+        gamma = rng.standard_normal(x.shape[-1]).astype(x.dtype)
+        beta = rng.standard_normal(x.shape[-1]).astype(x.dtype)
+        same_bytes(run_op("rmsnorm", [x, gamma], {"eps": 1e-6})[0],
+                   ref_rmsnorm(x, gamma, 1e-6))
+        [y] = run_op("layernorm", [x, gamma, beta], {"eps": 1e-5})
+        want = ref_layernorm(x, gamma, beta, 1e-5)
+        if x.dtype == np.float16:
+            # The variance is centred on the float32-accumulated mean;
+            # np.var re-sums its own mean in float16.
+            assert y.dtype == np.float16
+            np.testing.assert_allclose(y.astype(np.float32),
+                                       want.astype(np.float32),
+                                       rtol=2e-2, atol=2e-2)
+        else:
+            same_bytes(y, want)
+
+    @given(tensors(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reduce_sum_and_mean(self, x, data):
+        axes = tuple(data.draw(st.lists(st.integers(-x.ndim, x.ndim - 1),
+                                        min_size=1, unique_by=lambda a:
+                                        a % x.ndim)))
+        keepdims = data.draw(st.booleans())
+        attrs = {"axes": axes, "keepdims": keepdims}
+        same_bytes(run_op("reduce_sum", [x], attrs)[0],
+                   x.sum(axis=axes, keepdims=keepdims, dtype=x.dtype))
+        # float32: the same bytes as x.mean(dtype=x.dtype), the form the
+        # kernel used to call. float16 takes np.mean's default float32
+        # accumulation instead of summing in float16.
+        same_bytes(run_op("reduce_mean", [x], attrs)[0],
+                   x.mean(axis=axes, keepdims=keepdims))
+
+    @given(tensors(), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_full_reduction_is_zero_d(self, x, keepdims):
+        attrs = {"keepdims": keepdims}
+        [total] = run_op("reduce_sum", [x], attrs)
+        [mean] = run_op("reduce_mean", [x], attrs)
+        assert np.shape(total) == np.shape(mean) == \
+            ((1,) * x.ndim if keepdims else ())
+        same_bytes(total, x.sum(keepdims=keepdims, dtype=x.dtype))
+        same_bytes(mean, x.mean(keepdims=keepdims))
+
+    def test_float16_mean_divides_by_the_exact_count(self):
+        # 2049 is not a float16: a float16 division would round it to 2048.
+        x = np.full((2049,), 3.0, np.float16)
+        [y] = run_op("reduce_mean", [x], {})
+        assert y.dtype == np.float16 and y == 3.0
+        gamma = np.ones(2049, np.float16)
+        [y] = run_op("rmsnorm", [x, gamma], {"eps": 0.0})
+        same_bytes(y, np.ones(2049, np.float16))
+
+    SPECIALS = [np.inf, -np.inf, np.nan, -0.0, 0.0, 88.8, -88.8, 1e4, -1e4,
+                1e-30, -1e-30]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_at_the_edges_raises_no_flag(self, dtype):
+        x = np.array(self.SPECIALS, dtype)
+        # Every flag numpy warns on by default; underflow (exp(-1e4) == 0,
+        # in either form) is not one of them.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            [y] = run_op("sigmoid", [x], {})
+        want = ref_sigmoid(x)
+        finite = ~np.isnan(x)
+        # A NaN's sign and payload are not part of the contract.
+        np.testing.assert_array_equal(np.isnan(y), ~finite)
+        same_bytes(y[finite], want[finite])
+        np.testing.assert_allclose(
+            y[finite], [1, 0, 0.5, 0.5, 1, 0, 1, 0, 0.5, 0.5], atol=1e-30)
+
+    def test_sigmoid_out_may_alias_its_input(self, rng):
+        x = (rng.standard_normal((2, 24, 64)) * 4).astype(np.float32)
+        want = ref_sigmoid(x)
+        buf = x.copy()
+        assert OUT_KERNELS["sigmoid"]([buf], {}, buf) is buf
+        same_bytes(buf, want)
+        # ... and a distinct out leaves x untouched
+        keep = x.copy()
+        out = np.empty_like(x)
+        OUT_KERNELS["sigmoid"]([x], {}, out)
+        same_bytes(out, want)
+        same_bytes(x, keep)
 
 
 @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6))
