@@ -42,23 +42,28 @@ class OpEffects:
 
 def stream_effects(stream: Sequence) -> list[OpEffects]:
     """Per-op effects for a lowered stream, in stream order."""
+    # Only values that alias something are recorded; a fresh-output value
+    # (and a feed or state name) roots itself.
     roots: dict[str, frozenset[str]] = {}
     effects: list[OpEffects] = []
     for op in stream:
-        reads = _EMPTY
+        acc: set[str] = set()
         for name in op.inputs:
-            reads = reads | roots.get(name, frozenset((name,)))
+            aliased = roots.get(name)
+            if aliased is None:
+                acc.add(name)
+            else:
+                acc |= aliased
+        reads = frozenset(acc)
         if op.is_view:
             for out in op.outputs:
-                roots[out] = reads | frozenset((out,))
+                roots[out] = reads | {out}
             writes = _EMPTY
         elif op.is_inplace:
             for out in op.outputs:
                 roots[out] = reads
             writes = reads
         else:
-            for out in op.outputs:
-                roots[out] = frozenset((out,))
             writes = _EMPTY
         effects.append(OpEffects(reads=reads, writes=writes))
     return effects

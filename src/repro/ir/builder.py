@@ -8,7 +8,7 @@ this class.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,17 @@ class GraphBuilder:
             if name not in self._node_names:
                 self._node_names.add(name)
                 return name
+
+    def release(self, values: Iterable[str] = (),
+                nodes: Iterable[str] = ()) -> None:
+        """Forget the names of removed values / nodes and restart numbering.
+
+        Afterwards the builder draws the names a new builder on the
+        rewritten graph would draw, without re-reading the graph.
+        """
+        self._existing.difference_update(values)
+        self._node_names.difference_update(nodes)
+        self._counter = 0
 
     # -- graph boundary -----------------------------------------------------
 
@@ -95,10 +106,10 @@ class GraphBuilder:
 
         Returns the single output name, or a list when ``n_outputs > 1``.
         """
-        attrs = dict(attrs or {})
+        attrs = dict(attrs) if attrs else {}
         schema = get_schema(op_type)
         schema.check_arity(len(inputs))
-        unknown = set(attrs) - set(schema.attrs)
+        unknown = attrs.keys() - schema.attrs
         if unknown:
             raise GraphError(f"op {op_type!r} got unknown attrs {sorted(unknown)}")
         in_specs = [self.graph.spec(i) for i in inputs]

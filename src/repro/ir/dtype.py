@@ -42,12 +42,21 @@ class DType(enum.Enum):
         Raises:
             ValueError: if the numpy dtype has no IR equivalent.
         """
-        name = np.dtype(dtype).name
+        dtype = np.dtype(dtype)
+        member = _FROM_NUMPY.get(dtype)
+        if member is not None:
+            return member
+        name = dtype.name  # e.g. a non-native byte order of a known type
         try:
             return cls(name)
         except ValueError:
             raise ValueError(f"unsupported numpy dtype: {name!r}") from None
 
+
+#: native numpy dtype -> member (``np.dtype.name`` is computed in Python
+#: on every read, and every initializer the tracer or the optimizer adds
+#: passes through ``from_numpy``)
+_FROM_NUMPY = {np.dtype(member.value): member for member in DType}
 
 _ITEMSIZE = {
     DType.FLOAT32: 4,

@@ -104,34 +104,38 @@ class Graph:
             GraphError: if the graph contains a cycle or a dangling input.
         """
         producers = self.producer_map()
-        indegree: dict[str, int] = {}
-        dependents: dict[str, list[Node]] = defaultdict(list)
-        for node in self.nodes:
+        nodes = self.nodes
+        indegree: list[int] = []
+        dependents: dict[str, list[int]] = {}
+        for idx, node in enumerate(nodes):
             count = 0
             for inp in node.inputs:
                 if inp in producers:
                     count += 1
-                    dependents[inp].append(node)
+                    users = dependents.get(inp)
+                    if users is None:
+                        dependents[inp] = [idx]
+                    else:
+                        users.append(idx)
                 elif not self.is_source(inp):
                     raise GraphError(
                         f"node {node.name!r} reads undefined value {inp!r}"
                     )
-            indegree[node.name] = count
+            indegree.append(count)
 
-        # Seed with ready nodes, preserving current order for determinism.
-        ready = [n for n in self.nodes if indegree[n.name] == 0]
+        # Seed with ready nodes, preserving current order for determinism;
+        # ``ready`` grows while it is walked.
+        ready = [idx for idx, count in enumerate(indegree) if count == 0]
         order: list[Node] = []
-        cursor = 0
-        while cursor < len(ready):
-            node = ready[cursor]
-            cursor += 1
+        for idx in ready:
+            node = nodes[idx]
             order.append(node)
             for out in node.outputs:
                 for consumer in dependents.get(out, ()):
-                    indegree[consumer.name] -= 1
-                    if indegree[consumer.name] == 0:
+                    indegree[consumer] -= 1
+                    if indegree[consumer] == 0:
                         ready.append(consumer)
-        if len(order) != len(self.nodes):
+        if len(order) != len(nodes):
             raise GraphError("graph contains a cycle")
         return order
 
@@ -178,8 +182,15 @@ class Graph:
         }
         self.trainable &= set(self.initializers)
 
-    def remove_node(self, node: Node) -> None:
-        self.nodes.remove(node)
+    def remove_nodes(self, nodes: Iterable[Node]) -> None:
+        """Remove ``nodes`` (matched by identity) in one list rebuild.
+
+        A pass collects what it removes and calls this once; values the
+        removal orphans are the caller's to drop (``_drop_orphan_values``),
+        also once.
+        """
+        drop = {id(node) for node in nodes}
+        self.nodes = [node for node in self.nodes if id(node) not in drop]
 
     def clone(self) -> "Graph":
         """Deep copy of the graph (initializer arrays are shared, not copied:

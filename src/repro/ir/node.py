@@ -38,6 +38,8 @@ class Node:
         Used by common-subexpression elimination to decide whether two nodes
         compute the same thing.
         """
+        if not self.attrs:
+            return ()
         return tuple(sorted((k, _freeze(v)) for k, v in self.attrs.items()))
 
     def replace_input(self, old: str, new: str) -> None:

@@ -101,6 +101,8 @@ def _nelem(shape: tuple[int, ...]) -> int:
 
 def broadcast_shapes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Numpy-style broadcasting; raises :class:`ShapeError` on mismatch."""
+    if a == b:
+        return tuple(a)
     try:
         return tuple(int(d) for d in np.broadcast_shapes(a, b))
     except ValueError:

@@ -7,7 +7,7 @@ constants) or inside the runtime executor's value environment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dtype import DType
 
@@ -19,30 +19,32 @@ class TensorSpec:
     Shapes are concrete (no symbolic dimensions): PockEngine compiles one
     program per (model, batch size, sequence length) configuration, which
     matches the paper's static-graph design.
+
+    ``num_elements`` and ``nbytes`` are derived once, at construction: the
+    spec is frozen, and the scheduler, the memory profiler and plan
+    allocation read them tens of times per value.
     """
 
     name: str
     shape: tuple[int, ...]
     dtype: DType = DType.FLOAT32
+    num_elements: int = field(init=False, repr=False, compare=False)
+    #: bytes needed to store this tensor densely
+    nbytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
-        for dim in self.shape:
+        shape = tuple(int(d) for d in self.shape)
+        for dim in shape:
             if dim < 0:
-                raise ValueError(f"negative dimension in {self.name}: {self.shape}")
+                raise ValueError(f"negative dimension in {self.name}: {shape}")
+        count = math.prod(shape)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "num_elements", count)
+        object.__setattr__(self, "nbytes", count * self.dtype.itemsize)
 
     @property
     def rank(self) -> int:
         return len(self.shape)
-
-    @property
-    def num_elements(self) -> int:
-        return math.prod(self.shape) if self.shape else 1
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes needed to store this tensor densely."""
-        return self.num_elements * self.dtype.itemsize
 
     def with_name(self, name: str) -> "TensorSpec":
         return TensorSpec(name, self.shape, self.dtype)

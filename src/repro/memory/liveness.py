@@ -26,24 +26,26 @@ class Lifetime:
         return not (self.end < other.start or other.end < self.start)
 
 
-def value_lifetimes(graph: Graph, schedule: list[Node]) -> dict[str, Lifetime]:
-    """Compute the lifetime of every value under ``schedule``.
+def live_ranges(graph: Graph, schedule: list[Node]
+                ) -> tuple[dict[str, int], dict[str, int]]:
+    """First and last live step of every value under ``schedule``.
+
+    Returns ``(start, end)``: ``start`` is the producing step (-1 for
+    inputs and initializers), ``end`` the last consuming step
+    (``len(schedule)`` for graph outputs and in-place updated state).
+    This is the one liveness derivation at graph level;
+    :func:`value_lifetimes` and the memory profiler are views of it.
 
     Raises:
         MemoryPlanError: if the schedule references unknown values or uses a
             value before it is produced.
     """
-    position = {node.name: i for i, node in enumerate(schedule)}
-    if len(position) != len(schedule):
+    if len({node.name for node in schedule}) != len(schedule):
         raise MemoryPlanError("schedule contains duplicate nodes")
 
-    start: dict[str, int] = {}
-    for name in graph.inputs:
-        start[name] = -1
-    for name in graph.initializers:
-        start[name] = -1
-
-    end: dict[str, int] = {name: -1 for name in start}
+    start: dict[str, int] = dict.fromkeys(graph.inputs, -1)
+    start.update(dict.fromkeys(graph.initializers, -1))
+    end: dict[str, int] = dict(start)
     horizon = len(schedule)
 
     for i, node in enumerate(schedule):
@@ -52,7 +54,7 @@ def value_lifetimes(graph: Graph, schedule: list[Node]) -> dict[str, Lifetime]:
                 raise MemoryPlanError(
                     f"step {i} ({node.name}) reads {inp!r} before production"
                 )
-            end[inp] = max(end[inp], i)
+            end[inp] = i  # steps only grow, so the latest read wins
         for out in node.outputs:
             if out in start:
                 raise MemoryPlanError(f"value {out!r} produced twice")
@@ -68,8 +70,15 @@ def value_lifetimes(graph: Graph, schedule: list[Node]) -> dict[str, Lifetime]:
             end[node.inputs[0]] = horizon
             for out in node.outputs:
                 end[out] = horizon
+    return start, end
 
-    return {
-        name: Lifetime(start[name], end[name])
-        for name in start
-    }
+
+def value_lifetimes(graph: Graph, schedule: list[Node]) -> dict[str, Lifetime]:
+    """Compute the lifetime of every value under ``schedule``.
+
+    Raises:
+        MemoryPlanError: if the schedule references unknown values or uses a
+            value before it is produced.
+    """
+    start, end = live_ranges(graph, schedule)
+    return {name: Lifetime(first, end[name]) for name, first in start.items()}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from ..ir import Graph
 from ..ir.node import Node
 from ..ir.ops import get_schema
-from .liveness import value_lifetimes
+from .liveness import live_ranges
 
 
 @dataclass
@@ -33,6 +33,24 @@ class MemoryProfile:
         return self.peak_total_bytes / (1024 * 1024)
 
 
+class ProfiledSchedule(list):
+    """A schedule that carries the :class:`MemoryProfile` it was chosen by.
+
+    :func:`~repro.passes.reorder.memory_aware_schedule` has to profile its
+    candidates to pick one. Returning the winner in this form lets a later
+    ``profile_memory(graph, schedule)`` hand that profile back rather than
+    derive the same liveness again. The profile describes the node order
+    at construction; a caller that edits the list must re-profile a plain
+    ``list(schedule)``.
+    """
+
+    def __init__(self, nodes: list[Node], graph: Graph,
+                 profile: MemoryProfile) -> None:
+        super().__init__(nodes)
+        self.graph = graph
+        self.profile = profile
+
+
 def profile_memory(graph: Graph, schedule: list[Node] | None = None,
                    keep_timeline: bool = False) -> MemoryProfile:
     """Simulate buffer allocation over ``schedule`` and report the peak.
@@ -40,28 +58,32 @@ def profile_memory(graph: Graph, schedule: list[Node] | None = None,
     A transient value occupies memory from its producing step through its
     last use; in-place op outputs alias their parameter and occupy nothing.
     """
+    if isinstance(schedule, ProfiledSchedule) and schedule.graph is graph \
+            and not keep_timeline:
+        return schedule.profile
     if schedule is None:
         schedule = graph.topological_order()
-    lifetimes = value_lifetimes(graph, schedule)
+    start, end = live_ranges(graph, schedule)
 
-    resident = set(graph.initializers)
+    resident = graph.initializers
     alias: set[str] = set()
     for node in schedule:
         if get_schema(node.op_type).inplace:
             alias.update(node.outputs)
 
-    resident_bytes = sum(graph.spec(n).nbytes for n in resident)
+    spec = graph.spec
+    resident_bytes = sum(spec(n).nbytes for n in resident)
 
     horizon = len(schedule)
     deltas = [0] * (horizon + 1)
-    for name, life in lifetimes.items():
+    for name, born in start.items():
         if name in resident or name in alias:
             continue
-        size = graph.spec(name).nbytes
-        birth = max(life.start, 0)
-        deltas[birth] += size
-        if life.end + 1 <= horizon:
-            deltas[min(life.end + 1, horizon)] -= size
+        size = spec(name).nbytes
+        deltas[max(born, 0)] += size
+        died = end[name] + 1
+        if died <= horizon:
+            deltas[died] -= size
 
     timeline: list[int] = []
     current = 0

@@ -29,11 +29,13 @@ class ConstantFoldingPass(Pass):
             name for name in graph.initializers
             if name not in ctx.updated_params
         }
+        # Nodes are kept in topological order, so the first sweep already
+        # folds every chain; a later sweep only finds work on a graph that
+        # was not. Each sweep removes what it folded in one batch.
         folded = 0
-        changed = True
-        while changed:
-            changed = False
-            for node in list(graph.nodes):
+        while True:
+            batch = []
+            for node in graph.nodes:
                 if get_schema(node.op_type).inplace:
                     continue
                 if not node.inputs:
@@ -50,9 +52,11 @@ class ConstantFoldingPass(Pass):
                 for out, value in zip(node.outputs, results):
                     graph.initializers[out] = value
                     frozen.add(out)
-                graph.remove_node(node)
-                folded += 1
-                changed = True
+                batch.append(node)
+            if not batch:
+                break
+            graph.remove_nodes(batch)
+            folded += len(batch)
         if folded:
             graph._drop_orphan_values()
         return PassResult(changed=folded > 0, stats={"folded": folded})

@@ -16,37 +16,32 @@ class CommonSubexpressionEliminationPass(Pass):
     name = "cse"
 
     def run(self, graph: Graph, ctx: PassContext) -> PassResult:
-        removed_total = 0
-        while True:
-            removed = self._one_round(graph)
-            removed_total += removed
-            if not removed:
-                break
-        return PassResult(changed=removed_total > 0,
-                          stats={"removed": removed_total})
+        """One topological sweep with a running replacement map.
 
-    @staticmethod
-    def _one_round(graph: Graph) -> int:
+        That is already the fixpoint: a node is visited after all of its
+        producers, so its inputs are canonical when it is keyed, and two
+        surviving nodes never share a key — a second sweep would see the
+        same keys and remove nothing.
+        """
         seen: dict[tuple, tuple[str, ...]] = {}
         replace: dict[str, str] = {}
         survivors = []
-        removed = 0
         for node in graph.topological_order():
-            node.inputs = tuple(replace.get(i, i) for i in node.inputs)
+            if replace:
+                node.inputs = tuple(replace.get(i, i) for i in node.inputs)
             if get_schema(node.op_type).inplace:
                 survivors.append(node)
                 continue
             key = (node.op_type, node.inputs, node.attr_key())
-            if key in seen:
-                canonical = seen[key]
-                for old, new in zip(node.outputs, canonical):
-                    replace[old] = new
-                removed += 1
+            canonical = seen.get(key)
+            if canonical is not None:
+                replace.update(zip(node.outputs, canonical))
                 continue
             seen[key] = node.outputs
             survivors.append(node)
+        removed = len(graph.nodes) - len(survivors)
         if removed:
             graph.nodes = survivors
             graph.outputs = [replace.get(o, o) for o in graph.outputs]
             graph._drop_orphan_values()
-        return removed
+        return PassResult(changed=removed > 0, stats={"removed": removed})

@@ -35,24 +35,27 @@ class BiasActivationFusionPass(Pass):
     name = "fuse_bias_act"
 
     def run(self, graph: Graph, ctx: PassContext) -> PassResult:
+        # One sweep with one consumer map. A fusion only consumes the
+        # sole-consumer bias_add / activation behind its own producer, so
+        # fusions never enable or block one another; the single map entry
+        # a fusion does change (the bias vector is now read by the fused
+        # node) is patched in ``_apply``.
+        consumers = graph.consumer_map()
+        outputs = set(graph.outputs)
+        absorbed: list[Node] = []
         fused = 0
-        changed = True
-        while changed:
-            changed = False
-            consumers = graph.consumer_map()
-            outputs = set(graph.outputs)
-            for node in list(graph.nodes):
-                if node.op_type not in _PRODUCERS:
-                    continue
-                if len(node.inputs) == 3:
-                    pass  # bias already fused; may still take an activation
-                chain = self._match_chain(graph, node, consumers, outputs)
-                if chain is None:
-                    continue
-                self._apply(graph, node, chain)
-                fused += 1
-                changed = True
-                break  # maps are stale; rebuild
+        for node in graph.nodes:
+            if node.op_type not in _PRODUCERS:
+                continue
+            chain = self._match_chain(graph, node, consumers, outputs)
+            if chain is None:
+                continue
+            self._apply(node, chain, consumers)
+            absorbed.extend(n for n in chain if n is not None)
+            fused += 1
+        if fused:
+            graph.remove_nodes(absorbed)
+            graph._drop_orphan_values()
         return PassResult(changed=fused > 0, stats={"fused": fused})
 
     @staticmethod
@@ -83,29 +86,23 @@ class BiasActivationFusionPass(Pass):
         return bias, act
 
     @staticmethod
-    def _apply(graph: Graph, node: Node, chain) -> None:
+    def _apply(node: Node, chain, consumers) -> None:
+        """Fold ``chain`` into ``node``; the absorbed nodes stay in the
+        graph until the caller removes them in one batch."""
         bias, act = chain
-        inputs = list(node.inputs)
-        attrs = dict(node.attrs)
         tail = node
         if bias is not None:
-            inputs.append(bias.inputs[1])
+            vector = bias.inputs[1]
+            node.inputs = node.inputs + (vector,)
+            consumers[vector] = [node if user is bias else user
+                                 for user in consumers[vector]]
             tail = bias
-            graph.remove_node(bias)
         if act is not None:
-            attrs["activation"] = act.op_type
+            node.attrs = {**node.attrs, "activation": act.op_type}
             tail = act
-            graph.remove_node(act)
-        final_out = tail.outputs[0]
         # The fused node adopts the tail's output name so downstream
         # consumers stay untouched.
-        old_out = node.outputs[0]
-        node.inputs = tuple(inputs)
-        node.attrs = attrs
-        node.outputs = (final_out,)
-        if old_out != final_out:
-            graph.values.pop(old_out, None)
-        graph._drop_orphan_values()
+        node.outputs = (tail.outputs[0],)
 
 
 class ElementwiseGroupPass(Pass):

@@ -34,28 +34,28 @@ class ParallelLinearFusionPass(Pass):
         self.min_group = min_group
 
     def run(self, graph: Graph, ctx: PassContext) -> PassResult:
-        merged_groups = 0
-        merged_branches = 0
-        while True:
-            group = self._find_group(graph, ctx)
-            if group is None:
-                break
-            self._merge(graph, group)
-            merged_groups += 1
-            merged_branches += len(group)
-        if merged_groups:
+        groups = self._find_groups(graph, ctx)
+        if groups:
+            self._merge_all(graph, groups)
             graph.dead_code_elimination()
             graph.nodes = graph.topological_order()
         return PassResult(
-            changed=merged_groups > 0,
-            stats={"groups": merged_groups, "branches": merged_branches},
+            changed=bool(groups),
+            stats={"groups": len(groups),
+                   "branches": sum(len(group) for group in groups)},
         )
 
     # -- matching ---------------------------------------------------------
 
-    def _find_group(self, graph: Graph, ctx: PassContext
-                    ) -> list[tuple[Node, Node | None]] | None:
-        """Return the first mergeable list of (matmul, bias_add | None)."""
+    def _find_groups(self, graph: Graph, ctx: PassContext
+                     ) -> list[list[tuple[Node, Node | None]]]:
+        """Every mergeable list of (matmul, bias_add | None), in the order
+        of each group's first branch.
+
+        One scan finds them all: a merge touches only its own branches,
+        their sole-consumed weights and the names of their outputs, so it
+        neither creates nor breaks another group.
+        """
         consumers = graph.consumer_map()
         outputs = set(graph.outputs)
         candidates: dict[tuple, list[tuple[Node, Node | None]]] = {}
@@ -69,10 +69,8 @@ class ParallelLinearFusionPass(Pass):
             has_bias = branch[1] is not None
             key = (x, in_dim, has_bias)
             candidates.setdefault(key, []).append(branch)
-        for group in candidates.values():
-            if len(group) >= self.min_group:
-                return group
-        return None
+        return [group for group in candidates.values()
+                if len(group) >= self.min_group]
 
     @staticmethod
     def _match_branch(graph: Graph, ctx: PassContext, node: Node,
@@ -107,38 +105,61 @@ class ParallelLinearFusionPass(Pass):
     # -- rewriting --------------------------------------------------------
 
     @staticmethod
-    def _merge(graph: Graph, group: list[tuple[Node, Node | None]]) -> None:
+    def _merge_all(graph: Graph,
+                   groups: list[list[tuple[Node, Node | None]]]) -> None:
+        """Merge every group; branch removal and consumer renaming are
+        applied to the node list once, after the last group."""
         b = GraphBuilder(graph=graph)
-        matmuls = [mm for mm, _ in group]
-        biases = [bias for _, bias in group]
-        x = matmuls[0].inputs[0]
-        weights = [graph.initializers[mm.inputs[1]] for mm in matmuls]
-        w_cat = b.initializer(
-            f"{matmuls[0].inputs[1]}.qkv",
-            np.concatenate(weights, axis=1))
-        merged = b.matmul(x, w_cat)
-        if biases[0] is not None:
-            b_cat = b.initializer(
-                f"{biases[0].inputs[1]}.qkv",
-                np.concatenate(
-                    [graph.initializers[bn.inputs[1]] for bn in biases]))
-            merged = b.bias_add(merged, b_cat,
-                                axis=graph.spec(merged).rank - 1)
-
-        rank = graph.spec(merged).rank
+        original = len(graph.nodes)
+        boundary = set(graph.inputs) | set(graph.outputs)
         rename: dict[str, str] = {}
-        offset = 0
-        for (mm, bias), weight in zip(group, weights):
-            width = weight.shape[1]
-            piece = b.slice(merged, rank - 1, offset, offset + width)
-            offset += width
-            tail = bias.outputs[0] if bias is not None else mm.outputs[0]
-            rename[tail] = piece
+        dropped: list[Node] = []
+        for group in groups:
+            matmuls = [mm for mm, _ in group]
+            biases = [bias for _, bias in group]
+            x = matmuls[0].inputs[0]
+            x = rename.get(x, x)  # an earlier group's output feeds this one
+            weights = [graph.initializers[mm.inputs[1]] for mm in matmuls]
+            w_cat = b.initializer(
+                f"{matmuls[0].inputs[1]}.qkv",
+                np.concatenate(weights, axis=1))
+            merged = b.matmul(x, w_cat)
+            if biases[0] is not None:
+                b_cat = b.initializer(
+                    f"{biases[0].inputs[1]}.qkv",
+                    np.concatenate(
+                        [graph.initializers[bn.inputs[1]] for bn in biases]))
+                merged = b.bias_add(merged, b_cat,
+                                    axis=graph.spec(merged).rank - 1)
 
-        drop = {mm.name for mm in matmuls}
-        drop |= {bias.name for bias in biases if bias is not None}
-        graph.nodes = [n for n in graph.nodes if n.name not in drop]
-        for node in graph.nodes:
+            rank = graph.spec(merged).rank
+            offset = 0
+            for (mm, bias), weight in zip(group, weights):
+                width = weight.shape[1]
+                piece = b.slice(merged, rank - 1, offset, offset + width)
+                offset += width
+                tail = bias.outputs[0] if bias is not None else mm.outputs[0]
+                rename[tail] = piece
+
+            # The branches' outputs and sole-consumed parameters are gone
+            # from the graph as of this merge. Forget them now, not at the
+            # end, so the next group draws the names it always drew (node
+            # and value names are part of ``Program.fingerprint()``).
+            gone = [node for branch in group for node in branch
+                    if node is not None]
+            values = [node.outputs[0] for node in gone]
+            values += [node.inputs[1] for node in gone
+                       if node.inputs[1] not in boundary]
+            for name in values:
+                del graph.values[name]
+                graph.initializers.pop(name, None)
+                graph.trainable.discard(name)
+            b.release(values=values, nodes=[node.name for node in gone])
+            dropped += gone
+
+        # Only the nodes that predate the merges read the old names (a
+        # merged node may have re-drawn a forgotten one for itself).
+        for node in graph.nodes[:original]:
             node.inputs = tuple(rename.get(i, i) for i in node.inputs)
         graph.outputs = [rename.get(o, o) for o in graph.outputs]
-        graph._drop_orphan_values()
+        graph.remove_nodes(dropped)

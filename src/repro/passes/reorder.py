@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from ..errors import CompileError
 from ..ir import Graph
 from ..ir.node import Node
 from ..ir.ops import get_schema
@@ -32,49 +33,65 @@ def memory_aware_schedule(graph: Graph) -> list[Node]:
     smaller peak wins. Write-after-read hazards are honoured throughout:
     an in-place ``apply_*`` node is not ready until every other reader of
     its parameter has executed.
+
+    The result is a :class:`~repro.memory.profiler.ProfiledSchedule`: the
+    winner keeps the profile that chose it, so ``profile_memory`` on it
+    costs nothing.
     """
-    from ..memory.profiler import profile_memory
+    from ..memory.profiler import ProfiledSchedule, profile_memory
 
     greedy = _greedy_schedule(graph)
     natural = graph.topological_order()
-    if profile_memory(graph, natural).peak_transient_bytes \
-            < profile_memory(graph, greedy).peak_transient_bytes:
-        return natural
-    return greedy
+    best, profile = greedy, profile_memory(graph, greedy)
+    challenger = profile_memory(graph, natural)
+    if challenger.peak_transient_bytes < profile.peak_transient_bytes:
+        best, profile = natural, challenger
+    return ProfiledSchedule(best, graph, profile)
 
 
 def _greedy_schedule(graph: Graph) -> list[Node]:
-    """Greedy minimum-live-bytes list scheduling (see module docstring)."""
+    """Greedy minimum-live-bytes list scheduling (see module docstring).
+
+    Nodes are handled by their position in ``graph.nodes``. Everything a
+    pick's score needs is an integer worked out once per node; only the
+    per-value ``remaining`` reader counts change while scheduling.
+    """
     nodes = graph.nodes
-    producers = graph.producer_map()
-    index = {node.name: i for i, node in enumerate(nodes)}
+    inplace = [get_schema(node.op_type).inplace for node in nodes]
+    index = {id(node): i for i, node in enumerate(nodes)}
+    producer = {out: index[id(node)]
+                for out, node in graph.producer_map().items()}
 
     # Dataflow dependencies.
-    deps: dict[str, set[str]] = {node.name: set() for node in nodes}
-    dependents: dict[str, list[str]] = defaultdict(list)
-    for node in nodes:
+    deps: list[set[int]] = [set() for _ in nodes]
+    dependents: list[list[int]] = [[] for _ in nodes]
+    for i, node in enumerate(nodes):
         for inp in node.inputs:
-            producer = producers.get(inp)
-            if producer is not None and producer.name != node.name:
-                deps[node.name].add(producer.name)
-                dependents[producer.name].append(node.name)
+            p = producer.get(inp)
+            if p is not None and p != i:
+                deps[i].add(p)
+                dependents[p].append(i)
 
     # Hazards: apply(param) must follow all other readers of param.
-    readers: dict[str, list[Node]] = defaultdict(list)
-    for node in nodes:
+    readers: dict[str, list[int]] = defaultdict(list)
+    for i, node in enumerate(nodes):
         for inp in node.inputs:
             if inp in graph.initializers:
-                readers[inp].append(node)
-    for node in nodes:
-        if not get_schema(node.op_type).inplace:
+                readers[inp].append(i)
+    hazards: list[tuple[int, int, str]] = []  # (reader, apply, param)
+    for i, node in enumerate(nodes):
+        if not inplace[i]:
             continue
         param = node.inputs[0]
         for reader in readers[param]:
-            if reader.name != node.name:
-                deps[node.name].add(reader.name)
-                dependents[reader.name].append(node.name)
+            if reader != i:
+                deps[i].add(reader)
+                dependents[reader].append(i)
+                hazards.append((reader, i, param))
 
-    # Remaining-consumer counts for freed-bytes scoring.
+    # Remaining-reader counts, and per node what scoring it takes: the
+    # bytes it allocates and, for each transient input, how many of the
+    # value's reads are this node's and what the value frees when it dies.
     remaining: dict[str, int] = defaultdict(int)
     for node in nodes:
         for inp in node.inputs:
@@ -82,41 +99,36 @@ def _greedy_schedule(graph: Graph) -> list[Node]:
     persistent = set(graph.initializers) | set(graph.inputs) \
         | set(graph.outputs)
     alias = {
-        out for node in nodes if get_schema(node.op_type).inplace
+        out for i, node in enumerate(nodes) if inplace[i]
         for out in node.outputs
     }
+    alloc = [
+        sum(graph.spec(o).nbytes for o in node.outputs if o not in alias)
+        for node in nodes
+    ]
+    frees = [
+        [(inp, node.inputs.count(inp), graph.spec(inp).nbytes)
+         for inp in dict.fromkeys(node.inputs) if inp not in persistent]
+        for node in nodes
+    ]
 
-    def alloc_bytes(node: Node) -> int:
-        return sum(
-            graph.spec(o).nbytes for o in node.outputs if o not in alias
-        )
-
-    def freed_bytes(node: Node) -> int:
-        freed = 0
-        for inp in set(node.inputs):
-            if inp in persistent:
-                continue
-            if remaining[inp] == node.inputs.count(inp):
-                freed += graph.spec(inp).nbytes
-        return freed
-
-    pending = {name: len(d) for name, d in deps.items()}
-    by_name = {node.name: node for node in nodes}
-    ready = sorted(
-        (name for name, count in pending.items() if count == 0),
-        key=lambda n: index[n],
-    )
+    pending = [len(d) for d in deps]
+    ready = [i for i, count in enumerate(pending) if count == 0]
     schedule: list[Node] = []
     while ready:
-        best = min(
-            ready,
-            key=lambda n: (
-                alloc_bytes(by_name[n]) - freed_bytes(by_name[n]),
-                index[n],
-            ),
-        )
+        # Best immediate delta (allocated minus freed bytes); ties go to
+        # the earlier node.
+        best, best_delta = -1, 0
+        for i in ready:
+            delta = alloc[i]
+            for value, reads, size in frees[i]:
+                if remaining[value] == reads:
+                    delta -= size
+            if best < 0 or delta < best_delta \
+                    or (delta == best_delta and i < best):
+                best, best_delta = i, delta
         ready.remove(best)
-        node = by_name[best]
+        node = nodes[best]
         schedule.append(node)
         for inp in node.inputs:
             remaining[inp] -= 1
@@ -125,8 +137,20 @@ def _greedy_schedule(graph: Graph) -> list[Node]:
             if pending[dep] == 0:
                 ready.append(dep)
     if len(schedule) != len(nodes):
-        # A cycle would have been caught earlier; this is a hazard conflict.
-        raise ValueError("memory-aware scheduling failed to order all nodes")
+        # A dataflow cycle would have been caught earlier; what is left
+        # waits on a write-after-read hazard that can never clear.
+        stuck = [nodes[i].name for i, count in enumerate(pending) if count]
+        blocked = [
+            f"{nodes[apply].name} must follow {nodes[reader].name} "
+            f"(reads {param!r})"
+            for reader, apply, param in hazards
+            if pending[reader] and pending[apply]
+        ]
+        reason = "hazard: " + "; ".join(blocked) if blocked \
+            else "dependency cycle"
+        raise CompileError(
+            f"memory-aware scheduling could not order {len(stuck)} node(s) "
+            f"{stuck}: {reason}")
     return schedule
 
 

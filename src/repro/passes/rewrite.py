@@ -81,7 +81,7 @@ class AlgebraicRewritePass(Pass):
         for node in graph.nodes:
             node.inputs = tuple(resolve(i) for i in node.inputs)
         graph.outputs = [resolve(o) for o in graph.outputs]
-        graph._drop_orphan_values()
+        # Orphaned values are dropped once, by the DCE that closes ``run``.
         return changed
 
     # -- rules ----------------------------------------------------------

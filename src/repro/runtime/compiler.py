@@ -94,6 +94,42 @@ class CompileReport:
     resident_bytes: int = 0
 
 
+def graph_pass_manager(options: CompileOptions) -> PassManager:
+    """The graph-level pass pipeline ``options`` selects — the one both
+    training and inference compiles run."""
+    pipeline = []
+    if options.constant_folding:
+        pipeline.append(ConstantFoldingPass())
+    if options.cse:
+        pipeline.append(CommonSubexpressionEliminationPass())
+    if options.rewrite:
+        pipeline.append(AlgebraicRewritePass())
+    pipeline.append(DeadCodeEliminationPass())
+    if options.parallel_fusion:
+        pipeline.append(ParallelLinearFusionPass())
+    if options.fusion:
+        pipeline.append(BiasActivationFusionPass())
+    if options.winograd:
+        pipeline.append(WinogradSelectionPass())
+    if options.layout:
+        pipeline.append(LayoutSelectionPass())
+    if options.fusion:
+        pipeline.append(ElementwiseGroupPass())
+    return PassManager(pipeline, debug=options.debug_validate)
+
+
+def _request_lowering(program: Program, options: CompileOptions) -> None:
+    """Record in ``program.meta`` how ``options`` wants the plan lowered
+    (read back by :func:`repro.runtime.passes.run_pipeline`)."""
+    program.meta["plan_passes"] = options.plan_passes
+    if options.verify_plans is not None:
+        program.meta["verify_plans"] = options.verify_plans
+    if options.autotune:
+        program.meta["autotune"] = options.autotune
+        if options.autotune_device:
+            program.meta["autotune_device"] = options.autotune_device
+
+
 def compile_training(
     forward: Graph,
     *,
@@ -165,26 +201,7 @@ def compile_training(
 
     ctx = PassContext(updated_params=set(resolved.updates),
                       device=options.device)
-    pipeline = []
-    if options.constant_folding:
-        pipeline.append(ConstantFoldingPass())
-    if options.cse:
-        pipeline.append(CommonSubexpressionEliminationPass())
-    if options.rewrite:
-        pipeline.append(AlgebraicRewritePass())
-    pipeline.append(DeadCodeEliminationPass())
-    if options.parallel_fusion:
-        pipeline.append(ParallelLinearFusionPass())
-    if options.fusion:
-        pipeline.append(BiasActivationFusionPass())
-    if options.winograd:
-        pipeline.append(WinogradSelectionPass())
-    if options.layout:
-        pipeline.append(LayoutSelectionPass())
-    if options.fusion:
-        pipeline.append(ElementwiseGroupPass())
-    manager = PassManager(pipeline, debug=options.debug_validate)
-    pass_report = manager.run(graph, ctx)
+    pass_report = graph_pass_manager(options).run(graph, ctx)
 
     if options.reorder:
         schedule = memory_aware_schedule(graph)
@@ -193,13 +210,7 @@ def compile_training(
 
     program = Program.from_graph(graph, schedule,
                                  copy_state=options.materialize_state)
-    program.meta["plan_passes"] = options.plan_passes
-    if options.verify_plans is not None:
-        program.meta["verify_plans"] = options.verify_plans
-    if options.autotune:
-        program.meta["autotune"] = options.autotune
-        if options.autotune_device:
-            program.meta["autotune_device"] = options.autotune_device
+    _request_lowering(program, options)
     if options.materialize_state:
         # Pay the lowering cost here, with compilation, so the first step a
         # tenant runs is already the zero-interpretation fast path.
@@ -230,34 +241,10 @@ def compile_inference(forward: Graph,
     graph = forward.clone()
     graph.name = f"{forward.name}.infer"
     ctx = PassContext(updated_params=set(), device=options.device)
-    pipeline = []
-    if options.constant_folding:
-        pipeline.append(ConstantFoldingPass())
-    if options.cse:
-        pipeline.append(CommonSubexpressionEliminationPass())
-    if options.rewrite:
-        pipeline.append(AlgebraicRewritePass())
-    pipeline.append(DeadCodeEliminationPass())
-    if options.parallel_fusion:
-        pipeline.append(ParallelLinearFusionPass())
-    if options.fusion:
-        pipeline.append(BiasActivationFusionPass())
-    if options.winograd:
-        pipeline.append(WinogradSelectionPass())
-    if options.layout:
-        pipeline.append(LayoutSelectionPass())
-    if options.fusion:
-        pipeline.append(ElementwiseGroupPass())
-    PassManager(pipeline, debug=options.debug_validate).run(graph, ctx)
+    graph_pass_manager(options).run(graph, ctx)
     schedule = memory_aware_schedule(graph) if options.reorder \
         else default_schedule(graph)
     program = Program.from_graph(graph, schedule)
-    program.meta["plan_passes"] = options.plan_passes
-    if options.verify_plans is not None:
-        program.meta["verify_plans"] = options.verify_plans
-    if options.autotune:
-        program.meta["autotune"] = options.autotune
-        if options.autotune_device:
-            program.meta["autotune_device"] = options.autotune_device
+    _request_lowering(program, options)
     program.plan()
     return program

@@ -11,12 +11,12 @@ equality is pinned by the plan equivalence tests.
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
 from ...kernels import (DONATED_INPUTS, DONATING_KERNELS, OUT_ALIAS_SAFE,
                         OUT_KERNELS)
 from ..plan import (ArenaKey, InstructionSpec, PlanSpec, PrecomputedSpec,
-                    VARIANT_BASE, VARIANT_DONATING, arena_key_for)
+                    VARIANT_BASE, VARIANT_DONATING)
 from .fuse_elementwise import donatable_inputs
 from .lower import LoweredOp, LoweringContext
 
@@ -66,6 +66,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             consumers.setdefault(name, []).append(op)
             counts[name] = counts.get(name, 0) + 1
 
+    @functools.cache  # asked once per free and per donation candidate
     def recyclable(name: str) -> bool:
         """True when the buffer behind ``name`` is provably unaliased at
         the moment its last consumer retires."""
@@ -84,6 +85,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
     peak = transient
     instructions: list[InstructionSpec] = []
     precomputed: dict[tuple[str, str], PrecomputedSpec] = {}
+    arena_caps: dict[ArenaKey, int] = {}
 
     for op in stream:
         inplace = op.is_inplace
@@ -137,13 +139,13 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                 and (op.fused is not None or op.kernel in OUT_KERNELS):
             use_out = True
             out_name = op.outputs[0]
-            out_spec = ctx.spec(out_name)
-            out_shape = tuple(out_spec.shape)
-            out_dtype = np.dtype(out_spec.dtype.np).name
             # Donation demands an *exact* shape/dtype match (the out=
             # kernel writes element-for-element into the donated buffer);
             # the arena's byte-bucketing never applies here.
-            out_form = (out_shape, np.dtype(out_dtype))
+            out_form = ctx.shape_dtype(out_name)
+            out_shape = out_form[0]
+            # a DType's value *is* its numpy dtype name
+            out_dtype = ctx.spec(out_name).dtype.value
             if op.fused is not None:
                 # Fused link args index the assembled input list (folded
                 # scalar constants spliced back in), not ``op.inputs``.
@@ -161,6 +163,9 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                         and ctx.shape_dtype(name) == out_form:
                     donate_slot = slots[name]
                     break
+            if donate_slot < 0:  # the output comes out of the arena
+                key = ctx.arena_key(out_name)
+                arena_caps[key] = arena_caps.get(key, 0) + 1
 
         variant = VARIANT_BASE
         if op.precompute is not None:
@@ -211,11 +216,6 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
     pre_slots = {entry.slot for entry in precomputed.values()}
     clear_slots = tuple(slot for name, slot in slots.items()
                         if slot not in state_slots and slot not in pre_slots)
-    arena_caps: dict[ArenaKey, int] = {}
-    for instr in instructions:
-        if instr.use_out and instr.donate_slot < 0:
-            key = arena_key_for(instr.out_shape, instr.out_dtype)
-            arena_caps[key] = arena_caps.get(key, 0) + 1
     entries = tuple(sorted(precomputed.values(), key=lambda e: e.slot))
     return PlanSpec(
         num_slots=len(slots),

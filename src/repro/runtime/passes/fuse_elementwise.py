@@ -38,6 +38,19 @@ stops occupying memory across the whole forward. The producer's result
 must feed the consumer's *first* link only (later links cannot see the
 carried value), and the carried-form rule above still applies.
 
+The deferral phase computes its whole-stream facts — the effect rows and
+the value -> consumer / producer position maps — once, and carries them
+across merges (:class:`_DeferralState`) instead of recomputing them per
+merge. The carried effects are exact, not approximate: the only ops a
+merge moves are pure (no writes), fresh-output (each result roots
+itself) and sole-consumed, and an alias-root set belongs to a *value*,
+not to a stream position. So moving them changes no other instruction's
+reads or writes and not their own; the merged instruction reads what
+producer and consumer read minus the eliminated intermediate, and writes
+what the consumer wrote. The scan itself still restarts from the top
+after every merge — a merge can unpin an *earlier* candidate's inputs —
+only its set-up is no longer redone.
+
 Donation interplay: an external input may be donated as the chain's
 output buffer only when the *first* link is its sole reader — a dying
 input consumed by a later link would be clobbered by the first link's
@@ -47,7 +60,7 @@ write. ``allocate`` enforces this via the per-instruction
 
 from __future__ import annotations
 
-from ...analysis.effects import safe_to_defer, stream_effects
+from ...analysis.effects import OpEffects, safe_to_defer, stream_effects
 from ...ir.ops import get_schema
 from ...kernels import OUT_ALIAS_SAFE, OUT_KERNELS, VIEW_OPS
 from ..plan import FusedLinkSpec
@@ -73,6 +86,7 @@ def fuse_elementwise(stream: list[LoweredOp], ctx: LoweringContext
         for name in op.inputs:
             consumers.setdefault(name, []).append(idx)
 
+    fusable = [_fusable(op) for op in stream]
     fused_stream: list[LoweredOp] = []
     chains = 0
     removed = 0
@@ -83,7 +97,7 @@ def fuse_elementwise(stream: list[LoweredOp], ctx: LoweringContext
         while j + 1 < len(stream):
             link = stream[j]
             nxt = stream[j + 1]
-            if not (_fusable(link) and _fusable(nxt)):
+            if not (fusable[j] and fusable[j + 1]):
                 break
             value = link.outputs[0]
             uses = consumers.get(value, [])
@@ -189,6 +203,156 @@ def _companion_ok(prod: LoweredOp) -> bool:
             and not prod.is_view and not prod.is_inplace)
 
 
+class _DeferralState:
+    """The stream and the whole-stream facts the deferral scan consults,
+    built once and kept exact across merges.
+
+    * ``stream`` — the instructions; ``None`` marks the slot a merge
+      vacated, so positions after a merge point never shift (dropped by
+      :meth:`compact`);
+    * ``effects`` — :func:`~repro.analysis.effects.stream_effects` rows,
+      position for position (a vacated slot reads and writes nothing);
+    * ``candidate`` — :func:`_chain_candidate` per position (a property
+      of the op alone, so it travels with it);
+    * ``consumers`` — value -> consuming positions, ascending, repeated
+      per occurrence (``mul(v, v)`` lists its position twice);
+    * ``producer_of`` — value -> producing position.
+
+    The module docstring says why rows carried this way equal rows
+    recomputed from scratch.
+    """
+
+    def __init__(self, stream: list[LoweredOp]) -> None:
+        self.stream: list[LoweredOp | None] = list(stream)
+        self.effects = stream_effects(stream)
+        self.candidate = [_chain_candidate(op) for op in stream]
+        self.consumers: dict[str, list[int]] = {}
+        self.producer_of: dict[str, int] = {}
+        for idx, op in enumerate(stream):
+            for name in op.inputs:
+                self.consumers.setdefault(name, []).append(idx)
+            for name in op.outputs:
+                self.producer_of[name] = idx
+
+    def compact(self) -> list[LoweredOp]:
+        return [op for op in self.stream if op is not None]
+
+    def merge(self, i: int, j: int, companions: list[int]) -> None:
+        """Move ``companions`` (ascending, all before ``i``) to just before
+        ``j`` and merge ``i`` into ``j``.
+
+        The first moved op's slot is vacated. Without companions nothing
+        else moves: ``j`` just becomes the merged op. With companions the
+        span from the second moved op to ``j`` keeps its length and is
+        rewritten (stayers, then the companions, then the merged op). The
+        index maps are patched for the values those ops touch.
+        """
+        stream, effects, candidate = self.stream, self.effects, self.candidate
+        op, cons = stream[i], stream[j]
+        value = op.outputs[0]
+        group = companions + [i]
+        first = group[0]
+        lo = group[1] if companions else j
+        moving = set(group)
+        stay = [k for k in range(lo, j)
+                if k not in moving and stream[k] is not None]
+        touched = set(stream[first].inputs)
+        for k in range(lo, j + 1):
+            if stream[k] is not None:
+                touched.update(stream[k].inputs)
+
+        order = stay + companions
+        ops = [stream[k] for k in order]
+        rows = [effects[k] for k in order]
+        flags = [candidate[k] for k in order]
+        ops.append(_merge_ops(op, cons))
+        rows.append(OpEffects(
+            reads=(effects[i].reads | effects[j].reads) - {value},
+            writes=effects[j].writes))
+        flags.append(_chain_candidate(ops[-1]))
+        # slots vacated by earlier merges inside the span stay at its head
+        head = j + 1 - len(ops) - lo
+        stream[first], effects[first], candidate[first] = \
+            None, _NO_EFFECTS, False
+        stream[lo:j + 1] = [None] * head + ops
+        effects[lo:j + 1] = [_NO_EFFECTS] * head + rows
+        candidate[lo:j + 1] = [False] * head + flags
+
+        del self.producer_of[value]
+        reads: dict[str, list[int]] = {name: [] for name in touched}
+        for pos in range(lo + head, j + 1):
+            cur = stream[pos]
+            for name in cur.outputs:
+                self.producer_of[name] = pos
+            for name in cur.inputs:
+                reads[name].append(pos)
+        for name, inside in reads.items():
+            old = self.consumers[name]
+            uses = [u for u in old if u < lo and u != first] + inside \
+                + [u for u in old if u > j]
+            if uses:
+                self.consumers[name] = uses
+            else:
+                del self.consumers[name]
+
+
+_NO_EFFECTS = OpEffects(reads=frozenset(), writes=frozenset())
+
+
+def _find_merge(state: _DeferralState, ctx: LoweringContext
+                ) -> tuple[int, int, list[int]] | None:
+    """The first (producer, consumer, companions) the scan accepts."""
+    stream, effects, candidate = state.stream, state.effects, state.candidate
+    consumers, producer_of = state.consumers, state.producer_of
+    for i, op in enumerate(stream):
+        if not candidate[i]:
+            continue
+        value = op.outputs[0]
+        if value in ctx.keep:
+            continue
+        uses = consumers.get(value)
+        if not uses or any(u != uses[0] for u in uses):
+            continue
+        j = uses[0]
+        if j <= i:
+            continue
+        cons = stream[j]
+        if not candidate[j]:
+            continue
+        if not _first_link_only(cons, value):
+            continue
+        if ctx.shape_dtype(value) != ctx.shape_dtype(cons.outputs[0]):
+            continue  # carried value would change form mid-chain
+        if not safe_to_defer(effects, i, j):
+            continue
+        # Recruit companions for inputs the move would otherwise pin.
+        companions: list[int] = []
+        for name in dict.fromkeys(op.inputs):
+            if name in ctx.state_names or name in ctx.keep:
+                continue
+            if max(consumers.get(name, (i,))) >= j:
+                continue  # alive past j regardless
+            p = producer_of.get(name)
+            if (p is not None and p < i and _companion_ok(stream[p])
+                    and set(consumers.get(name, ())) == {i}
+                    and safe_to_defer(effects, p, j)):
+                companions.append(p)
+        group = set(companions) | {i}
+        group_outs = {out for k in group for out in stream[k].outputs}
+        externals = {name for k in group for name in stream[k].inputs
+                     if name not in group_outs}
+        pinned = 0
+        for name in externals:
+            if name in ctx.state_names or name in ctx.keep:
+                continue
+            if max(consumers.get(name, (i,))) < j:
+                pinned += ctx.nbytes(name)
+        if pinned > ctx.nbytes(value):
+            continue
+        return i, j, sorted(companions)
+    return None
+
+
 def _merge_sole_consumers(stream: list[LoweredOp], ctx: LoweringContext
                           ) -> tuple[list[LoweredOp], int]:
     """Defer pure producers down to their sole consumer and merge.
@@ -196,6 +360,9 @@ def _merge_sole_consumers(stream: list[LoweredOp], ctx: LoweringContext
     Repeats to a fixpoint so a merged chain can itself be deferred into a
     yet-later consumer. Each move is proven by the effect analysis: no
     instruction jumped over may mutate anything the moved group reads.
+    After every merge the scan restarts from the top — a merge can unpin
+    the inputs of an *earlier* candidate — but over the same
+    :class:`_DeferralState`, never a rebuilt one.
 
     **Byte neutrality.** Deferring pins the producer's transient inputs
     until the consumer, so an unconditional merge could peak above the
@@ -207,78 +374,12 @@ def _merge_sole_consumers(stream: list[LoweredOp], ctx: LoweringContext
     **companion**: it moves (unmerged) to just before the merge point,
     stops pinning, and only its own inputs enter the ledger.
     """
+    state = _DeferralState(stream)
     merged = 0
-    changed = True
-    while changed:
-        changed = False
-        effects = stream_effects(stream)
-        consumers: dict[str, list[int]] = {}
-        producer_of: dict[str, int] = {}
-        for idx, op in enumerate(stream):
-            for name in op.inputs:
-                consumers.setdefault(name, []).append(idx)
-            for name in op.outputs:
-                producer_of[name] = idx
-        for i, op in enumerate(stream):
-            if not _chain_candidate(op):
-                continue
-            value = op.outputs[0]
-            if value in ctx.keep:
-                continue
-            uses = consumers.get(value)
-            if not uses or any(u != uses[0] for u in uses):
-                continue
-            j = uses[0]
-            if j <= i:
-                continue
-            cons = stream[j]
-            if not _chain_candidate(cons):
-                continue
-            if not _first_link_only(cons, value):
-                continue
-            if ctx.shape_dtype(value) != ctx.shape_dtype(cons.outputs[0]):
-                continue  # carried value would change form mid-chain
-            if not safe_to_defer(effects, i, j):
-                continue
-            # Recruit companions for inputs the move would otherwise pin.
-            companions: list[int] = []
-            for name in dict.fromkeys(op.inputs):
-                if name in ctx.state_names or name in ctx.keep:
-                    continue
-                if max(consumers.get(name, (i,))) >= j:
-                    continue  # alive past j regardless
-                p = producer_of.get(name)
-                if (p is not None and p < i and _companion_ok(stream[p])
-                        and set(consumers.get(name, ())) == {i}
-                        and safe_to_defer(effects, p, j)):
-                    companions.append(p)
-            group = set(companions) | {i}
-            group_outs = {out for k in group for out in stream[k].outputs}
-            externals = {name for k in group for name in stream[k].inputs
-                         if name not in group_outs}
-            pinned = 0
-            for name in externals:
-                if name in ctx.state_names or name in ctx.keep:
-                    continue
-                if max(consumers.get(name, (i,))) < j:
-                    pinned += ctx.nbytes(name)
-            if pinned > ctx.nbytes(value):
-                continue
-            moved = [stream[p] for p in sorted(companions)]
-            new_stream: list[LoweredOp] = []
-            for k, cur in enumerate(stream):
-                if k in group:
-                    continue
-                if k == j:
-                    new_stream.extend(moved)
-                    new_stream.append(_merge_ops(op, cons))
-                else:
-                    new_stream.append(cur)
-            stream = new_stream
-            merged += 1
-            changed = True
-            break
-    return stream, merged
+    while (found := _find_merge(state, ctx)) is not None:
+        state.merge(*found)
+        merged += 1
+    return state.compact(), merged
 
 
 def donatable_inputs(op: LoweredOp) -> set[int]:

@@ -79,6 +79,9 @@ class LoweringContext:
 
     program: Any
     _specs: dict[str, Any] = field(default_factory=dict)
+    _forms: dict[str, tuple[tuple[int, ...], Any]] = field(
+        default_factory=dict)
+    _arena_keys: dict[str, ArenaKey] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         program = self.program
@@ -101,12 +104,18 @@ class LoweringContext:
         return self.nodes[node_name].attrs
 
     def arena_key(self, name: str) -> ArenaKey:
-        s = self.spec(name)
-        return arena_key_for(tuple(s.shape), np.dtype(s.dtype.np))
+        key = self._arena_keys.get(name)
+        if key is None:
+            key = self._arena_keys[name] = arena_key_for(
+                *self.shape_dtype(name))
+        return key
 
     def shape_dtype(self, name: str) -> tuple[tuple[int, ...], Any]:
-        s = self.spec(name)
-        return tuple(s.shape), np.dtype(s.dtype.np)
+        form = self._forms.get(name)
+        if form is None:
+            s = self.spec(name)
+            form = self._forms[name] = (tuple(s.shape), np.dtype(s.dtype.np))
+        return form
 
     def nbytes(self, name: str) -> int:
         return self.spec(name).nbytes
