@@ -25,6 +25,13 @@ steady-state step:
   in :data:`DONATED_INPUTS` as scratch (the in-place optimizer applies use
   the dying gradient buffer to avoid temporaries). Outputs must again be
   bitwise identical to the base kernel's.
+* :data:`EMITTERS` / :data:`OUT_EMITTERS` give a kernel's body as Python
+  source, for the step generator (:mod:`repro.runtime.codegen`) to splice
+  into the generated step in place of the call. The rule: an emitter may
+  exist only for a kernel whose body is one numpy expression, it lives
+  next to that kernel, and ``tests/test_codegen.py`` proves the two equal
+  byte for byte on generated inputs (an op that gains an emitter without
+  an input strategy there fails the suite).
 """
 
 from __future__ import annotations
@@ -39,6 +46,15 @@ Kernel = Callable[[list[np.ndarray], dict[str, Any]], list[np.ndarray]]
 OutKernel = Callable[[list[np.ndarray], dict[str, Any], np.ndarray],
                      np.ndarray]
 
+#: ``fn(args, attrs) -> source | None``: ``args`` are the source
+#: expressions of the inputs, static attrs become literals, and the
+#: returned expression (over ``args`` and ``np`` only) evaluates to the
+#: kernel's single output. ``None`` means these attrs / this arity have no
+#: one-expression form and the kernel is called as usual.
+Emitter = Callable[[list[str], dict[str, Any]], "str | None"]
+#: same for the ``out=`` variant; ``out`` is the buffer's expression
+OutEmitter = Callable[[list[str], dict[str, Any], str], "str | None"]
+
 KERNELS: dict[str, Kernel] = {}
 
 #: ops whose kernel may return a view aliasing an input array
@@ -49,6 +65,12 @@ OUT_KERNELS: dict[str, OutKernel] = {}
 
 #: out-capable ops where ``out`` may alias a same-shape input
 OUT_ALIAS_SAFE: set[str] = set()
+
+#: source form of single-expression base kernels (see :data:`Emitter`)
+EMITTERS: dict[str, Emitter] = {}
+
+#: source form of single-expression ``out=`` kernels
+OUT_EMITTERS: dict[str, OutEmitter] = {}
 
 #: variants that may clobber specific inputs as scratch space
 DONATING_KERNELS: dict[str, Kernel] = {}
@@ -97,6 +119,32 @@ def out_kernel(name: str, *, alias_safe: bool = False
         return fn
 
     return wrap
+
+
+def emitter(name: str) -> Callable[[Emitter], Emitter]:
+    """Decorator registering the source form of ``KERNELS[name]``."""
+
+    def wrap(fn: Emitter) -> Emitter:
+        EMITTERS[name] = fn
+        return fn
+
+    return wrap
+
+
+def out_emitter(name: str) -> Callable[[OutEmitter], OutEmitter]:
+    """Decorator registering the source form of ``OUT_KERNELS[name]``."""
+
+    def wrap(fn: OutEmitter) -> OutEmitter:
+        OUT_EMITTERS[name] = fn
+        return fn
+
+    return wrap
+
+
+def int_tuple(values) -> str:
+    """A static shape / axes attr as a tuple literal for an emitter (the
+    bytecode compiler folds it into one constant)."""
+    return repr(tuple(int(v) for v in values))
 
 
 def donating_kernel(name: str, clobbers: tuple[int, ...]
@@ -159,15 +207,20 @@ from .elementwise import make_fused_kernel  # noqa: E402
 __all__ = [
     "DONATED_INPUTS",
     "DONATING_KERNELS",
+    "EMITTERS",
     "KERNELS",
     "OUT_ALIAS_SAFE",
+    "OUT_EMITTERS",
     "OUT_KERNELS",
     "PRECOMPUTE_TRANSFORMS",
     "VARIANT_KERNELS",
     "VIEW_OPS",
     "donating_kernel",
+    "emitter",
+    "int_tuple",
     "kernel",
     "make_fused_kernel",
+    "out_emitter",
     "out_kernel",
     "register_transform",
     "run_op",

@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernel, register_transform, variant_kernel, workspace
-from .elementwise import apply_activation
+from .elementwise import epilogue
 
 
 #: parsed stride/padding pairs, keyed by the raw attr value. Conv graphs
@@ -194,6 +194,13 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
 
 
+def _epilogue(y: np.ndarray, bias: np.ndarray | None, attrs) -> np.ndarray:
+    """Fused per-channel bias and activation, in the conv's own result."""
+    if bias is not None:
+        bias = bias.reshape(1, -1, 1, 1)
+    return epilogue(y, bias, attrs.get("activation"))
+
+
 @kernel("conv2d")
 def _conv2d(inputs, attrs):
     x, w = inputs[0], inputs[1]
@@ -206,9 +213,7 @@ def _conv2d(inputs, attrs):
         y = conv2d_forward(x, w, attrs.get("stride", 1),
                            attrs.get("padding", 0),
                            int(attrs.get("groups", 1)))
-    if len(inputs) == 3:  # fused bias
-        y = y + inputs[2].reshape(1, -1, 1, 1)
-    return [apply_activation(y, attrs.get("activation"))]
+    return [_epilogue(y, inputs[2] if len(inputs) == 3 else None, attrs)]
 
 
 @variant_kernel("conv2d", "winograd_precomputed")
@@ -225,9 +230,8 @@ def _conv2d_winograd_precomputed(inputs, attrs):
 
     x, w, u = inputs[0], inputs[1], inputs[-1]
     y = winograd_conv2d(x, w, padding=attrs.get("padding", 0), u=u)
-    if len(inputs) == 4:  # fused bias rides between the weights and U
-        y = y + inputs[2].reshape(1, -1, 1, 1)
-    return [apply_activation(y, attrs.get("activation"))]
+    # a fused bias rides between the weights and U
+    return [_epilogue(y, inputs[2] if len(inputs) == 4 else None, attrs)]
 
 
 @register_transform("im2col_weight")
@@ -265,9 +269,8 @@ def _conv2d_im2col_precomputed(inputs, attrs):
         ho, wo = sub.shape[2], sub.shape[3]
         cols = np.ascontiguousarray(sub).reshape(n, cin, ho * wo)
     y = (w2 @ cols).reshape(n, cout, ho, wo)
-    if len(inputs) == 4:  # fused bias rides between the weights and w2
-        y = y + inputs[2].reshape(1, -1, 1, 1)
-    return [apply_activation(y, attrs.get("activation"))]
+    # a fused bias rides between the weights and w2
+    return [_epilogue(y, inputs[2] if len(inputs) == 4 else None, attrs)]
 
 
 def _flip_transpose(w: np.ndarray, groups: int) -> np.ndarray:

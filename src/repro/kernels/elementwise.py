@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel, out_kernel
+from . import emitter, kernel, out_emitter, out_kernel
 
 _SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
 
@@ -26,16 +26,35 @@ def _unary_out(ufunc):
     return run
 
 
-for _name, _ufunc in [("add", np.add), ("sub", np.subtract),
-                      ("mul", np.multiply), ("div", np.true_divide),
-                      ("maximum", np.maximum), ("minimum", np.minimum)]:
-    out_kernel(_name, alias_safe=True)(_binary_out(_ufunc))
+def _out_emitter(ufunc):
+    def emit(args, attrs, out):
+        return f"np.{ufunc.__name__}({', '.join(args)}, out={out})"
+    return emit
 
-for _name, _ufunc in [("neg", np.negative), ("exp", np.exp),
-                      ("log", np.log), ("sqrt", np.sqrt),
-                      ("abs", np.abs), ("sign", np.sign),
-                      ("tanh", np.tanh)]:
-    out_kernel(_name, alias_safe=True)(_unary_out(_ufunc))
+
+def _base_emitter(template):
+    def emit(args, attrs):
+        return template.format(*args)
+    return emit
+
+
+# (op, ufunc, the base kernel's body as a template over its inputs)
+_UFUNC_OPS = [
+    ("add", np.add, "({} + {})"), ("sub", np.subtract, "({} - {})"),
+    ("mul", np.multiply, "({} * {})"), ("div", np.true_divide, "({} / {})"),
+    ("maximum", np.maximum, "np.maximum({}, {})"),
+    ("minimum", np.minimum, "np.minimum({}, {})"),
+    ("neg", np.negative, "(-{})"), ("exp", np.exp, "np.exp({})"),
+    ("log", np.log, "np.log({})"), ("sqrt", np.sqrt, "np.sqrt({})"),
+    ("abs", np.abs, "np.abs({})"), ("sign", np.sign, "np.sign({})"),
+    ("tanh", np.tanh, "np.tanh({})"),
+]
+
+for _name, _ufunc, _body in _UFUNC_OPS:
+    out_kernel(_name, alias_safe=True)(
+        (_binary_out if _ufunc.nin == 2 else _unary_out)(_ufunc))
+    out_emitter(_name)(_out_emitter(_ufunc))
+    emitter(_name)(_base_emitter(_body))
 
 
 # Fused elementwise chains: the plan's fuse_elementwise pass collapses a
@@ -166,14 +185,24 @@ def _cast_out(inputs, attrs, out):
     return out
 
 
-def apply_activation(y: np.ndarray, activation: str | None) -> np.ndarray:
-    """Apply a fused activation; used by conv2d/matmul kernels."""
+def epilogue(y: np.ndarray, bias: np.ndarray | None,
+             activation: str | None) -> np.ndarray:
+    """The fused ``+ bias`` / activation tail of conv2d and matmul.
+
+    ``y`` is the caller's own fresh GEMM result, so the tail is written
+    into that buffer: the ufuncs and operands of ``y + bias`` /
+    ``np.maximum(y, 0)`` / ``np.clip(y, 0, 6)``, hence the same bytes, with
+    one allocation and one pass fewer each. A bias of another dtype keeps
+    the allocating form (the sum may be wider than ``y``).
+    """
+    if bias is not None:
+        y = np.add(y, bias, out=y if bias.dtype == y.dtype else None)
     if activation in (None, "none"):
         return y
     if activation == "relu":
-        return np.maximum(y, 0)
+        return np.maximum(y, 0, out=y)
     if activation == "relu6":
-        return np.clip(y, 0, 6)
+        return np.clip(y, 0, 6, out=y)
     if activation == "gelu":
         return gelu(y)
     raise ValueError(f"unknown fused activation {activation!r}")

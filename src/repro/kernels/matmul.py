@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel, out_kernel, register_transform, variant_kernel
-from .elementwise import apply_activation
+from . import (emitter, kernel, out_kernel, register_transform,
+               variant_kernel)
+from .elementwise import epilogue
 
 
 @register_transform("transpose_last2")
@@ -34,10 +35,9 @@ def _matmul_pretransposed_b(inputs, attrs):
     a, bt = inputs[0], inputs[-1]
     if attrs.get("trans_a"):
         a = np.swapaxes(a, -1, -2)
-    y = a @ bt
-    if len(inputs) == 4:  # fused bias rides between B and the transpose
-        y = y + inputs[2]
-    return [apply_activation(y, attrs.get("activation"))]
+    # a fused bias rides between B and the transpose
+    return [epilogue(a @ bt, inputs[2] if len(inputs) == 4 else None,
+                     attrs.get("activation"))]
 
 
 @kernel("matmul")
@@ -47,10 +47,20 @@ def _matmul(inputs, attrs):
         a = np.swapaxes(a, -1, -2)
     if attrs.get("trans_b"):
         b = np.swapaxes(b, -1, -2)
-    y = a @ b
-    if len(inputs) == 3:  # fused bias
-        y = y + inputs[2]
-    return [apply_activation(y, attrs.get("activation"))]
+    return [epilogue(a @ b, inputs[2] if len(inputs) == 3 else None,
+                     attrs.get("activation"))]
+
+
+@emitter("matmul")
+def _emit_matmul(args, attrs):
+    if len(args) != 2 or attrs.get("activation") not in (None, "none"):
+        return None  # bias / activation epilogues are statements
+    a, b = args
+    if attrs.get("trans_a"):
+        a += ".swapaxes(-1, -2)"
+    if attrs.get("trans_b"):
+        b += ".swapaxes(-1, -2)"
+    return f"({a} @ {b})"
 
 
 @kernel("bias_add")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel
+from . import emitter, int_tuple, kernel
 
 
 def _axes(attrs, ndim: int):
@@ -49,6 +49,16 @@ def _reduce_sum(inputs, attrs):
     x = inputs[0]
     return [np.add.reduce(x, axis=_axes(attrs, x.ndim), dtype=x.dtype,
                           keepdims=bool(attrs.get("keepdims", False)))]
+
+
+@emitter("reduce_sum")
+def _emit_reduce_sum(args, attrs):
+    # axis=None is every axis, as _axes spells it out for a missing attr
+    axes = attrs.get("axes")
+    return (f"np.add.reduce({args[0]}, "
+            f"axis={None if axes is None else int_tuple(axes)}, "
+            f"dtype={args[0]}.dtype, "
+            f"keepdims={bool(attrs.get('keepdims', False))})")
 
 
 @kernel("reduce_mean")

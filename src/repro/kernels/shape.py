@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel
+from . import emitter, int_tuple, kernel
 
 
 @kernel("reshape", view=True)
@@ -12,9 +12,19 @@ def _reshape(inputs, attrs):
     return [inputs[0].reshape(tuple(attrs["shape"]))]
 
 
+@emitter("reshape")
+def _emit_reshape(args, attrs):
+    return f"{args[0]}.reshape({int_tuple(attrs['shape'])})"
+
+
 @kernel("transpose", view=True)
 def _transpose(inputs, attrs):
     return [np.transpose(inputs[0], tuple(attrs["perm"]))]
+
+
+@emitter("transpose")
+def _emit_transpose(args, attrs):
+    return f"{args[0]}.transpose({int_tuple(attrs['perm'])})"
 
 
 # view=True: ascontiguousarray returns the sliced view itself whenever the

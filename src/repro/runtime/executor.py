@@ -6,8 +6,10 @@ Two backends share one feed-validation front door:
   :class:`~repro.runtime.plan.ExecutionPlan`: slot-indexed registers,
   pre-bound kernels, precomputed free-lists, and a per-executor
   :class:`~repro.runtime.plan.BufferArena` recycling intermediate buffers
-  across steps. Transient-byte accounting was simulated at plan-build time
-  (byte-exact against the interpreter), so the step itself does none.
+  across steps. The instruction stream is not interpreted: it runs as the
+  plan's generated step function (:mod:`repro.runtime.codegen`).
+  Transient-byte accounting was simulated at plan-build time (byte-exact
+  against the interpreter), so the step itself does none.
 * ``"interpreter"`` — the legacy per-node loop, kept as the cross-check
   oracle for the plan path and as the backend of :func:`interpret`. It is
   deliberately dumb: walks the schedule, dispatches kernels by name, frees
@@ -74,6 +76,12 @@ class Executor:
         #: take/give discipline plus the per-buffer workspace size cap.
         self.workspace = BufferArena()
         self._registers: list[np.ndarray | None] | None = None
+        #: (name, shape, numpy dtype) per graph input, in declaration
+        #: order — what _validate_feeds checks every step
+        graph = program.graph
+        self._feed_specs = tuple(
+            (name, graph.spec(name).shape, graph.spec(name).dtype.np)
+            for name in graph.inputs)
         #: per-executor cache of plan-owned precomputed constants
         #: (slot -> (source state array, transformed value)). Keyed by the
         #: source array's *identity*: frozen state is never written by the
@@ -107,24 +115,22 @@ class Executor:
     def _validate_feeds(self, feeds: dict[str, np.ndarray] | None
                         ) -> dict[str, np.ndarray]:
         """Shape-check, dtype-coerce, and reject unknown feed names."""
-        graph = self.program.graph
         feeds = dict(feeds or {})
-        for name in graph.inputs:
+        for name, shape, dtype in self._feed_specs:
             if name not in feeds:
                 raise ExecutionError(f"missing feed for graph input {name!r}")
-            expected = graph.spec(name)
             got = np.asarray(feeds[name])
-            if tuple(got.shape) != expected.shape:
+            if got.shape != shape:
                 raise ExecutionError(
                     f"feed {name!r} has shape {got.shape}, "
-                    f"expected {expected.shape}"
+                    f"expected {shape}"
                 )
-            feeds[name] = got.astype(expected.dtype.np, copy=False)
-        if len(feeds) != len(graph.inputs):
-            extra = sorted(set(feeds) - set(graph.inputs))
+            feeds[name] = got.astype(dtype, copy=False)
+        if len(feeds) != len(self._feed_specs):
+            inputs = sorted(name for name, _, _ in self._feed_specs)
+            extra = sorted(set(feeds) - set(inputs))
             raise ExecutionError(
-                f"unknown feed name(s) {extra}; graph inputs are "
-                f"{sorted(graph.inputs)}"
+                f"unknown feed name(s) {extra}; graph inputs are {inputs}"
             )
         return feeds
 
@@ -162,6 +168,11 @@ class Executor:
         previous_workspace = workspace.set_arena(self.workspace)
         try:
             fresh_allocs = self._execute_instructions(plan, regs)
+        except BaseException:
+            # A failed step must not pin its feeds, outputs and every
+            # not-yet-freed intermediate until the next run.
+            self.detach()
+            raise
         finally:
             workspace.set_arena(previous_workspace)
 
@@ -174,89 +185,16 @@ class Executor:
         return outputs
 
     def _execute_instructions(self, plan: ExecutionPlan, regs: list) -> int:
-        """Run the instruction stream over ``regs``; returns fresh allocs."""
-        arena = self.arena
-        observer = self.observer
-        instr_observer = self.instr_observer
-        timed = observer is not None or instr_observer is not None
-        fresh_allocs = 0
-        perf_counter = time.perf_counter
-        state = self.program.state
-        for instr in plan.instructions:
-            inputs = [regs[slot] for slot in instr.input_slots]
-            # Scalar-constant folded inputs: spliced from live state (the
-            # overlay's value, not a baked copy) at their original
-            # positions, so the kernel sees the exact pre-fold input list.
-            for pos, name in instr.const_args:
-                inputs.insert(pos, state[name])
-            began = perf_counter() if timed else 0.0
-            try:
-                out_fn = instr.out_kernel
-                # The out= path requires C-contiguous inputs: ufuncs follow
-                # their operands' memory order, so a view-layout input would
-                # naturally produce a non-C result, and forcing it into a C
-                # buffer shifts downstream BLAS onto different (1-ulp
-                # different) code paths. Non-contiguous inputs fall back to
-                # the base kernel, preserving bitwise interpreter parity.
-                if out_fn is not None and \
-                        all(a.flags.c_contiguous for a in inputs):
-                    donate = instr.donate_slot
-                    buf = regs[donate] if donate >= 0 \
-                        else arena.take(instr.out_key)
-                    if buf is None:
-                        buf = np.empty(instr.out_shape, instr.out_dtype)
-                        fresh_allocs += 1
-                    elif buf.shape != instr.out_shape:
-                        # Byte-bucketed arena: a pooled buffer of another
-                        # shape with the same byte count is reshaped into
-                        # place — a free view, since only C-contiguous
-                        # buffers ever enter the pool.
-                        buf = buf.reshape(instr.out_shape)
-                    results = (out_fn(inputs, instr.attrs, buf),)
-                else:
-                    results = instr.kernel(inputs, instr.attrs)
-                    fresh_allocs += instr.fresh_outputs
-            except ExecutionError:
-                raise
-            except Exception as exc:  # pragma: no cover - defensive
-                raise ExecutionError(
-                    f"kernel {instr.node.op_type!r} failed at node "
-                    f"{instr.node.name!r}: {exc}"
-                ) from exc
-            if timed:
-                ended = perf_counter()
-                if observer is not None:
-                    observer(instr.node, ended - began)
-                if instr_observer is not None:
-                    instr_observer(instr, began, ended)
+        """Run the instruction stream over ``regs``; returns fresh allocs.
 
-            # View-capable kernels over mutable state: materialise results
-            # aliasing a parameter (same semantics as the interpreter).
-            if instr.check_state_slots:
-                state_arrays = [regs[s] for s in instr.check_state_slots]
-                results = [
-                    value.copy() if any(np.shares_memory(value, s)
-                                        for s in state_arrays) else value
-                    for value in results
-                ]
-
-            outs = instr.output_slots
-            if len(outs) == 1:
-                regs[outs[0]] = results[0]
-            else:
-                for slot, value in zip(outs, results):
-                    regs[slot] = value
-
-            for slot, key in instr.frees:
-                if key is not None:
-                    value = regs[slot]
-                    # Pool only standard-layout buffers: a view-shaped
-                    # (non-C) array handed to a later out= instruction
-                    # would leak its layout into the result.
-                    if value.flags.c_contiguous:
-                        arena.give(key, value)
-                regs[slot] = None
-        return fresh_allocs
+        The stream runs as the plan's generated step function; an observer
+        of either kind selects the variant that times each kernel.
+        """
+        observer, instr_observer = self.observer, self.instr_observer
+        step = plan.step_function(
+            observer is not None or instr_observer is not None)
+        return step(regs, self.program.state, self.arena,
+                    observer, instr_observer)
 
     # -- interpreter backend -------------------------------------------------
 

@@ -48,7 +48,8 @@ The lowering is split in two so plans are **portable**:
   cache fall back to recompilation (``plan_version_miss``).
 * :func:`bind_plan` is the thin load-time step that resolves those names
   against the live registries in :mod:`repro.kernels` and produces the
-  executable :class:`ExecutionPlan`.
+  executable :class:`ExecutionPlan`, whose first step generates the Python
+  that runs it (:meth:`ExecutionPlan.step_function`).
 
 The plan depends only on the graph, schedule, outputs, and state *names* —
 never on state values — so one plan is shared by every
@@ -60,8 +61,9 @@ session overlaying different frozen weights recomputes its transforms.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -70,6 +72,7 @@ from ..ir.node import Node
 from ..kernels import (DONATING_KERNELS, KERNELS, OUT_KERNELS,
                        PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS,
                        make_fused_kernel)
+from .codegen import generate
 
 #: arena bucket key: (nbytes, dtype). Byte-bucketing lets a freed buffer
 #: of one shape satisfy a later request of another shape with the same
@@ -488,12 +491,13 @@ class Instruction:
     __slots__ = ("node", "kernel", "attrs", "input_slots", "output_slots",
                  "out_kernel", "out_key", "out_shape", "out_dtype",
                  "donate_slot", "check_state_slots", "frees",
-                 "fresh_outputs", "variant", "const_args")
+                 "fresh_outputs", "variant", "const_args", "links")
 
     def __init__(self, node: Node, kernel, attrs, input_slots, output_slots,
                  out_kernel, out_key, out_shape, out_dtype, donate_slot,
                  check_state_slots, frees, fresh_outputs,
-                 variant: str = VARIANT_BASE, const_args=()) -> None:
+                 variant: str = VARIANT_BASE, const_args=(),
+                 links=None) -> None:
         self.node = node
         self.kernel = kernel
         self.attrs = attrs
@@ -522,15 +526,24 @@ class Instruction:
         #: space — the executor splices live state values in at these
         #: positions when assembling the kernel's inputs
         self.const_args = const_args
+        #: fused instructions only: the bound ``(base_fn, out_fn, attrs,
+        #: args)`` links ``kernel`` / ``out_kernel`` run in order
+        self.links = links
 
 
 class ExecutionPlan:
-    """A :class:`PlanSpec` bound to live kernel functions and graph nodes."""
+    """A :class:`PlanSpec` bound to live kernel functions and graph nodes.
+
+    Executing it means calling :meth:`step_function` — Python generated
+    from ``instructions`` (:mod:`repro.runtime.codegen`), built on first
+    use and shared by every executor of every ``with_state`` overlay.
+    """
 
     __slots__ = ("spec", "num_slots", "feed_specs", "state_bindings",
                  "instructions", "output_slots", "clear_slots", "arena_caps",
                  "peak_transient_bytes", "final_transient_bytes",
-                 "precomputed", "passes")
+                 "precomputed", "passes", "_generated", "_generating",
+                 "__weakref__")
 
     def __init__(self, spec, num_slots, feed_specs, state_bindings,
                  instructions, output_slots, clear_slots, arena_caps,
@@ -559,10 +572,39 @@ class ExecutionPlan:
         self.precomputed = precomputed
         #: optimization passes applied at lowering, in order
         self.passes = passes
+        #: observed? -> (step function, its source); see step_function
+        self._generated: dict[bool, tuple[Callable[..., int], str]] = {}
+        self._generating = threading.Lock()
 
     @property
     def num_instructions(self) -> int:
         return len(self.instructions)
+
+    def step_function(self, observed: bool = False) -> Callable[..., int]:
+        """The generated ``step(regs, state, arena, observer,
+        instr_observer) -> fresh allocations`` for this plan.
+
+        ``observed`` selects the variant that times each kernel and calls
+        the observers; the plain one has no trace of them. Each is
+        generated once, on first use — not at bind time, so compiling or
+        loading a program never pays for code nobody runs — and executors
+        racing on a shared plan get the same function.
+        """
+        return self._generate(observed)[0]
+
+    def source(self, observed: bool = False) -> str:
+        """The generated text :meth:`step_function` runs, chunk by chunk."""
+        return self._generate(observed)[1]
+
+    def _generate(self, observed: bool) -> tuple[Callable[..., int], str]:
+        built = self._generated.get(observed)
+        if built is None:
+            with self._generating:
+                built = self._generated.get(observed)
+                if built is None:
+                    built = self._generated[observed] = \
+                        generate(self, observed)
+        return built
 
 
 def build_plan_spec(program, passes: Any = None) -> PlanSpec:
@@ -609,10 +651,11 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
             raise ExecutionError(
                 f"plan instruction {ispec.node!r} binds kernel "
                 f"{ispec.kernel!r} but the node is {node.op_type!r}")
-        out_kernel = out_key = out_shape = out_dtype = None
+        out_kernel = out_key = out_shape = out_dtype = links = None
         attrs = node.attrs
         if ispec.fused is not None:
-            kernel, out_kernel = _bind_fused(ispec, nodes)
+            links = _bind_fused(ispec, nodes)
+            kernel, out_kernel = make_fused_kernel(links)
             attrs = {}
         elif ispec.variant == VARIANT_DONATING:
             kernel = DONATING_KERNELS.get(ispec.kernel)
@@ -645,7 +688,7 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
             check_state_slots=ispec.check_state_slots, frees=ispec.frees,
             fresh_outputs=ispec.fresh_outputs,
             variant="fused" if ispec.fused is not None else ispec.variant,
-            const_args=ispec.const_args))
+            const_args=ispec.const_args, links=links))
     precomputed = []
     for entry in spec.precomputed:
         transform = PRECOMPUTE_TRANSFORMS.get(entry.transform)
@@ -670,7 +713,7 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
 
 
 def _bind_fused(ispec: InstructionSpec, nodes: Mapping[str, Node]):
-    """Bind one fused instruction's links into chain-executing callables."""
+    """Bind one fused instruction's links: ``(base, out, attrs, args)``."""
     links = []
     for link in ispec.fused:
         node = nodes.get(link.node)
@@ -689,7 +732,7 @@ def _bind_fused(ispec: InstructionSpec, nodes: Mapping[str, Node]):
                 f"runtime lacks base/out kernels for fused link "
                 f"{link.kernel!r}")
         links.append((base, out, node.attrs, link.args))
-    return make_fused_kernel(tuple(links))
+    return tuple(links)
 
 
 def build_plan(program, passes: Any = None) -> ExecutionPlan:

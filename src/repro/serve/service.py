@@ -152,9 +152,9 @@ class ProgramFamily:
             options=self.options)
         # Lowering happens here with compilation (compile_training prebuilds
         # it; this keeps the invariant even for custom options) so cached
-        # variants always ship an ExecutionPlan and no tenant's first step
-        # pays for plan construction.
-        program.plan()
+        # variants always ship an ExecutionPlan and its generated step
+        # function, and no tenant's first step pays for plan construction.
+        program.plan().step_function()
         self._service._record_compile(self, key, program,
                                       (perf_counter() - began) * 1e3)
         return program

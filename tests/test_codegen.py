@@ -1,0 +1,572 @@
+"""Same step, less work: the generated step function against the loop it
+replaced.
+
+``backend="plan"`` runs Python generated from the bound instruction stream
+(:mod:`repro.runtime.codegen`). ``tests/reference_executor.py`` holds the
+interpretive loop it replaced; this file requires
+
+* outputs, mutable state, fresh-allocation counts and arena traffic equal to
+  that loop's, over three steps, on the twelve zoo programs (default plan,
+  ``passes="none"``, ``autotune="cost"``) and random graphs x {full, sparse};
+* every emitted expression to equal the kernel it stands for, byte for
+  byte, on generated inputs — for every op that has an emitter;
+* the observed variant to fire the observers exactly as the loop did;
+* the generated text to be a function of the plan alone: deterministic,
+  one statement group per instruction, one function object per plan however
+  many threads race to build it, the same text from a saved artifact in a
+  fresh process;
+* a failing kernel to surface as ``ExecutionError`` naming op and node, and
+  to leave nothing pinned.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import hashlib
+import linecache
+import os
+import re
+import subprocess
+import sys
+import threading
+import traceback
+import weakref
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.deploy import save_artifact
+from repro.errors import AutodiffError, ExecutionError
+from repro.kernels import EMITTERS, KERNELS, OUT_EMITTERS, OUT_KERNELS
+from repro.runtime import Executor, codegen
+from repro.runtime import plan as plan_module
+from repro.runtime.compiler import compile_training
+from repro.sparse import UpdateScheme
+from repro.train import SGD
+
+from conftest import make_mlp_graph
+from reference_executor import ReferenceExecutor
+from test_arena_safety import random_feed, random_forward
+from test_compile_single_sweep import ZOO_PROGRAMS, compile_zoo
+from test_plan import fork
+
+def relowered(program, passes):
+    """``program`` lowered again under another plan-pass selection."""
+    meta = {k: v for k, v in program.meta.items()
+            if k not in ("__plan__", "__plan_spec__")}
+    meta["plan_passes"] = passes
+    return dataclasses.replace(program, meta=meta)
+
+
+def make_feeds(program, rng):
+    """One seeded batch for every graph input of a zoo training program."""
+    graph = program.graph
+    feeds = {}
+    for name in graph.inputs:
+        spec = graph.spec(name)
+        if not np.issubdtype(spec.dtype.np, np.integer):
+            feeds[name] = rng.standard_normal(spec.shape) \
+                .astype(spec.dtype.np)
+            continue
+        if name == program.meta["labels"]:
+            bound = graph.spec(program.meta["logits"]).shape[-1]
+        else:  # token ids: bounded by the embedding table they index
+            bound = min(graph.spec(node.inputs[0]).shape[0]
+                        for node in graph.nodes
+                        if node.op_type == "embedding"
+                        and name in node.inputs[1:])
+        feeds[name] = rng.integers(0, bound, spec.shape).astype(spec.dtype.np)
+    return feeds
+
+
+def arena_traffic(executor):
+    arena = executor.arena
+    return (arena.takes, arena.misses, arena.recycled, arena.dropped)
+
+
+def assert_same_bytes(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def assert_same_steps(program, batches):
+    """The generated step against the reference loop, step by step."""
+    dut, ref = Executor(fork(program)), ReferenceExecutor(fork(program))
+    for step, feeds in enumerate(batches):
+        got, want = dut.run(feeds), ref.run(feeds)
+        assert list(got) == list(want)
+        for name in want:
+            assert_same_bytes(got[name], want[name], f"step {step} {name}")
+        assert dut.last_step_fresh_allocs == ref.last_step_fresh_allocs
+        assert arena_traffic(dut) == arena_traffic(ref), f"step {step}"
+    for name in sorted(program.state):
+        assert_same_bytes(dut.program.state[name], ref.program.state[name],
+                          f"state {name}")
+    assert dut.peak_transient_bytes == ref.peak_transient_bytes
+
+
+# -- (i) the same step as the loop ------------------------------------------
+
+class TestSameStepAsTheLoop:
+    @pytest.mark.parametrize("model,scheme", ZOO_PROGRAMS)
+    def test_zoo_default_and_unoptimized_plans(self, model, scheme):
+        program = compile_zoo(model, scheme)
+        rng = np.random.default_rng(7)
+        batches = [make_feeds(program, rng) for _ in range(3)]
+        assert_same_steps(program, batches)
+        assert_same_steps(relowered(program, "none"), batches)
+
+    @pytest.mark.parametrize("model,scheme", [
+        ("mcunet_micro", "paper_scheme"), ("resnet_micro", "full_update"),
+        ("bert_micro", "paper_scheme"), ("llama_micro", "full_update")])
+    def test_zoo_autotuned_plans(self, model, scheme):
+        program = compile_zoo(model, scheme, autotune="cost")
+        rng = np.random.default_rng(11)
+        assert_same_steps(program,
+                          [make_feeds(program, rng) for _ in range(3)])
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.5], ids=["full", "sparse"])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_random_graphs(self, ratio, seed):
+        rng = np.random.default_rng(seed)
+        b = random_forward(rng)
+        try:
+            program = compile_training(
+                b.graph, loss="mse", optimizer=SGD(0.01, momentum=0.9),
+                scheme=UpdateScheme("w", {"w": ratio}))
+        except AutodiffError:
+            assume(False)  # the random DAG routed the output around w
+        labels = program.meta["labels"]
+        rows = b.graph.spec("x").shape[0]
+        batches = [{"x": random_feed(rng, (rows, 4)),
+                    labels: random_feed(rng,
+                                        program.graph.spec(labels).shape)}
+                   for _ in range(3)]
+        assert_same_steps(program, batches)
+
+
+# -- (ii) every emitter equals its kernel -----------------------------------
+
+BINARY = ("add", "sub", "mul", "div", "maximum", "minimum")
+UNARY = ("neg", "exp", "log", "sqrt", "abs", "sign", "tanh")
+POSITIVE = ("log", "sqrt")
+
+
+@st.composite
+def arrays(draw, shape=None, dtypes=(np.float32, np.float64),
+           positive=False):
+    """An array of magnitudes in [0.5, 4] in one of three memory layouts."""
+    if shape is None:
+        shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    dtype = draw(st.sampled_from(dtypes))
+    layout = draw(st.sampled_from(("c", "transposed", "strided"))) \
+        if shape else "c"
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+
+    def values(shape):
+        v = rng.uniform(0.5, 4.0, shape)
+        if not positive:
+            v = v * rng.choice([-1.0, 1.0], shape)
+        return np.asarray(v).astype(dtype)
+
+    if layout == "transposed":
+        return values(shape[::-1]).T
+    if layout == "strided":
+        return values(tuple(2 * d for d in shape))[
+            tuple(slice(None, None, 2) for _ in shape)]
+    return values(shape)
+
+
+@st.composite
+def elementwise_case(draw, arity, positive):
+    first = draw(arrays(positive=positive))
+    ins = [first]
+    if arity == 2:
+        shape = first.shape
+        other = draw(st.sampled_from(
+            [shape, (), shape[-1:], tuple(1 if i % 2 else d
+                                          for i, d in enumerate(shape))]))
+        ins.append(draw(arrays(shape=other)))
+    return ins, {}
+
+
+@st.composite
+def reshape_case(draw):
+    x = draw(arrays())
+    target = draw(st.sampled_from(
+        [(-1,), (x.size,), x.shape[::-1], (1,) + x.shape, x.shape + (1,)]))
+    form = draw(st.sampled_from([tuple, list, np.array]))
+    return [x], {"shape": form(target)}
+
+
+@st.composite
+def transpose_case(draw):
+    x = draw(arrays())
+    perm = draw(st.permutations(range(x.ndim)))
+    return [x], {"perm": draw(st.sampled_from([tuple, list]))(perm)}
+
+
+@st.composite
+def matmul_case(draw):
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    batch = draw(st.sampled_from([(), (2,), (2, 3)]))
+    trans_a, trans_b = draw(st.booleans()), draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    a = draw(arrays(shape=batch + ((k, m) if trans_a else (m, k)),
+                    dtypes=(dtype,)))
+    b = draw(arrays(shape=draw(st.sampled_from([batch, ()]))
+                    + ((n, k) if trans_b else (k, n)), dtypes=(dtype,)))
+    ins, attrs = [a, b], {}
+    if draw(st.booleans()):
+        ins.append(draw(arrays(shape=(n,), dtypes=(dtype,))))
+    if trans_a or draw(st.booleans()):
+        attrs["trans_a"] = trans_a
+    if trans_b or draw(st.booleans()):
+        attrs["trans_b"] = trans_b
+    activation = draw(st.sampled_from(["absent", None, "none", "relu"]))
+    if activation != "absent":
+        attrs["activation"] = activation
+    return ins, attrs
+
+
+@st.composite
+def reduce_case(draw):
+    x = draw(arrays(dtypes=(np.float32, np.float64, np.float16, np.int32)))
+    attrs = {}
+    axes = draw(st.one_of(st.none(), st.sets(
+        st.integers(0, max(x.ndim - 1, 0)), max_size=x.ndim)))
+    if axes is not None:
+        attrs["axes"] = draw(st.sampled_from([tuple, list]))(sorted(axes))
+    elif draw(st.booleans()):
+        attrs["axes"] = None
+    if draw(st.booleans()):
+        attrs["keepdims"] = draw(st.booleans())
+    return [x], attrs
+
+
+STRATEGIES = {
+    **{op: elementwise_case(2, False) for op in BINARY},
+    **{op: elementwise_case(1, op in POSITIVE) for op in UNARY},
+    "reshape": reshape_case(), "transpose": transpose_case(),
+    "matmul": matmul_case(), "reduce_sum": reduce_case(),
+}
+
+
+def assert_same_array(got, want):
+    assert type(got) is type(want)
+    assert_same_bytes(got, want, "value")
+    if isinstance(want, np.ndarray):
+        assert got.strides == want.strides
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
+class TestEmittersEqualTheirKernels:
+    @pytest.mark.parametrize("op", sorted(set(EMITTERS) | set(OUT_EMITTERS)))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_registry_wide_parity(self, op, data):
+        assert op in STRATEGIES, \
+            f"{op!r} has an emitter but no input strategy in this file"
+        ins, attrs = data.draw(STRATEGIES[op])
+        args = [f"ins[{i}]" for i in range(len(ins))]
+        want = KERNELS[op](ins, attrs)[0]
+        if op in EMITTERS:
+            source = EMITTERS[op](args, attrs)
+            if source is not None:
+                got = eval(source, {"np": np, "ins": ins})
+                assert_same_array(got, want)
+                if isinstance(want, np.ndarray):
+                    for x in ins:  # a view stays a view, a copy a copy
+                        assert np.shares_memory(got, x) \
+                            == np.shares_memory(want, x)
+        if op in OUT_EMITTERS:
+            source = OUT_EMITTERS[op](args, attrs, "buf")
+            bufs = [np.empty(np.shape(want), np.asarray(want).dtype)
+                    for _ in range(2)]
+            assert source is not None
+            got = eval(source, {"np": np, "ins": ins, "buf": bufs[0]})
+            assert got is bufs[0]
+            assert OUT_KERNELS[op](ins, attrs, bufs[1]) is bufs[1]
+            assert_same_array(bufs[0], bufs[1])
+            assert_same_bytes(bufs[0], want, "out= form against base")
+
+    def test_emitters_decline_what_is_not_one_expression(self):
+        emit = EMITTERS["matmul"]
+        assert emit(["a", "b"], {}) == "(a @ b)"
+        assert emit(["a", "b"], {"trans_b": True, "activation": "none"}) \
+            == "(a @ b.swapaxes(-1, -2))"
+        assert emit(["a", "b", "c"], {}) is None
+        assert emit(["a", "b"], {"activation": "relu"}) is None
+
+    def test_only_the_registry_kernel_is_replaced(self):
+        """A kernel patched onto an instruction is called, not inlined."""
+        b, _ = make_mlp_graph()
+        program = compile_training(b.graph, optimizer=SGD(0.1))
+        plan = program.plan()
+        index = next(i for i, instr in enumerate(plan.instructions)
+                     if instr.node.op_type == "matmul"
+                     and instr.kernel is KERNELS["matmul"])
+        calls = []
+
+        def counting(inputs, attrs):
+            calls.append(len(inputs))
+            return KERNELS["matmul"](inputs, attrs)
+
+        plan.instructions[index].kernel = counting
+        Executor(program).run(make_feeds(program, np.random.default_rng(0)))
+        assert len(calls) == 1
+
+
+# -- (iii) the observed variant ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def bert():
+    """A multi-chunk program: several fused chains, const args, views."""
+    return compile_zoo("bert_micro", "full_update")
+
+
+class TestObservedVariant:
+    def test_observers_fire_once_per_instruction_in_order(self, bert):
+        program = fork(bert)
+        plan = program.plan()
+        assert len(plan.instructions) > 2 * codegen.CHUNK
+        executor = Executor(program)
+        feeds = make_feeds(program, np.random.default_rng(3))
+        seen, nodes = [], []
+        executor.instr_observer = \
+            lambda instr, t0, t1: seen.append((instr, t0, t1))
+        executor.observer = lambda node, seconds: nodes.append(
+            (node, seconds))
+        executor.run(feeds)
+        assert len(seen) == len(plan.instructions)
+        for (instr, t0, t1), expected in zip(seen, plan.instructions):
+            assert instr is expected
+            assert t0 <= t1
+        assert [t0 for _, t0, _ in seen] == sorted(t0 for _, t0, _ in seen)
+        assert [node for node, _ in nodes] \
+            == [instr.node for instr in plan.instructions]
+        assert [seconds for _, seconds in nodes] \
+            == [t1 - t0 for _, t0, t1 in seen]
+
+    def test_toggling_switches_variants_without_rebinding(self, bert):
+        program = fork(bert)
+        plan = program.plan()
+        executor, reference = Executor(program), \
+            ReferenceExecutor(fork(bert))
+        rng = np.random.default_rng(5)
+        events = []
+        for step in range(4):
+            feeds = make_feeds(program, rng)
+            observed = step % 2 == 1
+            executor.instr_observer = reference.instr_observer = \
+                (lambda instr, t0, t1: events.append(instr)) \
+                if observed else None
+            before = len(events)
+            got, want = executor.run(feeds), reference.run(feeds)
+            for name in want:
+                assert_same_bytes(got[name], want[name], f"step {step}")
+            fired = len(events) - before
+            assert fired == (2 * len(plan.instructions) if observed else 0)
+            assert executor.last_step_fresh_allocs \
+                == reference.last_step_fresh_allocs
+            assert arena_traffic(executor) == arena_traffic(reference)
+        assert program.plan() is plan
+        assert plan.step_function(False) is not plan.step_function(True)
+        assert "perf_counter" not in plan.source()
+        assert "perf_counter" in plan.source(observed=True)
+
+    def test_an_observer_that_raises_is_not_a_kernel_failure(self, bert):
+        executor = Executor(fork(bert))
+
+        def broken(instr, t0, t1):
+            raise KeyError("observer bug")
+
+        executor.instr_observer = broken
+        with pytest.raises(KeyError, match="observer bug"):
+            executor.run(make_feeds(bert, np.random.default_rng(0)))
+
+
+# -- (iv) the text is a function of the plan ---------------------------------
+
+class TestGeneratedText:
+    def test_deterministic_and_complete(self, bert):
+        plan = bert.plan()
+        again = compile_zoo("bert_micro", "full_update").plan()
+        assert again is not plan
+        for observed in (False, True):
+            text = plan.source(observed)
+            assert text == again.source(observed)
+            assert text == codegen.generate(plan, observed)[1]
+            indices = [int(i) for i in
+                       re.findall(r"^\s+pc = (\d+)$", text, re.M)]
+            assert indices == list(range(len(plan.instructions)))
+            chunks = text.count("def _chunk(")
+            assert chunks == -(-len(plan.instructions) // codegen.CHUNK)
+
+    def test_static_attrs_are_literals(self, bert):
+        text = bert.plan().source()
+        assert re.search(r"r\[\d+\] = r\[\d+\]\.reshape\(\(", text)
+        assert re.search(r"r\[\d+\] = r\[\d+\]\.transpose\(\(", text)
+        assert re.search(r"np\.\w+\(a0, a1, out=buf\)", text)
+        assert "k_reshape" not in text and "k_transpose" not in text
+
+    def test_chunks_are_in_linecache_until_the_plan_dies(self):
+        b, _ = make_mlp_graph()
+        program = compile_training(b.graph, optimizer=SGD(0.1))
+        plan = program.plan()
+        text = plan.source()
+        name = f"<plan:{id(plan):x}:chunk0>"
+        assert linecache.getline(name, 1).startswith("def _chunk(")
+        assert text.startswith("".join(linecache.getlines(name)))
+        del program, plan
+        gc.collect()
+        assert linecache.getlines(name) == []
+
+    def test_racing_first_users_share_one_function(self, monkeypatch):
+        b, _ = make_mlp_graph()
+        program = compile_training(b.graph, optimizer=SGD(0.1))
+        plan = program.plan()
+        built = []
+        generate = plan_module.generate
+
+        def counting(plan, observed):
+            built.append(observed)
+            return generate(plan, observed)
+
+        monkeypatch.setattr(plan_module, "generate", counting)
+        feeds = make_feeds(program, np.random.default_rng(0))
+        workers = 8
+        barrier = threading.Barrier(workers)
+        functions, errors = [], []
+
+        def first_use():
+            try:
+                executor = Executor(fork(program))
+                barrier.wait(timeout=30)
+                executor.run(feeds)
+                functions.append(plan.step_function())
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use)
+                       for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert built == [False]
+        assert len(functions) == workers
+        assert all(fn is functions[0] for fn in functions)
+
+    def test_binding_generates_nothing(self, monkeypatch):
+        """``program.plan()`` — what compile_zoo times — must not pay."""
+        monkeypatch.setattr(
+            plan_module, "generate",
+            lambda plan, observed: pytest.fail("generated at bind time"))
+        b, _ = make_mlp_graph()
+        compile_training(b.graph, optimizer=SGD(0.1)).plan()
+
+
+# -- (v) the same text from a saved artifact ---------------------------------
+
+class TestArtifactText:
+    def test_fresh_process_generates_the_same_text(self, tmp_path):
+        program = compile_zoo("mcunet_micro", "paper_scheme")
+        save_artifact(program, tmp_path / "model")
+        script = tmp_path / "fresh_text.py"
+        script.write_text(
+            "import hashlib\n"
+            "from repro.deploy import load_artifact\n"
+            f"dep = load_artifact({str(tmp_path / 'model')!r})\n"
+            "plan = dep.program.plan()\n"
+            "for observed in (False, True):\n"
+            "    text = plan.source(observed)\n"
+            "    print(hashlib.sha256(text.encode()).hexdigest())\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1]) \
+            + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run([sys.executable, str(script)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        plan = program.plan()
+        assert result.stdout.split() == [
+            hashlib.sha256(plan.source(observed).encode()).hexdigest()
+            for observed in (False, True)]
+
+
+# -- a failed step -------------------------------------------------------------
+
+class TestFailedStep:
+    def failing_program(self):
+        """An MLP training step whose second matmul raises once."""
+        b, _ = make_mlp_graph()
+        program = compile_training(b.graph, optimizer=SGD(0.1))
+        plan = program.plan()
+        index = [i for i, instr in enumerate(plan.instructions)
+                 if instr.node.op_type == "matmul"
+                 and instr.out_kernel is None][1]
+        instr = plan.instructions[index]
+        kernel, seen, armed = instr.kernel, [], [True]
+        state = {id(array) for array in program.state.values()}
+
+        def once(inputs, attrs):
+            if armed:
+                armed.clear()
+                seen.extend(weakref.ref(x) for x in inputs
+                            if id(x) not in state)
+                raise ValueError("forced")
+            return kernel(inputs, attrs)
+
+        instr.kernel = once
+        return program, instr, seen
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_names_the_instruction_and_pins_nothing(self, observed):
+        program, instr, seen = self.failing_program()
+        executor = Executor(program)
+        if observed:
+            executor.instr_observer = lambda instr, t0, t1: None
+        rng = np.random.default_rng(0)
+        feeds = make_feeds(program, rng)
+        fed = [weakref.ref(array) for array in feeds.values()]
+        with pytest.raises(ExecutionError) as caught:
+            executor.run(feeds)
+        message = str(caught.value)
+        assert repr(instr.node.op_type) in message
+        assert repr(instr.node.name) in message
+        assert "forced" in message
+        assert isinstance(caught.value.__cause__, ValueError)
+        shown = "".join(traceback.format_exception(caught.value.__cause__))
+        assert "<plan:" in shown and f"at{self.index_of(program, instr)}" \
+            in shown, "the traceback shows the generated line"
+        # the exception's traceback holds the chunk's frame; drop it first
+        del caught, feeds
+        gc.collect()
+        assert seen and all(ref() is None for ref in seen)
+        assert all(ref() is None for ref in fed)
+        assert executor._registers is None
+
+        # ... and the next run is an ordinary step
+        reference = ReferenceExecutor(fork(program))
+        feeds = make_feeds(program, rng)
+        got, want = executor.run(feeds), reference.run(feeds)
+        for name in want:
+            assert_same_bytes(got[name], want[name], name)
+
+    @staticmethod
+    def index_of(program, instr):
+        return program.plan().instructions.index(instr)

@@ -70,6 +70,64 @@ class TestConv2d:
         np.testing.assert_allclose(y, ref, atol=1e-4)
 
 
+class TestFusedEpilogue:
+    """The ``+ bias`` / activation tail is written into the GEMM's own
+    result; it must stay byte-equal to the allocating textbook form."""
+
+    ACTIVATIONS = {None: lambda y: y, "relu": lambda y: np.maximum(y, 0),
+                   "relu6": lambda y: np.clip(y, 0, 6)}
+
+    @pytest.mark.parametrize("activation", [None, "relu", "relu6"])
+    @pytest.mark.parametrize("form", ["direct", "grouped", "winograd",
+                                      "winograd_precomputed",
+                                      "im2col_precomputed"])
+    def test_conv_forms(self, rng, form, activation):
+        k = 1 if form == "im2col_precomputed" else 3
+        groups = 4 if form == "grouped" else 1
+        x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+        w = rng.standard_normal((8, 4 // groups, k, k)).astype(np.float32)
+        bias = rng.standard_normal(8).astype(np.float32)
+        attrs = {"padding": k // 2, "groups": groups}
+        if form.startswith("winograd"):
+            attrs["algo"] = "winograd"
+        fn, extra = lambda ins, at: run_op("conv2d", ins, at), []
+        if form.endswith("_precomputed"):
+            fn = VARIANT_KERNELS["conv2d", form]
+            name = "winograd_weight" if "winograd" in form \
+                else "im2col_weight"
+            extra = [PRECOMPUTE_TRANSFORMS[name](w)]
+        [plain] = fn([x, w] + extra, attrs)
+        want = self.ACTIVATIONS[activation](
+            plain + bias.reshape(1, -1, 1, 1))
+        [got] = fn([x, w, bias] + extra, {**attrs, "activation": activation})
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        [bare] = fn([x, w] + extra, {**attrs, "activation": activation})
+        assert bare.tobytes() == self.ACTIVATIONS[activation](plain).tobytes()
+
+    @pytest.mark.parametrize("activation", [None, "relu", "relu6"])
+    @pytest.mark.parametrize("pretransposed", [False, True])
+    def test_matmul_forms(self, rng, pretransposed, activation):
+        a = rng.standard_normal((2, 5, 4)).astype(np.float32)
+        b = rng.standard_normal((3, 4)).astype(np.float32)
+        bias = rng.standard_normal(3).astype(np.float32)
+        attrs = {"trans_b": True, "activation": activation}
+        fn, extra = lambda ins, at: run_op("matmul", ins, at), []
+        if pretransposed:
+            fn = VARIANT_KERNELS["matmul", "pretransposed_b"]
+            extra = [PRECOMPUTE_TRANSFORMS["transpose_last2"](b)]
+        want = self.ACTIVATIONS[activation](a @ b.T + bias)
+        [got] = fn([a, b, bias] + extra, attrs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_wider_bias_keeps_the_allocating_form(self, rng):
+        a = rng.standard_normal((5, 4)).astype(np.float32)
+        b = rng.standard_normal((4, 3)).astype(np.float32)
+        bias = rng.standard_normal(3)  # float64: the sum is wider than y
+        want = np.maximum(a @ b + bias, 0)
+        [got] = run_op("matmul", [a, b, bias], {"activation": "relu"})
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 class TestConvGrads:
     def test_dx_matches_numeric(self, rng):
         x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)

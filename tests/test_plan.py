@@ -213,6 +213,33 @@ class TestEdgeSemantics:
             with pytest.raises(ExecutionError, match="unknown feed"):
                 Executor(program, backend=backend).run(feeds)
 
+    def test_feed_errors_keep_their_messages(self):
+        """The per-executor feed table reports exactly what the per-step
+        graph lookups reported."""
+        b, _ = make_mlp_graph()
+        program = compile_training(b.graph, optimizer=SGD(0.1))
+        labels = program.meta["labels"]
+        good = {"x": np.ones((4, 5), np.float32),
+                labels: np.zeros(program.graph.spec(labels).shape,
+                                 program.graph.spec(labels).dtype.np)}
+        for backend in ("plan", "interpreter"):
+            executor = Executor(program, backend=backend)
+            with pytest.raises(ExecutionError) as missing:
+                executor.run({"x": good["x"]})
+            assert str(missing.value) \
+                == f"missing feed for graph input {labels!r}"
+            with pytest.raises(ExecutionError) as shape:
+                executor.run({**good, "x": np.ones((5, 4))})
+            assert str(shape.value) \
+                == "feed 'x' has shape (5, 4), expected (4, 5)"
+            with pytest.raises(ExecutionError) as unknown:
+                executor.run({**good, "zz": 1, "aa": 2})
+            assert str(unknown.value) == (
+                "unknown feed name(s) ['aa', 'zz']; graph inputs are "
+                f"{sorted(['x', labels])}")
+            # float64 in, the graph's float32 through: coerced, not refused
+            executor.run({**good, "x": np.ones((4, 5))})
+
     def test_outputs_survive_later_steps(self, rng):
         """Arrays returned from step k must never be clobbered by the
         arena recycling of step k+1 (outputs are never recycled)."""
