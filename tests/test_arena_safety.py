@@ -33,8 +33,17 @@ def random_feed(rng, shape):
     return rng.uniform(-1.0, 1.0, shape).astype(np.float32)
 
 
-def random_forward(rng):
-    """A random DAG mixing fresh elementwise ops, view ops, and params."""
+def random_forward(rng, layouts=False, state_views=True):
+    """A random DAG mixing fresh elementwise ops, view ops, and params.
+
+    ``layouts`` adds the shapes of aliasing the zoo never produces:
+    elementwise ops over transposed operands (a result that is not
+    C-contiguous), views of the parameter itself, and a reshape of a
+    transposed value (which has to copy). ``state_views=False`` leaves the
+    parameter views out: a sub-layer (``slice_k``) update of a parameter
+    that something other than a matmul also reads does not compile to a
+    runnable step on either backend, so sparse runs draw without them.
+    """
     b = GraphBuilder("g")
     rows = int(rng.integers(2, 6))
     values = [b.input("x", (rows, 4))]
@@ -52,7 +61,10 @@ def random_forward(rng):
         pick = int(rng.integers(0, len(values)))
         src, (bound, degree) = values[pick], growth[pick]
         roll = rng.random()
-        if roll < 0.25:
+        if layouts and rng.random() < 0.35:
+            _push_layout_case(b, rng, push, w if state_views else None,
+                              src, bound, degree)
+        elif roll < 0.25:
             push(b.emit("relu", [src]), bound, degree)
         elif roll < 0.45:
             pick = int(rng.integers(0, len(values)))
@@ -79,6 +91,33 @@ def random_forward(rng):
             push(b.emit("tanh", [src]), 1.0, 0)
     b.mark_output(values[-1])
     return b
+
+
+def _push_layout_case(b, rng, push, w, src, bound, degree):
+    """One of the ``layouts=True`` cases of :func:`random_forward`."""
+    shape = b.shape(src)
+    flip = {"perm": tuple(reversed(range(len(shape))))}
+    roll = rng.random()
+    if roll < 0.35 and 2 * bound <= MAX_BOUND:
+        # two transposed views into one ufunc: its result follows their
+        # layout, so every later consumer sees a non-C value
+        left = b.emit("transpose", [src], flip)
+        right = b.emit("transpose", [b.emit("tanh", [src])], flip)
+        push(b.add(left, right), bound + 1.0, degree)
+    elif roll < 0.6:
+        # a reshape that cannot be a view
+        flipped = b.emit("transpose", [src], flip)
+        push(b.emit("reshape", [flipped],
+                    {"shape": (int(np.prod(shape)),)}), bound, degree)
+    elif w is None:
+        push(b.emit("transpose", [src], flip), bound, degree)
+    elif roll < 0.8 and shape[-1] == 4 and degree == 0:
+        # a view of the parameter (the runtime has to copy it: the
+        # optimizer updates w in place while the view is still read)
+        wt = b.emit("transpose", [w], {"perm": (1, 0)})
+        push(b.matmul(src, wt), bound, 1)
+    else:
+        push(b.emit("reshape", [w], {"shape": (16,)}), 0.25, 1)
 
 
 def assert_arena_disjoint(executor, outputs):
