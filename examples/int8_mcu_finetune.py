@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.data import vision_task
 from repro.devices import estimate_latency, get_device
-from repro.memory import plan_arena, profile_memory
+from repro.memory import profile_memory
 from repro.models import build_model
 from repro.quant import (apply_qas, collect_ranges, insert_fake_quant,
                          int8_grid_training_graph, quantize_inference_graph)
@@ -104,13 +104,14 @@ def main():
         prog = compile_inference(graph, options=CompileOptions(
             device=mcu, materialize_state=False, winograd=False))
         latency = estimate_latency(prog.graph, prog.schedule, mcu)
-        arena = plan_arena(prog.graph, prog.schedule)
+        arena_bytes = prog.plan_spec().slab_bytes + sum(
+            prog.graph.spec(name).nbytes for name in prog.graph.inputs)
         resident = profile_memory(prog.graph, prog.schedule).resident_bytes
         rows.append([
             label, f"{latency.total_ms:.1f}ms",
-            f"{arena.arena_bytes / 1024:.1f}KB",
+            f"{arena_bytes / 1024:.1f}KB",
             f"{resident / 1024:.1f}KB",
-            "yes" if arena.arena_bytes + resident <= mcu.ram_bytes
+            "yes" if arena_bytes + resident <= mcu.ram_bytes
             else "NO (OOM)",
         ])
     print()

@@ -11,7 +11,7 @@ Run:  python examples/mcu_training.py
 from repro.baselines import (FRAMEWORKS, simulate_inference_projection,
                              simulate_training)
 from repro.devices import get_device
-from repro.memory import plan_arena, profile_memory
+from repro.memory import profile_memory
 from repro.models import build_model, paper_scheme
 from repro.report import render_table
 from repro.runtime.compiler import CompileOptions, compile_training
@@ -32,13 +32,15 @@ def main():
         program = compile_training(
             forward, optimizer=SGD(0.05), scheme=scheme,
             options=CompileOptions(materialize_state=False))
-        plan = plan_arena(program.graph, program.schedule)
-        plan.validate(program.graph)
+        # The plan's slab is the activation arena: every intermediate at
+        # its compile-time offset (the input batch sits beside it).
+        arena_bytes = program.plan_spec().slab_bytes + sum(
+            program.graph.spec(name).nbytes for name in program.graph.inputs)
         profile = profile_memory(program.graph, program.schedule)
-        total = plan.arena_bytes + profile.resident_bytes
+        total = arena_bytes + profile.resident_bytes
         rows.append([
             name,
-            f"{plan.arena_bytes / 1024:.1f}KB",
+            f"{arena_bytes / 1024:.1f}KB",
             f"{profile.resident_bytes / 1024:.1f}KB",
             f"{total / 1024:.1f}KB",
             "yes" if total <= sram_bytes else "NO (OOM)",

@@ -2,55 +2,57 @@
 
 The pass pipeline (``lower -> fuse_elementwise -> fold_scalars ->
 precompute_frozen [-> autotune] -> allocate``) rewrites slot tables,
-free-lists, donation decisions, kernel variants, and arena caps on
-every compile. Until now the only safety net was the
-byte-exactness oracle — which *runs* the plan, so a bad free-list or an
-alias-unsafe donation shows up as silent corruption of a tenant's
-optimizer state rather than a compile-time error. This module closes
-that gap with a pure-static checker over :class:`~repro.runtime.plan.
-PlanSpec` + the program it claims to lower. Per instruction stream it
-proves:
+layouts, slab offsets, in-place reuse and kernel variants on every compile
+— and the step that runs the result has no runtime checks left:
+contiguity, aliasing and buffer lifetimes are facts of the spec. They are
+proven here, by a pure-static checker over :class:`~repro.runtime.plan.
+PlanSpec` + the program it claims to lower. Views resolved at bind time
+(``spec.aliases``) are walked in stream order with the instructions:
 
-* **def-before-use** — every slot an instruction reads was bound before
-  (feed, state, precomputed constant, or an earlier instruction's
-  output), and each slot is defined exactly once (values are SSA);
-* **no use-after-free** — no instruction reads a slot an earlier
-  free-list entry released, no double-free, no free of an undefined
-  slot, and state/output/precomputed slots are never freed;
-* **donation / alias safety** — a donated buffer is a dying, provably
-  unaliased input of the same (shape, dtype) as the output, is freed at
-  the donating instruction with no arena key (the buffer lives on as
-  the output), and — for fused chains — is read only by the first link;
-  a ``donating``-variant instruction's clobbered inputs all die there;
-* **precomputed slots** — each names a registered transform over frozen
-  program state, and declares exactly the shape/dtype that transform
-  emits (the slot layout is a kernel contract: a stale layout must not
-  bind);
-* **dtype/shape consistency** — each instruction's slots map to exactly
-  the node's input/output names, arity and inferred output specs match
-  the kernel schema, and the recorded ``out=`` shape/dtype equals the
-  graph's declared output spec;
-* **every mutable state slot written per step** — each state name some
-  in-place node mutates is actually touched by an in-place instruction
-  in the stream (a dropped ``apply_*`` instruction is a silent
-  no-training bug);
+* **def-before-use** — every slot read was bound before (feed, state,
+  precomputed constant, or an earlier output), each defined exactly once;
+* **register lifetimes** — no read of a register an earlier free-list
+  entry dropped, only live registers the step owns are freed (never
+  state, an output, a plan constant or a slab slot), and every dying
+  register is on a free-list;
+* **slab-overlap** — lifetimes are recomputed from the reads (closed
+  intervals; a returned output lives to the end) and two live slab buffers
+  share bytes only as a declared alias or in-place reuse
+  (:meth:`repro.memory.planner.SlabPlan.validate`, on plan slots);
+* **alias-lifetime** — a base outlives its views: an alias is created
+  after its base, views slab bytes only (a register holds a different
+  array every step), and nothing reuses those bytes while a view of them
+  is still read;
+* **slab-layout** — every slab owner is declared C-contiguous with the
+  graph's shape and dtype, each alias's offset and strides equal what
+  numpy yields for that view of its base, and layouts are re-derived along
+  the stream so that every into-form (``mode="out"``) and every copied-in
+  base result (``mode="copy"``) is justified: its inputs are C-contiguous
+  or its kernel's dense predicate holds; no view of state survives;
+* **in-place reuse** (the ``donation-*`` rules, restated as the overlap
+  exception) — a reused input is a private slab buffer of exactly the
+  output's shape, dtype and offset that dies at that instruction and that
+  nothing views, the kernel is alias-safe, and — for fused chains — only
+  the first link reads it; a ``donating``-variant instruction's clobbered
+  inputs all die there;
+* **precomputed slots** — a registered transform over frozen state,
+  declaring exactly the C-contiguous shape/dtype that transform emits;
+* **dtype/shape consistency** — slots map to exactly the node's
+  input/output names, and the graph they name is itself schema-valid
+  (:func:`repro.ir.validate.validate_graph`);
+* **every mutable state slot written per step** — a dropped ``apply_*``
+  instruction is a silent no-training bug;
 * **fused-link invariants** — interior link values own no slot, chains
   are shape/dtype-stable, every link is a fusable single-output
-  elementwise op, the first link reads no "previous value", and later
-  links do;
+  elementwise op, only the first link reads no "previous value";
 * **const-arg splices** — a folded scalar names frozen shape-``()``
-  state, its assembled position is in range, and the folded name owns
-  no slot anywhere in the plan;
+  state at an in-range position;
 * **honest tuning decisions** (``tuned-*`` rules) — every
-  ``tuned_variants`` row names a real instruction, a registered
-  variant of the right kernel, the variant the instruction actually
-  binds, a known source (``cost``/``measure``), finite non-negative
-  costs, and no instruction is tuned twice;
-* **independent byte accounting** — the transient-byte timeline, peak,
-  arena caps, precomputed bytes, and clear-slot set are recomputed from
-  scratch and must equal the numbers ``allocate`` recorded. A plan that
-  lies about its arena caps or peak is rejected even when every
-  individual instruction looks fine.
+  ``tuned_variants`` row names a real instruction, the registered variant
+  it actually binds, a known source and finite non-negative costs, once;
+* **independent byte accounting** — the transient-byte timeline and its
+  peak are recomputed from scratch and must equal what ``allocate``
+  recorded.
 
 Verification runs (gated by ``CompileOptions.verify_plans`` /
 ``REPRO_VERIFY_PLANS=1``) after every pass stage inside
@@ -65,13 +67,17 @@ import os
 
 import numpy as np
 
-from ..errors import PlanVerifyError, ReproError
+from ..errors import (GraphError, MemoryPlanError, PlanVerifyError,
+                      ReproError, ShapeError)
 from ..ir.ops import get_schema
-from ..kernels import (DONATED_INPUTS, DONATING_KERNELS, OUT_ALIAS_SAFE,
-                       OUT_KERNELS, PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS,
-                       VIEW_OPS)
-from ..runtime.plan import (InstructionSpec, PlanSpec, VARIANT_BASE,
-                            VARIANT_DONATING, arena_key_for)
+from ..ir.validate import validate_graph
+from ..kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
+                       OUT_ALIAS_SAFE, OUT_KERNELS, PRECOMPUTE_TRANSFORMS,
+                       VARIANT_KERNELS, VIEW_OPS, into_form)
+from ..kernels.shape import c_strides, is_c_contiguous, view_layout
+from ..memory.planner import SlabPlan
+from ..runtime.plan import (MODE_BASE, MODE_COPY, MODE_OUT, InstructionSpec,
+                            PlanSpec, VARIANT_BASE, VARIANT_DONATING)
 from .report import Finding, Report, format_findings
 
 #: environment flag that turns per-stage verification on in the compile
@@ -137,6 +143,17 @@ class _PlanChecker:
         self.status: dict[int, int] = {}
         self._specs: dict[str, object] = {}
         self.accounting_ok = True
+        #: layouts the walk so far makes known facts: slots C-contiguous,
+        #: and the strides of those laid out otherwise (views)
+        self.dense: set[int] = set()
+        self.strided: dict[int, tuple[int, ...]] = {}
+        #: slab slot -> the owner whose bytes it is (itself, or the base
+        #: of the alias chain); owner -> [birth, last read of the owner,
+        #: last read counting its views], in instruction positions
+        self.root: dict[int, int] = {}
+        self.life: dict[int, list[int]] = {}
+        #: output slot -> the dying input it takes over (in-place reuse)
+        self.reused: dict[int, int] = {}
 
     def flag(self, rule: str, where: str, message: str) -> None:
         self.findings.append(Finding(rule=rule, where=where, message=message))
@@ -163,25 +180,16 @@ class _PlanChecker:
             return 0
         return spec.nbytes
 
-    def arena_key(self, name: str, where: str):
-        spec = self.value_spec(name, where)
-        if spec is None:
-            return None
-        return arena_key_for(tuple(spec.shape), np.dtype(spec.dtype.np))
-
     @staticmethod
     def _is_view(instr: InstructionSpec) -> bool:
         return instr.fused is None and instr.kernel in VIEW_OPS
 
     @staticmethod
     def _is_inplace(instr: InstructionSpec) -> bool:
-        if instr.fused is not None or instr.kernel not in VIEW_OPS:
-            try:
-                return instr.fused is None \
-                    and get_schema(instr.kernel).inplace
-            except ReproError:
-                return False
-        return False
+        try:
+            return instr.fused is None and get_schema(instr.kernel).inplace
+        except ReproError:
+            return False
 
     # -- slot bookkeeping -----------------------------------------------------
 
@@ -221,22 +229,22 @@ class _PlanChecker:
                       f"declares {declared[0]} {declared[1].name} but "
                       f"{entry.transform!r} emits {out.shape} "
                       f"{out.dtype.name}")
+        elif not out.flags.c_contiguous:
+            self.flag("slab-layout", where,
+                      f"{entry.transform!r} emits a non-C-contiguous "
+                      f"constant; its consumers' layouts assume one")
 
     # -- main walk ------------------------------------------------------------
 
-    def run(self) -> list[Finding]:
-        spec = self.spec
-        graph = self.graph
-
-        # Static bindings: feeds, state, precomputed constants.
+    def _bind_static(self) -> None:
+        """Feeds, state, precomputed constants: register slots bound per
+        step, C-contiguous by the executor's contract."""
+        spec, graph = self.spec, self.graph
         feed_names = [name for name, _ in spec.feed_specs]
         if feed_names != list(graph.inputs):
             self.flag("feed-mismatch", "feed_specs",
                       f"plan feeds {feed_names} != graph inputs "
                       f"{list(graph.inputs)}")
-        for name, slot in spec.feed_specs:
-            self.bind(slot, name, "feed_specs")
-            self.status[slot] = _LIVE
         bound_state = {name for _, name in spec.state_bindings}
         const_state = {name for instr in spec.instructions
                        for _, name in instr.const_args}
@@ -245,19 +253,23 @@ class _PlanChecker:
                       f"plan binds state {sorted(bound_state)} (+ "
                       f"{sorted(const_state)} const-folded) but the "
                       f"program owns {sorted(self.state_names)}")
-        state_slots = set()
-        for slot, name in spec.state_bindings:
-            self.bind(slot, name, "state_bindings")
-            self.status[slot] = _LIVE
-            state_slots.add(slot)
-        pre_slots = set()
+        for where, pairs in (
+                ("feed_specs", [(s, n) for n, s in spec.feed_specs]),
+                ("state_bindings", spec.state_bindings)):
+            for slot, name in pairs:
+                self.bind(slot, name, where)
+                self.status[slot] = _LIVE
+                self.dense.add(slot)
+        self.state_slots = {slot for slot, _ in spec.state_bindings}
+        self.pre_slots = set()
         for entry in spec.precomputed:
             where = f"precomputed {entry.state}.{entry.transform}"
             self.bind(entry.slot,
                       f"__precomputed__{entry.state}.{entry.transform}",
                       where)
             self.status[entry.slot] = _LIVE
-            pre_slots.add(entry.slot)
+            self.dense.add(entry.slot)  # _check_precomputed_shape's job
+            self.pre_slots.add(entry.slot)
             if entry.transform not in PRECOMPUTE_TRANSFORMS:
                 self.flag("unknown-transform", where,
                           f"transform {entry.transform!r} is not registered")
@@ -271,56 +283,72 @@ class _PlanChecker:
             else:
                 self._check_precomputed_shape(entry, where)
 
-        # Producer/consumer facts over the spec stream (recomputed, never
-        # trusted from the spec) — recyclability needs them.
-        produced_by: dict[int, int] = {}
-        consumed_view: set[int] = set()
-        last_read: dict[int, int] = {}
-        for idx, instr in enumerate(spec.instructions):
-            for slot in instr.output_slots:
-                produced_by.setdefault(slot, idx)
-            for slot in instr.input_slots:
-                last_read[slot] = idx
-            if self._is_view(instr):
-                consumed_view.update(instr.input_slots)
+    def run(self) -> list[Finding]:
+        spec = self.spec
         instrs = spec.instructions
+        self.end = len(instrs)
+        try:  # arity, attrs and inferred output specs of every node
+            validate_graph(self.graph)
+        except (GraphError, ShapeError) as exc:
+            self.flag("schema-mismatch", "graph", str(exc))
+        self._bind_static()
+        self.slab = {entry.slot: entry for entry in spec.slab_slots}
+        if len(self.slab) != len(spec.slab_slots):
+            self.flag("slot-collision", "slab_slots",
+                      "a slot appears twice in the slab table")
 
-        def recyclable(slot: int) -> bool:
-            idx = produced_by.get(slot)
-            if idx is None:
-                return False  # feeds/state/precomputed: caller-owned
-            p = instrs[idx]
-            if self._is_view(p) or self._is_inplace(p):
-                return False
-            if self.names.get(slot) in self.keep:
-                return False
-            return slot not in consumed_view
+        # The stream as it would have executed: the views resolved at bind
+        # time interleaved with the instructions, by ``at``.
+        events = sorted(
+            [(alias.at, 0, n, alias) for n, alias in enumerate(spec.aliases)]
+            + [(idx, 1, 0, instr) for idx, instr in enumerate(instrs)])
+        if any(not 0 <= alias.at <= self.end for alias in spec.aliases):
+            self.flag("alias-lifetime", "aliases",
+                      "an alias lies outside the instruction stream")
 
-        transient = sum(self.nbytes(name, "inputs")
-                        for name in graph.inputs)
-        peak = transient
-        arena_caps: dict = {}
+        # Reads, recomputed — never trusted from the spec: the last event
+        # reading each slot, the slots something views, and the slots
+        # holding a kernel's own fresh result (not a view, not state).
+        last_read = self.last_read = {}
+        self.viewed: set[int] = set()
+        self.fresh: set[int] = set()
+        for when, (_, is_instr, _, event) in enumerate(events):
+            reads = event.input_slots if is_instr else (event.base,)
+            for slot in reads:
+                last_read[slot] = when
+            if not is_instr or self._is_view(event):
+                self.viewed.update(reads)
+            elif not self._is_inplace(event):
+                self.fresh.update(event.output_slots)
+
+        self.transient = self.peak = sum(
+            self.nbytes(name, "inputs") for name in self.graph.inputs)
         written_state: set[str] = set()
         seen_nodes: set[str] = set()
         interior_names: list[tuple[str, str]] = []
-
-        for idx, instr in enumerate(spec.instructions):
-            where = f"instr {idx} ({instr.node!r})"
-            node = self.nodes.get(instr.node)
+        for when, (position, is_instr, _, event) in enumerate(events):
+            where = f"instr {position} ({event.node!r})" if is_instr \
+                else f"alias {event.node!r}"
+            node = self.nodes.get(event.node)
             if node is None:
                 self.flag("unknown-node", where,
                           "references a node the schedule lacks")
                 continue
-            seen_nodes.add(instr.node)
+            seen_nodes.add(event.node)
+            if not is_instr:
+                if self._walk_alias(event, node, where):
+                    self._account([(event.slot, node.outputs[0])],
+                                  (event.base,), False, when, where)
+                continue
+
+            instr = event
             if node.op_type != instr.kernel:
                 self.flag("kernel-mismatch", where,
                           f"kernel {instr.kernel!r} but node is "
                           f"{node.op_type!r}")
             inplace = self._is_inplace(instr)
             view = self._is_view(instr)
-
-            # def-before-use / use-after-free on every read.
-            for slot in instr.input_slots:
+            for slot in instr.input_slots:  # def-before-use on every read
                 state = self.status.get(slot, _UNDEF)
                 if state == _UNDEF:
                     self.flag("def-before-use", where,
@@ -328,177 +356,302 @@ class _PlanChecker:
                 elif state == _FREED:
                     self.flag("use-after-free", where,
                               f"reads slot {slot} after it was freed")
-
+                self._touch(slot, position)
             if instr.const_args:
                 self._check_const_args(instr, where, inplace, view)
-
             if instr.fused is not None:
-                self._check_fused(idx, instr, node, where, interior_names)
-                expected_inputs = None  # checked inside _check_fused
+                self._check_fused(position, instr, node, where,
+                                  interior_names)
             else:
-                expected_inputs = self._check_plain(instr, node, where,
-                                                    inplace)
+                self._check_plain(instr, node, where, inplace)
 
             # Outputs: exactly the node's outputs, each defined once.
-            out_names = node.outputs
-            if len(instr.output_slots) != len(out_names):
+            if len(instr.output_slots) != len(node.outputs):
                 self.flag("output-arity", where,
                           f"{len(instr.output_slots)} output slots for "
-                          f"{len(out_names)} node outputs")
-            for slot, name in zip(instr.output_slots, out_names):
-                if self.status.get(slot, _UNDEF) != _UNDEF:
-                    self.flag("slot-redefined", where,
-                              f"slot {slot} ({self.names.get(slot)!r}) "
-                              f"defined more than once")
-                self.bind(slot, name, where)
-                self.status[slot] = _LIVE
-
-            # use_out / donation invariants.
-            self._check_out_and_donation(instr, node, where, inplace,
-                                         recyclable)
+                          f"{len(node.outputs)} node outputs")
+            outs = list(zip(instr.output_slots, node.outputs))
+            for slot, name in outs:
+                self._define(slot, name, where)
+            self._check_results(instr, node, outs, where, inplace, view,
+                                position)
+            if instr.reuse_slot >= 0 and self._check_reuse(instr, where,
+                                                           when):
+                self.reused[instr.output_slots[0]] = instr.reuse_slot
             if instr.variant == VARIANT_DONATING:
-                self._check_donating_variant(instr, node, where, recyclable)
-
-            # check_state_slots: exactly the state inputs of view kernels.
-            expected_check = ()
-            if view and not inplace and expected_inputs is not None:
-                expected_check = tuple(
-                    slot for slot, name in zip(instr.input_slots,
-                                               expected_inputs)
-                    if name in self.state_names)
-            if tuple(instr.check_state_slots) != expected_check:
-                self.flag("state-check-mismatch", where,
-                          f"check_state_slots {instr.check_state_slots} "
-                          f"!= expected {expected_check}")
-
+                self._check_donating_variant(instr, where, when)
             if inplace:
-                if instr.use_out or instr.donate_slot >= 0 \
-                        or instr.fresh_outputs != 0:
-                    self.flag("inplace-invariant", where,
-                              "in-place instruction carries out=/donation/"
-                              "fresh-output decisions")
                 written_state.update(
                     name for name in node.inputs
                     if name in self.state_names)
-            expected_fresh = 0 if inplace else (
-                len(instr.fused) if instr.fused is not None
-                else len(node.outputs))
-            if instr.fresh_outputs != expected_fresh:
-                self.flag("fresh-outputs-mismatch", where,
-                          f"fresh_outputs {instr.fresh_outputs} != "
-                          f"{expected_fresh}")
+            dying = self._account(outs, instr.input_slots, inplace, when,
+                                  where)
+            self._check_frees(instr, where, dying)
 
-            # Byte timeline: outputs materialize, then the free-list runs.
-            if not inplace:
-                for name in out_names:
-                    transient += self.nbytes(name, where)
-            if transient > peak:
-                peak = transient
-            freed_here = set()
-            for slot, key in instr.frees:
-                state = self.status.get(slot, _UNDEF)
-                name = self.names.get(slot)
-                if state == _UNDEF:
-                    self.flag("free-undefined", where,
-                              f"frees slot {slot} which was never defined")
-                    continue
-                if state == _FREED or slot in freed_here:
-                    self.flag("double-free", where,
-                              f"frees slot {slot} ({name!r}) twice")
-                    continue
-                if slot in state_slots:
-                    self.flag("freed-state", where,
-                              f"frees state slot {slot} ({name!r})")
-                if slot in pre_slots:
-                    self.flag("freed-precomputed", where,
-                              f"frees precomputed slot {slot}")
-                if name in self.keep:
-                    self.flag("freed-output", where,
-                              f"frees program output {name!r}")
-                freed_here.add(slot)
-                self.status[slot] = _FREED
-                if name is not None:
-                    transient -= self.nbytes(name, where)
-                if key is not None:
-                    if not recyclable(slot):
-                        self.flag("unsafe-recycle", where,
-                                  f"slot {slot} ({name!r}) returns to the "
-                                  f"arena but may be aliased/caller-owned")
-                    elif name is not None:
-                        expect = self.arena_key(name, where)
-                        if expect is not None \
-                                and (int(key[0]), np.dtype(key[1])) \
-                                != expect:
-                            self.flag("arena-key-mismatch", where,
-                                      f"free of {name!r} recycles under "
-                                      f"{key}, spec says {expect}")
-
-            # Independent free-list recomputation: every buffer allocate
-            # would release here (dead output or last-read input) must be
-            # on this instruction's free-list, or the plan leaks it.
-            expected_frees = set()
-            if not inplace:
-                for slot, name in zip(instr.output_slots, out_names):
-                    if slot not in last_read and name not in self.keep:
-                        expected_frees.add(slot)
-            for slot in instr.input_slots:
-                if last_read.get(slot) == idx and slot not in state_slots \
-                        and slot not in pre_slots \
-                        and self.names.get(slot) not in self.keep:
-                    expected_frees.add(slot)
-            for slot in sorted(expected_frees - freed_here):
-                if self.status.get(slot) == _LIVE:
-                    self.flag("missing-free", where,
-                              f"slot {slot} ({self.names.get(slot)!r}) "
-                              f"dies here but is not on the free-list")
-
-            if instr.use_out and instr.donate_slot < 0 \
-                    and instr.out_shape is not None \
-                    and instr.out_dtype is not None:
-                cap_key = arena_key_for(tuple(instr.out_shape),
-                                        np.dtype(instr.out_dtype))
-                arena_caps[cap_key] = arena_caps.get(cap_key, 0) + 1
-
-        self._check_end_state(arena_caps, peak, transient, written_state,
-                              seen_nodes, interior_names, state_slots,
-                              pre_slots)
+        self._check_slab()
+        self._check_end_state(written_state, seen_nodes, interior_names)
         return self.findings
+
+    # -- liveness, layouts and the slab ---------------------------------------
+
+    def _define(self, slot: int, name: str, where: str) -> None:
+        if self.status.get(slot, _UNDEF) != _UNDEF:
+            self.flag("slot-redefined", where,
+                      f"slot {slot} ({self.names.get(slot)!r}) defined "
+                      f"more than once")
+        self.bind(slot, name, where)
+        self.status[slot] = _LIVE
+
+    def _touch(self, slot: int, position: int) -> None:
+        """A read at ``position`` keeps ``slot``'s slab buffer alive."""
+        life = self.life.get(self.root.get(slot))
+        if life is not None:
+            if self.root[slot] == slot:
+                life[1] = max(life[1], position)
+            life[2] = max(life[2], position)
+
+    def _account(self, outs, reads, inplace: bool, when: int,
+                 where: str) -> set[int]:
+        """One event of the byte timeline: outputs materialize, then
+        whatever was read for the last time is released. Returns the
+        slots that die here."""
+        if not inplace:
+            self.transient += sum(self.nbytes(n, where) for _, n in outs)
+        self.peak = max(self.peak, self.transient)
+        dying = set() if inplace else {
+            slot for slot, name in outs
+            if slot not in self.last_read and name not in self.keep}
+        dying.update(
+            slot for slot in reads
+            if self.last_read.get(slot) == when
+            and slot not in self.state_slots and slot not in self.pre_slots
+            and self.names.get(slot) not in self.keep)
+        self.transient -= sum(self.nbytes(self.names[slot], where)
+                              for slot in dying if slot in self.names)
+        return dying
+
+    def _strides(self, slot: int) -> tuple[int, ...] | None:
+        """``slot``'s byte strides, when the walk so far makes them a
+        known fact."""
+        if slot not in self.dense:
+            return self.strided.get(slot)
+        spec = self.graph.values.get(self.names.get(slot))
+        return spec and c_strides(tuple(spec.shape),
+                                  np.dtype(spec.dtype.np).itemsize)
+
+    def _view_of(self, node, source: int):
+        """What numpy makes of view ``node`` over ``source``'s layout:
+        False when that layout is unknown, None for a copy, else
+        (offset, shape, strides)."""
+        strides = self._strides(source)
+        if strides is None:
+            return False
+        spec = self.graph.values[self.names[source]]
+        return view_layout(node.op_type, node.attr_key(), tuple(spec.shape),
+                           strides, spec.dtype.value)
+
+    def _note_layout(self, slot: int, shape, strides, dtype) -> None:
+        if is_c_contiguous(tuple(shape), tuple(strides),
+                           np.dtype(dtype).itemsize):
+            self.dense.add(slot)
+        else:
+            self.strided[slot] = tuple(strides)
+
+    def _walk_alias(self, alias, node, where: str) -> bool:
+        """One bind-time view; True when it is sound enough to account."""
+        if node.op_type not in VIEW_OPS or len(node.outputs) != 1 \
+                or len(node.inputs) != 1:
+            self.flag("unknown-node", where,
+                      "alias does not name a single-input view node")
+            return False
+        name = node.outputs[0]
+        self._define(alias.slot, name, where)
+        if self.names.get(alias.base) != node.inputs[0]:
+            self.flag("input-slot-mismatch", where,
+                      f"base slot {alias.base} holds "
+                      f"{self.names.get(alias.base)!r}, node reads "
+                      f"{node.inputs[0]!r}")
+        owner = self.root.get(alias.base)
+        base, entry = self.slab.get(alias.base), self.slab.get(alias.slot)
+        if self.status.get(alias.base) != _LIVE or owner is None \
+                or entry is None:
+            self.flag("alias-lifetime", where,
+                      f"views slot {alias.base}, which is not a slab value "
+                      f"defined before it — only slab bytes are the same "
+                      f"array every step")
+            return True
+        self.root[alias.slot] = owner
+        if name in self.keep:
+            self.life[owner][2] = self.end
+        seen = self._view_of(node, alias.base)
+        declared = (entry.offset - base.offset, tuple(entry.shape),
+                    tuple(entry.strides))
+        if not seen or entry.dtype != base.dtype or declared != tuple(seen):
+            self.flag("slab-layout", where,
+                      f"declares (offset, shape, strides) {declared} "
+                      f"{entry.dtype}; numpy yields {seen or 'a copy'} "
+                      f"{base.dtype}")
+        self._note_layout(alias.slot, entry.shape, entry.strides,
+                          entry.dtype)
+        return True
+
+    def _check_results(self, instr, node, outs, where: str, inplace: bool,
+                       view: bool, position: int) -> None:
+        """Where an instruction's results live, and in what layout."""
+        source = instr.input_slots[0] if view and instr.input_slots \
+            else None
+        seen = self._view_of(node, source) if source is not None else None
+        # Are the results C-contiguous as a static fact? In-place results
+        # are the state arrays; a view kernel's copy is C-contiguous, its
+        # view is when copied into a slot; otherwise the kernel layout
+        # contract (C-contiguous in, C-contiguous out) or a dense op's own
+        # predicate over the layouts known so far.
+        if view:
+            dense = seen is None or (seen is not False
+                                     and instr.mode != MODE_BASE)
+        else:
+            dense = inplace or all(slot in self.dense
+                                   for slot in instr.input_slots)
+            predicate = DENSE_OPS.get(instr.kernel) \
+                if instr.fused is None else None
+            if not dense and predicate is not None:
+                layouts = [(self.graph.values.get(self.names.get(slot)),
+                            self._strides(slot))
+                           for slot in instr.input_slots]
+                dense = all(spec is not None and strides is not None
+                            for spec, strides in layouts) and predicate(
+                    [(tuple(spec.shape), s) for spec, s in layouts])
+
+        if instr.mode == MODE_BASE:
+            # the kernel's own result, held in a register
+            if any(slot in self.slab for slot, _ in outs):
+                self.flag("slab-layout", where,
+                          "a base-mode result is declared a slab slot but "
+                          "nothing writes it there")
+            if view and source in self.slab:
+                self.flag("alias-lifetime", where,
+                          f"a runtime view of slab slot {source}: its "
+                          f"bytes could be reused under it")
+            if view and seen and self.names.get(source) in self.state_names:
+                self.flag("slab-layout", where,
+                          "a view of state survives as a view")
+            for slot, name in outs:
+                spec = self.value_spec(name, where)
+                if spec is None:
+                    continue
+                if view and seen:
+                    self._note_layout(slot, spec.shape, seen[2],
+                                      spec.dtype.np)
+                elif dense or sum(d != 1 for d in spec.shape) <= 1:
+                    self.dense.add(slot)
+            return
+
+        legal = instr.mode in (MODE_OUT, MODE_COPY) and not inplace \
+            and all(slot in self.slab for slot, _ in outs) \
+            and (instr.mode == MODE_COPY or (
+                len(outs) == 1 and (instr.fused is not None or into_form(
+                    instr.kernel, instr.variant) is not None)))
+        if not legal:
+            self.flag("invalid-use-out", where,
+                      f"mode {instr.mode!r} needs slab output slots on a "
+                      f"non-in-place instruction, and 'out' an into-form")
+            return
+        if not dense:
+            self.flag("slab-layout", where,
+                      "writes a C-contiguous slab slot, but its inputs "
+                      "are not declared C-contiguous (or the source of "
+                      "the view has no known layout)")
+        for slot, name in outs:
+            # a slab owner: the graph's shape and dtype, C-contiguous
+            # (_check_slab sees to it that it lies inside the slab)
+            entry, spec = self.slab[slot], self.value_spec(name, where)
+            if spec is None:
+                continue
+            dtype = np.dtype(spec.dtype.np)
+            want = (tuple(spec.shape), c_strides(tuple(spec.shape),
+                                                 dtype.itemsize), dtype)
+            if (tuple(entry.shape), tuple(entry.strides),
+                    np.dtype(entry.dtype)) != want:
+                self.flag("slab-layout", where,
+                          f"slot {slot} ({name!r}) declares "
+                          f"{tuple(entry[2:])}; a C-contiguous "
+                          f"{want[0]}/{dtype.name} is written there")
+            self.dense.add(slot)
+            self.root[slot] = slot
+            self.life[slot] = [position, position,
+                               self.end if name in self.keep else position]
+
+    def _check_frees(self, instr, where: str, dying: set[int]) -> None:
+        """The register free-list: exactly the registers that die here. (A
+        free that comes too early shows as ``use-after-free`` at the next
+        read.)"""
+        for slot in instr.frees:
+            name = self.names.get(slot)
+            if self.status.get(slot) != _LIVE or slot in self.slab \
+                    or slot in self.state_slots or slot in self.pre_slots \
+                    or name in self.keep:
+                self.flag("bad-free", where,
+                          f"frees slot {slot} ({name!r}), which is not a "
+                          f"live register this step owns (undefined, freed "
+                          f"before, a slab slot, state, a plan constant or "
+                          f"a returned output)")
+            else:
+                self.status[slot] = _FREED
+        for slot in sorted(dying - self.slab.keys()):
+            if self.status.get(slot) == _LIVE:
+                self.flag("missing-free", where,
+                          f"slot {slot} ({self.names.get(slot)!r}) "
+                          f"dies here but is not on the free-list")
+
+    def _check_slab(self) -> None:
+        """No two live buffers share bytes, in-place reuse chains aside:
+        an output reusing an input is the same buffer living on."""
+        merged: dict[int, list[int]] = {}
+        for slot, (birth, own, full) in self.life.items():
+            head = slot
+            while head in self.reused:
+                head = self.reused[head]
+            life = merged.setdefault(head, [birth, own, full])
+            life[:] = (min(life[0], birth), max(life[1], own),
+                       max(life[2], full))
+        slots = sorted(merged)
+        offsets = [self.slab[slot].offset for slot in slots]
+        sizes = [self.nbytes(self.names[slot], "slab")
+                 if slot in self.names else 0 for slot in slots]
+        for rule, column, note in (
+                ("slab-overlap", 1, ""),
+                ("alias-lifetime", 2, " while a view of one is still read")):
+            try:
+                SlabPlan(self.spec.slab_bytes, offsets,
+                         [(size, merged[slot][0], merged[slot][column])
+                          for slot, size in zip(slots, sizes)]).validate()
+            except MemoryPlanError as exc:
+                self.flag(rule, "slab", f"{exc}{note}")
+                return
 
     # -- per-instruction helpers ----------------------------------------------
 
     def _check_const_args(self, instr, where: str, inplace: bool,
                           view: bool) -> None:
-        """Folded-scalar splices: frozen shape-() state at valid positions."""
-        if inplace or view:
-            self.flag("const-arg-context", where,
-                      "const-folded inputs on an in-place/view instruction")
+        """Folded-scalar splices: frozen shape-() state at distinct,
+        in-range positions of a non-view, non-in-place instruction."""
         total = len(instr.input_slots) + len(instr.const_args)
-        seen: set[int] = set()
+        positions = [pos for pos, _ in instr.const_args]
+        if inplace or view or len(set(positions)) != len(positions) \
+                or not all(0 <= pos < total for pos in positions):
+            self.flag("const-arg-position", where,
+                      f"const splices at {positions} of {total} assembled "
+                      f"inputs (in-place / view instructions take none)")
         for pos, name in instr.const_args:
-            cwhere = f"{where} const_arg {pos}"
-            if not 0 <= pos < total:
-                self.flag("const-arg-range", cwhere,
-                          f"position {pos} outside the assembled input "
-                          f"list of {total}")
-            if pos in seen:
-                self.flag("const-arg-duplicate", cwhere,
-                          "position spliced twice")
-            seen.add(pos)
-            if name not in self.state_names:
-                self.flag("const-arg-source", cwhere,
-                          f"{name!r} is not program state")
-                continue
-            if name in self.mutable:
-                self.flag("const-arg-mutable", cwhere,
-                          f"{name!r} is mutated in place; only frozen "
-                          f"state may fold")
-            cspec = self.value_spec(name, cwhere)
-            if cspec is not None and tuple(cspec.shape) != ():
-                self.flag("const-arg-shape", cwhere,
-                          f"{name!r} has shape {tuple(cspec.shape)}; "
-                          f"only scalars fold")
+            spec = self.graph.values.get(name) \
+                if name in self.state_names else None
+            if spec is None or name in self.mutable \
+                    or tuple(spec.shape) != ():
+                self.flag("const-arg-source", f"{where} const_arg {pos}",
+                          f"{name!r} is not frozen shape-() program state; "
+                          f"only that may fold")
 
-    def _check_plain(self, instr, node, where: str, inplace: bool):
+    def _check_plain(self, instr, node, where: str, inplace: bool) -> None:
         """Non-fused: arity, slot->name mapping, schema inference."""
         expected_inputs = list(node.inputs)
         if instr.const_args:
@@ -540,47 +693,6 @@ class _PlanChecker:
                     self.flag("input-slot-mismatch", where,
                               f"input slot {slot} holds {bound!r}, node "
                               f"reads {name!r}")
-        self._check_schema(node, where)
-        return tuple(node.inputs)
-
-    def _check_schema(self, node, where: str) -> None:
-        """Node arity + inferred output specs against the kernel schema."""
-        try:
-            schema = get_schema(node.op_type)
-        except ReproError:
-            self.flag("unknown-kernel", where,
-                      f"no schema for op {node.op_type!r}")
-            return
-        if not (schema.min_inputs <= len(node.inputs)
-                <= schema.max_inputs):
-            self.flag("schema-arity", where,
-                      f"{len(node.inputs)} inputs outside "
-                      f"[{schema.min_inputs}, {schema.max_inputs}]")
-            return
-        in_specs = [self.value_spec(name, where) for name in node.inputs]
-        if any(s is None for s in in_specs):
-            return
-        try:
-            inferred = schema.infer(in_specs, node.attrs)
-        except Exception as exc:  # noqa: BLE001 - schema disagreement
-            self.flag("schema-infer", where,
-                      f"schema inference rejects the node: {exc}")
-            return
-        if len(inferred) != len(node.outputs):
-            self.flag("schema-mismatch", where,
-                      f"schema infers {len(inferred)} outputs, node "
-                      f"declares {len(node.outputs)}")
-            return
-        for name, (shape, dtype) in zip(node.outputs, inferred):
-            declared = self.value_spec(name, where)
-            if declared is None:
-                continue
-            if tuple(declared.shape) != tuple(shape) \
-                    or declared.dtype != dtype:
-                self.flag("schema-mismatch", where,
-                          f"output {name!r} declared "
-                          f"{tuple(declared.shape)}/{declared.dtype} but "
-                          f"schema infers {tuple(shape)}/{dtype}")
 
     def _check_fused(self, idx: int, instr, node, where: str,
                      interior_names: list) -> None:
@@ -593,19 +705,15 @@ class _PlanChecker:
             self.flag("fused-tail-mismatch", where,
                       f"instruction node/kernel != last link "
                       f"({links[-1].node!r}/{links[-1].kernel!r})")
-        final_spec = None
-        if node.outputs:
-            final_spec = self.value_spec(node.outputs[0], where)
+        final_spec = self.value_spec(node.outputs[0], where) \
+            if node.outputs else None
         # Link args index the *assembled* input list: slots in order, with
         # const-folded state spliced back at its recorded positions.
         const_at = dict(instr.const_args)
         total = len(instr.input_slots) + len(const_at)
-        slot_of: dict[int, int] = {}
-        nxt = 0
-        for pos in range(total):
-            if pos not in const_at:
-                slot_of[pos] = nxt
-                nxt += 1
+        slots = iter(instr.input_slots)
+        assembled = [None if pos in const_at else next(slots, None)
+                     for pos in range(total)]
         external: dict[int, str] = {}
         prev_value: str | None = None
         for pos, link in enumerate(links):
@@ -621,61 +729,45 @@ class _PlanChecker:
                           f"link kernel {link.kernel!r} but node is "
                           f"{lnode.op_type!r}")
             k = link.kernel
-            eligible = (len(lnode.outputs) == 1
-                        and k in OUT_KERNELS and k in OUT_ALIAS_SAFE
-                        and k not in VIEW_OPS)
             try:
-                eligible = eligible and not get_schema(k).inplace
+                eligible = len(lnode.outputs) == 1 and k in OUT_KERNELS \
+                    and k in OUT_ALIAS_SAFE and k not in VIEW_OPS \
+                    and not get_schema(k).inplace
             except ReproError:
                 eligible = False
             if not eligible:
                 self.flag("fused-ineligible-link", lwhere,
                           f"{k!r} is not a single-output alias-safe "
                           f"elementwise kernel")
-            if pos == 0 and any(a is None for a in link.args):
+            if (pos == 0) == (None in link.args):
                 self.flag("fused-chain-break", lwhere,
-                          "first link reads a previous value")
-            if pos > 0 and not any(a is None for a in link.args):
-                self.flag("fused-chain-break", lwhere,
-                          "link never reads the previous link's result")
+                          "the first link reads a previous value, or a "
+                          "later one never reads its predecessor's result")
             if len(link.args) != len(lnode.inputs):
-                self.flag("fused-arg-arity", lwhere,
+                self.flag("fused-arg-mismatch", lwhere,
                           f"{len(link.args)} args for "
                           f"{len(lnode.inputs)} node inputs")
-            else:
-                for arg, name in zip(link.args, lnode.inputs):
-                    if arg is None:
-                        if name != prev_value:
-                            self.flag("fused-arg-mismatch", lwhere,
-                                      f"arg None stands for {prev_value!r} "
-                                      f"but node reads {name!r}")
-                        continue
-                    if not 0 <= arg < total:
-                        self.flag("fused-arg-range", lwhere,
-                                  f"arg index {arg} outside the assembled "
-                                  f"input list of {total}")
-                        continue
-                    known = external.get(arg)
-                    if known is None:
-                        external[arg] = name
-                    elif known != name:
-                        self.flag("fused-arg-mismatch", lwhere,
-                                  f"external input {arg} is both "
-                                  f"{known!r} and {name!r}")
+                continue
+            for arg, name in zip(link.args, lnode.inputs):
+                known = prev_value if arg is None else \
+                    external.setdefault(arg, name) \
+                    if 0 <= arg < total else None
+                if known != name:
+                    self.flag("fused-arg-mismatch", lwhere,
+                              f"arg {arg} stands for {known!r} (of {total} "
+                              f"assembled inputs) but node reads {name!r}")
             # mid-chain shape/dtype stability
-            if lnode.outputs:
-                lspec = self.value_spec(lnode.outputs[0], lwhere)
-                if lspec is not None and final_spec is not None \
-                        and (tuple(lspec.shape) != tuple(final_spec.shape)
-                             or lspec.dtype != final_spec.dtype):
-                    self.flag("fused-shape-drift", lwhere,
-                              f"link output {tuple(lspec.shape)}/"
-                              f"{lspec.dtype} != chain output "
-                              f"{tuple(final_spec.shape)}/"
-                              f"{final_spec.dtype}")
-                if pos < len(links) - 1:
-                    interior_names.append((lnode.outputs[0], where))
-            self._check_schema(lnode, lwhere)
+            lspec = self.value_spec(lnode.outputs[0], lwhere) \
+                if lnode.outputs else None
+            if lspec is not None and final_spec is not None \
+                    and (tuple(lspec.shape) != tuple(final_spec.shape)
+                         or lspec.dtype != final_spec.dtype):
+                self.flag("fused-shape-drift", lwhere,
+                          f"link output {tuple(lspec.shape)}/{lspec.dtype} "
+                          f"!= chain output {tuple(final_spec.shape)}/"
+                          f"{final_spec.dtype}")
+            if lnode.outputs and pos < len(links) - 1:
+                interior_names.append((lnode.outputs[0], where))
             prev_value = lnode.outputs[0] if lnode.outputs else None
         # every assembled position (slot or const splice) must be some
         # link's external arg, and the position->name mapping must agree
@@ -683,137 +775,84 @@ class _PlanChecker:
             self.flag("fused-input-mismatch", where,
                       f"external args {sorted(external)} do not cover "
                       f"assembled positions 0..{total - 1}")
-        else:
-            for arg, name in external.items():
-                cname = const_at.get(arg)
-                if cname is not None:
-                    if cname != name:
-                        self.flag("const-arg-mismatch", where,
-                                  f"assembled position {arg} splices "
-                                  f"{cname!r}, link arg reads {name!r}")
-                    continue
-                bound = self.names.get(instr.input_slots[slot_of[arg]])
-                if bound is not None and bound != name:
-                    self.flag("input-slot-mismatch", where,
-                              f"input slot "
-                              f"{instr.input_slots[slot_of[arg]]} holds "
-                              f"{bound!r}, link arg {arg} reads {name!r}")
+            return
+        for arg, name in external.items():
+            bound = const_at.get(arg) or self.names.get(assembled[arg])
+            if bound is not None and bound != name:
+                self.flag("input-slot-mismatch" if arg not in const_at
+                          else "const-arg-mismatch", where,
+                          f"assembled position {arg} holds {bound!r}, "
+                          f"link arg reads {name!r}")
 
-    def _check_out_and_donation(self, instr, node, where: str,
-                                inplace: bool, recyclable) -> None:
-        if instr.use_out:
-            legal = not inplace and len(node.outputs) == 1 \
-                and (instr.fused is not None
-                     or instr.kernel in OUT_KERNELS)
-            if not legal:
-                self.flag("invalid-use-out", where,
-                          "use_out set on an instruction with no out= "
-                          "variant (or multiple outputs)")
-            if instr.out_shape is None or instr.out_dtype is None:
-                self.flag("out-spec-mismatch", where,
-                          "use_out without a recorded out shape/dtype")
-            elif node.outputs:
-                declared = self.value_spec(node.outputs[0], where)
-                if declared is not None and (
-                        tuple(instr.out_shape) != tuple(declared.shape)
-                        or np.dtype(instr.out_dtype)
-                        != np.dtype(declared.dtype.np)):
-                    self.flag("out-spec-mismatch", where,
-                              f"out= records {tuple(instr.out_shape)}/"
-                              f"{instr.out_dtype}, graph declares "
-                              f"{tuple(declared.shape)}/"
-                              f"{np.dtype(declared.dtype.np).name}")
-        elif instr.donate_slot >= 0:
+    def _check_reuse(self, instr, where: str, when: int) -> bool:
+        """In-place reuse: the one declared exception to "an output shares
+        no bytes with an input of its instruction"."""
+        slot = instr.reuse_slot
+        if instr.mode != MODE_OUT:
             self.flag("donation-without-out", where,
-                      "donate_slot set on a non-out= instruction")
-            return
-        if instr.donate_slot < 0:
-            return
-        slot = instr.donate_slot
+                      "reuse_slot set on an instruction without an "
+                      "into-form")
+            return False
         if slot not in instr.input_slots:
             self.flag("donation-not-input", where,
-                      f"donated slot {slot} is not an input of this "
+                      f"reused slot {slot} is not an input of this "
                       f"instruction")
-            return
-        freed_keys = dict(instr.frees)
-        if slot not in freed_keys:
-            self.flag("donation-not-freed", where,
-                      f"donated slot {slot} is not freed here — a later "
-                      f"read would see the clobbered buffer")
-        elif freed_keys[slot] is not None:
-            self.flag("donation-recycled", where,
-                      f"donated slot {slot} also returns to the arena; "
-                      f"the buffer would alias the output")
-        if not recyclable(slot):
-            self.flag("donation-unsafe", where,
-                      f"donated slot {slot} "
-                      f"({self.names.get(slot)!r}) may be aliased or "
-                      f"caller-owned")
+            return False
         name = self.names.get(slot)
-        if name is not None and instr.out_shape is not None \
-                and instr.out_dtype is not None:
-            # Donation requires the *exact* (shape, dtype) — an out= kernel
-            # writes element-for-element, so a same-byte-bucket buffer of
-            # another shape is not good enough.
-            dspec = self.value_spec(name, where)
-            if dspec is not None and (
-                    tuple(dspec.shape) != tuple(instr.out_shape)
-                    or np.dtype(dspec.dtype.np)
-                    != np.dtype(instr.out_dtype)):
-                self.flag("donation-shape-mismatch", where,
-                          f"donated buffer {name!r} is "
-                          f"{(tuple(dspec.shape), dspec.dtype)}, output "
-                          f"wants {(tuple(instr.out_shape), instr.out_dtype)}")
-        if instr.fused is not None:
-            first = {a for a in instr.fused[0].args if a is not None}
-            later = {a for link in instr.fused[1:]
-                     for a in link.args if a is not None}
-            safe = first - later
-            try:
-                arg = instr.input_slots.index(slot)
-            except ValueError:
-                return
-            if instr.const_args:
-                # link args index the assembled list: shift the slot
-                # position past the const splices before it
-                const_positions = {pos for pos, _ in instr.const_args}
-                total = len(instr.input_slots) + len(const_positions)
-                k = -1
-                for pos in range(total):
-                    if pos in const_positions:
-                        continue
-                    k += 1
-                    if k == arg:
-                        arg = pos
-                        break
-            if arg not in safe:
-                self.flag("donation-alias-unsafe", where,
-                          f"donated input {arg} is read by a later fused "
-                          f"link; the first link's write clobbers it")
-        elif instr.kernel not in OUT_ALIAS_SAFE:
+        findings = len(self.findings)
+        if self.last_read.get(slot) != when:
+            self.flag("donation-not-freed", where,
+                      f"reused slot {slot} ({name!r}) is read again later "
+                      f"— it would see the output's bytes")
+        if slot not in self.fresh or slot in self.viewed \
+                or name in self.keep:
+            self.flag("donation-unsafe", where,
+                      f"reused slot {slot} ({name!r}) is a view, is "
+                      f"viewed, or is caller-owned")
+        mine = self.slab.get(instr.output_slots[0])
+        theirs = self.slab.get(slot)
+        if mine is None or theirs is None or mine[1:] != theirs[1:]:
+            self.flag("donation-shape-mismatch", where,
+                      f"reused slot {slot} is {theirs and theirs[1:]}, the "
+                      f"output is {mine and mine[1:]}: in-place reuse "
+                      f"needs the same offset, shape, strides and dtype")
+        if instr.fused is None:
+            safe = instr.kernel in OUT_ALIAS_SAFE
+        else:
+            # link args index the assembled list: the slot's position
+            # shifted past the const splices before it
+            consts = {pos for pos, _ in instr.const_args}
+            free = [pos for pos in range(len(instr.input_slots)
+                                         + len(consts)) if pos not in consts]
+            arg = free[instr.input_slots.index(slot)]
+            later = {a for link in instr.fused[1:] for a in link.args}
+            safe = arg in instr.fused[0].args and arg not in later
+        if not safe:
             self.flag("donation-alias-unsafe", where,
-                      f"{instr.kernel!r} is not alias-safe; it may read "
-                      f"the donated buffer after writing it")
+                      f"{instr.kernel!r} may read slot {slot} after "
+                      f"writing it (not alias-safe, or a later fused link "
+                      f"reads it)")
+        return len(self.findings) == findings
 
-    def _check_donating_variant(self, instr, node, where: str,
-                                recyclable) -> None:
+    def _check_donating_variant(self, instr, where: str,
+                                when: int) -> None:
         if instr.fused is not None or instr.kernel not in DONATING_KERNELS:
             self.flag("unknown-variant", where,
                       f"donating variant but {instr.kernel!r} has no "
                       f"donating kernel")
             return
-        freed = {slot for slot, _ in instr.frees}
         for i in DONATED_INPUTS.get(instr.kernel, ()):
             if i >= len(instr.input_slots):
                 self.flag("donating-variant-unsafe", where,
                           f"clobbered input index {i} out of range")
                 continue
             slot = instr.input_slots[i]
-            if slot not in freed or not recyclable(slot):
+            name = self.names.get(slot)
+            if self.last_read.get(slot) != when or slot not in self.fresh \
+                    or slot in self.viewed or name in self.keep:
                 self.flag("donating-variant-unsafe", where,
-                          f"clobbered input slot {slot} "
-                          f"({self.names.get(slot)!r}) is not a dying "
-                          f"unaliased buffer")
+                          f"clobbered input slot {slot} ({name!r}) is not "
+                          f"a dying unaliased buffer")
 
     def _check_tuned(self) -> None:
         """Tuned-variant table: every decision names a real instruction,
@@ -830,12 +869,10 @@ class _PlanChecker:
             if entry.source not in ("cost", "measure"):
                 self.flag("tuned-source", where,
                           f"unknown tuning source {entry.source!r}")
-            for label, value in (("predicted_us", entry.predicted_us),
-                                 ("measured_us", entry.measured_us)):
-                if value is None:
-                    continue
-                if not isinstance(value, (int, float)) or value != value \
-                        or value < 0:
+            for label in ("predicted_us", "measured_us"):
+                value = getattr(entry, label)
+                if value is not None and not (
+                        isinstance(value, (int, float)) and value >= 0):
                     self.flag("tuned-cost-invalid", where,
                               f"{label} {value!r} is not a non-negative "
                               f"number")
@@ -865,10 +902,10 @@ class _PlanChecker:
 
     # -- end-of-stream checks -------------------------------------------------
 
-    def _check_end_state(self, arena_caps, peak, transient, written_state,
-                         seen_nodes, interior_names, state_slots,
-                         pre_slots) -> None:
+    def _check_end_state(self, written_state, seen_nodes,
+                         interior_names) -> None:
         spec = self.spec
+        peak, transient = self.peak, self.transient
         where = "plan"
         self._check_tuned()
 
@@ -912,23 +949,7 @@ class _PlanChecker:
             self.flag("slot-count-mismatch", where,
                       f"{len(self.names)} slots bound, spec claims "
                       f"{spec.num_slots}")
-        expected_clear = {slot for slot in self.names
-                          if slot not in state_slots
-                          and slot not in pre_slots}
-        if set(spec.clear_slots) != expected_clear:
-            self.flag("clear-slots-mismatch", where,
-                      f"clear_slots disagree with the non-state, "
-                      f"non-precomputed slot set "
-                      f"(got {len(set(spec.clear_slots))}, expected "
-                      f"{len(expected_clear)})")
-
         if self.accounting_ok:
-            declared = {(int(nbytes), np.dtype(dtype)): count
-                        for (nbytes, dtype), count in spec.arena_caps}
-            if declared != arena_caps:
-                self.flag("arena-caps-mismatch", where,
-                          f"declared arena caps {declared} != recomputed "
-                          f"{arena_caps}")
             if peak != spec.peak_transient_bytes:
                 self.flag("peak-bytes-mismatch", where,
                           f"declared peak {spec.peak_transient_bytes} != "
@@ -938,8 +959,3 @@ class _PlanChecker:
                           f"declared final transient "
                           f"{spec.final_transient_bytes} != recomputed "
                           f"{transient}")
-        pre_bytes = sum(entry.nbytes for entry in spec.precomputed)
-        if pre_bytes != spec.precomputed_bytes:
-            self.flag("precomputed-bytes-mismatch", where,
-                      f"declared precomputed_bytes "
-                      f"{spec.precomputed_bytes} != {pre_bytes}")

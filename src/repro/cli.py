@@ -86,7 +86,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_memory(args) -> int:
-    from .memory import plan_arena, profile_memory
+    from .memory import profile_memory
     from .runtime.compiler import CompileOptions, compile_training
 
     forward, _ = _build(args.model, args.batch)
@@ -96,14 +96,18 @@ def cmd_memory(args) -> int:
         options=CompileOptions(materialize_state=False,
                                device=get_device(args.device)))
     profile = profile_memory(program.graph, program.schedule)
-    plan = plan_arena(program.graph, program.schedule)
+    spec = program.plan_spec()
     print(render_table(["metric", "value"], [
         ["scheme", scheme.name],
         ["graph nodes", len(program.graph.nodes)],
         ["peak transient", f"{profile.peak_transient_bytes / 1024:.1f}KB"],
         ["weights + state", f"{profile.resident_bytes / 1024:.1f}KB"],
         ["peak total", f"{profile.peak_total_bytes / (1 << 20):.1f}MB"],
-        ["static arena", f"{plan.arena_bytes / 1024:.1f}KB"],
+        ["plan peak transient",
+         f"{spec.peak_transient_bytes / 1024:.1f}KB"],
+        ["static slab", f"{spec.slab_bytes / 1024:.1f}KB"],
+        ["slab / plan peak",
+         f"{spec.slab_bytes / max(1, spec.peak_transient_bytes):.3f}"],
     ]))
     return 0
 

@@ -3,7 +3,8 @@
 An artifact is a directory:
 
 * ``manifest.json`` — format version, model name, execution order, the
-  static arena plan, the list of kernels the binary must link, the
+  static arena (the plan's own slab: its size and every value's byte
+  offset in it), the list of kernels the binary must link, the
   program's meta entries (loss/label names for training artifacts), and —
   since manifest v2 — the serialized execution plan
   (:class:`~repro.runtime.plan.PlanSpec`),
@@ -37,7 +38,6 @@ from ..errors import (ExecutionError, GraphError, PlanVersionError,
                       ReproError)
 from ..ir import Graph
 from ..ir.serialize import load_graph, save_graph
-from ..memory.planner import plan_arena
 from ..runtime.executor import Executor
 from ..runtime.plan import PlanSpec, bind_plan
 from ..runtime.program import Program
@@ -95,8 +95,14 @@ def save_artifact(program: Program, path: str | Path) -> Path:
     path.mkdir(parents=True, exist_ok=True)
     graph = program.graph
     save_graph(graph, path / "graph")
-    arena = plan_arena(graph, program.schedule)
     plan_spec = program.plan_spec()
+    # The arena a minimal runtime must reserve *is* the plan's slab: value
+    # name -> byte offset, for every slab-resident slot.
+    outputs = {node.name: node.outputs for node in program.schedule}
+    slot_names = {alias.slot: outputs[alias.node][0]
+                  for alias in plan_spec.aliases}
+    for instr in plan_spec.instructions:
+        slot_names.update(zip(instr.output_slots, outputs[instr.node]))
     manifest = {
         "format_version": MANIFEST_VERSION,
         "model": graph.name,
@@ -113,8 +119,9 @@ def save_artifact(program: Program, path: str | Path) -> Path:
             for entry in plan_spec.tuned_variants
         },
         "arena": {
-            "bytes": arena.arena_bytes,
-            "offsets": arena.offsets,
+            "bytes": plan_spec.slab_bytes,
+            "offsets": {slot_names[entry.slot]: entry.offset
+                        for entry in plan_spec.slab_slots},
         },
         "plan": plan_spec.to_dict(),
         "meta": _meta_to_json(program.meta),

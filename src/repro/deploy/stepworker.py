@@ -41,8 +41,8 @@ from time import perf_counter
 import numpy as np
 
 #: per-process LRU: program key -> (base program, reusable executor).
-#: Bounded — a bound entry holds the full template state plus executor
-#: arenas, and a long-lived worker would otherwise retain every program
+#: Bounded — a bound entry holds the full template state plus the plan's
+#: pooled slab, and a long-lived worker would otherwise retain every program
 #: configuration it ever served even after the parent's cache evicted it.
 _BOUND: OrderedDict = OrderedDict()
 MAX_BOUND_PROGRAMS = 8
@@ -191,8 +191,9 @@ def run_step_shm(artifact_dir: str, key: str,
         if cached is not None:
             cached[1].program = cached[0]
             cached[1].detach()
-    # fetched outputs are executor arena views; pickling copies them, so
-    # nothing here aliases the arena after return
+    # fetched outputs are copies out of the step's slab (or the state
+    # arrays themselves, which pickling copies), so nothing here aliases
+    # shared memory or the pooled slab after return
     return fetched, peak, allocs, obs_payload
 
 

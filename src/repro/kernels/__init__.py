@@ -7,31 +7,42 @@ the ``apply_*`` optimizer ops which update parameters and optimizer state
 in place (that in-place behaviour is what the reorder pass exploits to
 shrink gradient-buffer lifetimes).
 
-Beyond the base registry, kernels can advertise properties the compiled
-execution plan (:mod:`repro.runtime.plan`) exploits to reach a zero-alloc
-steady-state step:
+Every kernel keeps one layout contract, which is what lets the execution
+plan (:mod:`repro.runtime.plan`) decide contiguity at compile time: given
+C-contiguous inputs it returns C-contiguous outputs. Beyond the base
+registry, kernels advertise the properties the plan's static slab is built
+on:
 
-* ``view=True`` kernels (:data:`VIEW_OPS`) may return an array aliasing one
-  of their inputs (reshape/transpose/slice). The plan never recycles the
-  buffers such values touch. Every kernel that can return an input alias
-  MUST be registered with ``view=True`` — the arena's safety analysis
-  depends on this list being complete.
-* :data:`OUT_KERNELS` are variants accepting a preallocated output buffer
-  (``fn(inputs, attrs, out) -> out``); they must write results bitwise
-  identical to the base kernel. :data:`OUT_ALIAS_SAFE` marks those whose
-  ``out`` may alias an input of the same shape (elementwise ufuncs), which
-  enables input donation.
+* ``view=True`` kernels (:data:`VIEW_OPS`) may return an array aliasing
+  their input (reshape/transpose/slice) — or, when numpy cannot express the
+  result as a view, a fresh C-contiguous copy. Which of the two, and with
+  what strides, is a function of the input's layout alone
+  (:func:`repro.kernels.shape.view_layout` asks numpy), so the plan
+  resolves views of slab slots when it binds and they never execute. Every
+  kernel that can return an input alias MUST be registered with
+  ``view=True`` — the slab's overlap analysis depends on this list being
+  complete.
+* ``dense=fn`` kernels (:data:`DENSE_OPS`) return C-contiguous outputs
+  for some non-C input layouts too — ``fn(layouts)`` says for which
+  (matmul: a transposed operand only picks the GEMM's transpose flag) —
+  so a strided operand does not cost them their place in the slab.
+* :data:`OUT_KERNELS` are into-forms writing a caller-provided C-contiguous
+  buffer (``fn(inputs, attrs, out) -> out``); they must write results
+  bitwise identical to the base kernel for C-contiguous inputs (for every
+  input layout a dense op's predicate accepts). :data:`OUT_ALIAS_SAFE` marks those
+  whose ``out`` may alias an input of the same shape (elementwise ufuncs),
+  which lets an output take over a dying input's bytes.
 * :data:`DONATING_KERNELS` are variants that may clobber the inputs listed
   in :data:`DONATED_INPUTS` as scratch (the in-place optimizer applies use
   the dying gradient buffer to avoid temporaries). Outputs must again be
   bitwise identical to the base kernel's.
-* :data:`EMITTERS` / :data:`OUT_EMITTERS` give a kernel's body as Python
-  source, for the step generator (:mod:`repro.runtime.codegen`) to splice
-  into the generated step in place of the call. The rule: an emitter may
-  exist only for a kernel whose body is one numpy expression, it lives
-  next to that kernel, and ``tests/test_codegen.py`` proves the two equal
-  byte for byte on generated inputs (an op that gains an emitter without
-  an input strategy there fails the suite).
+* :data:`OUT_EMITTERS` give an into-form's body as Python source, for the
+  step generator (:mod:`repro.runtime.codegen`) to splice into the
+  generated step in place of the call. The rule: an emitter may exist only
+  for an into-form whose body is one numpy statement, it lives next to
+  that kernel, and ``tests/test_codegen.py`` proves the two equal byte for
+  byte on generated inputs (an op that gains an into-form or an emitter
+  without an input strategy there fails the suite).
 """
 
 from __future__ import annotations
@@ -46,13 +57,11 @@ Kernel = Callable[[list[np.ndarray], dict[str, Any]], list[np.ndarray]]
 OutKernel = Callable[[list[np.ndarray], dict[str, Any], np.ndarray],
                      np.ndarray]
 
-#: ``fn(args, attrs) -> source | None``: ``args`` are the source
-#: expressions of the inputs, static attrs become literals, and the
-#: returned expression (over ``args`` and ``np`` only) evaluates to the
-#: kernel's single output. ``None`` means these attrs / this arity have no
-#: one-expression form and the kernel is called as usual.
-Emitter = Callable[[list[str], dict[str, Any]], "str | None"]
-#: same for the ``out=`` variant; ``out`` is the buffer's expression
+#: ``fn(args, attrs, out) -> source | None``: ``args`` and ``out`` are the
+#: source expressions of the inputs and of the output buffer, static attrs
+#: become literals, and the returned statement (over those and ``np`` only)
+#: leaves the into-form's result in ``out``. ``None`` means these attrs /
+#: this arity have no one-statement form and the kernel is called as usual.
 OutEmitter = Callable[[list[str], dict[str, Any], str], "str | None"]
 
 KERNELS: dict[str, Kernel] = {}
@@ -60,16 +69,18 @@ KERNELS: dict[str, Kernel] = {}
 #: ops whose kernel may return a view aliasing an input array
 VIEW_OPS: set[str] = set()
 
-#: single-output variants writing into a caller-provided buffer
-OUT_KERNELS: dict[str, OutKernel] = {}
+#: op -> ``fn(layouts) -> bool``: are the outputs C-contiguous for inputs
+#: laid out ``[(shape, byte strides), ...]`` (slot inputs, in order)?
+DENSE_OPS: dict[str, Callable[[list[tuple]], bool]] = {}
+
+#: single-output into-forms writing a caller-provided buffer, by op — or
+#: by ``(op, variant)`` for the into-form of a :data:`VARIANT_KERNELS` entry
+OUT_KERNELS: dict[str | tuple[str, str], OutKernel] = {}
 
 #: out-capable ops where ``out`` may alias a same-shape input
 OUT_ALIAS_SAFE: set[str] = set()
 
-#: source form of single-expression base kernels (see :data:`Emitter`)
-EMITTERS: dict[str, Emitter] = {}
-
-#: source form of single-expression ``out=`` kernels
+#: source form of one-statement into-forms (see :data:`OutEmitter`)
 OUT_EMITTERS: dict[str, OutEmitter] = {}
 
 #: variants that may clobber specific inputs as scratch space
@@ -91,29 +102,35 @@ VARIANT_KERNELS: dict[tuple[str, str], Kernel] = {}
 PRECOMPUTE_TRANSFORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {}
 
 
-def kernel(name: str, *, view: bool = False) -> Callable[[Kernel], Kernel]:
+def kernel(name: str, *, view: bool = False, dense=None
+           ) -> Callable[[Kernel], Kernel]:
     """Decorator registering a kernel for operator ``name``.
 
-    ``view=True`` declares that the kernel may return an array aliasing an
-    input; the execution plan then excludes the involved buffers from arena
-    recycling.
+    ``view=True`` declares that the kernel may return an array aliasing its
+    input; ``dense`` is the predicate over input layouts for which its
+    outputs are C-contiguous beyond the all-C-contiguous case (see the
+    module docstring).
     """
 
     def wrap(fn: Kernel) -> Kernel:
         KERNELS[name] = fn
         if view:
             VIEW_OPS.add(name)
+        if dense is not None:
+            DENSE_OPS[name] = dense
         return fn
 
     return wrap
 
 
-def out_kernel(name: str, *, alias_safe: bool = False
+def out_kernel(name: str, *, variant: str | None = None,
+               alias_safe: bool = False
                ) -> Callable[[OutKernel], OutKernel]:
-    """Decorator registering an ``out=``-writing variant for ``name``."""
+    """Decorator registering the into-form of ``name`` (of its ``variant``
+    kernel when given)."""
 
     def wrap(fn: OutKernel) -> OutKernel:
-        OUT_KERNELS[name] = fn
+        OUT_KERNELS[name if variant is None else (name, variant)] = fn
         if alias_safe:
             OUT_ALIAS_SAFE.add(name)
         return fn
@@ -121,14 +138,9 @@ def out_kernel(name: str, *, alias_safe: bool = False
     return wrap
 
 
-def emitter(name: str) -> Callable[[Emitter], Emitter]:
-    """Decorator registering the source form of ``KERNELS[name]``."""
-
-    def wrap(fn: Emitter) -> Emitter:
-        EMITTERS[name] = fn
-        return fn
-
-    return wrap
+def into_form(op: str, variant: str = "base") -> OutKernel | None:
+    """The into-form of ``op`` — of its ``variant`` kernel when not base."""
+    return OUT_KERNELS.get(op if variant == "base" else (op, variant))
 
 
 def out_emitter(name: str) -> Callable[[OutEmitter], OutEmitter]:
@@ -205,9 +217,9 @@ from . import winograd  # noqa: E402,F401
 from .elementwise import make_fused_kernel  # noqa: E402
 
 __all__ = [
+    "DENSE_OPS",
     "DONATED_INPUTS",
     "DONATING_KERNELS",
-    "EMITTERS",
     "KERNELS",
     "OUT_ALIAS_SAFE",
     "OUT_EMITTERS",
@@ -216,8 +228,8 @@ __all__ = [
     "VARIANT_KERNELS",
     "VIEW_OPS",
     "donating_kernel",
-    "emitter",
     "int_tuple",
+    "into_form",
     "kernel",
     "make_fused_kernel",
     "out_emitter",

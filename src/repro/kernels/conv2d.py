@@ -49,8 +49,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel, register_transform, variant_kernel, workspace
-from .elementwise import epilogue
+from . import (kernel, out_kernel, register_transform, variant_kernel,
+               workspace)
+from .elementwise import epilogue_into
 
 
 #: parsed stride/padding pairs, keyed by the raw attr value. Conv graphs
@@ -126,7 +127,8 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
     step's fold reuses the previous step's buffer instead of allocating.
     Padding-free folds return the buffer itself — it escapes the kernel as
     the gradient, so it is deliberately never given back (take-without-
-    give is always safe; the plan's arena recycles it downstream instead).
+    give is always safe; the plan copies the result into its slab and the
+    buffer is simply freed).
     """
     n, c, h, w = x_shape
     ho = (h + 2 * ph - kh) // sh + 1
@@ -140,8 +142,8 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
     if ph == 0 and pw == 0:
         return xp
     # Copy the interior out instead of returning a strided view: values are
-    # identical, the scratch can be recycled, and the contiguous result is
-    # arena-poolable downstream (the view never was).
+    # identical, the scratch can be recycled, and the result keeps the
+    # kernel layout contract (C-contiguous in, C-contiguous out).
     dx = np.empty((n, c, h, w), dtype=cols.dtype)
     dx[...] = xp[:, :, ph:ph + h, pw:pw + w]
     workspace.give(xp)
@@ -162,8 +164,14 @@ def _group_chunk(groups: int, bytes_per_group: int) -> int:
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
-                   groups: int = 1) -> np.ndarray:
-    """Plain (direct, im2col-backed) convolution forward."""
+                   groups: int = 1, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """Plain (direct, im2col-backed) convolution forward.
+
+    ``out`` (C-contiguous, of the result's shape) receives the GEMM's
+    result directly — the same call into the same-layout buffer, so the
+    same bytes as the fresh array it would otherwise allocate.
+    """
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     n, cin, _, _ = x.shape
@@ -171,7 +179,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
     if groups == 1:
         cols, ho, wo = im2col(x, kh, kw, sh, sw, ph, pw)
         # (cout, k) @ (n, k, l) broadcasts over the batch dim -> (n, cout, l)
-        y = w.reshape(cout, -1) @ cols
+        y = np.matmul(w.reshape(cout, -1), cols, out=None if out is None
+                      else out.reshape(n, cout, ho * wo))
         workspace.give(cols)
         return y.reshape(n, cout, ho, wo)
     # Grouped path: batched matmul over (batch, group) chunks — im2col's
@@ -182,42 +191,61 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
     wo = (x.shape[3] + 2 * pw - kw) // sw + 1
     chunk = _group_chunk(groups, n * k * ho * wo * x.itemsize)
     wg = w.reshape(groups, cg_out, k)
+    out4 = None if out is None else out.reshape(n, groups, cg_out, ho * wo)
     outs = []
     for g0 in range(0, groups, chunk):
         g1 = min(groups, g0 + chunk)
         xg = x[:, g0 * cin_g:g1 * cin_g]
         cols, ho, wo = im2col(xg, kh, kw, sh, sw, ph, pw)
         colsg = cols.reshape(n, g1 - g0, k, ho * wo)
-        yg = np.matmul(wg[None, g0:g1], colsg)  # (n, g1-g0, cg_out, l)
+        yg = np.matmul(wg[None, g0:g1], colsg,  # (n, g1-g0, cg_out, l)
+                       out=None if out4 is None else out4[:, g0:g1])
         workspace.give(cols)  # next chunk's im2col recycles the buffer
         outs.append(yg.reshape(n, (g1 - g0) * cg_out, ho, wo))
+    if out is not None:
+        return out
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
 
 
-def _epilogue(y: np.ndarray, bias: np.ndarray | None, attrs) -> np.ndarray:
-    """Fused per-channel bias and activation, in the conv's own result."""
+def _epilogue(y: np.ndarray, bias: np.ndarray | None, attrs,
+              out: np.ndarray | None) -> np.ndarray:
+    """Fused per-channel bias and activation, in the conv's own result
+    ``y`` — ``out``'s buffer when the caller gave one."""
     if bias is not None:
         bias = bias.reshape(1, -1, 1, 1)
-    return epilogue(y, bias, attrs.get("activation"))
+    return epilogue_into(y, bias, attrs.get("activation"), out)
 
 
-@kernel("conv2d")
-def _conv2d(inputs, attrs):
+def _conv2d_into(inputs, attrs, out):
     x, w = inputs[0], inputs[1]
     algo = attrs.get("algo", "direct")
     if algo == "winograd":
         from .winograd import winograd_conv2d
 
-        y = winograd_conv2d(x, w, padding=attrs.get("padding", 0))
+        y = winograd_conv2d(x, w, padding=attrs.get("padding", 0), out=out)
     else:
         y = conv2d_forward(x, w, attrs.get("stride", 1),
                            attrs.get("padding", 0),
-                           int(attrs.get("groups", 1)))
-    return [_epilogue(y, inputs[2] if len(inputs) == 3 else None, attrs)]
+                           int(attrs.get("groups", 1)), out)
+    return _epilogue(y, inputs[2] if len(inputs) == 3 else None, attrs,
+                     out)
+
+
+@kernel("conv2d")
+def _conv2d(inputs, attrs):
+    return [_conv2d_into(inputs, attrs, None)]
+
+
+out_kernel("conv2d")(_conv2d_into)
 
 
 @variant_kernel("conv2d", "winograd_precomputed")
 def _conv2d_winograd_precomputed(inputs, attrs):
+    return [_winograd_precomputed_into(inputs, attrs, None)]
+
+
+@out_kernel("conv2d", variant="winograd_precomputed")
+def _winograd_precomputed_into(inputs, attrs, out):
     """Winograd conv with the weight transform hoisted to a plan slot.
 
     The precompute_frozen pass appends the plan-owned ``U`` as the trailing
@@ -229,9 +257,10 @@ def _conv2d_winograd_precomputed(inputs, attrs):
     from .winograd import winograd_conv2d
 
     x, w, u = inputs[0], inputs[1], inputs[-1]
-    y = winograd_conv2d(x, w, padding=attrs.get("padding", 0), u=u)
+    y = winograd_conv2d(x, w, padding=attrs.get("padding", 0), u=u, out=out)
     # a fused bias rides between the weights and U
-    return [_epilogue(y, inputs[2] if len(inputs) == 4 else None, attrs)]
+    return _epilogue(y, inputs[2] if len(inputs) == 4 else None, attrs,
+                     out)
 
 
 @register_transform("im2col_weight")
@@ -247,6 +276,11 @@ def _im2col_weight(w: np.ndarray) -> np.ndarray:
 
 @variant_kernel("conv2d", "im2col_precomputed")
 def _conv2d_im2col_precomputed(inputs, attrs):
+    return [_im2col_precomputed_into(inputs, attrs, None)]
+
+
+@out_kernel("conv2d", variant="im2col_precomputed")
+def _im2col_precomputed_into(inputs, attrs, out):
     """1x1/pad-0/groups-1 conv with the weight pre-flattened to 2-D.
 
     For these convs im2col is a pure copy: every "column" is just the
@@ -268,9 +302,11 @@ def _conv2d_im2col_precomputed(inputs, attrs):
         sub = x[:, :, ::sh, ::sw]
         ho, wo = sub.shape[2], sub.shape[3]
         cols = np.ascontiguousarray(sub).reshape(n, cin, ho * wo)
-    y = (w2 @ cols).reshape(n, cout, ho, wo)
+    y = np.matmul(w2, cols, out=None if out is None
+                  else out.reshape(n, cout, ho * wo)).reshape(n, cout, ho, wo)
     # a fused bias rides between the weights and w2
-    return [_epilogue(y, inputs[2] if len(inputs) == 4 else None, attrs)]
+    return _epilogue(y, inputs[2] if len(inputs) == 4 else None, attrs,
+                     out)
 
 
 def _flip_transpose(w: np.ndarray, groups: int) -> np.ndarray:
@@ -305,6 +341,11 @@ def _dilate(grad: np.ndarray, in_hw: tuple[int, int], k_hw: tuple[int, int],
 
 @kernel("conv2d_dx")
 def _conv2d_dx(inputs, attrs):
+    return [_conv2d_dx_into(inputs, attrs, None)]
+
+
+@out_kernel("conv2d_dx")
+def _conv2d_dx_into(inputs, attrs, out):
     grad, w = inputs
     sh, sw = _pair(attrs.get("stride", 1))
     ph, pw = _pair(attrs.get("padding", 0))
@@ -316,19 +357,24 @@ def _conv2d_dx(inputs, attrs):
     unit_stride = sh == 1 and sw == 1
     if ph > kh - 1 or pw > kw - 1 \
             or not (unit_stride or cin_g == cg_out == 1):
-        return [_conv2d_dx_fold(grad, w, in_shape, sh, sw, ph, pw, groups)]
-    if unit_stride and kh == kw == 1 and groups == 1:
+        dx = _conv2d_dx_fold(grad, w, in_shape, sh, sw, ph, pw, groups)
+        if out is not None:  # the fold's own buffer: copied in
+            np.copyto(out, dx)
+    elif unit_stride and kh == kw == 1 and groups == 1:
         # 1x1/s1/p0: the GEMM result *is* dx, nothing to unfold or fold.
-        return [np.matmul(w.reshape(cout, cin).transpose(),
-                          grad.reshape(n, cout, -1)).reshape(in_shape)]
-    wT = _flip_transpose(w, groups)
-    if unit_stride:
-        return [conv2d_forward(grad, wT, 1, (kh - 1 - ph, kw - 1 - pw),
-                               groups)]
-    z = _dilate(grad, (h, wdim), (kh, kw), (sh, sw), (ph, pw))
-    dx = conv2d_forward(z, wT, 1, 0, groups)
-    workspace.give(z)
-    return [dx]
+        dx = np.matmul(w.reshape(cout, cin).transpose(),
+                       grad.reshape(n, cout, -1),
+                       out=None if out is None
+                       else out.reshape(n, cin, -1)).reshape(in_shape)
+    elif unit_stride:
+        dx = conv2d_forward(grad, _flip_transpose(w, groups), 1,
+                            (kh - 1 - ph, kw - 1 - pw), groups, out)
+    else:
+        z = _dilate(grad, (h, wdim), (kh, kw), (sh, sw), (ph, pw))
+        dx = conv2d_forward(z, _flip_transpose(w, groups), 1, 0, groups,
+                            out)
+        workspace.give(z)
+    return dx if out is None else out
 
 
 def _conv2d_dx_fold(grad, w, in_shape, sh, sw, ph, pw, groups):

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import emitter, kernel, out_emitter, out_kernel
+from . import kernel, out_emitter, out_kernel
 
 _SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
 
-# out= variants: the execution plan hands these a recycled (or donated)
-# buffer so steady-state steps allocate no new arrays. Each must produce
-# bits identical to its base kernel — same ufunc, same operand order.
+# Into-forms: the execution plan hands these the output's own slab array,
+# so a step allocates nothing for them. Each must produce bits identical
+# to its base kernel — same ufunc, same operand order.
 # alias_safe=True means out may be one of the same-shape inputs (true for
 # elementwise ufuncs, which read element i before writing element i).
 
@@ -32,29 +32,18 @@ def _out_emitter(ufunc):
     return emit
 
 
-def _base_emitter(template):
-    def emit(args, attrs):
-        return template.format(*args)
-    return emit
-
-
-# (op, ufunc, the base kernel's body as a template over its inputs)
 _UFUNC_OPS = [
-    ("add", np.add, "({} + {})"), ("sub", np.subtract, "({} - {})"),
-    ("mul", np.multiply, "({} * {})"), ("div", np.true_divide, "({} / {})"),
-    ("maximum", np.maximum, "np.maximum({}, {})"),
-    ("minimum", np.minimum, "np.minimum({}, {})"),
-    ("neg", np.negative, "(-{})"), ("exp", np.exp, "np.exp({})"),
-    ("log", np.log, "np.log({})"), ("sqrt", np.sqrt, "np.sqrt({})"),
-    ("abs", np.abs, "np.abs({})"), ("sign", np.sign, "np.sign({})"),
-    ("tanh", np.tanh, "np.tanh({})"),
+    ("add", np.add), ("sub", np.subtract), ("mul", np.multiply),
+    ("div", np.true_divide), ("maximum", np.maximum),
+    ("minimum", np.minimum), ("neg", np.negative), ("exp", np.exp),
+    ("log", np.log), ("sqrt", np.sqrt), ("abs", np.abs), ("sign", np.sign),
+    ("tanh", np.tanh),
 ]
 
-for _name, _ufunc, _body in _UFUNC_OPS:
+for _name, _ufunc in _UFUNC_OPS:
     out_kernel(_name, alias_safe=True)(
         (_binary_out if _ufunc.nin == 2 else _unary_out)(_ufunc))
     out_emitter(_name)(_out_emitter(_ufunc))
-    emitter(_name)(_base_emitter(_body))
 
 
 # Fused elementwise chains: the plan's fuse_elementwise pass collapses a
@@ -206,6 +195,21 @@ def epilogue(y: np.ndarray, bias: np.ndarray | None,
     if activation == "gelu":
         return gelu(y)
     raise ValueError(f"unknown fused activation {activation!r}")
+
+
+def epilogue_into(y: np.ndarray, bias: np.ndarray | None,
+                  activation: str | None,
+                  out: np.ndarray | None) -> np.ndarray:
+    """:func:`epilogue` as the ending of an into-form: ``y`` is ``out``'s
+    own buffer (``out`` or a view of it) and the result is left in ``out``
+    — copied back when the tail could not work in place (gelu, a wider
+    bias). ``out=None`` is the base kernel: the result itself."""
+    z = epilogue(y, bias, activation)
+    if out is None:
+        return z
+    if z is not y:
+        np.copyto(out, z)
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

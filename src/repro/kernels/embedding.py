@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel
+from . import kernel, out_kernel
 
 
 @kernel("embedding")
 def _embedding(inputs, attrs):
     table, ids = inputs
     return [table[ids]]
+
+
+@out_kernel("embedding")
+def _embedding_out(inputs, attrs, out):
+    table, ids = inputs
+    return table.take(ids, axis=0, out=out)
 
 
 @kernel("embedding_grad")

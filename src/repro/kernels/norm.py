@@ -14,53 +14,85 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel
+from . import kernel, out_kernel
 from .reduce import mean
+
+
+# Each kernel below is its into-form run on a fresh buffer laid out like
+# ``x`` (what the first ufunc would have allocated), so the two cannot
+# drift apart.
+
+def _softmax_into(inputs, attrs, out):
+    x = inputs[0]
+    axis = int(attrs.get("axis", -1))
+    np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    return np.true_divide(out, np.add.reduce(out, axis=axis, keepdims=True),
+                          out=out)
 
 
 @kernel("softmax")
 def _softmax(inputs, attrs):
+    return [_softmax_into(inputs, attrs, np.empty_like(inputs[0]))]
+
+
+out_kernel("softmax")(_softmax_into)
+
+
+def _log_softmax_into(inputs, attrs, out):
     x = inputs[0]
     axis = int(attrs.get("axis", -1))
-    out = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True))
-    np.exp(out, out=out)
-    return [np.true_divide(out, np.add.reduce(out, axis=axis, keepdims=True),
-                           out=out)]
+    np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=out)
+    logsum = np.add.reduce(np.exp(out), axis=axis, keepdims=True)
+    np.log(logsum, out=logsum)
+    out -= logsum
+    return out
 
 
 @kernel("log_softmax")
 def _log_softmax(inputs, attrs):
-    x = inputs[0]
-    axis = int(attrs.get("axis", -1))
-    out = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True))
-    logsum = np.add.reduce(np.exp(out), axis=axis, keepdims=True)
-    np.log(logsum, out=logsum)
-    out -= logsum
-    return [out]
+    return [_log_softmax_into(inputs, attrs, np.empty_like(inputs[0]))]
 
 
-@kernel("layernorm")
-def _layernorm(inputs, attrs):
+out_kernel("log_softmax")(_log_softmax_into)
+
+
+def _layernorm_into(inputs, attrs, out):
     x, gamma, beta = inputs
     eps = float(attrs.get("eps", 1e-5))
-    out = np.subtract(x, mean(x, (-1,), True))
+    np.subtract(x, mean(x, (-1,), True), out=out)
     var = mean(np.square(out), (-1,), True)
     var += eps
     np.sqrt(var, out=var)
     out /= var
     out *= gamma
     out += beta
-    return [out]
+    return out
 
 
-@kernel("rmsnorm")
-def _rmsnorm(inputs, attrs):
+@kernel("layernorm")
+def _layernorm(inputs, attrs):
+    return [_layernorm_into(inputs, attrs, np.empty_like(inputs[0]))]
+
+
+out_kernel("layernorm")(_layernorm_into)
+
+
+def _rmsnorm_into(inputs, attrs, out):
     x, gamma = inputs
     eps = float(attrs.get("eps", 1e-6))
-    out = np.multiply(x, x)
+    np.multiply(x, x, out=out)
     ms = mean(out, (-1,), True)
     ms += eps
     np.sqrt(ms, out=ms)
     np.true_divide(x, ms, out=out)
     out *= gamma
-    return [out]
+    return out
+
+
+@kernel("rmsnorm")
+def _rmsnorm(inputs, attrs):
+    return [_rmsnorm_into(inputs, attrs, np.empty_like(inputs[0]))]
+
+
+out_kernel("rmsnorm")(_rmsnorm_into)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import emitter, int_tuple, kernel
+from . import int_tuple, kernel, out_emitter, out_kernel
 
 
 def _axes(attrs, ndim: int):
@@ -24,7 +24,8 @@ def _axes(attrs, ndim: int):
     return tuple(int(a) for a in axes)
 
 
-def mean(x: np.ndarray, axes: tuple[int, ...], keepdims: bool):
+def mean(x: np.ndarray, axes: tuple[int, ...], keepdims: bool,
+         out: np.ndarray | None = None):
     """``x.mean(axes, keepdims=keepdims)`` without ``np.mean``'s wrapper.
 
     Same sum, then one divide in place. The divisor is a Python int, so the
@@ -32,16 +33,23 @@ def mean(x: np.ndarray, axes: tuple[int, ...], keepdims: bool):
     round trip: the same bits while the count is exact there (below 2**24
     in float32). float16 sums and divides in float32 and rounds once at the
     end — ``np.mean``'s default rule — so its count is never rounded.
+    ``out`` receives the result when given (the into-form).
     """
     half = x.dtype == np.float16
     total = np.add.reduce(x, axis=axes, keepdims=keepdims,
-                          dtype=np.float32 if half else None)
+                          dtype=np.float32 if half else None,
+                          out=None if half else out)
     count = x.size // (total.size or 1)
     if isinstance(total, np.ndarray):
         np.true_divide(total, count, out=total)
     else:  # full reduction: add.reduce returned a scalar
         total = total / count
-    return total.astype(np.float16) if half else total
+    if not half:
+        return total
+    if out is None:
+        return total.astype(np.float16)
+    np.copyto(out, total, casting="same_kind")
+    return out
 
 
 @kernel("reduce_sum")
@@ -51,14 +59,22 @@ def _reduce_sum(inputs, attrs):
                           keepdims=bool(attrs.get("keepdims", False)))]
 
 
-@emitter("reduce_sum")
-def _emit_reduce_sum(args, attrs):
+@out_kernel("reduce_sum")
+def _reduce_sum_out(inputs, attrs, out):
+    x = inputs[0]
+    return np.add.reduce(x, axis=_axes(attrs, x.ndim), dtype=x.dtype,
+                         keepdims=bool(attrs.get("keepdims", False)),
+                         out=out)
+
+
+@out_emitter("reduce_sum")
+def _emit_reduce_sum_out(args, attrs, out):
     # axis=None is every axis, as _axes spells it out for a missing attr
     axes = attrs.get("axes")
     return (f"np.add.reduce({args[0]}, "
             f"axis={None if axes is None else int_tuple(axes)}, "
             f"dtype={args[0]}.dtype, "
-            f"keepdims={bool(attrs.get('keepdims', False))})")
+            f"keepdims={bool(attrs.get('keepdims', False))}, out={out})")
 
 
 @kernel("reduce_mean")
@@ -66,6 +82,13 @@ def _reduce_mean(inputs, attrs):
     x = inputs[0]
     return [mean(x, _axes(attrs, x.ndim),
                  bool(attrs.get("keepdims", False)))]
+
+
+@out_kernel("reduce_mean")
+def _reduce_mean_out(inputs, attrs, out):
+    x = inputs[0]
+    return mean(x, _axes(attrs, x.ndim),
+                bool(attrs.get("keepdims", False)), out)
 
 
 @kernel("reduce_max")

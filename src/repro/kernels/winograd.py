@@ -87,7 +87,8 @@ def _at_pass(m0, m1, m2, m3, out) -> None:
 
 
 def winograd_conv2d(x: np.ndarray, w: np.ndarray, padding=0,
-                    u: np.ndarray | None = None) -> np.ndarray:
+                    u: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """3x3 stride-1 convolution via Winograd F(2x2,3x3).
 
     Args:
@@ -96,6 +97,9 @@ def winograd_conv2d(x: np.ndarray, w: np.ndarray, padding=0,
         padding: symmetric spatial padding (int or pair).
         u: optional precomputed weight transform [16, O, C] (frozen
             weights; see :func:`precompute_weight_transform`).
+        out: optional C-contiguous buffer of the result's shape and
+            ``x``'s dtype; the last stage writes it in place of a fresh
+            array, and it is what is returned.
     """
     if w.shape[2:] != (3, 3):
         raise ValueError("winograd kernel requires 3x3 filters")
@@ -143,15 +147,23 @@ def winograd_conv2d(x: np.ndarray, w: np.ndarray, padding=0,
     workspace.give(half)
     cropped = (2 * th, 2 * tw) != (ho, wo)
     shape = (n, cout, 2 * th, 2 * tw)
-    full = workspace.take(shape, np.float32) if cropped \
-        else np.empty(shape, np.float32)
+    if cropped:
+        full = workspace.take(shape, np.float32)
+    elif out is not None and out.dtype == np.float32:
+        full = out
+    else:
+        full = np.empty(shape, np.float32)
     tiles = full.reshape(n, cout, th, 2, tw, 2)
     tiles[..., 0] = y[0].transpose(2, 1, 3, 0, 4)
     tiles[..., 1] = y[1].transpose(2, 1, 3, 0, 4)
     workspace.give(y)
     if not cropped:
-        return full.astype(x.dtype, copy=False)
-    out = np.empty((n, cout, ho, wo), x.dtype)
+        if out is None or full is out:
+            return full.astype(x.dtype, copy=False)
+        np.copyto(out, full, casting="same_kind")  # a non-float32 out
+        return out
+    if out is None:
+        out = np.empty((n, cout, ho, wo), x.dtype)
     out[...] = full[:, :, :ho, :wo]
     workspace.give(full)
     return out

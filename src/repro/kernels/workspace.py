@@ -4,9 +4,10 @@ Kernels like conv2d allocate large internal scratch (the unfolded im2col
 column matrix, the padded input) that the graph-level accounting never
 sees: the buffers are born and die inside one kernel call. Under the plan
 executor those allocations repeat with identical shapes every step, so
-they are perfect arena fodder — this module lets kernels borrow scratch
-from the *executor's* :class:`~repro.runtime.plan.BufferArena` without
-changing the kernel calling convention.
+they are perfect pool fodder — this module lets kernels borrow scratch
+from the *executor's* :class:`BufferArena` without changing the kernel
+calling convention. (Intermediates *between* kernels need no pool: the
+plan places them in a static slab, :mod:`repro.runtime.plan`.)
 
 Mechanics:
 
@@ -45,6 +46,40 @@ import numpy as np
 POOL_MAX_BYTES = 16 << 20
 
 _tls = threading.local()
+
+
+class BufferArena:
+    """Free-lists of recycled scratch buffers, one per (shape, dtype).
+
+    One per executor, installed for the duration of a plan run. Pool size
+    is bounded by the kernels' own take/give discipline plus
+    :data:`POOL_MAX_BYTES` per buffer.
+    """
+
+    __slots__ = ("_pools", "takes", "misses")
+
+    def __init__(self) -> None:
+        self._pools: dict[tuple, list[np.ndarray]] = {}
+        self.takes = 0
+        self.misses = 0
+
+    def take(self, key: tuple) -> np.ndarray | None:
+        pool = self._pools.get(key)
+        if pool:
+            self.takes += 1
+            return pool.pop()
+        self.misses += 1
+        return None
+
+    def give(self, key: tuple, array: np.ndarray) -> None:
+        self._pools.setdefault(key, []).append(array)
+
+    def buffers(self) -> list[np.ndarray]:
+        """Snapshot of every pooled buffer (for safety checks/tests)."""
+        return [a for pool in self._pools.values() for a in pool]
+
+    def retained_bytes(self) -> int:
+        return sum(a.nbytes for a in self.buffers())
 
 
 def set_arena(arena):

@@ -1,25 +1,25 @@
-"""Memory analysis: tensor liveness, peak-usage profiling, arena planning.
+"""Memory analysis: tensor liveness, peak-usage profiling, slab placement.
 
 Training memory is the binding constraint on edge devices (paper Table 4);
 this package turns a compiled schedule into the numbers the paper reports —
-peak transient bytes, parameter/optimizer-state bytes, and a static arena
-layout for MCU-class targets.
+peak transient bytes, parameter/optimizer-state bytes — and holds the
+placement routine behind every plan's static slab.
 """
 
 from .liveness import Lifetime, value_lifetimes
-from .planner import ArenaPlan, plan_arena
+from .planner import SlabPlan, place
 from .profiler import MemoryProfile, profile_memory
 from .remat import (Eviction, PagingPlan, RematResult, plan_paging,
                     rematerialize)
 
 __all__ = [
-    "ArenaPlan",
     "Eviction",
     "Lifetime",
     "MemoryProfile",
     "PagingPlan",
     "RematResult",
-    "plan_arena",
+    "SlabPlan",
+    "place",
     "plan_paging",
     "profile_memory",
     "rematerialize",

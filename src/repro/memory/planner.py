@@ -1,98 +1,99 @@
-"""Static arena planning: assign every transient tensor a fixed offset.
+"""Static slab placement: give every transient buffer a fixed offset.
 
 Microcontroller deployments (TinyEngine-style) cannot malloc; the compiler
-must lay all activations out in one arena. We use greedy best-fit by
-decreasing size — the standard approach in TFLite-Micro/TinyEngine — which
-is within a few percent of optimal for DNN lifetimes.
+must lay all activations out in one arena. The paper's engine does the
+same on every target — "compilation first" covers memory — so this is the
+one placement routine of the repo: :func:`place` is what
+:mod:`repro.runtime.passes.allocate` calls to turn the plan's buffers into
+slab offsets, and :meth:`SlabPlan.validate` is what
+:mod:`repro.analysis.planlint` re-checks them with.
+
+The rule is greedy first-fit by decreasing size — the standard approach in
+TFLite-Micro/TinyEngine. Measured on the zoo's twelve training programs
+(64-byte alignment), slab bytes / ``peak_transient_bytes`` is 0.83-0.98;
+a one-walk stream-order best-fit is cheaper to compute but fragments to
+1.07 on ``mobilenetv2_micro`` sparse, past the peak it is meant to stay
+under (README "Static slab").
+
+Buffers are ``(size, birth, death)`` intervals over instruction positions.
+Lifetimes are *closed*: a buffer dying at position ``p`` and one born at
+``p`` are live together (an instruction's output exists while its inputs
+still do).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
 
 from ..errors import MemoryPlanError
-from ..ir import Graph
-from ..ir.node import Node
-from ..ir.ops import get_schema
-from .liveness import Lifetime, value_lifetimes
+
+#: one buffer to place: (bytes, first position live, last position live)
+Interval = tuple[int, int, int]
 
 
 @dataclass
-class ArenaPlan:
-    """Offset assignment for transient tensors in a single byte arena."""
+class SlabPlan:
+    """Offsets for a list of buffers in a single byte slab."""
 
-    arena_bytes: int
-    offsets: dict[str, int] = field(default_factory=dict)
-    lifetimes: dict[str, Lifetime] = field(default_factory=dict)
+    slab_bytes: int
+    offsets: list[int]
+    intervals: list[Interval]
 
-    def validate(self, graph: Graph) -> None:
-        """Assert no two simultaneously-live tensors overlap in the arena."""
-        names = list(self.offsets)
-        for i, a in enumerate(names):
-            size_a = graph.spec(a).nbytes
-            for b in names[i + 1:]:
-                if not self.lifetimes[a].overlaps(self.lifetimes[b]):
-                    continue
-                size_b = graph.spec(b).nbytes
-                a0, b0 = self.offsets[a], self.offsets[b]
-                if a0 < b0 + size_b and b0 < a0 + size_a:
+    def validate(self) -> None:
+        """Assert no two simultaneously-live buffers overlap in the slab."""
+        live: list[tuple[int, int, int, int]] = []
+        for (size, birth, death), offset in zip(self.intervals,
+                                                 self.offsets):
+            if size:
+                live.append((birth, death, offset, offset + size))
+        live.sort()
+        for i, (birth, death, begin, end) in enumerate(live):
+            if begin < 0 or end > self.slab_bytes:
+                raise MemoryPlanError(
+                    f"buffer [{begin}, {end}) lies outside the "
+                    f"{self.slab_bytes}-byte slab")
+            for other_birth, _, other_begin, other_end in live[i + 1:]:
+                if other_birth > death:
+                    break  # sorted by birth: nothing later overlaps
+                if begin < other_end and other_begin < end:
                     raise MemoryPlanError(
-                        f"arena overlap between {a!r} and {b!r}"
-                    )
+                        f"slab overlap between [{begin}, {end}) live "
+                        f"{birth}..{death} and [{other_begin}, "
+                        f"{other_end}) born {other_birth}")
 
 
-def plan_arena(graph: Graph, schedule: list[Node] | None = None,
-               alignment: int = 16) -> ArenaPlan:
-    """Assign arena offsets to every transient tensor under ``schedule``."""
-    if schedule is None:
-        schedule = graph.topological_order()
-    lifetimes = value_lifetimes(graph, schedule)
-
-    resident = set(graph.initializers) | set(graph.inputs)
-    alias: set[str] = set()
-    for node in schedule:
-        if get_schema(node.op_type).inplace:
-            alias.update(node.outputs)
-
-    transient = [
-        name for name, life in lifetimes.items()
-        if name not in resident and name not in alias and life.end >= life.start
-    ]
-    # Greedy best-fit, biggest tensors first.
-    transient.sort(key=lambda n: -graph.spec(n).nbytes)
-
-    placed: list[tuple[str, int, int]] = []  # (name, offset, size)
-    offsets: dict[str, int] = {}
-    arena = 0
-    for name in transient:
-        size = _align(graph.spec(name).nbytes, alignment)
-        if size == 0:
-            offsets[name] = 0
-            continue
-        life = lifetimes[name]
-        conflicts = sorted(
-            (off, off + sz) for other, off, sz in placed
-            if lifetimes[other].overlaps(life)
-        )
-        offset = _first_fit(conflicts, size)
-        offsets[name] = offset
-        placed.append((name, offset, size))
-        arena = max(arena, offset + size)
-
-    plan = ArenaPlan(arena_bytes=arena, offsets=offsets,
-                     lifetimes={n: lifetimes[n] for n in offsets})
-    return plan
-
-
-def _align(size: int, alignment: int) -> int:
+def align(size: int, alignment: int) -> int:
     return (size + alignment - 1) // alignment * alignment
 
 
-def _first_fit(conflicts: list[tuple[int, int]], size: int) -> int:
-    """Lowest offset where ``size`` bytes fit between sorted conflicts."""
-    cursor = 0
-    for begin, end in conflicts:
-        if begin - cursor >= size:
-            return cursor
-        cursor = max(cursor, end)
-    return cursor
+def place(intervals: list[Interval], alignment: int = 64) -> SlabPlan:
+    """Greedy first-fit by decreasing size over ``intervals``.
+
+    Every offset is a multiple of ``alignment``; zero-byte buffers sit at
+    offset 0. Ties in size keep input order, so the result is a function
+    of the list alone.
+    """
+    offsets = [0] * len(intervals)
+    order = sorted(range(len(intervals)), key=lambda i: -intervals[i][0])
+    # (begin, end, birth, death) of every placed buffer, by begin
+    placed: list[tuple[int, int, int, int]] = []
+    slab = 0
+    for index in order:
+        size, birth, death = intervals[index]
+        if size == 0:
+            break  # sorted by size: only empty buffers remain
+        size = align(size, alignment)
+        cursor = 0
+        for begin, end, other_birth, other_death in placed:
+            if other_birth <= death and birth <= other_death:
+                if begin - cursor >= size:
+                    break
+                if end > cursor:
+                    cursor = end
+        offsets[index] = cursor
+        insort(placed, (cursor, cursor + size, birth, death))
+        if cursor + size > slab:
+            slab = cursor + size
+    return SlabPlan(slab_bytes=slab, offsets=offsets,
+                    intervals=list(intervals))

@@ -6,14 +6,14 @@ pass pipeline is assembled.
 """
 
 from .executor import Executor, interpret
-from .plan import (BufferArena, ExecutionPlan, FusedLinkSpec, PlanSpec,
+from .plan import (BufferSet, ExecutionPlan, FusedLinkSpec, PlanSpec,
                    PrecomputedSpec, bind_plan, build_plan, build_plan_spec)
 from .profiler import (NodeTiming, RuntimeProfile, analytical_profile,
                        profile_run)
 from .program import Program
 
 __all__ = [
-    "BufferArena",
+    "BufferSet",
     "ExecutionPlan",
     "Executor",
     "FusedLinkSpec",

@@ -1,59 +1,53 @@
 """The step is generated code: an :class:`ExecutionPlan` as straight-line Python.
 
-Binding resolves every name in a plan; what is left per instruction is a
-list of static decisions — does it have an ``out=`` kernel, a donated
-buffer, folded constants, a state-alias scan, one output or several, which
-frees return to the arena. An interpreter loop re-takes those decisions 483
-times per ``llama_micro`` step. :func:`generate` takes them once: it emits
-one statement group per instruction holding only what that instruction
-needs, with kernels, attrs, arena keys and dtypes bound as names in the
-function's globals and shapes as literals, and — for kernels whose body is
-one numpy expression (:data:`repro.kernels.EMITTERS`) — the expression
-itself in place of the call. From ``llama_micro``'s step::
+Binding resolves every name in a plan and ``allocate`` every byte: each
+value's array exists before the first step, as a view over the plan's slab
+(``b[slot]``) or — feeds, state, plan constants, the rare value whose layout
+is not a static fact — as a register (``r[slot]``). What is left per
+instruction is one kernel call. :func:`generate` emits exactly that, with
+kernels and attrs bound as names in the function's globals, shapes and
+axes as literals, and — for into-forms whose body is one numpy statement
+(:data:`repro.kernels.OUT_EMITTERS`) — the statement itself in place of the
+call. From ``llama_micro``'s step::
 
-    pc = 16
-    r[243] = r[235].transpose((0, 2, 3, 1))
-    pc = 17
-    r[244] = r[235].transpose((0, 2, 1, 3))
-    r[235] = None
-    pc = 18
-    a0 = r[227]
-    a1 = r[231]
-    if a0.flags.c_contiguous and a1.flags.c_contiguous:
-        buf = take(key6144_float32)
-        if buf is None:
-            buf = np.empty((2, 24, 32), dt_float32)
-            fresh += 1
-        elif buf.shape != (2, 24, 32):
-            buf = buf.reshape((2, 24, 32))
-        r[245] = np.multiply(a0, a1, out=buf)
-    else:
-        r[245] = (a0 * a1)
-        fresh += 1
-    pc = 19
-    r[246] = (r[239] @ r[243])
-    r[239] = None
-    r[243] = None
+    pc = 9
+    np.matmul(b[239], b[243], out=b[246])
+    pc = 10
+    np.multiply(b[246], state['const.32.33'], out=b[247])
+    np.add(b[247], r[226], out=b[247])
+    pc = 11
+    o_softmax([b[247]], at11, b[248])
+    pc = 12
+    np.matmul(b[248], b[241], out=b[249])
 
-Every runtime check of the loop it replaced is still there (the contiguity
-gate before an ``out=`` path, arena take / reshape / miss, the contiguity
-gate before ``give``, the ``shares_memory`` copy, fresh-alloc counting,
-const args read from live state); what is gone is deciding, per step,
-whether each applies. A fused elementwise chain is emitted link by link
-through its one buffer. ``pc`` names the running instruction, so a failure
-is reported with its op type and node.
+``b[239]`` / ``b[243]`` / ``b[241]`` are the Q / Kᵀ / V heads: transposed
+reshapes of three matmul results, the same bytes under other strides, built
+with the buffer set — the ``reshape`` and ``transpose`` nodes do not appear.
+There is no layout gate (contiguity is a per-slot fact
+:mod:`repro.analysis.planlint` proves), no buffer pool traffic, no release
+of slab slots (their bytes are simply some later slot's), and no alias scan
+(a view of mutable state is statically a copy). Three statement shapes:
 
-One generator serves two variants. The *observed* one additionally brackets
-each kernel with ``perf_counter()`` and calls ``observer`` /
-``instr_observer`` with the same :class:`~repro.runtime.plan.Instruction`
+* *out*: the into-form writes the output's slab array; a fused elementwise
+  chain is emitted link by link through it (``pc = 10``);
+* *copy*: a kernel without an into-form (conv, pooling, plan-selected
+  variants) runs as is and its fresh result is copied into the slab —
+  ``np.copyto(b[7], k_conv2d_base([b[4], r[2]], at7)[0])``;
+* *base*: the kernel's result is the value — in-place optimizer applies,
+  views of feeds, values of unknown layout — stored in a register and
+  dropped (``r[12] = None``) when its last reader has run.
+
+``pc`` names the running instruction, so a failure is reported with its op
+type and node. One generator serves two variants: the *observed* one also
+brackets each kernel with ``perf_counter()`` and calls ``observer`` /
+``instr_observer`` with the :class:`~repro.runtime.plan.Instruction`
 objects the plan holds; it is only built for a plan somebody traces.
 
-The source is compiled in chunks of :data:`CHUNK` instructions: one
-function for all of ``llama_micro`` is 3.5k lines, and CPython's compiler
-needs +12.8 MB of peak RSS for it (40.8 -> 53.6 MB); chunks driven by a
-three-line loop need 0.0-0.4 MB and run at the same speed. Each
-chunk is registered in :mod:`linecache` under ``<plan:KEY:chunkN>`` so a
-traceback shows the failing line.
+The source is compiled in chunks of :data:`CHUNK` instructions (one
+function for all of ``llama_micro`` costs CPython's compiler several MB of
+peak RSS; chunks cost next to none and run at the same speed), each
+registered in :mod:`linecache` under ``<plan:KEY:chunkN>`` so a traceback
+shows the failing line.
 """
 
 from __future__ import annotations
@@ -66,12 +60,12 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import ExecutionError
-from ..kernels import EMITTERS, KERNELS, OUT_EMITTERS, OUT_KERNELS
+from ..kernels import OUT_EMITTERS, OUT_KERNELS
 
 #: instructions per compiled function (see the module docstring)
 CHUNK = 24
 
-_ARGS = "r, state, take, give, fresh, observer, instr_observer"
+_ARGS = "r, b, state, observer, instr_observer"
 _INDENT = "    "
 
 
@@ -90,8 +84,9 @@ def _guarded(lines: list[str]) -> list[str]:
 class _Generator:
     """Emits the source of one plan variant and the names it refers to."""
 
-    def __init__(self, instructions, observed: bool) -> None:
-        self.instructions = instructions
+    def __init__(self, plan, observed: bool) -> None:
+        self.instructions = instructions = plan.instructions
+        self.in_slab = plan.in_slab
         self.observed = observed
 
         def fail(pc: int, exc: Exception) -> ExecutionError:
@@ -103,12 +98,9 @@ class _Generator:
         self.names: dict[str, Any] = {
             "np": np, "perf_counter": perf_counter, "fail": fail,
             "ExecutionError": ExecutionError}
-        self._keys: dict[Any, str] = {}
         # Emitters by the function they stand for: only the registry's own
-        # kernel for an op is ever replaced by its expression — a variant
-        # or a patched-in kernel is always called.
-        self._emit = {id(KERNELS[op]): emit
-                      for op, emit in EMITTERS.items() if op in KERNELS}
+        # into-form for an op is ever replaced by its statement — a kernel
+        # patched onto an instruction is always called.
         self._emit_out = {id(OUT_KERNELS[op]): emit
                           for op, emit in OUT_EMITTERS.items()
                           if op in OUT_KERNELS}
@@ -126,11 +118,9 @@ class _Generator:
     def chunk(self, start: int, stop: int) -> str:
         """Source of the function running instructions ``[start, stop)``."""
         body: list[str] = []
-        fresh = 0  # allocations the chunk makes whatever path it takes
         for index in range(start, stop):
-            loads, kernel, after, always_fresh = self.instruction(index)
-            fresh += always_fresh
-            run = [f"pc = {index}", *loads]
+            kernel, after = self.instruction(index)
+            run = [f"pc = {index}"]
             if not self.observed:
                 body += run + kernel + after
                 continue
@@ -147,153 +137,74 @@ class _Generator:
             ] + after
         if not self.observed:
             body = _guarded(body)
-        return "\n".join([f"def _chunk({_ARGS}):", *_indent(body),
-                          f"{_INDENT}return fresh + {fresh}", ""])
+        return "\n".join([f"def _chunk({_ARGS}):", *_indent(body), ""])
 
-    def instruction(self, index: int
-                    ) -> tuple[list[str], list[str], list[str], int]:
-        """One instruction as (input loads, kernel lines, bookkeeping,
-        fresh outputs it allocates unconditionally)."""
+    def ref(self, slot: int) -> str:
+        """Where ``slot``'s array is: the buffer set or the registers."""
+        return f"b[{slot}]" if slot in self.in_slab else f"r[{slot}]"
+
+    def instruction(self, index: int) -> tuple[list[str], list[str]]:
+        """One instruction as (kernel lines, register bookkeeping)."""
         instr = self.instructions[index]
-        args = [f"r[{slot}]" for slot in instr.input_slots]
+        args = [self.ref(slot) for slot in instr.input_slots]
         # Folded scalar constants are read from live state (the overlay's
         # value, not a baked copy) at their original positions.
         for pos, name in instr.const_args:
             args.insert(pos, f"state[{name!r}]")
-        outs = instr.output_slots
-        # Results go straight to their registers unless the alias scan
-        # below may have to replace them first.
-        values = [f"v{i}" if instr.check_state_slots else f"r[{slot}]"
-                  for i, slot in enumerate(outs)]
-        loads: list[str] = []
-        local_of: dict[str, str] = {}
-        always_fresh = 0
-        if instr.out_kernel is None:
-            kernel = self.base_call(index, args, values)
-            always_fresh = instr.fresh_outputs
+        outs = [self.ref(slot) for slot in instr.output_slots]
+        if instr.mode == "out":  # repro.runtime.plan.MODE_OUT / _COPY
+            kernel = self.out_call(index, args, outs[0])
         else:
-            # Inputs are named once: the gate, the donation, both calls and
-            # the frees read them.
-            loads = [f"a{i} = {arg}" for i, arg in enumerate(args)]
-            local_of = {arg: f"a{i}" for i, arg in enumerate(args)}
-            args = [f"a{i}" for i in range(len(args))]
-            shape = repr(tuple(instr.out_shape))
-            claim = f"r[{instr.donate_slot}]" if instr.donate_slot >= 0 \
-                else f"take({self.bind_key(instr.out_key)})"
-            dtype = self.bind(f"dt_{instr.out_dtype.name}", instr.out_dtype)
-            out_path = [
-                f"buf = {local_of.get(claim, claim)}",
-                "if buf is None:",
-                f"{_INDENT}buf = np.empty({shape}, {dtype})",
-                f"{_INDENT}fresh += 1",
-                # Byte-bucketed arena: a pooled buffer of another shape
-                # with the same byte count is reshaped into place.
-                f"elif buf.shape != {shape}:",
-                f"{_INDENT}buf = buf.reshape({shape})",
-                *self.out_call(index, args, values[0]),
-            ]
-            # The out= path requires C-contiguous inputs (ufuncs follow
-            # their operands' memory order, so a view-layout input would
-            # force a non-C result into a C buffer); others take the base
-            # kernel, preserving bitwise interpreter parity.
-            gate = " and ".join(f"{a}.flags.c_contiguous" for a in args)
-            kernel = out_path if not gate else [
-                f"if {gate}:", *_indent(out_path), "else:",
-                *_indent(self.base_call(index, args, values)),
-                *_indent([f"fresh += {instr.fresh_outputs}"]
-                         if instr.fresh_outputs else [])]
+            fn = self.bind(f"k_{instr.node.op_type}_{instr.variant}",
+                           instr.kernel)
+            call = (f"{fn}([{', '.join(args)}], "
+                    f"{self.bind(f'at{index}', instr.attrs)})")
+            store = "np.copyto({}, {})" if instr.mode == "copy" \
+                else "{} = {}"
+            if len(outs) == 1:
+                kernel = [store.format(outs[0], f"{call}[0]")]
+            else:
+                kernel = [f"res = {call}"] + [
+                    store.format(out, f"res[{i}]")
+                    for i, out in enumerate(outs)]
+        return kernel, [f"r[{slot}] = None" for slot in instr.frees]
 
-        after: list[str] = []
-        if instr.check_state_slots:
-            # View-capable kernel over mutable state: materialise a result
-            # aliasing a parameter (same semantics as the interpreter).
-            for value, slot in zip(values, outs):
-                scan = " or ".join(f"np.shares_memory({value}, r[{state}])"
-                                   for state in instr.check_state_slots)
-                after += [f"if {scan}:",
-                          f"{_INDENT}{value} = {value}.copy()",
-                          f"r[{slot}] = {value}"]
-        for slot, key in instr.frees:
-            if key is not None:
-                # Pool only standard-layout buffers: a view-shaped array
-                # handed to a later out= instruction would leak its layout
-                # into the result.
-                dying = local_of.get(f"r[{slot}]")
-                if dying is None:
-                    dying = "t"
-                    after.append(f"t = r[{slot}]")
-                after += [f"if {dying}.flags.c_contiguous:",
-                          f"{_INDENT}give({self.bind_key(key)}, {dying})"]
-            after.append(f"r[{slot}] = None")
-        return loads, kernel, after, always_fresh
-
-    def base_call(self, index: int, args: list[str], values: list[str]
-                  ) -> list[str]:
-        """Assign ``values`` from the base kernel: its emitted expression
-        when it has one, the call otherwise."""
-        instr = self.instructions[index]
-        emit = self._emit.get(id(instr.kernel))
-        if emit is not None and len(values) == 1:
-            source = emit(args, instr.attrs)
-            if source is not None:
-                return [f"{values[0]} = {source}"]
-        fn = self.bind(f"k_{instr.node.op_type}_{instr.variant}",
-                       instr.kernel)
-        call = (f"{fn}([{', '.join(args)}], "
-                f"{self.bind(f'at{index}', instr.attrs)})")
-        if len(values) == 1:
-            return [f"{values[0]} = {call}[0]"]
-        return [f"res = {call}"] + [f"{value} = res[{i}]"
-                                    for i, value in enumerate(values)]
-
-    def out_call(self, index: int, args: list[str], value: str
-                 ) -> list[str]:
-        """Assign ``value`` from the ``out=`` kernel writing into ``buf``."""
+    def out_call(self, index: int, args: list[str], out: str) -> list[str]:
+        """The into-form writing ``out`` — one statement per fused link."""
         instr = self.instructions[index]
         if instr.links is None:
-            return [f"{value} = " + self.out_source(
-                f"{instr.node.op_type}_{instr.variant}", instr.out_kernel,
-                args, f"at{index}", instr.attrs)]
-        # A fused chain runs link after link through the one buffer, as
-        # make_fused_kernel's out form does; every link returns ``buf``.
-        lines = []
-        for n, (_base, out_fn, attrs, picks) in enumerate(instr.links):
-            lines.append(self.out_source(
-                out_fn.__name__.strip("_"), out_fn,
-                ["buf" if pick is None else args[pick] for pick in picks],
-                f"at{index}_{n}", attrs))
-        return lines + [f"{value} = buf"]
+            return [self.out_source(
+                instr.node.op_type, instr.out_kernel, args,
+                f"at{index}", instr.attrs, out)]
+        # A fused chain runs link after link through the output's array,
+        # as make_fused_kernel's into-form does.
+        return [self.out_source(
+            out_fn.__name__.strip("_"), out_fn,
+            [out if pick is None else args[pick] for pick in picks],
+            f"at{index}_{n}", attrs, out)
+            for n, (_base, out_fn, attrs, picks) in enumerate(instr.links)]
 
     def out_source(self, label: str, out_fn, args: list[str],
-                   attrs_name: str, attrs) -> str:
+                   attrs_name: str, attrs, out: str) -> str:
         emit = self._emit_out.get(id(out_fn))
-        source = emit(args, attrs, "buf") if emit is not None else None
+        source = emit(args, attrs, out) if emit is not None else None
         if source is None:
             source = (f"{self.bind(f'o_{label}', out_fn)}"
                       f"([{', '.join(args)}], "
-                      f"{self.bind(attrs_name, attrs)}, buf)")
+                      f"{self.bind(attrs_name, attrs)}, {out})")
         return source
-
-    def bind_key(self, key) -> str:
-        """One global per distinct arena key."""
-        name = self._keys.get(key)
-        if name is None:
-            name = self._keys[key] = self.bind(
-                f"key{key[0]}_{key[1].name}", key)
-        return name
 
 
 def generate(plan, observed: bool
-             ) -> tuple[Callable[..., int], str]:
+             ) -> tuple[Callable[..., None], str]:
     """Generate, compile and load one variant of ``plan``'s step.
 
-    Returns ``(step, source)``. ``step(regs, state, arena, observer,
-    instr_observer)`` runs the whole stream over ``regs`` and returns the
-    number of fresh output allocations; ``source`` is the text of every
-    chunk in stream order. The linecache entries are dropped when ``plan``
-    is collected.
+    Returns ``(step, source)``. ``step(regs, arrays, state, observer,
+    instr_observer)`` runs the whole stream over the registers and a
+    buffer set's arrays; ``source`` is the text of every chunk in stream
+    order. The linecache entries are dropped when ``plan`` is collected.
     """
-    generator = _Generator(plan.instructions, observed)
+    generator = _Generator(plan, observed)
     label = f"<plan:{id(plan):x}:{'observed:' if observed else ''}chunk"
     chunks, sources, files = [], [], []
     for n, start in enumerate(range(0, len(plan.instructions), CHUNK)):
@@ -309,12 +220,9 @@ def generate(plan, observed: bool
     weakref.finalize(plan, _forget_sources, files)
     chunks = tuple(chunks)
 
-    def step(regs, state, arena, observer=None, instr_observer=None) -> int:
-        fresh, take, give = 0, arena.take, arena.give
+    def step(regs, arrays, state, observer=None, instr_observer=None):
         for chunk in chunks:
-            fresh = chunk(regs, state, take, give, fresh,
-                          observer, instr_observer)
-        return fresh
+            chunk(regs, arrays, state, observer, instr_observer)
 
     return step, "\n".join(sources)
 

@@ -2,14 +2,15 @@
 
 Two backends share one feed-validation front door:
 
-* ``"plan"`` (default) — executes the program's compiled
-  :class:`~repro.runtime.plan.ExecutionPlan`: slot-indexed registers,
-  pre-bound kernels, precomputed free-lists, and a per-executor
-  :class:`~repro.runtime.plan.BufferArena` recycling intermediate buffers
-  across steps. The instruction stream is not interpreted: it runs as the
-  plan's generated step function (:mod:`repro.runtime.codegen`).
-  Transient-byte accounting was simulated at plan-build time (byte-exact
-  against the interpreter), so the step itself does none.
+* ``"plan"`` (default) — runs the compiled
+  :class:`~repro.runtime.plan.ExecutionPlan`'s generated step function
+  (:mod:`repro.runtime.codegen`) over this executor's registers (feeds,
+  state, plan constants) and a buffer set — one slab holding every
+  intermediate at its compile-time offset — borrowed from the plan's pool
+  for the step. The executor reports what it really held: ``slab_bytes``
+  is the size of that ``uint8`` buffer, ``last_step_fresh_allocs`` the
+  arrays allocated outside it. Transient-byte accounting was simulated at
+  plan-build time (byte-exact against the interpreter).
 * ``"interpreter"`` — the legacy per-node loop, kept as the cross-check
   oracle for the plan path and as the backend of :func:`interpret`. It is
   deliberately dumb: walks the schedule, dispatches kernels by name, frees
@@ -33,7 +34,7 @@ from ..ir import Graph
 from ..ir.node import Node
 from ..kernels import run_op, workspace
 from ..ir.ops import get_schema
-from .plan import BufferArena, ExecutionPlan
+from .plan import ExecutionPlan, SlabPool
 from .program import Program
 
 #: Per-node observer: (node, seconds) after each kernel completes.
@@ -64,17 +65,15 @@ class Executor:
         self.backend = backend
         self.peak_transient_bytes = 0
         self.last_transient_bytes = 0
-        #: fresh output buffers the last plan-backed run had to allocate
-        #: (0 in steady state for fully out=-covered programs)
+        #: arrays the last plan-backed run allocated outside the slab:
+        #: dynamic values plus base-kernel results copied into it
         self.last_step_fresh_allocs = 0
-        #: per-executor recycling pool — sessions never share buffers
-        self.arena = BufferArena()
-        #: kernel-internal scratch pool (im2col columns, pad buffers);
-        #: installed thread-locally around plan runs so kernels recycle
-        #: their workspaces without a calling-convention change. Uncapped
-        #: (caps=None): pool size is bounded by the kernels' own
-        #: take/give discipline plus the per-buffer workspace size cap.
-        self.workspace = BufferArena()
+        #: bytes of the slab the last plan-backed run executed in, read
+        #: off the buffer itself (equals ``plan.spec.slab_bytes``)
+        self.slab_bytes = 0
+        #: kernel-internal scratch pool (im2col columns, pad buffers),
+        #: installed thread-locally around plan runs
+        self.workspace = workspace.BufferArena()
         self._registers: list[np.ndarray | None] | None = None
         #: (name, shape, numpy dtype) per graph input, in declaration
         #: order — what _validate_feeds checks every step
@@ -92,6 +91,12 @@ class Executor:
     @property
     def plan(self) -> ExecutionPlan:
         return self.program.plan()
+
+    @property
+    def arena(self) -> SlabPool:
+        """The pool this executor's steps borrow their slab from — the
+        plan's, shared with every executor of the same plan."""
+        return self.plan.slabs
 
     def detach(self) -> None:
         """Drop register bindings left over from the last run.
@@ -125,7 +130,10 @@ class Executor:
                     f"feed {name!r} has shape {got.shape}, "
                     f"expected {shape}"
                 )
-            feeds[name] = got.astype(dtype, copy=False)
+            # C-contiguous, for both backends: the plan's layouts are
+            # static facts, and a strided feed would not be the same
+            # computation on the oracle either.
+            feeds[name] = np.asarray(got, dtype=dtype, order="C")
         if len(feeds) != len(self._feed_specs):
             inputs = sorted(name for name, _, _ in self._feed_specs)
             extra = sorted(set(feeds) - set(inputs))
@@ -139,16 +147,16 @@ class Executor:
     def _run_plan(self, feeds: dict[str, np.ndarray]
                   ) -> dict[str, np.ndarray]:
         plan = self.plan
+        spec = plan.spec
         regs = self._registers
-        if regs is None or len(regs) != plan.num_slots:
-            regs = self._registers = [None] * plan.num_slots
-            self.arena.caps = plan.arena_caps
+        if regs is None or len(regs) != spec.num_slots:
+            regs = self._registers = [None] * spec.num_slots
         state = self.program.state
         # Re-bound every step (not pre-bound at plan build) so the one plan
         # serves every with_state overlay and survives state rebinding.
-        for slot, name in plan.state_bindings:
+        for slot, name in spec.state_bindings:
             regs[slot] = state[name]
-        for name, slot in plan.feed_specs:
+        for name, slot in spec.feed_specs:
             regs[slot] = feeds[name]
         # Plan-owned constants hoisted from frozen state (e.g. Winograd
         # weight transforms): computed on this executor's first step,
@@ -161,40 +169,47 @@ class Executor:
                 self._precomputed[slot] = cached
             regs[slot] = cached[1]
 
-        # Kernels borrow internal scratch (im2col columns, pad buffers)
-        # from this executor's workspace pool for the duration of the run;
-        # the interpreter backend deliberately does not install one, so it
+        # The slab belongs to this running step: borrowed here, back in
+        # the plan's pool before the caller sees the outputs. Kernels
+        # likewise borrow internal scratch from this executor's workspace
+        # pool for the run; the interpreter backend installs none and
         # stays the allocation-naive oracle.
+        buffers = plan.slabs.take()
+        arrays = buffers.arrays
         previous_workspace = workspace.set_arena(self.workspace)
         try:
-            fresh_allocs = self._execute_instructions(plan, regs)
+            self._execute_instructions(plan, regs, arrays)
+            # Returned values leave the slab as copies (in their own
+            # layout); register values are the caller's or fresh already.
+            outputs = {name: arrays[slot].copy(order="K") if in_slab
+                       else regs[slot]
+                       for name, slot, in_slab in plan.outputs}
         except BaseException:
             # A failed step must not pin its feeds, outputs and every
-            # not-yet-freed intermediate until the next run.
+            # not-yet-dropped dynamic value until the next run.
             self.detach()
             raise
         finally:
             workspace.set_arena(previous_workspace)
+            plan.slabs.give(buffers)
 
-        self.peak_transient_bytes = plan.peak_transient_bytes
-        self.last_transient_bytes = plan.final_transient_bytes
-        self.last_step_fresh_allocs = fresh_allocs
-        outputs = {name: regs[slot] for name, slot in plan.output_slots}
+        self.slab_bytes = buffers.slab.nbytes
+        self.peak_transient_bytes = spec.peak_transient_bytes
+        self.last_transient_bytes = spec.final_transient_bytes
+        self.last_step_fresh_allocs = plan.allocs_per_step
         for slot in plan.clear_slots:  # don't pin feeds/outputs across steps
             regs[slot] = None
         return outputs
 
-    def _execute_instructions(self, plan: ExecutionPlan, regs: list) -> int:
-        """Run the instruction stream over ``regs``; returns fresh allocs.
-
-        The stream runs as the plan's generated step function; an observer
-        of either kind selects the variant that times each kernel.
-        """
+    def _execute_instructions(self, plan: ExecutionPlan, regs: list,
+                              arrays: list) -> None:
+        """Run the stream over ``regs`` and a buffer set's ``arrays``: the
+        plan's generated step function; an observer of either kind selects
+        the variant that times each kernel."""
         observer, instr_observer = self.observer, self.instr_observer
         step = plan.step_function(
             observer is not None or instr_observer is not None)
-        return step(regs, self.program.state, self.arena,
-                    observer, instr_observer)
+        step(regs, arrays, self.program.state, observer, instr_observer)
 
     # -- interpreter backend -------------------------------------------------
 
@@ -293,7 +308,7 @@ def interpret(graph: Graph, feeds: dict[str, np.ndarray] | None = None,
               copy_state: bool = True) -> dict[str, np.ndarray]:
     """One-shot convenience: build a program for ``graph`` and run it.
 
-    Uses the legacy interpreter backend — no plan lowering, no arena — so
+    Uses the legacy interpreter backend — no plan lowering, no slab — so
     it stays the reference oracle for the compiled path.
     """
     program = Program.from_graph(graph, copy_state=copy_state)

@@ -21,9 +21,10 @@ This package is the optimizing half of plan construction
     microbenchmarks); runs when ``CompileOptions.autotune`` is set, not
     in :data:`DEFAULT_PASSES`;
 
-* :mod:`allocate` — slots, free-lists, arena caps, and the static
-  transient-byte accounting, computed *after* the passes so the numbers
-  describe the optimized stream.
+* :mod:`allocate` — slots, static layouts, the slab placement (every
+  intermediate's offset in one buffer; views resolved into aliases) and
+  the static transient-byte accounting, computed *after* the passes so
+  the numbers describe the optimized stream.
 
 Adding a pass: write ``fn(stream, ctx) -> (stream, stats)`` in a new
 module, register it in :data:`PASSES`, and (if it should run by default)
@@ -134,12 +135,17 @@ def run_pipeline(program, passes: Any = None,
     if report is not None:
         report["stages"] = [
             {"stage": "lower", "instructions": len(stream)}]
+
+    def checked(spec: PlanSpec, stage: str) -> PlanSpec:
+        if verify:
+            from ...analysis.planlint import check_plan
+            check_plan(spec, program, stage=stage)
+        return spec
+
+    # allocate() is pure w.r.t. the stream, so checking an intermediate
+    # stage is just: allocate it, verify the spec.
     if verify:
-        from ...analysis.planlint import check_plan
-        # allocate() is pure w.r.t. the stream, so checking an
-        # intermediate stage is just: allocate it, verify the spec.
-        check_plan(allocate(stream, ctx, passes=()), program,
-                   stage="lower")
+        checked(allocate(stream, ctx, passes=()), "lower")
     applied: list[str] = []
     for name in names:
         stream, stats = PASSES[name](stream, ctx)
@@ -148,17 +154,14 @@ def run_pipeline(program, passes: Any = None,
             report["stages"].append(
                 {"stage": name, "instructions": len(stream), **stats})
         if verify and name != names[-1]:
-            from ...analysis.planlint import check_plan
-            check_plan(allocate(stream, ctx, passes=tuple(applied)),
-                       program, stage=name)
-    spec = allocate(stream, ctx, passes=names)
-    if verify:
-        from ...analysis.planlint import check_plan
-        check_plan(spec, program, stage="allocate")
+            checked(allocate(stream, ctx, passes=tuple(applied)), name)
+    spec = checked(allocate(stream, ctx, passes=names), "allocate")
     if report is not None:
         report["stages"].append(
             {"stage": "allocate", "instructions": len(spec.instructions),
              "num_slots": spec.num_slots,
+             "aliases": len(spec.aliases),
+             "slab_bytes": spec.slab_bytes,
              "peak_transient_bytes": spec.peak_transient_bytes,
              "precomputed_bytes": spec.precomputed_bytes})
     return spec

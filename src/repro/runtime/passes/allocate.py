@@ -1,32 +1,55 @@
-"""Final lowering stage: slots, free-lists, arena caps, byte accounting.
+"""Final lowering stage: slots, layouts, slab offsets, byte accounting.
 
 Runs *after* the optimization passes, so everything it derives describes
-the optimized stream: fused-away intermediates get no slot and no bytes,
-free-lists reference the instructions that actually execute, and arena
-caps count the buffers the fused stream can really re-request. For a
-``passes="none"`` pipeline this reproduces the legacy monolithic lowering
-(and hence the interpreter's measured byte timeline) exactly — that
-equality is pinned by the plan equivalence tests.
+the optimized stream: fused-away intermediates get no slot and no bytes.
+One walk over the stream decides, per value:
+
+* **layout** — C-contiguous, known strides, or unknown. Feeds, state and
+  precomputed constants are C-contiguous (the executor's front door and
+  :meth:`Program.with_state` see to that); a kernel keeps C-contiguous
+  inputs C-contiguous, and a dense kernel (matmul) takes transposed
+  operands too; a view's strides are what numpy says they are
+  (:func:`repro.kernels.shape.view_layout`). An elementwise result over a
+  non-C operand follows that operand, which the plan does not model.
+* **storage** — a *slab* buffer for every non-in-place result known
+  C-contiguous (written by the kernel's into-form, or copied in from the
+  base kernel's result when it has none); an *alias* of its source's bytes
+  for a view of a slab value (no instruction is emitted); a *register*
+  for the rest: in-place results (they are the state array), views of
+  feeds, and unknown-layout values, which run their base kernel and hold
+  its fresh array.
+* **in-place reuse** — an alias-safe into-form may write over a same-shape
+  input that dies at this very instruction and that nothing views: the
+  output joins the input's buffer instead of opening a new one.
+
+Buffers are then placed by :func:`repro.memory.planner.place` over their
+closed ``[birth, death]`` stream intervals (a view extends its base's;
+returned outputs live to the end). The transient-byte timeline is simulated
+in the same walk, mirroring the interpreter loop; for ``passes="none"`` it
+is the interpreter's measured timeline exactly (pinned by the plan
+equivalence tests).
 """
 
 from __future__ import annotations
 
-import functools
-
-from ...kernels import (DONATED_INPUTS, DONATING_KERNELS, OUT_ALIAS_SAFE,
-                        OUT_KERNELS)
-from ..plan import (ArenaKey, InstructionSpec, PlanSpec, PrecomputedSpec,
-                    VARIANT_BASE, VARIANT_DONATING)
+from ...kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
+                        OUT_ALIAS_SAFE, OUT_KERNELS, into_form)
+from ...kernels.shape import c_strides, is_c_contiguous, view_layout
+from ...memory.planner import place
+from ..plan import (MODE_BASE, MODE_COPY, MODE_OUT, SLAB_ALIGNMENT,
+                    AliasSpec, InstructionSpec, PlanSpec, PrecomputedSpec,
+                    SlotSpec, VARIANT_BASE, VARIANT_DONATING)
 from .fuse_elementwise import donatable_inputs
 from .lower import LoweredOp, LoweringContext
 
 
 def allocate(stream: list[LoweredOp], ctx: LoweringContext,
              passes: tuple[str, ...]) -> PlanSpec:
-    """Assign slots and static bookkeeping; emit the final PlanSpec."""
+    """Assign slots, layouts and slab offsets; emit the final PlanSpec."""
     graph = ctx.graph
     state_names = ctx.state_names
     keep = ctx.keep
+    nodes = ctx.nodes
 
     slots: dict[str, int] = {}
 
@@ -37,7 +60,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
         return slot
 
     # State whose every use was scalar-constant folded needs no register
-    # slot (and no per-step rebind): the executor splices the live state
+    # slot (and no per-step rebind): the step splices the live state
     # value straight into the kernel's inputs. Anything still referenced
     # by an instruction or returned to the caller keeps its slot.
     folded_states = {name for op in stream for _, name in op.const_inputs}
@@ -48,56 +71,77 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             referenced.update(op.outputs)
         folded_states -= referenced
 
+    #: names whose layout is known C-contiguous. Feeds and state are, by
+    #: the executor's / Program.with_state's contract.
+    dense: set[str] = set(graph.inputs)
+    #: name -> strides of the values laid out otherwise, when known (views)
+    strided: dict[str, tuple[int, ...]] = {}
+
+    def strides_of(name: str) -> tuple[int, ...] | None:
+        """``name``'s byte strides when they are a static fact."""
+        if name in dense:
+            shape, dtype = ctx.shape_dtype(name)
+            return c_strides(shape, dtype.itemsize)
+        return strided.get(name)
+
     for name in graph.inputs:
         slot_of(name)
     for name in sorted(state_names):
         if name not in folded_states:
             slot_of(name)
+            dense.add(name)
 
-    # Producer/consumer facts over the *optimized* stream (fused chains
-    # consume their deduplicated external inputs once each).
-    producer: dict[str, LoweredOp] = {}
-    consumers: dict[str, list[LoweredOp]] = {}
+    # Consumer facts over the *optimized* stream (fused chains consume
+    # their deduplicated external inputs once each). ``private`` holds the
+    # values whose bytes are provably nobody else's when their last
+    # consumer retires: a kernel's own fresh result (feeds and state are
+    # caller-owned, a view or an in-place result aliases something), not
+    # returned to the caller, and never viewed.
     counts: dict[str, int] = {}
-    for op in stream:
-        for out in op.outputs:
-            producer[out] = op
+    last_use: dict[str, int] = {}
+    private: set[str] = set()
+    viewed: set[str] = set()
+    for pos, op in enumerate(stream):
+        if op.is_view:
+            viewed.update(op.inputs)
+        elif not op.is_inplace:
+            private.update(op.outputs)
         for name in op.inputs:
-            consumers.setdefault(name, []).append(op)
             counts[name] = counts.get(name, 0) + 1
+            last_use[name] = pos
+    private -= viewed
+    private -= keep
 
-    @functools.cache  # asked once per free and per donation candidate
-    def recyclable(name: str) -> bool:
-        """True when the buffer behind ``name`` is provably unaliased at
-        the moment its last consumer retires."""
-        p = producer.get(name)
-        if p is None:
-            return False  # feeds and state are caller-owned
-        if p.is_view or p.is_inplace:
-            return False  # may alias another value / mutable state
-        if name in keep:
-            return False  # returned to the caller, who may hold it
-        return all(not c.is_view for c in consumers.get(name, ()))
+    def dense_results(op: LoweredOp) -> bool:
+        """Are ``op``'s results C-contiguous as a static fact?"""
+        if dense.issuperset(op.inputs):
+            return True  # the kernel layout contract
+        predicate = DENSE_OPS.get(op.kernel) if op.fused is None else None
+        if predicate is None:
+            return False
+        layouts = [(ctx.shape_dtype(name)[0], strides_of(name))
+                   for name in op.inputs]
+        return all(strides is not None for _, strides in layouts) \
+            and predicate(layouts)
+
+    #: slab buffers as [bytes, birth]; ``buffer_of`` maps every slab value
+    #: (owner, in-place reuser or alias) to (buffer index, byte offset in it)
+    buffers: list[list[int]] = []
+    buffer_of: dict[str, tuple[int, int]] = {}
 
     # --- walk the stream, simulating the byte timeline -------------------
     live = set(graph.inputs)
     transient = sum(ctx.nbytes(name) for name in graph.inputs)
     peak = transient
     instructions: list[InstructionSpec] = []
+    aliases: list[AliasSpec] = []
     precomputed: dict[tuple[str, str], PrecomputedSpec] = {}
-    arena_caps: dict[ArenaKey, int] = {}
 
-    for op in stream:
+    slot_at = slots.__getitem__
+    for pos, op in enumerate(stream):
         inplace = op.is_inplace
-        input_slots = tuple(slots[name] for name in op.inputs)
-        output_slots = tuple(slot_of(name) for name in op.outputs)
-
-        # The interpreter materialises results aliasing mutable state; only
-        # view-capable kernels with state inputs can produce such results.
-        check_state_slots = ()
-        if not inplace and op.is_view:
-            check_state_slots = tuple(
-                slot_of(name) for name in op.inputs if name in state_names)
+        input_slots = tuple(map(slot_at, op.inputs))
+        output_slots = tuple(map(slot_of, op.outputs))
 
         # Accounting, mirroring the interpreter loop over this stream.
         for out in op.outputs:
@@ -107,16 +151,14 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
         if transient > peak:
             peak = transient
 
-        frees: list[tuple[int, ArenaKey | None]] = []
+        dead_outputs: list[str] = []
         if not inplace:  # dead outputs are released immediately
             for out in op.outputs:
                 if counts.get(out, 0) == 0 and out not in keep \
                         and out in live:
                     transient -= ctx.nbytes(out)
                     live.discard(out)
-                    frees.append((slots[out],
-                                  ctx.arena_key(out) if recyclable(out)
-                                  else None))
+                    dead_outputs.append(out)
         dying_inputs: list[str] = []
         for name in op.inputs:
             counts[name] -= 1
@@ -125,47 +167,6 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                 transient -= ctx.nbytes(name)
                 live.discard(name)
                 dying_inputs.append(name)
-
-        # out= + donation: single-output ops with a registered out-variant
-        # (every fused chain has one by construction) get a recycled arena
-        # buffer; alias-safe ones may instead write straight into a
-        # same-shape input dying at this instruction. For fused chains
-        # only inputs read exclusively by the first link are donation-
-        # eligible — a later link would read the clobbered buffer.
-        use_out = False
-        out_shape = out_dtype = None
-        donate_slot = -1
-        if not inplace and len(op.outputs) == 1 \
-                and (op.fused is not None or op.kernel in OUT_KERNELS):
-            use_out = True
-            out_name = op.outputs[0]
-            # Donation demands an *exact* shape/dtype match (the out=
-            # kernel writes element-for-element into the donated buffer);
-            # the arena's byte-bucketing never applies here.
-            out_form = ctx.shape_dtype(out_name)
-            out_shape = out_form[0]
-            # a DType's value *is* its numpy dtype name
-            out_dtype = ctx.spec(out_name).dtype.value
-            if op.fused is not None:
-                # Fused link args index the assembled input list (folded
-                # scalar constants spliced back in), not ``op.inputs``.
-                assembled = list(op.inputs)
-                for pos, const_name in op.const_inputs:
-                    assembled.insert(pos, const_name)
-                safe_idx = donatable_inputs(op)
-                donate_ok = {assembled[i] for i in safe_idx}
-            elif op.kernel in OUT_ALIAS_SAFE:
-                donate_ok = set(op.inputs)
-            else:
-                donate_ok = set()
-            for name in dying_inputs:
-                if name in donate_ok and recyclable(name) \
-                        and ctx.shape_dtype(name) == out_form:
-                    donate_slot = slots[name]
-                    break
-            if donate_slot < 0:  # the output comes out of the arena
-                key = ctx.arena_key(out_name)
-                arena_caps[key] = arena_caps.get(key, 0) + 1
 
         variant = VARIANT_BASE
         if op.precompute is not None:
@@ -184,38 +185,126 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             clobbered = DONATED_INPUTS[op.kernel]
             if all(i < len(op.inputs)
                    and op.inputs[i] in dying_inputs
-                   and recyclable(op.inputs[i]) for i in clobbered):
+                   and op.inputs[i] in private for i in clobbered):
                 variant = VARIANT_DONATING
 
-        for name in dying_inputs:
-            slot = slots[name]
-            if slot == donate_slot:
-                # The donated buffer lives on as this node's output.
-                frees.append((slot, None))
-            else:
-                frees.append((slot, ctx.arena_key(name)
-                              if recyclable(name) else None))
-
+        # --- layout and storage of the outputs ---------------------------
+        reuse_slot = -1
         if inplace:
-            fresh = 0
-        elif op.fused is not None:
-            # The base-kernel fallback (non-contiguous inputs) really does
-            # materialise every link; the out= path allocates at most one.
-            fresh = len(op.fused)
+            mode = MODE_BASE  # the result *is* the (C-contiguous) state
+            dense.update(op.outputs)
+        elif op.is_view:
+            source = op.inputs[0]
+            out = op.outputs[0]
+            strides = strides_of(source)
+            if strides is None:
+                mode = MODE_BASE  # a view (or not) of who knows what layout
+            else:
+                shape, dtype = ctx.shape_dtype(source)
+                # a DType's value *is* its numpy dtype name
+                view = view_layout(op.kernel, nodes[op.node].attr_key(),
+                                   shape, strides,
+                                   ctx.spec(source).dtype.value)
+                if view is None or source in state_names:
+                    # numpy copies, or the view would watch the optimizer
+                    # update its source in place: a copy into its own
+                    # buffer
+                    mode = MODE_OUT if op.kernel in OUT_KERNELS \
+                        else MODE_COPY
+                    dense.add(out)
+                    buffer_of[out] = (len(buffers), 0)
+                    buffers.append([ctx.nbytes(out), pos])
+                else:
+                    offset, shape, strides = view
+                    if is_c_contiguous(shape, strides, dtype.itemsize):
+                        dense.add(out)
+                    else:
+                        strided[out] = strides
+                    based = buffer_of.get(source)
+                    if based is not None:
+                        # bytes of a slab buffer under another shape:
+                        # resolved when the buffer set is built, never
+                        # executed
+                        buffer_of[out] = (based[0], based[1] + offset)
+                        aliases.append(AliasSpec(
+                            node=op.node, slot=output_slots[0],
+                            base=input_slots[0], at=len(instructions)))
+                        continue
+                    mode = MODE_BASE  # a view of a feed / a register value
+        elif dense_results(op):
+            # Statically C-contiguous results: they live in the slab. A
+            # single result with an into-form (every fused chain has one by
+            # construction) is written in place; an alias-safe one may
+            # write over a same-shape input dying here. For fused chains
+            # only inputs read exclusively by the first link are eligible —
+            # a later link would read the overwritten bytes.
+            into = len(op.outputs) == 1 and (
+                op.fused is not None or into_form(op.kernel, variant))
+            mode = MODE_OUT if into else MODE_COPY
+            dense.update(op.outputs)
+            reused = None
+            if into and dying_inputs:
+                if op.fused is not None:
+                    # Fused link args index the assembled input list
+                    # (folded scalar constants spliced back in), not
+                    # ``op.inputs``.
+                    assembled = list(op.inputs)
+                    for at, const_name in op.const_inputs:
+                        assembled.insert(at, const_name)
+                    reusable = {assembled[i] for i in donatable_inputs(op)}
+                elif op.kernel in OUT_ALIAS_SAFE:
+                    reusable = set(op.inputs)
+                else:
+                    reusable = ()
+                out_form = ctx.shape_dtype(op.outputs[0])
+                for name in dying_inputs:
+                    if name in reusable and name in buffer_of \
+                            and name in private \
+                            and ctx.shape_dtype(name) == out_form:
+                        reused = name
+                        break
+            if reused is not None:
+                reuse_slot = slots[reused]
+                buffer_of[op.outputs[0]] = buffer_of[reused]
+            else:
+                for out in op.outputs:
+                    buffer_of[out] = (len(buffers), 0)
+                    buffers.append([ctx.nbytes(out), pos])
         else:
-            fresh = len(op.outputs)
-        instructions.append(InstructionSpec(
-            node=op.node, kernel=op.kernel, variant=variant,
-            input_slots=input_slots, output_slots=output_slots,
-            use_out=use_out, out_shape=out_shape, out_dtype=out_dtype,
-            donate_slot=donate_slot, check_state_slots=check_state_slots,
-            frees=tuple(frees), fresh_outputs=fresh, fused=op.fused,
-            const_args=tuple(sorted(op.const_inputs))))
+            # Some operand's layout is not C: the result follows it (or
+            # nobody knows), so the base kernel runs and its fresh array
+            # is the value. Only a shape with at most one non-unit
+            # dimension is contiguous whatever produced it.
+            mode = MODE_BASE
+            dense.update(out for out in op.outputs if sum(
+                dim != 1 for dim in ctx.shape_dtype(out)[0]) <= 1)
 
-    state_slots = {slots[name] for name in state_names if name in slots}
-    pre_slots = {entry.slot for entry in precomputed.values()}
-    clear_slots = tuple(slot for name, slot in slots.items()
-                        if slot not in state_slots and slot not in pre_slots)
+        # registers dropped here: whatever died and is not slab bytes
+        frees = tuple([slots[name] for name in dead_outputs + dying_inputs
+                       if name not in buffer_of]) \
+            if dead_outputs or dying_inputs else ()
+        instructions.append(InstructionSpec(
+            op.node, op.kernel, variant, input_slots, output_slots, mode,
+            frees, reuse_slot, op.fused,
+            tuple(sorted(op.const_inputs)) if op.const_inputs else ()))
+
+    # --- place the slab ---------------------------------------------------
+    end = len(stream)
+    deaths = [birth for _, birth in buffers]
+    for name, (index, _) in buffer_of.items():
+        death = end if name in keep else last_use.get(name, 0)
+        if death > deaths[index]:
+            deaths[index] = death
+    plan = place([(size, birth, death) for (size, birth), death
+                  in zip(buffers, deaths)], SLAB_ALIGNMENT)
+    slab_slots = []
+    for name, (index, offset) in buffer_of.items():
+        shape, dtype = ctx.shape_dtype(name)
+        slab_slots.append(SlotSpec(
+            slots[name], plan.offsets[index] + offset, shape,
+            strided.get(name) or c_strides(shape, dtype.itemsize),
+            ctx.spec(name).dtype.value))
+
     entries = tuple(sorted(precomputed.values(), key=lambda e: e.slot))
     return PlanSpec(
         num_slots=len(slots),
@@ -225,14 +314,13 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             if name in slots),
         output_slots=tuple((name, slots[name])
                            for name in ctx.program.outputs),
-        clear_slots=clear_slots,
-        arena_caps=tuple(sorted(arena_caps.items(),
-                                key=lambda item: repr(item[0]))),
+        slab_bytes=plan.slab_bytes,
+        slab_slots=tuple(slab_slots),
+        aliases=tuple(aliases),
         peak_transient_bytes=peak,
         final_transient_bytes=transient,
         instructions=tuple(instructions),
         passes=passes,
         precomputed=entries,
-        precomputed_bytes=sum(entry.nbytes for entry in entries),
         tuned_variants=tuple(ctx.tuned),
     )

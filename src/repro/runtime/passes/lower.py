@@ -21,7 +21,7 @@ import numpy as np
 from ...errors import ExecutionError
 from ...ir.ops import get_schema
 from ...kernels import KERNELS, VIEW_OPS
-from ..plan import ArenaKey, FusedLinkSpec, TunedVariantSpec, arena_key_for
+from ..plan import FusedLinkSpec, TunedVariantSpec
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class LoweringContext:
     _specs: dict[str, Any] = field(default_factory=dict)
     _forms: dict[str, tuple[tuple[int, ...], Any]] = field(
         default_factory=dict)
-    _arena_keys: dict[str, ArenaKey] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         program = self.program
@@ -102,13 +101,6 @@ class LoweringContext:
 
     def attrs(self, node_name: str) -> dict[str, Any]:
         return self.nodes[node_name].attrs
-
-    def arena_key(self, name: str) -> ArenaKey:
-        key = self._arena_keys.get(name)
-        if key is None:
-            key = self._arena_keys[name] = arena_key_for(
-                *self.shape_dtype(name))
-        return key
 
     def shape_dtype(self, name: str) -> tuple[tuple[int, ...], Any]:
         form = self._forms.get(name)

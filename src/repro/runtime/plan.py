@@ -1,92 +1,83 @@
-"""Compiled execution plans: pay per-step interpretation cost at compile time.
+"""Compiled execution plans: the memory plan *is* the allocation.
 
-The legacy interpreter re-derives per-node facts on every step: name-keyed
-dict lookups, schema fetches, string kernel dispatch, ``np.shares_memory``
-aliasing scans, refcount bookkeeping, and a fresh allocation per
-intermediate. :func:`build_plan_spec` lowers a :class:`~repro.runtime.
-program.Program` **once** into a flat instruction stream where all of that
-is precomputed:
+"Compilation first" means everything about a training step is decided
+before the first step runs — memory included. :func:`build_plan_spec`
+lowers a :class:`~repro.runtime.program.Program` **once**, through the
+pass pipeline of :mod:`repro.runtime.passes` (``lower``, the optimization
+passes, then ``allocate`` over the stream that actually runs), into a flat
+instruction stream plus a static memory plan:
 
-* every value name is resolved to an integer slot in one registers list
-  (feeds, mutable state, and intermediates share the space);
-* kernels are referenced by **registry name + variant** — no string
-  dispatch or schema lookups at run time, and no live function objects in
-  the plan data;
-* the state-aliasing materialisation check runs only for instructions that
-  both touch mutable state and use a view-capable kernel
-  (:data:`repro.kernels.VIEW_OPS`);
-* per-instruction free-lists replace runtime refcounting, and the
-  transient-byte timeline is simulated at build time (byte-exact against
-  the interpreter for an unoptimized stream, and recomputed honestly for
-  an optimized one) so the step does zero accounting;
-* a :class:`BufferArena` recycles freed intermediate buffers across steps,
-  feeding ``out=``-capable kernels so a fixed-shape training step reaches a
-  (near-)zero-alloc steady state. Safety is static: only buffers produced
-  by fresh-output kernels with no view-op consumers are ever recycled, so a
-  recycled buffer can never alias a live value, a returned output, a feed,
-  or mutable state.
+* every value name is an integer slot. Feeds, state and plan-owned
+  precomputed constants are *register* slots, bound per step; every other
+  value the plan can lay out statically is a *slab* slot: a fixed
+  ``(offset, shape, strides)`` (:class:`SlotSpec`) in one byte slab of
+  ``slab_bytes``. An executor builds each slab slot's ``ndarray`` once, as
+  views over one ``np.empty(slab_bytes, uint8)`` (:class:`BufferSet`), and
+  the generated step (:mod:`repro.runtime.codegen`) is kernel calls
+  writing ``out=`` into those arrays;
+* a ``reshape`` / ``transpose`` / ``slice`` whose result is a view of a
+  slab slot is not an instruction: it is one more ``(offset, shape,
+  strides)`` over the same bytes (:class:`AliasSpec`). A view that may not
+  stay one (its source is mutable state, updated in place while the view
+  is still read) or that numpy has to copy is a copy into its own slot;
+* contiguity is a static per-slot fact (kernels keep C-contiguous inputs
+  C-contiguous, see :mod:`repro.kernels`), proven by
+  :mod:`repro.analysis.planlint`: no runtime layout gate. A value whose
+  layout the plan cannot know (an elementwise result over transposed
+  operands follows them) keeps its base kernel and a *dynamic* register
+  holding a fresh array, as the interpreter would produce it — no zoo
+  model has one;
+* lifetimes are closed instruction intervals (a view keeps its base
+  alive); two live slots share bytes only as a declared alias or the
+  declared in-place reuse (``reuse_slot``: an alias-safe elementwise
+  output taking over a same-shape input that dies at that instruction);
+* the transient-byte timeline is simulated at build time — byte-exact
+  against the interpreter for ``passes="none"``, the oracle configuration
+  — so the step does zero accounting.
 
-Lowering itself is a staged **pass pipeline** (:mod:`repro.runtime.passes`):
-``lower`` turns the scheduled graph into a linear stream, optimization
-passes rewrite that stream (fusing adjacent elementwise instructions,
-hoisting Winograd weight transforms for frozen parameters into plan-owned
-precomputed slots), and ``allocate`` assigns slots, free-lists, arena caps
-and the static byte accounting *after* optimization so the numbers reflect
-the stream that actually runs. ``passes="none"`` skips every optimization
-pass and reproduces the interpreter's accounting byte-exactly — the oracle
-configuration the equivalence tests pin everything else against.
+Plans are **portable**: :class:`PlanSpec` is pure JSON-serializable data
+(it names kernels, never holds them) that round-trips through deployment
+artifacts, so a plan compiled in one process executes in another that
+never imports the compiler; only the current spec version decodes, any
+other raises :class:`~repro.errors.PlanVersionError` and the program cache
+recompiles. :func:`bind_plan` is the thin load-time step resolving those
+names against :mod:`repro.kernels` into an :class:`ExecutionPlan`.
 
-The lowering is split in two so plans are **portable**:
-
-* :class:`PlanSpec` is a pure, JSON-serializable data object — it names
-  kernels (and the passes that shaped it), it never holds them.
-  ``to_dict``/``from_dict`` round-trip it through deployment artifacts
-  (:mod:`repro.deploy.artifact`), so a plan compiled in one process
-  executes in another that never imports the compiler. Only the current
-  spec version decodes; any other raises
-  :class:`~repro.errors.PlanVersionError` so callers like the program
-  cache fall back to recompilation (``plan_version_miss``).
-* :func:`bind_plan` is the thin load-time step that resolves those names
-  against the live registries in :mod:`repro.kernels` and produces the
-  executable :class:`ExecutionPlan`, whose first step generates the Python
-  that runs it (:meth:`ExecutionPlan.step_function`).
-
-The plan depends only on the graph, schedule, outputs, and state *names* —
-never on state values — so one plan is shared by every
-:meth:`Program.with_state` tenant overlay (they share the ``meta`` dict the
-plan is cached in). Registers, arena, and the precomputed-transform cache
-live on the executor: concurrent sessions never share buffers, and a
-session overlaying different frozen weights recomputes its transforms.
+The plan depends on state *names* only, so one plan is shared by every
+:meth:`Program.with_state` tenant overlay. A slab belongs to a *running
+step*, not to a session: executors borrow a :class:`BufferSet` from the
+plan's :class:`SlabPool` for one step (every slot is written before it is
+read; returned outputs are copied out), so N sessions on W workers build
+at most W slabs. Registers and the precomputed-transform cache live on the
+executor.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from ..errors import ExecutionError, PlanVersionError
 from ..ir.node import Node
-from ..kernels import (DONATING_KERNELS, KERNELS, OUT_KERNELS,
-                       PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS,
-                       make_fused_kernel)
+from ..ir.ops import get_schema
+from ..kernels import (DONATING_KERNELS, KERNELS, PRECOMPUTE_TRANSFORMS,
+                       VARIANT_KERNELS, into_form, make_fused_kernel)
 from .codegen import generate
-
-#: arena bucket key: (nbytes, dtype). Byte-bucketing lets a freed buffer
-#: of one shape satisfy a later request of another shape with the same
-#: byte count — the executor reshapes the (always C-contiguous) pooled
-#: buffer, a free view.
-ArenaKey = tuple[int, Any]
 
 #: bump when the serialized PlanSpec layout — or the contract of anything
 #: it names — changes incompatibly. Older documents are refused, not
 #: shimmed: plans are a cache of a compile, and the program cache
 #: recompiles on :class:`PlanVersionError`.
-#: v4: the ``winograd_weight`` precomputed slot is the GEMM-ready
-#: ``(16, O, C)`` layout (v3 declared ``(O, C, 4, 4)``).
-PLAN_SPEC_VERSION = 4
+#: v5: the static slab — ``slab_bytes`` / ``slab_slots`` / ``aliases``,
+#: per-instruction ``mode`` and ``reuse_slot``; arena keys, caps, donation
+#: and the state-alias scan are gone (v4 ran a dynamic buffer arena).
+PLAN_SPEC_VERSION = 5
+
+#: every owning slab slot starts on a multiple of this (a cache line)
+SLAB_ALIGNMENT = 64
 
 #: kernel variants an instruction may reference (resolved at bind time);
 #: anything else is looked up in :data:`repro.kernels.VARIANT_KERNELS`
@@ -94,59 +85,87 @@ PLAN_SPEC_VERSION = 4
 VARIANT_BASE = "base"
 VARIANT_DONATING = "donating"
 
+#: how an instruction produces its outputs: the into-form writes the slab
+#: slot directly; the base kernel's fresh result is copied into the slab
+#: (no into-form yet: conv, pooling, kernel variants); or the base kernel's
+#: result is the value, held in a register (in-place ops, views of
+#: register values, anything whose layout is not statically C-contiguous)
+MODE_OUT = "out"
+MODE_COPY = "copy"
+MODE_BASE = "base"
 
-class BufferArena:
-    """Size/dtype-bucketed free-lists of recycled intermediate buffers.
 
-    One arena per executor. ``give`` receives buffers the plan proved
-    unaliased at their death; ``take`` hands them back to ``out=``-capable
-    instructions. Counters feed the steady-state-allocation metrics.
+class SlotSpec(NamedTuple):
+    """One slab-resident value: a static ``ndarray`` over the plan's slab."""
 
-    ``caps`` bounds each pool at the number of instructions that can
-    actually re-request that key (the plan computes this); buffers past the
-    cap are dropped to the allocator instead of accumulating — shapes only
-    ever produced but never consumed would otherwise grow the pool by a
-    fixed amount every step.
+    slot: int
+    offset: int                     #: first byte, from the slab's start
+    shape: tuple[int, ...]
+    strides: tuple[int, ...]        #: in bytes
+    dtype: str
+
+
+class AliasSpec(NamedTuple):
+    """A view node resolved at bind time instead of executed.
+
+    ``slot`` (a :class:`SlotSpec` over ``base``'s bytes) stands for
+    ``node``'s output; ``at`` is its place in the stream — the number of
+    instructions that run before it — which the static checks need to
+    order it against them.
     """
 
-    __slots__ = ("_pools", "caps", "takes", "misses", "recycled", "dropped")
+    node: str
+    slot: int
+    base: int
+    at: int
 
-    def __init__(self, caps: dict[ArenaKey, int] | None = None) -> None:
-        self._pools: dict[ArenaKey, list[np.ndarray]] = {}
-        #: per-key pool bound; None = unbounded
-        self.caps = caps
+
+class BufferSet:
+    """One slab and the array of every slab slot over it, built once."""
+
+    __slots__ = ("slab", "arrays")
+
+    def __init__(self, spec: "PlanSpec") -> None:
+        self.slab = slab = np.empty(spec.slab_bytes, np.uint8)
+        #: slot -> ndarray for slab slots, None for register slots
+        arrays = self.arrays = [None] * spec.num_slots
+        for entry in spec.slab_slots:
+            arrays[entry.slot] = np.ndarray(
+                entry.shape, entry.dtype, slab, entry.offset, entry.strides)
+
+
+class SlabPool:
+    """A plan's free list of :class:`BufferSet` s.
+
+    ``take`` / ``give`` bracket one running step (``list.pop`` /
+    ``append``: safe from any thread). ``misses`` counts the buffer sets
+    ever built — at most one per concurrently running step — and ``takes``
+    the steps served by a pooled one.
+    """
+
+    __slots__ = ("_spec", "_free", "takes", "misses")
+
+    def __init__(self, spec: "PlanSpec") -> None:
+        self._spec = spec
+        self._free: list[BufferSet] = []
         self.takes = 0
         self.misses = 0
-        self.recycled = 0
-        self.dropped = 0
 
-    def take(self, key: ArenaKey) -> np.ndarray | None:
-        pool = self._pools.get(key)
-        if pool:
-            self.takes += 1
-            return pool.pop()
-        self.misses += 1
-        return None
+    def take(self) -> BufferSet:
+        try:
+            buffers = self._free.pop()
+        except IndexError:
+            self.misses += 1
+            return BufferSet(self._spec)
+        self.takes += 1
+        return buffers
 
-    def give(self, key: ArenaKey, array: np.ndarray) -> None:
-        pool = self._pools.get(key)
-        if pool is None:
-            pool = self._pools[key] = []
-        if self.caps is not None and len(pool) >= self.caps.get(key, 0):
-            self.dropped += 1
-            return
-        self.recycled += 1
-        pool.append(array)
-
-    def buffers(self) -> list[np.ndarray]:
-        """Snapshot of every pooled buffer (for safety checks/tests)."""
-        return [a for pool in self._pools.values() for a in pool]
+    def give(self, buffers: BufferSet) -> None:
+        self._free.append(buffers)
 
     def retained_bytes(self) -> int:
-        return sum(a.nbytes for a in self.buffers())
-
-    def clear(self) -> None:
-        self._pools.clear()
+        """Slab bytes held for the next steps."""
+        return sum(buffers.slab.nbytes for buffers in self._free)
 
 
 @dataclass(frozen=True)
@@ -248,20 +267,20 @@ class PrecomputedSpec:
         return count * np.dtype(self.dtype).itemsize
 
 
-@dataclass(frozen=True)
-class InstructionSpec:
+class InstructionSpec(NamedTuple):
     """One lowered node as pure data: slots, names, static decisions.
 
     The kernel is referenced by registry name (``kernel`` — the op type)
     plus ``variant`` (:data:`VARIANT_BASE`, :data:`VARIANT_DONATING`, or a
-    :data:`repro.kernels.VARIANT_KERNELS` name) and ``use_out`` (whether
-    the ``out=`` variant from :data:`repro.kernels.OUT_KERNELS` drives this
-    instruction when inputs are contiguous). ``fused`` (when set) lists the
-    elementwise links this instruction collapsed; the bound kernel then
-    runs the whole chain through one shared buffer and no intermediate
-    slot exists at all. Attributes and input/output names live on the
-    graph nodes the specs refer to — the artifact ships the graph anyway,
-    so the spec never duplicates them.
+    :data:`repro.kernels.VARIANT_KERNELS` name); ``mode`` says how its
+    outputs reach their slots (:data:`MODE_OUT` / :data:`MODE_COPY` /
+    :data:`MODE_BASE`). ``fused`` (when set) lists the elementwise links
+    this instruction collapsed; the bound kernel then runs the whole chain
+    through the output's buffer and no intermediate slot exists at all.
+    Attributes and input/output names live on the graph nodes the specs
+    refer to — the artifact ships the graph anyway, so the spec never
+    duplicates them. (A tuple, not a frozen dataclass: ``allocate`` builds
+    thousands per zoo sweep.)
     """
 
     node: str                       #: schedule node name
@@ -269,16 +288,17 @@ class InstructionSpec:
     variant: str                    #: base | donating | registered variant
     input_slots: tuple[int, ...]
     output_slots: tuple[int, ...]
-    use_out: bool                   #: bind the out=-writing variant
-    out_shape: tuple[int, ...] | None
-    out_dtype: str | None
-    donate_slot: int                #: dying buffer the out= kernel reuses
-    check_state_slots: tuple[int, ...]
-    frees: tuple[tuple[int, ArenaKey | None], ...]
-    fresh_outputs: int
+    mode: str                       #: out | copy | base
+    #: register slots (feeds, dynamic values) dropped after this
+    #: instruction; slab slots need no release — their bytes are simply
+    #: some later slot's
+    frees: tuple[int, ...] = ()
+    #: the dying input whose bytes the output takes over (-1: none) — the
+    #: one declared exception to "an output shares no bytes with an input"
+    reuse_slot: int = -1
     fused: tuple[FusedLinkSpec, ...] | None = None
     #: scalar-constant folded inputs: (position, state name) pairs. The
-    #: executor assembles the kernel's input list by inserting
+    #: step assembles the kernel's input list by inserting
     #: ``program.state[name]`` (a live lookup — overlay-safe by
     #: construction) at ``position``; ``input_slots`` covers the remaining
     #: positions in order. Folded states need no register slot at all.
@@ -291,14 +311,9 @@ class InstructionSpec:
             "variant": self.variant,
             "input_slots": list(self.input_slots),
             "output_slots": list(self.output_slots),
-            "use_out": self.use_out,
-            "out_shape": list(self.out_shape)
-            if self.out_shape is not None else None,
-            "out_dtype": self.out_dtype,
-            "donate_slot": self.donate_slot,
-            "check_state_slots": list(self.check_state_slots),
-            "frees": [[slot, _key_to_json(key)] for slot, key in self.frees],
-            "fresh_outputs": self.fresh_outputs,
+            "mode": self.mode,
+            "frees": list(self.frees),
+            "reuse_slot": self.reuse_slot,
         }
         if self.fused is not None:
             doc["fused"] = [link.to_dict() for link in self.fused]
@@ -311,21 +326,18 @@ class InstructionSpec:
     def from_dict(cls, doc: dict[str, Any]) -> "InstructionSpec":
         try:
             fused_doc = doc.get("fused")
+            mode = doc["mode"]
+            if mode not in (MODE_OUT, MODE_COPY, MODE_BASE):
+                raise ValueError(f"unknown mode {mode!r}")
             return cls(
                 node=doc["node"],
                 kernel=doc["kernel"],
                 variant=doc["variant"],
                 input_slots=tuple(doc["input_slots"]),
                 output_slots=tuple(doc["output_slots"]),
-                use_out=bool(doc["use_out"]),
-                out_shape=tuple(doc["out_shape"])
-                if doc["out_shape"] is not None else None,
-                out_dtype=doc["out_dtype"],
-                donate_slot=int(doc["donate_slot"]),
-                check_state_slots=tuple(doc["check_state_slots"]),
-                frees=tuple((int(slot), _key_from_json(key))
-                            for slot, key in doc["frees"]),
-                fresh_outputs=int(doc["fresh_outputs"]),
+                mode=mode,
+                frees=tuple(int(slot) for slot in doc["frees"]),
+                reuse_slot=int(doc["reuse_slot"]),
                 fused=tuple(FusedLinkSpec.from_dict(entry)
                             for entry in fused_doc)
                 if fused_doc is not None else None,
@@ -353,8 +365,12 @@ class PlanSpec:
     feed_specs: tuple[tuple[str, int], ...]
     state_bindings: tuple[tuple[int, str], ...]
     output_slots: tuple[tuple[str, int], ...]
-    clear_slots: tuple[int, ...]
-    arena_caps: tuple[tuple[ArenaKey, int], ...]
+    #: size of the one buffer every slab slot lives in
+    slab_bytes: int
+    #: every slab-resident slot (owners and aliases alike), by slot
+    slab_slots: tuple[SlotSpec, ...]
+    #: view nodes resolved into ``slab_slots`` entries, in stream order
+    aliases: tuple[AliasSpec, ...]
     peak_transient_bytes: int
     final_transient_bytes: int
     instructions: tuple[InstructionSpec, ...]
@@ -363,9 +379,6 @@ class PlanSpec:
     #: plan-owned constant slots bound from frozen state (see
     #: :class:`PrecomputedSpec`)
     precomputed: tuple[PrecomputedSpec, ...] = ()
-    #: resident bytes the precomputed slots add (not transient — they live
-    #: for the plan's lifetime, like state)
-    precomputed_bytes: int = 0
     #: autotune decision table (empty unless the ``autotune`` pass ran):
     #: one entry per instruction that had more than one applicable variant
     tuned_variants: tuple[TunedVariantSpec, ...] = ()
@@ -380,15 +393,15 @@ class PlanSpec:
                                for slot, name in self.state_bindings],
             "output_slots": [[name, slot]
                              for name, slot in self.output_slots],
-            "clear_slots": list(self.clear_slots),
-            "arena_caps": [[_key_to_json(key), count]
-                           for key, count in self.arena_caps],
+            "slab_bytes": self.slab_bytes,
+            # tuples of ints / strings: JSON-safe as they are
+            "slab_slots": [list(entry) for entry in self.slab_slots],
+            "aliases": [list(entry) for entry in self.aliases],
             "peak_transient_bytes": self.peak_transient_bytes,
             "final_transient_bytes": self.final_transient_bytes,
             "instructions": [instr.to_dict() for instr in self.instructions],
             "passes": list(self.passes),
             "precomputed": [entry.to_dict() for entry in self.precomputed],
-            "precomputed_bytes": self.precomputed_bytes,
             "tuned_variants": [entry.to_dict()
                                for entry in self.tuned_variants],
         }
@@ -416,9 +429,13 @@ class PlanSpec:
                                      for slot, name in doc["state_bindings"]),
                 output_slots=tuple((name, int(slot))
                                    for name, slot in doc["output_slots"]),
-                clear_slots=tuple(doc["clear_slots"]),
-                arena_caps=tuple((_key_from_json(key), int(count))
-                                 for key, count in doc["arena_caps"]),
+                slab_bytes=int(doc["slab_bytes"]),
+                slab_slots=tuple(
+                    SlotSpec(slot, offset, tuple(shape), tuple(strides), dt)
+                    for slot, offset, shape, strides, dt
+                    in doc["slab_slots"]),
+                aliases=tuple(AliasSpec(*entry)
+                              for entry in doc["aliases"]),
                 peak_transient_bytes=int(doc["peak_transient_bytes"]),
                 final_transient_bytes=int(doc["final_transient_bytes"]),
                 instructions=tuple(InstructionSpec.from_dict(entry)
@@ -426,7 +443,6 @@ class PlanSpec:
                 passes=tuple(doc["passes"]),
                 precomputed=tuple(PrecomputedSpec.from_dict(entry)
                                   for entry in doc["precomputed"]),
-                precomputed_bytes=int(doc["precomputed_bytes"]),
                 tuned_variants=tuple(TunedVariantSpec.from_dict(entry)
                                      for entry in doc["tuned_variants"]),
             )
@@ -435,14 +451,20 @@ class PlanSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ExecutionError(f"garbled plan spec: {exc!r}") from None
 
+    @property
+    def precomputed_bytes(self) -> int:
+        """Resident bytes the precomputed slots add (not transient — they
+        live for the plan's lifetime, like state)."""
+        return sum(entry.nbytes for entry in self.precomputed)
+
     def required_kernels(self) -> dict[str, set[str]]:
         """Kernel registry names -> the variants this plan binds.
 
-        Variants: ``base``, ``donating``, ``out``, plus any registered
-        special variant (``winograd_precomputed``). Fused instructions
-        contribute their constituent links (each needing ``base`` and
-        ``out``). What a runtime must provide to execute the plan (the
-        deployment manifest records it).
+        Variants: ``base``, ``donating``, ``out`` (the into-form), plus any
+        registered special variant (``winograd_precomputed``). Fused
+        instructions contribute their constituent links (each needing
+        ``base`` and ``out``). What a runtime must provide to execute the
+        plan (the deployment manifest records it).
         """
         needed: dict[str, set[str]] = {}
         for instr in self.instructions:
@@ -453,7 +475,7 @@ class PlanSpec:
                 continue
             variants = needed.setdefault(instr.kernel, set())
             variants.add(instr.variant)
-            if instr.use_out:
+            if instr.mode == MODE_OUT:
                 variants.add("out")
         return needed
 
@@ -462,73 +484,33 @@ class PlanSpec:
         return {entry.transform for entry in self.precomputed}
 
 
-def arena_key_for(shape: tuple[int, ...], dtype: Any) -> ArenaKey:
-    """The byte bucket a buffer of ``(shape, dtype)`` pools under."""
-    dtype = np.dtype(dtype)
-    count = 1
-    for dim in shape:
-        count *= int(dim)
-    return (count * dtype.itemsize, dtype)
-
-
-def _key_to_json(key: ArenaKey | None) -> list | None:
-    if key is None:
-        return None
-    nbytes, dtype = key
-    return [int(nbytes), np.dtype(dtype).name]
-
-
-def _key_from_json(doc: list | None) -> ArenaKey | None:
-    if doc is None:
-        return None
-    nbytes, dtype = doc
-    return (int(nbytes), np.dtype(dtype))
-
-
+@dataclass(slots=True, eq=False)
 class Instruction:
     """One bound node: slots in, slots out, everything else pre-resolved."""
 
-    __slots__ = ("node", "kernel", "attrs", "input_slots", "output_slots",
-                 "out_kernel", "out_key", "out_shape", "out_dtype",
-                 "donate_slot", "check_state_slots", "frees",
-                 "fresh_outputs", "variant", "const_args", "links")
-
-    def __init__(self, node: Node, kernel, attrs, input_slots, output_slots,
-                 out_kernel, out_key, out_shape, out_dtype, donate_slot,
-                 check_state_slots, frees, fresh_outputs,
-                 variant: str = VARIANT_BASE, const_args=(),
-                 links=None) -> None:
-        self.node = node
-        self.kernel = kernel
-        self.attrs = attrs
-        self.input_slots = input_slots
-        self.output_slots = output_slots
-        #: out=-writing variant (single-output, non-inplace ops only; for
-        #: fused instructions this runs the whole chain through one buffer)
-        self.out_kernel = out_kernel
-        self.out_key = out_key
-        self.out_shape = out_shape
-        self.out_dtype = out_dtype
-        #: slot whose dying buffer the out= kernel writes into (-1: none)
-        self.donate_slot = donate_slot
-        #: mutable-state slots to scan with shares_memory (view ops only)
-        self.check_state_slots = check_state_slots
-        #: (slot, arena_key_or_None) freed after this instruction; a key
-        #: means the buffer is provably unaliased and returns to the arena
-        self.frees = frees
-        #: non-inplace outputs allocated fresh when the out= path is not
-        #: taken (feeds the steady-state allocation metric)
-        self.fresh_outputs = fresh_outputs
-        #: kernel-variant label for profiling ("base", "donating",
-        #: "fused", or a registry variant like "winograd_precomputed")
-        self.variant = variant
-        #: (position, state name) scalar constants folded out of the slot
-        #: space — the executor splices live state values in at these
-        #: positions when assembling the kernel's inputs
-        self.const_args = const_args
-        #: fused instructions only: the bound ``(base_fn, out_fn, attrs,
-        #: args)`` links ``kernel`` / ``out_kernel`` run in order
-        self.links = links
+    node: Node
+    kernel: Callable
+    attrs: dict[str, Any]
+    input_slots: tuple[int, ...]
+    output_slots: tuple[int, ...]
+    mode: str
+    #: the into-form MODE_OUT runs (a fused instruction's runs the whole
+    #: chain through the output's buffer)
+    out_kernel: Callable | None
+    #: register slots dropped after this instruction
+    frees: tuple[int, ...]
+    #: arrays this instruction allocates per step: none when it writes the
+    #: slab, one per result the base kernel returns otherwise
+    allocs: int
+    #: kernel-variant label for profiling ("base", "donating", "fused", or
+    #: a registry variant like "winograd_precomputed")
+    variant: str = VARIANT_BASE
+    #: (position, state name) scalar constants folded out of the slot space
+    #: — the step splices live state values in at these positions
+    const_args: tuple[tuple[int, str], ...] = ()
+    #: fused instructions only: the bound ``(base_fn, out_fn, attrs, args)``
+    #: links ``kernel`` / ``out_kernel`` run in order
+    links: tuple | None = None
 
 
 class ExecutionPlan:
@@ -536,53 +518,51 @@ class ExecutionPlan:
 
     Executing it means calling :meth:`step_function` — Python generated
     from ``instructions`` (:mod:`repro.runtime.codegen`), built on first
-    use and shared by every executor of every ``with_state`` overlay.
+    use and shared by every executor of every ``with_state`` overlay —
+    over the executor's registers and a :class:`BufferSet` borrowed from
+    ``slabs``.
     """
 
-    __slots__ = ("spec", "num_slots", "feed_specs", "state_bindings",
-                 "instructions", "output_slots", "clear_slots", "arena_caps",
-                 "peak_transient_bytes", "final_transient_bytes",
-                 "precomputed", "passes", "_generated", "_generating",
-                 "__weakref__")
+    __slots__ = ("spec", "instructions", "precomputed", "in_slab",
+                 "outputs", "clear_slots", "slabs", "allocs_per_step",
+                 "_generated", "_generating", "__weakref__")
 
-    def __init__(self, spec, num_slots, feed_specs, state_bindings,
-                 instructions, output_slots, clear_slots, arena_caps,
-                 peak_transient_bytes, final_transient_bytes,
-                 precomputed=(), passes=()) -> None:
-        #: the serializable half this plan was bound from
+    def __init__(self, spec: PlanSpec, instructions, precomputed) -> None:
+        #: the serializable half this plan was bound from (slot table,
+        #: feed / state bindings, static byte accounting)
         self.spec = spec
-        self.num_slots = num_slots
-        #: (name, slot) per graph input, in declaration order
-        self.feed_specs = feed_specs
-        #: (slot, name) pairs re-bound from program.state at every step
-        self.state_bindings = state_bindings
         self.instructions = instructions
-        #: (name, slot) per program output
-        self.output_slots = output_slots
-        #: non-state slots reset after each run (don't pin caller arrays)
-        self.clear_slots = clear_slots
-        #: per-key pool bounds for this plan's BufferArena instances
-        self.arena_caps = arena_caps
-        #: static replica of the optimized stream's transient peak (equals
-        #: the interpreter's measurement for an unoptimized stream)
-        self.peak_transient_bytes = peak_transient_bytes
-        self.final_transient_bytes = final_transient_bytes
         #: (slot, state name, transform fn) constant slots the executor
         #: computes once from frozen state and re-publishes every step
         self.precomputed = precomputed
-        #: optimization passes applied at lowering, in order
-        self.passes = passes
+        #: slots that live in the slab (everything else is a register)
+        self.in_slab = frozenset(entry.slot for entry in spec.slab_slots)
+        #: (name, slot, lives in the slab?) per program output — slab
+        #: outputs are copied out, the slab goes back to the pool
+        self.outputs = tuple((name, slot, slot in self.in_slab)
+                             for name, slot in spec.output_slots)
+        #: non-state registers reset after each run (don't pin caller
+        #: arrays or dynamic values)
+        kept = {slot for slot, _ in spec.state_bindings} \
+            | {slot for slot, _, _ in precomputed} | self.in_slab
+        self.clear_slots = tuple(slot for slot in range(spec.num_slots)
+                                 if slot not in kept)
+        #: free list of buffer sets, shared by every executor of this plan
+        self.slabs = SlabPool(spec)
+        #: arrays one step allocates outside the slab (dynamic values and
+        #: base-kernel results copied in); static, like the stream
+        self.allocs_per_step = sum(instr.allocs for instr in instructions)
         #: observed? -> (step function, its source); see step_function
-        self._generated: dict[bool, tuple[Callable[..., int], str]] = {}
+        self._generated: dict[bool, tuple[Callable[..., None], str]] = {}
         self._generating = threading.Lock()
 
     @property
     def num_instructions(self) -> int:
         return len(self.instructions)
 
-    def step_function(self, observed: bool = False) -> Callable[..., int]:
-        """The generated ``step(regs, state, arena, observer,
-        instr_observer) -> fresh allocations`` for this plan.
+    def step_function(self, observed: bool = False) -> Callable[..., None]:
+        """The generated ``step(regs, arrays, state, observer,
+        instr_observer)`` for this plan.
 
         ``observed`` selects the variant that times each kernel and calls
         the observers; the plain one has no trace of them. Each is
@@ -596,7 +576,7 @@ class ExecutionPlan:
         """The generated text :meth:`step_function` runs, chunk by chunk."""
         return self._generate(observed)[1]
 
-    def _generate(self, observed: bool) -> tuple[Callable[..., int], str]:
+    def _generate(self, observed: bool) -> tuple[Callable[..., None], str]:
         built = self._generated.get(observed)
         if built is None:
             with self._generating:
@@ -630,10 +610,11 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
 
     ``nodes`` maps schedule node names to their :class:`~repro.ir.node.
     Node` objects (attributes and the observer identity come from there).
-    This is the *entire* load-time step — no graph analysis, no compiler.
-    Fused instructions bind each constituent link's base and ``out=``
-    kernels into one chain executor; precomputed slots bind their
-    transform functions (the executor applies them lazily, once per
+    This is the *entire* load-time step — no graph analysis, no compiler,
+    and no memory: buffer sets are built by the first steps that need
+    them. Fused instructions bind each constituent link's base and
+    into-form kernels into one chain executor; precomputed slots bind
+    their transform functions (the executor applies them lazily, once per
     session).
 
     Raises:
@@ -651,7 +632,7 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
             raise ExecutionError(
                 f"plan instruction {ispec.node!r} binds kernel "
                 f"{ispec.kernel!r} but the node is {node.op_type!r}")
-        out_kernel = out_key = out_shape = out_dtype = links = None
+        out_kernel = links = None
         attrs = node.attrs
         if ispec.fused is not None:
             links = _bind_fused(ispec, nodes)
@@ -671,22 +652,23 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
             raise ExecutionError(
                 f"runtime lacks {ispec.variant!r} kernel for "
                 f"{ispec.kernel!r}")
-        if ispec.use_out:
-            if out_kernel is None:  # fused chains bound theirs above
-                out_kernel = OUT_KERNELS.get(ispec.kernel)
-                if out_kernel is None:
-                    raise ExecutionError(
-                        f"runtime lacks out= kernel for {ispec.kernel!r}")
-            out_shape = ispec.out_shape
-            out_dtype = np.dtype(ispec.out_dtype)
-            out_key = arena_key_for(out_shape, out_dtype)
+        if ispec.mode == MODE_OUT and out_kernel is None:
+            # fused chains bound theirs above
+            out_kernel = into_form(ispec.kernel, ispec.variant)
+            if out_kernel is None:
+                raise ExecutionError(
+                    f"runtime lacks an into-form for {ispec.variant!r} "
+                    f"{ispec.kernel!r}")
+        if ispec.mode == MODE_OUT or \
+                (links is None and get_schema(ispec.kernel).inplace):
+            allocs = 0
+        else:  # the base kernel materialises every result (every link)
+            allocs = len(links) if links else len(ispec.output_slots)
         instructions.append(Instruction(
             node=node, kernel=kernel, attrs=attrs,
             input_slots=ispec.input_slots, output_slots=ispec.output_slots,
-            out_kernel=out_kernel, out_key=out_key, out_shape=out_shape,
-            out_dtype=out_dtype, donate_slot=ispec.donate_slot,
-            check_state_slots=ispec.check_state_slots, frees=ispec.frees,
-            fresh_outputs=ispec.fresh_outputs,
+            mode=ispec.mode, out_kernel=out_kernel, frees=ispec.frees,
+            allocs=allocs,
             variant="fused" if ispec.fused is not None else ispec.variant,
             const_args=ispec.const_args, links=links))
     precomputed = []
@@ -696,20 +678,7 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
             raise ExecutionError(
                 f"runtime lacks precompute transform {entry.transform!r}")
         precomputed.append((entry.slot, entry.state, transform))
-    return ExecutionPlan(
-        spec=spec,
-        num_slots=spec.num_slots,
-        feed_specs=spec.feed_specs,
-        state_bindings=spec.state_bindings,
-        instructions=tuple(instructions),
-        output_slots=spec.output_slots,
-        clear_slots=spec.clear_slots,
-        arena_caps=dict(spec.arena_caps),
-        peak_transient_bytes=spec.peak_transient_bytes,
-        final_transient_bytes=spec.final_transient_bytes,
-        precomputed=tuple(precomputed),
-        passes=spec.passes,
-    )
+    return ExecutionPlan(spec, tuple(instructions), tuple(precomputed))
 
 
 def _bind_fused(ispec: InstructionSpec, nodes: Mapping[str, Node]):
@@ -726,7 +695,7 @@ def _bind_fused(ispec: InstructionSpec, nodes: Mapping[str, Node]):
                 f"fused link {link.node!r} binds kernel {link.kernel!r} "
                 f"but the node is {node.op_type!r}")
         base = KERNELS.get(link.kernel)
-        out = OUT_KERNELS.get(link.kernel)
+        out = into_form(link.kernel)
         if base is None or out is None:
             raise ExecutionError(
                 f"runtime lacks base/out kernels for fused link "

@@ -169,11 +169,18 @@ class Program:
         run time); only the state mapping is rebuilt. In-place kernels
         mutate the overlay's arrays, so callers providing a fresh overlay
         for each tenant get isolated training state over one compiled
-        program.
+        program. Overlay arrays must be C-contiguous.
         """
         unknown = set(overlay) - set(self.state)
         if unknown:
             raise ExecutionError(
                 f"state overlay names not in program state: {sorted(unknown)}"
             )
+        # The plan's layouts are static facts, state's among them; a copy
+        # made here would take the in-place updates away from the caller.
+        strided = sorted(name for name, array in overlay.items()
+                         if not array.flags.c_contiguous)
+        if strided:
+            raise ExecutionError(
+                f"state overlay arrays must be C-contiguous: {strided}")
         return replace(self, state={**self.state, **overlay})

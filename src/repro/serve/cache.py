@@ -28,8 +28,8 @@ it a once-per-configuration cost under concurrent traffic:
 Cached programs carry their lowered
 :class:`~repro.runtime.plan.ExecutionPlan`, so caching a program caches its
 plan: every tenant session over a variant shares one instruction stream
-through ``Program.with_state`` and only per-session registers/arenas
-differ.
+through ``Program.with_state`` — and one pool of slabs, borrowed per
+running step — and only per-session registers differ.
 """
 
 from __future__ import annotations

@@ -91,8 +91,10 @@ class TenantSession:
         allocates no new engine objects. Each executor runs the variant's
         shared :class:`~repro.runtime.plan.ExecutionPlan` (the state
         overlay shares ``meta``, where the plan is cached) over its own
-        registers and buffer arena, so recycled buffers never cross
-        sessions.
+        registers and state. The slab of intermediates is not the
+        session's: each step borrows one from the plan's pool and returns
+        it, so a plan holds as many slabs as steps ever ran at once, not
+        one per session.
         """
         executor = self._executors.get(key)
         if executor is None:

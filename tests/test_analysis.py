@@ -55,8 +55,36 @@ def _rules(spec, program):
 
 def _mutate_instr(spec, idx, **changes):
     instrs = list(spec.instructions)
-    instrs[idx] = dataclasses.replace(instrs[idx], **changes)
+    instrs[idx] = instrs[idx]._replace(**changes)
     return dataclasses.replace(spec, instructions=tuple(instrs))
+
+
+def _mutate_slot(spec, slot, **changes):
+    table = tuple(entry._replace(**changes) if entry.slot == slot else entry
+                  for entry in spec.slab_slots)
+    return dataclasses.replace(spec, slab_slots=table)
+
+
+def _llama_program():
+    from repro.models import build_model
+
+    return compile_training(build_model("llama_micro"),
+                            optimizer=SGD(0.05))
+
+
+def _direct_lifetimes(spec):
+    """slot -> [first, last] instruction reading or writing it directly
+    (aliases are born at their ``at``)."""
+    life = {}
+    for alias in spec.aliases:
+        life[alias.slot] = [alias.at, alias.at]
+    for idx, ins in enumerate(spec.instructions):
+        for slot in ins.output_slots:
+            life[slot] = [idx, idx]
+        for slot in ins.input_slots:
+            if slot in life:
+                life[slot][1] = idx
+    return life
 
 
 class TestVerifierZeroFalsePositives:
@@ -73,15 +101,16 @@ class TestVerifierZeroFalsePositives:
         assert verify_plan_spec(program.plan_spec(), program) == []
 
     def test_mcunet_sparse_plan_clean(self):
-        """The hardest real plan: fusion, precompute, donations, views."""
+        """The hardest real plan: fusion, precompute, in-place reuse,
+        bind-time views."""
         program = _mcunet_program()
         spec = program.plan_spec()
         assert verify_plan_spec(spec, program) == []
         # Make sure this plan actually exercises the interesting machinery
         # — a clean pass over a trivial plan would prove nothing.
         assert any(i.fused for i in spec.instructions)
-        assert any(i.donate_slot >= 0 for i in spec.instructions)
-        assert spec.precomputed
+        assert any(i.reuse_slot >= 0 for i in spec.instructions)
+        assert spec.precomputed and spec.aliases
 
     def test_roundtripped_spec_clean(self):
         program = _program()
@@ -115,18 +144,17 @@ class TestMutationHarness:
         rules = _rules(bad, program)
         # The leak is caught directly, and the byte ledger disagrees too.
         assert "missing-free" in rules
-        assert rules & {"final-bytes-mismatch", "arena-caps-mismatch",
-                        "clear-slots-mismatch", "missing-free"}
+        assert rules & {"final-bytes-mismatch", "missing-free"}
 
     def test_dropped_state_write(self, victim):
         """Deleting the optimizer apply = weights silently stop training."""
         program, spec = victim
         mutable_slots = {slot for slot, name in spec.state_bindings
                          if name in program.mutable_state_names()}
-        # State writes are in-place (fresh_outputs == 0) instructions
-        # reading a mutable state slot — the SGD apply.
+        # State writes are in-place instructions reading a mutable state
+        # slot — the SGD apply.
         idx = next(i for i, ins in enumerate(spec.instructions)
-                   if ins.fresh_outputs == 0 and not ins.use_out
+                   if ins.kernel.startswith("apply_")
                    and mutable_slots & set(ins.input_slots))
         instrs = spec.instructions[:idx] + spec.instructions[idx + 1:]
         bad = dataclasses.replace(spec, instructions=instrs)
@@ -136,18 +164,117 @@ class TestMutationHarness:
 
     def test_widened_dtype(self, victim):
         program, spec = victim
-        idx = next(i for i, ins in enumerate(spec.instructions)
-                   if ins.out_dtype == "float32")
-        bad = _mutate_instr(spec, idx, out_dtype="float64")
-        assert "out-spec-mismatch" in _rules(bad, program)
+        entry = next(e for e in spec.slab_slots if e.dtype == "float32")
+        bad = _mutate_slot(spec, entry.slot, dtype="float64")
+        assert "slab-layout" in _rules(bad, program)
 
-    def test_lying_arena_caps(self, victim):
+    def test_overlapping_live_buffers(self, victim):
+        """slab-overlap: two buffers live together on the same bytes."""
         program, spec = victim
-        assert spec.arena_caps
-        key, count = spec.arena_caps[0]
-        caps = ((key, count + 1),) + spec.arena_caps[1:]
-        bad = dataclasses.replace(spec, arena_caps=caps)
-        assert "arena-caps-mismatch" in _rules(bad, program)
+        life = _direct_lifetimes(spec)
+        owners = [e for e in spec.slab_slots if len(e.shape) == 2]
+        a, b = next(
+            (a, b) for a in owners for b in owners
+            if a.offset != b.offset and life[a.slot][0] < life[b.slot][0]
+            and life[b.slot][0] <= life[a.slot][1])
+        bad = _mutate_slot(spec, b.slot, offset=a.offset)
+        assert "slab-overlap" in _rules(bad, program)
+
+    def test_slot_outside_the_slab(self, victim):
+        program, spec = victim
+        entry = spec.slab_slots[0]
+        bad = _mutate_slot(spec, entry.slot, offset=spec.slab_bytes)
+        assert "slab-overlap" in _rules(bad, program)
+
+    def test_strided_owner(self, victim):
+        """slab-layout: an into-form's output slot must be declared the
+        C-contiguous array its kernel writes."""
+        program, spec = victim
+        entry = next(e for e in spec.slab_slots
+                     if len(e.shape) == 2 and min(e.shape) > 1)
+        rows, cols = entry.shape
+        item = np.dtype(entry.dtype).itemsize
+        bad = _mutate_slot(spec, entry.slot, strides=(item, item * rows))
+        assert "slab-layout" in _rules(bad, program)
+
+    def test_into_form_over_a_strided_input(self):
+        """slab-layout: every ``out=`` input is declared C-contiguous. An
+        elementwise op over a transposed view must keep its base kernel."""
+        from repro.ir import GraphBuilder
+        from repro.runtime import Program
+
+        b = GraphBuilder("g")
+        x = b.input("x", (3, 4))
+        h = b.emit("tanh", [x])
+        t = b.emit("transpose", [h], {"perm": (1, 0)})
+        b.mark_output(b.emit("relu", [t]))
+        program = Program.from_graph(b.graph)
+        spec = program.plan_spec()
+        assert verify_plan_spec(spec, program) == []
+        idx, relu = next((i, ins) for i, ins in enumerate(spec.instructions)
+                         if ins.kernel == "relu")
+        assert relu.mode == "base" and len(spec.aliases) == 1
+        # pretend the result were a C-contiguous slab slot
+        donor = next(e for e in spec.slab_slots
+                     if e.slot == spec.aliases[0].slot)
+        table = spec.slab_slots + (donor._replace(
+            slot=relu.output_slots[0], offset=spec.slab_bytes,
+            strides=(12, 4)),)
+        bad = dataclasses.replace(
+            _mutate_instr(spec, idx, mode="out"), slab_slots=table,
+            slab_bytes=spec.slab_bytes + 64)
+        assert "slab-layout" in _rules(bad, program)
+
+    def test_alias_with_made_up_strides(self):
+        """slab-layout: a view's declared strides are numpy's."""
+        program = _mcunet_program()
+        spec = program.plan_spec()
+        alias = spec.aliases[0]
+        entry = next(e for e in spec.slab_slots if e.slot == alias.slot)
+        bad = _mutate_slot(spec, alias.slot,
+                           strides=tuple(2 * s for s in entry.strides))
+        assert "slab-layout" in _rules(bad, program)
+
+    def test_alias_before_its_base(self):
+        """alias-lifetime: a view cannot precede the value it views."""
+        program = _mcunet_program()
+        spec = program.plan_spec()
+        alias = spec.aliases[0]
+        assert alias.at > 0
+        bad = dataclasses.replace(
+            spec, aliases=(alias._replace(at=0),) + spec.aliases[1:])
+        assert "alias-lifetime" in _rules(bad, program)
+
+    def test_bytes_reused_under_a_live_view(self):
+        """alias-lifetime: a base outlives its views. The base is read for
+        the last time, its view is not — and another buffer moves in."""
+        program = _llama_program()
+        spec = program.plan_spec()
+        life = _direct_lifetimes(spec)
+        by_slot = {e.slot: e for e in spec.slab_slots}
+        aliased = {a.slot for a in spec.aliases}
+        nbytes = lambda e: int(np.prod(e.shape)) \
+            * np.dtype(e.dtype).itemsize  # noqa: E731
+        found = None
+        for alias in spec.aliases:
+            if alias.base in aliased:
+                continue
+            base_dies, view_dies = life[alias.base][1], life[alias.slot][1]
+            for entry in spec.slab_slots:
+                if entry.slot in aliased or entry.slot == alias.base:
+                    continue
+                born, dies = life[entry.slot]
+                if base_dies < born and dies <= view_dies \
+                        and 0 < nbytes(entry) <= nbytes(by_slot[alias.base]):
+                    found = (entry, by_slot[alias.base])
+                    break
+            if found:
+                break
+        assert found, "no view outliving its base in llama_micro?"
+        squatter, base = found
+        bad = _mutate_slot(spec, squatter.slot, offset=base.offset)
+        rules = _rules(bad, program)
+        assert "alias-lifetime" in rules and "slab-overlap" not in rules
 
     def test_lying_peak_bytes(self, victim):
         program, spec = victim
@@ -163,12 +290,13 @@ class TestMutationHarness:
             for slot in ins.input_slots:
                 last_read[slot] = i
         state_slots = {slot for slot, _ in spec.state_bindings}
+        in_slab = {entry.slot for entry in spec.slab_slots}
         idx, slot = next(
             (i, s) for i, ins in enumerate(spec.instructions)
             for s in ins.input_slots
-            if s not in state_slots and last_read[s] > i)
+            if s not in state_slots | in_slab and last_read[s] > i)
         old = spec.instructions[idx].frees
-        bad = _mutate_instr(spec, idx, frees=old + ((slot, None),))
+        bad = _mutate_instr(spec, idx, frees=old + (slot,))
         assert "use-after-free" in _rules(bad, program)
 
     def test_phantom_node(self, victim):
@@ -177,18 +305,39 @@ class TestMutationHarness:
         assert "unknown-node" in _rules(bad, program)
 
     def test_bad_donation(self, victim):
-        """Donating a buffer that is still alive aliases live data."""
+        """Writing over an input that is still alive aliases live data."""
         program, spec = victim
         state_slots = {slot for slot, _ in spec.state_bindings}
         idx = next(i for i, ins in enumerate(spec.instructions)
-                   if ins.use_out and ins.donate_slot < 0
+                   if ins.mode == "out" and ins.reuse_slot < 0
                    and any(s not in state_slots for s in ins.input_slots))
         ins = spec.instructions[idx]
         slot = next(s for s in ins.input_slots if s not in state_slots)
-        bad = _mutate_instr(spec, idx, donate_slot=slot)
+        bad = _mutate_instr(spec, idx, reuse_slot=slot)
         rules = _rules(bad, program)
         assert rules & {"donation-not-freed", "donation-unsafe",
                         "donation-alias-unsafe", "donation-shape-mismatch"}
+
+    def test_fused_link_misreads_its_inputs(self, victim):
+        program, spec = victim
+        idx, ins = next((i, ins) for i, ins in enumerate(spec.instructions)
+                        if ins.fused and len(ins.input_slots) >= 2)
+        from repro.runtime import FusedLinkSpec
+
+        first = ins.fused[0]
+        swapped = FusedLinkSpec(first.node, first.kernel,
+                                tuple(reversed(first.args)))
+        if swapped != first:
+            bad = _mutate_instr(spec, idx, fused=(swapped,) + ins.fused[1:])
+            assert _rules(bad, program) & {"fused-arg-mismatch",
+                                           "input-slot-mismatch"}
+        headless = FusedLinkSpec(first.node, first.kernel,
+                                 (None,) + first.args[1:])
+        bad = _mutate_instr(spec, idx, fused=(headless,) + ins.fused[1:])
+        assert "fused-chain-break" in _rules(bad, program)
+        bad = _mutate_instr(spec, idx, const_args=((99, "nope"),))
+        assert {"const-arg-position", "const-arg-source"} \
+            <= _rules(bad, program)
 
     def test_redirected_output_slot(self, victim):
         program, spec = victim

@@ -1,16 +1,17 @@
-"""Arena safety: recycled/donated buffers must never alias live values.
+"""Slab safety: bytes of the static slab must never alias live values.
 
-The plan's recycling rules are static, so the property to defend is
-dynamic: across many randomized graphs and repeated steps, a buffer sitting
-in the arena free-list can never share memory with (a) any array the last
-run returned, (b) any mutable state entry, or (c) any buffer also in the
-free-list. And because recycling overwrites buffers, every randomized
-program is also cross-checked value-for-value against the interpreter —
-an aliasing hole would surface as silent corruption there.
+The plan's memory layout is static, so the property to defend is dynamic:
+across many randomized graphs and repeated steps, a slab waiting in the
+plan's pool can never share memory with (a) any array the last run
+returned, (b) any mutable state entry, or (c) a feed. And because every
+step overwrites the slab — two values may occupy the same bytes at
+different times, an output may take over a dying input's — every
+randomized program is also cross-checked value-for-value against the
+interpreter: an overlap or lifetime hole would surface as silent
+corruption there.
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -120,17 +121,19 @@ def _push_layout_case(b, rng, push, w, src, bound, degree):
         push(b.emit("reshape", [w], {"shape": (16,)}), 0.25, 1)
 
 
+def pooled_slabs(executor):
+    return [buffers.slab for buffers in executor.arena._free]
+
+
 def assert_arena_disjoint(executor, outputs):
+    """Nothing the caller can see lives in a pooled slab."""
     live = list(outputs.values()) + list(executor.program.state.values())
-    for buf in executor.arena.buffers():
+    slabs = pooled_slabs(executor)
+    assert slabs, "the step's slab went back to the pool"
+    for slab in slabs:
         for arr in live:
-            assert not np.shares_memory(buf, arr), \
-                "arena buffer aliases a live value"
-    pooled = executor.arena.buffers()
-    for i, a in enumerate(pooled):
-        for other in pooled[i + 1:]:
-            assert not np.shares_memory(a, other), \
-                "arena holds two views of one buffer"
+            assert not np.shares_memory(slab, arr), \
+                "a pooled slab aliases a live value"
 
 
 class TestRandomizedGraphs:
@@ -153,9 +156,9 @@ class TestRandomizedGraphs:
                     out_plan[name], out_int[name],
                     err_msg=f"seed {seed} step {step} output {name}")
             assert_arena_disjoint(ex_plan, out_plan)
-            # feeds are caller-owned and must never enter the pool
-            for buf in ex_plan.arena.buffers():
-                assert not np.shares_memory(buf, feeds["x"])
+            # feeds are caller-owned and never part of a slab
+            for slab in pooled_slabs(ex_plan):
+                assert not np.shares_memory(slab, feeds["x"])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
@@ -193,47 +196,61 @@ class TestRandomizedGraphs:
 
 
 class TestDonationSafety:
-    def test_donated_buffer_becomes_output_not_pool_entry(self, rng):
-        """When an instruction donates a dying input as its output buffer,
-        that buffer is live again — it must not simultaneously sit in the
-        free-list."""
+    """In-place reuse — what donation became: two slots at one offset."""
+
+    def test_chain_runs_in_one_buffer(self, rng):
+        """An alias-safe output takes over the bytes of a same-shape input
+        dying at its instruction: the whole chain is one slab buffer."""
         b = GraphBuilder("chain")
         x = b.input("x", (32, 32))
         h = b.emit("relu", [x])
-        h = b.emit("tanh", [h])     # donates relu's buffer
-        h = b.emit("relu", [h])     # donates tanh's buffer
+        h = b.emit("tanh", [h])     # writes over relu's bytes
+        h = b.emit("relu", [h])     # writes over tanh's
         h = b.emit("mul", [h, h])
-        y = b.emit("reduce_sum", [h])  # frees mul's buffer into the pool
+        y = b.emit("reduce_sum", [h])
         b.mark_output(y)
-        ex = Executor(Program.from_graph(b.graph))
+        program = Program.from_graph(b.graph)
+        spec = program.plan_spec()
+        ex = Executor(program)
         feeds = {"x": rng.standard_normal((32, 32)).astype(np.float32)}
+        want = Executor(Program.from_graph(b.graph),
+                        backend="interpreter").run(feeds)
         for _ in range(3):
             out = ex.run(feeds)
             assert_arena_disjoint(ex, out)
-        # Steady state: the whole elementwise chain runs on recycled +
-        # donated buffers (the buffer freed at the reduce feeds the next
-        # step's relu); only reduce_sum (no out= variant) allocates.
-        assert ex.last_step_fresh_allocs == 1
+            np.testing.assert_array_equal(out[y], want[y])
+        # Every instruction writes the slab; nothing is allocated.
+        assert ex.last_step_fresh_allocs == 0
+        assert all(instr.mode == "out" for instr in spec.instructions)
+        # the feed is caller-owned, so relu opens the buffer; the rest of
+        # the elementwise chain lives in it
+        assert spec.slab_bytes == 32 * 32 * 4 + 64
+        assert ex.slab_bytes == spec.slab_bytes
 
     def test_view_consumers_block_recycling(self, rng):
-        """A value consumed by reshape stays unpooled: the view must remain
-        valid after the producer's slot is freed."""
+        """A value some view still reads keeps its bytes: the reshape is
+        an alias of the same buffer, so relu's bytes must outlive it."""
         b = GraphBuilder("views")
         x = b.input("x", (8, 8))
         h = b.emit("relu", [x])
         v = b.emit("reshape", [h], {"shape": (64,)})
-        y = b.emit("tanh", [v])
+        t = b.emit("tanh", [h])     # h dies here, but v views its bytes
+        y = b.add(b.emit("reshape", [t], {"shape": (64,)}), v)
         b.mark_output(y)
-        ex = Executor(Program.from_graph(b.graph))
+        program = Program.from_graph(b.graph)
+        spec = program.plan_spec()
+        assert len(spec.aliases) == 2
+        tanh = next(i for i in spec.instructions if i.kernel == "tanh")
+        assert tanh.reuse_slot == -1
         feeds = {"x": rng.standard_normal((8, 8)).astype(np.float32)}
-        out1 = ex.run(feeds)
-        for buf in ex.arena.buffers():
-            for arr in out1.values():
-                assert not np.shares_memory(buf, arr)
+        got = Executor(program).run(feeds)
+        want = Executor(Program.from_graph(b.graph),
+                        backend="interpreter").run(feeds)
+        np.testing.assert_array_equal(got[y], want[y])
 
     def test_multi_step_stability_under_recycling(self, rng):
-        """Recycled buffers carry garbage from prior steps; results must
-        still be bit-stable run over run for identical feeds."""
+        """The slab carries garbage from prior steps; results must still
+        be bit-stable run over run for identical feeds."""
         b = GraphBuilder("stable")
         x = b.input("x", (16, 16))
         h = b.emit("relu", [x])

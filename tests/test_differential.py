@@ -12,14 +12,15 @@ may only be lower once a pass removed an intermediate.
 The generator is ``tests/test_arena_safety.py``'s with ``layouts=True``:
 besides the zoo's shapes of aliasing it draws elementwise ops over
 transposed operands, views of the feed and of the parameter, and reshapes
-that must copy. Seeds that ever failed are pinned as ``@example``s.
+that must copy. (No seed has failed on the plan backend so far; one that
+does gets pinned here as an ``@example``.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AutodiffError
@@ -41,17 +42,18 @@ def config_id(config) -> str:
 
 def compile_random(seed: int, ratio: float, passes, autotune):
     """The seed's random training program under one compile configuration,
-    and the generator's rng (for feeds)."""
+    and the generator's rng (for feeds).
+
+    Raises:
+        AutodiffError: the random DAG routed the output around ``w``.
+    """
     rng = np.random.default_rng(seed)
     b = random_forward(rng, layouts=True, state_views=ratio == 1.0)
-    try:
-        program = compile_training(
-            b.graph, loss="mse", optimizer=SGD(0.01, momentum=0.9),
-            scheme=UpdateScheme("w", {"w": ratio}),
-            options=CompileOptions(plan_passes=passes, autotune=autotune,
-                                   verify_plans=True))
-    except AutodiffError:
-        assume(False)  # the random DAG routed the output around w
+    program = compile_training(
+        b.graph, loss="mse", optimizer=SGD(0.01, momentum=0.9),
+        scheme=UpdateScheme("w", {"w": ratio}),
+        options=CompileOptions(plan_passes=passes, autotune=autotune,
+                               verify_plans=True))
     return program, rng
 
 
@@ -86,7 +88,10 @@ def assert_matches_interpreter(program, rng, steps: int = 3) -> None:
 @given(seed=st.integers(0, 100_000))
 @settings(max_examples=25, deadline=None)
 def test_plan_equals_interpreter(ratio, passes, autotune, seed):
-    program, rng = compile_random(seed, ratio, passes, autotune)
+    try:
+        program, rng = compile_random(seed, ratio, passes, autotune)
+    except AutodiffError:
+        assume(False)  # nothing to train
     assert_matches_interpreter(program, rng)
 
 

@@ -252,7 +252,7 @@ class TestWinograd:
         ``algo="winograd"`` kernel, the ``winograd_precomputed`` variant
         fed by the registered transform, and a call whose every scratch
         buffer is recycled dirty memory must agree byte for byte."""
-        from repro.runtime.plan import BufferArena
+        from repro.kernels.workspace import BufferArena
 
         x = rng.standard_normal((2, 3) + hw).astype(np.float32)
         w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
@@ -271,7 +271,7 @@ class TestWinograd:
         try:
             # NaN in, NaN through every scratch buffer, all handed back.
             run_op("conv2d", [np.full_like(x, np.nan), w, bias], attrs)
-            assert arena.recycled > 0
+            assert arena.buffers()
             taken = arena.takes
             [recycled] = variant([x, w, bias, u], attrs)
             assert arena.takes > taken, "second call recycled nothing"

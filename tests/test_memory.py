@@ -1,4 +1,4 @@
-"""Liveness analysis, memory profiler, arena planner — including the
+"""Liveness analysis, memory profiler, slab placement — including the
 cross-check that the analytical profiler matches the executor's measured
 peak exactly."""
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MemoryPlanError
 from repro.ir import GraphBuilder
-from repro.memory import (plan_arena, profile_memory, value_lifetimes)
+from repro.memory import SlabPlan, place, profile_memory, value_lifetimes
 from repro.runtime import Executor, Program
 from repro.runtime.compiler import CompileOptions, compile_training
 from repro.sparse import UpdateScheme, bias_only, full_update
@@ -108,58 +108,97 @@ class TestSparseMemorySavings:
             < peak_held.peak_transient_bytes
 
 
+def live_peak(intervals):
+    """Most bytes live at once: the lower bound of any placement."""
+    moments = {t for _, birth, death in intervals for t in (birth, death)}
+    return max(sum(size for size, birth, death in intervals
+                   if birth <= t <= death) for t in moments)
+
+
+def slab_intervals(program):
+    """(bytes, birth, death) of every slab owner of ``program``'s plan,
+    lifetimes taken from the instruction stream, plus their offsets."""
+    spec = program.plan_spec()
+    owners = {e.slot: e for e in spec.slab_slots}
+    for alias in spec.aliases:
+        owners.pop(alias.slot)
+    root = {slot: slot for slot in owners}
+    for alias in spec.aliases:
+        root[alias.slot] = root[alias.base]
+    kept = {slot for _, slot in spec.output_slots}
+    life = {}
+    for idx, instr in enumerate(spec.instructions):
+        for slot in instr.output_slots:
+            if slot in owners:
+                life[slot] = [idx, idx]
+        for slot in instr.input_slots:
+            if slot in root:
+                life[root[slot]][1] = idx
+    for slot, owner in root.items():
+        if slot in kept:
+            life[owner][1] = len(spec.instructions)
+    # in-place reuse: the output is its input's buffer living on
+    for instr in spec.instructions:
+        if instr.reuse_slot >= 0:
+            out = instr.output_slots[0]
+            life[out][0] = life.pop(instr.reuse_slot)[0]
+    slots = sorted(life)
+    sizes = [int(np.prod(owners[s].shape)) * np.dtype(owners[s].dtype).itemsize
+             for s in slots]
+    return spec, [owners[s].offset for s in slots], \
+        [(size, *life[s]) for s, size in zip(slots, sizes)]
+
+
 class TestArenaPlanner:
     def test_plan_validates(self):
         b, _ = make_mlp_graph()
         program = compile_training(b.graph, optimizer=SGD(0.1))
-        plan = plan_arena(program.graph, program.schedule)
-        plan.validate(program.graph)
-        assert plan.arena_bytes > 0
+        spec, offsets, intervals = slab_intervals(program)
+        SlabPlan(spec.slab_bytes, offsets, intervals).validate()
+        assert spec.slab_bytes >= live_peak(intervals) > 0
 
     def test_arena_at_least_peak_and_bounded(self):
         b, _ = make_mlp_graph(batch=8, din=16, dhidden=24, dout=4)
         program = compile_training(b.graph, optimizer=SGD(0.1))
-        plan = plan_arena(program.graph, program.schedule, alignment=1)
-        profile = profile_memory(program.graph, program.schedule)
-        assert plan.arena_bytes >= profile.peak_transient_bytes
-        # Greedy best-fit should stay within 2x of the lower bound here.
-        assert plan.arena_bytes <= 2 * profile.peak_transient_bytes
+        _, _, intervals = slab_intervals(program)
+        plan = place(intervals, alignment=1)
+        assert plan.slab_bytes >= live_peak(intervals)
+        # Greedy first-fit should stay within 2x of the lower bound here.
+        assert plan.slab_bytes <= 2 * live_peak(intervals)
 
     def test_overlap_detection_fires(self):
         b, _ = make_mlp_graph()
         program = compile_training(b.graph, optimizer=SGD(0.1))
-        plan = plan_arena(program.graph, program.schedule)
-        if len(plan.offsets) >= 2:
-            # Force two live-overlapping tensors to the same offset.
-            names = sorted(plan.offsets,
-                           key=lambda n: -program.graph.spec(n).nbytes)
-            a = names[0]
-            overlapping = [
-                n for n in names[1:]
-                if plan.lifetimes[n].overlaps(plan.lifetimes[a])
-            ]
-            if overlapping:
-                plan.offsets[overlapping[0]] = plan.offsets[a]
-                with pytest.raises(MemoryPlanError):
-                    plan.validate(program.graph)
+        spec, offsets, intervals = slab_intervals(program)
+        # Force two buffers that are live together to the same offset.
+        order = sorted(range(len(intervals)), key=lambda i: -intervals[i][0])
+        a = order[0]
+        clash = next(i for i in order[1:] if intervals[i][0]
+                     and intervals[i][1] <= intervals[a][2]
+                     and intervals[a][1] <= intervals[i][2])
+        offsets[clash] = offsets[a]
+        with pytest.raises(MemoryPlanError):
+            SlabPlan(spec.slab_bytes, offsets, intervals).validate()
+
+    def test_lifetimes_are_closed(self):
+        """A buffer dying where another is born is live with it."""
+        plan = place([(64, 0, 3), (64, 3, 5), (64, 4, 6)])
+        assert plan.offsets[0] != plan.offsets[1]
+        assert plan.offsets[2] == plan.offsets[0]
+        assert plan.slab_bytes == 128
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_random_graph_plans_never_overlap(self, seed):
-        """Property: arena placement never overlaps live tensors."""
+        """Property: placement never overlaps live buffers, covers the
+        live set, and is aligned."""
         rng = np.random.default_rng(seed)
-        b = GraphBuilder("g")
-        values = [b.input("x", (int(rng.integers(1, 8)), 4))]
-        for i in range(int(rng.integers(2, 10))):
-            src = values[int(rng.integers(0, len(values)))]
-            if rng.random() < 0.5:
-                values.append(b.emit("relu", [src]))
-            else:
-                other = values[int(rng.integers(0, len(values)))]
-                if b.shape(src) == b.shape(other):
-                    values.append(b.add(src, other))
-                else:
-                    values.append(b.emit("tanh", [src]))
-        b.mark_output(values[-1])
-        plan = plan_arena(b.graph)
-        plan.validate(b.graph)
+        intervals = []
+        for _ in range(int(rng.integers(1, 40))):
+            birth = int(rng.integers(0, 30))
+            intervals.append((int(rng.integers(0, 5000)), birth,
+                              birth + int(rng.integers(0, 12))))
+        plan = place(intervals)
+        plan.validate()
+        assert all(offset % 64 == 0 for offset in plan.offsets)
+        assert plan.slab_bytes >= live_peak(intervals)

@@ -187,11 +187,17 @@ class TestEdgeSemantics:
         labels = program.meta["labels"]
         ex = assert_equivalent(program, lambda step: {"x": xv, labels: y},
                                steps=4)
-        # and the plan hoisted the check: only the transpose needs scanning
-        plan = ex.plan
-        checked = [i.node.op_type for i in plan.instructions
-                   if i.check_state_slots]
-        assert set(checked) <= {"transpose", "reshape", "slice"}
+        # and the plan decided it statically: a view of state is a copy
+        # into its own slab slot, never an alias or a runtime view
+        spec = ex.plan.spec
+        in_slab = {entry.slot for entry in spec.slab_slots}
+        state_slots = {slot for slot, _ in spec.state_bindings}
+        assert not any(alias.base in state_slots for alias in spec.aliases)
+        for ins in spec.instructions:
+            if ins.kernel in ("transpose", "reshape", "slice") \
+                    and set(ins.input_slots) & state_slots:
+                assert ins.mode == "out"
+                assert set(ins.output_slots) <= in_slab
 
     def test_dead_outputs_freed_identically(self):
         b = GraphBuilder("dead")
@@ -242,7 +248,7 @@ class TestEdgeSemantics:
 
     def test_outputs_survive_later_steps(self, rng):
         """Arrays returned from step k must never be clobbered by the
-        arena recycling of step k+1 (outputs are never recycled)."""
+        slab of step k+1 (returned outputs are copied out of it)."""
         b, names = make_mlp_graph(seed=4)
         program = Program.from_graph(b.graph)
         ex = Executor(program)
@@ -279,7 +285,7 @@ class TestPlanStructure:
         # exactly; the optimized default can only shave the peak.
         assert build_plan_spec(program, passes="none").peak_transient_bytes \
             == profile.peak_transient_bytes
-        assert program.plan().peak_transient_bytes \
+        assert program.plan_spec().peak_transient_bytes \
             <= profile.peak_transient_bytes
 
     def test_bad_schedule_rejected_at_build(self):
@@ -296,9 +302,9 @@ class TestPlanStructure:
             Executor(Program.from_graph(b.graph), backend="jit")
 
     def test_steady_state_allocations_reach_floor(self, rng):
-        """After warmup every out=-capable instruction draws from the
-        arena (or a donated input): the only fresh output buffers left are
-        from kernels with no out= variant."""
+        """From the first step on every into-form writes the slab: the only
+        arrays a step allocates are the results of kernels without one
+        (copied into the slab) — a static count, read off the plan."""
         b, _ = make_mlp_graph(seed=6)
         program = compile_training(b.graph, optimizer=SGD(0.1))
         ex = Executor(program)
@@ -308,10 +314,11 @@ class TestPlanStructure:
         first = ex.last_step_fresh_allocs
         for _ in range(3):
             ex.run(feeds)
-        floor = sum(i.fresh_outputs for i in ex.plan.instructions
-                    if i.out_kernel is None)
-        assert ex.last_step_fresh_allocs == floor
-        assert first > floor  # warmup really did allocate more
+        floor = sum(len(i.output_slots) for i in ex.plan.spec.instructions
+                    if i.mode == "copy")
+        assert ex.last_step_fresh_allocs == floor == first
+        assert not any(i.mode == "base" and not i.kernel.startswith("apply_")
+                       for i in ex.plan.spec.instructions)
         ex_int = Executor(program, backend="interpreter")
         ex_int.run(feeds)
         assert ex_int.last_step_fresh_allocs > ex.last_step_fresh_allocs

@@ -270,8 +270,8 @@ class TestFusionStructure:
 
 class TestDonationInterplay:
     def test_later_link_reader_blocks_donation(self, rng):
-        """An input a *later* link still reads must never become the
-        chain's output buffer — the first link's write would clobber it."""
+        """An input a *later* link still reads must never share the
+        chain's output bytes — the first link's write would clobber it."""
         b = GraphBuilder("nodonate")
         x = b.input("x", (32, 32))
         t = b.emit("tanh", [x])         # materialised: two consumers below
@@ -285,8 +285,8 @@ class TestDonationInterplay:
         assert len(chain) == 1
         assert [link.kernel for link in chain[0].fused] == ["relu", "mul"]
         # t dies at the fused instruction and matches the output's shape —
-        # it would be donated if the safety rule did not block it.
-        assert chain[0].donate_slot == -1
+        # its bytes would be reused if the safety rule did not block it.
+        assert chain[0].reuse_slot == -1
         ex = Executor(program)
         ex_int = Executor(Program.from_graph(b.graph),
                           backend="interpreter")
@@ -298,7 +298,7 @@ class TestDonationInterplay:
                 assert got[name].tobytes() == want[name].tobytes()
 
     def test_first_link_only_input_is_donated(self, rng):
-        """A dying input read only by the first link is safe to donate:
+        """A dying input read only by the first link is safe to reuse:
         the chain writes over it exactly as an alias-safe out= would."""
         b = GraphBuilder("donate")
         x = b.input("x", (16, 16))
@@ -313,7 +313,10 @@ class TestDonationInterplay:
         spec = build_plan_spec(program, passes="default")
         chain = [i for i in spec.instructions if i.fused is not None]
         assert len(chain) == 1
-        assert chain[0].donate_slot >= 0
+        assert chain[0].reuse_slot >= 0
+        offsets = {e.slot: e.offset for e in spec.slab_slots}
+        assert offsets[chain[0].reuse_slot] \
+            == offsets[chain[0].output_slots[0]]
         ex = Executor(program)
         ex_int = Executor(Program.from_graph(b.graph),
                           backend="interpreter")
@@ -576,15 +579,15 @@ class TestPretransposedMatmul:
 
 
 class TestSpecCompatAndConfig:
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_spec_versions_refused(self, version):
-        """No compat shims: an older document — even one that would
-        decode field-for-field, like a v3 whose Winograd slot declares
-        the ``(O, C, 4, 4)`` layout this runtime's kernel cannot consume —
-        raises ``PlanVersionError`` and the cache recompiles."""
+        """No compat shims: an older document — a v3 whose Winograd slot
+        declares the ``(O, C, 4, 4)`` layout this runtime's kernel cannot
+        consume, a v4 written for the dynamic buffer arena — raises
+        ``PlanVersionError`` and the cache recompiles."""
         b, _ = make_mlp_graph()
         doc = build_plan_spec(Program.from_graph(b.graph)).to_dict()
-        assert doc["plan_version"] == 4
+        assert doc["plan_version"] == 5
         doc["plan_version"] = version
         with pytest.raises(PlanVersionError):
             PlanSpec.from_dict(json.loads(json.dumps(doc)))

@@ -207,16 +207,16 @@ def test_remat_equivalence_on_random_graphs(seed, fraction):
 @given(st.integers(0, 1000))
 @settings(max_examples=15, deadline=None)
 def test_arena_plan_never_overlaps_random_graphs(seed):
-    from repro.memory import plan_arena
+    from repro.analysis import verify_program
 
     graph, _ = random_dag(seed)
     schedule = memory_aware_schedule(graph)
-    plan = plan_arena(graph, schedule)
-    plan.validate(graph)  # raises on any overlap
+    program = Program.from_graph(graph, schedule)
+    # slab-overlap / slab-layout / alias-lifetime among the rules
+    assert verify_program(program) == []
     peak = profile_memory(graph, schedule).peak_transient_bytes
-    # The arena can pad for alignment but must cover the peak's tensors.
-    assert plan.arena_bytes >= 0
-    assert plan.arena_bytes <= max(4 * peak, 1024)
+    # The slab pads for alignment but stays near what is live at once.
+    assert 0 <= program.plan_spec().slab_bytes <= max(4 * peak, 1024)
 
 
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 6))

@@ -123,7 +123,8 @@ class TestCLI:
     def test_memory(self, capsys):
         assert cli_main(["memory", "--model", "mcunet_micro",
                          "--sparse"]) == 0
-        assert "static arena" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "static slab" in out and "slab / plan peak" in out
 
     def test_scheme(self, capsys):
         assert cli_main(["scheme", "--model", "bert_micro"]) == 0

@@ -1,0 +1,274 @@
+"""The memory plan is the allocation: what the executor holds is what the
+plan declared, and nothing in a step depends on what the slab held before.
+
+* measured, not copied: ``Executor.slab_bytes`` is the size of the
+  ``uint8`` buffer the step really ran in; it equals the spec's
+  ``slab_bytes`` and stays under the plan's own ``peak_transient_bytes``
+  on all twelve zoo programs;
+* a poisoned slab changes nothing: every slot is written before it is
+  read, on every step — NaN-filled and ``0xA5``-filled slabs give the
+  interpreter's bytes;
+* every static layout fact is what the interpreter's arrays really look
+  like (the kernel layout contract, the alias strides), checked against a
+  shadow run on the zoo and on random graphs;
+* the slab belongs to a running step: borrowed from the plan's pool, back
+  in it whether the step returns or raises; ``detach()`` still leaves an
+  executor holding nothing borrowed.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.errors import AutodiffError, ExecutionError
+from repro.kernels import VIEW_OPS
+from repro.runtime import BufferSet, Executor
+from repro.runtime import executor as executor_module
+from repro.runtime.compiler import compile_training
+from repro.train import SGD
+
+from conftest import make_mlp_graph
+from test_codegen import assert_same_bytes, make_feeds, relowered
+from test_compile_single_sweep import ZOO_PROGRAMS, compile_zoo
+from test_differential import compile_random
+from test_plan import fork
+
+
+@pytest.fixture(scope="module", params=ZOO_PROGRAMS,
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def zoo_program(request):
+    return compile_zoo(*request.param)
+
+
+class TestMeasuredNotCopied:
+    def test_executor_holds_the_declared_slab(self, zoo_program):
+        spec = zoo_program.plan_spec()
+        executor = Executor(fork(zoo_program))
+        assert executor.slab_bytes == 0
+        executor.run(make_feeds(zoo_program, np.random.default_rng(0)))
+        assert executor.slab_bytes == spec.slab_bytes
+        assert executor.arena.retained_bytes() == spec.slab_bytes
+        assert 0 < spec.slab_bytes <= spec.peak_transient_bytes
+        assert executor.peak_transient_bytes == spec.peak_transient_bytes
+        # what a step allocates outside the slab is a count, not a guess
+        assert executor.last_step_fresh_allocs == sum(
+            len(i.output_slots) for i in spec.instructions
+            if i.mode == "copy" or (i.mode == "base"
+                                    and not i.kernel.startswith("apply_")))
+
+    def test_llama_full_update_counts(self):
+        """The numbers CI pins on ``train_llm_full``."""
+        spec = compile_zoo("llama_micro", "full_update").plan_spec()
+        assert len(spec.instructions) <= 400
+        assert len(spec.aliases) >= 90
+        executor = Executor(fork(compile_zoo("llama_micro", "full_update")))
+        executor.run(make_feeds(executor.program, np.random.default_rng(0)))
+        assert executor.last_step_fresh_allocs < 20
+
+
+class TestPoisonedSlab:
+    @pytest.mark.parametrize("poison", ["nan", "0xA5"])
+    def test_results_do_not_depend_on_what_the_slab_held(self, zoo_program,
+                                                         poison):
+        """A read-before-write or a stale view would read the poison."""
+        dut = Executor(fork(zoo_program))
+        ref = Executor(fork(relowered(zoo_program, "none")),
+                       backend="interpreter")
+        pool = zoo_program.plan().slabs
+        rng = np.random.default_rng(1)
+        for step in range(3):
+            buffers = pool.take()
+            if poison == "nan":
+                buffers.slab.view(np.float32)[...] = np.nan
+            else:
+                buffers.slab[...] = 0xA5
+            pool.give(buffers)
+            feeds = make_feeds(zoo_program, rng)
+            got, want = dut.run(feeds), ref.run(feeds)
+            for name in want:
+                assert_same_bytes(got[name], want[name],
+                                  f"step {step} {name}")
+        for name in sorted(zoo_program.state):
+            assert_same_bytes(dut.program.state[name],
+                              ref.program.state[name], f"state {name}")
+
+
+def shadow_layouts(program, feeds):
+    """name -> the array the interpreter really produced for it."""
+    produced = []
+    run_op = executor_module.run_op
+
+    def recording(op_type, inputs, attrs):
+        results = run_op(op_type, inputs, attrs)
+        if op_type in VIEW_OPS:
+            assert np.shares_memory(results[0], inputs[0]) \
+                or results[0].flags.c_contiguous, \
+                f"{op_type}: a view kernel copies into C order"
+        elif all(np.asarray(x).flags.c_contiguous for x in inputs):
+            assert all(np.asarray(r).flags.c_contiguous for r in results), \
+                f"{op_type} breaks the kernel layout contract"
+        produced.append(results)
+        return results
+
+    executor_module.run_op = recording
+    try:
+        Executor(fork(program), backend="interpreter").run(feeds)
+    finally:
+        executor_module.run_op = run_op
+    state = set(program.state)
+    seen = {}
+    for node, results in zip(program.schedule, produced):
+        for name, value in zip(node.outputs, results):
+            # the interpreter materialises views of state
+            if node.op_type in VIEW_OPS and set(node.inputs) & state:
+                value = value.copy()
+            seen[name] = np.asarray(value)
+    return seen
+
+
+def assert_static_facts_hold(program, feeds):
+    spec = program.plan_spec()
+    seen = shadow_layouts(program, feeds)
+    outputs = {node.name: node.outputs for node in program.schedule}
+    names = {alias.slot: outputs[alias.node][0] for alias in spec.aliases}
+    for instr in spec.instructions:
+        names.update(zip(instr.output_slots, outputs[instr.node]))
+    checked = 0
+    for entry in spec.slab_slots:
+        real = seen[names[entry.slot]]
+        assert real.shape == entry.shape and real.dtype == entry.dtype
+        significant = [(want, got) for dim, want, got
+                       in zip(entry.shape, entry.strides, real.strides)
+                       if dim > 1]
+        assert all(want == got for want, got in significant), \
+            (names[entry.slot], entry.strides, real.strides)
+        checked += 1
+    return checked
+
+
+class TestStaticLayoutFacts:
+    def test_zoo_slots_look_like_the_interpreters_arrays(self, zoo_program):
+        feeds = make_feeds(zoo_program, np.random.default_rng(2))
+        assert assert_static_facts_hold(zoo_program, feeds) > 30
+
+    def test_random_graph_slots_do_too(self):
+        compiled = 0
+        for seed in range(40):
+            try:
+                program, rng = compile_random(seed, 1.0, "default", None)
+            except AutodiffError:
+                continue  # the random DAG routed the output around w
+            graph = program.graph
+            feeds = {name: rng.uniform(-1, 1, graph.spec(name).shape)
+                     .astype(np.float32) for name in graph.inputs}
+            assert_static_facts_hold(program, feeds)
+            compiled += 1
+        assert compiled >= 20
+
+
+def mlp_program():
+    b, _ = make_mlp_graph()
+    return compile_training(b.graph, optimizer=SGD(0.1))
+
+
+class TestSlabBelongsToTheStep:
+    def test_borrowed_and_returned(self):
+        program = mlp_program()
+        pool = program.plan().slabs
+        first, second = Executor(fork(program)), Executor(fork(program))
+        rng = np.random.default_rng(0)
+        for executor in (first, second, first, second):
+            executor.run(make_feeds(program, rng))
+        # sequential steps of two sessions: one slab ever built
+        assert (pool.misses, pool.takes) == (1, 3)
+        assert first.arena is second.arena is pool
+        assert pool.retained_bytes() == program.plan_spec().slab_bytes
+
+    def test_a_failed_step_returns_its_slab(self):
+        program = mlp_program()
+        plan = program.plan()
+        instr = next(i for i in plan.instructions if i.mode == "out")
+        kernel, armed = instr.out_kernel, [True]
+
+        def once(inputs, attrs, out):
+            if armed:
+                armed.clear()
+                raise ValueError("forced")
+            return kernel(inputs, attrs, out)
+
+        instr.out_kernel = once
+        executor = Executor(fork(program))
+        feeds = make_feeds(program, np.random.default_rng(0))
+        with pytest.raises(ExecutionError, match="forced"):
+            executor.run(feeds)
+        assert (plan.slabs.misses, len(plan.slabs._free)) == (1, 1)
+        executor.run(feeds)
+        assert (plan.slabs.misses, plan.slabs.takes) == (1, 1)
+
+    def test_outputs_are_copies_not_slab_views(self):
+        program = mlp_program()
+        executor = Executor(fork(program))
+        out = executor.run(make_feeds(program, np.random.default_rng(0)))
+        [buffers] = program.plan().slabs._free
+        for value in out.values():
+            assert not np.shares_memory(buffers.slab, np.asarray(value))
+
+    def test_a_buffer_set_is_the_spec_made_arrays(self):
+        spec = mlp_program().plan_spec()
+        buffers = BufferSet(spec)
+        assert buffers.slab.nbytes == spec.slab_bytes
+        base = buffers.slab.__array_interface__["data"][0]
+        for entry in spec.slab_slots:
+            array = buffers.arrays[entry.slot]
+            assert (array.shape, array.strides, array.dtype) \
+                == (entry.shape, entry.strides, np.dtype(entry.dtype))
+            assert array.__array_interface__["data"][0] - base \
+                == entry.offset
+        owners = {e.slot for e in spec.slab_slots} \
+            - {a.slot for a in spec.aliases}
+        assert all(e.offset % 64 == 0 for e in spec.slab_slots
+                   if e.slot in owners)
+
+    def test_detach_leaves_nothing_borrowed(self):
+        """The step worker's contract: state arrays that view borrowed
+        memory (a shared-memory slot) are not pinned once it detaches."""
+        program = mlp_program()
+        executor = Executor(program)
+        overlay = {name: program.state[name].copy()
+                   for name in program.mutable_state_names()}
+        borrowed = [weakref.ref(array) for array in overlay.values()]
+        feeds = make_feeds(program, np.random.default_rng(0))
+        fed = [weakref.ref(array) for array in feeds.values()]
+        executor.program = program.with_state(overlay)
+        out = executor.run(feeds)
+        loss = float(out[program.meta["loss"]])
+        executor.program = program
+        executor.detach()
+        del overlay, feeds, out
+        gc.collect()
+        assert all(ref() is None for ref in borrowed + fed)
+        assert np.isfinite(loss)
+
+    def test_strided_state_is_refused_up_front(self):
+        program = mlp_program()
+        name = next(n for n in program.mutable_state_names()
+                    if program.state[n].ndim == 2)
+        flipped = np.asfortranarray(program.state[name])
+        with pytest.raises(ExecutionError, match="C-contiguous"):
+            program.with_state({name: flipped})
+
+    def test_strided_feeds_are_made_contiguous_for_both_backends(self):
+        program = mlp_program()
+        feeds = make_feeds(program, np.random.default_rng(0))
+        x = next(n for n in feeds if feeds[n].ndim == 2)
+        strided = dict(feeds)
+        strided[x] = np.asfortranarray(feeds[x])
+        for backend in ("plan", "interpreter"):
+            got = Executor(fork(program), backend=backend).run(strided)
+            want = Executor(fork(program), backend=backend).run(feeds)
+            for key in want:
+                assert_same_bytes(got[key], want[key], f"{backend} {key}")
