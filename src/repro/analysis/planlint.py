@@ -32,7 +32,8 @@ PlanSpec` + the program it claims to lower. Views resolved at bind time
 * **in-place reuse** (the ``donation-*`` rules, restated as the overlap
   exception) — a reused input is a private slab buffer of exactly the
   output's shape, dtype and offset that dies at that instruction and that
-  nothing views, the kernel is alias-safe, and — for fused chains — only
+  nothing views (so a ``mask_mul`` may reuse its gradient, never its packed
+  ``uint8`` mask), the kernel is alias-safe, and — for fused chains — only
   the first link reads it; a ``donating``-variant instruction's clobbered
   inputs all die there;
 * **precomputed slots** — a registered transform over frozen state,

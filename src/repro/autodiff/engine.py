@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import AutodiffError
+from ..errors import AutodiffError, CompileError
 from ..ir import Graph, GraphBuilder
 from .rules import GRAD_RULES, NON_DIFFERENTIABLE, GradientContext
 
@@ -57,6 +57,10 @@ def build_backward(
     Raises:
         AutodiffError: when a needed op has no gradient rule, or a requested
             tensor cannot influence the loss.
+        CompileError: when a ``slice_k`` parameter reaches the loss through
+            a reader that cannot slice its gradient (anything but a
+            ``matmul`` / ``conv2d`` taking it as the weight): the sliced
+            update would meet a full-shape gradient.
     """
     wrt = list(dict.fromkeys(wrt))
     slice_k = dict(slice_k or {})
@@ -120,9 +124,16 @@ def build_backward(
                 f"rule for {node.op_type!r} returned {len(input_grads)} "
                 f"gradients for {len(node.inputs)} inputs"
             )
-        for inp, grad in zip(node.inputs, input_grads):
+        for at, (inp, grad) in enumerate(zip(node.inputs, input_grads)):
             if grad is None or inp not in requires:
                 continue
+            if inp in slice_k and not (
+                    at == 1 and node.op_type in ("matmul", "conv2d")):
+                raise CompileError(
+                    f"sub-layer update of {inp!r} (first {slice_k[inp]} "
+                    f"input channels) needs every reader on a backward path "
+                    f"to slice its gradient, but {node.op_type} node "
+                    f"{node.name!r} reads it whole")
             # Mixed precision: gradients live in the dtype of the value they
             # differentiate (fp16 models backpropagate in fp16).
             want = graph.spec(inp).dtype

@@ -28,7 +28,7 @@ Rule = Callable[["GradientContext", Node, str], list[Optional[str]]]
 GRAD_RULES: dict[str, Rule] = {}
 
 #: Ops through which no gradient flows (masks, indices, in-place updates).
-NON_DIFFERENTIABLE = {"step", "sign", "equal", "onehot",
+NON_DIFFERENTIABLE = {"step", "sign", "equal", "range_mask", "onehot",
                       "quantize_linear", "dequantize_linear",
                       "conv2d_i8", "matmul_i8", "add_i8",
                       "global_avg_pool_i8",
@@ -190,19 +190,28 @@ def _fake_quant_grad(ctx, node, g):
     return [b.mul(g, b.mul(inside_lo, inside_hi))]
 
 
+def _range_grad(ctx, node, g, lo, hi=None):
+    """Backward of a clamp to ``[lo, hi]``: ``g`` where ``lo < y < hi``.
+
+    The mask is read off the activation's *output* — ``lo < clip(x) < hi``
+    holds exactly where ``lo < x < hi`` does, boundaries included — so the
+    backward pass keeps one bit per element and nothing but the activation
+    itself reads the pre-activation (which is what lets bias/activation
+    fusion fold it into its producer on backward paths too).
+    """
+    attrs = {"lo": lo} if hi is None else {"lo": lo, "hi": hi}
+    mask = ctx.b.emit("range_mask", [node.outputs[0]], attrs)
+    return [ctx.b.emit("mask_mul", [g, mask])]
+
+
 @rule("relu")
 def _relu_grad(ctx, node, g):
-    mask = ctx.b.emit("step", [node.inputs[0]])
-    return [ctx.b.mul(g, mask)]
+    return _range_grad(ctx, node, g, 0.0)
 
 
 @rule("relu6")
 def _relu6_grad(ctx, node, g):
-    x = node.inputs[0]
-    below = ctx.b.emit("step", [x])
-    headroom = ctx.b.sub(ctx.scalar(6.0), x)
-    above = ctx.b.emit("step", [headroom])
-    return [ctx.b.mul(g, ctx.b.mul(below, above))]
+    return _range_grad(ctx, node, g, 0.0, 6.0)
 
 
 @rule("sigmoid")

@@ -86,7 +86,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_memory(args) -> int:
-    from .memory import profile_memory
+    from .memory import profile_memory, transient_values
     from .runtime.compiler import CompileOptions, compile_training
 
     forward, _ = _build(args.model, args.batch)
@@ -109,6 +109,42 @@ def cmd_memory(args) -> int:
         ["slab / plan peak",
          f"{spec.slab_bytes / max(1, spec.peak_transient_bytes):.3f}"],
     ]))
+
+    # Why the peak is what it is: the values live at that step, and what
+    # the forward pass keeps for the backward, by the op that made it.
+    schedule = program.schedule
+    values = transient_values(program.graph, schedule)
+    at = profile.peak_step
+    live = sorted((v for v in values if v.born <= at <= v.dies),
+                  key=lambda v: -v.nbytes)
+    peak = max(1, profile.peak_transient_bytes)
+    print()
+    print(render_table(
+        ["value", "producer", "shape", "dtype", "bytes", "born-dies",
+         "share"],
+        [[v.name, v.producer, "x".join(map(str, v.shape)) or "scalar",
+          v.dtype, v.nbytes, f"{v.born}-{v.dies}", f"{v.nbytes / peak:.1%}"]
+         for v in live],
+        title=f"live at the schedule's peak: step {at} of {len(schedule)} "
+              f"({schedule[at].op_type}), {peak} bytes"))
+
+    loss_at = next(i for i, node in enumerate(schedule)
+                   if program.meta["loss"] in node.outputs)
+    held: dict[str, list[int]] = {}
+    for v in values:
+        if v.born <= loss_at < v.dies:
+            entry = held.setdefault(v.producer, [0, 0])
+            entry[0] += 1
+            entry[1] += v.nbytes
+    total = max(1, sum(nbytes for _, nbytes in held.values()))
+    print()
+    print(render_table(
+        ["producer", "values", "bytes", "share"],
+        [[op, count, nbytes, f"{nbytes / total:.1%}"] for op, (count, nbytes)
+         in sorted(held.items(), key=lambda item: -item[1][1])]
+        + [["total", sum(c for c, _ in held.values()), total, "100.0%"]],
+        title=f"held for backward: born by the loss (step {loss_at}), "
+              f"read after it"))
     return 0
 
 

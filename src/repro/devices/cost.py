@@ -88,6 +88,16 @@ def op_class(op_type: str, attrs: dict | None = None) -> str:
     return cls
 
 
+def _compute_itemsize(op_type: str, in_specs, out_specs) -> int:
+    """Element width an op computes at: its narrowest output's — except
+    ``range_mask``, which compares its float input (the packed ``uint8``
+    it writes is no int8 arithmetic). With its FLOPs counted per input
+    element, that prices it — like ``mask_mul`` — as one elementwise pass
+    over the activation."""
+    specs = in_specs if op_type == "range_mask" else out_specs
+    return min((s.dtype.itemsize for s in specs), default=4)
+
+
 def _quality_for(quality, cls: str) -> float:
     """Resolve a kernel-quality spec (float or per-class dict) for a class."""
     if isinstance(quality, dict):
@@ -152,7 +162,7 @@ def estimate_latency(
         if node.attrs.get("algo") == "winograd":
             flops /= WINOGRAD_SPEEDUP
 
-        itemsize = min((s.dtype.itemsize for s in out_specs), default=4)
+        itemsize = _compute_itemsize(node.op_type, in_specs, out_specs)
         dev_cls = "gemm" if cls == "depthwise" else cls
         eff = device.efficiency(dev_cls) * _quality_for(kernel_quality, cls)
         if node.op_type in _SPATIAL and not layout_match:
@@ -270,7 +280,7 @@ class PlanCostModel:
         cls = op_class(op_type, attrs)
         flops = op_flops(op_type, in_specs, out_specs, attrs)
         moved = op_bytes(in_specs, out_specs)
-        itemsize = min((s.dtype.itemsize for s in out_specs), default=4)
+        itemsize = _compute_itemsize(op_type, in_specs, out_specs)
         dev_cls = "gemm" if cls == "depthwise" else cls
         eff = self.device.efficiency(dev_cls) \
             * _quality_for(self.kernel_quality, cls)

@@ -19,6 +19,7 @@ class DType(enum.Enum):
     INT64 = "int64"
     INT32 = "int32"
     INT8 = "int8"
+    UINT8 = "uint8"
     BOOL = "bool"
 
     @property
@@ -64,5 +65,6 @@ _ITEMSIZE = {
     DType.INT64: 8,
     DType.INT32: 4,
     DType.INT8: 1,
+    DType.UINT8: 1,
     DType.BOOL: 1,
 }

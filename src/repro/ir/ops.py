@@ -147,6 +147,32 @@ def _equal_infer(inputs, attrs):
     return [(broadcast_shapes(a.shape, b.shape), DType.FLOAT32)]
 
 
+# What a relu-family op keeps for its backward pass: one bit per element
+# of the activation's *output* (``lo < y < hi``; ``hi`` absent for relu),
+# packed eight to a byte in numpy's default (big-endian) bit order. Both
+# ops cost one elementwise pass over the ``n`` activation elements.
+
+@register_op("range_mask", 1, attrs=("lo", "hi"),
+             flops=lambda i, o, a: i[0].num_elements)
+def _range_mask_infer(inputs, attrs):
+    (y,) = inputs
+    if not y.dtype.is_float:
+        raise ShapeError("range_mask input must be float")
+    return [(((y.num_elements + 7) // 8,), DType.UINT8)]
+
+
+@register_op("mask_mul", 2, flops=_elem_flops)
+def _mask_mul_infer(inputs, attrs):
+    g, mask = inputs
+    if mask.dtype != DType.UINT8 \
+            or mask.shape != ((g.num_elements + 7) // 8,):
+        raise ShapeError(
+            f"mask_mul needs a ({(g.num_elements + 7) // 8},) uint8 bit mask "
+            f"for a gradient of shape {g.shape}, got {mask.shape} "
+            f"{mask.dtype.value}")
+    return [(g.shape, g.dtype)]
+
+
 @register_op("cast", 1, attrs=("dtype",))
 def _cast_infer(inputs, attrs):
     (a,) = inputs

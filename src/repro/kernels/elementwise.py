@@ -163,6 +163,47 @@ def _equal_out(inputs, attrs, out):
     return np.equal(inputs[0], inputs[1], out=out, casting="unsafe")
 
 
+@kernel("range_mask")
+def _range_mask(inputs, attrs):
+    """One bit per element of ``y``: ``lo < y`` (``< hi`` when given),
+    packed in numpy's default (big-endian) bit order, pad bits zero.
+
+    There is no into-form: ``np.packbits`` has no ``out=``, and the forms
+    that have one cost more than this call plus the plan's copy into the
+    slot. The bool compare buffers (``y.size`` bytes each) are plain
+    temporaries, dead on return: pooling them as workspace scratch costs
+    more per call than allocating them, and would keep resident what is
+    now gone before the backward pass starts (README "What the backward
+    pass keeps").
+    """
+    y = inputs[0]
+    inside = y > attrs["lo"]
+    hi = attrs.get("hi")
+    if hi is not None:
+        inside &= y < hi
+    return [np.packbits(inside)]
+
+
+def _mask_mul_into(g, mask, out):
+    # g * {0, 1}: the same float product as g * {0.0, 1.0} — numpy casts
+    # the uint8 operand to g's dtype — so float16 stays float16.
+    keep = np.unpackbits(mask, count=g.size).reshape(g.shape)
+    return np.multiply(g, keep, out=out)
+
+
+@kernel("mask_mul")
+def _mask_mul(inputs, attrs):
+    return [_mask_mul_into(inputs[0], inputs[1], None)]
+
+
+# ``out`` may be ``g``'s own buffer (a plain elementwise product once the
+# mask is unpacked); never the mask's — a different shape and dtype, which
+# is what the plan's same-form reuse rule already refuses.
+@out_kernel("mask_mul", alias_safe=True)
+def _mask_mul_out(inputs, attrs, out):
+    return _mask_mul_into(inputs[0], inputs[1], out)
+
+
 @kernel("cast")
 def _cast(inputs, attrs):
     return [inputs[0].astype(attrs["dtype"])]

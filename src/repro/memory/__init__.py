@@ -8,7 +8,8 @@ placement routine behind every plan's static slab.
 
 from .liveness import Lifetime, value_lifetimes
 from .planner import SlabPlan, place
-from .profiler import MemoryProfile, profile_memory
+from .profiler import (MemoryProfile, TransientValue, profile_memory,
+                       transient_values)
 from .remat import (Eviction, PagingPlan, RematResult, plan_paging,
                     rematerialize)
 
@@ -19,9 +20,11 @@ __all__ = [
     "PagingPlan",
     "RematResult",
     "SlabPlan",
+    "TransientValue",
     "place",
     "plan_paging",
     "profile_memory",
     "rematerialize",
+    "transient_values",
     "value_lifetimes",
 ]

@@ -8,12 +8,18 @@ one placement routine of the repo: :func:`place` is what
 slab offsets, and :meth:`SlabPlan.validate` is what
 :mod:`repro.analysis.planlint` re-checks them with.
 
-The rule is greedy first-fit by decreasing size — the standard approach in
-TFLite-Micro/TinyEngine. Measured on the zoo's twelve training programs
-(64-byte alignment), slab bytes / ``peak_transient_bytes`` is 0.83-0.98;
-a one-walk stream-order best-fit is cheaper to compute but fragments to
-1.07 on ``mobilenetv2_micro`` sparse, past the peak it is meant to stay
-under (README "Static slab").
+The rule is greedy first-fit, most crowded first: buffers are taken in
+order of the largest live load (aligned bytes of everything alive) at any
+position of their lifetime, larger before smaller within a moment — the
+"greedy by breadth" order of Pisarchyk & Lee (2020). The buffers alive at
+the plan's peak are therefore placed first and pack without a gap, then
+those of the next most crowded moment around them. Measured on the zoo's
+twelve training programs (64-byte alignment), slab bytes /
+``peak_transient_bytes`` is 0.83-1.00; first-fit by decreasing size alone
+(TFLite-Micro / TinyEngine's default, this routine's rule until the ReLU
+masks shrank to bits) is within 0.03 of that on eleven programs but
+strands a 98 KB block on ``mobilenetv2_micro`` sparse (1.14), and a
+one-walk stream-order best-fit fragments further (README "Static slab").
 
 Buffers are ``(size, birth, death)`` intervals over instruction positions.
 Lifetimes are *closed*: a buffer dying at position ``p`` and one born at
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ..errors import MemoryPlanError
 
@@ -68,22 +75,30 @@ def align(size: int, alignment: int) -> int:
 
 
 def place(intervals: list[Interval], alignment: int = 64) -> SlabPlan:
-    """Greedy first-fit by decreasing size over ``intervals``.
+    """Greedy first-fit over ``intervals``, most crowded lifetime first.
 
     Every offset is a multiple of ``alignment``; zero-byte buffers sit at
-    offset 0. Ties in size keep input order, so the result is a function
-    of the list alone.
+    offset 0. Ties (same crowding, same size) keep input order, so the
+    result is a function of the list alone.
     """
     offsets = [0] * len(intervals)
-    order = sorted(range(len(intervals)), key=lambda i: -intervals[i][0])
+    sizes = [align(size, alignment) for size, _, _ in intervals]
+    # live load per position, then the most crowded moment of each lifetime
+    deltas = [0] * (max((death for _, _, death in intervals), default=0) + 2)
+    for size, (_, birth, death) in zip(sizes, intervals):
+        deltas[birth] += size
+        deltas[death + 1] -= size
+    load = list(accumulate(deltas))
+    order = sorted(
+        (index for index, size in enumerate(sizes) if size),
+        key=lambda i: (-max(load[intervals[i][1]:intervals[i][2] + 1]),
+                       -sizes[i]))
     # (begin, end, birth, death) of every placed buffer, by begin
     placed: list[tuple[int, int, int, int]] = []
     slab = 0
     for index in order:
-        size, birth, death = intervals[index]
-        if size == 0:
-            break  # sorted by size: only empty buffers remain
-        size = align(size, alignment)
+        _, birth, death = intervals[index]
+        size = sizes[index]
         cursor = 0
         for begin, end, other_birth, other_death in placed:
             if other_birth <= death and birth <= other_death:

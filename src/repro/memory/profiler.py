@@ -11,6 +11,7 @@ Separates the components the paper discusses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..ir import Graph
 from ..ir.node import Node
@@ -31,6 +32,48 @@ class MemoryProfile:
     @property
     def peak_total_mb(self) -> float:
         return self.peak_total_bytes / (1024 * 1024)
+
+
+def _transients(graph: Graph, schedule: list[Node]):
+    """``(name, bytes, first step, last step)`` of every value charged to
+    the transient peak: parameters, optimizer state and constants are
+    resident and an in-place op's output is its parameter; everything else
+    occupies memory from its producing step (0 for a feed) through its
+    last use."""
+    start, end = live_ranges(graph, schedule)
+    resident = graph.initializers
+    alias: set[str] = set()
+    for node in schedule:
+        if get_schema(node.op_type).inplace:
+            alias.update(node.outputs)
+    spec = graph.spec
+    for name, born in start.items():
+        if name not in resident and name not in alias:
+            yield name, spec(name).nbytes, max(born, 0), end[name]
+
+
+class TransientValue(NamedTuple):
+    """One value the schedule has to hold, and for how long."""
+
+    name: str
+    producer: str                #: op type of its node; "feed" for an input
+    shape: tuple[int, ...]
+    dtype: str
+    nbytes: int
+    born: int                    #: step producing it (0 for a feed)
+    dies: int                    #: last step reading it
+
+
+def transient_values(graph: Graph, schedule: list[Node]
+                     ) -> list[TransientValue]:
+    """What :func:`profile_memory` sums, value by value — to list what is
+    live at the peak, or what the forward pass keeps for the backward."""
+    producer = {out: node.op_type for node in schedule
+                for out in node.outputs}
+    return [TransientValue(name, producer.get(name, "feed"),
+                           graph.spec(name).shape,
+                           graph.spec(name).dtype.value, nbytes, born, dies)
+            for name, nbytes, born, dies in _transients(graph, schedule)]
 
 
 class ProfiledSchedule(list):
@@ -63,27 +106,14 @@ def profile_memory(graph: Graph, schedule: list[Node] | None = None,
         return schedule.profile
     if schedule is None:
         schedule = graph.topological_order()
-    start, end = live_ranges(graph, schedule)
-
-    resident = graph.initializers
-    alias: set[str] = set()
-    for node in schedule:
-        if get_schema(node.op_type).inplace:
-            alias.update(node.outputs)
-
-    spec = graph.spec
-    resident_bytes = sum(spec(n).nbytes for n in resident)
+    resident_bytes = sum(graph.spec(n).nbytes for n in graph.initializers)
 
     horizon = len(schedule)
     deltas = [0] * (horizon + 1)
-    for name, born in start.items():
-        if name in resident or name in alias:
-            continue
-        size = spec(name).nbytes
-        deltas[max(born, 0)] += size
-        died = end[name] + 1
-        if died <= horizon:
-            deltas[died] -= size
+    for _, size, born, dies in _transients(graph, schedule):
+        deltas[born] += size
+        if dies < horizon:
+            deltas[dies + 1] -= size
 
     timeline: list[int] = []
     current = 0

@@ -18,9 +18,11 @@ One walk over the stream decides, per value:
   for the rest: in-place results (they are the state array), views of
   feeds, and unknown-layout values, which run their base kernel and hold
   its fresh array.
-* **in-place reuse** — an alias-safe into-form may write over a same-shape
-  input that dies at this very instruction and that nothing views: the
-  output joins the input's buffer instead of opening a new one.
+* **in-place reuse** — an alias-safe into-form may write over an input of
+  the output's own shape and dtype that dies at this very instruction and
+  that nothing views: the output joins the input's buffer instead of
+  opening a new one. (``mask_mul`` so takes over its gradient's bytes,
+  never those of its packed ``uint8`` mask.)
 
 Buffers are then placed by :func:`repro.memory.planner.place` over their
 closed ``[birth, death]`` stream intervals (a view extends its base's;

@@ -341,7 +341,9 @@ def _find_merge(state: _DeferralState, ctx: LoweringContext
         group_outs = {out for k in group for out in stream[k].outputs}
         externals = {name for k in group for name in stream[k].inputs
                      if name not in group_outs}
-        pinned = 0
+        # a companion's result is live at the merge point too
+        pinned = sum(ctx.nbytes(out) for p in companions
+                     for out in stream[p].outputs)
         for name in externals:
             if name in ctx.state_names or name in ctx.keep:
                 continue
@@ -367,12 +369,12 @@ def _merge_sole_consumers(stream: list[LoweredOp], ctx: LoweringContext
     **Byte neutrality.** Deferring pins the producer's transient inputs
     until the consumer, so an unconditional merge could peak above the
     oracle stream. A merge is taken only when the eliminated intermediate
-    frees at least as many bytes as the move pins. To make the common STE
-    shape (``step(x)`` feeding a *later* link of the mask chain, so it
-    cannot itself join the chain) pass the gate, a pinned input whose
-    producer is pure and sole-consumed by the deferred op travels as a
-    **companion**: it moves (unmerged) to just before the merge point,
-    stops pinning, and only its own inputs enter the ledger.
+    frees at least as many bytes as the move pins. A pinned input whose
+    producer is pure and sole-consumed by the deferred op may travel as a
+    **companion** (the STE shape: ``step(x)`` feeding a *later* link of a
+    float mask chain, so it cannot itself join the chain): it moves
+    (unmerged) to just before the merge point, and its own result — live
+    there — and its own inputs enter the ledger in its place.
     """
     state = _DeferralState(stream)
     merged = 0

@@ -8,7 +8,9 @@ produce the *same graph, schedule and plan* while doing less work:
 * ``reference_stream_effects`` — effect analysis that stores a root set for
   every value (the current one stores only aliasing values);
 * ``reference_merge_sole_consumers`` — recomputes the effects and both index
-  maps and copies the stream after every merge;
+  maps and copies the stream after every merge (one edit since: its byte
+  ledger counts a companion's own result, a hole ``test_differential.py``
+  found in both bodies);
 * ``ReferenceBiasActivationFusionPass`` — rebuilds the consumer map and
   restarts from node 0 after every fusion (``Graph.remove_node`` is gone;
   its one-line body, ``graph.nodes.remove(node)``, is inlined);
@@ -144,7 +146,9 @@ def reference_merge_sole_consumers(stream: list[LoweredOp], ctx: LoweringContext
             group_outs = {out for k in group for out in stream[k].outputs}
             externals = {name for k in group for name in stream[k].inputs
                          if name not in group_outs}
-            pinned = 0
+            # a companion's result is live at the merge point too
+            pinned = sum(ctx.nbytes(out) for p in companions
+                         for out in stream[p].outputs)
             for name in externals:
                 if name in ctx.state_names or name in ctx.keep:
                     continue

@@ -34,16 +34,23 @@ def random_feed(rng, shape):
     return rng.uniform(-1.0, 1.0, shape).astype(np.float32)
 
 
-def random_forward(rng, layouts=False, state_views=True):
+def random_forward(rng, layouts=False, activations=False):
     """A random DAG mixing fresh elementwise ops, view ops, and params.
 
     ``layouts`` adds the shapes of aliasing the zoo never produces:
     elementwise ops over transposed operands (a result that is not
     C-contiguous), views of the parameter itself, and a reshape of a
-    transposed value (which has to copy). ``state_views=False`` leaves the
-    parameter views out: a sub-layer (``slice_k``) update of a parameter
-    that something other than a matmul also reads does not compile to a
-    runnable step on either backend, so sparse runs draw without them.
+    transposed value (which has to copy). (A sub-layer ``slice_k`` update
+    of a parameter that something other than its matmul also reads is a
+    typed ``CompileError``; sparse callers accept it.)
+
+    ``activations`` adds what a bit-mask backward has to get right:
+    ``relu6`` over values around 0.0 or around 6.0, and conv -> bias ->
+    relu6 chains whose bias holds exact 0.0 and 6.0 (so a zero row of the
+    feed puts the pre-activation exactly on both boundaries) and whose
+    element count is often not a multiple of 8. Both draws come before the
+    others and only when asked for, so the graphs of the other callers do
+    not change.
     """
     b = GraphBuilder("g")
     rows = int(rng.integers(2, 6))
@@ -62,9 +69,10 @@ def random_forward(rng, layouts=False, state_views=True):
         pick = int(rng.integers(0, len(values)))
         src, (bound, degree) = values[pick], growth[pick]
         roll = rng.random()
-        if layouts and rng.random() < 0.35:
-            _push_layout_case(b, rng, push, w if state_views else None,
-                              src, bound, degree)
+        if activations and rng.random() < 0.3:
+            _push_activation_case(b, rng, push, src, degree)
+        elif layouts and rng.random() < 0.35:
+            _push_layout_case(b, rng, push, w, src, bound, degree)
         elif roll < 0.25:
             push(b.emit("relu", [src]), bound, degree)
         elif roll < 0.45:
@@ -110,8 +118,6 @@ def _push_layout_case(b, rng, push, w, src, bound, degree):
         flipped = b.emit("transpose", [src], flip)
         push(b.emit("reshape", [flipped],
                     {"shape": (int(np.prod(shape)),)}), bound, degree)
-    elif w is None:
-        push(b.emit("transpose", [src], flip), bound, degree)
     elif roll < 0.8 and shape[-1] == 4 and degree == 0:
         # a view of the parameter (the runtime has to copy it: the
         # optimizer updates w in place while the view is still read)
@@ -119,6 +125,33 @@ def _push_layout_case(b, rng, push, w, src, bound, degree):
         push(b.matmul(src, wt), bound, 1)
     else:
         push(b.emit("reshape", [w], {"shape": (16,)}), 0.25, 1)
+
+
+def _push_activation_case(b, rng, push, src, degree):
+    """One of the ``activations=True`` cases of :func:`random_forward`;
+    either result lies in [0, 6] whatever ``src`` holds."""
+    if rng.random() < 0.4:
+        # values on both sides of one clamp (|src| is mostly below 1), and
+        # exactly on it wherever src is exactly zero
+        edge = b.constant(np.float32(rng.choice([0.0, 6.0])), hint="c")
+        push(b.emit("relu6", [b.add(src, edge)]), 6.0, degree)
+        return
+    # conv -> bias -> relu6 over src as one (1, 1, n, 1) image. Three output
+    # channels make 3n elements: 36 or 60 (not a multiple of 8) for the
+    # usual n = 12 or 20. Channel 0 straddles 0.0, channel 1 straddles 6.0,
+    # channel 2 sits inside; a 1x1 kernel keeps an exact zero of src an
+    # exact 0.0 / 6.0 of the pre-activation.
+    n = int(np.prod(b.shape(src)))
+    kh = int(rng.choice([1, 3]))
+    image = b.emit("reshape", [src], {"shape": (1, 1, n, 1)})
+    kernel = b.initializer(
+        b.fresh("cw"),
+        rng.uniform(-1.0, 1.0, (3, 1, kh, 1)).astype(np.float32))
+    bias = b.initializer(b.fresh("cb"),
+                         np.array([0.0, 6.0, 3.0], np.float32))
+    conv = b.emit("conv2d", [image, kernel],
+                  {"stride": 1, "padding": (kh // 2, 0)})
+    push(b.emit("relu6", [b.bias_add(conv, bias, axis=1)]), 6.0, degree)
 
 
 def pooled_slabs(executor):

@@ -307,6 +307,23 @@ def cast_case(draw):
 
 
 @st.composite
+def mask_mul_case(draw):
+    """A gradient and the packed mask ``range_mask`` takes of a clamped
+    activation holding both boundaries: 0-d and sizes 1-17, so most masks
+    end in pad bits. (``range_mask`` itself has no into-form; what it packs
+    is pinned in ``tests/test_activation_masks.py``.)"""
+    shape = draw(st.sampled_from(
+        [(), *[(n,) for n in range(1, 18)], (3, 5), (2, 2, 3)]))
+    dtype = draw(st.sampled_from([np.float32, np.float16]))
+    g = draw(arrays(shape=shape, dtypes=(dtype,)))
+    x = draw(arrays(shape=shape, dtypes=(dtype,)))
+    x = np.where(x > 3.5, dtype(6.0), np.where(x < -3.5, dtype(0.0), 2 * x))
+    attrs = draw(st.sampled_from([{"lo": 0.0}, {"lo": 0.0, "hi": 6.0}]))
+    y = np.clip(x.astype(dtype), 0, attrs.get("hi"))
+    return [g, KERNELS["range_mask"]([y], attrs)[0]], {}
+
+
+@st.composite
 def embedding_case(draw):
     rows, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     table = draw(arrays(shape=(rows, dim)))
@@ -389,7 +406,7 @@ STRATEGIES = {
     "softmax": norm_case(0), "log_softmax": norm_case(0),
     "rmsnorm": norm_case(1), "layernorm": norm_case(2),
     "bias_add": bias_add_case(), "cast": cast_case(),
-    "embedding": embedding_case(),
+    "embedding": embedding_case(), "mask_mul": mask_mul_case(),
 }
 
 

@@ -9,22 +9,27 @@ byte-equal on every step; ``peak_transient_bytes`` equals the
 interpreter's measurement for ``passes="none"`` (the oracle lowering) and
 may only be lower once a pass removed an intermediate.
 
-The generator is ``tests/test_arena_safety.py``'s with ``layouts=True``:
-besides the zoo's shapes of aliasing it draws elementwise ops over
-transposed operands, views of the feed and of the parameter, and reshapes
-that must copy. (No seed has failed on the plan backend so far; one that
-does gets pinned here as an ``@example``.)
+The generator is ``tests/test_arena_safety.py``'s with ``layouts=True``
+and ``activations=True``: besides the zoo's shapes of aliasing it draws
+elementwise ops over transposed operands, views of the feed and of the
+parameter, reshapes that must copy, and the relu family on backward paths
+— ``relu6`` around both clamps, conv -> bias -> relu6 chains, packed masks
+over element counts that are not a multiple of 8 — fed batches with a zero
+row, which lands pre-activations exactly on 0.0 and 6.0. A sub-layer
+update of a parameter that a ``reshape`` / ``transpose`` also reads cannot
+be compiled; the sparse half accepts exactly that typed refusal. A seed
+that fails on the plan backend gets pinned here as an ``@example``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AutodiffError
-from repro.runtime import Executor
+from repro.errors import AutodiffError, CompileError
+from repro.runtime import Executor, interpret
 from repro.runtime.compiler import CompileOptions, compile_training
 from repro.runtime.passes import DEFAULT_PASSES
 from repro.sparse import UpdateScheme
@@ -46,9 +51,11 @@ def compile_random(seed: int, ratio: float, passes, autotune):
 
     Raises:
         AutodiffError: the random DAG routed the output around ``w``.
+        CompileError: ``ratio < 1`` and something besides its matmul reads
+            ``w`` on a backward path.
     """
     rng = np.random.default_rng(seed)
-    b = random_forward(rng, layouts=True, state_views=ratio == 1.0)
+    b = random_forward(rng, layouts=True, activations=True)
     program = compile_training(
         b.graph, loss="mse", optimizer=SGD(0.01, momentum=0.9),
         scheme=UpdateScheme("w", {"w": ratio}),
@@ -57,13 +64,23 @@ def compile_random(seed: int, ratio: float, passes, autotune):
     return program, rng
 
 
+def boundary_feed(rng, shape):
+    """A random batch whose first row is zero half of the time: whatever
+    is linear in it is then exactly zero, and a bias of 0.0 / 6.0 on top
+    exactly a clamp boundary."""
+    feed = random_feed(rng, shape)
+    if rng.random() < 0.5:
+        feed[0] = 0.0
+    return feed
+
+
 def assert_matches_interpreter(program, rng, steps: int = 3) -> None:
     dut, ref = Executor(fork(program)), \
         Executor(fork(program), backend="interpreter")
     unoptimized = not program.plan_spec().passes
     graph = program.graph
     for step in range(steps):
-        feeds = {name: random_feed(rng, graph.spec(name).shape)
+        feeds = {name: boundary_feed(rng, graph.spec(name).shape)
                  for name in graph.inputs}
         got, want = dut.run(feeds), ref.run(feeds)
         assert list(got) == list(want)
@@ -86,12 +103,20 @@ def assert_matches_interpreter(program, rng, steps: int = 3) -> None:
 @pytest.mark.parametrize("passes", PASS_CONFIGS, ids=config_id)
 @pytest.mark.parametrize("ratio", [1.0, 0.5], ids=["full", "sparse"])
 @given(seed=st.integers(0, 100_000))
+# sparse x fuse_elementwise: a deferred add took its matmul along as a
+# companion, and the companion's result — live at the merge point, absent
+# from the pass's byte ledger — put the plan's peak 64 B above the oracle's
+@example(seed=330)
 @settings(max_examples=25, deadline=None)
 def test_plan_equals_interpreter(ratio, passes, autotune, seed):
     try:
         program, rng = compile_random(seed, ratio, passes, autotune)
     except AutodiffError:
         assume(False)  # nothing to train
+    except CompileError as exc:
+        # the one refusal the sparse half may meet; draw another graph
+        assert ratio < 1.0 and "sub-layer update of 'w'" in str(exc)
+        assume(False)
     assert_matches_interpreter(program, rng)
 
 
@@ -119,3 +144,50 @@ def test_the_generator_reaches_every_layout_case():
     assert seen == {"elementwise over transposed operands",
                     "reshape of a transpose", "view of state",
                     "view of a feed"}
+
+
+def test_the_generator_reaches_the_relu_family():
+    """... and the cases a bit-mask backward exists for, on backward paths
+    of the compiled program; and both answers of the sparse half."""
+    seen = set()
+    for seed in range(60):
+        try:
+            program, rng = compile_random(seed, 1.0, "default", None)
+        except AutodiffError:
+            continue
+        graph = program.graph
+        producer = graph.producer_map()
+        for node in graph.nodes:
+            if node.op_type != "range_mask":
+                continue
+            if "hi" in node.attrs:
+                seen.add("relu6 on a backward path")
+            if graph.spec(node.inputs[0]).num_elements % 8:
+                seen.add("a mask over a count that is not a multiple of 8")
+            source = producer[node.inputs[0]]
+            if source.op_type == "conv2d" and len(source.inputs) == 3 \
+                    and source.attrs.get("activation") == "relu6":
+                seen.add("conv + bias + relu6 fused under a mask")
+
+        forward = random_forward(np.random.default_rng(seed), layouts=True,
+                                 activations=True).graph
+        clamped = [node.inputs[0] for node in forward.nodes
+                   if node.op_type == "relu6"]
+        forward.outputs = clamped
+        feed = random_feed(rng, forward.spec("x").shape)
+        feed[0] = 0.0
+        for pre in interpret(forward, {"x": feed}).values():
+            if (pre == 0.0).any() and (pre == 6.0).any():
+                seen.add("a pre-activation exactly on both boundaries")
+
+        try:
+            compile_random(seed, 0.5, "default", None)
+            seen.add("a sub-layer update that compiles")
+        except CompileError:
+            seen.add("a sub-layer update that is refused")
+    assert seen == {"relu6 on a backward path",
+                    "a mask over a count that is not a multiple of 8",
+                    "conv + bias + relu6 fused under a mask",
+                    "a pre-activation exactly on both boundaries",
+                    "a sub-layer update that compiles",
+                    "a sub-layer update that is refused"}

@@ -187,6 +187,18 @@ class TestArenaPlanner:
         assert plan.offsets[2] == plan.offsets[0]
         assert plan.slab_bytes == 128
 
+    def test_the_most_crowded_moment_is_placed_first(self):
+        """``mobilenetv2_micro`` sparse around its peak, in 1 KB units: two
+        288s and a 96 live together at position 11, then a 96 and a 288
+        that each outlive one of them. Largest-first put the late 288 at
+        offset 0 and stranded the late 96 on top (768); taking the crowded
+        moments first packs the peak and fits both under it."""
+        intervals = [(288, 10, 11), (288, 11, 12), (96, 9, 13),
+                     (96, 12, 14), (288, 14, 15)]
+        plan = place(intervals, alignment=1)
+        plan.validate()
+        assert plan.slab_bytes == live_peak(intervals) == 672
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_random_graph_plans_never_overlap(self, seed):

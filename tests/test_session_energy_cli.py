@@ -126,6 +126,46 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "static slab" in out and "slab / plan peak" in out
 
+    def test_memory_explains_the_peak(self, capsys):
+        """Under the summary: what is live at the peak step, then what the
+        forward pass keeps for the backward, by producing op."""
+        assert cli_main(["memory", "--model", "mcunet_micro", "--sparse",
+                         "--batch", "2"]) == 0
+        tables = capsys.readouterr().out.split("\n\n")
+        assert len(tables) == 3
+
+        def parse(table):
+            title, header, _, *rows = table.splitlines()
+            split = lambda line: [c.strip() for c in line.split("|")]  # noqa
+            return title, split(header), [split(row) for row in rows]
+
+        title, header, live = parse(tables[1])
+        assert header == ["value", "producer", "shape", "dtype", "bytes",
+                          "born-dies", "share"]
+        assert title == ("live at the schedule's peak: step 77 of 89 "
+                         "(mask_mul), 135764 bytes")
+        # two gradients, two residuals, three one-bit-per-element masks
+        assert [(row[1], row[3], row[4]) for row in live[:7]] == [
+            ("conv2d_dx", "float32", "49152"),
+            ("mask_mul", "float32", "49152"),
+            ("add", "float32", "16384"), ("add", "float32", "16384"),
+            *[("range_mask", "uint8", "1536")] * 3]
+        assert live[0][2] == "2x24x16x16" and live[0][5] == "76-77"
+        assert sum(int(row[4]) for row in live) == 135764
+        for row in live:
+            assert row[6] == f"{int(row[4]) / 135764:.1%}"
+
+        title, header, held = parse(tables[2])
+        assert header == ["producer", "values", "bytes", "share"]
+        assert title.startswith("held for backward")
+        by_op = {row[0]: (int(row[1]), int(row[2])) for row in held}
+        assert by_op["range_mask"] == (8, 7680)
+        assert by_op["total"] == (sum(n for op, (n, _) in by_op.items()
+                                      if op != "total"),
+                                  sum(b for op, (_, b) in by_op.items()
+                                      if op != "total"))
+        assert "step" not in by_op  # no float mask is kept
+
     def test_scheme(self, capsys):
         assert cli_main(["scheme", "--model", "bert_micro"]) == 0
         out = capsys.readouterr().out

@@ -4,7 +4,8 @@ plan declared, and nothing in a step depends on what the slab held before.
 * measured, not copied: ``Executor.slab_bytes`` is the size of the
   ``uint8`` buffer the step really ran in; it equals the spec's
   ``slab_bytes`` and stays under the plan's own ``peak_transient_bytes``
-  on all twelve zoo programs;
+  on eleven of the twelve zoo programs — and on the twelfth exceeds it by
+  the 32 bytes of alignment padding no placement can avoid;
 * a poisoned slab changes nothing: every slot is written before it is
   read, on every step — NaN-filled and ``0xA5``-filled slabs give the
   interpreter's bytes;
@@ -45,14 +46,23 @@ def zoo_program(request):
 
 
 class TestMeasuredNotCopied:
-    def test_executor_holds_the_declared_slab(self, zoo_program):
+    def test_executor_holds_the_declared_slab(self, zoo_program, request):
         spec = zoo_program.plan_spec()
         executor = Executor(fork(zoo_program))
         assert executor.slab_bytes == 0
         executor.run(make_feeds(zoo_program, np.random.default_rng(0)))
         assert executor.slab_bytes == spec.slab_bytes
         assert executor.arena.retained_bytes() == spec.slab_bytes
-        assert 0 < spec.slab_bytes <= spec.peak_transient_bytes
+        if request.node.callspec.params["zoo_program"] \
+                == ("mobilenetv2_micro", "paper_scheme"):
+            # The peak is a forward-pass moment holding two 294 912 B
+            # activations, a 98 304 B one, two 320 B vectors and a 32 B one;
+            # the slab packs them without a gap, and the 32 B buffer's
+            # round-up to the 64 B alignment is all that is left over.
+            assert (spec.slab_bytes, spec.peak_transient_bytes) \
+                == (688_832, 688_800)
+        else:
+            assert 0 < spec.slab_bytes <= spec.peak_transient_bytes
         assert executor.peak_transient_bytes == spec.peak_transient_bytes
         # what a step allocates outside the slab is a count, not a guess
         assert executor.last_step_fresh_allocs == sum(
