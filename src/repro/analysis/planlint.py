@@ -75,7 +75,8 @@ from ..ir.validate import validate_graph
 from ..kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
                        OUT_ALIAS_SAFE, OUT_KERNELS, PRECOMPUTE_TRANSFORMS,
                        VARIANT_KERNELS, VIEW_OPS, into_form)
-from ..kernels.shape import c_strides, is_c_contiguous, view_layout
+from ..kernels.shape import (c_strides, is_c_contiguous, normal_strides,
+                             view_layout)
 from ..memory.planner import SlabPlan
 from ..runtime.plan import (MODE_BASE, MODE_COPY, MODE_OUT, InstructionSpec,
                             PlanSpec, VARIANT_BASE, VARIANT_DONATING)
@@ -443,13 +444,19 @@ class _PlanChecker:
     def _view_of(self, node, source: int):
         """What numpy makes of view ``node`` over ``source``'s layout:
         False when that layout is unknown, None for a copy, else
-        (offset, shape, strides)."""
+        (offset, shape, strides) — strides in the normal form the plan
+        declares them in."""
         strides = self._strides(source)
         if strides is None:
             return False
         spec = self.graph.values[self.names[source]]
-        return view_layout(node.op_type, node.attr_key(), tuple(spec.shape),
+        view = view_layout(node.op_type, node.attr_key(), tuple(spec.shape),
                            strides, spec.dtype.value)
+        if view is None:
+            return None
+        offset, shape, strides = view
+        return offset, shape, normal_strides(
+            shape, strides, np.dtype(spec.dtype.np).itemsize)
 
     def _note_layout(self, slot: int, shape, strides, dtype) -> None:
         if is_c_contiguous(tuple(shape), tuple(strides),

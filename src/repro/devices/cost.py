@@ -254,8 +254,6 @@ class PlanCostModel:
     * ``winograd_precomputed`` — skips the per-call ``U = G g Gᵀ`` weight
       transform (the 2.25x multiply reduction is shared with plain
       ``algo="winograd"``);
-    * ``im2col_precomputed`` — skips the im2col scratch copy the base
-      direct conv pays (the 1x1 activation feeds the GEMM as a view);
     * ``pretransposed_b`` — lifts the strided-operand GEMM penalty a
       ``trans_b`` matmul pays for reading B through a transposed view.
 
@@ -313,8 +311,7 @@ class PlanCostModel:
                 if variant != "winograd_precomputed":
                     flops += transform  # base re-derives U every call
         if op_type in ("conv2d", "conv2d_i8") and not winograd:
-            if variant != "im2col_precomputed":
-                moved += _conv_cols_bytes(in_specs, attrs)
+            moved += _conv_cols_bytes(in_specs, attrs)
         if op_type in ("matmul", "matmul_i8") and attrs.get("trans_b"):
             if variant != "pretransposed_b":
                 eff = eff * STRIDED_GEMM_PENALTY

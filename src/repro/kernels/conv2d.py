@@ -43,14 +43,40 @@ dense (8,64->64,32,32) s2                4300               8660     4550
 dense (8,16->32,16,16) s2                 254                673      298
 groups=2 (8,16->32,16,16) s2              242                543      410
 ====================================  =======  =======  =======  =======
+
+:func:`im2col` — what a small conv costs is its unfold (the M=1, K=9 GEMM
+is 7 of a depthwise (2,24,16,16) forward's 64 µs), and what the unfold costs
+is run length, not call count: a tap sliced out of a padded copy moves ``h``
+runs of ``w`` elements per plane — 64 bytes at ``w = 16`` — at 4.8 µs per
+12 288 floats; as one run per plane they move in 2.1. So the column matrix
+(same bytes, same layout, same GEMM) is built by three static rules:
+
+1. stride 1, "same" (``2p = k - 1``), plane-contiguous input: output and
+   input share a row pitch, so tap ``(i, j)`` is the flat plane shifted by
+   ``(i - ph) * w + j - pw`` — one run per plane, no padded copy — and the
+   padding is the rows / columns zeroed afterwards (:func:`_unfold_same`).
+   Forwards, ``conv2d_dw`` and the stride-1 ``conv2d_dx`` all take it;
+2. strided depthwise ``conv2d_dx``: the gradient is zero-inserted at the
+   *input's own size* (odd ``k``, ``p <= (k - 1) / 2``), which makes its
+   adjoint a "same" conv (:func:`_dilate`);
+3. 1x1 / stride 1 / pad 0 / ungrouped, forward and ``conv2d_dw``: the
+   operand is ``x.reshape(n, c, h * w)``, a view (:func:`_columns`).
+
+Everything else pads and slices. Unfold alone, hot µs, padded -> flat:
+(2,8,16,16) 29 -> 21; (2,24,16,16) 48 -> 29; (2,48,8,8) 55 -> 24;
+(8,24,16,16) 260 -> 133; dense (2,16,16,16) 43 -> 22, (8,64,32,32) 2700 ->
+2500. The depthwise (2,24,16,16) forward whole: 64 -> 38; measured and
+rejected: all taps in one ``np.copyto`` over an ``as_strided`` window of the
+padded copy 49 (the nine calls were worth 15 µs, the run length 26);
+shift-and-accumulate with no column matrix 136; ``einsum`` over the window
+271; multiply + ``add.reduce`` 72 — the last three also change the bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import (kernel, out_kernel, register_transform, variant_kernel,
-               workspace)
+from . import kernel, out_kernel, variant_kernel, workspace
 from .elementwise import epilogue_into
 
 
@@ -100,12 +126,15 @@ def im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
            ph: int, pw: int) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` [N,C,H,W] into columns [N, C*kh*kw, Ho*Wo].
 
-    The column matrix is workspace scratch: callers that finish consuming
-    it (and every view of it) should hand it back via
-    :func:`repro.kernels.workspace.give` so the next step's unfold
-    recycles the buffer instead of allocating.
+    The column matrix is workspace scratch, owned and never a view of ``x``
+    (:func:`repro.kernels.workspace.give` pools whatever it is handed):
+    callers that finish consuming it (and every view of it) should give it
+    back so the next step's unfold recycles the buffer.
     """
     n, c, h, w = x.shape
+    if sh == sw == 1 and 2 * ph == kh - 1 and 2 * pw == kw - 1 \
+            and x.strides[2:] == (w * x.itemsize, x.itemsize):
+        return _unfold_same(x, kh, kw, ph, pw), h, w
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
     xp = _pad2d(x, ph, pw)
@@ -116,6 +145,46 @@ def im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     if xp is not x:  # pad scratch dies here; the input is caller-owned
         workspace.give(xp)
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+
+
+def _unfold_same(x: np.ndarray, kh: int, kw: int, ph: int, pw: int
+                 ) -> np.ndarray:
+    """Rule 1 (module docstring). Every element of the dirty scratch is
+    written: what a shift wraps around a row end, or leaves unwritten at
+    the plane's ends, is exactly the padding the fills zero. On a plane
+    smaller than the kernel's reach a tap can be all padding — its shift
+    is past the plane, nothing is copied and the fills own it."""
+    n, c, h, w = x.shape
+    hw = h * w
+    cols = workspace.take((n, c, kh, kw, h, w), x.dtype)
+    flat = cols.reshape(n, c, kh, kw, hw)
+    xf = x.reshape(n, c, hw)
+    for i in range(kh):
+        for j in range(kw):
+            d = (i - ph) * w + j - pw
+            if 0 <= d < hw:
+                flat[:, :, i, j, :hw - d] = xf[:, :, d:]
+            elif -hw < d < 0:
+                flat[:, :, i, j, -d:] = xf[:, :, :d]
+    for i in range(ph):  # padding: top rows of the taps above, bottom below
+        cols[:, :, i, :, :ph - i] = 0
+        cols[:, :, kh - 1 - i, :, max(0, h - ph + i):] = 0
+    for j in range(pw):
+        cols[:, :, :, j, :, :pw - j] = 0
+        cols[:, :, :, kw - 1 - j, :, max(0, w - pw + j):] = 0
+    return cols.reshape(n, c * kh * kw, hw)
+
+
+def _columns(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+             ph: int, pw: int) -> tuple[np.ndarray, int, int, bool]:
+    """An ungrouped conv's GEMM operand, and whether it is scratch to give
+    back. Rule 3: over C-contiguous ``x`` a 1x1 / stride 1 / pad 0 conv's
+    column matrix *is* ``x.reshape(n, c, h * w)`` — a view, which the
+    workspace must never be given (it would pool whoever owns ``x``)."""
+    if kh == kw == sh == sw == 1 and ph == pw == 0 and x.flags.c_contiguous:
+        n, c, h, w = x.shape
+        return x.reshape(n, c, h * w), h, w, False
+    return *im2col(x, kh, kw, sh, sw, ph, pw), True
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
@@ -177,11 +246,12 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
     n, cin, _, _ = x.shape
     cout, cin_g, kh, kw = w.shape
     if groups == 1:
-        cols, ho, wo = im2col(x, kh, kw, sh, sw, ph, pw)
+        cols, ho, wo, scratch = _columns(x, kh, kw, sh, sw, ph, pw)
         # (cout, k) @ (n, k, l) broadcasts over the batch dim -> (n, cout, l)
         y = np.matmul(w.reshape(cout, -1), cols, out=None if out is None
                       else out.reshape(n, cout, ho * wo))
-        workspace.give(cols)
+        if scratch:
+            workspace.give(cols)
         return y.reshape(n, cout, ho, wo)
     # Grouped path: batched matmul over (batch, group) chunks — im2col's
     # column layout is channel-major, so each group's rows are contiguous.
@@ -263,52 +333,6 @@ def _winograd_precomputed_into(inputs, attrs, out):
                      out)
 
 
-@register_transform("im2col_weight")
-def _im2col_weight(w: np.ndarray) -> np.ndarray:
-    """Flatten a 1x1 OIHW weight to the (cout, cin) GEMM operand.
-
-    Exactly the ``w.reshape(cout, -1)`` the base kernel performs inline
-    for a 1x1/pad-0/groups-1 conv, made contiguous once (for contiguous
-    state this is a free view of the same buffer).
-    """
-    return np.ascontiguousarray(w.reshape(w.shape[0], -1))
-
-
-@variant_kernel("conv2d", "im2col_precomputed")
-def _conv2d_im2col_precomputed(inputs, attrs):
-    return [_im2col_precomputed_into(inputs, attrs, None)]
-
-
-@out_kernel("conv2d", variant="im2col_precomputed")
-def _im2col_precomputed_into(inputs, attrs, out):
-    """1x1/pad-0/groups-1 conv with the weight pre-flattened to 2-D.
-
-    For these convs im2col is a pure copy: every "column" is just the
-    (strided) activation itself. The variant feeds the activation straight
-    into the GEMM as a reshape view — skipping the whole-activation
-    workspace copy the base kernel pays — with the plan-owned flattened
-    weight as the trailing input. Bitwise identity with the base kernel
-    holds because both GEMM operands keep the exact layout (C-contiguous)
-    and values the base path produces.
-    """
-    x, w2 = inputs[0], inputs[-1]
-    sh, sw = _pair(attrs.get("stride", 1))
-    n, cin, h, wdim = x.shape
-    cout = w2.shape[0]
-    if sh == 1 and sw == 1:
-        cols = np.ascontiguousarray(x).reshape(n, cin, h * wdim)
-        ho, wo = h, wdim
-    else:
-        sub = x[:, :, ::sh, ::sw]
-        ho, wo = sub.shape[2], sub.shape[3]
-        cols = np.ascontiguousarray(sub).reshape(n, cin, ho * wo)
-    y = np.matmul(w2, cols, out=None if out is None
-                  else out.reshape(n, cout, ho * wo)).reshape(n, cout, ho, wo)
-    # a fused bias rides between the weights and w2
-    return _epilogue(y, inputs[2] if len(inputs) == 4 else None, attrs,
-                     out)
-
-
 def _flip_transpose(w: np.ndarray, groups: int) -> np.ndarray:
     """The weight of the adjoint conv: every filter rotated 180 degrees and
     in/out channels swapped within each group, ``(O, I/g, kh, kw)`` ->
@@ -321,22 +345,29 @@ def _flip_transpose(w: np.ndarray, groups: int) -> np.ndarray:
 
 
 def _dilate(grad: np.ndarray, in_hw: tuple[int, int], k_hw: tuple[int, int],
-            stride: tuple[int, int], pad: tuple[int, int]) -> np.ndarray:
-    """Zero-insert a strided conv's output gradient (and pad it) so that a
-    stride-1, pad-0 conv over the flipped weight yields ``dx`` exactly.
+            stride: tuple[int, int], pad: tuple[int, int]
+            ) -> tuple[np.ndarray, tuple[int, int]]:
+    """Zero-insert a strided conv's output gradient so that a stride-1 conv
+    over the flipped weight, padded by the returned halo, yields ``dx``.
 
-    Rows/cols past the last window (``(h + 2p - k) % s != 0``) stay zero:
-    they never reached the forward output, so they receive no gradient.
-    Workspace scratch — the caller gives it back.
+    Rule 2: for an odd kernel and ``pad <= (k - 1) / 2`` the gradient lands
+    at the input's own size — row ``r`` at row ``(k - 1) / 2 - p + s * r``
+    — and the halo ``(k - 1) / 2`` is the conv's to pad; otherwise it is
+    materialised here (``k - 1 - p`` zero rows on top). Rows/cols past the
+    last window (``(h + 2p - k) % s != 0``) never reached the forward output
+    and stay zero. Workspace scratch — the caller gives it back.
     """
     n, c, gh, gw = grad.shape
-    top, left = k_hw[0] - 1 - pad[0], k_hw[1] - 1 - pad[1]
-    z = workspace.take((n, c, in_hw[0] + k_hw[0] - 1,
-                        in_hw[1] + k_hw[1] - 1), grad.dtype)
+    (kh, kw), (ph, pw) = k_hw, pad
+    halo = ((kh - 1) // 2, (kw - 1) // 2) \
+        if kh % 2 and kw % 2 and 2 * ph < kh and 2 * pw < kw else (0, 0)
+    top, left = kh - 1 - ph - halo[0], kw - 1 - pw - halo[1]
+    z = workspace.take((n, c, in_hw[0] + kh - 1 - 2 * halo[0],
+                        in_hw[1] + kw - 1 - 2 * halo[1]), grad.dtype)
     z[...] = 0
     z[:, :, top:top + stride[0] * gh:stride[0],
       left:left + stride[1] * gw:stride[1]] = grad
-    return z
+    return z, halo
 
 
 @kernel("conv2d_dx")
@@ -370,8 +401,8 @@ def _conv2d_dx_into(inputs, attrs, out):
         dx = conv2d_forward(grad, _flip_transpose(w, groups), 1,
                             (kh - 1 - ph, kw - 1 - pw), groups, out)
     else:
-        z = _dilate(grad, (h, wdim), (kh, kw), (sh, sw), (ph, pw))
-        dx = conv2d_forward(z, _flip_transpose(w, groups), 1, 0, groups,
+        z, halo = _dilate(grad, (h, wdim), (kh, kw), (sh, sw), (ph, pw))
+        dx = conv2d_forward(z, _flip_transpose(w, groups), 1, halo, groups,
                             out)
         workspace.give(z)
     return dx if out is None else out
@@ -422,10 +453,13 @@ def _conv2d_dw(inputs, attrs):
     cout = grad.shape[1]
     cin_g = cin // groups
     if groups == 1:
-        cols, _, _ = im2col(x, kh, kw, sh, sw, ph, pw)
+        cols, _, _, scratch = _columns(x, kh, kw, sh, sw, ph, pw)
         g2 = grad.reshape(n, cout, -1)
+        # tensordot, not a hand-built GEMM pair: it hands BLAS a transposed
+        # view where a copy would change the summation order at batch 1
         dw = np.tensordot(g2, cols, axes=([0, 2], [0, 2]))
-        workspace.give(cols)
+        if scratch:
+            workspace.give(cols)
         return [dw.reshape(cout, cin, kh, kw)]
     # Grouped path: batched grad @ cols^T per (batch, group) chunk,
     # reduced over the batch (scratch bounded by _GROUP_SCRATCH_CAP).

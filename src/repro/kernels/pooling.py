@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel
+from . import kernel, out_kernel
 from .conv2d import _pair, col2im, im2col
+from .reduce import mean
 
 
 def _windows(x: np.ndarray, attrs) -> tuple[np.ndarray, int, int, tuple]:
@@ -67,3 +68,15 @@ def _avgpool2d_grad(inputs, attrs):
 def _global_avg_pool(inputs, attrs):
     x = inputs[0]
     return [x.mean(axis=(2, 3), dtype=x.dtype)]
+
+
+@out_kernel("global_avg_pool")
+def _global_avg_pool_out(inputs, attrs, out):
+    """The sum into ``out`` and one divide in place (:func:`.reduce.mean`):
+    ``np.mean``'s bits without its wrapper, for float32 / float64. Other
+    dtypes keep ``np.mean``, whose explicit ``dtype=`` sums float16 in half
+    precision and truncates an integer quotient — ``mean`` does neither."""
+    x = inputs[0]
+    if x.dtype.char in "fd":
+        return mean(x, (2, 3), False, out)
+    return x.mean(axis=(2, 3), dtype=x.dtype, out=out)

@@ -1,6 +1,7 @@
 """Shape-manipulation kernels: reshape, transpose, slice, concat, pad —
 and the layout facts the plan's static slab is computed from
-(:func:`c_strides`, :func:`is_c_contiguous`, :func:`view_layout`)."""
+(:func:`c_strides`, :func:`is_c_contiguous`, :func:`normal_strides`,
+:func:`view_layout`)."""
 
 from __future__ import annotations
 
@@ -35,6 +36,23 @@ def is_c_contiguous(shape: tuple[int, ...], strides: tuple[int, ...],
                 return False
             step *= dim
     return True
+
+
+def normal_strides(shape: tuple[int, ...], strides: tuple[int, ...],
+                   itemsize: int) -> tuple[int, ...]:
+    """``strides`` with those of length-1 axes set to what C order would
+    give them. Such an axis addresses nothing, numpy fills its stride in as
+    it pleases, and a layout is declared in one place and checked in
+    another — so both sides compare this form (a non-empty array is
+    C-contiguous exactly when it maps to :func:`c_strides`)."""
+    normal = []
+    step = itemsize
+    for dim, stride in zip(reversed(shape), reversed(strides)):
+        if dim != 1:
+            step = stride
+        normal.append(step)
+        step *= dim
+    return tuple(reversed(normal))
 
 
 @functools.lru_cache(maxsize=8192)
@@ -137,3 +155,9 @@ def _pad(inputs, attrs):
 @kernel("broadcast_to")
 def _broadcast_to(inputs, attrs):
     return [np.broadcast_to(inputs[0], tuple(attrs["shape"])).copy()]
+
+
+@out_kernel("broadcast_to")
+def _broadcast_to_out(inputs, attrs, out):
+    np.copyto(out, inputs[0])  # copyto broadcasts its source
+    return out

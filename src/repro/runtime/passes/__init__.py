@@ -14,8 +14,8 @@ This package is the optimizing half of plan construction
   - :mod:`fold_scalars` — bake frozen shape-() state out of the
     register/slot machinery into per-instruction const splices;
   - :mod:`precompute_frozen` — hoist frozen-weight computation
-    (Winograd transforms, 1x1 im2col operands, pre-transposed matmul
-    operands) into plan-owned constant slots bound once per session;
+    (Winograd transforms, pre-transposed matmul operands) into
+    plan-owned constant slots bound once per session;
   - :mod:`autotune` — per-instruction kernel-variant selection against
     the device cost model (optionally confirmed by cached on-host
     microbenchmarks); runs when ``CompileOptions.autotune`` is set, not

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from ...kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
                         OUT_ALIAS_SAFE, OUT_KERNELS, into_form)
-from ...kernels.shape import c_strides, is_c_contiguous, view_layout
+from ...kernels.shape import (c_strides, is_c_contiguous, normal_strides,
+                             view_layout)
 from ...memory.planner import place
 from ..plan import (MODE_BASE, MODE_COPY, MODE_OUT, SLAB_ALIGNMENT,
                     AliasSpec, InstructionSpec, PlanSpec, PrecomputedSpec,
@@ -218,6 +219,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                     buffers.append([ctx.nbytes(out), pos])
                 else:
                     offset, shape, strides = view
+                    strides = normal_strides(shape, strides, dtype.itemsize)
                     if is_c_contiguous(shape, strides, dtype.itemsize):
                         dense.add(out)
                     else:

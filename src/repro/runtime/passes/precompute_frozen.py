@@ -12,15 +12,11 @@ transform to the frozen weight the first time it runs (cached by
 source-array identity, so every subsequent step republishes the same
 array for free).
 
-Three hoists, each gated on the runtime actually registering the variant
+Two hoists, each gated on the runtime actually registering the variant
 and transform:
 
 * ``winograd_precomputed`` — the ``U = G g Gᵀ`` weight transform for
   3x3 winograd convs, in the kernel's GEMM-ready ``(16, O, C)`` layout;
-* ``im2col_precomputed`` — 1x1/pad-0/groups-1 convs: the weight
-  pre-flattened to its (cout, cin) GEMM operand, and the variant kernel
-  feeds the activation into the GEMM as a reshape view instead of paying
-  the base kernel's whole-activation im2col copy;
 * ``pretransposed_b`` — ``trans_b`` matmuls over a frozen B: the
   contiguous transpose is materialised once. BLAS may take a different
   (1-ulp-different) code path for the two layouts at some shapes, so
@@ -31,7 +27,7 @@ and transform:
   values, so one probe at the op's static shapes decides the path for
   every step.
 
-Bitwise safety for the first two: the transform registry entry is the
+Bitwise safety for the first: the transform registry entry is the
 exact computation the base kernel performs inline, and frozen state is
 written by no in-place node, so recomputing it would yield identical
 bytes every step.
@@ -46,8 +42,6 @@ from .lower import LoweredOp, LoweringContext, PrecomputeRequest
 
 _WINOGRAD_VARIANT = "winograd_precomputed"
 _WINOGRAD_TRANSFORM = "winograd_weight"
-_IM2COL_VARIANT = "im2col_precomputed"
-_IM2COL_TRANSFORM = "im2col_weight"
 _PRETRANS_VARIANT = "pretransposed_b"
 _PRETRANS_TRANSFORM = "transpose_last2"
 
@@ -76,30 +70,6 @@ def _hoist_winograd(op: LoweredOp, ctx: LoweringContext) -> int:
         variant=_WINOGRAD_VARIANT,
         shape=(16, cout, cin), dtype="float32")
     return cout * cin * 16 * 4
-
-
-def _hoist_im2col(op: LoweredOp, ctx: LoweringContext) -> int:
-    attrs = ctx.attrs(op.node)
-    if attrs.get("algo", "direct") not in (None, "direct"):
-        return 0
-    stride = attrs.get("stride", 1)
-    pad = attrs.get("padding", 0)
-    pads = (pad[0], pad[1]) if isinstance(pad, (tuple, list)) else (pad, pad)
-    if int(attrs.get("groups", 1)) != 1 or tuple(map(int, pads)) != (0, 0):
-        return 0
-    weight = op.inputs[1]
-    if not ctx.frozen_state(weight):
-        return 0
-    w_spec = ctx.spec(weight)
-    if tuple(w_spec.shape[2:]) != (1, 1):
-        return 0
-    del stride  # any stride is fine: the variant subsamples the view
-    cout, cin = int(w_spec.shape[0]), int(w_spec.shape[1])
-    dtype = np.dtype(w_spec.dtype.np)
-    op.precompute = PrecomputeRequest(
-        state=weight, transform=_IM2COL_TRANSFORM, variant=_IM2COL_VARIANT,
-        shape=(cout, cin), dtype=dtype.name)
-    return cout * cin * dtype.itemsize
 
 
 def _pretransposed_probe(ctx: LoweringContext, op: LoweredOp,
@@ -155,7 +125,6 @@ def precompute_frozen(stream: list[LoweredOp], ctx: LoweringContext
     """Annotate eligible frozen-weight ops; returns (stream, stats)."""
     winograd_ok = _registered("conv2d", _WINOGRAD_VARIANT,
                               _WINOGRAD_TRANSFORM)
-    im2col_ok = _registered("conv2d", _IM2COL_VARIANT, _IM2COL_TRANSFORM)
     pretrans_ok = _registered("matmul", _PRETRANS_VARIANT,
                               _PRETRANS_TRANSFORM)
     hoisted: dict[str, int] = {}
@@ -165,11 +134,8 @@ def precompute_frozen(stream: list[LoweredOp], ctx: LoweringContext
                 or op.const_inputs:
             continue
         added = 0
-        if op.kernel == "conv2d" and len(op.inputs) >= 2:
-            if winograd_ok:
-                added = _hoist_winograd(op, ctx)
-            if not added and im2col_ok:
-                added = _hoist_im2col(op, ctx)
+        if op.kernel == "conv2d" and len(op.inputs) >= 2 and winograd_ok:
+            added = _hoist_winograd(op, ctx)
         elif op.kernel == "matmul" and pretrans_ok:
             added = _hoist_pretransposed(op, ctx)
         if added and op.precompute is not None:

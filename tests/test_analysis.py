@@ -416,13 +416,14 @@ class TestTunedVariantMutations:
         assert "tuned-unregistered-variant" in _rules(bad, program)
 
     def test_variant_disagrees_with_instruction(self, victim):
-        """Claiming a registered variant the instruction does not bind:
+        """Claiming the base kernel where the instruction binds a variant:
         the decision table and the stream must tell one story."""
         program, spec = victim
         idx = next(i for i, t in enumerate(spec.tuned_variants)
-                   if t.variant == "im2col_precomputed")
-        bad = self._mutate_tuned(spec, idx, variant="winograd_precomputed")
-        assert "tuned-variant-mismatch" in _rules(bad, program)
+                   if t.variant == "winograd_precomputed")
+        for claim in ("base", "pretransposed_b"):  # matmul's: not bound
+            bad = self._mutate_tuned(spec, idx, variant=claim)
+            assert "tuned-variant-mismatch" in _rules(bad, program), claim
 
     def test_duplicate_decision(self, victim):
         program, spec = victim

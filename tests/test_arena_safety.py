@@ -9,18 +9,26 @@ different times, an output may take over a dying input's — every
 randomized program is also cross-checked value-for-value against the
 interpreter: an overlap or lifetime hole would surface as silent
 corruption there.
+
+The kernels' own scratch pool (``executor.workspace``: im2col columns, pad
+buffers) is held to the same property. It recycles whatever allocation it
+is given, so a kernel giving back a *view of its input* would pool the
+slab, a feed or a weight — and the next unfold would scribble over it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AutodiffError
 from repro.ir import GraphBuilder
+from repro.kernels.conv2d import im2col
+from repro.models import build_model, paper_scheme
 from repro.runtime import Executor, Program
 from repro.runtime.compiler import compile_training
-from repro.sparse import UpdateScheme
-from repro.train import SGD
+from repro.sparse import UpdateScheme, full_update
+from repro.train import SGD, Adam
 
 
 #: |x| <= 1 and |w| <= 0.25 put every entry of x @ w within 1; values are
@@ -298,3 +306,50 @@ class TestDonationSafety:
             again = ex.run(feeds)
             for k in snap:
                 np.testing.assert_array_equal(again[k], snap[k])
+
+
+class TestKernelScratchNeverAliasesThePlan:
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("scheme", [paper_scheme, full_update])
+    @pytest.mark.parametrize("model", ["mcunet_micro", "mobilenetv2_micro",
+                                       "resnet_micro"])
+    def test_zoo_workspace_holds_only_its_own_buffers(self, model, scheme,
+                                                      batch, rng):
+        forward = build_model(model, batch=batch)
+        program = compile_training(
+            forward, scheme=scheme(forward),
+            optimizer=SGD(0.05) if scheme is paper_scheme else Adam(1e-3))
+        graph, labels = program.graph, program.meta["labels"]
+        classes = graph.spec(program.meta["logits"]).shape[-1]
+        executor = Executor(program)
+        for _ in range(3):
+            feeds = {name: rng.integers(0, classes, graph.spec(name).shape)
+                     .astype(graph.spec(name).dtype.np) if name == labels
+                     else rng.standard_normal(graph.spec(name).shape)
+                     .astype(graph.spec(name).dtype.np)
+                     for name in graph.inputs}
+            executor.run(feeds)
+            pooled = executor.workspace.buffers()
+            assert pooled, "conv scratch is recycled through the workspace"
+            assert len({id(scratch) for scratch in pooled}) == len(pooled)
+            live = pooled_slabs(executor) + list(feeds.values()) \
+                + list(program.state.values())
+            for scratch in pooled:
+                assert scratch.flags.owndata
+                assert not any(np.may_share_memory(scratch, array)
+                               for array in live), \
+                    f"pooled scratch {scratch.shape} aliases the plan"
+
+    @pytest.mark.parametrize("conv", [
+        (1, 1, 1, 1, 0, 0), (3, 3, 1, 1, 1, 1), (3, 3, 2, 2, 1, 1),
+        (1, 1, 2, 2, 0, 0), (2, 2, 1, 1, 0, 0), (1, 3, 1, 1, 0, 1)])
+    def test_im2col_returns_owned_scratch(self, rng, conv):
+        """Also where the column matrix is a plain copy of the input: a
+        caller may ``give`` whatever ``im2col`` returned."""
+        x = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
+        cols, _, _ = im2col(x, *conv)
+        owner = cols
+        while owner.base is not None:
+            owner = owner.base
+        assert isinstance(owner, np.ndarray) and owner.flags.owndata
+        assert not np.shares_memory(cols, x)

@@ -363,6 +363,24 @@ def conv_case(draw, backward):
 
 
 @st.composite
+def global_avg_pool_case(draw):
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(4))
+    return [draw(arrays(shape=shape, dtypes=(np.float16, np.float32,
+                                             np.float64)))], {}
+
+
+@st.composite
+def broadcast_to_case(draw):
+    """A target shape, and a source with some axes of length 1 and some
+    leading axes absent."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
+    source = tuple(d if draw(st.booleans()) else 1 for d in shape)
+    source = source[draw(st.integers(0, len(shape))):]
+    return [draw(arrays(shape=source))], \
+        {"shape": draw(st.sampled_from([tuple, list]))(shape)}
+
+
+@st.composite
 def precomputed_case(draw, variant):
     """A plan-selected variant's inputs: the base op's, plus the hoisted
     transform of its frozen operand as the trailing input."""
@@ -379,15 +397,10 @@ def precomputed_case(draw, variant):
     else:
         n, cin, cout = (draw(st.integers(1, 3)) for _ in range(3))
         h, w = draw(st.integers(2, 7)), draw(st.integers(2, 7))
-        k = 1 if variant == "im2col_precomputed" else 3
-        ins = [values(n, cin, h, w), values(cout, cin, k, k)] \
+        ins = [values(n, cin, h, w), values(cout, cin, 3, 3)] \
             + [values(cout)] * bias
-        if k == 1:
-            attrs["stride"] = draw(st.sampled_from([1, 2, (1, 2)]))
-            transform = "im2col_weight"
-        else:
-            attrs.update(algo="winograd", padding=draw(st.integers(0, 1)))
-            transform = "winograd_weight"
+        attrs.update(algo="winograd", padding=draw(st.integers(0, 1)))
+        transform = "winograd_weight"
     ins = [x.astype(np.float32) for x in ins]
     return ins + [PRECOMPUTE_TRANSFORMS[transform](ins[1])], attrs
 
@@ -407,6 +420,8 @@ STRATEGIES = {
     "rmsnorm": norm_case(1), "layernorm": norm_case(2),
     "bias_add": bias_add_case(), "cast": cast_case(),
     "embedding": embedding_case(), "mask_mul": mask_mul_case(),
+    "global_avg_pool": global_avg_pool_case(),
+    "broadcast_to": broadcast_to_case(),
 }
 
 

@@ -79,10 +79,9 @@ class TestFusedEpilogue:
 
     @pytest.mark.parametrize("activation", [None, "relu", "relu6"])
     @pytest.mark.parametrize("form", ["direct", "grouped", "winograd",
-                                      "winograd_precomputed",
-                                      "im2col_precomputed"])
+                                      "winograd_precomputed", "pointwise"])
     def test_conv_forms(self, rng, form, activation):
-        k = 1 if form == "im2col_precomputed" else 3
+        k = 1 if form == "pointwise" else 3
         groups = 4 if form == "grouped" else 1
         x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
         w = rng.standard_normal((8, 4 // groups, k, k)).astype(np.float32)
@@ -93,9 +92,7 @@ class TestFusedEpilogue:
         fn, extra = lambda ins, at: run_op("conv2d", ins, at), []
         if form.endswith("_precomputed"):
             fn = VARIANT_KERNELS["conv2d", form]
-            name = "winograd_weight" if "winograd" in form \
-                else "im2col_weight"
-            extra = [PRECOMPUTE_TRANSFORMS[name](w)]
+            extra = [PRECOMPUTE_TRANSFORMS["winograd_weight"](w)]
         [plain] = fn([x, w] + extra, attrs)
         want = self.ACTIVATIONS[activation](
             plain + bias.reshape(1, -1, 1, 1))
@@ -214,6 +211,31 @@ class TestConvDxAdjoint:
         assert dx.shape == x_shape and dx.dtype == g.dtype
         lhs, rhs = (y * g).sum(), (x * dx).sum()
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_every_padding_off_the_window_grid(self, rng, k, stride):
+        """Every ``p`` in ``0..k-1`` — the zero-inserted gradient at the
+        input's own size up to ``(k-1)/2``, padded beyond — at heights with
+        ``(h + 2p - k) % s != 0``, where the last rows are in no window."""
+        checked = 0
+        for p, groups in [(p, g) for p in range(k) for g in (1, 3)]:
+            lo = max(1, k - 2 * p)
+            for h in range(lo, lo + 2 * stride):
+                if stride > 1 and (h + 2 * p - k) % stride == 0:
+                    continue
+                x = rng.standard_normal((2, 3, h, h + 1))
+                w = rng.standard_normal((3, 3 // groups, k, k))
+                attrs = {"stride": stride, "padding": p, "groups": groups}
+                [y] = run_op("conv2d", [x, w], attrs)
+                g = rng.standard_normal(y.shape)
+                [dx] = run_op("conv2d_dx", [g, w],
+                              {**attrs, "input_shape": x.shape})
+                lhs, rhs = (y * g).sum(), (x * dx).sum()
+                assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs)), \
+                    (p, groups, h)
+                checked += 1
+        assert checked >= 2 * k
 
     @pytest.mark.parametrize("groups,stride", [(1, 1), (1, 2), (4, 1),
                                                (4, 2)])

@@ -664,8 +664,7 @@ class TestArtifactRoundTripOptimized:
         manifest = json.loads(
             (tmp_path / "model" / "manifest.json").read_text())
         assert manifest["plan_passes"] == list(DEFAULT_PASSES)
-        assert manifest["transforms"] == ["im2col_weight",
-                                          "winograd_weight"]
+        assert manifest["transforms"] == ["winograd_weight"]
         deployed = load_artifact(tmp_path / "model")
         assert deployed.program.plan_spec() == spec
         name = [n for n in program.graph.inputs

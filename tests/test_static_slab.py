@@ -25,14 +25,17 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.analysis.planlint import verify_plan_spec
 from repro.errors import AutodiffError, ExecutionError
 from repro.kernels import VIEW_OPS
+from repro.kernels.shape import c_strides, normal_strides
 from repro.runtime import BufferSet, Executor
 from repro.runtime import executor as executor_module
 from repro.runtime.compiler import compile_training
 from repro.train import SGD
 
 from conftest import make_mlp_graph
+from test_activation_masks import compile_at
 from test_codegen import assert_same_bytes, make_feeds, relowered
 from test_compile_single_sweep import ZOO_PROGRAMS, compile_zoo
 from test_differential import compile_random
@@ -151,10 +154,8 @@ def assert_static_facts_hold(program, feeds):
     for entry in spec.slab_slots:
         real = seen[names[entry.slot]]
         assert real.shape == entry.shape and real.dtype == entry.dtype
-        significant = [(want, got) for dim, want, got
-                       in zip(entry.shape, entry.strides, real.strides)
-                       if dim > 1]
-        assert all(want == got for want, got in significant), \
+        assert entry.strides == normal_strides(
+            real.shape, real.strides, real.itemsize), \
             (names[entry.slot], entry.strides, real.strides)
         checked += 1
     return checked
@@ -164,6 +165,31 @@ class TestStaticLayoutFacts:
     def test_zoo_slots_look_like_the_interpreters_arrays(self, zoo_program):
         feeds = make_feeds(zoo_program, np.random.default_rng(2))
         assert assert_static_facts_hold(zoo_program, feeds) > 30
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("model,scheme", ZOO_PROGRAMS)
+    def test_length_one_axes_do_not_split_plan_and_verifier(self, model,
+                                                            scheme, batch):
+        """At batch 1 a view's leading axes have length 1 and numpy gives
+        them any stride it likes: ``allocate`` declares, and planlint
+        compares, :func:`normal_strides` of what numpy says."""
+        program = compile_at(model, scheme, batch)
+        assert verify_plan_spec(program.plan_spec(), program) == []
+        feeds = make_feeds(program, np.random.default_rng(2))
+        assert assert_static_facts_hold(program, feeds) > 30
+
+    def test_normal_strides(self):
+        # numpy's own answer for a (1, 1, 32) slice of a (1, 16, 32) array
+        assert normal_strides((1, 1, 32), (2048, 128, 4), 4) \
+            == c_strides((1, 1, 32), 4) == (128, 128, 4)
+        assert normal_strides((2, 1, 3), (4, 999, 8), 4) == (4, 24, 8)
+        assert normal_strides((), (), 4) == ()
+        for shape in [(3, 1, 4), (1, 5), (1, 1, 1)]:
+            x = np.empty(shape, np.float32)
+            assert normal_strides(shape, x.strides, 4) == c_strides(shape, 4)
+            assert normal_strides(shape[::-1], x.T.strides, 4) \
+                == normal_strides(shape[::-1], normal_strides(
+                    shape[::-1], x.T.strides, 4), 4)
 
     def test_random_graph_slots_do_too(self):
         compiled = 0
