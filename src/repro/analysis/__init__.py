@@ -21,8 +21,8 @@ including inside deployed workers.
 from .asynclint import (lint_module, lint_paths, lint_tree,
                         lint_worker_imports, worker_import_report)
 from .effects import OpEffects, safe_to_defer, stream_effects
-from .planlint import (check_plan, report_for, verify_enabled,
-                       verify_plan_spec, verify_program)
+from .planlint import (check_plan, report_for, slab_intervals,
+                       verify_enabled, verify_plan_spec, verify_program)
 from .report import Finding, Report, format_findings, parse_waivers
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "parse_waivers",
     "report_for",
     "safe_to_defer",
+    "slab_intervals",
     "stream_effects",
     "verify_enabled",
     "verify_plan_spec",

@@ -123,6 +123,22 @@ def report_for(spec: PlanSpec, program, target: str = "<plan>") -> Report:
                   findings=verify_plan_spec(spec, program))
 
 
+def slab_intervals(spec: PlanSpec, program
+                   ) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """``(offsets, intervals)`` of ``spec``'s slab buffers, as the
+    slab-overlap rule reconstructs them: one closed ``(bytes, birth,
+    death)`` per buffer over instruction positions, lifetimes recomputed
+    from the reads (a view keeps its base alive, a returned output lives
+    to the end, an in-place reuse chain is one buffer). The maximum of
+    :func:`repro.memory.planner.live_load` over them is the live-load
+    bound ``repro memory`` prints next to ``slab_bytes``."""
+    checker = _PlanChecker(spec, program)
+    checker.run()
+    offsets, sizes, lives = checker.slab_buffers()
+    return offsets, [(size, life[0], life[2])
+                     for size, life in zip(sizes, lives)]
+
+
 _UNDEF, _LIVE, _FREED = 0, 1, 2
 
 
@@ -611,9 +627,11 @@ class _PlanChecker:
                           f"slot {slot} ({self.names.get(slot)!r}) "
                           f"dies here but is not on the free-list")
 
-    def _check_slab(self) -> None:
-        """No two live buffers share bytes, in-place reuse chains aside:
-        an output reusing an input is the same buffer living on."""
+    def slab_buffers(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """The slab's buffers after the walk: ``(offsets, sizes, lives)``,
+        one entry per buffer, ``lives`` as ``[birth, last read of the
+        owner, last read counting its views]``. An in-place reuse chain is
+        one buffer: an output reusing an input is that buffer living on."""
         merged: dict[int, list[int]] = {}
         for slot, (birth, own, full) in self.life.items():
             head = slot
@@ -623,16 +641,21 @@ class _PlanChecker:
             life[:] = (min(life[0], birth), max(life[1], own),
                        max(life[2], full))
         slots = sorted(merged)
-        offsets = [self.slab[slot].offset for slot in slots]
-        sizes = [self.nbytes(self.names[slot], "slab")
-                 if slot in self.names else 0 for slot in slots]
+        return ([self.slab[slot].offset for slot in slots],
+                [self.nbytes(self.names[slot], "slab")
+                 if slot in self.names else 0 for slot in slots],
+                [merged[slot] for slot in slots])
+
+    def _check_slab(self) -> None:
+        """No two live buffers share bytes, in-place reuse chains aside."""
+        offsets, sizes, lives = self.slab_buffers()
         for rule, column, note in (
                 ("slab-overlap", 1, ""),
                 ("alias-lifetime", 2, " while a view of one is still read")):
             try:
                 SlabPlan(self.spec.slab_bytes, offsets,
-                         [(size, merged[slot][0], merged[slot][column])
-                          for slot, size in zip(slots, sizes)]).validate()
+                         [(size, life[0], life[column])
+                          for size, life in zip(sizes, lives)]).validate()
             except MemoryPlanError as exc:
                 self.flag(rule, "slab", f"{exc}{note}")
                 return

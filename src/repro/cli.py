@@ -86,8 +86,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_memory(args) -> int:
-    from .memory import profile_memory, transient_values
+    from .analysis.planlint import slab_intervals
+    from .memory import live_load, profile_memory, transient_values
     from .runtime.compiler import CompileOptions, compile_training
+    from .runtime.plan import SLAB_ALIGNMENT
 
     forward, _ = _build(args.model, args.batch)
     scheme = paper_scheme(forward) if args.sparse else full_update(forward)
@@ -95,8 +97,13 @@ def cmd_memory(args) -> int:
         forward, optimizer=SGD(0.01), scheme=scheme,
         options=CompileOptions(materialize_state=False,
                                device=get_device(args.device)))
-    profile = profile_memory(program.graph, program.schedule)
+    schedule = program.schedule
+    profile = profile_memory(program.graph, schedule, keep_timeline=True)
     spec = program.plan_spec()
+    # the floor of any placement of this plan's buffers: the most aligned
+    # bytes alive at once, over the intervals planlint checks the slab on
+    bound = max(live_load(slab_intervals(spec, program)[1], SLAB_ALIGNMENT),
+                default=0)
     print(render_table(["metric", "value"], [
         ["scheme", scheme.name],
         ["graph nodes", len(program.graph.nodes)],
@@ -108,11 +115,12 @@ def cmd_memory(args) -> int:
         ["static slab", f"{spec.slab_bytes / 1024:.1f}KB"],
         ["slab / plan peak",
          f"{spec.slab_bytes / max(1, spec.peak_transient_bytes):.3f}"],
+        ["live-load bound", f"{bound / 1024:.1f}KB"],
+        ["slab / live-load bound", f"{spec.slab_bytes / max(1, bound):.3f}"],
     ]))
 
     # Why the peak is what it is: the values live at that step, and what
     # the forward pass keeps for the backward, by the op that made it.
-    schedule = program.schedule
     values = transient_values(program.graph, schedule)
     at = profile.peak_step
     live = sorted((v for v in values if v.born <= at <= v.dies),
@@ -127,6 +135,20 @@ def cmd_memory(args) -> int:
          for v in live],
         title=f"live at the schedule's peak: step {at} of {len(schedule)} "
               f"({schedule[at].op_type}), {peak} bytes"))
+
+    # What removing that peak would buy: the next two distinct levels the
+    # schedule holds, each with the first step at it. Bringing every step
+    # at or above a level down leaves the peak at the level below it.
+    timeline = profile.timeline
+    levels = sorted(set(timeline), reverse=True)[:4]
+    moments = [(timeline.index(level), level, below)
+               for level, below in zip(levels, levels[1:])]
+    print()
+    print(render_table(
+        ["step", "op", "bytes", "of peak", "peak without"],
+        [[step, schedule[step].op_type, level, f"{level / peak:.1%}", below]
+         for step, level, below in moments],
+        title="the peak and the next two moments"))
 
     loss_at = next(i for i, node in enumerate(schedule)
                    if program.meta["loss"] in node.outputs)

@@ -93,7 +93,12 @@ def _compute_itemsize(op_type: str, in_specs, out_specs) -> int:
     ``range_mask``, which compares its float input (the packed ``uint8``
     it writes is no int8 arithmetic). With its FLOPs counted per input
     element, that prices it — like ``mask_mul`` — as one elementwise pass
-    over the activation."""
+    over the activation. A packed mask among the *inputs* (``mask_mul``,
+    a ``conv2d_dx`` with ``mask_mul`` folded in) changes nothing here:
+    against the unfused pair that node is one launch fewer, the same
+    FLOPs (the schema adds one multiply per element of ``dx``) and the
+    gradient's round trip through memory saved — ``op_bytes`` counts the
+    mask's bytes once and ``dx`` once."""
     specs = in_specs if op_type == "range_mask" else out_specs
     return min((s.dtype.itemsize for s in specs), default=4)
 

@@ -161,15 +161,19 @@ def _range_mask_infer(inputs, attrs):
     return [(((y.num_elements + 7) // 8,), DType.UINT8)]
 
 
+def _check_bit_mask(op: str, mask: TensorSpec, shape) -> None:
+    """``mask`` is the packed ``range_mask`` of a tensor of ``shape``."""
+    packed = ((_nelem(tuple(shape)) + 7) // 8,)
+    if mask.dtype != DType.UINT8 or mask.shape != packed:
+        raise ShapeError(
+            f"{op} needs a {packed} uint8 bit mask for a gradient of shape "
+            f"{tuple(shape)}, got {mask.shape} {mask.dtype.value}")
+
+
 @register_op("mask_mul", 2, flops=_elem_flops)
 def _mask_mul_infer(inputs, attrs):
     g, mask = inputs
-    if mask.dtype != DType.UINT8 \
-            or mask.shape != ((g.num_elements + 7) // 8,):
-        raise ShapeError(
-            f"mask_mul needs a ({(g.num_elements + 7) // 8},) uint8 bit mask "
-            f"for a gradient of shape {g.shape}, got {mask.shape} "
-            f"{mask.dtype.value}")
+    _check_bit_mask("mask_mul", mask, g.shape)
     return [(g.shape, g.dtype)]
 
 
@@ -384,17 +388,29 @@ def _conv2d_infer(inputs, attrs):
     return [((n, cout, ho, wo), x.dtype)]
 
 
+def _conv2d_dx_flops(inputs, outputs, attrs) -> int:
+    # a fused mask (third input) is one more multiply per element of dx
+    masked = outputs[0].num_elements if len(inputs) == 3 else 0
+    return _conv2d_flops(inputs, outputs, attrs) + masked
+
+
 @register_op(
     "conv2d_dx",
     2,
+    max_inputs=3,
     attrs=("stride", "padding", "groups", "input_shape"),
-    flops=_conv2d_flops,
+    flops=_conv2d_dx_flops,
 )
 def _conv2d_dx_infer(inputs, attrs):
-    grad, w = inputs
+    """``conv2d_dx(grad, w[, mask])``: the optional third input is the
+    packed bit mask of the activation that fed the conv — ``mask_mul``
+    folded into the gradient's epilogue (:mod:`repro.passes.fusion`)."""
+    grad = inputs[0]
     in_shape = tuple(int(d) for d in attrs["input_shape"])
     if len(in_shape) != 4:
         raise ShapeError("conv2d_dx input_shape must be NCHW")
+    if len(inputs) == 3:
+        _check_bit_mask("conv2d_dx", inputs[2], in_shape)
     return [(in_shape, grad.dtype)]
 
 

@@ -25,6 +25,11 @@ GEMM followed by :func:`col2im`'s ``kh*kw`` strided ``+=`` scatters:
   them pays ``sh*sw`` im2cols and GEMMs for the one it saves;
 * ``pad > k-1`` has no gather form (negative padding) and also folds.
 
+Whichever branch ran, a third input is the packed bit mask of the
+activation that fed the conv (``mask_mul`` folded in by
+:mod:`repro.passes.fusion`): ``dx`` is multiplied by it where it lies,
+through ``mask_mul``'s own body, so the bytes are the unfused pair's.
+
 The rule reads only static attrs (stride, groups, kernel size, padding).
 Best-of-N µs on the development host, one BLAS thread, old = GEMM +
 ``col2im`` everywhere (``zins`` = zero-insertion, ``phase`` = sub-pixel):
@@ -77,7 +82,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernel, out_kernel, variant_kernel, workspace
-from .elementwise import epilogue_into
+from .elementwise import epilogue_into, mask_mul_into
 
 
 #: parsed stride/padding pairs, keyed by the raw attr value. Conv graphs
@@ -377,7 +382,12 @@ def _conv2d_dx(inputs, attrs):
 
 @out_kernel("conv2d_dx")
 def _conv2d_dx_into(inputs, attrs, out):
-    grad, w = inputs
+    """``dx``, times the unpacked bit mask when a third input carries one
+    (``mask_mul`` folded in by :mod:`repro.passes.fusion`): every branch
+    leaves ``dx`` in a buffer of its own — ``out``, or the fresh result —
+    and the mask is applied there by ``mask_mul``'s own body, so the
+    product is the unfused pair's bit for bit."""
+    grad, w = inputs[0], inputs[1]
     sh, sw = _pair(attrs.get("stride", 1))
     ph, pw = _pair(attrs.get("padding", 0))
     groups = int(attrs.get("groups", 1))
@@ -405,7 +415,9 @@ def _conv2d_dx_into(inputs, attrs, out):
         dx = conv2d_forward(z, _flip_transpose(w, groups), 1, halo, groups,
                             out)
         workspace.give(z)
-    return dx if out is None else out
+    if out is not None:
+        dx = out
+    return mask_mul_into(dx, inputs[2], dx) if len(inputs) == 3 else dx
 
 
 def _conv2d_dx_fold(grad, w, in_shape, sh, sw, ph, pw, groups):

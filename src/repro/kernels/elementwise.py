@@ -184,7 +184,10 @@ def _range_mask(inputs, attrs):
     return [np.packbits(inside)]
 
 
-def _mask_mul_into(g, mask, out):
+def mask_mul_into(g, mask, out):
+    """``g`` times the unpacked bit ``mask``, into ``out`` (``None``: a
+    fresh array; ``g`` itself: in place). The one body behind ``mask_mul``
+    and ``conv2d_dx``'s mask epilogue."""
     # g * {0, 1}: the same float product as g * {0.0, 1.0} — numpy casts
     # the uint8 operand to g's dtype — so float16 stays float16.
     keep = np.unpackbits(mask, count=g.size).reshape(g.shape)
@@ -193,7 +196,7 @@ def _mask_mul_into(g, mask, out):
 
 @kernel("mask_mul")
 def _mask_mul(inputs, attrs):
-    return [_mask_mul_into(inputs[0], inputs[1], None)]
+    return [mask_mul_into(inputs[0], inputs[1], None)]
 
 
 # ``out`` may be ``g``'s own buffer (a plain elementwise product once the
@@ -201,7 +204,7 @@ def _mask_mul(inputs, attrs):
 # is what the plan's same-form reuse rule already refuses.
 @out_kernel("mask_mul", alias_safe=True)
 def _mask_mul_out(inputs, attrs, out):
-    return _mask_mul_into(inputs[0], inputs[1], out)
+    return mask_mul_into(inputs[0], inputs[1], out)
 
 
 @kernel("cast")

@@ -7,7 +7,7 @@ placement routine behind every plan's static slab.
 """
 
 from .liveness import Lifetime, value_lifetimes
-from .planner import SlabPlan, place
+from .planner import SlabPlan, live_load, place
 from .profiler import (MemoryProfile, TransientValue, profile_memory,
                        transient_values)
 from .remat import (Eviction, PagingPlan, RematResult, plan_paging,
@@ -21,6 +21,7 @@ __all__ = [
     "RematResult",
     "SlabPlan",
     "TransientValue",
+    "live_load",
     "place",
     "plan_paging",
     "profile_memory",

@@ -4,7 +4,8 @@ from .base import Pass, PassContext, PassManager, PassResult
 from .constant_folding import ConstantFoldingPass
 from .cse import CommonSubexpressionEliminationPass
 from .dce import DeadCodeEliminationPass
-from .fusion import BiasActivationFusionPass, ElementwiseGroupPass
+from .fusion import (BiasActivationFusionPass, ElementwiseGroupPass,
+                     GradientMaskFusionPass)
 from .kernel_select import WinogradSelectionPass
 from .layout import LayoutSelectionPass
 from .parallel_fusion import ParallelLinearFusionPass
@@ -18,6 +19,7 @@ __all__ = [
     "ConstantFoldingPass",
     "DeadCodeEliminationPass",
     "ElementwiseGroupPass",
+    "GradientMaskFusionPass",
     "LayoutSelectionPass",
     "ParallelLinearFusionPass",
     "Pass",

@@ -1,11 +1,23 @@
 """Operator fusion (paper §3.2).
 
-Two fusions are implemented:
+Three fusions are implemented:
 
 * **Physical bias/activation fusion** — ``conv2d/matmul -> bias_add ->
   activation`` collapses into a single node carrying the bias as a third
   input and an ``activation`` attribute. This is what SNPE/TensorRT-class
   backends do; our executor kernels honour the fused form directly.
+* **Gradient-mask fusion** — the backward mirror of the above:
+  ``conv2d_dx -> mask_mul`` (the gradient of a conv whose input was a
+  relu-family activation, times that activation's bit mask) collapses into
+  ``conv2d_dx(g, w, mask)``, the packed ``uint8`` mask riding as an
+  optional third input exactly as the bias does on ``conv2d``. The kernel
+  multiplies in its own output buffer, so the unmasked gradient never
+  exists beside its masked copy — on ``mcunet_micro`` sparse that pair was
+  72% of the peak — and one instruction per activation leaves the step. A
+  ``mask_mul`` after anything else (the ``add`` joining two gradient
+  branches, a pooling adjoint's ``broadcast_to``) stays: it already writes
+  over its dying gradient in the slab, which used to be the common case
+  and is now the minority one.
 * **Elementwise group annotation** — runs of elementwise ops with
   single-consumer intermediates are tagged with a shared fusion-group id in
   ``graph.metadata["fusion_groups"]``. Execution is unchanged; the device
@@ -103,6 +115,40 @@ class BiasActivationFusionPass(Pass):
         # The fused node adopts the tail's output name so downstream
         # consumers stay untouched.
         node.outputs = (tail.outputs[0],)
+
+
+class GradientMaskFusionPass(Pass):
+    """Fold ``conv2d_dx -> mask_mul`` into ``conv2d_dx(g, w, mask)``."""
+
+    name = "fuse_grad_mask"
+
+    def run(self, graph: Graph, ctx: PassContext) -> PassResult:
+        candidates = [node for node in graph.nodes
+                      if node.op_type == "conv2d_dx" and len(node.inputs) == 2]
+        #: id(mask_mul node) -> the conv2d_dx that absorbs it
+        fused: dict[int, Node] = {}
+        # (no conv, no consumer map: half the zoo is transformers)
+        consumers = graph.consumer_map() if candidates else {}
+        outputs = set(graph.outputs)
+        for node in candidates:
+            out = node.outputs[0]
+            users = consumers.get(out, [])
+            # (a float value read by a mask_mul is its gradient operand)
+            if out in outputs or len(users) != 1 \
+                    or users[0].op_type != "mask_mul":
+                continue
+            tail = users[0]
+            node.inputs = node.inputs + (tail.inputs[1],)
+            node.outputs = tail.outputs
+            fused[id(tail)] = node
+        if fused:
+            # The fused node reads the mask, so it takes the mask_mul's
+            # place in the (topologically ordered) node list.
+            moved = {id(node) for node in fused.values()}
+            graph.nodes = [fused.get(id(node), node) for node in graph.nodes
+                           if id(node) not in moved]
+            graph._drop_orphan_values()
+        return PassResult(changed=bool(fused), stats={"fused": len(fused)})
 
 
 class ElementwiseGroupPass(Pass):

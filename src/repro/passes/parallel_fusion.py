@@ -27,6 +27,19 @@ from ..ir.node import Node
 from .base import Pass, PassContext, PassResult
 
 
+def _concatenate(parts: list[np.ndarray], axis: int) -> np.ndarray:
+    """``np.concatenate``, except that zero-stride placeholders of one fill
+    (the weights of a graph-only compile, :func:`repro.frontend.init.
+    lazy_init`) stay one: at Llama-7B the copies are 100 MB a block."""
+    first = parts[0]
+    if all(not any(part.strides) and part.dtype == first.dtype
+           and part.flat[0] == first.flat[0] for part in parts):
+        shape = list(first.shape)
+        shape[axis] = sum(part.shape[axis] for part in parts)
+        return np.broadcast_to(first.flat[0], shape)
+    return np.concatenate(parts, axis=axis)
+
+
 class ParallelLinearFusionPass(Pass):
     name = "parallel_fusion"
 
@@ -121,14 +134,14 @@ class ParallelLinearFusionPass(Pass):
             x = rename.get(x, x)  # an earlier group's output feeds this one
             weights = [graph.initializers[mm.inputs[1]] for mm in matmuls]
             w_cat = b.initializer(
-                f"{matmuls[0].inputs[1]}.qkv",
-                np.concatenate(weights, axis=1))
+                f"{matmuls[0].inputs[1]}.qkv", _concatenate(weights, 1))
             merged = b.matmul(x, w_cat)
             if biases[0] is not None:
                 b_cat = b.initializer(
                     f"{biases[0].inputs[1]}.qkv",
-                    np.concatenate(
-                        [graph.initializers[bn.inputs[1]] for bn in biases]))
+                    _concatenate(
+                        [graph.initializers[bn.inputs[1]] for bn in biases],
+                        0))
                 merged = b.bias_add(merged, b_cat,
                                     axis=graph.spec(merged).rank - 1)
 

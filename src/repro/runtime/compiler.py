@@ -24,9 +24,10 @@ from ..memory import profile_memory
 from ..passes import (AlgebraicRewritePass, BiasActivationFusionPass,
                       CommonSubexpressionEliminationPass, ConstantFoldingPass,
                       DeadCodeEliminationPass, ElementwiseGroupPass,
-                      LayoutSelectionPass, ParallelLinearFusionPass,
-                      PassContext, PassManager, WinogradSelectionPass,
-                      default_schedule, memory_aware_schedule)
+                      GradientMaskFusionPass, LayoutSelectionPass,
+                      ParallelLinearFusionPass, PassContext, PassManager,
+                      WinogradSelectionPass, default_schedule,
+                      memory_aware_schedule)
 from ..sparse import ResolvedScheme, UpdateScheme, full_update
 from ..train.loss import add_loss
 from ..train.optim import OptimizerSpec, SGD, attach_optimizer
@@ -109,6 +110,7 @@ def graph_pass_manager(options: CompileOptions) -> PassManager:
         pipeline.append(ParallelLinearFusionPass())
     if options.fusion:
         pipeline.append(BiasActivationFusionPass())
+        pipeline.append(GradientMaskFusionPass())
     if options.winograd:
         pipeline.append(WinogradSelectionPass())
     if options.layout:

@@ -21,8 +21,13 @@ One walk over the stream decides, per value:
 * **in-place reuse** — an alias-safe into-form may write over an input of
   the output's own shape and dtype that dies at this very instruction and
   that nothing views: the output joins the input's buffer instead of
-  opening a new one. (``mask_mul`` so takes over its gradient's bytes,
-  never those of its packed ``uint8`` mask.)
+  opening a new one. (A ``mask_mul`` so takes over its gradient's bytes,
+  never those of its packed ``uint8`` mask — the few that graph fusion
+  leaves, after an ``add`` or a ``broadcast_to``; behind a ``conv2d_dx``
+  the mask is that kernel's third input and there is no second buffer to
+  save.) The byte ledger below still charges such an output beside its
+  input, as the interpreter allocates it: ``peak_transient_bytes`` can
+  stand above ``slab_bytes`` for that reason alone.
 
 Buffers are then placed by :func:`repro.memory.planner.place` over their
 closed ``[birth, death]`` stream intervals (a view extends its base's;

@@ -25,7 +25,9 @@ and transform:
   synthetic activation and the hoist is taken only when the results are
   byte-identical. GEMM path dispatch depends on shapes and strides, not
   values, so one probe at the op's static shapes decides the path for
-  every step.
+  every step. A program whose state is not materialised (a graph-only
+  compile of a paper-scale model over zero-stride placeholders) has no
+  operand to probe and keeps the base kernel.
 
 Bitwise safety for the first: the transform registry entry is the
 exact computation the base kernel performs inline, and frozen state is
@@ -73,16 +75,13 @@ def _hoist_winograd(op: LoweredOp, ctx: LoweringContext) -> int:
 
 
 def _pretransposed_probe(ctx: LoweringContext, op: LoweredOp,
-                         b_name: str) -> bool:
+                         b: np.ndarray) -> bool:
     """Bitwise probe: does a contiguous-transposed B reproduce the
     strided-view GEMM exactly at this op's shapes?
 
-    Runs on the *real* frozen operand and a fixed-seed synthetic
+    Runs on the *real* frozen operand ``b`` and a fixed-seed synthetic
     activation, so the decision is deterministic per program.
     """
-    b = ctx.program.state.get(b_name)
-    if b is None or b.ndim < 2:
-        return False
     a_spec = ctx.spec(op.inputs[0])
     a_shape = tuple(a_spec.shape)
     if ctx.attrs(op.node).get("trans_a"):
@@ -105,7 +104,15 @@ def _hoist_pretransposed(op: LoweredOp, ctx: LoweringContext) -> int:
     b_name = op.inputs[1]
     if not ctx.frozen_state(b_name):
         return 0
-    if not _pretransposed_probe(ctx, op, b_name):
+    b = ctx.program.state[b_name]
+    if b.ndim < 2 or not b.flags.c_contiguous:
+        # Not the array a step would multiply by: state is C-contiguous
+        # by contract, so this is the zero-stride placeholder of a
+        # graph-only compile (``materialize_state=False`` over lazy
+        # init). A probe of it decides nothing — it has neither the
+        # layout nor the bytes — and costs a full-size GEMM pair.
+        return 0
+    if not _pretransposed_probe(ctx, op, b):
         return 0
     b_spec = ctx.spec(b_name)
     shape = tuple(int(d) for d in b_spec.shape)

@@ -451,15 +451,23 @@ def reference_greedy_schedule(graph: Graph) -> list[Node]:
         (name for name, count in pending.items() if count == 0),
         key=lambda n: index[n],
     )
+    def score(n: str) -> tuple[int, int]:
+        return (alloc_bytes(by_name[n]) - freed_bytes(by_name[n]), index[n])
+
     schedule: list[Node] = []
+    live = held = 0
     while ready:
-        best = min(
-            ready,
-            key=lambda n: (
-                alloc_bytes(by_name[n]) - freed_bytes(by_name[n]),
-                index[n],
-            ),
-        )
+        best = min(ready, key=score)
+        # The one rule added since the closure-scored body was replaced
+        # (kept here in its naive form): a pick that would lift memory
+        # above anything held between steps so far yields to a ready node
+        # that allocates nothing and frees something.
+        free = [n for n in ready if alloc_bytes(by_name[n]) == 0
+                and freed_bytes(by_name[n]) > 0]
+        if free and live + alloc_bytes(by_name[best]) > held:
+            best = min(free, key=score)
+        live += score(best)[0]
+        held = max(held, live)
         ready.remove(best)
         node = by_name[best]
         schedule.append(node)

@@ -14,8 +14,10 @@ requires, against them,
 * the structure that buys it: every ``range_mask`` runs before the loss
   node (no activation is kept only to be masked later), the pre-activation
   is gone (conv + bias + relu6 fuse on backward paths), the masks are
-  ``uint8`` slab slots, and ``mask_mul`` writes over its dying gradient —
-  never over the mask;
+  ``uint8`` slab slots, no ``mask_mul`` reads a ``conv2d_dx`` (the mask is
+  that kernel's third input, applied in its epilogue), and the ``mask_mul``
+  instructions that remain — after an ``add`` or a ``broadcast_to`` — write
+  over their dying gradient, never over the mask;
 * the kernels' contract on generated inputs: numpy's default bit order,
   zero pad bits, exact 0.0 / 6.0 boundaries, signed zeros, 0-d and
   non-multiple-of-8 sizes, float16 staying float16.
@@ -47,7 +49,7 @@ CNN_MODELS = ("mcunet_micro", "mobilenetv2_micro", "resnet_micro")
 TRANSFORMER_MODELS = ("bert_micro", "distilbert_micro", "llama_micro")
 SCHEMES = {"paper_scheme": paper_scheme, "full_update": full_update}
 #: the one CNN program whose peak is a forward-pass moment (schedule step 8
-#: of 81 at batch 2: the first residual add, its two conv operands and its
+#: of 77 at batch 2: the first residual add, its two conv operands and its
 #: result) where no mask is live under either rule, so the peak cannot move
 FORWARD_PEAK = ("resnet_micro", "paper_scheme")
 
@@ -87,7 +89,7 @@ class TestBitMasksAgainstFloatMasks:
             reference = compile_at(model, scheme, batch)
         ops = {node.op_type for node in program.graph.nodes}
         old_ops = {node.op_type for node in reference.graph.nodes}
-        assert {"range_mask", "mask_mul"} <= ops and "step" not in ops
+        assert "range_mask" in ops and "step" not in ops
         assert "step" in old_ops and "range_mask" not in old_ops
 
         losses, state = train(program)
@@ -140,7 +142,8 @@ class TestBitMasksAgainstFloatMasks:
         spec = program.plan_spec()
         by_slot = {entry.slot: entry for entry in spec.slab_slots}
         nodes = {node.name: node for node in program.schedule}
-        masks = reuses = 0
+        producer = program.graph.producer_map()
+        masks = folded = 0
         for instr in spec.instructions:
             if instr.kernel == "range_mask":
                 entry = by_slot[instr.output_slots[0]]
@@ -150,13 +153,23 @@ class TestBitMasksAgainstFloatMasks:
                 assert entry.strides == (1,) and entry.offset % 64 == 0
                 assert instr.mode == "copy"  # np.packbits has no out=
                 masks += 1
+            elif instr.kernel == "conv2d_dx" and len(instr.input_slots) == 3:
+                # the mask rides as the third input and is applied in the
+                # kernel's own output: nothing is reused, so nothing of
+                # the mask's can be written over
+                assert by_slot[instr.input_slots[2]].dtype == "uint8"
+                assert instr.mode == "out" and instr.reuse_slot < 0
+                folded += 1
             elif instr.kernel == "mask_mul":
-                assert instr.mode == "out"
-                if instr.reuse_slot >= 0:
-                    # the gradient's bytes, never the mask's
-                    assert by_slot[instr.reuse_slot].dtype != "uint8"
-                    reuses += 1
-        assert masks >= 1 and reuses >= 1
+                # what fusion leaves follows an add or a broadcast_to ...
+                gradient = producer[nodes[instr.node].inputs[0]]
+                assert gradient.op_type in ("add", "broadcast_to")
+                # ... and takes the gradient's bytes, never the mask's
+                assert instr.mode == "out" and instr.reuse_slot >= 0
+                assert by_slot[instr.reuse_slot].dtype != "uint8"
+        assert masks >= 1 and folded >= 1
+        assert masks == folded + sum(
+            instr.kernel == "mask_mul" for instr in spec.instructions)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -211,6 +224,25 @@ class TestPlanNeverWritesOverTheMask:
         with pytest.raises(ShapeError, match="must be float"):
             b.emit("range_mask", [mask], {"lo": 0.0})
 
+    def test_conv2d_dx_refuses_a_mask_that_is_not_its_outputs(self):
+        """The third input is the packed mask of ``input_shape``: 18
+        elements want ``(3,)`` ``uint8``."""
+        b = GraphBuilder("bad")
+        g = b.input("g", (1, 2, 3, 3))
+        w = b.input("w", (2, 2, 1, 1))
+        attrs = {"input_shape": (1, 2, 3, 3)}
+        good = b.input("good", (3,), DType.UINT8)
+        assert b.graph.spec(b.emit("conv2d_dx", [g, w, good], attrs)).shape \
+            == (1, 2, 3, 3)
+        short = b.input("short", (2,), DType.UINT8)
+        with pytest.raises(ShapeError, match=r"\(3,\) uint8 bit mask"):
+            b.emit("conv2d_dx", [g, w, short], attrs)
+        floats = b.input("floats", (3,))
+        with pytest.raises(ShapeError, match=r"\(3,\) uint8 bit mask"):
+            b.emit("conv2d_dx", [g, w, floats], attrs)
+        with pytest.raises(ShapeError, match="between 2 and 3 inputs"):
+            b.emit("conv2d_dx", [g, w, good, good], attrs)
+
 
 def test_both_ops_are_priced_as_one_elementwise_pass():
     """``n`` FLOPs at the float's width — not ``n / 8`` at int8 rate, which
@@ -226,6 +258,34 @@ def test_both_ops_are_priced_as_one_elementwise_pass():
         assert op_flops(op, ins, outs, {}) == y.num_elements \
             == op_flops("step", [y], [y], {})
         assert _compute_itemsize(op, ins, outs) == 4
+
+
+def test_a_folded_mask_costs_its_bytes_and_one_multiply_per_element():
+    """``conv2d_dx(g, w, mask)`` against ``conv2d_dx(g, w)`` + ``mask_mul``:
+    the same FLOPs, the mask's bytes read once, the gradient's round trip
+    through memory and one kernel launch gone — at the float's width,
+    whatever the ``uint8`` operand suggests."""
+    from repro.devices import get_device
+    from repro.devices.cost import (PlanCostModel, _compute_itemsize,
+                                    op_class)
+    from repro.ir import TensorSpec, op_bytes, op_flops
+
+    g = TensorSpec("g", (2, 24, 16, 16))
+    w = TensorSpec("w", (24, 1, 3, 3))
+    mask = TensorSpec("m", (1536,), DType.UINT8)
+    attrs = {"padding": 1, "groups": 24, "input_shape": g.shape}
+    plain = op_flops("conv2d_dx", [g, w], [g], attrs)
+    assert op_flops("conv2d_dx", [g, w, mask], [g], attrs) \
+        == plain + op_flops("mask_mul", [g, mask], [g], {})
+    assert op_bytes([g, w, mask], [g]) == op_bytes([g, w], [g]) + 1536 \
+        == op_bytes([g, w], [g]) + op_bytes([g, mask], [g]) - 2 * g.nbytes
+    assert op_class("conv2d_dx", attrs) == "depthwise"
+    assert _compute_itemsize("conv2d_dx", [g, w, mask], [g]) == 4
+    model = PlanCostModel(get_device("raspberry_pi_4"))
+    fused = model.estimate_us("a", "conv2d_dx", [g, w, mask], [g], attrs)
+    pair = model.estimate_us("b", "conv2d_dx", [g, w], [g], attrs) \
+        + model.estimate_us("c", "mask_mul", [g, mask], [g], {})
+    assert fused < pair
 
 
 # -- the kernels ---------------------------------------------------------------
@@ -259,6 +319,88 @@ def activations(draw):
     g = np.asarray(rng.standard_normal(shape)).astype(dtype)
     g = np.where(rng.random(shape) < 0.2, dtype(-0.0), g).astype(dtype)
     return x, g, hi
+
+
+@st.composite
+def masked_dx_cases(draw):
+    """A ``conv2d_dx`` call in a named branch of the kernel's static rule,
+    and a random bit mask of its output: 1x1 / stride 1 / pad 0 dense (the
+    GEMM result is dx), stride 1 (the forward kernel over the flipped
+    weight), strided depthwise (the same over the zero-inserted gradient)
+    and the GEMM + col2im fold (strided and not depthwise, or pad > k-1)."""
+    branch = draw(st.sampled_from(["1x1", "gather", "depthwise", "fold"]))
+    n, h, wd = (draw(st.integers(1, 3)), draw(st.integers(3, 7)),
+                draw(st.integers(3, 7)))
+    if branch == "1x1":
+        k, stride, pad, groups = 1, 1, 0, 1
+    elif branch == "gather":
+        k, stride, groups = 3, 1, draw(st.sampled_from([1, 2]))
+        pad = draw(st.integers(0, 2))
+    elif branch == "depthwise":
+        k, stride, pad = 3, 2, draw(st.integers(0, 2))
+        groups = draw(st.integers(1, 3))
+    else:
+        k, groups = 3, draw(st.sampled_from([1, 2]))
+        stride, pad = draw(st.sampled_from([(2, 1), (1, 3), (3, 0)]))
+    if branch == "depthwise":
+        cin_g = cg_out = 1
+    else:  # (a strided conv with one channel a group *is* depthwise)
+        cin_g, cg_out = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    x_shape = (n, groups * cin_g, h, wd)
+    attrs = {"stride": stride, "padding": pad, "groups": groups,
+             "input_shape": x_shape}
+    dtype = draw(st.sampled_from([np.float32, np.float16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    w = rng.standard_normal((groups * cg_out, cin_g, k, k)).astype(dtype)
+    ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+    grad = rng.standard_normal((n, groups * cg_out, ho, wo)).astype(dtype)
+    grad = np.where(rng.random(grad.shape) < 0.1, dtype(-0.0), grad)
+    mask = np.packbits(rng.random(int(np.prod(x_shape))) < 0.6)
+    return branch, [grad.astype(dtype), w, mask], attrs
+
+
+class TestMaskInTheConvEpilogue:
+    @given(masked_dx_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_the_fold_is_mask_mul_after_conv2d_dx(self, case):
+        branch, (grad, w, mask), attrs = case
+        (dx,) = KERNELS["conv2d_dx"]([grad, w], attrs)
+        (want,) = KERNELS["mask_mul"]([dx, mask], {})
+        (got,) = KERNELS["conv2d_dx"]([grad, w, mask], attrs)
+        assert_same_bytes(got, want, branch)
+        assert got.dtype == grad.dtype and got.flags.c_contiguous
+        out = np.full(want.shape, np.nan, want.dtype)
+        assert OUT_KERNELS["conv2d_dx"]([grad, w, mask], attrs, out) is out
+        assert_same_bytes(out, want, f"{branch}, into-form")
+
+    def test_every_branch_and_ragged_sizes_are_drawn(self):
+        """Non-vacuity of the strategy above: each of the kernel's four
+        branches, and output sizes that are no multiple of 8."""
+        import repro.kernels.conv2d as conv2d
+        from unittest import mock
+
+        seen, ragged = set(), 0
+
+        @given(masked_dx_cases())
+        @settings(max_examples=120, deadline=None, database=None)
+        def draw(case):
+            nonlocal ragged
+            branch, ins, attrs = case
+            with mock.patch.object(conv2d, "_conv2d_dx_fold",
+                                   wraps=conv2d._conv2d_dx_fold) as fold, \
+                    mock.patch.object(conv2d, "_dilate",
+                                      wraps=conv2d._dilate) as dilate, \
+                    mock.patch.object(conv2d, "conv2d_forward",
+                                      wraps=conv2d.conv2d_forward) as gather:
+                KERNELS["conv2d_dx"](ins, attrs)
+            took = "fold" if fold.called else "depthwise" if dilate.called \
+                else "gather" if gather.called else "1x1"
+            assert took == branch
+            seen.add(took)
+            ragged += ins[2].size * 8 != int(np.prod(attrs["input_shape"]))
+
+        draw()
+        assert seen == {"1x1", "gather", "depthwise", "fold"} and ragged
 
 
 class TestMaskKernels:

@@ -56,7 +56,9 @@ def random_forward(rng, layouts=False, activations=False):
     ``relu6`` over values around 0.0 or around 6.0, and conv -> bias ->
     relu6 chains whose bias holds exact 0.0 and 6.0 (so a zero row of the
     feed puts the pre-activation exactly on both boundaries) and whose
-    element count is often not a multiple of 8. Both draws come before the
+    element count is often not a multiple of 8 — half of them read by a
+    second conv, whose ``conv2d_dx`` then takes the mask as its third
+    input. Both draws come before the
     others and only when asked for, so the graphs of the other callers do
     not change.
     """
@@ -159,7 +161,20 @@ def _push_activation_case(b, rng, push, src, degree):
                          np.array([0.0, 6.0, 3.0], np.float32))
     conv = b.emit("conv2d", [image, kernel],
                   {"stride": 1, "padding": (kh // 2, 0)})
-    push(b.emit("relu6", [b.bias_add(conv, bias, axis=1)]), 6.0, degree)
+    clamped = b.emit("relu6", [b.bias_add(conv, bias, axis=1)])
+    taps = b.graph.initializers[kernel][:, 0, 0, 0]
+    if taps[0] > 0:
+        # half of the time a second conv reads the activation itself, so
+        # its conv2d_dx is what the relu6's mask multiplies: 1x1 (the GEMM
+        # result is dx) or 3x1 (the gather). Its weight is the first
+        # kernel's taps again, scaled to keep |result| within 6 — no draw
+        # is taken, so every other graph stays the one it was.
+        again = np.stack([taps, -taps])[:, :, None, None] \
+            * np.ones((1, 1, kh, 1), np.float32) / (3 * kh)
+        clamped = b.emit(
+            "conv2d", [clamped, b.initializer(b.fresh("cw"), again)],
+            {"stride": 1, "padding": (kh // 2, 0)})
+    push(clamped, 6.0, degree)
 
 
 def pooled_slabs(executor):

@@ -336,8 +336,9 @@ def embedding_case(draw):
 
 @st.composite
 def conv_case(draw, backward):
-    """conv2d (optional bias / activation / algo) or conv2d_dx over every
-    static branch ``tests/test_kernels.py`` draws for the adjoint test."""
+    """conv2d (optional bias / activation / algo) or conv2d_dx (optional
+    bit mask) over every static branch ``tests/test_kernels.py`` draws for
+    the adjoint test."""
     x_shape, w_shape, attrs = draw(conv_cases())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     x = rng.standard_normal(x_shape).astype(np.float32)
@@ -358,8 +359,10 @@ def conv_case(draw, backward):
         return ins, attrs
     grad = KERNELS["conv2d"]([x, w], attrs)[0]
     assume(grad.size)
-    return [rng.standard_normal(grad.shape).astype(np.float32), w], \
-        {**attrs, "input_shape": x_shape}
+    ins = [rng.standard_normal(grad.shape).astype(np.float32), w]
+    if draw(st.booleans()):  # a folded mask_mul: the packed bit mask of dx
+        ins.append(np.packbits(rng.random(x.size) < 0.5))
+    return ins, {**attrs, "input_shape": x_shape}
 
 
 @st.composite

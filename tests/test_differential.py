@@ -13,12 +13,15 @@ The generator is ``tests/test_arena_safety.py``'s with ``layouts=True``
 and ``activations=True``: besides the zoo's shapes of aliasing it draws
 elementwise ops over transposed operands, views of the feed and of the
 parameter, reshapes that must copy, and the relu family on backward paths
-— ``relu6`` around both clamps, conv -> bias -> relu6 chains, packed masks
-over element counts that are not a multiple of 8 — fed batches with a zero
-row, which lands pre-activations exactly on 0.0 and 6.0. A sub-layer
-update of a parameter that a ``reshape`` / ``transpose`` also reads cannot
-be compiled; the sparse half accepts exactly that typed refusal. A seed
-that fails on the plan backend gets pinned here as an ``@example``.
+— ``relu6`` around both clamps, conv -> bias -> relu6 chains, a second conv
+reading the activation (so the mask folds into its ``conv2d_dx``), packed
+masks over element counts that are not a multiple of 8 — fed batches with a
+zero row, which lands pre-activations exactly on 0.0 and 6.0. Graph-level
+fusion off gives the same bytes (``test_graph_fusion_changes_no_byte``). A
+sub-layer update of a parameter that a ``reshape`` / ``transpose`` also
+reads cannot be compiled; the sparse half accepts exactly that typed
+refusal. A seed that fails on the plan backend gets pinned here as an
+``@example``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def config_id(config) -> str:
     return config if isinstance(config, str) else config[0]
 
 
-def compile_random(seed: int, ratio: float, passes, autotune):
+def compile_random(seed: int, ratio: float, passes, autotune, fusion=True):
     """The seed's random training program under one compile configuration,
     and the generator's rng (for feeds).
 
@@ -60,7 +63,7 @@ def compile_random(seed: int, ratio: float, passes, autotune):
         b.graph, loss="mse", optimizer=SGD(0.01, momentum=0.9),
         scheme=UpdateScheme("w", {"w": ratio}),
         options=CompileOptions(plan_passes=passes, autotune=autotune,
-                               verify_plans=True))
+                               fusion=fusion, verify_plans=True))
     return program, rng
 
 
@@ -120,6 +123,37 @@ def test_plan_equals_interpreter(ratio, passes, autotune, seed):
     assert_matches_interpreter(program, rng)
 
 
+@pytest.mark.parametrize("passes", ["default", "none"])
+@given(seed=st.integers(0, 100_000))
+@settings(max_examples=25, deadline=None)
+def test_graph_fusion_changes_no_byte(passes, seed):
+    """``CompileOptions.fusion`` off: conv -> bias -> relu6 stays three
+    nodes and ``conv2d_dx -> mask_mul`` two. That plan equals its
+    interpreter too — and, fed the same batches, the fused program's."""
+    try:
+        program, rng = compile_random(seed, 1.0, passes, None, fusion=False)
+        fused, _ = compile_random(seed, 1.0, passes, None)
+    except AutodiffError:
+        assume(False)
+    assert not any(len(node.inputs) == 3 for node in program.graph.nodes
+                   if node.op_type in ("conv2d", "conv2d_dx"))
+    state = rng.bit_generator.state
+    assert_matches_interpreter(program, rng)
+    rng.bit_generator.state = state
+    pair, fold = Executor(fork(program)), Executor(fork(fused))
+    graph = program.graph
+    for step in range(3):
+        feeds = {name: boundary_feed(rng, graph.spec(name).shape)
+                 for name in graph.inputs}
+        want, got = pair.run(feeds), fold.run(feeds)
+        for name in want:
+            assert np.asarray(got[name]).tobytes() \
+                == np.asarray(want[name]).tobytes(), f"step {step} {name}"
+    for name in sorted(program.mutable_state_names()):
+        assert fold.program.state[name].tobytes() \
+            == pair.program.state[name].tobytes(), name
+
+
 def test_the_generator_reaches_every_layout_case():
     """The product above is only a safety net if the graphs it draws hold
     the cases it exists for."""
@@ -168,6 +202,11 @@ def test_the_generator_reaches_the_relu_family():
             if source.op_type == "conv2d" and len(source.inputs) == 3 \
                     and source.attrs.get("activation") == "relu6":
                 seen.add("conv + bias + relu6 fused under a mask")
+        for node in graph.nodes:
+            if node.op_type == "conv2d_dx" and len(node.inputs) == 3:
+                kh = graph.spec(node.inputs[1]).shape[2]
+                seen.add("a mask folded into a 1x1 conv2d_dx" if kh == 1
+                         else "a mask folded into a gathering conv2d_dx")
 
         forward = random_forward(np.random.default_rng(seed), layouts=True,
                                  activations=True).graph
@@ -188,6 +227,8 @@ def test_the_generator_reaches_the_relu_family():
     assert seen == {"relu6 on a backward path",
                     "a mask over a count that is not a multiple of 8",
                     "conv + bias + relu6 fused under a mask",
+                    "a mask folded into a 1x1 conv2d_dx",
+                    "a mask folded into a gathering conv2d_dx",
                     "a pre-activation exactly on both boundaries",
                     "a sub-layer update that compiles",
                     "a sub-layer update that is refused"}

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.ir import GraphBuilder, validate_graph
+from repro.ir import DType
 from repro.passes import (BiasActivationFusionPass,
                           CommonSubexpressionEliminationPass,
                           ConstantFoldingPass, DeadCodeEliminationPass,
-                          ElementwiseGroupPass, LayoutSelectionPass,
-                          PassContext, PassManager, WinogradSelectionPass,
-                          default_schedule, memory_aware_schedule)
+                          ElementwiseGroupPass, GradientMaskFusionPass,
+                          LayoutSelectionPass, PassContext, PassManager,
+                          WinogradSelectionPass, default_schedule,
+                          memory_aware_schedule)
 from repro.runtime import interpret
 
 from conftest import make_mlp_graph
@@ -91,6 +93,96 @@ class TestFusion:
         ElementwiseGroupPass().run(b.graph, PassContext())
         groups = b.graph.metadata["fusion_groups"]
         assert groups.get(b.graph.nodes[0].name) is None
+
+
+def masked_gradient_graph(rng, *, second_reader=False, keep_dx=False):
+    """``mask_mul(conv2d_dx(g, w), range_mask(y))`` emitted in autodiff's
+    order: the gradient first, then the mask it is multiplied by."""
+    b = GraphBuilder("g")
+    g = b.input("g", (2, 4, 5, 5))
+    y = b.input("y", (2, 3, 5, 5))
+    w = b.initializer("w", rng.standard_normal((4, 3, 3, 3))
+                      .astype(np.float32))
+    dx = b.emit("conv2d_dx", [g, w],
+                {"padding": 1, "input_shape": (2, 3, 5, 5)})
+    mask = b.emit("range_mask", [y], {"lo": 0.0, "hi": 6.0})
+    b.mark_output(b.emit("mask_mul", [dx, mask]))
+    if second_reader:
+        b.mark_output(b.emit("neg", [dx]))
+    if keep_dx:
+        b.mark_output(dx)
+    feeds = {"g": rng.standard_normal((2, 4, 5, 5)).astype(np.float32),
+             "y": rng.uniform(-2, 8, (2, 3, 5, 5)).astype(np.float32)}
+    return b, feeds
+
+
+class TestGradientMaskFusion:
+    def test_mask_mul_folds_into_its_conv2d_dx(self, rng):
+        b, feeds = masked_gradient_graph(rng)
+        masked = b.graph.outputs[0]
+        before = interpret(b.graph, feeds)
+        result = GradientMaskFusionPass().run(b.graph, PassContext())
+        assert result.changed and result.stats == {"fused": 1}
+        # the fused node reads the mask, so it sits where the mask_mul did
+        assert [n.op_type for n in b.graph.nodes] \
+            == ["range_mask", "conv2d_dx"]
+        mask_node, node = b.graph.nodes
+        assert node.inputs == ("g", "w", mask_node.outputs[0])
+        assert node.outputs == (masked,) == tuple(b.graph.outputs)
+        # the unmasked gradient's value is gone with its only reader
+        assert set(b.graph.values) == {"g", "y", "w", *mask_node.outputs,
+                                       masked}
+        validate_graph(b.graph)
+        after = interpret(b.graph, feeds)
+        assert after[masked].tobytes() == before[masked].tobytes()
+        assert not GradientMaskFusionPass().run(b.graph,
+                                                PassContext()).changed
+
+    @pytest.mark.parametrize("why", ["second_reader", "keep_dx"])
+    def test_a_gradient_someone_else_needs_stays_unmasked(self, rng, why):
+        """Sole consumer, not a graph output — or the unmasked gradient
+        would be gone for its other reader."""
+        b, feeds = masked_gradient_graph(rng, **{why: True})
+        before = [(n.op_type, n.inputs, n.outputs) for n in b.graph.nodes]
+        result = GradientMaskFusionPass().run(b.graph, PassContext())
+        assert not result.changed and result.stats == {"fused": 0}
+        assert [(n.op_type, n.inputs, n.outputs)
+                for n in b.graph.nodes] == before
+
+    def test_a_mask_mul_after_anything_else_stays(self, rng):
+        """Only ``conv2d_dx`` has the epilogue: a gradient summed over two
+        branches (``add``) or spread by a pooling adjoint
+        (``broadcast_to``) keeps its ``mask_mul``."""
+        b = GraphBuilder("g")
+        g = b.input("g", (2, 3, 1, 1))
+        h = b.input("h", (2, 3, 4, 4))
+        mask = b.input("mask", (12,), DType.UINT8)
+        spread = b.emit("broadcast_to", [g], {"shape": (2, 3, 4, 4)})
+        b.mark_output(b.emit("mask_mul", [spread, mask]))
+        b.mark_output(b.emit("mask_mul", [b.add(h, h), mask]))
+        assert not GradientMaskFusionPass().run(b.graph,
+                                                PassContext()).changed
+        assert [n.op_type for n in b.graph.nodes].count("mask_mul") == 2
+
+    def test_fusion_off_leaves_the_pair(self):
+        from repro.models import build_model
+        from repro.runtime.compiler import CompileOptions, compile_training
+
+        forward = build_model("mcunet_micro", batch=2)
+
+        def pairs(**options):
+            graph = compile_training(
+                forward, options=CompileOptions(**options)).graph
+            producer = graph.producer_map()
+            masked = sum(len(n.inputs) == 3 for n in graph.nodes
+                         if n.op_type == "conv2d_dx")
+            unfused = sum(producer[n.inputs[0]].op_type == "conv2d_dx"
+                          for n in graph.nodes if n.op_type == "mask_mul")
+            return masked, unfused
+
+        assert pairs(fusion=False) == (0, 9)
+        # 9 of 10: the tenth mask_mul follows an add
+        assert pairs() == (9, 0)
 
 
 class TestFoldingCseDce:
@@ -235,6 +327,28 @@ class TestScheduling:
         for node in schedule:
             if node is not apply_node and "w" in node.inputs:
                 assert order[node.name] < order[apply_node.name]
+
+    def test_an_update_runs_before_a_pick_that_would_set_a_new_mark(self):
+        """Ready together: an ``add`` freeing 64 B net of its 32 B result
+        and an ``apply_sgd`` freeing a 4 B gradient. By delta alone the add
+        goes first and its result exists beside both operands and the
+        gradient (100 B); it would lift memory above the 68 B held so far,
+        so the update — which allocates nothing — goes first (96 B)."""
+        from repro.memory import profile_memory
+
+        b = GraphBuilder("g")
+        x = b.input("x", (8,))
+        w = b.initializer("w", np.ones((1,), np.float32), trainable=True)
+        grad = b.emit("reduce_sum", [x], {"axes": [0], "keepdims": True})
+        p = b.emit("exp", [x])
+        q = b.mul(p, w)  # the update waits for this read of w
+        b.mark_output(b.emit("neg", [b.add(p, q)]))
+        b.mark_output(b.emit("apply_sgd", [w, grad], {"lr": 0.1}))
+        schedule = memory_aware_schedule(b.graph)
+        order = [n.op_type for n in schedule]
+        assert order.index("apply_sgd") < order.index("add")
+        peak = profile_memory(b.graph, schedule).peak_transient_bytes
+        assert peak == 96  # p, q and the add's result; the feed is dead
 
     def test_default_schedule_applies_last(self):
         b, names = make_mlp_graph()

@@ -565,6 +565,57 @@ class TestPretransposedMatmul:
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes()
 
+    def test_placeholder_state_is_never_probed(self, rng, monkeypatch):
+        """``materialize_state=False`` over lazy init (how ``repro memory``
+        compiles a paper-scale model) leaves zero-stride placeholders as
+        state: the probe would run a full-size GEMM pair on bytes that
+        decide nothing, so it is not entered and the base kernel stays.
+        The same small shape materialised is probed and hoisted."""
+        import importlib
+
+        module = importlib.import_module(
+            "repro.runtime.passes.precompute_frozen")
+        probed = []
+
+        def probe(ctx, op, b):
+            probed.append(b)
+            return real(ctx, op, b)
+
+        real = module._pretransposed_probe
+        monkeypatch.setattr(module, "_pretransposed_probe", probe)
+
+        program = self._trans_b_program(rng)
+        lazy = replace(program, state={
+            "w": np.broadcast_to(np.float32(0.0), (16, 8))})
+        spec = build_plan_spec(lazy, passes=("precompute_frozen",))
+        assert probed == [] and spec.precomputed == ()
+        build_plan_spec(program, passes=("precompute_frozen",))
+        assert len(probed) == 1 and probed[0] is program.state["w"]
+
+    def test_a_graph_only_llama_compiles_without_a_probe_or_a_copy(
+            self, monkeypatch):
+        """The same through the front door, on ``llama_micro`` built lazily
+        as ``llama7b`` is: no probe, and the merged Q/K/V weight of
+        ``parallel_fusion`` is still a placeholder, not a concatenated
+        copy."""
+        import importlib
+
+        from repro.models import build_model, paper_scheme
+
+        module = importlib.import_module(
+            "repro.runtime.passes.precompute_frozen")
+        monkeypatch.setattr(
+            module, "_pretransposed_probe",
+            lambda *args: pytest.fail("probed a placeholder"))
+        forward = build_model("llama_micro", batch=1, lazy=True)
+        program = compile_training(
+            forward, optimizer=SGD(0.01), scheme=paper_scheme(forward),
+            options=CompileOptions(materialize_state=False))
+        merged = [array for name, array in program.state.items()
+                  if name.endswith(".qkv")]
+        assert merged and all(not any(a.strides) for a in merged)
+        assert program.plan_spec().precomputed == ()
+
     def test_cost_model_keeps_the_variant(self, rng):
         """The strided-GEMM penalty on base trans_b matmuls makes the
         pretransposed variant win the cost ranking."""

@@ -127,35 +127,53 @@ class TestCLI:
         assert "static slab" in out and "slab / plan peak" in out
 
     def test_memory_explains_the_peak(self, capsys):
-        """Under the summary: what is live at the peak step, then what the
+        """Under the summary: what is live at the peak step, the next two
+        moments down (what removing the peak would buy), then what the
         forward pass keeps for the backward, by producing op."""
         assert cli_main(["memory", "--model", "mcunet_micro", "--sparse",
                          "--batch", "2"]) == 0
         tables = capsys.readouterr().out.split("\n\n")
-        assert len(tables) == 3
+        assert len(tables) == 4
 
         def parse(table):
             title, header, _, *rows = table.splitlines()
             split = lambda line: [c.strip() for c in line.split("|")]  # noqa
             return title, split(header), [split(row) for row in rows]
 
+        summary = dict(row for row in parse("\n" + tables[0])[2])
+        # the slab sits on the floor of any placement, and the ledger a
+        # few alignment bytes under it
+        assert summary["live-load bound"] == "113.8KB"
+        assert summary["slab / live-load bound"] == "1.001"
+        assert summary["slab / plan peak"] == "1.002"
+
         title, header, live = parse(tables[1])
         assert header == ["value", "producer", "shape", "dtype", "bytes",
                           "born-dies", "share"]
-        assert title == ("live at the schedule's peak: step 77 of 89 "
-                         "(mask_mul), 135764 bytes")
-        # two gradients, two residuals, three one-bit-per-element masks
-        assert [(row[1], row[3], row[4]) for row in live[:7]] == [
-            ("conv2d_dx", "float32", "49152"),
-            ("mask_mul", "float32", "49152"),
-            ("add", "float32", "16384"), ("add", "float32", "16384"),
-            *[("range_mask", "uint8", "1536")] * 3]
-        assert live[0][2] == "2x24x16x16" and live[0][5] == "76-77"
-        assert sum(int(row[4]) for row in live) == 135764
+        # the block-1 forward depthwise conv: input, output, the residual
+        # kept for the backward add, and the expand relu6's bit mask
+        assert title == ("live at the schedule's peak: step 9 of 81 "
+                         "(conv2d), 116392 bytes")
+        assert [(row[1], row[3], row[4]) for row in live[:4]] == [
+            ("conv2d", "float32", "49152"), ("conv2d", "float32", "49152"),
+            ("add", "float32", "16384"), ("range_mask", "uint8", "1536")]
+        assert live[0][2] == "2x24x16x16" and live[0][5] == "7-9"
+        assert sum(int(row[4]) for row in live) == 116392
         for row in live:
-            assert row[6] == f"{int(row[4]) / 135764:.1%}"
+            assert row[6] == f"{int(row[4]) / 116392:.1%}"
 
-        title, header, held = parse(tables[2])
+        title, header, moments = parse(tables[2])
+        assert title == "the peak and the next two moments"
+        assert header == ["step", "op", "bytes", "of peak", "peak without"]
+        # distinct levels, highest first, each with the level under it:
+        # removing the peak buys 84 bytes — the backward depthwise
+        # conv2d_dx holds as much — and only under both is there a drop
+        assert [row[:3] + row[4:] for row in moments] == [
+            ["9", "conv2d", "116392", "116308"],
+            ["78", "conv2d_dx", "116308", "98984"],
+            ["15", "conv2d", "98984", "98900"]]
+
+        title, header, held = parse(tables[3])
         assert header == ["producer", "values", "bytes", "share"]
         assert title.startswith("held for backward")
         by_op = {row[0]: (int(row[1]), int(row[2])) for row in held}

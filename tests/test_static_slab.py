@@ -3,9 +3,11 @@ plan declared, and nothing in a step depends on what the slab held before.
 
 * measured, not copied: ``Executor.slab_bytes`` is the size of the
   ``uint8`` buffer the step really ran in; it equals the spec's
-  ``slab_bytes`` and stays under the plan's own ``peak_transient_bytes``
-  on eleven of the twelve zoo programs — and on the twelfth exceeds it by
-  the 32 bytes of alignment padding no placement can avoid;
+  ``slab_bytes``, which lies between the aligned live load of its buffers
+  (the floor of any placement) and 1.02 times that, and stays under the
+  plan's own ``peak_transient_bytes`` on ten of the twelve zoo programs —
+  on the other two the peak is a forward-pass moment the ledger counts
+  exactly as the slab does, bar the alignment padding;
 * a poisoned slab changes nothing: every slot is written before it is
   read, on every step — NaN-filled and ``0xA5``-filled slabs give the
   interpreter's bytes;
@@ -25,13 +27,15 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.analysis.planlint import verify_plan_spec
+from repro.analysis.planlint import slab_intervals, verify_plan_spec
 from repro.errors import AutodiffError, ExecutionError
 from repro.kernels import VIEW_OPS
 from repro.kernels.shape import c_strides, normal_strides
+from repro.memory import live_load
 from repro.runtime import BufferSet, Executor
 from repro.runtime import executor as executor_module
 from repro.runtime.compiler import compile_training
+from repro.runtime.plan import SLAB_ALIGNMENT
 from repro.train import SGD
 
 from conftest import make_mlp_graph
@@ -56,16 +60,30 @@ class TestMeasuredNotCopied:
         executor.run(make_feeds(zoo_program, np.random.default_rng(0)))
         assert executor.slab_bytes == spec.slab_bytes
         assert executor.arena.retained_bytes() == spec.slab_bytes
-        if request.node.callspec.params["zoo_program"] \
-                == ("mobilenetv2_micro", "paper_scheme"):
-            # The peak is a forward-pass moment holding two 294 912 B
-            # activations, a 98 304 B one, two 320 B vectors and a 32 B one;
-            # the slab packs them without a gap, and the 32 B buffer's
-            # round-up to the 64 B alignment is all that is left over.
-            assert (spec.slab_bytes, spec.peak_transient_bytes) \
-                == (688_832, 688_800)
+        # The slab is what its buffers need at their most crowded moment,
+        # give or take placement: never under the aligned live load (the
+        # floor of any placement), at most 2% over it.
+        _, intervals = slab_intervals(spec, zoo_program)
+        bound = max(live_load(intervals, SLAB_ALIGNMENT))
+        assert 0 < bound <= spec.slab_bytes <= 1.02 * bound
+        # The plan's own peak is another count of the same step: it adds
+        # the feeds (outside the slab), charges an in-place result beside
+        # the input it overwrites, and knows no alignment. Where the peak
+        # is a forward-pass moment with neither, it sits under the bound by
+        # the padding alone: two 294 912 B activations, a 98 304 B one, two
+        # 320 B vectors and a 32 B one rounded up to 64 on the one program;
+        # a depthwise conv's input and output, a residual, a bit mask and
+        # three small loss-head values on the other.
+        pinned = {("mobilenetv2_micro", "paper_scheme"):
+                  (688_832, 688_832, 688_800),
+                  ("mcunet_micro", "paper_scheme"):
+                  (465_920, 465_600, 465_568)}
+        which = request.node.callspec.params["zoo_program"]
+        if which in pinned:
+            assert (spec.slab_bytes, bound, spec.peak_transient_bytes) \
+                == pinned[which]
         else:
-            assert 0 < spec.slab_bytes <= spec.peak_transient_bytes
+            assert spec.slab_bytes <= spec.peak_transient_bytes
         assert executor.peak_transient_bytes == spec.peak_transient_bytes
         # what a step allocates outside the slab is a count, not a guess
         assert executor.last_step_fresh_allocs == sum(
