@@ -10,6 +10,13 @@ implemented here for ``matmul`` and ``conv2d``: when the weight appears in
 ``ctx.slice_k``, the rule slices the *input activation* to the first ``k``
 input channels/features before computing the weight gradient, so only the
 small slice — not the full activation — must survive until backward.
+
+What a rule reads is what the forward pass keeps for it, so the memory of
+a training step is decided here, once. Two rules cooperate for the
+cross-entropy loss: ``pick``'s adjoint is a scatter, and ``log_softmax``'s
+rule, handed that scatter, takes its row gradients and ids instead
+(``log_softmax_grad(g, x, ids)``) — the loss region then holds the logits
+and one gradient of their size, whatever graph passes run afterwards.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ Rule = Callable[["GradientContext", Node, str], list[Optional[str]]]
 GRAD_RULES: dict[str, Rule] = {}
 
 #: Ops through which no gradient flows (masks, indices, in-place updates).
-NON_DIFFERENTIABLE = {"step", "sign", "equal", "range_mask", "onehot",
+NON_DIFFERENTIABLE = {"step", "sign", "equal", "range_mask",
                       "quantize_linear", "dequantize_linear",
                       "conv2d_i8", "matmul_i8", "add_i8",
                       "global_avg_pool_i8",
@@ -50,6 +57,9 @@ class GradientContext:
                  slice_k: dict[str, int] | None = None) -> None:
         self.b = builder
         self.slice_k = dict(slice_k or {})
+        #: ``pick_grad`` output -> its ``(row gradients, ids)``, for the
+        #: ``log_softmax`` rule to read the rows instead of the scatter
+        self.picked: dict[str, tuple[str, str]] = {}
 
     def shape(self, name: str) -> tuple[int, ...]:
         return self.b.shape(name)
@@ -462,12 +472,31 @@ def _softmax_grad(ctx, node, g):
 
 @rule("log_softmax")
 def _log_softmax_grad(ctx, node, g):
-    axis = int(node.attrs.get("axis", -1))
-    rank = len(ctx.shape(node.inputs[0]))
-    axis = axis % rank
-    soft = ctx.b.emit("softmax", [node.inputs[0]], {"axis": axis})
-    total = ctx.b.reduce_sum(g, axes=(axis,), keepdims=True)
-    return [ctx.b.sub(g, ctx.b.mul(soft, total))]
+    """One ``log_softmax_grad`` node: ``g - softmax(x) * rowsum(g)``.
+
+    When ``g`` is the scatter ``pick``'s rule just emitted (the
+    cross-entropy loss: ``pick`` reads this node's output and nothing else
+    contributes to its gradient), the node takes the picked rows and ids
+    instead — adding ``g`` at each row's id to ``-softmax(x) * g`` — and the
+    ``[..., depth]`` scatter is never read (DCE drops it). Decided here,
+    once, for every compile: no graph pass and no option is involved, so
+    no feed-only node is left for the scheduler to start early.
+    """
+    x = node.inputs[0]
+    rank = len(ctx.shape(x))
+    axis = int(node.attrs.get("axis", -1)) % rank
+    picked = ctx.picked.get(g) if axis == rank - 1 else None
+    inputs = [g, x] if picked is None else [picked[0], x, picked[1]]
+    return [ctx.b.emit("log_softmax_grad", inputs, {"axis": axis})]
+
+
+@rule("pick")
+def _pick_grad(ctx, node, g):
+    x, ids = node.inputs
+    scatter = ctx.b.emit("pick_grad", [g, ids],
+                         {"depth": ctx.shape(x)[-1]})
+    ctx.picked[scatter] = (g, ids)
+    return [scatter, None]
 
 
 @rule("layernorm")

@@ -5,20 +5,17 @@ An artifact is a directory:
 * ``manifest.json`` — format version, model name, execution order, the
   static arena (the plan's own slab: its size and every value's byte
   offset in it), the list of kernels the binary must link, the
-  program's meta entries (loss/label names for training artifacts), and —
-  since manifest v2 — the serialized execution plan
-  (:class:`~repro.runtime.plan.PlanSpec`),
+  program's meta entries (loss/label names for training artifacts), and
+  the serialized execution plan (:class:`~repro.runtime.plan.PlanSpec`),
 * ``graph.json`` / ``graph.npz`` — the ONNX-like graph-def plus weights
   (the existing :mod:`repro.ir.serialize` format).
 
 The loader needs only the kernel registry and the executor — none of the
 compiler passes — mirroring how the real engine ships a binary that knows
-nothing about autodiff or graph optimization. With a v2 manifest the
-loader does not even lower the graph: the embedded plan spec is bound
-against the kernel registry (:func:`repro.runtime.plan.bind_plan`) and the
-reloaded program executes the exact instruction stream the compiling
-process produced. v1 artifacts (no embedded plan) still load; their plan
-is lowered locally on first run.
+nothing about autodiff or graph optimization. The loader does not even
+lower the graph: the embedded plan spec is bound against the kernel
+registry (:func:`repro.runtime.plan.bind_plan`) and the reloaded program
+executes the exact instruction stream the compiling process produced.
 """
 
 from __future__ import annotations
@@ -44,9 +41,10 @@ from ..runtime.program import Program
 
 MANIFEST = "manifest.json"
 
-#: v1: graph + schedule + kernels list. v2 adds the serialized plan spec.
+#: v2: graph + schedule + kernels list + the serialized plan spec (v1,
+#: without the plan, is no longer read)
 MANIFEST_VERSION = 2
-SUPPORTED_MANIFEST_VERSIONS = (1, 2)
+SUPPORTED_MANIFEST_VERSIONS = (2,)
 
 
 @dataclass
@@ -134,10 +132,10 @@ def load_artifact(path: str | Path, *,
                   verify: bool | None = None) -> DeployedProgram:
     """Reload an artifact saved by :func:`save_artifact`.
 
-    For v2 manifests the embedded plan spec is deserialized and bound
-    against the live kernel registry, so the returned program executes the
-    compiling process's instruction stream without re-lowering — and
-    without importing anything from the compiler or autodiff.
+    The embedded plan spec is deserialized and bound against the live
+    kernel registry, so the returned program executes the compiling
+    process's instruction stream without re-lowering — and without
+    importing anything from the compiler or autodiff.
 
     Raises:
         GraphError: on a missing/garbled manifest, an unsupported version,
@@ -195,35 +193,33 @@ def load_artifact(path: str | Path, *,
     # reloaded program exactly like a freshly compiled one.
     program.meta.update(meta)
 
-    if version >= 2:
-        try:
-            spec = PlanSpec.from_dict(manifest["plan"])
-        except KeyError:
-            raise GraphError(
-                "artifact manifest v2 lacks an embedded plan") from None
-        except PlanVersionError:
-            raise  # version skew, not corruption: callers may recompile
-        except ExecutionError as exc:
-            raise GraphError(f"corrupted artifact plan: {exc}") from None
-        produced = {name for name, _ in spec.output_slots}
-        if produced != set(program.outputs):
-            raise GraphError(
-                f"artifact plan outputs {sorted(produced)} disagree with "
-                f"graph outputs {sorted(program.outputs)}")
-        # Static verification before binding: a structurally-decodable
-        # plan can still be a miscompile (tampered slots, lying byte
-        # accounting). PlanVerifyError propagates as itself — it is not
-        # "corruption we can shrug at" but a plan that would silently
-        # trash state; the program cache quarantines the artifact.
-        run_verify = verify if verify is not None \
-            else verify_enabled(default=True)  # REPRO_VERIFY_PLANS=0 opts out
-        if run_verify:
-            check_plan(spec, program, stage=f"artifact load ({path})")
-        try:
-            program.attach_plan_spec(spec)
-            program.meta["__plan__"] = bind_plan(spec, by_name)
-        except ExecutionError as exc:
-            raise GraphError(f"corrupted artifact plan: {exc}") from None
+    try:
+        spec = PlanSpec.from_dict(manifest["plan"])
+    except KeyError:
+        raise GraphError("artifact manifest lacks an embedded plan") from None
+    except PlanVersionError:
+        raise  # version skew, not corruption: callers may recompile
+    except ExecutionError as exc:
+        raise GraphError(f"corrupted artifact plan: {exc}") from None
+    produced = {name for name, _ in spec.output_slots}
+    if produced != set(program.outputs):
+        raise GraphError(
+            f"artifact plan outputs {sorted(produced)} disagree with "
+            f"graph outputs {sorted(program.outputs)}")
+    # Static verification before binding: a structurally-decodable plan
+    # can still be a miscompile (tampered slots, lying byte accounting).
+    # PlanVerifyError propagates as itself — it is not "corruption we can
+    # shrug at" but a plan that would silently trash state; the program
+    # cache quarantines the artifact.
+    run_verify = verify if verify is not None \
+        else verify_enabled(default=True)  # REPRO_VERIFY_PLANS=0 opts out
+    if run_verify:
+        check_plan(spec, program, stage=f"artifact load ({path})")
+    try:
+        program.attach_plan_spec(spec)
+        program.meta["__plan__"] = bind_plan(spec, by_name)
+    except ExecutionError as exc:
+        raise GraphError(f"corrupted artifact plan: {exc}") from None
 
     return DeployedProgram(
         graph=graph,

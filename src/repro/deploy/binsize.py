@@ -38,9 +38,11 @@ KERNEL_CODE_BYTES: dict[str, int] = {
     "rmsnorm": 1240,
     "softmax": 1100,
     "log_softmax": 1160,
+    "log_softmax_grad": 1240,  # softmax + scale + subtract (+ row sum)
     "embedding": 540,
     "embedding_grad": 760,
-    "onehot": 430,
+    "pick": 380,
+    "pick_grad": 460,
     "quantize_linear": 470,
     "dequantize_linear": 450,
     "fake_quant": 620,

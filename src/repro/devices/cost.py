@@ -28,8 +28,10 @@ OP_CLASS = {
     "avgpool2d_grad": "pool", "global_avg_pool": "pool",
     "global_avg_pool_i8": "pool",
     "softmax": "normalize", "log_softmax": "normalize",
+    "log_softmax_grad": "normalize",
     "layernorm": "normalize", "rmsnorm": "normalize",
-    "embedding": "gather", "embedding_grad": "gather", "onehot": "gather",
+    "embedding": "gather", "embedding_grad": "gather",
+    "pick": "gather", "pick_grad": "gather",
     "apply_sgd": "update", "apply_adam": "update", "apply_lion": "update",
     "reduce_sum": "reduce", "reduce_mean": "reduce", "reduce_max": "reduce",
 }

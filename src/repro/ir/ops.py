@@ -11,8 +11,8 @@ gradient rules in :mod:`repro.autodiff` emit these same primitives, which is
 what lets inference-only backends execute training graphs. The only
 training-flavoured ops are ``conv2d_dx`` (a transposed convolution, itself
 used by inference decoders), ``conv2d_dw``, ``maxpool2d_grad``,
-``embedding_grad`` (a scatter-add) and the in-place ``apply_*`` optimizer
-steps.
+``embedding_grad`` (a scatter-add), ``pick_grad`` (a scatter),
+``log_softmax_grad`` and the in-place ``apply_*`` optimizer steps.
 """
 
 from __future__ import annotations
@@ -551,12 +551,58 @@ def _embedding_grad_infer(inputs, attrs):
     return [((rows, grad.shape[-1]), grad.dtype)]
 
 
-@register_op("onehot", 1, attrs=("depth",))
-def _onehot_infer(inputs, attrs):
-    (ids,) = inputs
+def _check_row_ids(op: str, ids: TensorSpec, rows: tuple[int, ...]) -> None:
+    """``ids`` holds one integer class index per row of shape ``rows``."""
     if ids.dtype not in (DType.INT32, DType.INT64):
-        raise ShapeError("onehot ids must be integer")
-    return [(ids.shape + (int(attrs["depth"]),), DType.FLOAT32)]
+        raise ShapeError(f"{op} ids must be integer")
+    if ids.shape != tuple(rows):
+        raise ShapeError(
+            f"{op} needs one id per row {tuple(rows)}, got {ids.shape}")
+
+
+# A label is an index, not a float row. ``pick(x, ids)`` takes one element
+# per row along the last axis (``x[..., ids]``); ``pick_grad(g, ids)``,
+# its adjoint, is ``g`` times a one-hot row — ``g`` at each id, ``g · 0``
+# elsewhere; ``log_softmax_grad(g, x[, ids])`` is the adjoint of
+# ``log_softmax`` over ``axis``, which with ``ids`` (last axis only) takes
+# ``g`` as row gradients picked at ``ids`` — the two adjoints in one pass,
+# which is what the cross-entropy loss's backward runs
+# (:mod:`repro.autodiff.rules`).
+
+@register_op("pick", 2, flops=lambda i, o, a: o[0].num_elements)
+def _pick_infer(inputs, attrs):
+    x, ids = inputs
+    if x.rank < 1:
+        raise ShapeError("pick needs a tensor of rank >= 1")
+    _check_row_ids("pick", ids, x.shape[:-1])
+    return [(x.shape[:-1], x.dtype)]
+
+
+@register_op("pick_grad", 2, attrs=("depth",), flops=_elem_flops)
+def _pick_grad_infer(inputs, attrs):
+    g, ids = inputs
+    _check_row_ids("pick_grad", ids, g.shape)
+    return [(g.shape + (int(attrs["depth"]),), g.dtype)]
+
+
+@register_op("log_softmax_grad", 2, max_inputs=3, attrs=("axis",),
+             # softmax, scale, subtract (+ a row sum without ids)
+             flops=lambda i, o, a: (7 if len(i) == 3 else 8)
+             * o[0].num_elements)
+def _log_softmax_grad_infer(inputs, attrs):
+    g, x = inputs[0], inputs[1]
+    if x.rank < 1:
+        raise ShapeError("log_softmax_grad needs a tensor of rank >= 1")
+    rows = x.shape
+    if len(inputs) == 3:
+        if int(attrs.get("axis", -1)) % x.rank != x.rank - 1:
+            raise ShapeError("log_softmax_grad picks along the last axis")
+        _check_row_ids("log_softmax_grad", inputs[2], x.shape[:-1])
+        rows = x.shape[:-1]
+    if g.shape != rows:
+        raise ShapeError(
+            f"log_softmax_grad gradient {g.shape} does not match {rows}")
+    return [(x.shape, g.dtype)]
 
 
 # ---------------------------------------------------------------------------

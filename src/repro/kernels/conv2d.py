@@ -466,10 +466,12 @@ def _conv2d_dw(inputs, attrs):
     cin_g = cin // groups
     if groups == 1:
         cols, _, _, scratch = _columns(x, kh, kw, sh, sw, ph, pw)
-        g2 = grad.reshape(n, cout, -1)
-        # tensordot, not a hand-built GEMM pair: it hands BLAS a transposed
-        # view where a copy would change the summation order at batch 1
-        dw = np.tensordot(g2, cols, axes=([0, 2], [0, 2]))
+        # np.tensordot's own GEMM over batch and plane, without its Python
+        # bookkeeping: at batch 1 both operands reshape to views (BLAS gets
+        # a transposed one), where a copy would change the summation order
+        dw = np.dot(grad.reshape(n, cout, -1).transpose(1, 0, 2)
+                    .reshape(cout, -1),
+                    cols.transpose(0, 2, 1).reshape(-1, cols.shape[1]))
         if scratch:
             workspace.give(cols)
         return [dw.reshape(cout, cin, kh, kw)]

@@ -1,4 +1,5 @@
-"""Normalization and softmax kernels (numerically stable).
+"""Normalization and softmax kernels (numerically stable), and the
+adjoint of ``log_softmax``.
 
 Same rule as :mod:`.reduce`: one result buffer, at most one scratch,
 ufuncs in the order of the textbook expression, so each kernel is
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernel, out_kernel
+from .embedding import label_index
 from .reduce import mean
 
 
@@ -55,6 +57,46 @@ def _log_softmax(inputs, attrs):
 
 
 out_kernel("log_softmax")(_log_softmax_into)
+
+
+def _log_softmax_grad_into(inputs, attrs, out):
+    """``g - softmax(x) * rowsum(g)``, the ufuncs of the composite it
+    replaces (``softmax``, ``reduce_sum``, ``mul``, ``sub``) in their order.
+
+    With ``ids``, ``g`` holds one gradient per row, standing for the
+    tensor that is ``g`` at the row's id and ``g * 0`` elsewhere
+    (``pick_grad``'s scatter), which is never built: its row sum is
+    ``g + 0`` (numpy's sum starts from +0, so ``-0`` sums to ``+0``), off
+    the id ``g * 0 - t`` is computed as such, and at the id
+    ``(g * 0 - t) + g`` equals ``g - t`` for every finite ``g`` and ``t``
+    (``g * 0 - t`` is ``-t`` exactly unless ``t`` is a zero, and then the
+    sum is ``g`` or a zero of the right sign). Byte for byte the composite,
+    without the ``[..., depth]`` gradient it reads.
+    """
+    g, x = inputs[0], inputs[1]
+    _softmax_into([x], attrs, out)
+    if len(inputs) == 2:
+        axis = int(attrs.get("axis", -1))
+        np.multiply(out, np.add.reduce(g, axis=axis, keepdims=True,
+                                       dtype=g.dtype), out=out)
+        return np.subtract(g, out, out=out)
+    labels = label_index(inputs[2], x.shape[-1])
+    rows = g[..., None]
+    np.multiply(out, rows + 0.0, out=out)
+    np.subtract(rows * 0.0, out, out=out)
+    line = out.reshape(-1)
+    line[labels] += g.reshape(-1)
+    return out
+
+
+@kernel("log_softmax_grad")
+def _log_softmax_grad(inputs, attrs):
+    return [_log_softmax_grad_into(inputs, attrs,
+                                   np.empty_like(inputs[1],
+                                                 dtype=inputs[0].dtype))]
+
+
+out_kernel("log_softmax_grad")(_log_softmax_grad_into)
 
 
 def _layernorm_into(inputs, attrs, out):

@@ -25,6 +25,22 @@ six transformer zoo programs, byte for byte). It is what keeps
 too, wins a tie it used to lose, and a residual ``add`` then met a
 downsample weight gradient still waiting for its update): 99 788 ->
 97 612 B instead of 100 684.
+
+The greedy order competes with two others, profiled the same way: the
+natural (breadth-first) order, and the node list itself with the updates
+and masks moved up (:func:`_program_order`). The third one exists because
+the breadth-first order is an accident of graph shape: once the loss
+picked its label instead of multiplying by a one-hot row, the chain from
+logits to the classifier's weight gradient got two levels shorter, and on
+``bert_micro`` / ``distilbert_micro`` full at batch 1 that gradient was
+then born beside the last block's GELU backward — +468 B on the plan's
+ledger, +384 on its slab. The node list wins there (125 824 -> 125 784 B),
+and no zoo program x batch {1, 2, 8} plans a higher peak or slab than it
+did with the one-hot loss and two candidates. The natural order wins on
+no zoo program x batch {1, 2, 8} any more, but it stays: on small random
+DAGs it beats both others (108 of the 2001 seeds of
+``tests/test_properties.py``'s generator, e.g. 384 against 480 B), and
+with it "never worse than the natural order" holds by construction.
 """
 
 from __future__ import annotations
@@ -38,14 +54,17 @@ from ..ir.ops import get_schema
 
 
 def memory_aware_schedule(graph: Graph) -> list[Node]:
-    """Return the better of the greedy and natural schedules by peak memory.
+    """Return the best of three schedules by peak memory: greedy, natural
+    (:meth:`Graph.topological_order`) and the node list with updates and
+    masks moved up (:func:`_program_order`).
 
-    The greedy list scheduler wins on training graphs (it applies updates
-    early and hoists activation-saving slices) but, being a heuristic, can
-    lose on adversarial DAGs — so both candidates are profiled and the
-    smaller peak wins. Write-after-read hazards are honoured throughout:
-    an in-place ``apply_*`` node is not ready until every other reader of
-    its parameter has executed.
+    The greedy list scheduler wins on most training graphs (it applies
+    updates early and hoists activation-saving slices) but, being a
+    heuristic, can lose on adversarial DAGs — so every candidate is
+    profiled and the smallest peak wins, the earlier candidate on ties.
+    Write-after-read hazards are honoured throughout: an in-place
+    ``apply_*`` node is not ready until every other reader of its
+    parameter has executed.
 
     The result is a :class:`~repro.memory.profiler.ProfiledSchedule`: the
     winner keeps the profile that chose it, so ``profile_memory`` on it
@@ -53,12 +72,14 @@ def memory_aware_schedule(graph: Graph) -> list[Node]:
     """
     from ..memory.profiler import ProfiledSchedule, profile_memory
 
-    greedy = _greedy_schedule(graph)
-    natural = graph.topological_order()
-    best, profile = greedy, profile_memory(graph, greedy)
-    challenger = profile_memory(graph, natural)
-    if challenger.peak_transient_bytes < profile.peak_transient_bytes:
-        best, profile = natural, challenger
+    best = _greedy_schedule(graph)
+    profile = profile_memory(graph, best)
+    for challenger in (graph.topological_order(), _program_order(graph)):
+        if challenger is None:
+            continue
+        measured = profile_memory(graph, challenger)
+        if measured.peak_transient_bytes < profile.peak_transient_bytes:
+            best, profile = challenger, measured
     return ProfiledSchedule(best, graph, profile)
 
 
@@ -181,6 +202,60 @@ def _greedy_schedule(graph: Graph) -> list[Node]:
         raise CompileError(
             f"memory-aware scheduling could not order {len(stuck)} node(s) "
             f"{stuck}: {reason}")
+    return schedule
+
+
+def _program_order(graph: Graph) -> list[Node] | None:
+    """The node list as the graph passes leave it — the builder's order
+    (forward, loss, each gradient rule's nodes in turn, optimizer) where
+    no pass re-sorted it — with two kinds of node moved up:
+
+    * an in-place ``apply_*`` to just behind the producers of its inputs
+      and every other reader of its parameter (the write-after-read
+      hazard): it allocates nothing and retires its gradient, so running
+      it earlier lowers every moment it passes and raises none;
+    * a ``range_mask`` to just behind its activation's producer, in the
+      forward pass: the backward keeps no activation only to mask it
+      later (one bit per element instead of a float).
+
+    ``None`` when the node list is no topological order.
+    """
+    available = set(graph.inputs) | set(graph.initializers)
+    produced: dict[str, int] = {}  # value -> its producer's place in body
+    read: dict[str, int] = {}  # value -> its last reader's place in body
+    body: list[Node] = []
+    early: list[Node] = []
+    for node in graph.nodes:
+        if not available.issuperset(node.inputs):
+            return None
+        available.update(node.outputs)
+        if node.op_type == "range_mask" or get_schema(node.op_type).inplace:
+            early.append(node)
+        else:
+            for inp in node.inputs:
+                read[inp] = len(body)
+            for out in node.outputs:
+                produced[out] = len(body)
+            body.append(node)
+
+    def follows(node: Node) -> int:
+        """The place in ``body`` that ``node`` goes right behind."""
+        place = max(produced.get(inp, -1) for inp in node.inputs)
+        if node.op_type == "range_mask":
+            return place
+        return max(place, read.get(node.inputs[0], -1))
+
+    # (place in ``body`` to follow, emission order, node)
+    hoisted = sorted((follows(node), at, node)
+                     for at, node in enumerate(early))
+    schedule: list[Node] = []
+    at = 0
+    for pos, node in enumerate(body):
+        while at < len(hoisted) and hoisted[at][0] < pos:
+            schedule.append(hoisted[at][2])
+            at += 1
+        schedule.append(node)
+    schedule.extend(entry[2] for entry in hoisted[at:])
     return schedule
 
 

@@ -205,6 +205,20 @@ def compile_training(
                       device=options.device)
     pass_report = graph_pass_manager(options).run(graph, ctx)
 
+    # A training step returns its loss and its updates, not the forward's
+    # outputs: nobody reads logits from a step (evaluation compiles its own
+    # inference program), and as an output they would be held through the
+    # whole backward and copied out of the slab every step. They stop being
+    # outputs only now — they lead ``graph.outputs``, where a pass that
+    # merges a value into another (CSE) renames them — so ``meta["logits"]``
+    # names a value of the graph (the loss reads it); whatever the loss
+    # does not read goes with them.
+    count = len(forward.outputs)
+    if logits in forward.outputs:
+        logits = graph.outputs[forward.outputs.index(logits)]
+    graph.outputs = graph.outputs[count:]
+    graph.dead_code_elimination()
+
     if options.reorder:
         schedule = memory_aware_schedule(graph)
     else:

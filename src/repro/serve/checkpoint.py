@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import threading
@@ -138,30 +139,136 @@ def load_checkpoint(data: bytes) -> SessionCheckpoint:
         raise CheckpointError("checkpoint header overruns the file")
     try:
         header = json.loads(body[header_start:payload_start])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8
         raise CheckpointError(f"garbled checkpoint header: {exc}") from None
-    version = header.get("version")
+    version = header.get("version") if isinstance(header, dict) else None
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version!r} not supported by this "
             f"runtime (speaks {CHECKPOINT_VERSION})")
     payload = body[payload_start:]
     state: dict[str, np.ndarray] = {}
-    for spec in header["tensors"]:
-        start, nbytes = int(spec["offset"]), int(spec["nbytes"])
+    table = _tensor_table(header)
+    _check_restore_fields(header["session"], header["family"],
+                          header.get("idempotency", {}))
+    for name, dtype, shape, start, nbytes in table:
         raw = payload[start:start + nbytes]
         if len(raw) != nbytes:
             raise CheckpointError(
-                f"checkpoint tensor {spec['name']!r} overruns the payload")
-        state[spec["name"]] = np.frombuffer(
-            raw, dtype=np.dtype(spec["dtype"])
-        ).reshape(spec["shape"]).copy()
+                f"checkpoint tensor {name!r} overruns the payload")
+        state[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return SessionCheckpoint(
         session=dict(header["session"]),
         family=dict(header["family"]),
         state=state,
         idempotency=dict(header.get("idempotency", {})),
     )
+
+
+def _count(value) -> bool:
+    """A JSON integer >= 0 (``true`` is no count)."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
+def _number(value) -> bool:
+    """A JSON number, NaN included (``true`` is no number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _text(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+#: the fields of a recorded :class:`~repro.serve.scheduler.StepResult`:
+#: name -> (required, the check its JSON value must pass)
+STEP_RESULT_FIELDS = {
+    "session_id": (True, lambda v: isinstance(v, str)),
+    "loss": (True, _number),
+    "step": (True, _count),
+    "batch_size": (True, _count),
+    "program_key": (True, lambda v: isinstance(v, str)),
+    "timings": (False, lambda v: v is None or (
+        isinstance(v, dict) and all(map(_number, v.values())))),
+    "replayed": (False, lambda v: isinstance(v, bool)),
+}
+
+
+def _check_restore_fields(session: dict, family: dict,
+                          idempotency: dict) -> None:
+    """Every value ``FineTuneService.restore_session`` reads, checked as it
+    reads it — so that a crafted header fails here, as a
+    :class:`CheckpointError` the store quarantines, and not later as a
+    ``ValueError`` or ``TypeError``."""
+    optimizer = family.get("optimizer") or {}
+    scheme = family.get("scheme") or {}
+    updates = scheme.get("updates", {}) if isinstance(scheme, dict) else None
+    checks = {
+        "session.id": isinstance(session.get("id", ""), str),
+        "session.tenant": _text(session.get("tenant")),
+        "session.step_seq": _count(session.get("step_seq", 0)),
+        "session.steps": _count(session.get("steps", 0)),
+        "session.examples": _count(session.get("examples", 0)),
+        "session.last_loss": _number(session.get("last_loss", 0.0)),
+        "family.model_kwargs": isinstance(
+            family.get("model_kwargs") or {}, dict),
+        "family.optimizer": isinstance(optimizer, dict)
+        and isinstance(optimizer.get("family", ""), str)
+        and isinstance(optimizer.get("params", {}), dict),
+        "family.scheme": isinstance(updates, dict)
+        and isinstance(scheme.get("name", ""), str)
+        and all(map(_number, updates.values())),
+    }
+    for key in ("model", "model_id", "loss", "logits"):
+        checks[f"family.{key}"] = _text(family.get(key))
+    for key, fields in idempotency.items():
+        checks[f"idempotency.{key}"] = isinstance(fields, dict) and all(
+            name in fields for name, (required, _) in
+            STEP_RESULT_FIELDS.items() if required) and all(
+            name in STEP_RESULT_FIELDS and STEP_RESULT_FIELDS[name][1](value)
+            for name, value in fields.items())
+    wrong = [path for path, ok in checks.items() if not ok]
+    if wrong:
+        raise CheckpointError(
+            f"malformed checkpoint header: {', '.join(wrong)} not what a "
+            f"restore reads")
+
+
+def _tensor_table(header: dict) -> list[tuple[str, np.dtype,
+                                              tuple[int, ...], int, int]]:
+    """``(name, dtype, shape, offset, nbytes)`` per tensor of ``header``,
+    after checking its whole structure: the digest is SHA-256, not a MAC,
+    so whoever can upload a checkpoint can make its digest hold over any
+    header, and the only error a header may cause is a
+    :class:`CheckpointError`."""
+    if not (isinstance(header.get("session"), dict)
+            and isinstance(header.get("family"), dict)
+            and isinstance(header.get("idempotency", {}), dict)
+            and isinstance(header.get("tensors"), list)):
+        raise CheckpointError(
+            "malformed checkpoint header: want objects 'session', "
+            "'family' and 'idempotency' and a 'tensors' list")
+    table = []
+    for spec in header["tensors"]:
+        spec = spec if isinstance(spec, dict) else {}
+        name, dtype, shape = spec.get("name"), spec.get("dtype"), \
+            spec.get("shape")
+        try:
+            dtype = np.dtype(dtype) if isinstance(dtype, str) else None
+        except (TypeError, ValueError):
+            dtype = None
+        if not (isinstance(name, str) and dtype is not None
+                and dtype.kind in "biufc" and isinstance(shape, list)
+                and all(map(_count, shape))
+                and _count(spec.get("offset")) and _count(spec.get("nbytes"))
+                and spec["nbytes"] == math.prod(shape) * dtype.itemsize):
+            raise CheckpointError(
+                f"malformed checkpoint tensor entry {spec!r}: want a name, "
+                f"a numeric dtype, a shape, an offset and nbytes = "
+                f"elements x itemsize")
+        table.append((name, dtype, tuple(shape), spec["offset"],
+                      spec["nbytes"]))
+    return table
 
 
 def checkpoint_to_wire(ckpt: SessionCheckpoint) -> bytes:
@@ -209,12 +316,13 @@ def checkpoint_from_wire(data: bytes) -> SessionCheckpoint:
         raise CheckpointError(
             "wire-framed checkpoint lacks session/family metadata")
     idempotency = meta.get("idempotency")
+    idempotency = dict(idempotency) if isinstance(idempotency, dict) else {}
+    _check_restore_fields(session, family, idempotency)
     return SessionCheckpoint(
         session=dict(session),
         family=dict(family),
         state=dict(tensors),
-        idempotency=dict(idempotency)
-        if isinstance(idempotency, dict) else {},
+        idempotency=idempotency,
     )
 
 
@@ -360,7 +468,7 @@ class CheckpointStore:
             path = self.path_for(session_id, candidate)
             try:
                 return read_checkpoint(path)
-            except CheckpointError:
+            except CheckpointError:  # damaged or malformed alike
                 self._quarantine(path)
         raise CheckpointError(
             f"every checkpoint for session {session_id!r} is corrupt "

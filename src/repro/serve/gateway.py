@@ -798,12 +798,19 @@ class GatewayServer:
                 raise ValueError(
                     "binary step frame must carry tensors 'x' and 'y'")
             x = np.asarray(tensors["x"], dtype=family.example_dtype)
-            y = np.asarray(tensors["y"], dtype=family.label_dtype)
-            return x, y, True
+            return x, self._labels(tensors["y"], family), True
         payload = self._parse_json(request.body)
         x = np.asarray(payload["x"], dtype=family.example_dtype)
-        y = np.asarray(payload["y"], dtype=family.label_dtype)
-        return x, y, False
+        return x, self._labels(payload["y"], family), False
+
+    @staticmethod
+    def _labels(raw, family) -> np.ndarray:
+        """Class ids reach the service as sent — it refuses any that are
+        not integers in range, where a cast here would truncate 1.5 to 1;
+        regression targets take the family's dtype."""
+        if np.issubdtype(family.label_dtype, np.integer):
+            return np.asarray(raw)
+        return np.asarray(raw, dtype=family.label_dtype)
 
     async def _step(self, request: _Request, session_id: str) -> None:
         began = time.perf_counter()

@@ -67,6 +67,21 @@ SCHEME_RESOLVERS: dict[str, Callable[[Graph], UpdateScheme]] = {
 }
 
 
+def _check_class_ids(y: np.ndarray, classes: int) -> None:
+    """Fail closed on a label that is no class id, an integer in
+    ``[0, classes)``: a negative one would wrap to a class counted from the
+    end and train on it; one past the end would fail in the kernel, after
+    the batch it rides in was cut."""
+    whole = y.dtype.kind in "iu" or (
+        y.dtype.kind == "f" and bool(np.isfinite(y).all())
+        and bool((y == np.round(y)).all()))
+    if not whole:
+        raise ServeError(f"labels must be integer class ids, got {y!r}")
+    if y.size and (y.min() < 0 or y.max() >= classes):
+        raise ServeError(
+            f"labels must be class ids in [0, {classes}), got {y!r}")
+
+
 class ProgramFamily:
     """One fine-tuning configuration and its cached program variants."""
 
@@ -527,6 +542,11 @@ class FineTuneService:
                idempotency_key: str | None = None) -> Future:
         """Enqueue one single-example step; returns a Future[StepResult].
 
+        ``x`` and ``y`` are checked before anything is queued: shapes, and
+        for a classification family labels that are class ids — integers
+        in ``[0, num_classes)`` — else :class:`ServeError` (a 400 at the
+        gateway).
+
         Every request carries a trace context: the gateway passes the one
         it minted at ingress (so the request ID in the response headers
         matches the spans), and direct library callers get one minted
@@ -567,6 +587,8 @@ class FineTuneService:
             raise ServeError(
                 f"label must have shape {family.label_shape}, got {y.shape}"
             )
+        if np.issubdtype(family.label_dtype, np.integer):
+            _check_class_ids(y, family.num_classes)
         if trace is None:
             trace = self.tracer.trace(session_id=session_id,
                                       tenant=session.tenant)

@@ -1,8 +1,11 @@
 """Loss functions, built from inference primitives inside the graph.
 
-Losses are composites (log_softmax + onehot + reductions), so autodiff
+Losses are composites (log_softmax + pick + reductions), so autodiff
 needs no loss-specific gradient rules — the paper's shared-op-set property
-extends all the way to the objective.
+extends all the way to the objective. A label is an index: ``pick`` reads
+one log-probability per row, and its adjoint folds into ``log_softmax``'s
+(:mod:`repro.autodiff.rules`), so the loss region of a training step
+holds the logits and one gradient of their size, nothing else.
 """
 
 from __future__ import annotations
@@ -24,12 +27,8 @@ def softmax_cross_entropy(b: GraphBuilder, logits: str, labels: str) -> str:
             f"labels shape {labels_shape} must equal logits batch dims "
             f"{logits_shape[:-1]}"
         )
-    depth = logits_shape[-1]
-    rank = len(logits_shape)
-    logp = b.emit("log_softmax", [logits], {"axis": rank - 1})
-    onehot = b.emit("onehot", [labels], {"depth": depth})
-    picked = b.reduce_sum(b.mul(onehot, logp), axes=(rank - 1,))
-    return b.reduce_mean(b.neg(picked))
+    logp = b.emit("log_softmax", [logits], {"axis": len(logits_shape) - 1})
+    return b.reduce_mean(b.neg(b.emit("pick", [logp, labels])))
 
 
 def mean_squared_error(b: GraphBuilder, pred: str, target: str) -> str:

@@ -35,16 +35,16 @@ from repro.train import SGD
 from conftest import make_mlp_graph
 
 
-def _program(seed=0, passes="default"):
+def _program(seed=0, passes="default", loss="softmax_ce"):
     builder, _ = make_mlp_graph(seed=seed)
-    return compile_training(builder.graph, optimizer=SGD(0.05),
+    return compile_training(builder.graph, loss=loss, optimizer=SGD(0.05),
                             options=CompileOptions(plan_passes=passes))
 
 
-def _mcunet_program():
+def _sparse_program(model="mcunet_micro"):
     from repro.models import build_model, paper_scheme
 
-    forward = build_model("mcunet_micro", batch=2, num_classes=3)
+    forward = build_model(model, batch=2, num_classes=3)
     return compile_training(forward, optimizer=SGD(0.05),
                             scheme=paper_scheme(forward))
 
@@ -101,13 +101,22 @@ class TestVerifierZeroFalsePositives:
         assert verify_plan_spec(program.plan_spec(), program) == []
 
     def test_mcunet_sparse_plan_clean(self):
-        """The hardest real plan: fusion, precompute, in-place reuse,
-        bind-time views."""
-        program = _mcunet_program()
+        """The paper's plan: precompute, in-place reuse, bind-time views.
+        (Its one fused chain was the loss's; the folded ``log_softmax``
+        adjoint took its place.)"""
+        program = _sparse_program()
         spec = program.plan_spec()
         assert verify_plan_spec(spec, program) == []
         # Make sure this plan actually exercises the interesting machinery
         # — a clean pass over a trivial plan would prove nothing.
+        assert any(i.reuse_slot >= 0 for i in spec.instructions)
+        assert spec.precomputed and spec.aliases
+
+    def test_resnet_sparse_plan_clean(self):
+        """... and one with fused chains besides (residual adds)."""
+        program = _sparse_program("resnet_micro")
+        spec = program.plan_spec()
+        assert verify_plan_spec(spec, program) == []
         assert any(i.fused for i in spec.instructions)
         assert any(i.reuse_slot >= 0 for i in spec.instructions)
         assert spec.precomputed and spec.aliases
@@ -227,7 +236,7 @@ class TestMutationHarness:
 
     def test_alias_with_made_up_strides(self):
         """slab-layout: a view's declared strides are numpy's."""
-        program = _mcunet_program()
+        program = _sparse_program()
         spec = program.plan_spec()
         alias = spec.aliases[0]
         entry = next(e for e in spec.slab_slots if e.slot == alias.slot)
@@ -237,7 +246,7 @@ class TestMutationHarness:
 
     def test_alias_before_its_base(self):
         """alias-lifetime: a view cannot precede the value it views."""
-        program = _mcunet_program()
+        program = _sparse_program()
         spec = program.plan_spec()
         alias = spec.aliases[0]
         assert alias.at > 0
@@ -318,8 +327,10 @@ class TestMutationHarness:
         assert rules & {"donation-not-freed", "donation-unsafe",
                         "donation-alias-unsafe", "donation-shape-mismatch"}
 
-    def test_fused_link_misreads_its_inputs(self, victim):
-        program, spec = victim
+    def test_fused_link_misreads_its_inputs(self):
+        # the squared error's chain: the cross-entropy loss fuses nothing
+        program = _program(loss="mse")
+        spec = program.plan_spec()
         idx, ins = next((i, ins) for i, ins in enumerate(spec.instructions)
                         if ins.fused and len(ins.input_slots) >= 2)
         from repro.runtime import FusedLinkSpec
@@ -357,7 +368,7 @@ class TestMutationHarness:
         """A slot declaring the pre-v4 ``(O, I, 4, 4)`` Winograd layout —
         same bytes, so the byte ledger alone would pass it — is refused:
         the declared shape must be what the registered transform emits."""
-        program = _mcunet_program()
+        program = _sparse_program()
         spec = program.plan_spec()
         idx, entry = next((i, e) for i, e in enumerate(spec.precomputed)
                           if e.transform == "winograd_weight")

@@ -335,6 +335,28 @@ def embedding_case(draw):
 
 
 @st.composite
+def label_case(draw, op):
+    """``pick(x, ids)``, ``pick_grad(g, ids)`` or ``log_softmax_grad(g, x
+    [, ids])`` over ranks 1-3, ids of either integer width in range."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.float16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    ids = rng.integers(0, shape[-1], shape[:-1]).astype(
+        draw(st.sampled_from([np.int32, np.int64])))
+    x = draw(arrays(shape=shape, dtypes=(dtype,)))
+    if op == "pick":
+        return [x, ids], {}
+    if op == "pick_grad":
+        return [draw(arrays(shape=shape[:-1], dtypes=(dtype,))), ids], \
+            {"depth": shape[-1]}
+    if draw(st.booleans()):
+        return [draw(arrays(shape=shape[:-1], dtypes=(dtype,))), x, ids], \
+            {"axis": len(shape) - 1}
+    return [draw(arrays(shape=shape, dtypes=(dtype,))), x], \
+        {"axis": draw(st.integers(-x.ndim, x.ndim - 1))}
+
+
+@st.composite
 def conv_case(draw, backward):
     """conv2d (optional bias / activation / algo) or conv2d_dx (optional
     bit mask) over every static branch ``tests/test_kernels.py`` draws for
@@ -423,6 +445,8 @@ STRATEGIES = {
     "rmsnorm": norm_case(1), "layernorm": norm_case(2),
     "bias_add": bias_add_case(), "cast": cast_case(),
     "embedding": embedding_case(), "mask_mul": mask_mul_case(),
+    **{op: label_case(op) for op in ("pick", "pick_grad",
+                                     "log_softmax_grad")},
     "global_avg_pool": global_avg_pool_case(),
     "broadcast_to": broadcast_to_case(),
 }

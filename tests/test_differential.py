@@ -20,8 +20,11 @@ zero row, which lands pre-activations exactly on 0.0 and 6.0. Graph-level
 fusion off gives the same bytes (``test_graph_fusion_changes_no_byte``). A
 sub-layer update of a parameter that a ``reshape`` / ``transpose`` also
 reads cannot be compiled; the sparse half accepts exactly that typed
-refusal. A seed that fails on the plan backend gets pinned here as an
-``@example``.
+refusal. Every third seed ends the program in the cross-entropy loss
+instead of the squared error — ``pick`` and the folded ``log_softmax``
+adjoint, fed labels in range — chosen from the seed alone, so the other
+graphs draw what they drew before. A seed that fails on the plan backend
+gets pinned here as an ``@example``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ def config_id(config) -> str:
     return config if isinstance(config, str) else config[0]
 
 
+def loss_for(seed: int) -> str:
+    return "softmax_ce" if seed % 3 == 0 else "mse"
+
+
 def compile_random(seed: int, ratio: float, passes, autotune, fusion=True):
     """The seed's random training program under one compile configuration,
     and the generator's rng (for feeds).
@@ -60,7 +67,7 @@ def compile_random(seed: int, ratio: float, passes, autotune, fusion=True):
     rng = np.random.default_rng(seed)
     b = random_forward(rng, layouts=True, activations=True)
     program = compile_training(
-        b.graph, loss="mse", optimizer=SGD(0.01, momentum=0.9),
+        b.graph, loss=loss_for(seed), optimizer=SGD(0.01, momentum=0.9),
         scheme=UpdateScheme("w", {"w": ratio}),
         options=CompileOptions(plan_passes=passes, autotune=autotune,
                                fusion=fusion, verify_plans=True))
@@ -77,14 +84,23 @@ def boundary_feed(rng, shape):
     return feed
 
 
+def random_feeds(program, rng) -> dict[str, np.ndarray]:
+    """A boundary batch for the float feeds; class ids for the labels of a
+    cross-entropy loss."""
+    graph = program.graph
+    classes = graph.spec(program.meta["logits"]).shape[-1]
+    return {name: boundary_feed(rng, graph.spec(name).shape)
+            if graph.spec(name).dtype.is_float
+            else rng.integers(0, classes, graph.spec(name).shape)
+            for name in graph.inputs}
+
+
 def assert_matches_interpreter(program, rng, steps: int = 3) -> None:
     dut, ref = Executor(fork(program)), \
         Executor(fork(program), backend="interpreter")
     unoptimized = not program.plan_spec().passes
-    graph = program.graph
     for step in range(steps):
-        feeds = {name: boundary_feed(rng, graph.spec(name).shape)
-                 for name in graph.inputs}
+        feeds = random_feeds(program, rng)
         got, want = dut.run(feeds), ref.run(feeds)
         assert list(got) == list(want)
         for name in want:
@@ -141,10 +157,8 @@ def test_graph_fusion_changes_no_byte(passes, seed):
     assert_matches_interpreter(program, rng)
     rng.bit_generator.state = state
     pair, fold = Executor(fork(program)), Executor(fork(fused))
-    graph = program.graph
     for step in range(3):
-        feeds = {name: boundary_feed(rng, graph.spec(name).shape)
-                 for name in graph.inputs}
+        feeds = random_feeds(program, rng)
         want, got = pair.run(feeds), fold.run(feeds)
         for name in want:
             assert np.asarray(got[name]).tobytes() \
@@ -182,7 +196,8 @@ def test_the_generator_reaches_every_layout_case():
 
 def test_the_generator_reaches_the_relu_family():
     """... and the cases a bit-mask backward exists for, on backward paths
-    of the compiled program; and both answers of the sparse half."""
+    of the compiled program; the cross-entropy loss; and both answers of
+    the sparse half."""
     seen = set()
     for seed in range(60):
         try:
@@ -191,6 +206,9 @@ def test_the_generator_reaches_the_relu_family():
             continue
         graph = program.graph
         producer = graph.producer_map()
+        if any(node.op_type == "log_softmax_grad" and len(node.inputs) == 3
+               for node in graph.nodes):
+            seen.add("the cross-entropy loss, its adjoints folded")
         for node in graph.nodes:
             if node.op_type != "range_mask":
                 continue
@@ -224,7 +242,8 @@ def test_the_generator_reaches_the_relu_family():
             seen.add("a sub-layer update that compiles")
         except CompileError:
             seen.add("a sub-layer update that is refused")
-    assert seen == {"relu6 on a backward path",
+    assert seen == {"the cross-entropy loss, its adjoints folded",
+                    "relu6 on a backward path",
                     "a mask over a count that is not a multiple of 8",
                     "conv + bias + relu6 fused under a mask",
                     "a mask folded into a 1x1 conv2d_dx",

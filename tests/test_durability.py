@@ -14,12 +14,16 @@ The crash-safety invariants under test:
 
 from __future__ import annotations
 
+import json
+import struct
 import threading
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (CheckpointError, DeadlineExpired, FaultInjected,
                           ServeError)
@@ -135,6 +139,201 @@ class TestCheckpointFormat:
             read_checkpoint(tmp_path / "missing.ckpt")
 
 
+def split_checkpoint(data: bytes) -> tuple[dict, bytes]:
+    """``(header, payload)`` of checkpoint bytes."""
+    from repro.serve.checkpoint import _DIGEST_BYTES, MAGIC
+
+    (hlen,) = struct.unpack_from(">Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    return (json.loads(data[start:start + hlen]),
+            data[start + hlen:-_DIGEST_BYTES])
+
+
+def sealed(header, payload: bytes) -> bytes:
+    """Checkpoint bytes around ``header`` (an object, or raw bytes) whose
+    digest holds — what anyone who can upload a checkpoint can make."""
+    from repro.serve.checkpoint import _DIGEST, MAGIC
+
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    body = MAGIC + struct.pack(">Q", len(raw)) + raw + payload
+    return body + _DIGEST(body).digest()
+
+
+def restore_reads(ckpt: SessionCheckpoint) -> None:
+    """Read what ``FineTuneService.restore_session`` reads from a
+    checkpoint, the way it reads it, short of building the family."""
+    from repro.serve.scheduler import StepResult
+
+    str(ckpt.session.get("tenant") or ckpt.session_id)
+    int(ckpt.session.get("steps", ckpt.step_seq))
+    int(ckpt.session.get("examples", 0))
+    float(ckpt.session.get("last_loss", float("nan")))
+    optimizer = ckpt.family.get("optimizer") or {}
+    optimizer.get("family", "").lower()
+    dict(**optimizer.get("params", {}))
+    scheme = ckpt.family.get("scheme") or {}
+    scheme.get("name", "restored").lower()
+    [0.0 < ratio for ratio in dict(scheme.get("updates", {})).values()]
+    dict(**(ckpt.family.get("model_kwargs") or {}))
+    for key in ("model", "model_id", "loss", "logits"):
+        (ckpt.family.get(key) or "").lower()
+    for fields in ckpt.idempotency.values():
+        StepResult(**fields)
+
+
+def loads_or_refuses(data: bytes) -> None:
+    """The one failure a checkpoint may cause is a CheckpointError — on
+    load, or nowhere: what loads, a restore can read."""
+    try:
+        ckpt = load_checkpoint(data)
+    except CheckpointError:
+        return
+    restore_reads(ckpt)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8)
+    | st.sampled_from(["|O", "zz", "<U3", "V8", "f4,f4", "M8[s]", "<f4"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+class TestMalformedHeaders:
+    """The digest is SHA-256, not a MAC: a header that passes it can still
+    be anything. Only :class:`CheckpointError` may escape."""
+
+    @pytest.mark.parametrize("case", [
+        "list header", "no tensors", "object dtype", "nbytes mismatch",
+        "session a string", "unknown dtype", "negative offset",
+        "nbytes true", "bad utf-8", "deep nesting", "entry a string",
+        "step_seq a string", "examples negative", "last_loss a string",
+        "optimizer a list", "optimizer params a list", "scheme a list",
+        "update ratio a string", "model_kwargs a list",
+        "unknown result field", "result without its loss",
+        "result step a float"])
+    def test_crafted_headers_are_refused(self, case):
+        header, payload = split_checkpoint(dump_checkpoint(sample_ckpt()))
+        entry = header["tensors"][0]
+        session, family = header["session"], header["family"]
+        result = header["idempotency"]["key-1"]
+        if case == "step_seq a string":
+            session["step_seq"] = "x"
+        elif case == "examples negative":
+            session["examples"] = -1
+        elif case == "last_loss a string":
+            session["last_loss"] = "0.5"
+        elif case == "optimizer a list":
+            family["optimizer"] = ["sgd"]
+        elif case == "optimizer params a list":
+            family["optimizer"]["params"] = [0.01]
+        elif case == "scheme a list":
+            family["scheme"] = ["s"]
+        elif case == "update ratio a string":
+            family["scheme"]["updates"] = {"w": "1"}
+        elif case == "model_kwargs a list":
+            family["model_kwargs"] = [1]
+        elif case == "unknown result field":
+            result["bogus"] = 1
+        elif case == "result without its loss":
+            del result["loss"]
+        elif case == "result step a float":
+            result["step"] = 3.5
+        elif case == "list header":
+            header = [header]
+        elif case == "no tensors":
+            del header["tensors"]
+        elif case == "object dtype":
+            entry["dtype"] = "|O"
+        elif case == "nbytes mismatch":
+            entry["shape"] = [entry["shape"][0] + 1]
+        elif case == "session a string":
+            header["session"] = "sess-0000"
+        elif case == "unknown dtype":
+            entry["dtype"] = "zz"
+        elif case == "negative offset":
+            entry["offset"] = -4
+        elif case == "nbytes true":
+            entry["nbytes"], entry["shape"] = True, []
+            entry["dtype"] = "|b1"
+        elif case == "bad utf-8":
+            header = b"\xff\xfe{}"
+        elif case == "deep nesting":
+            header = b"[" * 100_000 + b"]" * 100_000
+        else:
+            header["tensors"][0] = "w"
+        with pytest.raises(CheckpointError):
+            load_checkpoint(sealed(header, payload))
+
+    @given(where=st.sampled_from(["header", "payload", "digest"]),
+           at=st.integers(0, 2 ** 16), flip=st.integers(1, 255),
+           reseal=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flips_anywhere(self, where, at, flip, reseal):
+        """A flipped byte fails the digest; re-sealed over a flipped
+        header or payload, it may load or be refused, nothing else."""
+        from repro.serve.checkpoint import _DIGEST_BYTES, MAGIC
+
+        data = bytearray(dump_checkpoint(sample_ckpt()))
+        (hlen,) = struct.unpack_from(">Q", data, len(MAGIC))
+        start = len(MAGIC) + 8
+        span = {"header": (start, start + hlen),
+                "payload": (start + hlen, len(data) - _DIGEST_BYTES),
+                "digest": (len(data) - _DIGEST_BYTES, len(data))}[where]
+        data[span[0] + at % (span[1] - span[0])] ^= flip
+        if not reseal or where == "digest":
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bytes(data))
+            return
+        header = bytes(data[start:start + hlen])
+        loads_or_refuses(sealed(header, bytes(data[start + hlen:
+                                                   -_DIGEST_BYTES])))
+
+    @given(path=st.sampled_from(
+        ["version", "session", "family", "idempotency", "tensors",
+         "tensors.0", "tensors.0.name", "tensors.0.dtype", "tensors.0.shape",
+         "tensors.0.offset", "tensors.0.nbytes", "idempotency.key-1",
+         "session.id", "session.step_seq", "session.steps",
+         "session.last_loss", "family.optimizer", "family.optimizer.family",
+         "family.optimizer.params", "family.scheme", "family.scheme.updates",
+         "family.scheme.updates.w", "family.model_kwargs", "family.model",
+         "idempotency.key-1.loss", "idempotency.key-1.step",
+         "idempotency.key-1.timings", "idempotency.key-1.bogus"]),
+        value=JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_anywhere_in_the_header(self, path, value):
+        header, payload = split_checkpoint(dump_checkpoint(sample_ckpt()))
+        *parents, leaf = path.split(".")
+        node = header
+        for key in parents:
+            node = node[int(key)] if key.isdigit() else node[key]
+        node[int(leaf) if leaf.isdigit() else leaf] = value
+        loads_or_refuses(sealed(header, payload))
+
+    def test_recorded_results_are_checked_field_by_field(self):
+        """The loader's table of a recorded result is ``StepResult``'s
+        fields, required exactly where the dataclass has no default."""
+        import dataclasses
+
+        from repro.serve.checkpoint import STEP_RESULT_FIELDS
+        from repro.serve.scheduler import StepResult
+
+        fields = dataclasses.fields(StepResult)
+        assert {f.name: f.default is dataclasses.MISSING for f in fields} \
+            == {name: required
+                for name, (required, _) in STEP_RESULT_FIELDS.items()}
+
+    def test_the_wire_form_is_checked_alike(self):
+        from repro.serve.checkpoint import (checkpoint_from_wire,
+                                            checkpoint_to_wire)
+
+        ckpt = sample_ckpt()
+        ckpt.session["step_seq"] = "x"
+        with pytest.raises(CheckpointError, match="session.step_seq"):
+            checkpoint_from_wire(checkpoint_to_wire(ckpt))
+
+
 class TestCheckpointWireForm:
     """The transport form: a checkpoint as one serve.wire frame."""
 
@@ -226,6 +425,20 @@ class TestCheckpointStore:
         assert loaded.step_seq == 1
         assert store.corrupt == 1
         assert not newest.exists()
+        assert newest.with_suffix(".corrupt").exists()
+
+    def test_malformed_newest_is_quarantined_too(self, tmp_path):
+        """Its digest holds, its header is no checkpoint's: the walk goes
+        on to the previous version instead of stopping there."""
+        store = CheckpointStore(tmp_path, keep=3)
+        store.save(sample_ckpt(step_seq=1))
+        store.save(sample_ckpt(step_seq=2))
+        newest = store.path_for("sess-0000", 2)
+        header, payload = split_checkpoint(newest.read_bytes())
+        header["tensors"][0]["dtype"] = "|O"
+        newest.write_bytes(sealed(header, payload))
+        assert store.load("sess-0000").step_seq == 1
+        assert store.corrupt == 1
         assert newest.with_suffix(".corrupt").exists()
 
     def test_all_corrupt_raises(self, tmp_path):

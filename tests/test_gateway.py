@@ -170,6 +170,27 @@ class TestGatewayProtocol:
                 client.create_session("no_such_model")
             assert excinfo.value.status == 400
 
+    def test_labels_that_are_no_class_id_are_400(self):
+        """Over JSON a label arrives as sent: 1.5 is refused, not cut to
+        1; -1 and 3 (of 3 classes) are refused, not wrapped or left to
+        fail in a batch."""
+        import urllib.error
+
+        with mlp_gateway() as (service, gateway, client, (session,)):
+            for label in (-1, 3, 1.5):
+                request = urllib.request.Request(
+                    f"{gateway.url}/v1/sessions/{session.id}/step",
+                    data=json.dumps({"x": [0.0] * 5, "y": label}).encode(),
+                    headers={"Content-Type": "application/json"},
+                    method="POST")
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=30)
+                assert excinfo.value.code == 400
+                assert "class id" in json.loads(excinfo.value.read())["error"]
+            assert session.step_seq == 0
+            assert client.step(session.id, np.zeros(5, np.float32), 2)[
+                "step"] == 1
+
     def test_plain_urllib_speaks_the_protocol(self):
         """The protocol is plain JSON-over-HTTP, not client-specific."""
         rng = np.random.default_rng(1)

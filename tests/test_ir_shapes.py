@@ -184,10 +184,34 @@ class TestNNOps:
         with pytest.raises(ShapeError):
             infer("embedding", [(100, 16), (2, 5)])
 
-    def test_onehot(self):
-        [(shape, dtype)] = infer("onehot", [(4,)], {"depth": 7},
-                                 dtypes=[DType.INT64])
-        assert shape == (4, 7) and dtype == DType.FLOAT32
+    def test_pick_and_its_adjoints(self):
+        ints = [DType.FLOAT16, DType.INT32]
+        [(shape, dtype)] = infer("pick", [(2, 3, 7), (2, 3)], dtypes=ints)
+        assert shape == (2, 3) and dtype == DType.FLOAT16
+        [(shape, dtype)] = infer("pick_grad", [(2, 3), (2, 3)], {"depth": 7},
+                                 dtypes=ints)
+        assert shape == (2, 3, 7) and dtype == DType.FLOAT16
+        [(shape, _)] = infer("log_softmax_grad", [(2, 3), (2, 3, 7), (2, 3)],
+                             {"axis": 2}, dtypes=ints[:1] * 2 + ints[1:])
+        assert shape == (2, 3, 7)
+        [(shape, _)] = infer("log_softmax_grad", [(2, 3, 7), (2, 3, 7)],
+                             {"axis": 0})
+        assert shape == (2, 3, 7)
+
+    @pytest.mark.parametrize("op, shapes, attrs, dtypes", [
+        ("pick", [(4, 7), (4,)], {}, None),                  # float ids
+        ("pick", [(4, 7), (4, 1)], {}, [DType.FLOAT32, DType.INT64]),
+        ("pick_grad", [(4,), (3,)], {"depth": 7},
+         [DType.FLOAT32, DType.INT64]),
+        ("log_softmax_grad", [(4,), (4, 7), (4,)], {"axis": 0},
+         [DType.FLOAT32, DType.FLOAT32, DType.INT64]),   # ids: last axis
+        ("log_softmax_grad", [(4, 7), (4, 7), (4,)], {"axis": 1},
+         [DType.FLOAT32, DType.FLOAT32, DType.INT64]),   # rows, not a tensor
+        ("log_softmax_grad", [(4, 6), (4, 7)], {}, None),
+    ])
+    def test_pick_family_refuses(self, op, shapes, attrs, dtypes):
+        with pytest.raises(ShapeError):
+            infer(op, shapes, attrs, dtypes=dtypes)
 
     def test_unknown_op(self):
         with pytest.raises(ShapeError):

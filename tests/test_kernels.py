@@ -404,34 +404,43 @@ class TestEmbedding:
         assert dt[2].sum() == 4.0
         assert dt[1].sum() == 0.0
 
-    def test_onehot(self):
-        [y] = run_op("onehot", [np.array([2, 0])], {"depth": 3})
-        np.testing.assert_array_equal(
-            y, np.array([[0, 0, 1], [1, 0, 0]], np.float32))
+    def test_pick(self):
+        x = np.arange(6, dtype=np.float32).reshape(2, 3)
+        [y] = run_op("pick", [x, np.array([2, 0])], {})
+        np.testing.assert_array_equal(y, np.array([2, 3], np.float32))
 
     @pytest.mark.parametrize("ids", [
-        np.array(3), np.array([4, 0, 4]), np.array([[1, -1], [0, -5]]),
+        np.array(3), np.array([4, 0, 4]), np.array([[1, 2], [0, 4]]),
         np.zeros((2, 0), np.int64),
     ])
-    def test_onehot_is_a_row_gather_from_the_identity(self, ids):
-        [y] = run_op("onehot", [ids], {"depth": 5})
-        want = np.eye(5, dtype=np.float32)[ids]
+    def test_pick_grad_is_a_row_gather_from_the_identity(self, ids):
+        g = np.full(ids.shape, 2.5, np.float32)
+        [y] = run_op("pick_grad", [g, ids], {"depth": 5})
+        want = np.eye(5, dtype=np.float32)[ids] * g[..., None]
         assert y.dtype == want.dtype and y.shape == want.shape
         np.testing.assert_array_equal(y, want)
 
-    @pytest.mark.parametrize("bad", [5, -6])
-    def test_onehot_rejects_out_of_range_ids(self, bad):
-        with pytest.raises(IndexError):
-            run_op("onehot", [np.array([0, bad])], {"depth": 5})
+    @pytest.mark.parametrize("op", ["pick", "pick_grad", "log_softmax_grad"])
+    @pytest.mark.parametrize("bad", [5, -1, -6])
+    def test_out_of_range_ids_are_refused(self, op, bad):
+        """A negative id is refused too: indexing would wrap it to a class
+        counted from the end."""
+        ids = np.array([0, bad])
+        x = np.zeros((2, 5), np.float32)
+        g = np.ones(2, np.float32)
+        ins = {"pick": [x, ids], "pick_grad": [g, ids],
+               "log_softmax_grad": [g, x, ids]}[op]
+        with pytest.raises(IndexError, match=r"out of range \[0, 5\)"):
+            run_op(op, ins, {"depth": 5} if op == "pick_grad" else {})
 
-    def test_onehot_cost_is_linear_in_depth(self):
-        # A depth x depth identity would be 10 GB here.
+    def test_pick_grad_cost_is_linear_in_depth(self):
         depth = 50_000
-        ids = np.array([[0, depth - 1, 7], [-1, 123, 7]])
-        [y] = run_op("onehot", [ids], {"depth": depth})
+        ids = np.array([[0, depth - 1, 7], [1, 123, 7]])
+        [y] = run_op("pick_grad", [np.ones(ids.shape, np.float32), ids],
+                     {"depth": depth})
         assert y.shape == (2, 3, depth) and y.dtype == np.float32
         assert y.sum() == ids.size
-        np.testing.assert_array_equal(y.argmax(-1), ids % depth)
+        np.testing.assert_array_equal(y.argmax(-1), ids)
 
 
 # The textbook forms the single-pass kernels replaced, kept verbatim: the

@@ -700,12 +700,14 @@ class TestSpecCompatAndConfig:
 class TestArtifactRoundTripOptimized:
     def test_fused_and_precomputed_plan_survives_artifact(self, tmp_path,
                                                           rng):
-        """MCUNet sparse — the paper workload — exercises both passes at
-        once through a full save/load/execute cycle."""
+        """ResNet sparse exercises both passes at once through a full
+        save/load/execute cycle: a hoisted Winograd weight and fused
+        residual chains. (MCUNet sparse, the paper workload, fuses nothing
+        since its one chain, the loss's, became a ``log_softmax_grad``.)"""
         from repro.deploy import load_artifact, save_artifact
         from repro.models import build_model, paper_scheme
 
-        forward = build_model("mcunet_micro", batch=2)
+        forward = build_model("resnet_micro", batch=2)
         program = compile_training(forward, optimizer=SGD(0.05),
                                    scheme=paper_scheme(forward))
         spec = program.plan_spec()

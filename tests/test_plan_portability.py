@@ -153,23 +153,31 @@ class TestArtifactPlanRoundTrip:
         assert manifest["plan"]["instructions"]
         assert manifest["kernel_variants"]
 
-    def test_v1_manifest_still_loads(self, tmp_path, rng):
-        """Backward compat: pre-plan artifacts lower their plan locally."""
-        program = _mlp_program()
-        save_artifact(program, tmp_path / "mlp")
+    def test_v1_manifest_is_refused_and_recompiled(self, tmp_path, rng):
+        """Pre-plan artifacts are no longer read: a typed refusal, which
+        the program cache answers by recompiling over the artifact."""
+        from repro.serve import ProgramCache
+
+        cache = ProgramCache(capacity=2, cache_dir=tmp_path)
+        cache.get_or_build("mlp", _mlp_program)
         path = tmp_path / "mlp" / "manifest.json"
         manifest = json.loads(path.read_text())
         manifest["format_version"] = 1
         del manifest["plan"]
         del manifest["kernel_variants"]
         path.write_text(json.dumps(manifest))
-        deployed = load_artifact(tmp_path / "mlp")
-        assert deployed.program.meta.get("__plan__") is None  # lazy
-        feeds = _mlp_feeds(program, rng)
-        want = Executor(program).run(feeds)
-        got = deployed.run(dict(feeds))
-        loss = program.meta["loss"]
-        assert want[loss].tobytes() == got[loss].tobytes()
+        with pytest.raises(GraphError, match="unsupported artifact version"):
+            load_artifact(tmp_path / "mlp")
+
+        fresh = ProgramCache(capacity=2, cache_dir=tmp_path)
+        entry = fresh.get_or_build("mlp", _mlp_program)
+        assert not entry.from_disk and fresh.stats.compiles == 1
+        assert fresh.stats.corrupt_entries == 1
+        assert json.loads(path.read_text())["format_version"] \
+            == MANIFEST_VERSION
+        feeds = _mlp_feeds(entry.program, rng)
+        assert np.isfinite(Executor(entry.program).run(feeds)[
+            entry.program.meta["loss"]])
 
     def test_corrupted_plan_rejected(self, tmp_path):
         """A tampered plan is caught by the static verifier before binding.

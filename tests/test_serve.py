@@ -293,6 +293,31 @@ class TestSessionIsolation:
                                  {"b1": np.ones(6, np.float32)})
             assert np.all(service.snapshot(session.id)["b1"] == 1.0)
 
+    @pytest.mark.parametrize("label", [
+        -1, 3, 7, 2 ** 40, np.uint64(2 ** 63), 1.5, np.inf, np.nan, "2",
+        True, None], ids=repr)
+    def test_labels_that_are_no_class_id_are_refused(self, label):
+        """3 classes: -1 used to wrap to class 2 and train on it, 7 to fail
+        in the kernel after the batch was cut. Refused before enqueue,
+        nothing moves."""
+        rng = np.random.default_rng(0)
+        with FineTuneService(max_batch=1, workers=1) as service:
+            session = service.create_session(build_mlp, model_id="mlp",
+                                             scheme="full")
+            service.step(session.id, *mlp_example(rng))
+            before, seq = service.snapshot(session.id), session.step_seq
+            x = rng.standard_normal(5).astype(np.float32)
+            with pytest.raises(ServeError, match="class id"):
+                service.submit(session.id, x, np.asarray(label))
+            assert session.step_seq == seq
+            after = service.snapshot(session.id)
+            for name in before:
+                assert after[name].tobytes() == before[name].tobytes()
+            # whole numbers of any dtype are class ids
+            for good in (np.int32(2), np.uint8(0), np.float64(1.0)):
+                service.step(session.id, x, good)
+            assert session.step_seq == seq + 3
+
     def test_unknown_session_and_close(self):
         with FineTuneService(max_batch=1, workers=1) as service:
             with pytest.raises(ServeError):

@@ -98,6 +98,35 @@ class TestPersistentProgramCache:
         assert repaired.get_or_build("k1", _fail_build).from_disk
         assert repaired.stats.plan_version_miss == 0
 
+    def test_artifact_of_a_deleted_kernel_recompiles(self, tmp_path, rng):
+        """A cache directory written before ``onehot`` left the kernel set
+        holds artifacts whose schedule names it: each is refused as
+        unrunnable, quarantined and recompiled — no request fails."""
+        import json
+
+        from repro.kernels import KERNELS
+
+        assert "onehot" not in KERNELS
+        cache = ProgramCache(capacity=4, cache_dir=tmp_path)
+        cache.get_or_build("k1", _program)
+        manifest_path = tmp_path / "k1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["kernels"] = sorted(manifest["kernels"] + ["onehot"])
+        manifest_path.write_text(json.dumps(manifest))
+        fresh = ProgramCache(capacity=4, cache_dir=tmp_path)
+        entry = fresh.get_or_build("k1", _program)
+        assert not entry.from_disk
+        assert fresh.stats.compiles == 1 and fresh.stats.corrupt_entries == 1
+        assert (tmp_path / "k1.corrupt").exists()
+        program = entry.program
+        from repro.runtime import Executor
+        out = Executor(program).run({
+            "x": rng.standard_normal((4, 5)).astype(np.float32),
+            program.meta["labels"]: rng.integers(0, 3, 4)})
+        assert np.isfinite(out[program.meta["loss"]])
+        repaired = ProgramCache(capacity=4, cache_dir=tmp_path)
+        assert repaired.get_or_build("k1", _fail_build).from_disk
+
     def test_memoryless_cache_unchanged(self):
         cache = ProgramCache(capacity=4)
         entry = cache.get_or_build("k1", _program)

@@ -143,35 +143,35 @@ class TestCLI:
         summary = dict(row for row in parse("\n" + tables[0])[2])
         # the slab sits on the floor of any placement, and the ledger a
         # few alignment bytes under it
-        assert summary["live-load bound"] == "113.8KB"
-        assert summary["slab / live-load bound"] == "1.001"
-        assert summary["slab / plan peak"] == "1.002"
+        assert summary["live-load bound"] == "113.6KB"
+        assert summary["slab / live-load bound"] == "1.000"
+        assert summary["slab / plan peak"] == "1.000"
 
         title, header, live = parse(tables[1])
         assert header == ["value", "producer", "shape", "dtype", "bytes",
                           "born-dies", "share"]
         # the block-1 forward depthwise conv: input, output, the residual
         # kept for the backward add, and the expand relu6's bit mask
-        assert title == ("live at the schedule's peak: step 9 of 81 "
-                         "(conv2d), 116392 bytes")
+        assert title == ("live at the schedule's peak: step 6 of 75 "
+                         "(conv2d), 116240 bytes")
         assert [(row[1], row[3], row[4]) for row in live[:4]] == [
             ("conv2d", "float32", "49152"), ("conv2d", "float32", "49152"),
             ("add", "float32", "16384"), ("range_mask", "uint8", "1536")]
-        assert live[0][2] == "2x24x16x16" and live[0][5] == "7-9"
-        assert sum(int(row[4]) for row in live) == 116392
+        assert live[0][2] == "2x24x16x16" and live[0][5] == "4-6"
+        assert sum(int(row[4]) for row in live) == 116240
         for row in live:
-            assert row[6] == f"{int(row[4]) / 116392:.1%}"
+            assert row[6] == f"{int(row[4]) / 116240:.1%}"
 
         title, header, moments = parse(tables[2])
         assert title == "the peak and the next two moments"
         assert header == ["step", "op", "bytes", "of peak", "peak without"]
         # distinct levels, highest first, each with the level under it:
-        # removing the peak buys 84 bytes — the backward depthwise
+        # removing the peak buys 12 bytes — the backward depthwise
         # conv2d_dx holds as much — and only under both is there a drop
         assert [row[:3] + row[4:] for row in moments] == [
-            ["9", "conv2d", "116392", "116308"],
-            ["78", "conv2d_dx", "116308", "98984"],
-            ["15", "conv2d", "98984", "98900"]]
+            ["6", "conv2d", "116240", "116228"],
+            ["72", "conv2d_dx", "116228", "98832"],
+            ["12", "conv2d", "98832", "98820"]]
 
         title, header, held = parse(tables[3])
         assert header == ["producer", "values", "bytes", "share"]

@@ -4,10 +4,10 @@ plan declared, and nothing in a step depends on what the slab held before.
 * measured, not copied: ``Executor.slab_bytes`` is the size of the
   ``uint8`` buffer the step really ran in; it equals the spec's
   ``slab_bytes``, which lies between the aligned live load of its buffers
-  (the floor of any placement) and 1.02 times that, and stays under the
-  plan's own ``peak_transient_bytes`` on ten of the twelve zoo programs —
-  on the other two the peak is a forward-pass moment the ledger counts
-  exactly as the slab does, bar the alignment padding;
+  (the floor of any placement) and 1.02 times that, and stays at or under
+  the plan's own ``peak_transient_bytes`` on ten of the twelve zoo
+  programs — on the other two the peak is a moment the ledger counts
+  exactly as the slab does, bar the alignment padding and the feeds;
 * a poisoned slab changes nothing: every slot is written before it is
   read, on every step — NaN-filled and ``0xA5``-filled slabs give the
   interpreter's bytes;
@@ -69,15 +69,19 @@ class TestMeasuredNotCopied:
         # The plan's own peak is another count of the same step: it adds
         # the feeds (outside the slab), charges an in-place result beside
         # the input it overwrites, and knows no alignment. Where the peak
-        # is a forward-pass moment with neither, it sits under the bound by
-        # the padding alone: two 294 912 B activations, a 98 304 B one, two
-        # 320 B vectors and a 32 B one rounded up to 64 on the one program;
-        # a depthwise conv's input and output, a residual, a bit mask and
-        # three small loss-head values on the other.
-        pinned = {("mobilenetv2_micro", "paper_scheme"):
-                  (688_832, 688_832, 688_800),
-                  ("mcunet_micro", "paper_scheme"):
-                  (465_920, 465_600, 465_568)}
+        # is a moment with neither, the two differ by the padding and the
+        # feeds alone. On mcunet_micro sparse it is the block-1 forward
+        # depthwise conv — input, output, residual and a bit mask, every
+        # one a multiple of 64 B: all three counts agree. On llama_micro it
+        # is lm_head's weight gradient, beside the 96 B RMSNorm vectors
+        # still held (two at the sparse update, nine at the full one) and
+        # the 4 B loss, which the slab rounds up to 128 and 64 B — less,
+        # at the full update, the 192 B ids feed only the ledger holds.
+        pinned = {("mcunet_micro", "paper_scheme"):
+                  (464_960, 464_960, 464_960),
+                  ("llama_micro", "paper_scheme"): (95_552, 95_552, 95_428),
+                  ("llama_micro", "full_update"):
+                  (314_560, 314_560, 314_404)}
         which = request.node.callspec.params["zoo_program"]
         if which in pinned:
             assert (spec.slab_bytes, bound, spec.peak_transient_bytes) \
