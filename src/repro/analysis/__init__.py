@@ -21,13 +21,15 @@ including inside deployed workers.
 from .asynclint import (lint_module, lint_paths, lint_tree,
                         lint_worker_imports, worker_import_report)
 from .effects import OpEffects, safe_to_defer, stream_effects
-from .planlint import (check_plan, report_for, slab_intervals,
-                       verify_enabled, verify_plan_spec, verify_program)
+from .planlint import (PlanInterval, check_plan, plan_intervals,
+                       report_for, verify_enabled, verify_plan_spec,
+                       verify_program)
 from .report import Finding, Report, format_findings, parse_waivers
 
 __all__ = [
     "Finding",
     "OpEffects",
+    "PlanInterval",
     "Report",
     "check_plan",
     "format_findings",
@@ -36,9 +38,9 @@ __all__ = [
     "lint_tree",
     "lint_worker_imports",
     "parse_waivers",
+    "plan_intervals",
     "report_for",
     "safe_to_defer",
-    "slab_intervals",
     "stream_effects",
     "verify_enabled",
     "verify_plan_spec",

@@ -51,9 +51,9 @@ PlanSpec` + the program it claims to lower. Views resolved at bind time
 * **honest tuning decisions** (``tuned-*`` rules) — every
   ``tuned_variants`` row names a real instruction, the registered variant
   it actually binds, a known source and finite non-negative costs, once;
-* **independent byte accounting** — the transient-byte timeline and its
-  peak are recomputed from scratch and must equal what ``allocate``
-  recorded.
+* **the byte ledger, rebuilt** — the live load of the storage the plan
+  holds, rebuilt from the reads alone (:func:`plan_intervals`), must be
+  the ``peak_transient_bytes`` that ``allocate`` recorded.
 
 Verification runs (gated by ``CompileOptions.verify_plans`` /
 ``REPRO_VERIFY_PLANS=1``) after every pass stage inside
@@ -65,6 +65,7 @@ via ``repro lint-plan <artifact>``.
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +78,7 @@ from ..kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
                        VARIANT_KERNELS, VIEW_OPS, into_form)
 from ..kernels.shape import (c_strides, is_c_contiguous, normal_strides,
                              view_layout)
-from ..memory.planner import SlabPlan
+from ..memory.planner import SlabPlan, live_load
 from ..runtime.plan import (MODE_BASE, MODE_COPY, MODE_OUT, InstructionSpec,
                             PlanSpec, VARIANT_BASE, VARIANT_DONATING)
 from .report import Finding, Report, format_findings
@@ -123,20 +124,25 @@ def report_for(spec: PlanSpec, program, target: str = "<plan>") -> Report:
                   findings=verify_plan_spec(spec, program))
 
 
-def slab_intervals(spec: PlanSpec, program
-                   ) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """``(offsets, intervals)`` of ``spec``'s slab buffers, as the
-    slab-overlap rule reconstructs them: one closed ``(bytes, birth,
-    death)`` per buffer over instruction positions, lifetimes recomputed
-    from the reads (a view keeps its base alive, a returned output lives
-    to the end, an in-place reuse chain is one buffer). The maximum of
-    :func:`repro.memory.planner.live_load` over them is the live-load
-    bound ``repro memory`` prints next to ``slab_bytes``."""
+class PlanInterval(NamedTuple):
+    """Storage a plan holds over closed instruction positions, and the
+    value in it (a reuse chain's last)."""
+
+    nbytes: int
+    birth: int
+    death: int
+    name: str
+    offset: int | None  #: None for a feed or a register
+
+
+def plan_intervals(spec: PlanSpec, program) -> list[PlanInterval]:
+    """What ``spec`` holds, rebuilt from its reads: each slab buffer once
+    (a reuse chain and its aliases alive to the last read of any), then
+    its feeds and register results, by the rule of
+    :mod:`repro.runtime.passes.allocate`."""
     checker = _PlanChecker(spec, program)
     checker.run()
-    offsets, sizes, lives = checker.slab_buffers()
-    return offsets, [(size, life[0], life[2])
-                     for size, life in zip(sizes, lives)]
+    return checker.intervals()
 
 
 _UNDEF, _LIVE, _FREED = 0, 1, 2
@@ -172,6 +178,8 @@ class _PlanChecker:
         self.life: dict[int, list[int]] = {}
         #: output slot -> the dying input it takes over (in-place reuse)
         self.reused: dict[int, int] = {}
+        #: feed and register slot -> [birth, death]
+        self.charged: dict[int, list[int]] = {}
 
     def flag(self, rule: str, where: str, message: str) -> None:
         self.findings.append(Finding(rule=rule, where=where, message=message))
@@ -191,12 +199,6 @@ class _PlanChecker:
             return None
         self._specs[name] = spec
         return spec
-
-    def nbytes(self, name: str, where: str) -> int:
-        spec = self.value_spec(name, where)
-        if spec is None:
-            return 0
-        return spec.nbytes
 
     @staticmethod
     def _is_view(instr: InstructionSpec) -> bool:
@@ -279,6 +281,8 @@ class _PlanChecker:
                 self.status[slot] = _LIVE
                 self.dense.add(slot)
         self.state_slots = {slot for slot, _ in spec.state_bindings}
+        for _, slot in spec.feed_specs:
+            self.charged[slot] = [0, self.end]
         self.pre_slots = set()
         for entry in spec.precomputed:
             where = f"precomputed {entry.state}.{entry.transform}"
@@ -339,8 +343,6 @@ class _PlanChecker:
             elif not self._is_inplace(event):
                 self.fresh.update(event.output_slots)
 
-        self.transient = self.peak = sum(
-            self.nbytes(name, "inputs") for name in self.graph.inputs)
         written_state: set[str] = set()
         seen_nodes: set[str] = set()
         interior_names: list[tuple[str, str]] = []
@@ -354,9 +356,7 @@ class _PlanChecker:
                 continue
             seen_nodes.add(event.node)
             if not is_instr:
-                if self._walk_alias(event, node, where):
-                    self._account([(event.slot, node.outputs[0])],
-                                  (event.base,), False, when, where)
+                self._walk_alias(event, node, where)
                 continue
 
             instr = event
@@ -402,8 +402,13 @@ class _PlanChecker:
                 written_state.update(
                     name for name in node.inputs
                     if name in self.state_names)
-            dying = self._account(outs, instr.input_slots, inplace, when,
-                                  where)
+            if not inplace:
+                self.charged.update((slot, [position, self.end])
+                                    for slot, _ in outs
+                                    if slot not in self.slab)
+            dying = self._dying(outs, instr.input_slots, inplace, when)
+            for slot in dying & self.charged.keys():
+                self.charged[slot][1] = position
             self._check_frees(instr, where, dying)
 
         self._check_slab()
@@ -428,14 +433,9 @@ class _PlanChecker:
                 life[1] = max(life[1], position)
             life[2] = max(life[2], position)
 
-    def _account(self, outs, reads, inplace: bool, when: int,
-                 where: str) -> set[int]:
-        """One event of the byte timeline: outputs materialize, then
-        whatever was read for the last time is released. Returns the
-        slots that die here."""
-        if not inplace:
-            self.transient += sum(self.nbytes(n, where) for _, n in outs)
-        self.peak = max(self.peak, self.transient)
+    def _dying(self, outs, reads, inplace: bool, when: int) -> set[int]:
+        """The slots that die at event ``when``: outputs nobody reads, and
+        whatever was read for the last time."""
         dying = set() if inplace else {
             slot for slot, name in outs
             if slot not in self.last_read and name not in self.keep}
@@ -444,8 +444,6 @@ class _PlanChecker:
             if self.last_read.get(slot) == when
             and slot not in self.state_slots and slot not in self.pre_slots
             and self.names.get(slot) not in self.keep)
-        self.transient -= sum(self.nbytes(self.names[slot], where)
-                              for slot in dying if slot in self.names)
         return dying
 
     def _strides(self, slot: int) -> tuple[int, ...] | None:
@@ -481,13 +479,13 @@ class _PlanChecker:
         else:
             self.strided[slot] = tuple(strides)
 
-    def _walk_alias(self, alias, node, where: str) -> bool:
-        """One bind-time view; True when it is sound enough to account."""
+    def _walk_alias(self, alias, node, where: str) -> None:
+        """One bind-time view."""
         if node.op_type not in VIEW_OPS or len(node.outputs) != 1 \
                 or len(node.inputs) != 1:
             self.flag("unknown-node", where,
                       "alias does not name a single-input view node")
-            return False
+            return
         name = node.outputs[0]
         self._define(alias.slot, name, where)
         if self.names.get(alias.base) != node.inputs[0]:
@@ -503,7 +501,7 @@ class _PlanChecker:
                       f"views slot {alias.base}, which is not a slab value "
                       f"defined before it — only slab bytes are the same "
                       f"array every step")
-            return True
+            return
         self.root[alias.slot] = owner
         if name in self.keep:
             self.life[owner][2] = self.end
@@ -517,7 +515,6 @@ class _PlanChecker:
                       f"{base.dtype}")
         self._note_layout(alias.slot, entry.shape, entry.strides,
                           entry.dtype)
-        return True
 
     def _check_results(self, instr, node, outs, where: str, inplace: bool,
                        view: bool, position: int) -> None:
@@ -627,35 +624,52 @@ class _PlanChecker:
                           f"slot {slot} ({self.names.get(slot)!r}) "
                           f"dies here but is not on the free-list")
 
-    def slab_buffers(self) -> tuple[list[int], list[int], list[list[int]]]:
-        """The slab's buffers after the walk: ``(offsets, sizes, lives)``,
-        one entry per buffer, ``lives`` as ``[birth, last read of the
-        owner, last read counting its views]``. An in-place reuse chain is
-        one buffer: an output reusing an input is that buffer living on."""
+    def slab_buffers(self) -> dict[int, list[int]]:
+        """The slab's buffers after the walk: owner slot -> ``[birth, last
+        read of the owner, last read counting its views]``. An in-place
+        reuse chain is one buffer: an output reusing an input is that
+        buffer living on."""
         merged: dict[int, list[int]] = {}
         for slot, (birth, own, full) in self.life.items():
-            head = slot
-            while head in self.reused:
-                head = self.reused[head]
-            life = merged.setdefault(head, [birth, own, full])
+            life = merged.setdefault(self._head(slot), [birth, own, full])
             life[:] = (min(life[0], birth), max(life[1], own),
                        max(life[2], full))
-        slots = sorted(merged)
-        return ([self.slab[slot].offset for slot in slots],
-                [self.nbytes(self.names[slot], "slab")
-                 if slot in self.names else 0 for slot in slots],
-                [merged[slot] for slot in slots])
+        return dict(sorted(merged.items()))
+
+    def _head(self, slot: int) -> int:
+        """The slot that opened ``slot``'s buffer."""
+        while slot in self.reused:
+            slot = self.reused[slot]
+        return slot
+
+    def _size(self, slot: int) -> int:
+        """Bytes of the value ``slot`` holds (0 when it holds none)."""
+        name = self.names.get(slot)
+        spec = None if name is None else self.value_spec(name, "ledger")
+        return 0 if spec is None else spec.nbytes
+
+    def intervals(self) -> list[PlanInterval]:
+        """The ledger after the walk (see :func:`plan_intervals`)."""
+        last = {self._head(slot): slot for slot in self.life}  # in order
+        return [PlanInterval(self._size(slot), birth, full,
+                             self.names.get(last[slot], ""),
+                             self.slab[slot].offset)
+                for slot, (birth, _, full) in self.slab_buffers().items()] \
+            + [PlanInterval(self._size(slot), birth, death,
+                            self.names.get(slot, ""), None)
+               for slot, (birth, death) in sorted(self.charged.items())]
 
     def _check_slab(self) -> None:
         """No two live buffers share bytes, in-place reuse chains aside."""
-        offsets, sizes, lives = self.slab_buffers()
+        buffers = self.slab_buffers()
+        offsets = [self.slab[slot].offset for slot in buffers]
         for rule, column, note in (
                 ("slab-overlap", 1, ""),
                 ("alias-lifetime", 2, " while a view of one is still read")):
             try:
                 SlabPlan(self.spec.slab_bytes, offsets,
-                         [(size, life[0], life[column])
-                          for size, life in zip(sizes, lives)]).validate()
+                         [(self._size(slot), life[0], life[column])
+                          for slot, life in buffers.items()]).validate()
             except MemoryPlanError as exc:
                 self.flag(rule, "slab", f"{exc}{note}")
                 return
@@ -936,7 +950,6 @@ class _PlanChecker:
     def _check_end_state(self, written_state, seen_nodes,
                          interior_names) -> None:
         spec = self.spec
-        peak, transient = self.peak, self.transient
         where = "plan"
         self._check_tuned()
 
@@ -981,12 +994,8 @@ class _PlanChecker:
                       f"{len(self.names)} slots bound, spec claims "
                       f"{spec.num_slots}")
         if self.accounting_ok:
+            peak = max(live_load(self.intervals(), 1))
             if peak != spec.peak_transient_bytes:
                 self.flag("peak-bytes-mismatch", where,
                           f"declared peak {spec.peak_transient_bytes} != "
                           f"recomputed {peak}")
-            if transient != spec.final_transient_bytes:
-                self.flag("final-bytes-mismatch", where,
-                          f"declared final transient "
-                          f"{spec.final_transient_bytes} != recomputed "
-                          f"{transient}")

@@ -86,8 +86,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_memory(args) -> int:
-    from .analysis.planlint import slab_intervals
-    from .memory import live_load, profile_memory, transient_values
+    from .analysis.planlint import plan_intervals
+    from .memory import live_load, profile_memory
     from .runtime.compiler import CompileOptions, compile_training
     from .runtime.plan import SLAB_ALIGNMENT
 
@@ -97,67 +97,75 @@ def cmd_memory(args) -> int:
         forward, optimizer=SGD(0.01), scheme=scheme,
         options=CompileOptions(materialize_state=False,
                                device=get_device(args.device)))
-    schedule = program.schedule
-    profile = profile_memory(program.graph, schedule, keep_timeline=True)
+    profile = profile_memory(program.graph, program.schedule)
     spec = program.plan_spec()
+    intervals = plan_intervals(spec, program)
     # the floor of any placement of this plan's buffers: the most aligned
-    # bytes alive at once, over the intervals planlint checks the slab on
-    bound = max(live_load(slab_intervals(spec, program)[1], SLAB_ALIGNMENT),
-                default=0)
+    # bytes its slab buffers hold at once
+    bound = max(live_load([i for i in intervals if i.offset is not None],
+                          SLAB_ALIGNMENT))
     print(render_table(["metric", "value"], [
         ["scheme", scheme.name],
         ["graph nodes", len(program.graph.nodes)],
-        ["peak transient", f"{profile.peak_transient_bytes / 1024:.1f}KB"],
+        ["schedule's peak estimate",
+         f"{profile.peak_transient_bytes / 1024:.1f}KB"],
         ["weights + state", f"{profile.resident_bytes / 1024:.1f}KB"],
-        ["peak total", f"{profile.peak_total_bytes / (1 << 20):.1f}MB"],
+        ["schedule's peak total",
+         f"{profile.peak_total_bytes / (1 << 20):.1f}MB"],
         ["plan peak transient",
          f"{spec.peak_transient_bytes / 1024:.1f}KB"],
         ["static slab", f"{spec.slab_bytes / 1024:.1f}KB"],
-        ["slab / plan peak",
-         f"{spec.slab_bytes / max(1, spec.peak_transient_bytes):.3f}"],
         ["live-load bound", f"{bound / 1024:.1f}KB"],
         ["slab / live-load bound", f"{spec.slab_bytes / max(1, bound):.3f}"],
     ]))
 
-    # Why the peak is what it is: the values live at that step, and what
-    # the forward pass keeps for the backward, by the op that made it.
-    values = transient_values(program.graph, schedule)
-    at = profile.peak_step
-    live = sorted((v for v in values if v.born <= at <= v.dies),
-                  key=lambda v: -v.nbytes)
-    peak = max(1, profile.peak_transient_bytes)
+    # Why the plan's peak is what it is: the storage held at that
+    # instruction, and what the forward pass keeps for the backward.
+    instrs = spec.instructions
+    timeline = live_load(intervals, 1)[:len(instrs)]
+    peak = max(1, spec.peak_transient_bytes)
+    at = timeline.index(spec.peak_transient_bytes)
+    producer = {out: node.op_type for node in program.schedule
+                for out in node.outputs}
+    live = sorted((i for i in intervals if i.birth <= at <= i.death),
+                  key=lambda i: -i.nbytes)
+
+    def row(i):
+        value = program.graph.spec(i.name)
+        return [i.name, producer.get(i.name, "feed"),
+                "x".join(map(str, value.shape)) or "scalar",
+                value.dtype.value, i.nbytes, f"{i.birth}-{i.death}",
+                f"{i.nbytes / peak:.1%}"]
+
     print()
     print(render_table(
         ["value", "producer", "shape", "dtype", "bytes", "born-dies",
-         "share"],
-        [[v.name, v.producer, "x".join(map(str, v.shape)) or "scalar",
-          v.dtype, v.nbytes, f"{v.born}-{v.dies}", f"{v.nbytes / peak:.1%}"]
-         for v in live],
-        title=f"live at the schedule's peak: step {at} of {len(schedule)} "
-              f"({schedule[at].op_type}), {peak} bytes"))
+         "share"], [row(i) for i in live],
+        title=f"live at the plan's peak: instruction {at} of {len(instrs)} "
+              f"({instrs[at].kernel}), {spec.peak_transient_bytes} bytes"))
 
     # What removing that peak would buy: the next two distinct levels the
-    # schedule holds, each with the first step at it. Bringing every step
+    # plan holds, each with the first instruction at it. Bringing every one
     # at or above a level down leaves the peak at the level below it.
-    timeline = profile.timeline
     levels = sorted(set(timeline), reverse=True)[:4]
     moments = [(timeline.index(level), level, below)
                for level, below in zip(levels, levels[1:])]
     print()
     print(render_table(
-        ["step", "op", "bytes", "of peak", "peak without"],
-        [[step, schedule[step].op_type, level, f"{level / peak:.1%}", below]
-         for step, level, below in moments],
+        ["instr", "kernel", "bytes", "of peak", "peak without"],
+        [[pos, instrs[pos].kernel, level, f"{level / peak:.1%}", below]
+         for pos, level, below in moments],
         title="the peak and the next two moments"))
 
-    loss_at = next(i for i, node in enumerate(schedule)
-                   if program.meta["loss"] in node.outputs)
+    nodes = {node.name: node for node in program.schedule}
+    loss_at = next(pos for pos, instr in enumerate(instrs)
+                   if program.meta["loss"] in nodes[instr.node].outputs)
     held: dict[str, list[int]] = {}
-    for v in values:
-        if v.born <= loss_at < v.dies:
-            entry = held.setdefault(v.producer, [0, 0])
+    for i in intervals:
+        if i.birth <= loss_at < i.death:
+            entry = held.setdefault(producer.get(i.name, "feed"), [0, 0])
             entry[0] += 1
-            entry[1] += v.nbytes
+            entry[1] += i.nbytes
     total = max(1, sum(nbytes for _, nbytes in held.values()))
     print()
     print(render_table(
@@ -165,8 +173,8 @@ def cmd_memory(args) -> int:
         [[op, count, nbytes, f"{nbytes / total:.1%}"] for op, (count, nbytes)
          in sorted(held.items(), key=lambda item: -item[1][1])]
         + [["total", sum(c for c, _ in held.values()), total, "100.0%"]],
-        title=f"held for backward: born by the loss (step {loss_at}), "
-              f"read after it"))
+        title=f"held for backward: born by the loss (instruction "
+              f"{loss_at}), read after it"))
     return 0
 
 

@@ -8,8 +8,7 @@ placement routine behind every plan's static slab.
 
 from .liveness import Lifetime, value_lifetimes
 from .planner import SlabPlan, live_load, place
-from .profiler import (MemoryProfile, TransientValue, profile_memory,
-                       transient_values)
+from .profiler import MemoryProfile, profile_memory
 from .remat import (Eviction, PagingPlan, RematResult, plan_paging,
                     rematerialize)
 
@@ -20,12 +19,10 @@ __all__ = [
     "PagingPlan",
     "RematResult",
     "SlabPlan",
-    "TransientValue",
     "live_load",
     "place",
     "plan_paging",
     "profile_memory",
     "rematerialize",
-    "transient_values",
     "value_lifetimes",
 ]

@@ -103,12 +103,14 @@ def align(size: int, alignment: int) -> int:
 
 
 def live_load(intervals: list[Interval], alignment: int = 64) -> list[int]:
-    """Aligned bytes alive at every position; its maximum is the *live-load
-    bound*, which no placement of ``intervals`` can go below."""
-    deltas = [0] * (max((death for _, _, death in intervals), default=0) + 2)
-    for size, birth, death in intervals:
-        deltas[birth] += align(size, alignment)
-        deltas[death + 1] -= align(size, alignment)
+    """Aligned bytes alive at every position of ``(bytes, birth, death,
+    ...)`` records; its maximum is the *live-load bound*, which no
+    placement can go below (unaligned, over all a plan holds: its peak)."""
+    deltas = [0] * (max((i[2] for i in intervals), default=0) + 2)
+    for size, birth, death, *_ in intervals:
+        size = align(size, alignment)
+        deltas[birth] += size
+        deltas[death + 1] -= size
     return list(accumulate(deltas))[:-1]
 
 

@@ -11,12 +11,12 @@ Separates the components the paper discusses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from ..ir import Graph
 from ..ir.node import Node
 from ..ir.ops import get_schema
 from .liveness import live_ranges
+from .planner import live_load
 
 
 @dataclass
@@ -35,11 +35,12 @@ class MemoryProfile:
 
 
 def _transients(graph: Graph, schedule: list[Node]):
-    """``(name, bytes, first step, last step)`` of every value charged to
-    the transient peak: parameters, optimizer state and constants are
-    resident and an in-place op's output is its parameter; everything else
-    occupies memory from its producing step (0 for a feed) through its
-    last use."""
+    """``(bytes, first step, last step)`` of every value charged to the
+    transient peak: parameters, optimizer state and constants are resident
+    and an in-place op's output is its parameter; everything else occupies
+    memory from its producing step (0 for a feed) through its last use —
+    a view beside the value it views, as the interpreter counts it. A feed
+    nobody reads is held for the whole step."""
     start, end = live_ranges(graph, schedule)
     resident = graph.initializers
     alias: set[str] = set()
@@ -49,31 +50,8 @@ def _transients(graph: Graph, schedule: list[Node]):
     spec = graph.spec
     for name, born in start.items():
         if name not in resident and name not in alias:
-            yield name, spec(name).nbytes, max(born, 0), end[name]
-
-
-class TransientValue(NamedTuple):
-    """One value the schedule has to hold, and for how long."""
-
-    name: str
-    producer: str                #: op type of its node; "feed" for an input
-    shape: tuple[int, ...]
-    dtype: str
-    nbytes: int
-    born: int                    #: step producing it (0 for a feed)
-    dies: int                    #: last step reading it
-
-
-def transient_values(graph: Graph, schedule: list[Node]
-                     ) -> list[TransientValue]:
-    """What :func:`profile_memory` sums, value by value — to list what is
-    live at the peak, or what the forward pass keeps for the backward."""
-    producer = {out: node.op_type for node in schedule
-                for out in node.outputs}
-    return [TransientValue(name, producer.get(name, "feed"),
-                           graph.spec(name).shape,
-                           graph.spec(name).dtype.value, nbytes, born, dies)
-            for name, nbytes, born, dies in _transients(graph, schedule)]
+            yield spec(name).nbytes, max(born, 0), \
+                end[name] if end[name] >= 0 else len(schedule)
 
 
 class ProfiledSchedule(list):
@@ -100,6 +78,10 @@ def profile_memory(graph: Graph, schedule: list[Node] | None = None,
 
     A transient value occupies memory from its producing step through its
     last use; in-place op outputs alias their parameter and occupy nothing.
+    This is the graph's estimate, made before lowering and the one the
+    schedule is chosen by: it cannot know which views will alias, so it
+    charges each beside its source, as the interpreter backend measures.
+    A lowered plan's own ``peak_transient_bytes`` is at most this.
     """
     if isinstance(schedule, ProfiledSchedule) and schedule.graph is graph \
             and not keep_timeline:
@@ -109,28 +91,13 @@ def profile_memory(graph: Graph, schedule: list[Node] | None = None,
     resident_bytes = sum(graph.spec(n).nbytes for n in graph.initializers)
 
     horizon = len(schedule)
-    deltas = [0] * (horizon + 1)
-    for _, size, born, dies in _transients(graph, schedule):
-        deltas[born] += size
-        if dies < horizon:
-            deltas[dies + 1] -= size
-
-    timeline: list[int] = []
-    current = 0
-    peak = 0
-    peak_step = 0
-    for step in range(horizon):
-        current += deltas[step]
-        if keep_timeline:
-            timeline.append(current)
-        if current > peak:
-            peak = current
-            peak_step = step
-
+    timeline = (live_load(list(_transients(graph, schedule)), 1)
+                + [0] * horizon)[:horizon]
+    peak = max(timeline, default=0)
     return MemoryProfile(
         peak_transient_bytes=peak,
         resident_bytes=resident_bytes,
         peak_total_bytes=peak + resident_bytes,
-        peak_step=peak_step,
-        timeline=timeline,
+        peak_step=timeline.index(peak) if timeline else 0,
+        timeline=timeline if keep_timeline else [],
     )

@@ -29,6 +29,7 @@ from ..ir import Graph
 from ..ir.node import Node
 from ..ir.ops import get_schema, op_flops
 from .liveness import value_lifetimes
+from .planner import live_load
 from .profiler import MemoryProfile, profile_memory
 
 #: Ops that must never be re-executed (in-place parameter updates).
@@ -297,17 +298,11 @@ def plan_paging(graph: Graph, schedule: list[Node] | None = None,
     horizon = len(schedule)
 
     def peak() -> tuple[int, int]:
-        deltas = [0] * (horizon + 2)
-        for name, spans in intervals.items():
-            for birth, death in spans:
-                deltas[max(birth, 0)] += sizes[name]
-                deltas[min(death + 1, horizon + 1)] -= sizes[name]
-        best = step = current = 0
-        for i in range(horizon + 1):
-            current += deltas[i]
-            if current > best:
-                best, step = current, i
-        return best + resident, step
+        load = live_load([(sizes[name], max(birth, 0), min(death, horizon))
+                          for name, spans in intervals.items()
+                          for birth, death in spans], 1)
+        best = max(load)
+        return best + resident, load.index(best)
 
     peak_before, _ = peak()
     paged: list[str] = []

@@ -9,17 +9,21 @@ Two backends share one feed-validation front door:
   intermediate at its compile-time offset — borrowed from the plan's pool
   for the step. The executor reports what it really held: ``slab_bytes``
   is the size of that ``uint8`` buffer, ``last_step_fresh_allocs`` the
-  arrays allocated outside it. Transient-byte accounting was simulated at
-  plan-build time (byte-exact against the interpreter).
+  arrays allocated outside it, and ``peak_transient_bytes`` the plan's
+  own ledger: the most bytes its slab buffers, feeds and registers hold
+  at once, each slab buffer counted once.
 * ``"interpreter"`` — the legacy per-node loop, kept as the cross-check
   oracle for the plan path and as the backend of :func:`interpret`. It is
   deliberately dumb: walks the schedule, dispatches kernels by name, frees
   buffers the moment their reference count drops to zero, and records the
-  observed peak of transient bytes.
+  observed peak of transient bytes — charging a view or an in-place
+  result beside the bytes it shares, as the analytical profiler does.
 
-Both backends produce byte-identical outputs, state, and
-``peak_transient_bytes`` (tests cross-check against the analytical
-profiler).
+Both backends produce byte-identical outputs and state. The
+interpreter's ``peak_transient_bytes`` equals
+:func:`repro.memory.profile_memory`'s and bounds the plan's from above:
+equal when the plan has no alias and no in-place reuse, below it
+otherwise.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ class Executor:
         self.instr_observer: InstrObserver | None = None
         self.backend = backend
         self.peak_transient_bytes = 0
-        self.last_transient_bytes = 0
         #: arrays the last plan-backed run allocated outside the slab:
         #: dynamic values plus base-kernel results copied into it
         self.last_step_fresh_allocs = 0
@@ -195,7 +198,6 @@ class Executor:
 
         self.slab_bytes = buffers.slab.nbytes
         self.peak_transient_bytes = spec.peak_transient_bytes
-        self.last_transient_bytes = spec.final_transient_bytes
         self.last_step_fresh_allocs = plan.allocs_per_step
         for slot in plan.clear_slots:  # don't pin feeds/outputs across steps
             regs[slot] = None
@@ -291,7 +293,6 @@ class Executor:
                     del env[name]
 
         self.peak_transient_bytes = peak
-        self.last_transient_bytes = transient
         self.last_step_fresh_allocs = fresh_allocs
         outputs = {}
         for name in program.outputs:

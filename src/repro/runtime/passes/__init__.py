@@ -23,8 +23,8 @@ This package is the optimizing half of plan construction
 
 * :mod:`allocate` — slots, static layouts, the slab placement (every
   intermediate's offset in one buffer; views resolved into aliases) and
-  the static transient-byte accounting, computed *after* the passes so
-  the numbers describe the optimized stream.
+  the plan's byte ledger, computed *after* the passes so the numbers
+  describe the optimized stream.
 
 Adding a pass: write ``fn(stream, ctx) -> (stream, stats)`` in a new
 module, register it in :data:`PASSES`, and (if it should run by default)

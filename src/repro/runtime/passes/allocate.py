@@ -1,4 +1,4 @@
-"""Final lowering stage: slots, layouts, slab offsets, byte accounting.
+"""Final lowering stage: slots, layouts, slab offsets, the byte ledger.
 
 Runs *after* the optimization passes, so everything it derives describes
 the optimized stream: fused-away intermediates get no slot and no bytes.
@@ -25,16 +25,19 @@ One walk over the stream decides, per value:
   never those of its packed ``uint8`` mask — the few that graph fusion
   leaves, after an ``add`` or a ``broadcast_to``; behind a ``conv2d_dx``
   the mask is that kernel's third input and there is no second buffer to
-  save.) The byte ledger below still charges such an output beside its
-  input, as the interpreter allocates it: ``peak_transient_bytes`` can
-  stand above ``slab_bytes`` for that reason alone.
+  save.)
 
 Buffers are then placed by :func:`repro.memory.planner.place` over their
-closed ``[birth, death]`` stream intervals (a view extends its base's;
-returned outputs live to the end). The transient-byte timeline is simulated
-in the same walk, mirroring the interpreter loop; for ``passes="none"`` it
-is the interpreter's measured timeline exactly (pinned by the plan
-equivalence tests).
+closed ``[birth, death]`` intervals of instruction positions: a view or an
+in-place reuse chain is its owner's buffer, alive to the last instruction
+reading any of them (an alias reads nothing), a returned one to the end.
+Those buffers, every feed from 0 to its last read (the whole step if
+nothing reads it) and every register result from its instruction to its
+free are the plan's byte ledger: ``peak_transient_bytes`` is their
+unaligned :func:`repro.memory.planner.live_load` maximum, which
+:mod:`repro.analysis.planlint` re-derives from the spec. The interpreter
+charges a view or an in-place result beside the bytes it shares, so its
+peak bounds this one, equal when the plan has no alias and no reuse.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from ...kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
                         OUT_ALIAS_SAFE, OUT_KERNELS, into_form)
 from ...kernels.shape import (c_strides, is_c_contiguous, normal_strides,
                              view_layout)
-from ...memory.planner import place
+from ...memory.planner import live_load, place
 from ..plan import (MODE_BASE, MODE_COPY, MODE_OUT, SLAB_ALIGNMENT,
                     AliasSpec, InstructionSpec, PlanSpec, PrecomputedSpec,
                     SlotSpec, VARIANT_BASE, VARIANT_DONATING)
@@ -106,17 +109,15 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
     # caller-owned, a view or an in-place result aliases something), not
     # returned to the caller, and never viewed.
     counts: dict[str, int] = {}
-    last_use: dict[str, int] = {}
     private: set[str] = set()
     viewed: set[str] = set()
-    for pos, op in enumerate(stream):
+    for op in stream:
         if op.is_view:
             viewed.update(op.inputs)
         elif not op.is_inplace:
             private.update(op.outputs)
         for name in op.inputs:
             counts[name] = counts.get(name, 0) + 1
-            last_use[name] = pos
     private -= viewed
     private -= keep
 
@@ -136,44 +137,32 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
     #: (owner, in-place reuser or alias) to (buffer index, byte offset in it)
     buffers: list[list[int]] = []
     buffer_of: dict[str, tuple[int, int]] = {}
+    #: register results as (name, birth)
+    registers: list[tuple[str, int]] = []
+    #: name -> the last instruction reading it
+    read_at: dict[str, int] = {}
 
-    # --- walk the stream, simulating the byte timeline -------------------
-    live = set(graph.inputs)
-    transient = sum(ctx.nbytes(name) for name in graph.inputs)
-    peak = transient
+    # --- walk the stream ---------------------------------------------------
     instructions: list[InstructionSpec] = []
     aliases: list[AliasSpec] = []
     precomputed: dict[tuple[str, str], PrecomputedSpec] = {}
 
     slot_at = slots.__getitem__
-    for pos, op in enumerate(stream):
+    for op in stream:
+        here = len(instructions)
         inplace = op.is_inplace
         input_slots = tuple(map(slot_at, op.inputs))
         output_slots = tuple(map(slot_of, op.outputs))
 
-        # Accounting, mirroring the interpreter loop over this stream.
-        for out in op.outputs:
-            live.add(out)
-            if not inplace:
-                transient += ctx.nbytes(out)
-        if transient > peak:
-            peak = transient
-
-        dead_outputs: list[str] = []
-        if not inplace:  # dead outputs are released immediately
-            for out in op.outputs:
-                if counts.get(out, 0) == 0 and out not in keep \
-                        and out in live:
-                    transient -= ctx.nbytes(out)
-                    live.discard(out)
-                    dead_outputs.append(out)
+        # what dies here: outputs nobody reads, inputs read for the last time
+        dead_outputs = [] if inplace else [
+            out for out in op.outputs
+            if counts.get(out, 0) == 0 and out not in keep]
         dying_inputs: list[str] = []
         for name in op.inputs:
             counts[name] -= 1
-            if counts[name] == 0 and name in live \
-                    and name not in state_names and name not in keep:
-                transient -= ctx.nbytes(name)
-                live.discard(name)
+            if counts[name] == 0 and name not in state_names \
+                    and name not in keep:
                 dying_inputs.append(name)
 
         variant = VARIANT_BASE
@@ -221,7 +210,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                         else MODE_COPY
                     dense.add(out)
                     buffer_of[out] = (len(buffers), 0)
-                    buffers.append([ctx.nbytes(out), pos])
+                    buffers.append([ctx.nbytes(out), here])
                 else:
                     offset, shape, strides = view
                     strides = normal_strides(shape, strides, dtype.itemsize)
@@ -237,7 +226,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                         buffer_of[out] = (based[0], based[1] + offset)
                         aliases.append(AliasSpec(
                             node=op.node, slot=output_slots[0],
-                            base=input_slots[0], at=len(instructions)))
+                            base=input_slots[0], at=here))
                         continue
                     mode = MODE_BASE  # a view of a feed / a register value
         elif dense_results(op):
@@ -278,7 +267,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             else:
                 for out in op.outputs:
                     buffer_of[out] = (len(buffers), 0)
-                    buffers.append([ctx.nbytes(out), pos])
+                    buffers.append([ctx.nbytes(out), here])
         else:
             # Some operand's layout is not C: the result follows it (or
             # nobody knows), so the base kernel runs and its fresh array
@@ -288,6 +277,11 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             dense.update(out for out in op.outputs if sum(
                 dim != 1 for dim in ctx.shape_dtype(out)[0]) <= 1)
 
+        if not inplace:  # an in-place result is the state array
+            registers.extend((out, here) for out in op.outputs
+                             if out not in buffer_of)
+        for name in op.inputs:
+            read_at[name] = here
         # registers dropped here: whatever died and is not slab bytes
         frees = tuple([slots[name] for name in dead_outputs + dying_inputs
                        if name not in buffer_of]) \
@@ -298,14 +292,21 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             tuple(sorted(op.const_inputs)) if op.const_inputs else ()))
 
     # --- place the slab ---------------------------------------------------
-    end = len(stream)
+    end = len(instructions)
+
+    def death(name: str, unread: int) -> int:
+        return end if name in keep else read_at.get(name, unread)
+
     deaths = [birth for _, birth in buffers]
     for name, (index, _) in buffer_of.items():
-        death = end if name in keep else last_use.get(name, 0)
-        if death > deaths[index]:
-            deaths[index] = death
-    plan = place([(size, birth, death) for (size, birth), death
-                  in zip(buffers, deaths)], SLAB_ALIGNMENT)
+        deaths[index] = max(deaths[index], death(name, 0))
+    intervals = [(size, birth, dies)
+                 for (size, birth), dies in zip(buffers, deaths)]
+    plan = place(intervals, SLAB_ALIGNMENT)
+    ledger = intervals \
+        + [(ctx.nbytes(name), 0, death(name, end)) for name in graph.inputs] \
+        + [(ctx.nbytes(name), birth, death(name, birth))
+           for name, birth in registers]
     slab_slots = []
     for name, (index, offset) in buffer_of.items():
         shape, dtype = ctx.shape_dtype(name)
@@ -326,8 +327,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
         slab_bytes=plan.slab_bytes,
         slab_slots=tuple(slab_slots),
         aliases=tuple(aliases),
-        peak_transient_bytes=peak,
-        final_transient_bytes=transient,
+        peak_transient_bytes=max(live_load(ledger, 1)),
         instructions=tuple(instructions),
         passes=passes,
         precomputed=entries,

@@ -31,9 +31,10 @@ instruction stream plus a static memory plan:
   alive); two live slots share bytes only as a declared alias or the
   declared in-place reuse (``reuse_slot``: an alias-safe elementwise
   output taking over a same-shape input that dies at that instruction);
-* the transient-byte timeline is simulated at build time — byte-exact
-  against the interpreter for ``passes="none"``, the oracle configuration
-  — so the step does zero accounting.
+* the peak is a fact of the spec too: ``peak_transient_bytes`` is the
+  live load of the storage the plan holds (each slab buffer once, every
+  feed and register result), counted at build time, so the step does
+  zero accounting.
 
 Plans are **portable**: :class:`PlanSpec` is pure JSON-serializable data
 (it names kernels, never holds them) that round-trips through deployment
@@ -74,7 +75,9 @@ from .codegen import generate
 #: v5: the static slab — ``slab_bytes`` / ``slab_slots`` / ``aliases``,
 #: per-instruction ``mode`` and ``reuse_slot``; arena keys, caps, donation
 #: and the state-alias scan are gone (v4 ran a dynamic buffer arena).
-PLAN_SPEC_VERSION = 5
+#: v6: ``peak_transient_bytes`` is the live load of the storage the plan
+#: holds, each slab buffer once; ``final_transient_bytes`` is gone.
+PLAN_SPEC_VERSION = 6
 
 #: every owning slab slot starts on a multiple of this (a cache line)
 SLAB_ALIGNMENT = 64
@@ -371,8 +374,9 @@ class PlanSpec:
     slab_slots: tuple[SlotSpec, ...]
     #: view nodes resolved into ``slab_slots`` entries, in stream order
     aliases: tuple[AliasSpec, ...]
+    #: the most bytes the plan's storage holds at once: slab buffers,
+    #: feeds and register results (see :mod:`.passes.allocate`)
     peak_transient_bytes: int
-    final_transient_bytes: int
     instructions: tuple[InstructionSpec, ...]
     #: names of the optimization passes that shaped this stream, in order
     passes: tuple[str, ...] = ()
@@ -398,7 +402,6 @@ class PlanSpec:
             "slab_slots": [list(entry) for entry in self.slab_slots],
             "aliases": [list(entry) for entry in self.aliases],
             "peak_transient_bytes": self.peak_transient_bytes,
-            "final_transient_bytes": self.final_transient_bytes,
             "instructions": [instr.to_dict() for instr in self.instructions],
             "passes": list(self.passes),
             "precomputed": [entry.to_dict() for entry in self.precomputed],
@@ -437,7 +440,6 @@ class PlanSpec:
                 aliases=tuple(AliasSpec(*entry)
                               for entry in doc["aliases"]),
                 peak_transient_bytes=int(doc["peak_transient_bytes"]),
-                final_transient_bytes=int(doc["final_transient_bytes"]),
                 instructions=tuple(InstructionSpec.from_dict(entry)
                                    for entry in doc["instructions"]),
                 passes=tuple(doc["passes"]),

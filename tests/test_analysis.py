@@ -151,9 +151,8 @@ class TestMutationHarness:
                    if ins.frees)
         bad = _mutate_instr(spec, idx, frees=())
         rules = _rules(bad, program)
-        # The leak is caught directly, and the byte ledger disagrees too.
+        # The leak is caught directly.
         assert "missing-free" in rules
-        assert rules & {"final-bytes-mismatch", "missing-free"}
 
     def test_dropped_state_write(self, victim):
         """Deleting the optimizer apply = weights silently stop training."""

@@ -6,8 +6,9 @@ Random graph x {full, sparse} x plan-pass selection {``default``,
 against ``backend="interpreter"`` from copies of the same state, with the
 static plan verifier on after every pass stage. Outputs and all state are
 byte-equal on every step; ``peak_transient_bytes`` equals the
-interpreter's measurement for ``passes="none"`` (the oracle lowering) and
-may only be lower once a pass removed an intermediate.
+interpreter's measurement for ``passes="none"`` (the oracle lowering)
+when no value shares bytes, and may only be lower once an alias or an
+in-place reuse counts a buffer once, or a pass removed an intermediate.
 
 The generator is ``tests/test_arena_safety.py``'s with ``layouts=True``
 and ``activations=True``: besides the zoo's shapes of aliasing it draws
@@ -42,7 +43,7 @@ from repro.sparse import UpdateScheme
 from repro.train import SGD
 
 from test_arena_safety import random_feed, random_forward
-from test_plan import fork
+from test_plan import fork, shares_no_bytes
 
 PASS_CONFIGS = ["default", "none", *[(name,) for name in DEFAULT_PASSES]]
 
@@ -98,7 +99,8 @@ def random_feeds(program, rng) -> dict[str, np.ndarray]:
 def assert_matches_interpreter(program, rng, steps: int = 3) -> None:
     dut, ref = Executor(fork(program)), \
         Executor(fork(program), backend="interpreter")
-    unoptimized = not program.plan_spec().passes
+    spec = program.plan_spec()
+    exact = not spec.passes and shares_no_bytes(spec)
     for step in range(steps):
         feeds = random_feeds(program, rng)
         got, want = dut.run(feeds), ref.run(feeds)
@@ -111,11 +113,10 @@ def assert_matches_interpreter(program, rng, steps: int = 3) -> None:
             assert dut.program.state[name].tobytes() \
                 == ref.program.state[name].tobytes(), \
                 f"step {step} state {name}"
-        if unoptimized:
+        if exact:
             assert dut.peak_transient_bytes == ref.peak_transient_bytes
         else:
             assert dut.peak_transient_bytes <= ref.peak_transient_bytes
-        assert dut.last_transient_bytes == ref.last_transient_bytes
 
 
 @pytest.mark.parametrize("autotune", [None, "cost"], ids=["plain", "tuned"])

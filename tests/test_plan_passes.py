@@ -69,7 +69,6 @@ def assert_all_configs_equivalent(program, feeds_fn, steps=3):
                 assert ex.program.state[name].tobytes() \
                     == ex_int.program.state[name].tobytes(), \
                     f"passes={cfg} state {name} step {step}"
-            assert ex.last_transient_bytes == ex_int.last_transient_bytes
             assert ex.peak_transient_bytes <= ex_int.peak_transient_bytes
     return runners
 
@@ -630,15 +629,16 @@ class TestPretransposedMatmul:
 
 
 class TestSpecCompatAndConfig:
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_older_spec_versions_refused(self, version):
         """No compat shims: an older document — a v3 whose Winograd slot
         declares the ``(O, C, 4, 4)`` layout this runtime's kernel cannot
-        consume, a v4 written for the dynamic buffer arena — raises
-        ``PlanVersionError`` and the cache recompiles."""
+        consume, a v4 written for the dynamic buffer arena, a v5 whose
+        peak charges a view beside its base — raises ``PlanVersionError``
+        and the cache recompiles."""
         b, _ = make_mlp_graph()
         doc = build_plan_spec(Program.from_graph(b.graph)).to_dict()
-        assert doc["plan_version"] == 5
+        assert doc["plan_version"] == 6
         doc["plan_version"] = version
         with pytest.raises(PlanVersionError):
             PlanSpec.from_dict(json.loads(json.dumps(doc)))

@@ -25,6 +25,7 @@ from repro.sparse import UpdateScheme
 from repro.train import SGD
 
 from conftest import make_mlp_graph
+from test_plan import shares_no_bytes
 
 
 def random_dag(seed: int) -> tuple:
@@ -146,9 +147,11 @@ def test_pruned_equals_masked_on_shared_params(scheme_updates):
 @given(st.integers(0, 1000))
 @settings(max_examples=15, deadline=None)
 def test_executor_peak_matches_profiler_on_random_graphs(seed):
-    """The interpreter (and the unoptimized plan) replicate the analytic
-    profiler byte-exactly; the optimized plan's recomputed peak can only
-    be lower — fused chains drop intermediates the profiler still sees."""
+    """The interpreter replicates the analytic profiler byte-exactly, and
+    so does the unoptimized plan when no value of it shares bytes; the
+    plan's peak can only be lower otherwise — an alias or an in-place
+    reuse is counted once, and fused chains drop intermediates the
+    profiler still sees."""
     from repro.runtime import build_plan_spec
 
     graph, feed = random_dag(seed)
@@ -158,8 +161,11 @@ def test_executor_peak_matches_profiler_on_random_graphs(seed):
     ex_int.run({"x": feed})
     profile = profile_memory(graph, schedule)
     assert ex_int.peak_transient_bytes == profile.peak_transient_bytes
-    assert build_plan_spec(program, passes="none").peak_transient_bytes \
-        == profile.peak_transient_bytes
+    baseline = build_plan_spec(program, passes="none")
+    if shares_no_bytes(baseline):
+        assert baseline.peak_transient_bytes == profile.peak_transient_bytes
+    else:
+        assert baseline.peak_transient_bytes <= profile.peak_transient_bytes
     ex_plan = Executor(program)
     ex_plan.run({"x": feed})
     assert ex_plan.peak_transient_bytes <= profile.peak_transient_bytes

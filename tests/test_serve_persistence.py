@@ -98,6 +98,47 @@ class TestPersistentProgramCache:
         assert repaired.get_or_build("k1", _fail_build).from_disk
         assert repaired.stats.plan_version_miss == 0
 
+    def test_a_v5_cache_is_refused_and_relowered(self, tmp_path, rng):
+        """A cache directory written before a plan's peak became the live
+        load of the storage it holds (spec v5, which also carried
+        ``final_transient_bytes``): every artifact is refused with
+        ``PlanVersionError`` and re-lowered through the version-miss path,
+        and a step served on the new entry trains."""
+        import json
+
+        from repro.deploy import load_artifact
+        from repro.errors import PlanVersionError
+        from repro.runtime.plan import PLAN_SPEC_VERSION
+
+        def serve_one_step():
+            with FineTuneService(workers=1, max_batch=1,
+                                 cache_dir=tmp_path) as service:
+                session = service.create_session("mcunet_micro",
+                                                 scheme="paper")
+                x = rng.standard_normal(session.family.example_shape) \
+                    .astype(np.float32)
+                return service.step(session.id, x, np.int64(0)), \
+                    service.cache.stats
+
+        serve_one_step()
+        manifests = sorted(tmp_path.glob("*/manifest.json"))
+        assert manifests
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            manifest["plan"]["plan_version"] = 5
+            manifest["plan"]["final_transient_bytes"] = 0
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(PlanVersionError, match="version 5"):
+                load_artifact(path.parent)
+        result, stats = serve_one_step()
+        assert np.isfinite(result.loss)
+        assert stats.plan_version_miss == len(manifests)
+        assert stats.corrupt_entries == stats.verify_rejects == 0
+        for path in manifests:
+            assert json.loads(path.read_text())["plan"]["plan_version"] \
+                == PLAN_SPEC_VERSION
+            load_artifact(path.parent)
+
     def test_artifact_of_a_deleted_kernel_recompiles(self, tmp_path, rng):
         """A cache directory written before ``onehot`` left the kernel set
         holds artifacts whose schedule names it: each is refused as

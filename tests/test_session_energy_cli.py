@@ -124,12 +124,16 @@ class TestCLI:
         assert cli_main(["memory", "--model", "mcunet_micro",
                          "--sparse"]) == 0
         out = capsys.readouterr().out
-        assert "static slab" in out and "slab / plan peak" in out
+        assert "static slab" in out and "schedule's peak estimate" in out
+        # one count of the plan's bytes: nothing left to reconcile
+        assert "slab / plan peak" not in out
 
     def test_memory_explains_the_peak(self, capsys):
-        """Under the summary: what is live at the peak step, the next two
-        moments down (what removing the peak would buy), then what the
-        forward pass keeps for the backward, by producing op."""
+        """Under the summary: what the plan holds at its peak instruction,
+        the next two moments down (what removing the peak would buy), then
+        what the forward pass keeps for the backward, by producing op —
+        all read off the intervals planlint rebuilds the plan's peak
+        from."""
         assert cli_main(["memory", "--model", "mcunet_micro", "--sparse",
                          "--batch", "2"]) == 0
         tables = capsys.readouterr().out.split("\n\n")
@@ -141,36 +145,41 @@ class TestCLI:
             return title, split(header), [split(row) for row in rows]
 
         summary = dict(row for row in parse("\n" + tables[0])[2])
-        # the slab sits on the floor of any placement, and the ledger a
-        # few alignment bytes under it
+        # the slab sits on the floor of any placement, and the plan's peak
+        # a few alignment bytes under it
         assert summary["live-load bound"] == "113.6KB"
         assert summary["slab / live-load bound"] == "1.000"
-        assert summary["slab / plan peak"] == "1.000"
+        assert summary["plan peak transient"] == "113.5KB"
 
         title, header, live = parse(tables[1])
         assert header == ["value", "producer", "shape", "dtype", "bytes",
                           "born-dies", "share"]
         # the block-1 forward depthwise conv: input, output, the residual
-        # kept for the backward add, and the expand relu6's bit mask
-        assert title == ("live at the schedule's peak: step 6 of 75 "
+        # kept for the backward add (in the buffer of the conv it was
+        # added onto, born at instruction 2), the expand relu6's bit mask
+        # and the labels
+        assert title == ("live at the plan's peak: instruction 6 of 74 "
                          "(conv2d), 116240 bytes")
-        assert [(row[1], row[3], row[4]) for row in live[:4]] == [
+        assert [(row[1], row[3], row[4]) for row in live] == [
             ("conv2d", "float32", "49152"), ("conv2d", "float32", "49152"),
-            ("add", "float32", "16384"), ("range_mask", "uint8", "1536")]
+            ("add", "float32", "16384"), ("range_mask", "uint8", "1536"),
+            ("feed", "int64", "16")]
         assert live[0][2] == "2x24x16x16" and live[0][5] == "4-6"
+        assert live[2][5] == "2-72" and live[4][0] == "labels"
         assert sum(int(row[4]) for row in live) == 116240
         for row in live:
             assert row[6] == f"{int(row[4]) / 116240:.1%}"
 
         title, header, moments = parse(tables[2])
         assert title == "the peak and the next two moments"
-        assert header == ["step", "op", "bytes", "of peak", "peak without"]
+        assert header == ["instr", "kernel", "bytes", "of peak",
+                          "peak without"]
         # distinct levels, highest first, each with the level under it:
         # removing the peak buys 12 bytes — the backward depthwise
         # conv2d_dx holds as much — and only under both is there a drop
         assert [row[:3] + row[4:] for row in moments] == [
             ["6", "conv2d", "116240", "116228"],
-            ["72", "conv2d_dx", "116228", "98832"],
+            ["71", "conv2d_dx", "116228", "98832"],
             ["12", "conv2d", "98832", "98820"]]
 
         title, header, held = parse(tables[3])
