@@ -33,9 +33,11 @@ PlanSpec` + the program it claims to lower. Views resolved at bind time
   exception) — a reused input is a private slab buffer of exactly the
   output's shape, dtype and offset that dies at that instruction and that
   nothing views (so a ``mask_mul`` may reuse its gradient, never its packed
-  ``uint8`` mask), the kernel is alias-safe, and — for fused chains — only
-  the first link reads it; a ``donating``-variant instruction's clobbered
-  inputs all die there;
+  ``uint8`` mask), the kernel may write over that input under the node's
+  attrs (:func:`repro.kernels.aliasable_inputs`: any input of an
+  elementwise op, input 0 of a stride-1 depthwise conv), and — for fused
+  chains — only the first link reads it; a ``donating``-variant
+  instruction's clobbered inputs all die there;
 * **precomputed slots** — a registered transform over frozen state,
   declaring exactly the C-contiguous shape/dtype that transform emits;
 * **dtype/shape consistency** — slots map to exactly the node's
@@ -75,7 +77,8 @@ from ..ir.ops import get_schema
 from ..ir.validate import validate_graph
 from ..kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
                        OUT_ALIAS_SAFE, OUT_KERNELS, PRECOMPUTE_TRANSFORMS,
-                       VARIANT_KERNELS, VIEW_OPS, into_form)
+                       VARIANT_KERNELS, VIEW_OPS, aliasable_inputs,
+                       into_form)
 from ..kernels.shape import (c_strides, is_c_contiguous, normal_strides,
                              view_layout)
 from ..memory.planner import SlabPlan, live_load
@@ -393,8 +396,8 @@ class _PlanChecker:
                 self._define(slot, name, where)
             self._check_results(instr, node, outs, where, inplace, view,
                                 position)
-            if instr.reuse_slot >= 0 and self._check_reuse(instr, where,
-                                                           when):
+            if instr.reuse_slot >= 0 and self._check_reuse(instr, node,
+                                                           where, when):
                 self.reused[instr.output_slots[0]] = instr.reuse_slot
             if instr.variant == VARIANT_DONATING:
                 self._check_donating_variant(instr, where, when)
@@ -829,9 +832,11 @@ class _PlanChecker:
                           f"assembled position {arg} holds {bound!r}, "
                           f"link arg reads {name!r}")
 
-    def _check_reuse(self, instr, where: str, when: int) -> bool:
+    def _check_reuse(self, instr, node, where: str, when: int) -> bool:
         """In-place reuse: the one declared exception to "an output shares
-        no bytes with an input of its instruction"."""
+        no bytes with an input of its instruction". True when the bytes are
+        shared as declared; a kernel that may not write over that input is
+        a finding of its own, not also a slab overlap."""
         slot = instr.reuse_slot
         if instr.mode != MODE_OUT:
             self.flag("donation-without-out", where,
@@ -861,23 +866,29 @@ class _PlanChecker:
                       f"reused slot {slot} is {theirs and theirs[1:]}, the "
                       f"output is {mine and mine[1:]}: in-place reuse "
                       f"needs the same offset, shape, strides and dtype")
+        shared = len(self.findings) == findings
+        # kernel inputs and link args index the assembled list: the
+        # slot's positions shifted past the const splices before them
+        consts = {pos for pos, _ in instr.const_args}
+        total = len(instr.input_slots) + len(consts)
+        free = [pos for pos in range(total) if pos not in consts]
+        args = [free[i] for i, s in enumerate(instr.input_slots)
+                if s == slot]
         if instr.fused is None:
-            safe = instr.kernel in OUT_ALIAS_SAFE
+            out = self.value_spec(node.outputs[0], where) \
+                if node.outputs else None
+            safe_args = () if out is None else aliasable_inputs(
+                instr.kernel, instr.variant, node.attrs, tuple(out.shape),
+                total)
         else:
-            # link args index the assembled list: the slot's position
-            # shifted past the const splices before it
-            consts = {pos for pos, _ in instr.const_args}
-            free = [pos for pos in range(len(instr.input_slots)
-                                         + len(consts)) if pos not in consts]
-            arg = free[instr.input_slots.index(slot)]
             later = {a for link in instr.fused[1:] for a in link.args}
-            safe = arg in instr.fused[0].args and arg not in later
-        if not safe:
+            safe_args = set(instr.fused[0].args) - later
+        if not all(arg in safe_args for arg in args):
             self.flag("donation-alias-unsafe", where,
                       f"{instr.kernel!r} may read slot {slot} after "
-                      f"writing it (not alias-safe, or a later fused link "
-                      f"reads it)")
-        return len(self.findings) == findings
+                      f"writing it (not alias-safe for these attrs and "
+                      f"this input, or a later fused link reads it)")
+        return shared
 
     def _check_donating_variant(self, instr, where: str,
                                 when: int) -> None:

@@ -29,9 +29,14 @@ on:
 * :data:`OUT_KERNELS` are into-forms writing a caller-provided C-contiguous
   buffer (``fn(inputs, attrs, out) -> out``); they must write results
   bitwise identical to the base kernel for C-contiguous inputs (for every
-  input layout a dense op's predicate accepts). :data:`OUT_ALIAS_SAFE` marks those
-  whose ``out`` may alias an input of the same shape (elementwise ufuncs),
-  which lets an output take over a dying input's bytes.
+  input layout a dense op's predicate accepts). Which inputs ``out`` may
+  alias (given one of the output's shape and dtype), so that an output
+  takes over a dying input's bytes, is :func:`aliasable_inputs`: any of an
+  elementwise op's (:data:`OUT_ALIAS_SAFE`, the ops a fused chain may
+  link), and input 0 where an into-form's :data:`OUT_ALIAS_RULES` entry
+  holds for the node's attrs (the stride-1 depthwise convolutions, whose
+  output channel ``c`` reads input channel ``c`` alone —
+  :mod:`repro.kernels.conv2d`).
 * :data:`DONATING_KERNELS` are variants that may clobber the inputs listed
   in :data:`DONATED_INPUTS` as scratch (the in-place optimizer applies use
   the dying gradient buffer to avoid temporaries). Outputs must again be
@@ -77,8 +82,17 @@ DENSE_OPS: dict[str, Callable[[list[tuple]], bool]] = {}
 #: by ``(op, variant)`` for the into-form of a :data:`VARIANT_KERNELS` entry
 OUT_KERNELS: dict[str | tuple[str, str], OutKernel] = {}
 
-#: out-capable ops where ``out`` may alias a same-shape input
+#: out-capable ops where ``out`` may alias any same-shape input, whatever
+#: the attrs (elementwise ufuncs) — the ops a fused chain may link
 OUT_ALIAS_SAFE: set[str] = set()
+
+#: ``fn(attrs, out_shape) -> bool``: may the into-form write a node's output
+#: over its input 0 (of the output's shape and dtype)?
+AliasRule = Callable[[dict[str, Any], tuple[int, ...]], bool]
+
+#: into-form key (as in :data:`OUT_KERNELS`) -> when its ``out`` may alias
+#: input 0
+OUT_ALIAS_RULES: dict[str | tuple[str, str], AliasRule] = {}
 
 #: source form of one-statement into-forms (see :data:`OutEmitter`)
 OUT_EMITTERS: dict[str, OutEmitter] = {}
@@ -124,15 +138,20 @@ def kernel(name: str, *, view: bool = False, dense=None
 
 
 def out_kernel(name: str, *, variant: str | None = None,
-               alias_safe: bool = False
+               alias_safe: bool | AliasRule = False
                ) -> Callable[[OutKernel], OutKernel]:
     """Decorator registering the into-form of ``name`` (of its ``variant``
-    kernel when given)."""
+    kernel when given). ``alias_safe=True``: ``out`` may alias any input of
+    its shape and dtype; a rule: it may alias input 0 where the rule holds.
+    """
 
     def wrap(fn: OutKernel) -> OutKernel:
-        OUT_KERNELS[name if variant is None else (name, variant)] = fn
-        if alias_safe:
+        key = name if variant is None else (name, variant)
+        OUT_KERNELS[key] = fn
+        if alias_safe is True:
             OUT_ALIAS_SAFE.add(name)
+        elif alias_safe:
+            OUT_ALIAS_RULES[key] = alias_safe
         return fn
 
     return wrap
@@ -141,6 +160,19 @@ def out_kernel(name: str, *, variant: str | None = None,
 def into_form(op: str, variant: str = "base") -> OutKernel | None:
     """The into-form of ``op`` — of its ``variant`` kernel when not base."""
     return OUT_KERNELS.get(op if variant == "base" else (op, variant))
+
+
+def aliasable_inputs(op: str, variant: str, attrs: dict[str, Any],
+                     out_shape: tuple[int, ...], arity: int) -> range:
+    """The inputs the into-form of ``op`` (its ``variant``) may write a
+    node's output over, given one of the output's shape and dtype: every
+    input of an :data:`OUT_ALIAS_SAFE` op, input 0 where the into-form's
+    :data:`OUT_ALIAS_RULES` entry holds for ``attrs``, none otherwise. The
+    one rule the plan's in-place reuse and its verifier both apply."""
+    if op in OUT_ALIAS_SAFE:
+        return range(arity)
+    rule = OUT_ALIAS_RULES.get(op if variant == "base" else (op, variant))
+    return range(1 if rule is not None and rule(attrs, out_shape) else 0)
 
 
 def out_emitter(name: str) -> Callable[[OutEmitter], OutEmitter]:
@@ -221,12 +253,14 @@ __all__ = [
     "DONATED_INPUTS",
     "DONATING_KERNELS",
     "KERNELS",
+    "OUT_ALIAS_RULES",
     "OUT_ALIAS_SAFE",
     "OUT_EMITTERS",
     "OUT_KERNELS",
     "PRECOMPUTE_TRANSFORMS",
     "VARIANT_KERNELS",
     "VIEW_OPS",
+    "aliasable_inputs",
     "donating_kernel",
     "int_tuple",
     "into_form",

@@ -75,6 +75,20 @@ rejected: all taps in one ``np.copyto`` over an ``as_strided`` window of the
 padded copy 49 (the nine calls were worth 15 µs, the run length 26);
 shift-and-accumulate with no column matrix 136; ``einsum`` over the window
 271; multiply + ``add.reduce`` 72 — the last three also change the bits.
+
+In place (:func:`_depthwise_in_place`, MCUNet's in-place depthwise
+convolution): a stride-1 depthwise ``conv2d`` / ``conv2d_dx`` (groups ==
+output channels > 1, ``algo`` direct) may write its output over input 0
+(``x`` / ``grad``) of the output's own shape. The grouped path copies each
+chunk of groups into the im2col scratch before its GEMM writes
+``out[:, g0:g1]``; with one channel in per channel out that slice is the
+chunk's own channels, and later chunks read channels not yet written. The
+epilogue and the mask run elementwise over ``out``. A 1x1 dense conv has
+no such order: its
+operand is a view of ``x`` (rule 3), and ``np.matmul`` handed an ``out``
+over it copies ``x`` first, so the bytes the slab would save come back as
+a temporary nothing accounts for. Dense convs, strided and Winograd ones
+keep their own buffers.
 """
 
 from __future__ import annotations
@@ -282,6 +296,13 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
 
 
+def _depthwise_in_place(attrs, out_shape) -> bool:
+    """The alias rule of ``conv2d`` and ``conv2d_dx`` (module docstring)."""
+    return int(attrs.get("groups", 1)) == out_shape[1] > 1 \
+        and _pair(attrs.get("stride", 1)) == (1, 1) \
+        and attrs.get("algo", "direct") == "direct"
+
+
 def _epilogue(y: np.ndarray, bias: np.ndarray | None, attrs,
               out: np.ndarray | None) -> np.ndarray:
     """Fused per-channel bias and activation, in the conv's own result
@@ -311,7 +332,7 @@ def _conv2d(inputs, attrs):
     return [_conv2d_into(inputs, attrs, None)]
 
 
-out_kernel("conv2d")(_conv2d_into)
+out_kernel("conv2d", alias_safe=_depthwise_in_place)(_conv2d_into)
 
 
 @variant_kernel("conv2d", "winograd_precomputed")
@@ -380,7 +401,7 @@ def _conv2d_dx(inputs, attrs):
     return [_conv2d_dx_into(inputs, attrs, None)]
 
 
-@out_kernel("conv2d_dx")
+@out_kernel("conv2d_dx", alias_safe=_depthwise_in_place)
 def _conv2d_dx_into(inputs, attrs, out):
     """``dx``, times the unpacked bit mask when a third input carries one
     (``mask_mul`` folded in by :mod:`repro.passes.fusion`): every branch

@@ -18,14 +18,18 @@ One walk over the stream decides, per value:
   for the rest: in-place results (they are the state array), views of
   feeds, and unknown-layout values, which run their base kernel and hold
   its fresh array.
-* **in-place reuse** — an alias-safe into-form may write over an input of
-  the output's own shape and dtype that dies at this very instruction and
-  that nothing views: the output joins the input's buffer instead of
-  opening a new one. (A ``mask_mul`` so takes over its gradient's bytes,
-  never those of its packed ``uint8`` mask — the few that graph fusion
-  leaves, after an ``add`` or a ``broadcast_to``; behind a ``conv2d_dx``
-  the mask is that kernel's third input and there is no second buffer to
-  save.)
+* **in-place reuse** — an into-form may write over an input of the
+  output's own shape and dtype that dies at this very instruction, that
+  nothing views, and that :func:`repro.kernels.aliasable_inputs` names for
+  the node: the output joins the input's buffer instead of opening a new
+  one. That is any input of an elementwise op (a ``mask_mul`` so takes
+  over its gradient's bytes, never those of its packed ``uint8`` mask —
+  the few that graph fusion leaves, after an ``add`` or a
+  ``broadcast_to``), and input 0 of a stride-1 depthwise ``conv2d`` or
+  ``conv2d_dx``: its ``x`` or its gradient, never the weight, the bias or
+  the mask a ``conv2d_dx`` applies in its own output. A full-update
+  depthwise conv keeps its ``x`` for ``conv2d_dw``, so only a frozen one's
+  dies there.
 
 Buffers are then placed by :func:`repro.memory.planner.place` over their
 closed ``[birth, death]`` intervals of instruction positions: a view or an
@@ -43,7 +47,7 @@ peak bounds this one, equal when the plan has no alias and no reuse.
 from __future__ import annotations
 
 from ...kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
-                        OUT_ALIAS_SAFE, OUT_KERNELS, into_form)
+                        OUT_KERNELS, aliasable_inputs, into_form)
 from ...kernels.shape import (c_strides, is_c_contiguous, normal_strides,
                              view_layout)
 from ...memory.planner import live_load, place
@@ -232,8 +236,8 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
         elif dense_results(op):
             # Statically C-contiguous results: they live in the slab. A
             # single result with an into-form (every fused chain has one by
-            # construction) is written in place; an alias-safe one may
-            # write over a same-shape input dying here. For fused chains
+            # construction) is written in place, over a same-shape input
+            # dying here where the kernel allows it. For fused chains
             # only inputs read exclusively by the first link are eligible —
             # a later link would read the overwritten bytes.
             into = len(op.outputs) == 1 and (
@@ -242,19 +246,18 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             dense.update(op.outputs)
             reused = None
             if into and dying_inputs:
-                if op.fused is not None:
-                    # Fused link args index the assembled input list
-                    # (folded scalar constants spliced back in), not
-                    # ``op.inputs``.
-                    assembled = list(op.inputs)
-                    for at, const_name in op.const_inputs:
-                        assembled.insert(at, const_name)
-                    reusable = {assembled[i] for i in donatable_inputs(op)}
-                elif op.kernel in OUT_ALIAS_SAFE:
-                    reusable = set(op.inputs)
-                else:
-                    reusable = ()
+                # Kernel inputs and fused link args index the assembled
+                # input list (folded scalar constants spliced back in), not
+                # ``op.inputs``.
+                assembled = list(op.inputs)
+                for at, const_name in op.const_inputs:
+                    assembled.insert(at, const_name)
                 out_form = ctx.shape_dtype(op.outputs[0])
+                reusable = {assembled[i] for i in (
+                    donatable_inputs(op) if op.fused is not None
+                    else aliasable_inputs(op.kernel, variant,
+                                          ctx.attrs(op.node), out_form[0],
+                                          len(assembled)))}
                 for name in dying_inputs:
                     if name in reusable and name in buffer_of \
                             and name in private \

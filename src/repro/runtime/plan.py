@@ -29,8 +29,9 @@ instruction stream plus a static memory plan:
   model has one;
 * lifetimes are closed instruction intervals (a view keeps its base
   alive); two live slots share bytes only as a declared alias or the
-  declared in-place reuse (``reuse_slot``: an alias-safe elementwise
-  output taking over a same-shape input that dies at that instruction);
+  declared in-place reuse (``reuse_slot``: an elementwise or stride-1
+  depthwise conv output taking over a same-shape input that dies at that
+  instruction, :func:`repro.kernels.aliasable_inputs`);
 * the peak is a fact of the spec too: ``peak_transient_bytes`` is the
   live load of the storage the plan holds (each slab buffer once, every
   feed and register result), counted at build time, so the step does

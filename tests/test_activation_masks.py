@@ -155,10 +155,11 @@ class TestBitMasksAgainstFloatMasks:
                 masks += 1
             elif instr.kernel == "conv2d_dx" and len(instr.input_slots) == 3:
                 # the mask rides as the third input and is applied in the
-                # kernel's own output: nothing is reused, so nothing of
-                # the mask's can be written over
+                # kernel's own output: a depthwise one may take over its
+                # gradient's bytes (input 0), never the mask's
                 assert by_slot[instr.input_slots[2]].dtype == "uint8"
-                assert instr.mode == "out" and instr.reuse_slot < 0
+                assert instr.mode == "out" \
+                    and instr.reuse_slot in (-1, instr.input_slots[0])
                 folded += 1
             elif instr.kernel == "mask_mul":
                 # what fusion leaves follows an add or a broadcast_to ...

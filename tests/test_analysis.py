@@ -27,6 +27,7 @@ from repro.analysis import (check_plan, lint_module, lint_tree,
                             verify_plan_spec)
 from repro.deploy import load_artifact, save_artifact
 from repro.errors import PlanVerifyError
+from repro.kernels import OUT_ALIAS_RULES
 from repro.runtime.compiler import CompileOptions, compile_inference, \
     compile_training
 from repro.serve import ProgramCache
@@ -120,6 +121,23 @@ class TestVerifierZeroFalsePositives:
         assert any(i.fused for i in spec.instructions)
         assert any(i.reuse_slot >= 0 for i in spec.instructions)
         assert spec.precomputed and spec.aliases
+
+    @pytest.mark.parametrize("model", ["mcunet_micro", "mobilenetv2_micro"])
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    def test_depthwise_convs_in_place_clean(self, model, batch):
+        """The sparse MBConv plans, whose frozen stride-1 depthwise convs
+        and their conv2d_dx write over input 0."""
+        from repro.models import build_model, paper_scheme
+
+        forward = build_model(model, batch=batch)
+        program = compile_training(forward, optimizer=SGD(0.05),
+                                   scheme=paper_scheme(forward))
+        spec = program.plan_spec()
+        assert verify_plan_spec(spec, program) == []
+        reusing = {ins.kernel for ins in spec.instructions
+                   if ins.reuse_slot >= 0
+                   and ins.reuse_slot == ins.input_slots[0]}
+        assert {"conv2d", "conv2d_dx"} <= reusing
 
     def test_roundtripped_spec_clean(self):
         program = _program()
@@ -325,6 +343,46 @@ class TestMutationHarness:
         rules = _rules(bad, program)
         assert rules & {"donation-not-freed", "donation-unsafe",
                         "donation-alias-unsafe", "donation-shape-mismatch"}
+
+    def test_dense_conv_writing_over_its_input(self, monkeypatch):
+        """resnet_micro's dense 3x3 convs (Winograd, weight hoisted)
+        lowered as if their output could take over their dying input:
+        offsets, lifetimes and the peak all agree with that — only the
+        kernel may not, and that is the one finding."""
+        with monkeypatch.context() as patched:
+            patched.setitem(OUT_ALIAS_RULES,
+                            ("conv2d", "winograd_precomputed"),
+                            lambda attrs, out_shape: True)
+            program = _sparse_program("resnet_micro")
+            spec = program.plan_spec()
+            assert verify_plan_spec(spec, program) == []
+        nodes = {node.name: node for node in program.schedule}
+        reusing = [ins for ins in spec.instructions
+                   if ins.kernel == "conv2d" and ins.reuse_slot >= 0]
+        assert reusing
+        for ins in reusing:
+            weight = program.graph.spec(nodes[ins.node].inputs[1])
+            assert weight.shape[2:] == (3, 3) \
+                and nodes[ins.node].attrs.get("groups", 1) == 1
+        findings = verify_plan_spec(spec, program)
+        assert [f.rule for f in findings] \
+            == ["donation-alias-unsafe"] * len(reusing)
+
+    def test_depthwise_dx_writing_over_another_input(self):
+        """A masked depthwise conv2d_dx may write over its gradient (input
+        0), never its mask. No input but 0 can have dx's shape (the weight
+        of a conv with groups > 1 never does, the mask is packed uint8), so
+        the mask's shape and the overlap it makes come along."""
+        program = _sparse_program()
+        spec = program.plan_spec()
+        idx, ins = next((i, ins) for i, ins in enumerate(spec.instructions)
+                        if ins.kernel == "conv2d_dx"
+                        and len(ins.input_slots) == 3
+                        and ins.reuse_slot == ins.input_slots[0])
+        bad = _mutate_instr(spec, idx, reuse_slot=ins.input_slots[2])
+        assert _rules(bad, program) == {"donation-alias-unsafe",
+                                        "donation-shape-mismatch",
+                                        "slab-overlap"}
 
     def test_fused_link_misreads_its_inputs(self):
         # the squared error's chain: the cross-entropy loss fuses nothing

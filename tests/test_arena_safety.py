@@ -58,7 +58,8 @@ def random_forward(rng, layouts=False, activations=False):
     feed puts the pre-activation exactly on both boundaries) and whose
     element count is often not a multiple of 8 — half of them read by a
     second conv, whose ``conv2d_dx`` then takes the mask as its third
-    input. Both draws come before the
+    input, and half of them ending in a stride-1 depthwise conv that
+    writes over its input. Both draws come before the
     others and only when asked for, so the graphs of the other callers do
     not change.
     """
@@ -174,6 +175,18 @@ def _push_activation_case(b, rng, push, src, degree):
         clamped = b.emit(
             "conv2d", [clamped, b.initializer(b.fresh("cw"), again)],
             {"stride": 1, "padding": (kh // 2, 0)})
+    if taps[1] > 0:
+        # half of the time a stride-1 depthwise conv is the result's last
+        # reader, so it writes over the result's bytes, and its conv2d_dx
+        # over its gradient's (masked when it reads the relu6 itself). Its
+        # taps are the first kernel's again, scaled to keep |result|
+        # within 6 — no draw is taken here either.
+        channels = b.shape(clamped)[1]
+        spread = taps[:channels, None, None, None] \
+            * np.ones((1, 1, kh, 1), np.float32) / kh
+        clamped = b.emit(
+            "conv2d", [clamped, b.initializer(b.fresh("cw"), spread)],
+            {"stride": 1, "padding": (kh // 2, 0), "groups": channels})
     push(clamped, 6.0, degree)
 
 

@@ -9,7 +9,8 @@ storage it holds, and planlint re-derives it from the spec alone.
   estimate (:func:`repro.memory.profile_memory`), which charges a view or
   an in-place result beside the bytes it shares;
 * the bound is not vacuous: a generated program with an alias or a reuse
-  holds strictly less than the interpreter charges;
+  holds strictly less than the interpreter charges, and some generated
+  program's depthwise convs write over their inputs;
 * a spec declaring any other number — the old double-counting ledger's,
   say — is rejected as ``peak-bytes-mismatch``.
 """
@@ -31,7 +32,8 @@ from repro.runtime import Executor
 from test_activation_masks import compile_at
 from test_codegen import make_feeds
 from test_compile_single_sweep import ZOO_PROGRAMS, compile_zoo
-from test_differential import compile_random, random_feeds
+from test_differential import (assert_matches_interpreter, compile_random,
+                               random_feeds)
 from test_plan import fork, shares_no_bytes
 
 
@@ -101,6 +103,32 @@ def test_sharing_bytes_is_counted_once():
             return
     pytest.fail("no generated program shares bytes below the "
                 "interpreter's count")
+
+
+def test_generated_depthwise_convs_write_over_their_inputs():
+    """Some generated program's stride-1 depthwise ``conv2d`` and
+    ``conv2d_dx`` both take over input 0's buffer: the plan still verifies,
+    holds its intervals' live load, and steps byte for byte as the
+    interpreter does."""
+    for seed in range(40):
+        drawn = generated(seed, 1.0, "default")
+        if drawn is None:
+            continue
+        program, rng = drawn
+        spec = program.plan_spec()
+        reusing = [instr for instr in spec.instructions
+                   if instr.kernel in ("conv2d", "conv2d_dx")
+                   and instr.reuse_slot >= 0]
+        if {instr.kernel for instr in reusing} != {"conv2d", "conv2d_dx"}:
+            continue
+        assert all(instr.reuse_slot == instr.input_slots[0]
+                   for instr in reusing)
+        assert verify_plan_spec(spec, program) == []
+        assert_one_ledger(program, random_feeds(program, rng))
+        assert_matches_interpreter(program, rng)
+        return
+    pytest.fail("no generated plan has a conv2d and a conv2d_dx writing "
+                "over their input")
 
 
 def test_the_old_ledgers_number_is_a_mismatch():

@@ -9,8 +9,10 @@ the generic loop over the same plan; this file requires
   three steps, on the twelve zoo programs (default plan, ``passes="none"``,
   ``autotune="cost"``) and random graphs x {full, sparse};
 * every into-form to equal its base kernel byte for byte on generated
-  inputs — called, emitted, and with ``out`` aliasing an input where the
-  op is declared alias-safe — for every op that has one;
+  inputs — called, emitted, and with ``out`` aliasing each input
+  :func:`repro.kernels.aliasable_inputs` names for the attrs — for every
+  op that has one; a stride-1 depthwise conv and its ``conv2d_dx`` to
+  write over input 0 (across group chunks too), and nothing else to;
 * the observed variant to fire the observers exactly as the loop does;
 * the generated text to be a function of the plan alone: deterministic,
   one statement group per instruction, no runtime layout / pool / alias
@@ -32,6 +34,7 @@ import subprocess
 import sys
 import threading
 import traceback
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -43,9 +46,10 @@ from hypothesis import strategies as st
 import repro
 from repro.deploy import save_artifact
 from repro.errors import AutodiffError, ExecutionError
-from repro.kernels import (DENSE_OPS, KERNELS, OUT_ALIAS_SAFE,
-                           OUT_EMITTERS, OUT_KERNELS, PRECOMPUTE_TRANSFORMS,
-                           VARIANT_KERNELS, VIEW_OPS)
+from repro.kernels import (DENSE_OPS, KERNELS, OUT_EMITTERS, OUT_KERNELS,
+                           PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS, VIEW_OPS,
+                           aliasable_inputs)
+from repro.kernels import conv2d as conv_module
 from repro.runtime import Executor, codegen
 from repro.runtime import plan as plan_module
 from repro.runtime.compiler import compile_training
@@ -499,15 +503,17 @@ class TestEmittersEqualTheirKernels:
             exec(source, {"np": np, "ins": ins, "buf": emitted})
             assert_same_bytes(emitted, want, "emitted into-form")
 
-        if op in OUT_ALIAS_SAFE:
-            # ``out`` may be any input of the output's own shape and dtype
-            for i, x in enumerate(ins):
-                if (x.shape, x.dtype) != (buf.shape, buf.dtype):
-                    continue
-                alias = x.copy()
-                same = [alias if y is x else y for y in ins]
-                assert OUT_KERNELS[key](same, attrs, alias) is alias
-                assert_same_bytes(alias, want, f"out aliasing input {i}")
+        # ``out`` may be any input the alias rule names for these attrs, of
+        # the output's own shape and dtype
+        variant = "base" if isinstance(key, str) else key[1]
+        for i in aliasable_inputs(op, variant, attrs, buf.shape, len(ins)):
+            x = ins[i]
+            if (x.shape, x.dtype) != (buf.shape, buf.dtype):
+                continue
+            alias = x.copy()
+            same = [alias if y is x else y for y in ins]
+            assert OUT_KERNELS[key](same, attrs, alias) is alias
+            assert_same_bytes(alias, want, f"out aliasing input {i}")
 
     def test_emitters_decline_what_is_not_one_expression(self):
         emit = OUT_EMITTERS["matmul"]
@@ -535,6 +541,114 @@ class TestEmittersEqualTheirKernels:
         plan.instructions[index].out_kernel = counting
         Executor(program).run(make_feeds(program, np.random.default_rng(0)))
         assert len(calls) == 1
+
+
+class TestDepthwiseWritesOverItsInput:
+    """The alias rule of ``conv2d`` / ``conv2d_dx``: a stride-1 depthwise
+    conv's output may take over input 0 — and nothing else may."""
+
+    DEPTHWISE = [((2, 24, 16, 16), 3), ((2, 48, 8, 8), 3),
+                 ((1, 8, 7, 5), 5), ((2, 6, 4, 4), 1)]
+
+    @staticmethod
+    def split_into_chunks(monkeypatch, shape, k):
+        """Shrink the grouped path's scratch cap to five groups a chunk,
+        so the aliased output is written chunk by chunk."""
+        n, c, h, w = shape
+        per_group = n * k * k * h * w * 4
+        monkeypatch.setattr(conv_module, "_GROUP_SCRATCH_CAP", 5 * per_group)
+        assert conv_module._group_chunk(c, per_group) == 5 < c
+
+    @staticmethod
+    def assert_aliased_equal(key, ins, attrs):
+        want = KERNELS[key](ins, attrs)[0]
+        assert want.shape == ins[0].shape
+        assert list(aliasable_inputs(key, "base", attrs, want.shape,
+                                     len(ins))) == [0]
+        alias = ins[0].copy()
+        assert OUT_KERNELS[key]([alias, *ins[1:]], attrs, alias) is alias
+        assert_same_bytes(alias, want, f"{key} writing over input 0")
+
+    @pytest.mark.parametrize("shape,k", DEPTHWISE)
+    @pytest.mark.parametrize("epilogue", [False, True],
+                             ids=["plain", "bias-relu6"])
+    @pytest.mark.parametrize("chunked", [False, True],
+                             ids=["one-chunk", "chunked"])
+    def test_forward(self, monkeypatch, shape, k, epilogue, chunked):
+        if chunked:
+            self.split_into_chunks(monkeypatch, shape, k)
+        rng = np.random.default_rng(k)
+        c = shape[1]
+        ins = [rng.standard_normal(shape).astype(np.float32),
+               rng.standard_normal((c, 1, k, k)).astype(np.float32)]
+        attrs = {"stride": 1, "padding": k // 2, "groups": c}
+        if epilogue:
+            ins.append(rng.standard_normal(c).astype(np.float32))
+            attrs["activation"] = "relu6"
+        self.assert_aliased_equal("conv2d", ins, attrs)
+
+    @pytest.mark.parametrize("shape,k", DEPTHWISE)
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["plain", "masked"])
+    @pytest.mark.parametrize("chunked", [False, True],
+                             ids=["one-chunk", "chunked"])
+    def test_input_gradient(self, monkeypatch, shape, k, masked, chunked):
+        if chunked:
+            self.split_into_chunks(monkeypatch, shape, k)
+        rng = np.random.default_rng(k)
+        c = shape[1]
+        ins = [rng.standard_normal(shape).astype(np.float32),
+               rng.standard_normal((c, 1, k, k)).astype(np.float32)]
+        if masked:
+            ins.append(np.packbits(rng.random(int(np.prod(shape))) < 0.5))
+        attrs = {"stride": (1, 1), "padding": (k // 2, k // 2),
+                 "groups": c, "input_shape": shape}
+        self.assert_aliased_equal("conv2d_dx", ins, attrs)
+
+    @pytest.mark.parametrize("key", ["conv2d", "conv2d_dx"])
+    def test_everything_else_keeps_its_own_buffer(self, key):
+        depthwise = {"stride": 1, "padding": 1, "groups": 8}
+        shape = (2, 8, 6, 6)
+        refused = [
+            {**depthwise, "groups": 1},
+            {**depthwise, "stride": 2},
+            {**depthwise, "stride": (1, 2)},
+            {**depthwise, "algo": "winograd"},
+        ]
+        for attrs in refused:
+            assert not aliasable_inputs(key, "base", attrs, shape, 3), attrs
+        assert not aliasable_inputs(key, "base", depthwise, (2, 1, 6, 6), 3)
+        # the weight, the bias and the mask are never written over
+        assert list(aliasable_inputs(key, "base", depthwise, shape, 3)) \
+            == [0]
+        if key == "conv2d":
+            assert not aliasable_inputs(key, "winograd_precomputed",
+                                        depthwise, shape, 4)
+
+    def test_a_dense_1x1_conv_would_copy_its_input(self):
+        """Refused for groups 1: the 1x1 operand is a view of ``x``, and
+        ``np.matmul`` handed an ``out`` over it copies ``x`` first — the
+        bytes the slab would save come back as a temporary nothing counts.
+        The aliased call allocates a whole input; the plain one does not.
+        """
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 16, 8, 8)).astype(np.float32)
+        w = rng.standard_normal((16, 16, 1, 1)).astype(np.float32)
+        attrs = {"stride": 1, "padding": 0, "groups": 1}
+        assert not aliasable_inputs("conv2d", "base", attrs, x.shape, 2)
+        fresh, alias = np.empty_like(x), x.copy()
+        OUT_KERNELS["conv2d"]([x, w], attrs, fresh)  # warm
+
+        def peak(ins, out):
+            tracemalloc.start()
+            try:
+                OUT_KERNELS["conv2d"](ins, attrs, out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak([x, w], fresh) < x.nbytes <= peak([alias, w], alias)
+        assert_same_bytes(alias, fresh, "numpy's copy keeps the bytes")
 
 
 # -- (iii) the observed variant ----------------------------------------------

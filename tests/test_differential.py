@@ -15,7 +15,9 @@ and ``activations=True``: besides the zoo's shapes of aliasing it draws
 elementwise ops over transposed operands, views of the feed and of the
 parameter, reshapes that must copy, and the relu family on backward paths
 — ``relu6`` around both clamps, conv -> bias -> relu6 chains, a second conv
-reading the activation (so the mask folds into its ``conv2d_dx``), packed
+reading the activation (so the mask folds into its ``conv2d_dx``), a
+stride-1 depthwise conv writing over its dying input (and its
+``conv2d_dx`` over its gradient), packed
 masks over element counts that are not a multiple of 8 — fed batches with a
 zero row, which lands pre-activations exactly on 0.0 and 6.0. Graph-level
 fusion off gives the same bytes (``test_graph_fusion_changes_no_byte``). A

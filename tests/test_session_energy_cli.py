@@ -147,40 +147,43 @@ class TestCLI:
         summary = dict(row for row in parse("\n" + tables[0])[2])
         # the slab sits on the floor of any placement, and the plan's peak
         # a few alignment bytes under it
-        assert summary["live-load bound"] == "113.6KB"
+        assert summary["live-load bound"] == "96.6KB"
         assert summary["slab / live-load bound"] == "1.000"
-        assert summary["plan peak transient"] == "113.5KB"
+        assert summary["plan peak transient"] == "96.5KB"
 
         title, header, live = parse(tables[1])
         assert header == ["value", "producer", "shape", "dtype", "bytes",
                           "born-dies", "share"]
-        # the block-1 forward depthwise conv: input, output, the residual
-        # kept for the backward add (in the buffer of the conv it was
-        # added onto, born at instruction 2), the expand relu6's bit mask
-        # and the labels
-        assert title == ("live at the plan's peak: instruction 6 of 74 "
-                         "(conv2d), 116240 bytes")
+        # the block-2 forward stride-2 depthwise conv, the first to need a
+        # buffer beside its input: input, output, the two residuals kept
+        # for the backward adds (the first in the buffer of the conv it
+        # was added onto, born at instruction 2), three expand relu6 bit
+        # masks and the labels
+        assert title == ("live at the plan's peak: instruction 12 of 74 "
+                         "(conv2d), 98832 bytes")
         assert [(row[1], row[3], row[4]) for row in live] == [
-            ("conv2d", "float32", "49152"), ("conv2d", "float32", "49152"),
-            ("add", "float32", "16384"), ("range_mask", "uint8", "1536"),
-            ("feed", "int64", "16")]
-        assert live[0][2] == "2x24x16x16" and live[0][5] == "4-6"
-        assert live[2][5] == "2-72" and live[4][0] == "labels"
-        assert sum(int(row[4]) for row in live) == 116240
+            ("conv2d", "float32", "49152"), ("add", "float32", "16384"),
+            ("add", "float32", "16384"), ("conv2d", "float32", "12288"),
+            ("range_mask", "uint8", "1536"), ("range_mask", "uint8", "1536"),
+            ("range_mask", "uint8", "1536"), ("feed", "int64", "16")]
+        assert live[0][2] == "2x24x16x16" and live[0][5] == "10-12"
+        assert live[1][5] == "2-72" and live[7][0] == "labels"
+        assert live[3][2] == "2x24x8x8" and live[3][5] == "12-14"
+        assert sum(int(row[4]) for row in live) == 98832
         for row in live:
-            assert row[6] == f"{int(row[4]) / 116240:.1%}"
+            assert row[6] == f"{int(row[4]) / 98832:.1%}"
 
         title, header, moments = parse(tables[2])
         assert title == "the peak and the next two moments"
         assert header == ["instr", "kernel", "bytes", "of peak",
                           "peak without"]
         # distinct levels, highest first, each with the level under it:
-        # removing the peak buys 12 bytes — the backward depthwise
-        # conv2d_dx holds as much — and only under both is there a drop
+        # removing the peak buys 12 bytes — its backward conv2d_dx holds
+        # as much — and only under both is there a drop
         assert [row[:3] + row[4:] for row in moments] == [
-            ["6", "conv2d", "116240", "116228"],
-            ["71", "conv2d_dx", "116228", "98832"],
-            ["12", "conv2d", "98832", "98820"]]
+            ["12", "conv2d", "98832", "98820"],
+            ["64", "conv2d_dx", "98820", "86544"],
+            ["11", "range_mask", "86544", "85860"]]
 
         title, header, held = parse(tables[3])
         assert header == ["producer", "values", "bytes", "share"]
