@@ -129,13 +129,20 @@ def report_for(spec: PlanSpec, program, target: str = "<plan>") -> Report:
 
 class PlanInterval(NamedTuple):
     """Storage a plan holds over closed instruction positions, and the
-    value in it (a reuse chain's last)."""
+    values in it: ``(birth, name)`` of each member of its in-place reuse
+    chain, in order (one for a buffer no output takes over)."""
 
     nbytes: int
     birth: int
     death: int
-    name: str
+    values: tuple[tuple[int, str], ...]
     offset: int | None  #: None for a feed or a register
+
+    def name_at(self, position: int) -> str:
+        """The value the storage holds at ``position``: the chain member
+        born last at or before it."""
+        return next((name for birth, name in reversed(self.values)
+                     if birth <= position), self.values[0][1])
 
 
 def plan_intervals(spec: PlanSpec, program) -> list[PlanInterval]:
@@ -653,13 +660,15 @@ class _PlanChecker:
 
     def intervals(self) -> list[PlanInterval]:
         """The ledger after the walk (see :func:`plan_intervals`)."""
-        last = {self._head(slot): slot for slot in self.life}  # in order
+        chains: dict[int, list[tuple[int, str]]] = {}
+        for slot, (birth, _, _) in self.life.items():  # in birth order
+            chains.setdefault(self._head(slot), []).append(
+                (birth, self.names.get(slot, "")))
         return [PlanInterval(self._size(slot), birth, full,
-                             self.names.get(last[slot], ""),
-                             self.slab[slot].offset)
+                             tuple(chains[slot]), self.slab[slot].offset)
                 for slot, (birth, _, full) in self.slab_buffers().items()] \
             + [PlanInterval(self._size(slot), birth, death,
-                            self.names.get(slot, ""), None)
+                            ((birth, self.names.get(slot, "")),), None)
                for slot, (birth, death) in sorted(self.charged.items())]
 
     def _check_slab(self) -> None:

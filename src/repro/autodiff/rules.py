@@ -12,7 +12,11 @@ input channels/features before computing the weight gradient, so only the
 small slice — not the full activation — must survive until backward.
 
 What a rule reads is what the forward pass keeps for it, so the memory of
-a training step is decided here, once. Two rules cooperate for the
+a training step is decided here, once. A smooth activation's adjoint reads
+the activation's *input*, as one op (``silu_grad(g, x)``,
+``gelu_grad(g, x)``): a chain of primitives would leave intermediates the
+scheduler can hoist into the forward and hold to the backward, or stack
+at the peak. Two rules cooperate for the
 cross-entropy loss: ``pick``'s adjoint is a scatter, and ``log_softmax``'s
 rule, handed that scatter, takes its row gradients and ids instead
 (``log_softmax_grad(g, x, ids)``) — the loss region then holds the logits
@@ -238,27 +242,14 @@ def _tanh_grad(ctx, node, g):
     return [ctx.b.mul(g, sech2)]
 
 
+@rule("silu")
+def _silu_grad(ctx, node, g):
+    return [ctx.b.emit("silu_grad", [g, node.inputs[0]])]
+
+
 @rule("gelu")
 def _gelu_grad(ctx, node, g):
-    # d/dx of the tanh-approximated GELU, expressed as elementwise primitives
-    # (the fusion pass later collapses this chain for the cost model).
-    x = node.inputs[0]
-    b = ctx.b
-    c_half = ctx.scalar(0.5)
-    c_a = ctx.scalar(float(np.sqrt(2.0 / np.pi)))
-    c_b = ctx.scalar(0.044715)
-    c_3b = ctx.scalar(3 * 0.044715)
-    one = ctx.scalar(1.0)
-    x2 = b.mul(x, x)
-    x3 = b.mul(x2, x)
-    inner = b.mul(c_a, b.add(x, b.mul(c_b, x3)))
-    t = b.emit("tanh", [inner])
-    one_plus_t = b.add(one, t)
-    sech2 = b.sub(one, b.mul(t, t))
-    dinner = b.mul(c_a, b.add(one, b.mul(c_3b, x2)))
-    left = b.mul(c_half, one_plus_t)
-    right = b.mul(b.mul(b.mul(c_half, x), sech2), dinner)
-    return [b.mul(g, b.add(left, right))]
+    return [ctx.b.emit("gelu_grad", [g, node.inputs[0]])]
 
 
 # ---------------------------------------------------------------------------

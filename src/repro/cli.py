@@ -120,7 +120,9 @@ def cmd_memory(args) -> int:
     ]))
 
     # Why the plan's peak is what it is: the storage held at that
-    # instruction, and what the forward pass keeps for the backward.
+    # instruction, and what the forward pass keeps for the backward — each
+    # buffer named after the value in it at the instruction shown (an
+    # in-place reuse chain holds several over its life).
     instrs = spec.instructions
     timeline = live_load(intervals, 1)[:len(instrs)]
     peak = max(1, spec.peak_transient_bytes)
@@ -131,8 +133,9 @@ def cmd_memory(args) -> int:
                   key=lambda i: -i.nbytes)
 
     def row(i):
-        value = program.graph.spec(i.name)
-        return [i.name, producer.get(i.name, "feed"),
+        name = i.name_at(at)
+        value = program.graph.spec(name)
+        return [name, producer.get(name, "feed"),
                 "x".join(map(str, value.shape)) or "scalar",
                 value.dtype.value, i.nbytes, f"{i.birth}-{i.death}",
                 f"{i.nbytes / peak:.1%}"]
@@ -163,7 +166,8 @@ def cmd_memory(args) -> int:
     held: dict[str, list[int]] = {}
     for i in intervals:
         if i.birth <= loss_at < i.death:
-            entry = held.setdefault(producer.get(i.name, "feed"), [0, 0])
+            entry = held.setdefault(producer.get(i.name_at(loss_at), "feed"),
+                                    [0, 0])
             entry[0] += 1
             entry[1] += i.nbytes
     total = max(1, sum(nbytes for _, nbytes in held.values()))

@@ -88,6 +88,9 @@ class Sym:
     def gelu(self) -> "Sym":
         return self._wrap(self.b.emit("gelu", [self.name]))
 
+    def silu(self) -> "Sym":
+        return self._wrap(self.b.emit("silu", [self.name]))
+
     def sigmoid(self) -> "Sym":
         return self._wrap(self.b.emit("sigmoid", [self.name]))
 

@@ -12,7 +12,8 @@ what lets inference-only backends execute training graphs. The only
 training-flavoured ops are ``conv2d_dx`` (a transposed convolution, itself
 used by inference decoders), ``conv2d_dw``, ``maxpool2d_grad``,
 ``embedding_grad`` (a scatter-add), ``pick_grad`` (a scatter),
-``log_softmax_grad`` and the in-place ``apply_*`` optimizer steps.
+``log_softmax_grad``, the activation adjoints ``silu_grad`` /
+``gelu_grad`` and the in-place ``apply_*`` optimizer steps.
 """
 
 from __future__ import annotations
@@ -134,10 +135,33 @@ def _act_flops(inputs, outputs, attrs) -> int:
     return 4 * outputs[0].num_elements
 
 
-for _name in ("relu", "relu6", "sigmoid", "tanh"):
+for _name in ("relu", "relu6", "sigmoid", "tanh", "silu"):
     register_op(_name, 1, flops=_act_flops)(_unary_infer)
 
 register_op("gelu", 1, flops=lambda i, o, a: 8 * o[0].num_elements)(_unary_infer)
+
+
+# A smooth activation's adjoint ``op_grad(g, x)`` reads the activation's
+# *input* and the output gradient, and is one elementwise pass: the
+# forward keeps ``x`` for it, nothing derived from ``x``. Priced as the
+# primitives each replaces: silu's sigmoid (recomputed) and six products
+# and sums; GELU's tanh and seventeen.
+
+def _adjoint_infer(op: str):
+    def infer(inputs, attrs):
+        g, x = inputs
+        if g.shape != x.shape or g.dtype != x.dtype:
+            raise ShapeError(
+                f"{op} gradient {g.shape} {g.dtype.value} does not match "
+                f"its input {x.shape} {x.dtype.value}")
+        return [(x.shape, x.dtype)]
+    return infer
+
+
+register_op("silu_grad", 2, flops=lambda i, o, a: 10 * o[0].num_elements)(
+    _adjoint_infer("silu_grad"))
+register_op("gelu_grad", 2, flops=lambda i, o, a: 21 * o[0].num_elements)(
+    _adjoint_infer("gelu_grad"))
 
 
 @register_op("equal", 2, flops=_elem_flops)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel, out_emitter, out_kernel
+from . import kernel, out_emitter, out_kernel, workspace
 
 _SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
 
@@ -237,7 +237,7 @@ def epilogue(y: np.ndarray, bias: np.ndarray | None,
     if activation == "relu6":
         return np.clip(y, 0, 6, out=y)
     if activation == "gelu":
-        return gelu(y)
+        return gelu_into(y, y)
     raise ValueError(f"unknown fused activation {activation!r}")
 
 
@@ -246,8 +246,8 @@ def epilogue_into(y: np.ndarray, bias: np.ndarray | None,
                   out: np.ndarray | None) -> np.ndarray:
     """:func:`epilogue` as the ending of an into-form: ``y`` is ``out``'s
     own buffer (``out`` or a view of it) and the result is left in ``out``
-    — copied back when the tail could not work in place (gelu, a wider
-    bias). ``out=None`` is the base kernel: the result itself."""
+    — copied back when the tail could not work in place (a wider bias).
+    ``out=None`` is the base kernel: the result itself."""
     z = epilogue(y, bias, activation)
     if out is None:
         return z
@@ -256,25 +256,38 @@ def epilogue_into(y: np.ndarray, bias: np.ndarray | None,
     return out
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-approximated GELU (the variant BERT uses).
+def gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh-approximated GELU (the variant BERT uses), into ``out``.
 
-    ``0.5*x * (1 + tanh(c * (x + 0.044715*x*x*x)))`` as one result buffer
-    and one scratch, every product in the textbook order.
+    ``0.5*x * (1 + tanh(c * (x + 0.044715*x*x*x)))`` with one workspace
+    scratch, every product in the textbook order. ``out`` is written only
+    once the polynomial is done, so it may be ``x`` itself.
     """
-    inner = np.multiply(x, 0.044715)
+    inner = workspace.take(x.shape, x.dtype)
+    np.multiply(x, 0.044715, out=inner)
     inner *= x
     inner *= x
     inner += x
     # The float32 constant widens a float16 polynomial, exactly as the
     # textbook expression does; any other dtype stays in its buffer.
-    inner = np.multiply(inner, _SQRT_2_OVER_PI,
-                        out=None if x.dtype == np.float16 else inner)
-    np.tanh(inner, out=inner)
-    inner += 1.0
-    out = np.multiply(x, 0.5)
-    out *= inner
+    wide = np.multiply(inner, _SQRT_2_OVER_PI,
+                       out=None if x.dtype == np.float16 else inner)
+    np.tanh(wide, out=wide)
+    wide += 1.0
+    np.multiply(x, 0.5, out=out)
+    out *= wide
+    workspace.give(inner)
     return out
+
+
+@kernel("gelu")
+def _gelu(inputs, attrs):
+    return [gelu_into(inputs[0], np.empty_like(inputs[0]))]
+
+
+@out_kernel("gelu", alias_safe=True)
+def _gelu_out(inputs, attrs, out):
+    return gelu_into(inputs[0], out)
 
 
 @kernel("relu")
@@ -297,18 +310,15 @@ def _relu6_out(inputs, attrs, out):
     return np.clip(inputs[0], 0, 6, out=out)
 
 
-@kernel("gelu")
-def _gelu(inputs, attrs):
-    return [gelu(inputs[0])]
-
-
-def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sigmoid_into(x: np.ndarray, out: np.ndarray,
+                  e: np.ndarray | None = None) -> np.ndarray:
     # Branch-free stable sigmoid: e = exp(-|x|) lies in [0, 1] and never
     # overflows; the numerator is 1 where x >= 0 and e elsewhere, which is
     # max([x >= 0], e). Seven ufunc calls, no fancy indexing. ``e`` is
     # complete before ``out`` is first written and every later read of x is
     # the same-index read of an elementwise ufunc, so out may alias x.
-    e = np.abs(x)
+    # ``e`` may be the caller's scratch of x's shape (None: a fresh array).
+    e = np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     np.greater_equal(x, 0, out=out, casting="unsafe")
@@ -331,3 +341,108 @@ def _sigmoid_out(inputs, attrs, out):
 @kernel("tanh")
 def _tanh(inputs, attrs):
     return [np.tanh(inputs[0])]
+
+
+# silu(x) = x * sigmoid(x), the gate of a SwiGLU FFN, and the adjoints of
+# silu and GELU. An adjoint reads the activation's *input*, so the forward
+# keeps nothing else for it, and it is one kernel: its intermediates are
+# workspace scratch, gone when it returns, never values the scheduler could
+# hoist into the forward or stack at the peak. Each computes the products
+# and sums of the primitive chain it replaces (x * sigmoid(x) under the
+# ``mul`` and ``sigmoid`` rules; GELU's textbook derivative), in the same
+# grouping and with the same float32 constants, hence the same bytes; and
+# each writes ``out`` only after its last read of ``x`` and of every
+# scratch it cannot do without, so ``out`` may alias any input.
+
+def _scratch(x: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """``count`` scratch arrays of ``x``'s shape and dtype: the rows of one
+    workspace buffer, one ``take`` a kernel call, and one
+    ``workspace.give`` of any row returns them all."""
+    block = workspace.take((count,) + x.shape, x.dtype)
+    return tuple(block[i, ...] for i in range(count))
+
+
+def _silu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    s, e = _scratch(x, 2)
+    np.multiply(x, _sigmoid_into(x, s, e), out=out)
+    workspace.give(s)
+    return out
+
+
+@kernel("silu")
+def _silu(inputs, attrs):
+    return [_silu_into(inputs[0], np.empty_like(inputs[0]))]
+
+
+@out_kernel("silu", alias_safe=True)
+def _silu_out(inputs, attrs, out):
+    return _silu_into(inputs[0], out)
+
+
+def _silu_grad_into(g: np.ndarray, x: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """``g·s + (g·x)·(s·(1−s))`` with ``s = sigmoid(x)``: the ``mul``
+    rule's two products and the ``sigmoid`` rule's chain, summed."""
+    s, gx, ds = _scratch(x, 3)
+    _sigmoid_into(x, s, gx)  # gx is the sigmoid's scratch until g·x
+    np.multiply(g, x, out=gx)
+    np.subtract(1.0, s, out=ds)
+    np.multiply(s, ds, out=ds)
+    np.multiply(gx, ds, out=gx)
+    np.multiply(g, s, out=out)
+    np.add(out, gx, out=out)
+    workspace.give(s)
+    return out
+
+
+@kernel("silu_grad")
+def _silu_grad(inputs, attrs):
+    return [_silu_grad_into(*inputs, np.empty_like(inputs[1]))]
+
+
+@out_kernel("silu_grad", alias_safe=True)
+def _silu_grad_out(inputs, attrs, out):
+    return _silu_grad_into(*inputs, out)
+
+
+_GELU_B = np.float32(0.044715)
+_GELU_3B = np.float32(3 * 0.044715)
+
+
+def _gelu_grad_into(g: np.ndarray, x: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """``g·(left + right)``: GELU's derivative as the textbook chain
+    ``x2, x3, inner, t = tanh(inner), 1+t, 1−t², dinner, left =
+    0.5·(1+t), right = ((0.5·x)·(1−t²))·dinner``."""
+    c, half, one = _SQRT_2_OVER_PI, np.float32(0.5), np.float32(1.0)
+    x2, t, sech2, right = _scratch(x, 4)
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, x, out=t)                       # x3
+    np.multiply(_GELU_B, t, out=t)
+    np.add(x, t, out=t)
+    np.multiply(c, t, out=t)                        # inner
+    np.tanh(t, out=t)
+    np.multiply(t, t, out=sech2)
+    np.subtract(one, sech2, out=sech2)
+    np.multiply(half, x, out=right)
+    np.multiply(right, sech2, out=right)
+    np.add(one, t, out=t)
+    np.multiply(half, t, out=t)                     # left
+    np.multiply(_GELU_3B, x2, out=x2)
+    np.add(one, x2, out=x2)
+    np.multiply(c, x2, out=x2)                      # dinner
+    np.multiply(right, x2, out=right)
+    np.add(t, right, out=t)
+    np.multiply(g, t, out=out)
+    workspace.give(x2)
+    return out
+
+
+@kernel("gelu_grad")
+def _gelu_grad(inputs, attrs):
+    return [_gelu_grad_into(*inputs, np.empty_like(inputs[1]))]
+
+
+@out_kernel("gelu_grad", alias_safe=True)
+def _gelu_grad_out(inputs, attrs, out):
+    return _gelu_grad_into(*inputs, out)

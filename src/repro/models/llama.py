@@ -43,7 +43,7 @@ CONFIGS = {
 
 
 class GatedFeedForward(Module):
-    """SwiGLU-style FFN: down(silu(gate(x)) * up(x)); silu = x * sigmoid(x)."""
+    """SwiGLU-style FFN: down(silu(gate(x)) * up(x))."""
 
     def __init__(self, dim: int, hidden: int,
                  rng: np.random.Generator | None = None) -> None:
@@ -56,9 +56,7 @@ class GatedFeedForward(Module):
         self.down.meta["role_in_block"] = "ffn_second"
 
     def forward(self, x: Sym) -> Sym:
-        gated = self.gate(x)
-        silu = gated * gated.sigmoid()
-        return self.down(silu * self.up(x))
+        return self.down(self.gate(x).silu() * self.up(x))
 
 
 class LlamaBlock(Module):

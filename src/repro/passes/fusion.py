@@ -36,8 +36,9 @@ _PRODUCERS = {"conv2d", "matmul"}
 
 _ELEMENTWISE = {
     "add", "sub", "mul", "div", "neg", "exp", "log", "sqrt", "abs", "sign",
-    "step", "relu", "relu6", "gelu", "sigmoid", "tanh", "maximum", "minimum",
-    "equal", "bias_add", "range_mask", "mask_mul",
+    "step", "relu", "relu6", "gelu", "sigmoid", "tanh", "silu", "maximum",
+    "minimum", "equal", "bias_add", "range_mask", "mask_mul", "silu_grad",
+    "gelu_grad",
 }
 
 

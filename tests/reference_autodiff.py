@@ -1,19 +1,30 @@
-"""The float-mask ``relu`` / ``relu6`` gradient rules, kept verbatim.
+"""Gradient rules the compiler replaced, kept verbatim.
 
-Until the backward pass learned to keep one *bit* per element of the
-activation's output (``range_mask`` / ``mask_mul``), these two rules built
-float32 tensors of 0.0 / 1.0 from the activation's *input*:
-``step(x)`` and ``step(x) * step(6 - x)``. They are the previous bodies of
-``repro.autodiff.rules._relu_grad`` / ``_relu6_grad``, copied without
-edits, so that ``tests/test_activation_masks.py`` can require the bit-mask
-rules to train to the *same bytes* while holding less memory.
+* **Float masks.** Until the backward pass learned to keep one *bit* per
+  element of the activation's output (``range_mask`` / ``mask_mul``), the
+  ``relu`` / ``relu6`` rules built float32 tensors of 0.0 / 1.0 from the
+  activation's *input*: ``step(x)`` and ``step(x) * step(6 - x)``.
+  ``tests/test_activation_masks.py`` requires the bit-mask rules to train
+  to the *same bytes* while holding less memory;
+  ``swap_in_float_masks`` installs the old rules on the compile path.
+* **Primitive activation chains.** Until a smooth activation's adjoint
+  was one op reading the activation's input (``silu_grad`` /
+  ``gelu_grad``), SiLU was two forward primitives, ``x * sigmoid(x)``,
+  differentiated by the ``mul`` and ``sigmoid`` rules, and GELU's rule
+  emitted its derivative as a chain of elementwise primitives.
+  ``tests/test_activation_adjoints.py`` holds the one-op adjoints to the
+  same bytes and less memory; ``swap_in_primitive_activations`` installs
+  the old forms.
 
-``swap_in_float_masks`` installs them on the compile path.
+The function bodies are the previous ones, copied without edits.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.autodiff.rules import GRAD_RULES
+from repro.frontend.functional import Sym
 
 
 def _relu_grad(ctx, node, g):
@@ -36,3 +47,37 @@ def swap_in_float_masks(monkeypatch) -> None:
     """Differentiate ``relu`` / ``relu6`` the old way for this test."""
     for op, reference in FLOAT_MASK_RULES.items():
         monkeypatch.setitem(GRAD_RULES, op, reference)
+
+
+def _gelu_grad(ctx, node, g):
+    # d/dx of the tanh-approximated GELU, expressed as elementwise primitives
+    # (the fusion pass later collapses this chain for the cost model).
+    x = node.inputs[0]
+    b = ctx.b
+    c_half = ctx.scalar(0.5)
+    c_a = ctx.scalar(float(np.sqrt(2.0 / np.pi)))
+    c_b = ctx.scalar(0.044715)
+    c_3b = ctx.scalar(3 * 0.044715)
+    one = ctx.scalar(1.0)
+    x2 = b.mul(x, x)
+    x3 = b.mul(x2, x)
+    inner = b.mul(c_a, b.add(x, b.mul(c_b, x3)))
+    t = b.emit("tanh", [inner])
+    one_plus_t = b.add(one, t)
+    sech2 = b.sub(one, b.mul(t, t))
+    dinner = b.mul(c_a, b.add(one, b.mul(c_3b, x2)))
+    left = b.mul(c_half, one_plus_t)
+    right = b.mul(b.mul(b.mul(c_half, x), sech2), dinner)
+    return [b.mul(g, b.add(left, right))]
+
+
+def _silu_as_primitives(self: Sym) -> Sym:
+    # the Llama FFN's gate: silu = gated * gated.sigmoid()
+    return self * self.sigmoid()
+
+
+def swap_in_primitive_activations(monkeypatch) -> None:
+    """Trace SiLU as ``x * sigmoid(x)`` and differentiate GELU by its
+    primitive chain, for this test."""
+    monkeypatch.setitem(GRAD_RULES, "gelu", _gelu_grad)
+    monkeypatch.setattr(Sym, "silu", _silu_as_primitives)

@@ -1,0 +1,83 @@
+"""A smooth activation's adjoint is one op that reads the activation's input.
+
+``silu`` differentiates into ``silu_grad(g, x)`` and ``gelu`` into
+``gelu_grad(g, x)``. The forms they replaced — SiLU traced as
+``x * sigmoid(x)`` under the ``mul`` / ``sigmoid`` rules, GELU's rule as a
+chain of elementwise primitives — live on in
+``tests/reference_autodiff.py``; this file requires, against them,
+
+* the same bytes: loss of four steps and every mutable state tensor, on
+  ``llama_micro`` and ``bert_micro``, sparse and full, at batch 1, 2 and 8;
+* less memory: the plan's ``peak_transient_bytes`` strictly lower on every
+  one of them, and no more instructions;
+* the structure that buys it: no ``sigmoid`` or ``tanh`` is left in the
+  training graph, each adjoint reads the input its activation reads, and
+  runs after the loss (nothing of it is hoisted into the forward).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.models import build_model, paper_scheme
+from repro.runtime.compiler import compile_training
+from repro.sparse import full_update
+from repro.train import SGD, Adam
+
+from reference_autodiff import swap_in_primitive_activations
+from test_activation_masks import position_of_loss, train
+from test_codegen import assert_same_bytes
+
+MODELS = {"llama_micro": "silu", "bert_micro": "gelu"}
+SCHEMES = {"paper_scheme": paper_scheme, "full_update": full_update}
+
+
+def compile_at(model, scheme, batch):
+    forward = build_model(model, batch=batch)
+    optimizer = SGD(0.05) if scheme == "paper_scheme" else Adam(1e-3)
+    return compile_training(forward, optimizer=optimizer,
+                            scheme=SCHEMES[scheme](forward))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("model", MODELS)
+def test_same_bytes_less_memory(model, scheme, batch, monkeypatch):
+    program = compile_at(model, scheme, batch)
+    with monkeypatch.context() as patch:
+        swap_in_primitive_activations(patch)
+        reference = compile_at(model, scheme, batch)
+    ops = {node.op_type for node in program.graph.nodes}
+    old_ops = {node.op_type for node in reference.graph.nodes}
+    adjoint = f"{MODELS[model]}_grad"
+    assert adjoint in ops and not ops & {"sigmoid", "tanh"}
+    assert "tanh" in old_ops or "sigmoid" in old_ops
+    assert adjoint not in old_ops
+
+    losses, state = train(program)
+    want_losses, want_state = train(reference)
+    for step, (got, want) in enumerate(zip(losses, want_losses)):
+        assert_same_bytes(got, want, f"loss of step {step}")
+    assert state.keys() == want_state.keys()
+    for name in state:
+        assert_same_bytes(state[name], want_state[name], name)
+
+    spec, old = program.plan_spec(), reference.plan_spec()
+    assert spec.peak_transient_bytes < old.peak_transient_bytes
+    assert len(spec.instructions) <= len(old.instructions)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("model", MODELS)
+def test_the_adjoint_reads_the_input_after_the_loss(model, scheme):
+    program = compile_at(model, scheme, 2)
+    activation = MODELS[model]
+    loss_at = position_of_loss(program)
+    inputs = {node.inputs[0] for node in program.graph.nodes
+              if node.op_type == activation}
+    adjoints = [(at, node) for at, node in enumerate(program.schedule)
+                if node.op_type == f"{activation}_grad"]
+    assert adjoints and inputs
+    for at, node in adjoints:
+        assert node.inputs[1] in inputs
+        assert at > loss_at, f"{node.name} runs at {at}, before the loss"

@@ -32,7 +32,7 @@ class TestElementwiseGrads:
         gradcheck_single_op("mul", None, make_inputs=mk)
 
     @pytest.mark.parametrize("op", ["neg", "exp", "tanh", "sigmoid",
-                                    "gelu", "abs"])
+                                    "silu", "gelu", "abs"])
     def test_unary(self, op):
         gradcheck_single_op(op, [(3, 4)])
 
@@ -246,7 +246,7 @@ class TestEngine:
 def test_random_elementwise_chain_gradcheck(seed):
     """Property: random chains of differentiable unary ops gradcheck."""
     rng = np.random.default_rng(seed)
-    ops = ["tanh", "sigmoid", "gelu", "neg", "exp"]
+    ops = ["tanh", "sigmoid", "silu", "gelu", "neg", "exp"]
     depth = int(rng.integers(1, 4))
     b = GraphBuilder("chain")
     x0 = rng.standard_normal((2, 3)).astype(np.float32) * 0.5
@@ -267,6 +267,8 @@ def test_random_elementwise_chain_gradcheck(seed):
                 arr = np.tanh(arr)
             elif op == "sigmoid":
                 arr = 1 / (1 + np.exp(-arr))
+            elif op == "silu":
+                arr = arr / (1 + np.exp(-arr))
             elif op == "gelu":
                 arr = 0.5 * arr * (1 + np.tanh(
                     np.sqrt(2 / np.pi) * (arr + 0.044715 * arr ** 3)))

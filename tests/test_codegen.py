@@ -167,7 +167,9 @@ class TestSameStepAsTheLoop:
 
 BINARY = ("add", "sub", "mul", "div", "maximum", "minimum", "equal")
 UNARY = ("neg", "exp", "log", "sqrt", "abs", "sign", "tanh", "step", "relu",
-         "relu6", "sigmoid")
+         "relu6", "sigmoid", "silu", "gelu")
+#: an activation's adjoint ``op_grad(g, x)``: two operands of one shape
+ADJOINTS = ("silu_grad", "gelu_grad")
 POSITIVE = ("log", "sqrt")
 ANY_LAYOUT = ("c", "transposed", "strided")
 
@@ -207,6 +209,12 @@ def elementwise_case(draw, arity, positive):
                                           for i, d in enumerate(shape))]))
         ins.append(draw(arrays(shape=other, dtypes=(first.dtype.type,))))
     return ins, {}
+
+
+@st.composite
+def adjoint_case(draw):
+    g = draw(arrays())
+    return [g, draw(arrays(shape=g.shape, dtypes=(g.dtype.type,)))], {}
 
 
 @st.composite
@@ -440,6 +448,7 @@ STRATEGIES = {
        if isinstance(key, tuple)},
     **{op: elementwise_case(2, False) for op in BINARY},
     **{op: elementwise_case(1, op in POSITIVE) for op in UNARY},
+    **{op: adjoint_case() for op in ADJOINTS},
     # its base kernel does not take 0-d input (np.abs returns a scalar)
     "sigmoid": arrays(shape=(3, 2)).map(lambda x: ([x], {})),
     "reshape": reshape_case(), "transpose": transpose_case(),

@@ -44,6 +44,7 @@ from repro.runtime.passes import LoweredOp, LoweringContext, lower
 from repro.sparse import UpdateScheme, full_update
 from repro.train import SGD, Adam
 
+from reference_autodiff import swap_in_primitive_activations
 from reference_passes import (REFERENCES,
                               ReferenceCommonSubexpressionEliminationPass,
                               reference_greedy_schedule,
@@ -305,13 +306,20 @@ class TestCarriedDeferralState:
     @pytest.mark.parametrize("model,scheme", [
         ("bert_micro", "full_update"), ("bert_micro", "paper_scheme"),
         ("distilbert_micro", "full_update")])
-    def test_zoo_merges_keep_carried_facts_exact(self, model, scheme):
-        """On the zoo only the BERTs still defer (their gelu backward
-        chains): the CNNs' deferred merges were all float ReLU-mask chains,
-        which are bits now, and ``llama_micro`` never had one."""
+    def test_zoo_merges_keep_carried_facts_exact(self, model, scheme,
+                                                 monkeypatch):
+        """Deferral on zoo-sized streams. No zoo program defers under
+        today's rules: the CNNs' deferred merges were all float ReLU-mask
+        chains, which are bits now, the BERTs' were their GELU backward
+        chains, which are one ``gelu_grad`` now, and ``llama_micro`` never
+        had one. So the BERTs are compiled with GELU's primitive chain
+        (``tests/reference_autodiff.py``), and both counts are pinned."""
         counter = Counter()
         with mock.patch.object(fuse_module._DeferralState, "merge",
                                checked_merge(counter)):
+            compile_zoo(model, scheme)
+            assert counter["merges"] == 0
+            swap_in_primitive_activations(monkeypatch)
             program = compile_zoo(model, scheme)
         assert counter["merges"] >= 3
         stream = lower(LoweringContext(program))

@@ -213,6 +213,19 @@ class TestNNOps:
         with pytest.raises(ShapeError):
             infer(op, shapes, attrs, dtypes=dtypes)
 
+    @pytest.mark.parametrize("op", ["silu_grad", "gelu_grad"])
+    def test_activation_adjoints(self, op):
+        [(shape, dtype)] = infer(op, [(2, 3), (2, 3)],
+                                 dtypes=[DType.FLOAT16] * 2)
+        assert shape == (2, 3) and dtype == DType.FLOAT16
+        # no broadcasting: the gradient is the activation's own shape
+        for shapes, dtypes in (([(2, 3), (3,)], None),
+                               ([(1, 3), (2, 3)], None),
+                               ([(2, 3), (2, 3)],
+                                [DType.FLOAT16, DType.FLOAT32])):
+            with pytest.raises(ShapeError):
+                infer(op, shapes, dtypes=dtypes)
+
     def test_unknown_op(self):
         with pytest.raises(ShapeError):
             get_schema("not_an_op")

@@ -609,6 +609,99 @@ class TestSinglePassKernels:
         same_bytes(x, keep)
 
 
+def primitive(op, *ins):
+    return run_op(op, list(ins), {})[0]
+
+
+def ref_silu_grad(g, x):
+    """``mul(x, sigmoid(x))`` differentiated by the ``mul`` and
+    ``sigmoid`` rules, gradients summed: ``g·s + (g·x)·(s·(1−s))``."""
+    s = primitive("sigmoid", x)
+    one = np.float32(1.0)
+    ds = primitive("mul", s, primitive("sub", one, s))
+    return primitive("add", primitive("mul", g, s),
+                     primitive("mul", primitive("mul", g, x), ds))
+
+
+def ref_gelu_grad(g, x):
+    """The tanh-GELU derivative as the primitive chain its rule emitted,
+    with the rule's float32 constants."""
+    c_half, one = np.float32(0.5), np.float32(1.0)
+    c_a = np.float32(np.sqrt(2.0 / np.pi))
+    c_b, c_3b = np.float32(0.044715), np.float32(3 * 0.044715)
+    x2 = primitive("mul", x, x)
+    x3 = primitive("mul", x2, x)
+    inner = primitive("mul", c_a,
+                      primitive("add", x, primitive("mul", c_b, x3)))
+    t = primitive("tanh", inner)
+    one_plus_t = primitive("add", one, t)
+    sech2 = primitive("sub", one, primitive("mul", t, t))
+    dinner = primitive("mul", c_a, primitive(
+        "add", one, primitive("mul", c_3b, x2)))
+    left = primitive("mul", c_half, one_plus_t)
+    right = primitive("mul", primitive(
+        "mul", primitive("mul", c_half, x), sech2), dinner)
+    return primitive("mul", g, primitive("add", left, right))
+
+
+@st.composite
+def adjoint_operands(draw):
+    """``(g, x)``: float32, one shape, ``x`` of magnitude up to ~30."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1.0, 8.0]))
+    return (rng.standard_normal(shape).astype(np.float32),
+            (rng.standard_normal(shape) * scale).astype(np.float32))
+
+
+class TestActivationAdjoints:
+    """``silu`` and the one-kernel adjoints ``silu_grad`` / ``gelu_grad``
+    reproduce the bytes of the primitive kernels they replace, may write
+    over any input, and stay finite where the primitives would."""
+
+    REFERENCES = {"silu_grad": ref_silu_grad, "gelu_grad": ref_gelu_grad}
+
+    @given(adjoint_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_the_primitives(self, operands):
+        g, x = operands
+        same_bytes(primitive("silu", x),
+                   primitive("mul", x, primitive("sigmoid", x)))
+        for op, reference in self.REFERENCES.items():
+            same_bytes(primitive(op, g, x), reference(g, x))
+
+    @pytest.mark.parametrize("op", ["silu_grad", "gelu_grad"])
+    def test_out_may_alias_either_input(self, op, rng):
+        g = rng.standard_normal((2, 24, 64)).astype(np.float32)
+        x = (rng.standard_normal((2, 24, 64)) * 4).astype(np.float32)
+        want = self.REFERENCES[op](g, x)
+        for alias in (0, 1):
+            ins = [g.copy(), x.copy()]
+            assert OUT_KERNELS[op](ins, {}, ins[alias]) is ins[alias]
+            same_bytes(ins[alias], want)
+            same_bytes(ins[1 - alias], (g, x)[1 - alias])
+        both = x.copy()  # g and x one buffer, out over it too
+        OUT_KERNELS[op]([both, both], {}, both)
+        same_bytes(both, self.REFERENCES[op](x, x))
+        out = np.empty_like(x)
+        OUT_KERNELS["silu"]([x], {}, out)
+        keep = x.copy()
+        assert OUT_KERNELS["silu"]([keep], {}, keep) is keep
+        same_bytes(keep, out)
+
+    def test_finite_at_the_edges(self):
+        x = np.array([0.0, -0.0, 20.0, -20.0, 90.0, -90.0], np.float32)
+        g = np.ones_like(x)
+        for op in ("silu", "gelu", "silu_grad", "gelu_grad"):
+            y = primitive(op, x) if op in ("silu", "gelu") \
+                else primitive(op, g, x)
+            assert np.isfinite(y).all(), (op, y)
+        # the saturated ends: an identity and a zero
+        for op in ("silu_grad", "gelu_grad"):
+            np.testing.assert_allclose(primitive(op, g, x)[4:], [1.0, 0.0],
+                                       rtol=0, atol=1e-30)
+
+
 @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6))
 @settings(max_examples=25, deadline=None)
 def test_elementwise_ops_match_numpy(n, h, w):

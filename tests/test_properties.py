@@ -25,20 +25,30 @@ from repro.sparse import UpdateScheme
 from repro.train import SGD
 
 from conftest import make_mlp_graph
-from test_plan import shares_no_bytes
+from test_plan import fork, shares_no_bytes
 
 
-def random_dag(seed: int) -> tuple:
-    """A random elementwise/matmul DAG over a (4, 6) input."""
+def random_dag(seed: int, trained: bool = False) -> tuple:
+    """A random elementwise/matmul DAG over a (4, 6) input: tanh, add,
+    matmul, sigmoid, silu and gelu. ``trained`` roots it at ``x @ w_in``
+    instead of ``x``, so every value has a trainable weight behind it."""
     rng = np.random.default_rng(seed)
     b = GraphBuilder("g")
     x = b.input("x", (4, 6))
     pool = [x]
+    if trained:
+        w_in = b.initializer("w_in", rng.standard_normal((6, 6)).astype(
+            np.float32) * 0.3, trainable=True)
+        pool = [b.matmul(x, w_in)]
     for i in range(int(rng.integers(3, 10))):
         pick = pool[int(rng.integers(len(pool)))]
-        kind = rng.integers(0, 4)
+        kind = rng.integers(0, 6)
         if kind == 0:
             pool.append(b.emit("tanh", [pick]))
+        elif kind == 4:
+            pool.append(b.emit("silu", [pick]))
+        elif kind == 5:
+            pool.append(b.emit("gelu", [pick]))
         elif kind == 1:
             other = pool[int(rng.integers(len(pool)))]
             pool.append(b.add(pick, other))
@@ -169,6 +179,31 @@ def test_executor_peak_matches_profiler_on_random_graphs(seed):
     ex_plan = Executor(program)
     ex_plan.run({"x": feed})
     assert ex_plan.peak_transient_bytes <= profile.peak_transient_bytes
+
+
+@given(st.integers(0, 2000))
+@settings(max_examples=20, deadline=None)
+def test_trained_plan_equals_interpreter_on_random_graphs(seed):
+    """Trained through whatever the generator drew — the silu and gelu
+    adjoints among it — the optimized plan and the interpreter step to
+    the same bytes."""
+    graph, feed = random_dag(seed, trained=True)
+    program = compile_training(graph, loss="mse",
+                               optimizer=SGD(0.1, momentum=0.9),
+                               scheme=UpdateScheme("w_in", {"w_in": 1.0}))
+    labels = program.meta["labels"]
+    rng = np.random.default_rng(seed)
+    plan = Executor(fork(program))
+    interp = Executor(fork(program), backend="interpreter")
+    for _ in range(2):
+        feeds = {"x": feed, labels: rng.standard_normal(
+            program.graph.spec(labels).shape).astype(np.float32)}
+        got, want = plan.run(feeds), interp.run(feeds)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+    for name in program.state:
+        assert plan.program.state[name].tobytes() \
+            == interp.program.state[name].tobytes(), name
 
 
 @given(st.integers(0, 1000))

@@ -196,6 +196,39 @@ class TestCLI:
                                       if op != "total"))
         assert "step" not in by_op  # no float mask is kept
 
+    def test_memory_names_what_a_buffer_holds_then(self, capsys):
+        """An in-place reuse chain is one buffer holding several values
+        over its life; each table names the one in it at the instruction
+        it shows. On llama_micro's full update every FFN block's
+        ``silu_grad`` writes over the up-projection output the forward
+        keeps for the backward, so a buffer named after its chain's last
+        value would count a backward op as held for the backward."""
+        assert cli_main(["memory", "--model", "llama_micro",
+                         "--batch", "2"]) == 0
+        tables = capsys.readouterr().out.split("\n\n")
+        title = tables[1].splitlines()[0]
+        assert title == ("live at the plan's peak: instruction 116 of 372 "
+                         "(pick), 518784 bytes")
+        *rows, total = [[cell.strip() for cell in line.split("|")]
+                        for line in tables[3].splitlines()[3:]]
+        held = {row[0]: int(row[2]) for row in rows}
+        assert total[0] == "total" and int(total[2]) == 499780
+        # one silu output per block, the value its adjoint reads besides
+        # the gate's matmul output
+        assert held["silu"] == 4 * 2 * 24 * 64 * 4
+        assert "silu_grad" not in held and "mul" in held
+        # every producer runs by the loss: forward ops, the rule-emitted
+        # ops the schedule starts there (RMSNorm's reciprocal, the
+        # cross-entropy adjoint) and the loss itself
+        forward = build_model("llama_micro", batch=2)
+        program = compile_training(
+            forward, optimizer=SGD(0.01), scheme=full_update(forward),
+            options=CompileOptions(materialize_state=False))
+        loss_at = next(i for i, node in enumerate(program.schedule)
+                       if program.meta["loss"] in node.outputs)
+        assert set(held) - {"feed"} <= {
+            node.op_type for node in program.schedule[:loss_at + 1]}
+
     def test_scheme(self, capsys):
         assert cli_main(["scheme", "--model", "bert_micro"]) == 0
         out = capsys.readouterr().out

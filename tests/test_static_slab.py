@@ -87,12 +87,12 @@ class TestMeasuredNotCopied:
         pinned = {("mcunet_micro", "paper_scheme"):
                   (395_328, 395_328, 395_328),
                   ("bert_micro", "paper_scheme"):
-                  (460_352, 460_352, 460_292),
+                  (395_840, 395_840, 395_780),
                   ("distilbert_micro", "paper_scheme"):
-                  (279_104, 279_104, 279_044),
-                  ("llama_micro", "paper_scheme"): (95_552, 95_552, 95_428),
+                  (214_592, 214_592, 214_532),
+                  ("llama_micro", "paper_scheme"): (83_264, 83_264, 83_140),
                   ("llama_micro", "full_update"):
-                  (314_560, 314_560, 314_404)}
+                  (265_408, 265_408, 265_252)}
         which = request.node.callspec.params["zoo_program"]
         if which in pinned:
             assert (spec.slab_bytes, bound, spec.peak_transient_bytes) \
