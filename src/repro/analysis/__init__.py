@@ -20,7 +20,6 @@ including inside deployed workers.
 
 from .asynclint import (lint_module, lint_paths, lint_tree,
                         lint_worker_imports, worker_import_report)
-from .effects import OpEffects, safe_to_defer, stream_effects
 from .planlint import (PlanInterval, check_plan, plan_intervals,
                        report_for, verify_enabled, verify_plan_spec,
                        verify_program)
@@ -28,7 +27,6 @@ from .report import Finding, Report, format_findings, parse_waivers
 
 __all__ = [
     "Finding",
-    "OpEffects",
     "PlanInterval",
     "Report",
     "check_plan",
@@ -40,8 +38,6 @@ __all__ = [
     "parse_waivers",
     "plan_intervals",
     "report_for",
-    "safe_to_defer",
-    "stream_effects",
     "verify_enabled",
     "verify_plan_spec",
     "verify_program",

@@ -48,6 +48,10 @@ PlanSpec` + the program it claims to lower. Views resolved at bind time
 * **fused-link invariants** — interior link values own no slot, chains
   are shape/dtype-stable, every link is a fusable single-output
   elementwise op, only the first link reads no "previous value";
+* **schedule-order** — the instructions, each fused one expanded into its
+  links, name schedule nodes in strictly increasing schedule position: no
+  pass moves a computation, so the plan runs the order the scheduler
+  profiled;
 * **const-arg splices** — a folded scalar names frozen shape-``()``
   state at an in-range position;
 * **honest tuning decisions** (``tuned-*`` rules) — every
@@ -965,6 +969,25 @@ class _PlanChecker:
                           f"table says {entry.variant!r}, instruction "
                           f"runs {instr.variant!r}")
 
+    def _check_schedule_order(self) -> None:
+        """Instructions and fused links run in strictly increasing
+        schedule position (an unknown node is ``unknown-node``'s
+        finding)."""
+        position = {name: idx for idx, name in enumerate(self.nodes)}
+        last, prev = -1, None
+        for idx, instr in enumerate(self.spec.instructions):
+            names = [link.node for link in instr.fused] if instr.fused \
+                else [instr.node]
+            for name in names:
+                here = position.get(name)
+                if here is None:
+                    continue
+                if here <= last:
+                    self.flag("schedule-order", f"instr {idx} ({name!r})",
+                              f"runs schedule node {here} after node "
+                              f"{last} ({prev!r})")
+                last, prev = here, name
+
     # -- end-of-stream checks -------------------------------------------------
 
     def _check_end_state(self, written_state, seen_nodes,
@@ -972,6 +995,7 @@ class _PlanChecker:
         spec = self.spec
         where = "plan"
         self._check_tuned()
+        self._check_schedule_order()
 
         for name in sorted(self.mutable - written_state):
             self.flag("state-not-written", where,

@@ -7,10 +7,9 @@ This package is the optimizing half of plan construction
   slots yet);
 * optimization passes, each ``fn(stream, ctx) -> (stream, stats)``:
 
-  - :mod:`fuse_elementwise` — collapse producer->sole-consumer
-    elementwise runs (adjacent chains, then effect-analysis-proven
-    non-adjacent merges) into single fused instructions (the
-    intermediate slots vanish);
+  - :mod:`fuse_elementwise` — collapse runs of adjacent elementwise
+    instructions, each feeding only the next, into single fused
+    instructions (the intermediate slots vanish; no instruction moves);
   - :mod:`fold_scalars` — bake frozen shape-() state out of the
     register/slot machinery into per-instruction const splices;
   - :mod:`precompute_frozen` — hoist frozen-weight computation

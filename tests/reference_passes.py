@@ -5,12 +5,6 @@ the compiler, copied without edits except where noted, so that
 ``tests/test_compile_single_sweep.py`` can require the rewritten code to
 produce the *same graph, schedule and plan* while doing less work:
 
-* ``reference_stream_effects`` — effect analysis that stores a root set for
-  every value (the current one stores only aliasing values);
-* ``reference_merge_sole_consumers`` — recomputes the effects and both index
-  maps and copies the stream after every merge (one edit since: its byte
-  ledger counts a companion's own result, a hole ``test_differential.py``
-  found in both bodies);
 * ``ReferenceBiasActivationFusionPass`` — rebuilds the consumer map and
   restarts from node 0 after every fusion (``Graph.remove_node`` is gone;
   its one-line body, ``graph.nodes.remove(node)``, is inlined);
@@ -30,11 +24,9 @@ from __future__ import annotations
 
 import importlib
 from collections import defaultdict
-from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.effects import OpEffects, safe_to_defer
 from repro.ir import Graph, GraphBuilder
 from repro.ir.node import Node
 from repro.ir.ops import get_schema
@@ -43,135 +35,6 @@ from repro.passes import (AlgebraicRewritePass, BiasActivationFusionPass,
                           ConstantFoldingPass, ParallelLinearFusionPass)
 from repro.passes.base import Pass, PassContext, PassResult
 from repro.passes.fusion import _PRODUCERS
-from repro.runtime.passes.lower import LoweredOp, LoweringContext
-
-fuse_module = importlib.import_module("repro.runtime.passes.fuse_elementwise")
-_chain_candidate = fuse_module._chain_candidate
-_companion_ok = fuse_module._companion_ok
-_first_link_only = fuse_module._first_link_only
-_merge_ops = fuse_module._merge_ops
-
-_EMPTY: frozenset[str] = frozenset()
-
-
-def reference_stream_effects(stream: Sequence) -> list[OpEffects]:
-    """Per-op effects for a lowered stream, in stream order."""
-    roots: dict[str, frozenset[str]] = {}
-    effects: list[OpEffects] = []
-    for op in stream:
-        reads = _EMPTY
-        for name in op.inputs:
-            reads = reads | roots.get(name, frozenset((name,)))
-        if op.is_view:
-            for out in op.outputs:
-                roots[out] = reads | frozenset((out,))
-            writes = _EMPTY
-        elif op.is_inplace:
-            for out in op.outputs:
-                roots[out] = reads
-            writes = reads
-        else:
-            for out in op.outputs:
-                roots[out] = frozenset((out,))
-            writes = _EMPTY
-        effects.append(OpEffects(reads=reads, writes=writes))
-    return effects
-
-
-
-def reference_merge_sole_consumers(stream: list[LoweredOp], ctx: LoweringContext
-                          ) -> tuple[list[LoweredOp], int]:
-    """Defer pure producers down to their sole consumer and merge.
-
-    Repeats to a fixpoint so a merged chain can itself be deferred into a
-    yet-later consumer. Each move is proven by the effect analysis: no
-    instruction jumped over may mutate anything the moved group reads.
-
-    **Byte neutrality.** Deferring pins the producer's transient inputs
-    until the consumer, so an unconditional merge could peak above the
-    oracle stream. A merge is taken only when the eliminated intermediate
-    frees at least as many bytes as the move pins. To make the common STE
-    shape (``step(x)`` feeding a *later* link of the mask chain, so it
-    cannot itself join the chain) pass the gate, a pinned input whose
-    producer is pure and sole-consumed by the deferred op travels as a
-    **companion**: it moves (unmerged) to just before the merge point,
-    stops pinning, and only its own inputs enter the ledger.
-    """
-    merged = 0
-    changed = True
-    while changed:
-        changed = False
-        effects = reference_stream_effects(stream)
-        consumers: dict[str, list[int]] = {}
-        producer_of: dict[str, int] = {}
-        for idx, op in enumerate(stream):
-            for name in op.inputs:
-                consumers.setdefault(name, []).append(idx)
-            for name in op.outputs:
-                producer_of[name] = idx
-        for i, op in enumerate(stream):
-            if not _chain_candidate(op):
-                continue
-            value = op.outputs[0]
-            if value in ctx.keep:
-                continue
-            uses = consumers.get(value)
-            if not uses or any(u != uses[0] for u in uses):
-                continue
-            j = uses[0]
-            if j <= i:
-                continue
-            cons = stream[j]
-            if not _chain_candidate(cons):
-                continue
-            if not _first_link_only(cons, value):
-                continue
-            if ctx.shape_dtype(value) != ctx.shape_dtype(cons.outputs[0]):
-                continue  # carried value would change form mid-chain
-            if not safe_to_defer(effects, i, j):
-                continue
-            # Recruit companions for inputs the move would otherwise pin.
-            companions: list[int] = []
-            for name in dict.fromkeys(op.inputs):
-                if name in ctx.state_names or name in ctx.keep:
-                    continue
-                if max(consumers.get(name, (i,))) >= j:
-                    continue  # alive past j regardless
-                p = producer_of.get(name)
-                if (p is not None and p < i and _companion_ok(stream[p])
-                        and set(consumers.get(name, ())) == {i}
-                        and safe_to_defer(effects, p, j)):
-                    companions.append(p)
-            group = set(companions) | {i}
-            group_outs = {out for k in group for out in stream[k].outputs}
-            externals = {name for k in group for name in stream[k].inputs
-                         if name not in group_outs}
-            # a companion's result is live at the merge point too
-            pinned = sum(ctx.nbytes(out) for p in companions
-                         for out in stream[p].outputs)
-            for name in externals:
-                if name in ctx.state_names or name in ctx.keep:
-                    continue
-                if max(consumers.get(name, (i,))) < j:
-                    pinned += ctx.nbytes(name)
-            if pinned > ctx.nbytes(value):
-                continue
-            moved = [stream[p] for p in sorted(companions)]
-            new_stream: list[LoweredOp] = []
-            for k, cur in enumerate(stream):
-                if k in group:
-                    continue
-                if k == j:
-                    new_stream.extend(moved)
-                    new_stream.append(_merge_ops(op, cons))
-                else:
-                    new_stream.append(cur)
-            stream = new_stream
-            merged += 1
-            changed = True
-            break
-    return stream, merged
-
 
 
 class ReferenceBiasActivationFusionPass(BiasActivationFusionPass):
@@ -498,9 +361,6 @@ REFERENCES = {
                 ReferenceAlgebraicRewritePass),
     "greedy_schedule": ("repro.passes.reorder", "_greedy_schedule",
                         reference_greedy_schedule),
-    "merge_sole_consumers": ("repro.runtime.passes.fuse_elementwise",
-                             "_merge_sole_consumers",
-                             reference_merge_sole_consumers),
 }
 
 

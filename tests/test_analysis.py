@@ -5,7 +5,8 @@ The plan verifier's contract has two halves, and both are tested here:
 * **soundness** — every class of miscompile the mutation harness can
   inject into a valid :class:`PlanSpec` (swapped slots, truncated
   free-lists, dropped state writes, widened dtypes, lying byte
-  accounting, premature frees, bad donations, phantom nodes) is caught;
+  accounting, premature frees, bad donations, phantom nodes, reordered
+  instructions) is caught;
 * **zero false positives** — every plan the real compiler produces, for
   every model and pass configuration exercised here, verifies clean.
   (The whole tier-1 suite reinforces this: conftest exports
@@ -31,9 +32,11 @@ from repro.kernels import OUT_ALIAS_RULES
 from repro.runtime.compiler import CompileOptions, compile_inference, \
     compile_training
 from repro.serve import ProgramCache
+from repro.sparse import UpdateScheme
 from repro.train import SGD
 
 from conftest import make_mlp_graph
+from test_arena_safety import random_forward
 
 
 def _program(seed=0, passes="default", loss="softmax_ce"):
@@ -138,6 +141,26 @@ class TestVerifierZeroFalsePositives:
                    if ins.reuse_slot >= 0
                    and ins.reuse_slot == ins.input_slots[0]}
         assert {"conv2d", "conv2d_dx"} <= reusing
+
+    @pytest.mark.parametrize("ratio,seed", [
+        (1.0, 22), (1.0, 122), (1.0, 163), (1.0, 288),
+        (0.5, 34), (0.5, 72), (0.5, 83), (0.5, 122)])
+    def test_random_plans_run_in_schedule_order(self, ratio, seed):
+        """Graphs on which fusion once moved an instruction down to its
+        consumer: their plans now run every node, fused links included,
+        in the order the scheduler profiled, and verify clean."""
+        b = random_forward(np.random.default_rng(seed))
+        program = compile_training(
+            b.graph, loss="mse", optimizer=SGD(0.01, momentum=0.9),
+            scheme=UpdateScheme("w", {"w": ratio}))
+        spec = program.plan_spec()
+        assert verify_plan_spec(spec, program) == []
+        position = {node.name: idx
+                    for idx, node in enumerate(program.schedule)}
+        ran = [position[name] for ins in spec.instructions
+               for name in ([link.node for link in ins.fused]
+                            if ins.fused else [ins.node])]
+        assert ran == sorted(set(ran))
 
     def test_roundtripped_spec_clean(self):
         program = _program()
@@ -406,6 +429,25 @@ class TestMutationHarness:
         bad = _mutate_instr(spec, idx, const_args=((99, "nope"),))
         assert {"const-arg-position", "const-arg-source"} \
             <= _rules(bad, program)
+
+    def test_swapped_independent_instructions(self):
+        """Two adjacent zoo instructions with no dataflow between them,
+        swapped: ``schedule-order`` flags every such swap, and is the
+        only rule that sees some of them."""
+        program = _sparse_program()
+        spec = program.plan_spec()
+        found = []
+        for idx in range(len(spec.instructions) - 1):
+            first, second = spec.instructions[idx:idx + 2]
+            if set(first.output_slots) & set(second.input_slots):
+                continue
+            instrs = list(spec.instructions)
+            instrs[idx:idx + 2] = [second, first]
+            rules = _rules(dataclasses.replace(
+                spec, instructions=tuple(instrs)), program)
+            assert "schedule-order" in rules, idx
+            found.append(rules)
+        assert {"schedule-order"} in found
 
     def test_redirected_output_slot(self, victim):
         program, spec = victim

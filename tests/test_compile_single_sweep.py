@@ -1,15 +1,12 @@
 """Same output, less work: the compile path against its previous bodies.
 
-The graph passes, the deferral phase of ``fuse_elementwise`` and the greedy
-scheduler build their whole-graph facts once and keep them exact across
-rewrites. ``tests/reference_passes.py`` holds the bodies they replaced;
-this file requires
+The graph passes and the greedy scheduler build their whole-graph facts
+once and keep them exact across rewrites. ``tests/reference_passes.py``
+holds the bodies they replaced; this file requires
 
 * identical node lists, schedules, fingerprints and plan specs from both,
   on the twelve zoo programs, their inference compiles, ``autotune="cost"``
   and random graphs x {full, sparse} schemes;
-* the facts carried across a deferred merge to equal the facts recomputed
-  from scratch, after every merge;
 * whole-graph rebuild counts that do not grow with model depth;
 * compiling twice to give the same fingerprint and plan (the cache key).
 """
@@ -19,14 +16,12 @@ from __future__ import annotations
 import dataclasses
 import importlib
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.effects import stream_effects
 from repro.errors import AutodiffError, CompileError
 from repro.frontend import InputSpec, trace
 from repro.ir import DType, Graph, GraphBuilder, TensorSpec
@@ -40,19 +35,13 @@ from repro.passes import (CommonSubexpressionEliminationPass, PassContext,
 from repro.passes.reorder import _greedy_schedule
 from repro.runtime.compiler import (CompileOptions, compile_inference,
                                     compile_training)
-from repro.runtime.passes import LoweredOp, LoweringContext, lower
 from repro.sparse import UpdateScheme, full_update
 from repro.train import SGD, Adam
 
-from reference_autodiff import swap_in_primitive_activations
 from reference_passes import (REFERENCES,
                               ReferenceCommonSubexpressionEliminationPass,
-                              reference_greedy_schedule,
-                              reference_merge_sole_consumers,
-                              reference_stream_effects, swap_in_references)
+                              reference_greedy_schedule, swap_in_references)
 from test_arena_safety import random_forward
-
-fuse_module = importlib.import_module("repro.runtime.passes.fuse_elementwise")
 
 ZOO_MODELS = ("mcunet_micro", "mobilenetv2_micro", "resnet_micro",
               "bert_micro", "distilbert_micro", "llama_micro")
@@ -92,7 +81,7 @@ def assert_same_compile(got, want):
         assert got[key] == want[key], key
 
 
-# -- (i) + (iv): zoo identity against the references, and determinism -------
+# -- (i) + (iii): zoo identity against the references, and determinism ------
 
 class TestZooIdentity:
     @pytest.mark.parametrize("model,scheme", ZOO_PROGRAMS)
@@ -149,181 +138,6 @@ class TestRandomGraphIdentity:
         with pytest.MonkeyPatch.context() as patch:
             swap_in_references(patch)
             assert_same_compile(got, compile_random())
-
-
-# -- (ii): facts carried across deferred merges are exact -------------------
-
-def checked_merge(counter):
-    """``_DeferralState.merge`` that re-derives every carried fact after
-    the merge and compares."""
-    merge = fuse_module._DeferralState.merge
-
-    def wrapper(state, i, j, companions):
-        merge(state, i, j, companions)
-        counter["merges"] += 1
-        live = [k for k, op in enumerate(state.stream) if op is not None]
-        compact = state.compact()
-        assert [state.effects[k] for k in live] == stream_effects(compact)
-        assert stream_effects(compact) == reference_stream_effects(compact)
-        assert [state.candidate[k] for k in live] \
-            == [fuse_module._chain_candidate(op) for op in compact]
-        for k, op in enumerate(state.stream):
-            if op is None:
-                assert state.effects[k] == fuse_module._NO_EFFECTS
-                assert not state.candidate[k]
-        consumers: dict[str, list[int]] = {}
-        producer_of: dict[str, int] = {}
-        for k in live:
-            for name in state.stream[k].inputs:
-                consumers.setdefault(name, []).append(k)
-            for name in state.stream[k].outputs:
-                producer_of[name] = k
-        assert state.consumers == consumers
-        assert state.producer_of == producer_of
-
-    return wrapper
-
-
-class FakeContext:
-    """The slice of ``LoweringContext`` the fusion pass reads."""
-
-    def __init__(self, specs, state_names, keep):
-        self.specs, self.state_names, self.keep = specs, state_names, keep
-
-    def spec(self, name):
-        return self.specs[name]
-
-    def shape_dtype(self, name):
-        spec = self.specs[name]
-        return spec.shape, np.dtype(spec.dtype.np)
-
-    def nbytes(self, name):
-        return self.specs[name].nbytes
-
-
-UNARY = ("relu", "tanh", "neg", "step")
-BINARY = ("add", "mul")
-
-
-@st.composite
-def lowered_streams(draw):
-    """A random SSA stream of pure elementwise ops, views and in-place
-    updates over two tensor forms, plus the context describing it."""
-    forms = ((4, 4), (4,))
-    specs = {}
-    state_names = {"p0", "p1"}
-
-    def declare(name, shape):
-        specs[name] = TensorSpec(name, shape)
-        return name
-
-    values = [declare("x0", forms[0]), declare("x1", forms[1]),
-              declare("p0", forms[0]), declare("p1", forms[1])]
-    stream = []
-    for index in range(draw(st.integers(3, 24))):
-        kind = draw(st.sampled_from(("unary",) * 4 + ("binary",) * 3
-                                    + ("view", "apply")))
-        src = draw(st.sampled_from(values))
-        out = f"v{index}"
-        if kind == "unary":
-            stream.append(LoweredOp(f"n{index}", draw(st.sampled_from(UNARY)),
-                                    (src,), (out,)))
-            values.append(declare(out, specs[src].shape))
-        elif kind == "binary":
-            other = draw(st.sampled_from(values))
-            shape = max(specs[src].shape, specs[other].shape, key=len)
-            stream.append(LoweredOp(f"n{index}",
-                                    draw(st.sampled_from(BINARY)),
-                                    (src, other), (out,)))
-            values.append(declare(out, shape))
-        elif kind == "view":
-            stream.append(LoweredOp(f"n{index}", "reshape", (src,), (out,)))
-            values.append(declare(out, specs[src].shape))
-        else:
-            param = "p0" if specs[src].shape == forms[0] else "p1"
-            stream.append(LoweredOp(f"n{index}", "apply_sgd", (param, src),
-                                    (out,)))
-            declare(out, specs[param].shape)  # aliases the parameter
-    produced = [op.outputs[0] for op in stream]
-    keep = set(draw(st.lists(st.sampled_from(produced), max_size=3)))
-    keep.add(produced[-1])
-    return stream, FakeContext(specs, state_names, keep)
-
-
-def stream_form(stream):
-    return [(op.node, op.kernel, op.inputs, op.outputs, op.fused)
-            for op in stream]
-
-
-class TestCarriedDeferralState:
-    @given(lowered_streams())
-    @settings(max_examples=150, deadline=None)
-    def test_carried_facts_equal_recomputed_after_every_merge(self, case):
-        stream, ctx = case
-        counter = Counter()
-        with mock.patch.object(fuse_module._DeferralState, "merge",
-                               checked_merge(counter)):
-            got, merged = fuse_module._merge_sole_consumers(list(stream), ctx)
-        assert merged == counter["merges"]
-        want, want_merged = reference_merge_sole_consumers(list(stream), ctx)
-        assert merged == want_merged
-        assert stream_form(got) == stream_form(want)
-
-    @given(lowered_streams())
-    @settings(max_examples=100, deadline=None)
-    def test_whole_pass_equals_reference(self, case):
-        stream, ctx = case
-        got, stats = fuse_module.fuse_elementwise(list(stream), ctx)
-        with mock.patch.object(fuse_module, "_merge_sole_consumers",
-                               reference_merge_sole_consumers):
-            want, want_stats = fuse_module.fuse_elementwise(list(stream), ctx)
-        assert stream_form(got) == stream_form(want)
-        assert stats == want_stats
-
-    def test_generator_reaches_merges_and_companions(self):
-        """The property above is not vacuous: the strategy's streams do
-        defer, with and without companions."""
-        counter = Counter()
-        merge = fuse_module._DeferralState.merge
-
-        def counting(state, i, j, companions):
-            counter["merges"] += 1
-            counter["with_companions"] += bool(companions)
-            merge(state, i, j, companions)
-
-        @given(lowered_streams())
-        @settings(max_examples=200, deadline=None, database=None,
-                  derandomize=True)
-        def run(case):
-            stream, ctx = case
-            fuse_module._merge_sole_consumers(list(stream), ctx)
-
-        with mock.patch.object(fuse_module._DeferralState, "merge", counting):
-            run()
-        assert counter["merges"] >= 20
-        assert counter["with_companions"] >= 1
-
-    @pytest.mark.parametrize("model,scheme", [
-        ("bert_micro", "full_update"), ("bert_micro", "paper_scheme"),
-        ("distilbert_micro", "full_update")])
-    def test_zoo_merges_keep_carried_facts_exact(self, model, scheme,
-                                                 monkeypatch):
-        """Deferral on zoo-sized streams. No zoo program defers under
-        today's rules: the CNNs' deferred merges were all float ReLU-mask
-        chains, which are bits now, the BERTs' were their GELU backward
-        chains, which are one ``gelu_grad`` now, and ``llama_micro`` never
-        had one. So the BERTs are compiled with GELU's primitive chain
-        (``tests/reference_autodiff.py``), and both counts are pinned."""
-        counter = Counter()
-        with mock.patch.object(fuse_module._DeferralState, "merge",
-                               checked_merge(counter)):
-            compile_zoo(model, scheme)
-            assert counter["merges"] == 0
-            swap_in_primitive_activations(monkeypatch)
-            program = compile_zoo(model, scheme)
-        assert counter["merges"] >= 3
-        stream = lower(LoweringContext(program))
-        assert stream_effects(stream) == reference_stream_effects(stream)
 
 
 # -- graph passes -----------------------------------------------------------
@@ -465,7 +279,7 @@ class TestScheduler:
         assert not isinstance(err.value, ValueError)
 
 
-# -- (iii): whole-graph rebuilds do not grow with depth ---------------------
+# -- (ii): whole-graph rebuilds do not grow with depth ----------------------
 
 def llama_at_depth(num_blocks):
     config = dataclasses.replace(LLAMA_CONFIGS["llama_micro"],
@@ -490,8 +304,6 @@ def count_whole_graph_work(monkeypatch, build):
 
         monkeypatch.setattr(target, attr, wrapper)
 
-    counted("repro.runtime.passes.fuse_elementwise", "stream_effects",
-            "stream_effects")
     counted(Graph, "consumer_map", "consumer_map")
     counted(Graph, "_drop_orphan_values", "_drop_orphan_values")
     counted(Graph, "topological_order", "topological_order")
@@ -517,7 +329,6 @@ class TestWorkDoesNotGrowWithDepth:
             large, large_calls = count_whole_graph_work(patch, deep)
         assert len(large.graph.nodes) > 1.5 * len(small.graph.nodes)
         assert large_calls == small_calls
-        assert small_calls["stream_effects"] == 1
         assert small_calls["live_ranges"] == 3   # the three candidates
         assert small_calls["profile_memory"] == 3
 

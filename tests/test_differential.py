@@ -125,9 +125,8 @@ def assert_matches_interpreter(program, rng, steps: int = 3) -> None:
 @pytest.mark.parametrize("passes", PASS_CONFIGS, ids=config_id)
 @pytest.mark.parametrize("ratio", [1.0, 0.5], ids=["full", "sparse"])
 @given(seed=st.integers(0, 100_000))
-# sparse x fuse_elementwise: a deferred add took its matmul along as a
-# companion, and the companion's result — live at the merge point, absent
-# from the pass's byte ledger — put the plan's peak 64 B above the oracle's
+# once exposed a byte-ledger hole in a since-deleted fusion phase (the
+# plan's peak 64 B above the oracle's); kept as a plan peak <= oracle input
 @example(seed=330)
 @settings(max_examples=25, deadline=None)
 def test_plan_equals_interpreter(ratio, passes, autotune, seed):

@@ -405,10 +405,10 @@ def _mcunet_sparse_program(**option_kwargs):
 
 class TestFoldScalarsStructure:
     def test_mcunet_folds_scalars_and_meets_instruction_budget(self):
-        """The second-wave pipeline target: non-adjacent fusion plus
-        constant folding push the MCUNet sparse step under 99
-        instructions, with scalar hyperparameters spliced as const args
-        instead of occupying slots."""
+        """The second-wave pipeline target: fusion plus constant folding
+        push the MCUNet sparse step under 99 instructions, with scalar
+        hyperparameters spliced as const args instead of occupying
+        slots."""
         spec = _mcunet_sparse_program().plan_spec()
         assert len(spec.instructions) < 99
         folded = sum(len(i.const_args) for i in spec.instructions)
@@ -419,9 +419,9 @@ class TestFoldScalarsStructure:
         # A folded-only scalar holds no slot; nothing is double-bound.
         assert not (const_names & bound_names)
 
-    def test_non_adjacent_fusion_keeps_oracle_peak(self):
-        """Deferred-consumer merges must stay byte-neutral: the default
-        pipeline's peak transient never exceeds the unoptimized plan's."""
+    def test_default_pipeline_keeps_oracle_peak(self):
+        """The default pipeline's peak transient never exceeds the
+        unoptimized plan's."""
         tuned = _mcunet_sparse_program().plan_spec()
         oracle = build_plan_spec(_mcunet_sparse_program(), passes="none")
         assert tuned.peak_transient_bytes <= oracle.peak_transient_bytes
