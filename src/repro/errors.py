@@ -66,6 +66,14 @@ class ServeError(ReproError):
     """The fine-tuning service was misused (unknown session, closed, ...)."""
 
 
+class ServiceClosed(ServeError):
+    """The service or its scheduler is shutting down and refuses new work.
+
+    Typed so callers map it without reading the message: the gateway
+    answers ``503`` for it on every route, whatever ids the message names.
+    """
+
+
 class CheckpointError(ServeError):
     """A session checkpoint is unreadable (corrupt, truncated, or a
     version this runtime does not speak).

@@ -6,11 +6,18 @@ admission control is first-class. Connections are coroutines on one
 event loop, so the number of held connections is bounded by file
 descriptors, not threads — thousands of keep-alive clients cost a few
 KB each, while the old thread-per-connection design topped out at the
-thread budget. The service behind the gateway is unchanged and still
-threaded: the scheduler coalesces, the worker pool executes, and each
-step's :class:`concurrent.futures.Future` is bridged onto the loop with
+thread budget. The service behind the gateway is threaded: under load
+the scheduler coalesces, the worker pool executes, and each step's
+:class:`concurrent.futures.Future` is bridged onto the loop with
 ``asyncio.wrap_future`` so an awaiting handler suspends instead of
-pinning a thread.
+pinning a thread. An idle server skips that round trip: the step handler
+*claims* its request at submit, yields once so every request already
+readable reaches the queue, and — if its request is still the only work
+— runs it as a batch of one right on the loop and answers with no thread
+handoff. That is the one deliberate synchronous call on the loop, and it
+is bounded: the service grants a claim only when the session's last step
+executed in less than ``sys.getswitchinterval()``, so it blocks the loop
+no longer than a pool thread holding the GIL already can.
 
 Protocol (control bodies JSON; step bodies JSON or binary)::
 
@@ -105,7 +112,7 @@ from urllib.parse import parse_qs
 import numpy as np
 
 from ..errors import (CheckpointError, DeadlineExpired, FaultInjected,
-                      ReproError, ServeError)
+                      ReproError, ServeError, ServiceClosed)
 from ..obs import mint_request_id, server_timing_header
 from . import wire
 from .checkpoint import MAGIC as _CKPT_MAGIC
@@ -619,7 +626,7 @@ class GatewayServer:
                     model_kwargs=payload.get("model_kwargs"),
                 ))
         except ServeError as exc:
-            status = 503 if "closed" in str(exc) else 400
+            status = 503 if isinstance(exc, ServiceClosed) else 400
             self._send_json(request, status, {"error": str(exc)})
             return
         except (ReproError, KeyError, ValueError, TypeError) as exc:
@@ -765,7 +772,7 @@ class GatewayServer:
             return
         except ServeError as exc:
             msg = str(exc)
-            status = 503 if "closed" in msg \
+            status = 503 if isinstance(exc, ServiceClosed) \
                 else 409 if "already open" in msg else 400
             self._send_json(request, status, {"error": msg})
             return
@@ -896,28 +903,40 @@ class GatewayServer:
             request.request_id, session_id=session_id,
             tenant=session.tenant)
         trace.add("admission", began, time.perf_counter())
+        scheduler = self.service.scheduler
         try:
             future = self.service.submit(session_id, x, y, trace=trace,
                                          deadline=deadline,
-                                         idempotency_key=idem_key)
+                                         idempotency_key=idem_key,
+                                         claim=True)
         except DeadlineExpired as exc:
             self._send_json(request, 504, {"error": str(exc),
                                            "deadline_expired": True})
             return
         except ServeError as exc:
-            status = 503 if "closed" in str(exc) else 400
+            status = 503 if isinstance(exc, ServiceClosed) else 400
             self._send_json(request, status, {"error": str(exc)})
             return
+        # One yield before running a claim: every request that is already
+        # readable reaches admission and the queue, and run_claimed then
+        # sees it and hands the claim to the pool, where it can coalesce.
+        try:
+            await asyncio.sleep(0)
+        except asyncio.CancelledError:
+            scheduler.release_claim(future)
+            raise
 
         timeout = self.step_timeout
         if deadline is not None:
             timeout = min(timeout, max(0.0, deadline - time.monotonic()))
         try:
-            # Bridge the scheduler's concurrent future onto the loop: the
-            # handler suspends here without pinning a thread, which is
-            # what lets held connections outnumber the thread budget.
-            result = await asyncio.wait_for(asyncio.wrap_future(future),
-                                            timeout=timeout)
+            result = scheduler.run_claimed(future)
+            if result is None:
+                # Bridge the scheduler's concurrent future onto the loop:
+                # the handler suspends here without pinning a thread, which
+                # is what lets held connections outnumber the thread budget.
+                result = await asyncio.wait_for(asyncio.wrap_future(future),
+                                                timeout=timeout)
         except asyncio.CancelledError:
             if future.cancelled():
                 # service shutdown cancelled the queued step
@@ -957,7 +976,8 @@ class GatewayServer:
         self._step_latency.observe((serialize_began - began) * 1e3)
         if trace.spans:
             # resume: the scheduler thread resolved the future at the end
-            # of its last span; the loop woke this coroutine here. Without
+            # of its last span; the loop woke this coroutine here (about
+            # nothing on a claimed step, which ran on the loop). Without
             # it the handoff is unaccounted time and span coverage lies.
             trace.add("resume", max(s.ended for s in trace.spans),
                       serialize_began)

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DeadlineExpired, ServeError
+from ..errors import DeadlineExpired, ServeError, ServiceClosed
 from ..obs import TraceContext
 from .metrics import MetricsRegistry
 from .sessions import TenantSession
@@ -130,6 +130,12 @@ class BatchScheduler:
         self._deadline_expired = self._metrics.counter(
             "serve.deadline_expired",
             "requests shed because their end-to-end deadline passed")
+        self._claims_run = self._metrics.counter(
+            "serve.claims_run_total",
+            "claimed steps run as a batch of one on the claiming thread")
+        self._claims_released = self._metrics.counter(
+            "serve.claims_released_total",
+            "claimed steps handed to the worker pool instead")
         # Live, not set-on-render: the gateway's admission control and
         # /v1/metrics read this between renders, so it samples the real
         # queues on every read instead of whatever the last render saw.
@@ -144,6 +150,9 @@ class BatchScheduler:
         self._ready: deque[str] = deque()   # sessions awaiting dispatch
         self._sessions: dict[str, TenantSession] = {}
         self._inflight: set[str] = set()
+        #: the one request claimed by an idle-time submit and not yet run
+        #: or released; its session is in ``_inflight`` meanwhile
+        self._claim: StepRequest | None = None
         #: batches executed and released but whose futures are still being
         #: resolved — keeps drain() meaning "and every result delivered"
         self._acking = 0
@@ -163,7 +172,8 @@ class BatchScheduler:
                trace: TraceContext | None = None,
                submitted_at: float | None = None,
                deadline: float | None = None,
-               idem_key: str | None = None) -> Future:
+               idem_key: str | None = None,
+               claim: bool = False) -> Future:
         """Enqueue one single-example step; returns a Future[StepResult].
 
         ``submitted_at`` backdates the queue_wait span to when the caller
@@ -173,6 +183,13 @@ class BatchScheduler:
         ``time.monotonic()``) sheds the request at batch-cut time if it
         has already expired — the future fails with
         :class:`~repro.errors.DeadlineExpired` and no work runs.
+
+        With ``claim`` set and nothing queued or in flight, the request is
+        queued and its session marked in flight *without* waking the
+        dispatcher: the caller owns it and must settle it with
+        :meth:`run_claimed` or :meth:`release_claim` (until then
+        :meth:`drain` waits for it). When the scheduler is busy the claim
+        is simply not taken and the request queues as usual.
         """
         request = StepRequest(session=session, x=x, y=y, trace=trace,
                               deadline=deadline, idem_key=idem_key)
@@ -180,7 +197,13 @@ class BatchScheduler:
             request.submitted_at = submitted_at
         with self._work:
             if self._closing:
-                raise ServeError("scheduler is closed")
+                raise ServiceClosed("scheduler is closed")
+            if claim and not self._queues and not self._inflight:
+                self._queues[session.id] = deque((request,))
+                self._sessions[session.id] = session
+                self._inflight.add(session.id)
+                self._claim = request
+                return request.future
             queue = self._queues.get(session.id)
             if queue is None:
                 queue = self._queues[session.id] = deque()
@@ -194,6 +217,60 @@ class BatchScheduler:
             # strand the dispatcher until the next submit
             self._work.notify_all()
         return request.future
+
+    def run_claimed(self, future: Future) -> StepResult | None:
+        """Run the claimed request behind ``future`` on the calling thread.
+
+        If that request is still the scheduler's only work, it runs as a
+        batch of one right here and its :class:`StepResult` is returned
+        (the batch's error is raised); ``future`` resolves as well, for
+        any retry attached to it. Otherwise — other work arrived since the
+        claim, or ``future`` holds no claim — the request goes to the
+        dispatcher and None is returned: await ``future`` as usual. None
+        also means the request was shed or cancelled before it ran;
+        ``future`` says why.
+        """
+        with self._work:
+            request = self._claim
+            if request is None or request.future is not future:
+                return None
+            self._claim = None
+            session_id = request.session.id
+            queue = self._queues.get(session_id)
+            if queue is None or len(queue) > 1 or len(self._queues) > 1 \
+                    or len(self._inflight) > 1:
+                self._release_locked(session_id)
+                return None
+        self._claims_run.inc()
+        # A claimed run never holds for fill: while it holds the caller's
+        # thread, nothing else that could fill the batch gets to submit.
+        outcomes, error = self._execute(session_id, hold=False)
+        if error is not None:
+            raise error
+        # a submit from another thread may have joined the batch since
+        # the check above; the claimed request is still the first
+        for done, final in outcomes:
+            if done is request:
+                return final
+        return None
+
+    def release_claim(self, future: Future) -> None:
+        """Hand the claimed request behind ``future`` to the dispatcher
+        (a no-op once it has run or been released)."""
+        with self._work:
+            request = self._claim
+            if request is not None and request.future is future:
+                self._claim = None
+                self._release_locked(request.session.id)
+
+    def _release_locked(self, session_id: str) -> None:
+        """(lock held) Drop a claim's in-flight mark; queue what is left."""
+        self._claims_released.inc()
+        self._inflight.discard(session_id)
+        if session_id in self._queues and session_id not in self._ready:
+            self._ready.append(session_id)
+        self._work.notify_all()
+        self._idle.notify_all()
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until every queued request has been executed and its
@@ -321,7 +398,11 @@ class BatchScheduler:
                 self._inflight.add(session_id)
             self._pool.submit(self._execute, session_id)
 
-    def _execute(self, session_id: str) -> None:
+    def _execute(self, session_id: str, hold: bool = True
+                 ) -> tuple[list[tuple[StepRequest, StepResult]],
+                            BaseException | None]:
+        """Cut and run one batch of ``session_id``; returns the resolved
+        ``(request, result)`` pairs and the batch's error, if any."""
         with self._work:
             session = self._sessions.get(session_id)
             if session is None:
@@ -329,13 +410,13 @@ class BatchScheduler:
                 # dispatch and execution; nothing left to run.
                 self._inflight.discard(session_id)
                 self._idle.notify_all()
-                return
+                return [], None
             queue = self._queues.get(session_id)
             if queue is None:
                 self._inflight.discard(session_id)
                 self._idle.notify_all()
-                return
-            if self._hold_s > 0.0:
+                return [], None
+            if hold and self._hold_s > 0.0:
                 self._hold_for_fill(queue)
             batch = self._cut_batch(queue)
             if not queue:
@@ -426,3 +507,4 @@ class BatchScheduler:
             with self._idle:
                 self._acking -= 1
                 self._idle.notify_all()
+        return outcomes, error

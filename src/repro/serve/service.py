@@ -9,7 +9,8 @@ Composition of the serving layer (paper workflow, made long-lived):
 * :class:`~repro.serve.sessions.SessionManager` — per-tenant mutable state
   over the shared programs.
 * :class:`~repro.serve.scheduler.BatchScheduler` — coalesces single-example
-  step requests into bucketed micro-batches on a worker pool.
+  step requests into bucketed micro-batches on a worker pool; an idle
+  service runs a claimed step on the caller's thread instead.
 * :class:`~repro.serve.metrics.MetricsRegistry` — throughput, cache hit
   rate, latency quantiles, per-program peak transient bytes.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import tempfile
 import threading
 from concurrent.futures import Future
@@ -33,7 +35,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import CheckpointError, DeadlineExpired, ServeError
+from ..errors import (CheckpointError, DeadlineExpired, ServeError,
+                      ServiceClosed)
 from ..ir import Graph
 from ..models import build_model, paper_scheme
 from ..obs import TraceCarrier, TraceContext, Tracer, render_prometheus
@@ -173,6 +176,13 @@ class ProgramFamily:
         self._service._record_compile(self, key, program,
                                       (perf_counter() - began) * 1e3)
         return program
+
+    def resident(self, batch: int) -> bool:
+        """Whether the ``batch`` variant is compiled and in the cache, so
+        running it compiles nothing."""
+        with self._lock:
+            key = self._bucket_keys.get(batch)
+        return key is not None and key in self._service.cache
 
     def template_state(self) -> dict[str, np.ndarray]:
         """The initial mutable state new sessions copy (shared template)."""
@@ -539,7 +549,8 @@ class FineTuneService:
                y: np.ndarray,
                trace: TraceContext | None = None,
                deadline: float | None = None,
-               idempotency_key: str | None = None) -> Future:
+               idempotency_key: str | None = None,
+               claim: bool = False) -> Future:
         """Enqueue one single-example step; returns a Future[StepResult].
 
         ``x`` and ``y`` are checked before anything is queued: shapes, and
@@ -563,6 +574,12 @@ class FineTuneService:
         optimizer update); a key still in flight returns the in-flight
         future; otherwise the step executes and its result is recorded
         under the key before the future resolves.
+
+        ``claim`` asks to run the step on the caller's thread if the
+        scheduler is idle (see :meth:`BatchScheduler.submit`); it is passed
+        on only when :meth:`_claimable` holds. A caller that sets it must
+        settle the future with ``scheduler.run_claimed`` or
+        ``scheduler.release_claim``.
         """
         entered = perf_counter()
         self._check_open()
@@ -594,13 +611,14 @@ class FineTuneService:
                                       tenant=session.tenant)
         x = x.astype(family.example_dtype, copy=False)
         y = y.astype(family.label_dtype, copy=False)
+        claim = claim and self._claimable(session)
         if idempotency_key is None:
             # queue_wait is backdated to service entry so shape validation
             # and dtype copies are attributed to a span instead of falling
             # into the gap between admission and the scheduler queue.
             return self.scheduler.submit(session, x, y, trace=trace,
                                          submitted_at=entered,
-                                         deadline=deadline)
+                                         deadline=deadline, claim=claim)
         # The window probe, the in-flight probe, and the enqueue must be
         # one atomic step against a concurrent retry with the same key —
         # otherwise two retries racing a miss both enqueue and the step
@@ -619,14 +637,41 @@ class FineTuneService:
             future = self.scheduler.submit(session, x, y, trace=trace,
                                            submitted_at=entered,
                                            deadline=deadline,
-                                           idem_key=idempotency_key)
+                                           idem_key=idempotency_key,
+                                           claim=claim)
             session.note_pending(idempotency_key, future)
             return future
 
+    def _claimable(self, session: TenantSession) -> bool:
+        """Whether a step of ``session`` may run on the submitting thread.
+
+        Only on the thread backend, only when running it compiles nothing
+        and writes no auto-checkpoint, and only when the session's last
+        step executed in less than the interpreter's GIL switch interval:
+        a claimed step then blocks its caller (the gateway's event loop) no
+        longer than a pool thread holding the GIL already can.
+        """
+        last = session.last_execute_s
+        return self.engine is None and last is not None \
+            and last < sys.getswitchinterval() \
+            and not self._checkpoint_due(session, steps=1) \
+            and session.family.resident(1)
+
+    def _checkpoint_due(self, session: TenantSession, steps: int = 0) -> bool:
+        """Whether the auto-checkpoint cadence is reached ``steps``
+        updates from now (0: by the updates already recorded)."""
+        return self.checkpoints is not None and self.checkpoint_every > 0 \
+            and session.steps_since_checkpoint + steps \
+            >= self.checkpoint_every
+
     def step(self, session_id: str, x: np.ndarray,
              y: np.ndarray) -> StepResult:
-        """Synchronous convenience wrapper around :meth:`submit`."""
-        return self.submit(session_id, x, y).result()
+        """Synchronous convenience wrapper around :meth:`submit`; the
+        caller blocks anyway, so an idle service runs the step right on
+        the caller's thread."""
+        future = self.submit(session_id, x, y, claim=True)
+        result = self.scheduler.run_claimed(future)
+        return future.result() if result is None else result
 
     def drain(self, timeout: float | None = None) -> bool:
         return self.scheduler.drain(timeout=timeout)
@@ -863,9 +908,9 @@ class FineTuneService:
                     request_ids=trace_ids, session_id=session.id)
         ended = perf_counter()
         elapsed_ms = (ended - began) * 1e3
+        session.last_execute_s = ended - began
         session.record(loss, len(batch))
-        if self.checkpoints is not None and self.checkpoint_every \
-                and session.steps_since_checkpoint >= self.checkpoint_every:
+        if self._checkpoint_due(session):
             # Auto-checkpoint rides the step that crossed the threshold;
             # a failed write must not fail the step (the update is already
             # applied) — count it and keep serving.
@@ -918,7 +963,7 @@ class FineTuneService:
 
     def _check_open(self) -> None:
         if self._closed:
-            raise ServeError("service is closed")
+            raise ServiceClosed("service is closed")
 
     def close(self, wait: bool = True) -> None:
         self.shutdown(drain_timeout=None if wait else 0.0)

@@ -69,6 +69,10 @@ class TenantSession:
         #: optimizer updates applied since the last checkpoint write
         #: (drives --checkpoint-every)
         self.steps_since_checkpoint = 0
+        #: wall seconds of the session's last executed step (None until
+        #: the first): the bound that lets the service run the next step
+        #: on the submitting thread
+        self.last_execute_s: float | None = None
         # Idempotent replay bookkeeping. Guarded by its own small RLock,
         # NOT self.lock: the session lock is held across whole engine
         # steps, and a dedupe probe must never block behind one. The

@@ -1001,6 +1001,35 @@ class TestGatewayDurability:
                 client.restore(framed[: len(framed) // 2])
             assert info.value.status == 422
 
+    def test_restore_over_a_live_session_named_closed_is_409(self):
+        """Regression: a conflict whose message happens to contain
+        "closed" (here, via the session id) is a 409, not a shutdown
+        503."""
+        with mlp_gateway() as (service, _gw, client, _mlp):
+            sid = client.create_session("mcunet_micro")["session_id"]
+            ckpt = service._checkpoint_payload(service.sessions.get(sid))
+            ckpt.session["id"] = "closed-1"
+            blob = dump_checkpoint(ckpt)
+            assert client.restore(blob)["session_id"] == "closed-1"
+            with pytest.raises(GatewayError) as info:
+                client.restore(blob)
+            assert info.value.status == 409
+
+    def test_claimed_ack_then_delete_is_200(self, monkeypatch):
+        """A claimed step resolves its future on the loop thread; the
+        client holding its ack may close the session at once."""
+        # a loaded host must not push the MLP step past the claim bound
+        monkeypatch.setattr("sys.getswitchinterval", lambda: 1.0)
+        with mlp_gateway() as (service, _gw, client, _mlp):
+            rng = np.random.default_rng(2)
+            for _ in range(5):
+                session = service.create_session(build_mlp, model_id="mlp",
+                                                 scheme="full")
+                for _ in range(2):  # the first step is timed on the pool
+                    client.step(session.id, *mlp_example(rng))
+                assert client.close_session(session.id)["steps"] == 2
+            assert service.stats()["serve.claims_run_total"] == 5
+
     def test_checkpoint_route_conflicts(self, tmp_path):
         with mlp_gateway() as (_service, _gw, client, session):
             with pytest.raises(GatewayError) as info:

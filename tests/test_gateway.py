@@ -9,6 +9,7 @@ whose scheduler can be stalled deterministically.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.request
@@ -44,9 +45,11 @@ def mlp_example(rng):
 
 @contextmanager
 def mlp_gateway(*, workers=1, max_batch=2, max_queue_depth=64,
-                rate_limit=None, rate_burst=None, sessions=1):
+                rate_limit=None, rate_burst=None, sessions=1,
+                **service_kwargs):
     """A gateway over an MLP-backed service with pre-opened sessions."""
-    service = FineTuneService(max_batch=max_batch, workers=workers)
+    service = FineTuneService(max_batch=max_batch, workers=workers,
+                              **service_kwargs)
     gateway = GatewayServer(service, max_queue_depth=max_queue_depth,
                             rate_limit=rate_limit, rate_burst=rate_burst)
     gateway.start()
@@ -367,6 +370,26 @@ class TestShutdown:
             service.submit(session.id, *map(np.asarray, mlp_example(rng)))
         client.close()
 
+    def test_every_route_answers_503_once_the_service_is_shut_down(self):
+        """Shutdown is told apart by type, not by message: step, create
+        and restore all answer 503 while the front door still listens."""
+        rng = np.random.default_rng(3)
+        with mlp_gateway() as (service, gateway, client, (session,)):
+            blob = service.checkpoint_bytes(session.id)
+            service.shutdown()
+            calls = {
+                "step": lambda: client.step(session.id, *mlp_example(rng),
+                                            wait=False),
+                "create": lambda: client.create_session("mcunet_micro"),
+                "restore bytes": lambda: client.restore(blob),
+                "restore stored": lambda: client.restore(
+                    session_id=session.id),
+            }
+            for route, call in calls.items():
+                with pytest.raises(GatewayError) as info:
+                    call()
+                assert info.value.status == 503, route
+
     def test_drained_close_resolves_everything(self):
         rng = np.random.default_rng(8)
         with mlp_gateway() as (service, gateway, client, (session,)):
@@ -635,3 +658,76 @@ class TestBatchHold:
         assert count_hold and count_hold >= 1
         assert fill_hold is not None and fill_hold > 0.25, \
             "held dispatch should beat one-request batches"
+
+
+# ---------------------------------------------------------------------------
+# claimed steps: an idle server runs the step on the event loop
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fast_bound(monkeypatch):
+    """Lift the claim bound so a loaded host cannot push the MLP step
+    past it (the bound itself is tested in test_serve.py)."""
+    monkeypatch.setattr(sys, "getswitchinterval", lambda: 1.0)
+
+
+class TestClaimedSteps:
+
+    def test_sequential_steps_run_on_the_loop(self, fast_bound):
+        rng = np.random.default_rng(11)
+        with mlp_gateway() as (service, _gateway, client, (session,)):
+            for _ in range(10):
+                client.step(session.id, *mlp_example(rng))
+            stats = service.stats()
+        # the first step has no measured execute time yet: it pools
+        assert stats["serve.claims_run_total"] >= 9
+        assert stats["serve.batches_total"] == 10
+
+    def test_concurrent_connections_still_coalesce(self, fast_bound):
+        """2 sessions x 8 connections: the pool still cuts batches of more
+        than one, and claims run only at idle moments."""
+        rng = np.random.default_rng(12)
+        with mlp_gateway(max_batch=8, sessions=2) as (
+                service, gateway, _client, sessions):
+            pools = [[mlp_example(rng) for _ in range(12)]
+                     for _ in range(16)]
+            barrier = threading.Barrier(16)
+            errors = []
+
+            def connection(i):
+                with ServeClient(gateway.url) as client:
+                    barrier.wait()
+                    try:
+                        for x, y in pools[i]:
+                            client.step(sessions[i % 2].id, x, y)
+                    except Exception as exc:  # noqa: BLE001 - reported
+                        errors.append(exc)
+
+            threads = [threading.Thread(target=connection, args=(i,))
+                       for i in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not errors
+            stats = service.stats()
+        assert stats["serve.examples_total"] == 16 * 12
+        assert stats["serve.batch_size"]["mean"] > 1
+        assert stats["serve.claims_run_total"] \
+            < stats["serve.batches_total"] / 4
+
+    def test_claimed_run_never_holds_for_fill(self, fast_bound):
+        """With a hold window and one worker, a lone client's pooled step
+        waits out the hold; a claimed one must not, since nothing else can
+        submit while it holds the loop."""
+        rng = np.random.default_rng(13)
+        with mlp_gateway(workers=1, batch_hold_ms=50.0) as (
+                service, _gateway, client, (session,)):
+            took = []
+            for _ in range(20):
+                began = time.perf_counter()
+                client.step(session.id, *mlp_example(rng))
+                took.append(time.perf_counter() - began)
+            claims = service.stats()["serve.claims_run_total"]
+        assert claims >= 19
+        assert max(took[1:]) < 0.030, took

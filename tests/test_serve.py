@@ -8,6 +8,7 @@ sequential execution.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -804,6 +805,216 @@ class TestSchedulerLifecycle:
         ran = {(sid, i) for sid, i in executed if sid != "blocker"}
         assert ran == {(sid, i) for sid, i in futures if (sid, i)
                        not in cancelled}
+
+
+class TestClaimedSteps:
+    """An idle scheduler lets the submitter run its step as a batch of one
+    on its own thread; any other work sends the claim to the pool."""
+
+    class StubSession:
+        def __init__(self, sid):
+            self.id = sid
+
+    @staticmethod
+    def _scheduler(max_batch=2, fail=False, gate=None):
+        from repro.serve import BatchScheduler, StepResult
+
+        ran = []
+
+        def runner(session, batch):
+            if gate is not None:
+                assert gate.wait(timeout=30)
+            ran.append((threading.current_thread(), len(batch)))
+            if fail:
+                raise RuntimeError("boom")
+            return StepResult(session_id=session.id, loss=0.0, step=0,
+                              batch_size=len(batch), program_key="k")
+
+        registry = MetricsRegistry()
+        scheduler = BatchScheduler(runner, max_batch=max_batch, workers=1,
+                                   metrics=registry)
+        return scheduler, ran, registry
+
+    def test_idle_claim_runs_on_the_calling_thread(self):
+        scheduler, ran, registry = self._scheduler()
+        try:
+            session = self.StubSession("s")
+            future = scheduler.submit(session, np.int64(0), np.int64(0),
+                                      claim=True)
+            assert scheduler.pending("s") and not future.done()
+            result = scheduler.run_claimed(future)
+            assert result.batch_size == 1
+            assert future.result(0) == result
+            assert ran == [(threading.current_thread(), 1)]
+            assert not scheduler.pending("s")
+            assert scheduler.run_claimed(future) is None  # settled once
+            stats = registry.as_dict()
+            assert stats["serve.claims_run_total"] == 1
+            assert stats["serve.claims_released_total"] == 0
+        finally:
+            scheduler.close()
+
+    def test_busy_scheduler_takes_no_claim(self):
+        gate = threading.Event()
+        scheduler, ran, registry = self._scheduler(gate=gate)
+        try:
+            busy = scheduler.submit(self.StubSession("a"), np.int64(0),
+                                    np.int64(0))
+            future = scheduler.submit(self.StubSession("b"), np.int64(0),
+                                      np.int64(0), claim=True)
+            assert scheduler.run_claimed(future) is None
+            gate.set()
+            busy.result(timeout=30)
+            assert future.result(timeout=30).batch_size == 1
+            assert all(thread is not threading.current_thread()
+                       for thread, _ in ran)
+            assert registry.as_dict()["serve.claims_run_total"] == 0
+        finally:
+            gate.set()
+            scheduler.close()
+
+    def test_work_arriving_after_the_claim_sends_it_to_the_pool(self):
+        """A second request of the same session queued behind the claim
+        coalesces with it on the pool instead of running apart."""
+        scheduler, ran, registry = self._scheduler(max_batch=2)
+        try:
+            session = self.StubSession("s")
+            claimed = scheduler.submit(session, np.int64(0), np.int64(0),
+                                       claim=True)
+            behind = scheduler.submit(session, np.int64(1), np.int64(0))
+            assert scheduler.run_claimed(claimed) is None
+            assert claimed.result(timeout=30).batch_size == 2
+            assert behind.result(timeout=30).batch_size == 2
+            assert [size for _, size in ran] == [2]
+            stats = registry.as_dict()
+            assert stats["serve.claims_run_total"] == 0
+            assert stats["serve.claims_released_total"] == 1
+        finally:
+            scheduler.close()
+
+    def test_release_claim_hands_it_to_the_pool(self):
+        scheduler, ran, registry = self._scheduler()
+        try:
+            future = scheduler.submit(self.StubSession("s"), np.int64(0),
+                                      np.int64(0), claim=True)
+            scheduler.release_claim(future)
+            assert future.result(timeout=30).batch_size == 1
+            assert ran[0][0] is not threading.current_thread()
+            assert scheduler.run_claimed(future) is None
+            assert registry.as_dict()["serve.claims_released_total"] == 1
+        finally:
+            scheduler.close()
+
+    def test_claimed_error_is_raised_and_acked_not_busy(self):
+        scheduler, _, _ = self._scheduler(fail=True)
+        try:
+            future = scheduler.submit(self.StubSession("s"), np.int64(0),
+                                      np.int64(0), claim=True)
+            busy_at_ack = []
+            future.add_done_callback(
+                lambda _: busy_at_ack.append(scheduler.pending("s")))
+            with pytest.raises(RuntimeError, match="boom"):
+                scheduler.run_claimed(future)
+            with pytest.raises(RuntimeError, match="boom"):
+                future.result(0)
+            assert busy_at_ack == [False]
+        finally:
+            scheduler.close()
+
+    def test_close_without_wait_cancels_an_outstanding_claim(self):
+        from concurrent.futures import CancelledError
+
+        scheduler, ran, _ = self._scheduler()
+        future = scheduler.submit(self.StubSession("s"), np.int64(0),
+                                  np.int64(0), claim=True)
+        scheduler.close(wait=False)
+        assert scheduler.run_claimed(future) is None
+        with pytest.raises(CancelledError):
+            future.result(0)
+        assert not scheduler.pending("s") and ran == []
+        assert scheduler.drain(timeout=1)
+
+    def test_service_claims_only_a_warm_fast_resident_step(
+            self, tmp_path, monkeypatch):
+        """No claim before the first step has been timed, none when the
+        next step writes an auto-checkpoint, none on a slow session."""
+        # a loaded host must not push the MLP step past the bound
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 1.0)
+        rng = np.random.default_rng(0)
+        with FineTuneService(max_batch=2, workers=1, checkpoint_dir=tmp_path,
+                             checkpoint_every=3) as service:
+            session = service.create_session(build_mlp, model_id="mlp",
+                                             scheme="full")
+            assert session.last_execute_s is None
+            assert not service._claimable(session)
+            service.step(session.id, *mlp_example(rng))
+            assert session.last_execute_s is not None
+            assert service._claimable(session)
+            service.step(session.id, *mlp_example(rng))
+            assert not service._claimable(session)   # step 3 checkpoints
+            service.step(session.id, *mlp_example(rng))
+            assert service._claimable(session)
+            session.last_execute_s = 1.0
+            assert not service._claimable(session)
+            claims = service.stats()["serve.claims_run_total"]
+            assert claims == 1
+
+    def test_claims_racing_pooled_submits_lose_no_step(self, monkeypatch):
+        """Claimers that yield between claim and run, as the gateway does,
+        race a pooled submitter on shared sessions under a short GIL switch
+        interval: every ack is one applied example, in order."""
+        previous = sys.getswitchinterval()
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 1.0)
+        threads_n, steps = 3, 25
+        with FineTuneService(max_batch=4, workers=2) as service:
+            sessions = [service.create_session(build_mlp, model_id="mlp",
+                                               scheme="full")
+                        for _ in range(2)]
+            acked = [[] for _ in range(threads_n)]
+            errors = []
+
+            def stepper(i):
+                rng = np.random.default_rng(i)
+                sid = sessions[i % 2].id
+                try:
+                    for _ in range(steps):
+                        example = mlp_example(rng)
+                        if i == 0:
+                            result = service.submit(sid, *example) \
+                                .result(timeout=30)
+                        else:
+                            future = service.submit(sid, *example,
+                                                    claim=True)
+                            time.sleep(0)
+                            result = service.scheduler.run_claimed(future) \
+                                or future.result(timeout=30)
+                        acked[i].append(result.step)
+                except Exception as exc:  # noqa: BLE001 - reported
+                    errors.append(exc)
+
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=stepper, args=(i,))
+                           for i in range(threads_n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(previous)
+            assert not errors
+            assert service.drain(timeout=10)
+            for i, steps_seen in enumerate(acked):
+                assert len(steps_seen) == steps
+                assert steps_seen == sorted(set(steps_seen)), i
+            for k, session in enumerate(sessions):
+                assert not service.scheduler.pending(session.id)
+                stepping = sum(i % 2 == k for i in range(threads_n))
+                assert session.examples == steps * stepping
+            stats = service.stats()
+            assert stats["serve.claims_run_total"] \
+                + stats["serve.claims_released_total"] >= 1
 
 
 # ---------------------------------------------------------------------------
