@@ -42,13 +42,12 @@ Boots ``repro serve --http`` on an ephemeral port as a real subprocess
 * **held connections** — >= 512 keep-alive connections opened and held
   simultaneously against the asyncio gateway, every one answering
   round trips while all the others stay open (the thread-per-connection
-  design this replaced could not hold that many);
-* **wire formats** — the same MCUNet batch-8 workload driven through a
-  JSON+pickle server and a binary+shm server (``--backend process``),
-  recording ``bytes_copied_per_step`` from the server's own byte
-  counters; the binary+shm path must serialize >= 5x fewer bytes per
-  step, and the (binary, concurrent) closed loop must clear 1.5x the
-  committed pre-asyncio baseline throughput.
+  design this replaced could not hold that many).
+
+The (binary, concurrent) closed loop must clear 1.5x the committed
+pre-asyncio baseline throughput. The wire-bytes checks live in tier-1:
+``tests/test_wire.py`` (worker pickle bytes do not grow with the state)
+and ``tests/test_gateway.py`` (a binary step body is <= 1/4 of JSON).
 
 Writes ``BENCH_gateway.json`` and exits non-zero if any gate fails.
 Single-core honesty: numbers from CI containers measure protocol +
@@ -198,6 +197,20 @@ def _open_sessions(client, tenants: int) -> list[dict]:
 def _example(doc: dict, rng) -> tuple[list, int]:
     x = rng.standard_normal(doc["input_shape"]).astype(np.float32)
     return x, int(rng.integers(0, doc["num_classes"]))
+
+
+def _json_client(url: str):
+    """A client whose steps take the gateway's JSON route (what ``curl``
+    sends), for the binary-vs-JSON closed loop."""
+    from repro.serve import ServeClient
+
+    class JsonStepClient(ServeClient):
+        def step(self, session_id, x, y):
+            return self._request(
+                "POST", f"/v1/sessions/{session_id}/step",
+                {"x": np.asarray(x).tolist(), "y": np.asarray(y).tolist()})
+
+    return JsonStepClient(url)
 
 
 class ClosedLoop:
@@ -563,63 +576,6 @@ def held_connections_phase(url: str, target: int) -> dict:
     }
 
 
-def wire_bytes_phase(url: str, fmt: str, senders: int,
-                     steps_each: int) -> dict:
-    """Drive the MCUNet batch-8 workload and read the server's own byte
-    counters: HTTP step-body bytes by format, pool pickle bytes, and shm
-    slab copy bytes. ``senders`` concurrent threads give the scheduler
-    real coalescing pressure, so the per-step costs reflect batched
-    dispatch, not batch-of-one."""
-    from repro.serve import ServeClient
-
-    errors: list[Exception] = []
-    with ServeClient(url, binary=(fmt == "binary")) as client:
-        doc = _open_sessions(client, 1)[0]
-
-        def drive(seed: int) -> None:
-            rng = np.random.default_rng(seed)
-            for _ in range(steps_each):
-                try:
-                    client.step(doc["session_id"], *_example(doc, rng))
-                except Exception as exc:  # noqa: BLE001 - gated below
-                    errors.append(exc)
-
-        threads = [threading.Thread(target=drive, args=(30 + i,))
-                   for i in range(senders)]
-        began = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - began
-        metrics = client.metrics()
-
-    steps = metrics.get(f"serve.http.steps_{fmt}", 0.0)
-    http_bytes = metrics.get(f"serve.http.step_bytes_{fmt}", 0.0)
-    pickled = metrics.get("serve.worker.serialized_bytes", 0.0)
-    shm_copied = metrics.get("serve.worker.shm_bytes", 0.0)
-    fill = metrics.get("serve.batch_fill") or {}
-    expected = senders * steps_each
-    return {
-        "format": fmt,
-        "steps": steps,
-        "expected_steps": expected,
-        "errors": len(errors),
-        "seconds": elapsed,
-        "throughput_rps": expected / elapsed if elapsed else 0.0,
-        "batch_fill_mean": fill.get("mean", 0.0),
-        "http_body_bytes": http_bytes,
-        "worker_pickled_bytes": pickled,
-        "shm_copied_bytes": shm_copied,
-        # what crosses a serialization boundary (HTTP body + pool pickle)
-        "serialized_bytes_per_step":
-            (http_bytes + pickled) / steps if steps else 0.0,
-        # every byte the transport moves, including zero-copy slab writes
-        "bytes_copied_per_step":
-            (http_bytes + pickled + shm_copied) / steps if steps else 0.0,
-    }
-
-
 def run(quick: bool) -> dict:
     from repro.serve import ServeClient
 
@@ -657,7 +613,7 @@ def run(quick: bool) -> dict:
                                  "--drain-timeout", "10")
         try:
             client2 = ServeClient(server2.url)
-            json_client2 = ServeClient(server2.url, binary=False)
+            json_client2 = _json_client(server2.url)
             docs2 = _open_sessions(client2, 2)
             banner(f"paired closed loops: serial 2x1 (baseline workload) "
                    f"vs concurrent 2x{CLOSED_LOOP_SENDERS} binary vs "
@@ -757,27 +713,6 @@ def run(quick: bool) -> dict:
     finally:
         server.kill()
 
-    # -- servers E/F: bytes per step, legacy vs fast wire end to end ---------
-    senders, steps_each = (8, 3) if quick else (8, 8)
-    result["wire_formats"] = {}
-    for fmt, channel in (("json", "pickle"), ("binary", "shm")):
-        banner(f"wire bytes: {fmt} HTTP bodies + {channel} worker channel, "
-               f"{senders} senders x {steps_each} steps (batch-8 coalescing)")
-        server = GatewayProcess(
-            "--backend", "process", "--workers", "2", "--max-batch", "8",
-            "--worker-channel", channel, "--batch-hold-ms", "2",
-            "--max-queue-depth", "128")
-        try:
-            result["wire_formats"][f"{fmt}_{channel}"] = wire_bytes_phase(
-                server.url, fmt, senders, steps_each)
-        finally:
-            server.kill()
-    legacy = result["wire_formats"]["json_pickle"]
-    fast = result["wire_formats"]["binary_shm"]
-    result["wire_formats"]["serialized_bytes_ratio"] = (
-        legacy["serialized_bytes_per_step"]
-        / fast["serialized_bytes_per_step"]
-        if fast["serialized_bytes_per_step"] else float("inf"))
     return result
 
 
@@ -833,14 +768,6 @@ def _report(result: dict) -> None:
           f"{held['roundtrips_ok']}/{held['roundtrips_expected']} round "
           f"trips ok, errors={held['errors']}, "
           f"step_served={held['step_served_while_held']}")
-    formats = result["wire_formats"]
-    for key in ("json_pickle", "binary_shm"):
-        phase = formats[key]
-        print(f"{key:>12}: {phase['serialized_bytes_per_step']:9.0f} "
-              f"serialized B/step   {phase['bytes_copied_per_step']:9.0f} "
-              f"copied B/step   fill {phase['batch_fill_mean']:.2f}")
-    print(f"{'wire ratio':>12}: binary+shm serializes "
-          f"{formats['serialized_bytes_ratio']:.1f}x fewer bytes/step")
 
 
 def main(argv=None) -> int:
@@ -925,16 +852,6 @@ def main(argv=None) -> int:
         failures.append(
             f"held-connection phase: {held['held']} held "
             f"(want >= {HELD_CONNECTIONS_TARGET}), {held['errors']} errors")
-    formats = result["wire_formats"]
-    for key in ("json_pickle", "binary_shm"):
-        if formats[key]["errors"] or formats[key]["steps"] \
-                != formats[key]["expected_steps"]:
-            failures.append(f"wire bytes phase {key} lost steps or errored")
-    if formats["serialized_bytes_ratio"] < 5.0:
-        failures.append(
-            f"binary+shm serializes only "
-            f"{formats['serialized_bytes_ratio']:.1f}x fewer bytes per "
-            f"step than json+pickle (want >= 5x)")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -370,7 +370,6 @@ def _serve_http(args) -> int:
                          max_batch=args.max_batch,
                          workers=args.workers,
                          backend=args.backend,
-                         worker_channel=args.worker_channel,
                          batch_hold_ms=args.batch_hold_ms,
                          cache_dir=args.cache_dir,
                          max_sessions=args.max_sessions,
@@ -436,7 +435,6 @@ def cmd_serve(args) -> int:
                          max_batch=args.max_batch,
                          workers=args.workers,
                          backend=args.backend,
-                         worker_channel=args.worker_channel,
                          batch_hold_ms=args.batch_hold_ms,
                          cache_dir=args.cache_dir,
                          max_sessions=args.max_sessions,
@@ -584,12 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["thread", "process"],
                      help="step executors: in-process threads, or a "
                           "process pool fed from persisted plan artifacts")
-    srv.add_argument("--worker-channel", default="shm",
-                     choices=["shm", "pickle"],
-                     help="how batches reach process workers: a zero-copy "
-                          "shared-memory slab ring (updates applied in "
-                          "place), or the legacy per-step pickle pipe "
-                          "(process backend only)")
     srv.add_argument("--batch-hold-ms", type=float, default=0.0,
                      metavar="MS",
                      help="let the scheduler hold an undersized batch up "

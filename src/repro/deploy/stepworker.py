@@ -14,18 +14,14 @@ per key from their persisted artifact and cached in :data:`_BOUND`
 (module state is per-process, so each worker pays each artifact load
 once); sessions ship only their mutable state overlay per step.
 
-Two transports deliver that overlay + batch:
-
-* :func:`run_step` — the original pickle path: arrays cross the pool
-  pipe by value, the mutated overlay is pickled back;
-* :func:`run_step_shm` — the zero-copy path: the parent writes one wire
-  frame into a shared-memory slab slot (:mod:`repro.serve.shm`) and the
-  task carries only ``(ring name, slot index)``; the worker executes the
-  step on **writable views into shared memory**, so the in-place apply
-  kernels land the updated overlay directly in the parent's segment and
-  only a tiny stub (fetched scalars, observability payload) is pickled
-  back. ``repro.serve`` is import-lazy (PEP 562), so attaching the ring
-  pulls in exactly ``serve.shm`` + ``serve.wire`` — still no compiler.
+The overlay + batch arrive through shared memory (:func:`run_step_shm`):
+the parent writes one wire frame into a slab slot (:mod:`repro.serve.shm`)
+and the task carries only ``(ring name, slot index)``; the worker executes
+the step on **writable views into shared memory**, so the in-place apply
+kernels land the updated overlay directly in the parent's segment and only
+a tiny stub (fetched scalars, observability payload) is pickled back.
+``repro.serve`` is import-lazy (PEP 562), so attaching the ring pulls in
+exactly ``serve.shm`` + ``serve.wire`` — still no compiler.
 """
 
 from __future__ import annotations
@@ -118,31 +114,6 @@ def bind(artifact_dir: str, key: str):
     return cached
 
 
-def run_step(artifact_dir: str, key: str,
-             state: dict[str, np.ndarray],
-             feeds: dict[str, np.ndarray],
-             fetch: tuple[str, ...],
-             trace=None):
-    """Execute one plan step; returns ``(fetched_outputs, updated_state,
-    peak_transient_bytes, fresh_allocs, obs_payload)``.
-
-    ``trace`` is an optional :class:`repro.obs.TraceCarrier` — the slim
-    picklable projection of the parent's trace contexts. When present the
-    worker echoes its request IDs back in ``obs_payload`` (with this
-    process's pid and the execute interval on the shared monotonic
-    clock), and when ``trace.sample`` is set it additionally records
-    per-instruction kernel timings. Observations travel in the return
-    value, never through shared state, so a crashed worker can't corrupt
-    the parent's trace ring. ``obs_payload`` is None for untraced steps.
-    """
-    _maybe_fault()
-    # The in-place apply kernels mutate the overlay arrays we just
-    # unpickled, which are exactly what gets shipped back.
-    fetched, peak, allocs, obs_payload = _execute(
-        artifact_dir, key, state, feeds, fetch, trace)
-    return fetched, state, peak, allocs, obs_payload
-
-
 #: per-process cache of attached shm ring segments, name -> SharedMemory;
 #: one attach per (worker, ring) for the pool's lifetime
 _SHM_SEGMENTS: dict = {}
@@ -161,14 +132,24 @@ def run_step_shm(artifact_dir: str, key: str,
                  ring_name: str, slot: int, slot_bytes: int,
                  fetch: tuple[str, ...],
                  trace=None):
-    """Zero-copy variant of :func:`run_step` (see the module docstring).
+    """Execute one plan step on the frame in ``slot`` (see the module
+    docstring); returns ``(fetched, peak_transient_bytes, fresh_allocs,
+    obs_payload)``.
 
     The slot's frame meta names which tensors are state overlay vs batch
     feeds. State views are mutated in place in shared memory — there is
-    no state in the return value, only ``(fetched, peak_transient_bytes,
-    fresh_allocs, obs_payload)``. The slot's sequence counter is held odd
+    no state in the return value. The slot's sequence counter is held odd
     for the duration of the step so a parent inspecting the slot after a
     worker crash sees "torn", never a half-applied overlay.
+
+    ``trace`` is an optional :class:`repro.obs.TraceCarrier` — the slim
+    picklable projection of the parent's trace contexts. When present the
+    worker echoes its request IDs back in ``obs_payload`` (with this
+    process's pid and the execute interval on the shared monotonic
+    clock), and when ``trace.sample`` is set it additionally records
+    per-instruction kernel timings. Observations travel in the return
+    value, never through shared state, so a crashed worker can't corrupt
+    the parent's trace ring. ``obs_payload`` is None for untraced steps.
     """
     _maybe_fault()
     from ..serve import shm as shm_mod
@@ -202,7 +183,7 @@ def _execute(artifact_dir: str, key: str,
              feeds: dict[str, np.ndarray],
              fetch: tuple[str, ...],
              trace=None):
-    """The shared step core: bind, overlay state, run, observe."""
+    """The step core: bind, overlay state, run, observe."""
     program, executor = bind(artifact_dir, key)
     executor.program = program.with_state(state)
     kernels: list[tuple[str, str, float, float]] = []

@@ -31,13 +31,9 @@ versions, and on load walks versions newest-first, quarantining unreadable
 files (renamed to ``*.corrupt``) and falling back to the previous intact
 version.
 
-Over HTTP a checkpoint can also travel as one :mod:`repro.serve.wire`
-frame (:func:`checkpoint_to_wire` / :func:`checkpoint_from_wire`), the
-same framing the binary step path uses: counters and family config in the
-frame meta, state tensors as raw aligned segments. The wire form skips
-the sha256 trailer — the HTTP body length already detects truncation —
-so it is for transport only; everything written to disk stays in the
-self-verifying format above.
+The same bytes are the only form a checkpoint takes over HTTP: the
+gateway's download route serves them and its restore route accepts them,
+so a download is verified by the same digest as a file on disk.
 """
 
 from __future__ import annotations
@@ -269,61 +265,6 @@ def _tensor_table(header: dict) -> list[tuple[str, np.dtype,
         table.append((name, dtype, tuple(shape), spec["offset"],
                       spec["nbytes"]))
     return table
-
-
-def checkpoint_to_wire(ckpt: SessionCheckpoint) -> bytes:
-    """Encode ``ckpt`` as one :mod:`repro.serve.wire` frame (transport
-    form: see the module docstring)."""
-    from .wire import encode_frame
-
-    meta = {
-        "kind": "checkpoint",
-        "checkpoint_version": CHECKPOINT_VERSION,
-        "session": ckpt.session,
-        "family": ckpt.family,
-        "idempotency": ckpt.idempotency,
-    }
-    tensors = {name: np.ascontiguousarray(array)
-               for name, array in ckpt.state.items()}
-    return encode_frame(meta, tensors)
-
-
-def checkpoint_from_wire(data: bytes) -> SessionCheckpoint:
-    """Decode a :func:`checkpoint_to_wire` frame back into a
-    :class:`SessionCheckpoint`; :class:`CheckpointError` on any damage.
-
-    Tensors are decoded with ``copy=True`` — the checkpoint outlives the
-    request body it arrived in.
-    """
-    from .wire import WireError, decode_frame
-
-    try:
-        meta, tensors = decode_frame(data, copy=True)
-    except WireError as exc:
-        raise CheckpointError(
-            f"bad wire-framed checkpoint: {exc}") from None
-    if meta.get("kind") != "checkpoint":
-        raise CheckpointError(
-            f"wire frame is not a checkpoint (kind={meta.get('kind')!r})")
-    version = meta.get("checkpoint_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version!r} not supported by this "
-            f"runtime (speaks {CHECKPOINT_VERSION})")
-    session = meta.get("session")
-    family = meta.get("family")
-    if not isinstance(session, dict) or not isinstance(family, dict):
-        raise CheckpointError(
-            "wire-framed checkpoint lacks session/family metadata")
-    idempotency = meta.get("idempotency")
-    idempotency = dict(idempotency) if isinstance(idempotency, dict) else {}
-    _check_restore_fields(session, family, idempotency)
-    return SessionCheckpoint(
-        session=dict(session),
-        family=dict(family),
-        state=dict(tensors),
-        idempotency=idempotency,
-    )
 
 
 def write_checkpoint(path: str | Path, ckpt: SessionCheckpoint) -> Path:

@@ -12,27 +12,21 @@ sleeping and retrying until ``max_wait`` is spent — the well-behaved
 client the gateway's shedding is designed for. Every other HTTP error
 raises :class:`GatewayError` with the status and the server's message.
 
-Retry semantics: against a server that advertises the ``idempotency``
-feature (``/v1/healthz``), :meth:`ServeClient.step` mints one
-``Idempotency-Key`` per *logical* step and retries transient failures —
-a connection lost while awaiting the response (:class:`ResponseLost`),
-a 500, a 429 — under that key with decorrelated-jitter backoff; the
-server replays the recorded result instead of applying the update
-twice. Against an older server no key is sent and a lost response is
-**not** retried (re-sending a non-idempotent step would silently apply
-the same update twice).
+Retry semantics: :meth:`ServeClient.step` mints one ``Idempotency-Key``
+per *logical* step and retries transient failures — a connection lost
+while awaiting the response (:class:`ResponseLost`), a 500, a 429 — under
+that key with decorrelated-jitter backoff; the server replays the
+recorded result instead of applying the update twice.
 
-Wire format: the same healthz probe gates the binary step protocol.
-Against a server advertising ``binary_step``, :meth:`ServeClient.step`
-ships ``x``/``y`` as one :mod:`repro.serve.wire` frame (raw dtype
-bytes) and asks for the result as a frame too — no float->decimal->
-float round trip, ~3x fewer bytes per step. Against a legacy server it
-speaks JSON, and ``binary=False``/``binary=True`` pins either way.
-Checkpoint downloads negotiate the same framing against servers that
-advertise ``binary_checkpoint`` (see :meth:`ServeClient.
-download_checkpoint`); :meth:`ServeClient.restore` uploads either form.
-A ``token`` adds ``Authorization: Bearer`` to every request for
-gateways started with an auth token map.
+Wire format: :meth:`ServeClient.step` ships ``x``/``y`` as one
+:mod:`repro.serve.wire` frame (raw dtype bytes) and asks for the result
+as a frame too — no float->decimal->float round trip, ~4x fewer bytes per
+step than the gateway's JSON step route, which stays for ``curl`` and
+other outside clients. Checkpoints travel as the ``.ckpt`` bytes of
+:mod:`repro.serve.checkpoint` both ways (:meth:`ServeClient.
+download_checkpoint`, :meth:`ServeClient.restore`). A ``token`` adds
+``Authorization: Bearer`` to every request for gateways started with an
+auth token map.
 """
 
 from __future__ import annotations
@@ -85,7 +79,7 @@ class ServeClient:
     connections."""
 
     def __init__(self, url_or_host: str, port: int | None = None, *,
-                 timeout: float = 120.0, binary: bool | None = None,
+                 timeout: float = 120.0,
                  token: str | None = None) -> None:
         if "://" in url_or_host:
             parsed = urlsplit(url_or_host)
@@ -98,16 +92,10 @@ class ServeClient:
             self.host = url_or_host
             self.port = port
         self.timeout = timeout
-        #: None = follow the server's healthz feature probe; True/False
-        #: pins the step wire format regardless of what it advertises
-        self._binary = binary
         self._token = token
         self._local = threading.local()
         self._conns_lock = threading.Lock()
         self._conns: list[http.client.HTTPConnection] = []
-        #: lazily probed frozenset of /v1/healthz "features" (gates
-        #: whether step retries may carry an Idempotency-Key)
-        self._features_cache: frozenset[str] | None = None
 
     # -- transport -----------------------------------------------------------
 
@@ -239,18 +227,6 @@ class ServeClient:
             payload["model_kwargs"] = model_kwargs
         return self._request("POST", "/v1/sessions", payload)
 
-    def _features(self) -> frozenset[str]:
-        """What the server speaks, probed from /v1/healthz once and
-        cached (an unreachable/legacy server probes as featureless)."""
-        features = self._features_cache
-        if features is None:
-            try:
-                features = frozenset(self.healthz().get("features") or ())
-            except (ServeError, ValueError):
-                features = frozenset()
-            self._features_cache = features
-        return features
-
     def step(self, session_id: str, x, y, *, wait: bool = True,
              max_wait: float = 30.0, timeout: float | None = None) -> dict:
         """One training step; blocks until the result (or a refusal).
@@ -259,72 +235,47 @@ class ServeClient:
         ``max_wait`` seconds have been spent, then the last error
         propagates: a 429 waits the server's ``Retry-After`` hint; a
         lost response (:class:`ResponseLost`) and a 500 are retried with
-        decorrelated-jitter backoff **only** when the server advertises
-        the ``idempotency`` feature — every attempt of one call carries
+        decorrelated-jitter backoff — every attempt of one call carries
         the same minted ``Idempotency-Key``, so the server applies the
         update at most once and replays the recorded result to retries
-        (``"replayed": true``). Against an older server those failures
-        propagate immediately, exactly the pre-key behaviour.
-        ``wait=False`` raises on the first refusal — benchmark loops
-        measuring shed rate use it.
+        (``"replayed": true``). ``wait=False`` raises on the first
+        refusal — benchmark loops measuring shed rate use it.
 
         ``timeout`` is an *end-to-end deadline* in seconds, shipped to
         the server as an absolute ``X-Deadline`` header: work still
         queued when it expires is shed server-side (504) instead of
         executed for nobody.
-
-        The body format follows the healthz probe (see the module
-        docstring): binary wire frames against a ``binary_step`` server,
-        JSON otherwise. Both carry identical values — the server's
-        results are byte-for-byte the same either way.
         """
-        binary = self._binary if self._binary is not None \
-            else "binary_step" in self._features()
-        payload = frame = None
-        if binary:
-            # copy() rather than ascontiguousarray: the latter promotes
-            # 0-d label scalars to shape (1,), which the server rejects
-            xa, ya = np.asarray(x), np.asarray(y)
-            if not xa.flags.c_contiguous:
-                xa = xa.copy()
-            if not ya.flags.c_contiguous:
-                ya = ya.copy()
-            frame = wire.encode_frame(None, {"x": xa, "y": ya})
-        else:
-            payload = {"x": np.asarray(x).tolist(),
-                       "y": np.asarray(y).tolist()}
+        frame = wire.encode_frame(None, {"x": np.asarray(x),
+                                         "y": np.asarray(y)})
         path = f"/v1/sessions/{session_id}/step"
         budget = time.monotonic() + max_wait
         headers: dict[str, str] = {}
         if timeout is not None:
             headers["X-Deadline"] = f"{time.time() + timeout:.6f}"
             budget = min(budget, time.monotonic() + timeout)
-        keyed = "idempotency" in self._features()
-        if keyed:
-            # One key per logical step: every retry below re-sends it, so
-            # the server can dedupe no matter which attempt(s) executed.
-            headers["Idempotency-Key"] = \
-                f"{session_id}:{uuid.uuid4().hex}"
-        retryable = wait and keyed
+        # One key per logical step: every retry below re-sends it, so the
+        # server can dedupe no matter which attempt(s) executed.
+        headers["Idempotency-Key"] = f"{session_id}:{uuid.uuid4().hex}"
         pause = _BACKOFF_BASE
         while True:
             try:
-                return self._request("POST", path, payload,
-                                     headers=headers, frame=frame)
+                return self._request("POST", path, headers=headers,
+                                     frame=frame)
             except RateLimited as exc:
                 if not wait:
                     raise
                 error: GatewayError = exc
                 delay = exc.retry_after if exc.retry_after else pause
             except ResponseLost as exc:
-                if not retryable:
+                if not wait:
                     raise
                 error, delay = exc, pause
             except GatewayError as exc:
                 # 500 = the step itself failed (e.g. a worker crashed
                 # mid-batch); with a key the server released the claim,
                 # so re-execution is safe. 4xx/504 are not transient.
-                if not retryable or exc.status != 500:
+                if not wait or exc.status != 500:
                     raise
                 error, delay = exc, pause
             remaining = budget - time.monotonic()
@@ -373,26 +324,14 @@ class ServeClient:
         return self._request(
             "POST", f"/v1/sessions/{session_id}/checkpoint")
 
-    def download_checkpoint(self, session_id: str, *,
-                            binary: bool | None = None) -> bytes:
-        """The session's current checkpoint as raw bytes (feed them back
-        through :meth:`restore`, possibly against a different server).
-
-        Against a server advertising ``binary_checkpoint`` the download
-        is negotiated as a wire frame (``Accept``) — same values, no
-        sha256 trailer, tensor segments ready for zero-copy decode.
-        ``binary`` pins either way; :meth:`restore` accepts both forms.
-        """
-        if binary is None:
-            binary = self._binary if self._binary is not None \
-                else "binary_checkpoint" in self._features()
-        headers = self._auth_headers()
-        if binary:
-            headers["Accept"] = wire.CONTENT_TYPE
+    def download_checkpoint(self, session_id: str) -> bytes:
+        """The session's current checkpoint as ``.ckpt`` bytes (feed them
+        back through :meth:`restore`, possibly against a different
+        server)."""
         conn = self._conn()
         try:
             conn.request("GET", f"/v1/sessions/{session_id}/checkpoint",
-                         headers=headers)
+                         headers=self._auth_headers())
             response = conn.getresponse()
             data = response.read()
         except (http.client.HTTPException, ConnectionError, OSError) as exc:
@@ -411,15 +350,9 @@ class ServeClient:
                 version: int | None = None) -> dict:
         """Resurrect a session from checkpoint ``data`` bytes, or from
         the server's store by ``session_id`` (newest intact version, or
-        exactly ``version``). Returns the restored session summary.
-        ``data`` may be either checkpoint form (``.ckpt`` bytes or a wire
-        frame from a binary download) — the content type is set from the
-        leading magic."""
+        exactly ``version``). Returns the restored session summary."""
         if data is not None:
-            headers = {"Content-Type": wire.CONTENT_TYPE} \
-                if data.startswith(wire.MAGIC) else None
-            return self._request("POST", "/v1/sessions/restore", raw=data,
-                                 headers=headers)
+            return self._request("POST", "/v1/sessions/restore", raw=data)
         if session_id is None:
             raise ServeError("restore needs checkpoint bytes or a "
                              "session_id")

@@ -23,7 +23,7 @@ point                                 where it fires
                                       its HTTP response is written — the
                                       connection is dropped, simulating a
                                       response lost on the wire
-``worker.step``                       inside a step worker's ``run_step``
+``worker.step``                       inside a step worker's step
                                       (armed via ``REPRO_FAULTS`` since
                                       workers are spawned; typically with
                                       ``action="kill"`` for SIGKILL loops)

@@ -27,10 +27,8 @@ Protocol (control bodies JSON; step bodies JSON or binary)::
     GET    /v1/sessions/{id}                                -> 200 status
     DELETE /v1/sessions/{id}                                -> 200 summary
     POST   /v1/sessions/{id}/checkpoint                     -> 200 meta
-    GET    /v1/sessions/{id}/checkpoint       -> 200 octet-stream download
-                                   (Accept: x-repro-step -> wire frame)
-    POST   /v1/sessions/restore    checkpoint bytes (.ckpt or wire frame),
-                                   or JSON
+    GET    /v1/sessions/{id}/checkpoint       -> 200 .ckpt bytes download
+    POST   /v1/sessions/restore    .ckpt bytes, or JSON
                                    {"session_id", "version"?} -> 201 session
     GET    /v1/metrics                                      -> 200 stats
     GET    /v1/metrics?format=prometheus                    -> 200 text
@@ -42,12 +40,14 @@ Protocol (control bodies JSON; step bodies JSON or binary)::
 with tensors ``x`` and ``y`` instead of JSON lists — raw dtype bytes,
 no base64/decimal round trip. A request whose ``Accept`` includes the
 same media type gets its result as a meta-only wire frame back. Both
-directions are negotiated independently; JSON remains the default and
-the only format for control routes, and a malformed frame is a clean
-``400`` (never a poisoned connection — the body is always drained by
-length first). Servers advertise ``binary_step`` in the ``/v1/healthz``
-feature list; :class:`~repro.serve.client.ServeClient` upgrades off
-that probe automatically.
+directions are chosen independently; JSON stays the default (``curl``
+and other outside clients use it) and the only format for control
+routes, and a malformed frame is a clean ``400`` (never a poisoned
+connection — the body is always drained by length first).
+:class:`~repro.serve.client.ServeClient` always sends frames.
+Checkpoints travel in one form only, the self-verifying ``.ckpt`` bytes
+(:mod:`repro.serve.checkpoint`); a wire frame uploaded to the restore
+route is refused with ``415``.
 
 **Auth** (optional): constructed with ``auth_tokens`` (bearer token ->
 tenant id), every route except ``/v1/healthz`` requires a valid
@@ -116,7 +116,6 @@ from ..errors import (CheckpointError, DeadlineExpired, FaultInjected,
 from ..obs import mint_request_id, server_timing_header
 from . import wire
 from .checkpoint import MAGIC as _CKPT_MAGIC
-from .checkpoint import checkpoint_from_wire
 from .faults import FAULTS
 from .ratelimit import RateLimiter
 from .service import FineTuneService
@@ -131,10 +130,8 @@ _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 #: silently dropped key would turn a retry into a double-apply)
 _IDEM_KEY_RE = re.compile(r"^[A-Za-z0-9._:-]{1,128}$")
 
-#: what this server speaks; clients feature-probe /v1/healthz before
-#: relying on retry-with-idempotency-key or binary-frame semantics
-_FEATURES = ("binary_checkpoint", "binary_step", "checkpoint", "deadline",
-             "idempotency")
+#: what this server speaks, listed in /v1/healthz for outside clients
+_FEATURES = ("binary_step", "checkpoint", "deadline", "idempotency")
 
 #: request bodies past this are refused with 413 before allocation
 #: becomes hostile (an MCUNet batch-8 JSON step is ~12 MB)
@@ -253,6 +250,10 @@ class GatewayServer:
         self._close_lock = threading.Lock()
         self._closed = False
         self._closing = False
+        #: set by _begin_settling: from then on the last handler to end
+        #: stops the loop (not before — close() is still awaiting
+        #: _stop_accepting on it)
+        self._settling = False
         self._drained = True
 
     @property
@@ -338,6 +339,7 @@ class GatewayServer:
 
     def _begin_settling(self) -> None:
         """(loop thread) Drop idle connections; busy ones finish first."""
+        self._settling = True
         for writer, busy in list(self._conn_busy.items()):
             if not busy:
                 transport = writer.transport
@@ -346,8 +348,8 @@ class GatewayServer:
         self._maybe_settle()
 
     def _maybe_settle(self) -> None:
-        """(loop thread) Stop the loop once closing and fully idle."""
-        if self._closing and not self._conn_busy \
+        """(loop thread) Stop the loop once settling and fully idle."""
+        if self._settling and not self._conn_busy \
                 and self._loop is not None and self._loop.is_running():
             self._loop.call_soon(self._loop.stop)
 
@@ -703,51 +705,42 @@ class GatewayServer:
 
     async def _download_checkpoint(self, request: _Request,
                                    session_id: str) -> None:
-        """GET: the session's current checkpoint as one binary download.
-
-        ``Accept: application/x-repro-step`` negotiates the wire-frame
-        form (meta + raw aligned tensor segments, the same framing the
-        binary step path uses); the default stays the self-verifying
-        ``.ckpt`` byte format. Both feed back through the restore route.
-        """
-        accept = (request.header("accept") or "").lower()
-        framed = wire.CONTENT_TYPE in accept
+        """GET: the session's current checkpoint as ``.ckpt`` bytes, the
+        form the restore route takes back."""
         try:
             session = self.service.sessions.get(session_id)
             if self._tenant_mismatch(request, session):
                 return
             data = await self._offloaded(
-                self.service.checkpoint_frame if framed
-                else self.service.checkpoint_bytes, session_id)
+                self.service.checkpoint_bytes, session_id)
         except ServeError as exc:
             msg = str(exc)
             status = 404 if "unknown session" in msg else 409
             self._send_json(request, status, {"error": msg})
             return
-        ctype = wire.CONTENT_TYPE if framed else "application/octet-stream"
-        self._send_body(request, 200, data, ctype,
+        self._send_body(request, 200, data, "application/octet-stream",
                         headers={"Content-Disposition":
                                  f'attachment; filename="{session_id}.ckpt"'})
 
     async def _restore(self, request: _Request) -> None:
         """POST: resurrect a session from uploaded bytes or the store.
 
-        Uploads speak three content types: a wire-framed checkpoint
-        (``application/x-repro-step``), the self-verifying ``.ckpt``
-        bytes (``application/octet-stream``), or a JSON body naming a
-        server-side stored checkpoint. Magic sniffing backs the header
-        up, so a mislabelled binary body still restores.
+        The body is either ``.ckpt`` bytes (``application/octet-stream``;
+        magic sniffing backs the header up, so a mislabelled upload still
+        restores) or a JSON body naming a server-side stored checkpoint.
+        A wire frame is no checkpoint: ``415``.
         """
         raw = request.body
         ctype = (request.header("content-type") or "") \
             .split(";")[0].strip().lower()
+        if ctype == wire.CONTENT_TYPE:
+            self._send_json(request, 415, {
+                "error": "restore takes .ckpt bytes "
+                         "(application/octet-stream) or JSON, not a wire "
+                         "frame"})
+            return
         try:
-            if ctype == wire.CONTENT_TYPE or raw.startswith(wire.MAGIC):
-                # decode (tensor copies) off the loop, like the restore
-                ckpt = await self._offloaded(checkpoint_from_wire, raw)
-                session = await self._offloaded(
-                    self.service.restore_session, ckpt)
-            elif ctype == "application/octet-stream" \
+            if ctype == "application/octet-stream" \
                     or raw.startswith(_CKPT_MAGIC):
                 session = await self._offloaded(
                     self.service.restore_session, raw)

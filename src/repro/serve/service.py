@@ -45,8 +45,7 @@ from ..sparse import UpdateScheme, bias_only, full_update
 from ..train.optim import SGD, Adam, Lion, OptimizerSpec
 from .cache import CacheEntry, ProgramCache
 from .checkpoint import (CheckpointStore, SessionCheckpoint,
-                         checkpoint_to_wire, dump_checkpoint,
-                         load_checkpoint)
+                         dump_checkpoint, load_checkpoint)
 from .keys import program_key
 from .metrics import Gauge, MetricsRegistry
 from .scheduler import BatchScheduler, StepRequest, StepResult
@@ -207,8 +206,6 @@ class FineTuneService:
                  checkpoint_dir: str | Path | None = None,
                  checkpoint_every: int = 0,
                  keep_checkpoints: int = 3,
-                 worker_channel: str = "shm",
-                 shm_slot_bytes: int | None = None,
                  batch_hold_ms: float = 0.0) -> None:
         if backend not in BACKENDS:
             raise ServeError(
@@ -263,13 +260,9 @@ class FineTuneService:
             "serve.steps_replayed",
             "retried steps answered from the idempotency window "
             "(no second optimizer update)")
-        # shm_slot_bytes=None lets the engine size ring slots from each
-        # model's actual state+feeds frame (growing on demand); an explicit
-        # value pins the slot size (oversized payloads fall back to pickle).
         self.engine = ProcessPoolEngine(
             workers=workers, on_restart=self._worker_restarts.inc,
-            channel=worker_channel, metrics=self.metrics,
-            slot_bytes=shm_slot_bytes) \
+            metrics=self.metrics) \
             if backend == "process" else None
         self.scheduler = BatchScheduler(
             self._run_batch, max_batch=max_batch, workers=workers,
@@ -442,14 +435,8 @@ class FineTuneService:
         session = self.sessions.get(session_id)
         return dump_checkpoint(self._checkpoint_payload(session))
 
-    def checkpoint_frame(self, session_id: str) -> bytes:
-        """The current checkpoint as one wire frame (binary download for
-        clients that negotiated :data:`repro.serve.wire.CONTENT_TYPE`)."""
-        session = self.sessions.get(session_id)
-        return checkpoint_to_wire(self._checkpoint_payload(session))
-
     def restore_session(self,
-                        data: bytes | SessionCheckpoint | None = None, *,
+                        data: bytes | None = None, *,
                         session_id: str | None = None,
                         version: int | None = None,
                         model: Callable[[int], Graph] | None = None,
@@ -457,10 +444,8 @@ class FineTuneService:
                         ) -> TenantSession:
         """Resurrect a session from a checkpoint, under its original id.
 
-        The checkpoint comes either as ``data`` (bytes produced by
-        :meth:`checkpoint_bytes` / the gateway download route, or an
-        already-decoded :class:`SessionCheckpoint` — the gateway's
-        wire-frame upload path decodes before calling in) or by
+        The checkpoint comes either as ``data`` (``.ckpt`` bytes produced
+        by :meth:`checkpoint_bytes` / the gateway download route) or by
         ``session_id`` from the store (newest intact version, or exactly
         ``version``). The restored overlay is byte-identical to the
         checkpointed one; counters and the idempotency window carry over,
@@ -473,9 +458,7 @@ class FineTuneService:
         at checkpoint time semantics (i.e. the service default).
         """
         self._check_open()
-        if isinstance(data, SessionCheckpoint):
-            ckpt = data
-        elif data is not None:
+        if data is not None:
             ckpt = load_checkpoint(data)
         else:
             if self.checkpoints is None:
@@ -870,18 +853,11 @@ class FineTuneService:
             carrier = TraceCarrier(request_ids=trace_ids, sample=sample) \
                 if trace_ids or sample else None
             with session.lock:
-                fetched, new_state, peak_bytes, fresh_allocs, obs_payload = \
+                fetched, peak_bytes, fresh_allocs, obs_payload = \
                     self.engine.run_step(
                         entry.meta.get("artifact_path"), entry.key,
                         session.state, feeds, fetch=(family.loss_name,),
                         trace=carrier)
-                if new_state is not session.state:
-                    # pickle channel: the worker mutated its own unpickled
-                    # copies; land them back in the session arrays. The shm
-                    # channel returns the session dict itself (the engine
-                    # already copied the shared-memory views back).
-                    for name, array in new_state.items():
-                        session.state[name][...] = array
             loss = float(fetched[family.loss_name])
             if obs_payload is not None:
                 self.tracer.record_worker_step(obs_payload, session.id)

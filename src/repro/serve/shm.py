@@ -1,10 +1,10 @@
 """A shared-memory slab ring: zero-copy batches/overlays for step workers.
 
-The process backend used to pickle the full state overlay + batch into
-every ``pool.submit`` and pickle the updated overlay back — four copies
-of every tensor per step (pickle-out, pipe, unpickle, and again for the
-result). This module replaces that with a fixed ring of reusable slots
-in one ``multiprocessing.shared_memory`` segment:
+Pickling the state overlay + batch into every ``pool.submit`` and the
+updated overlay back would copy every tensor four times per step
+(pickle-out, pipe, unpickle, and again for the result). The process
+backend instead moves them through a fixed ring of reusable slots in one
+``multiprocessing.shared_memory`` segment:
 
 * the parent leases a slot, writes one wire frame
   (:func:`repro.serve.wire.encode_into` — state overlay + stacked batch,
@@ -47,14 +47,6 @@ from multiprocessing import resource_tracker, shared_memory
 
 from ..errors import ServeError
 from . import wire
-
-#: fallback slot size for rings created without a measured frame — a full
-#: MCUNet batch-8 frame (state overlay + stacked feeds) is ~150 KB, so
-#: 4 MiB leaves generous headroom. :class:`~repro.serve.workers.
-#: ProcessPoolEngine` normally sizes its ring from the model's actual
-#: state+feeds footprint instead (``slot_bytes=None``) and only uses a
-#: fixed size when one is pinned explicitly.
-DEFAULT_SLOT_BYTES = 4 << 20
 
 _SLOT_HEADER = struct.Struct("<QQ")  # (sequence counter, frame length)
 
@@ -174,8 +166,7 @@ class SlabRing:
     see exactly the same layout.
     """
 
-    def __init__(self, slots: int, slot_bytes: int = DEFAULT_SLOT_BYTES,
-                 *, name_hint: str = "repro-ring"):
+    def __init__(self, slots: int, slot_bytes: int):
         if slots < 1:
             raise ValueError(f"SlabRing needs >= 1 slot, got {slots}")
         if slot_bytes < wire.frame_nbytes({}) :
@@ -220,9 +211,8 @@ class SlabRing:
     def write_frame(self, slot: int, meta, tensors) -> int:
         """Encode one frame into ``slot``; returns the frame length.
 
-        :class:`~repro.serve.wire.WireError` propagates for payloads
-        that cannot travel (too big for the slot, non-contiguous) —
-        callers fall back to the pickle channel.
+        :class:`~repro.serve.wire.WireError` propagates for a frame too
+        big for the slot; the slot is left committed-empty.
         """
         payload = begin_write(self._shm.buf, slot, self.slot_bytes)
         try:

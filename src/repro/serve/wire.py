@@ -6,7 +6,7 @@ image-sized tensors — base64/JSON encoding of a single MCUNet example is
 module defines one versioned, length-prefixed binary frame used in two
 places:
 
-* ``POST /v1/sessions/{id}/step`` request/response bodies, negotiated via
+* ``POST /v1/sessions/{id}/step`` request/response bodies, selected by
   ``Content-Type`` / ``Accept`` (:data:`CONTENT_TYPE`); and
 * slots of the shared-memory slab ring (:mod:`repro.serve.shm`) that
   carries batches and state overlays to process-pool step workers.
@@ -19,7 +19,7 @@ Frame layout (same idiom as :mod:`repro.serve.checkpoint`)::
                    "tensors": [{name, dtype,
                                 shape, offset,
                                 nbytes}, ...]}     hlen bytes
-    payload raw C-contiguous tensor bytes, each
+    payload raw C-order tensor bytes, each
             segment at its table offset            rest of frame
 
 ``meta`` carries small JSON-safe control fields (hyperparams, fetch
@@ -71,9 +71,9 @@ def _align(offset: int) -> int:
 def _tensor_table(tensors: Mapping[str, np.ndarray]):
     """Build the header table + per-tensor source arrays.
 
-    Raises :class:`WireError` for arrays that cannot travel as raw
-    segments (non-C-contiguous, object dtype) so callers can fall back
-    to a copying path instead of silently pickling.
+    A strided array needs no copy here: :func:`_write_into` copies each
+    tensor once, in C order, into its segment. Object dtypes have no raw
+    bytes and raise :class:`WireError`.
     """
     table = []
     arrays = []
@@ -84,10 +84,6 @@ def _tensor_table(tensors: Mapping[str, np.ndarray]):
             raise WireError(
                 f"tensor {name!r} has object dtype {array.dtype!r}; only "
                 f"plain numeric/bool buffers travel on the wire")
-        if not array.flags.c_contiguous:
-            raise WireError(
-                f"tensor {name!r} is not C-contiguous; copy it "
-                f"(np.ascontiguousarray) before framing")
         offset = _align(offset)
         table.append({
             "name": name,
@@ -113,7 +109,7 @@ def _header_bytes(meta: Mapping[str, Any] | None, table: list[dict]) -> bytes:
     # tensor segment is 64-byte aligned in memory — numpy keeps its
     # ALIGNED flag on the zero-copy views and takes exactly the same
     # kernel paths as for freshly allocated arrays, which is what makes
-    # shm-channel results byte-identical to the pickle channel.
+    # shm-ring results byte-identical to the in-process thread backend.
     header += b" " * (_align(_PREFIX + len(header)) - _PREFIX - len(header))
     if len(header) > MAX_HEADER_BYTES:
         raise WireError(

@@ -15,8 +15,8 @@ receiving a deployed model:
    caches the bound executor for every later step;
 2. every step ships only the session's **mutable state overlay and the
    micro-batch arrays**; the worker runs one plan step (mutating the
-   overlay in place, exactly like the in-process path) and ships back the
-   requested outputs plus the updated overlay.
+   overlay in place, exactly like the in-process path) and ships back
+   only the requested outputs.
 
 The worker-side code lives in :mod:`repro.deploy.stepworker` so a worker's
 import closure stays compiler-free (``repro.serve`` is import-lazy, so the
@@ -25,17 +25,12 @@ workers are spawned, not forked, so they genuinely demonstrate the
 compile-once/run-anywhere split. :meth:`ProcessPoolEngine.probe` verifies
 the claim against a live pool.
 
-Step 2 above has two transports, selected by ``channel``:
-
-* ``"shm"`` (default) — the overlay + batch travel through a
-  :class:`~repro.serve.shm.SlabRing` slot as one wire frame; the task
-  pickles only the slot coordinates, the worker mutates the overlay in
-  place in shared memory, and only fetched scalars come back by value.
-  Payloads that cannot be framed (bigger than a slot, non-contiguous,
-  name collisions) fall back to pickle per step, counted in
-  ``serve.worker.shm_fallbacks``.
-* ``"pickle"`` — the original full-pickle path, kept as the
-  byte-exactness oracle and for hosts without POSIX shared memory.
+Step 2 travels through a :class:`~repro.serve.shm.SlabRing` slot as one
+wire frame: the task pickles only the slot coordinates, the worker
+mutates the overlay in place in shared memory, and only fetched scalars
+come back by value. The ring is sized from the first frame and re-created
+bigger when a larger model arrives, so every payload fits. The in-process
+thread backend stays as the byte-exactness oracle.
 """
 
 from __future__ import annotations
@@ -52,10 +47,6 @@ from ..deploy import stepworker
 from ..errors import ServeError
 from . import shm as shm_mod
 from . import wire
-from .wire import WireError
-
-#: valid values for ``ProcessPoolEngine(channel=...)``
-CHANNELS = ("shm", "pickle")
 
 #: rough pickle overhead per step result stub (protocol framing, the
 #: obs payload dict, scalar boxes) — keeps the serialized-bytes counter
@@ -85,28 +76,21 @@ class ProcessPoolEngine:
 
     def __init__(self, workers: int, mp_context: str = "spawn",
                  on_restart: Callable[[], None] | None = None, *,
-                 channel: str = "shm",
-                 slot_bytes: int | None = None,
                  metrics=None) -> None:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
-        if channel not in CHANNELS:
-            raise ServeError(
-                f"unknown worker channel {channel!r}; expected one of "
-                f"{CHANNELS}")
         self.workers = workers
-        self.channel = channel
         self._mp_context = mp_context
         self._on_restart = on_restart
         self._lock = threading.Lock()
         self._shutdown = False
         #: lifetime count of pool rebuilds after a worker crash
         self.restarts = 0
-        # slot sizing: an explicit slot_bytes pins the ring (payloads that
-        # do not fit take the pickle fallback — tests rely on this); None
-        # defers creation to the first step, sizing slots from the actual
-        # state + feeds frame (see _ensure_ring) instead of a fixed slab.
-        self._slot_bytes = slot_bytes
+        # The ring is created on the first step, its slots sized from the
+        # actual state + feeds frame (see _ensure_ring), not a fixed slab.
+        # 2 slots per worker: one in flight per scheduler thread plus one
+        # being written/read, so acquire() never blocks in steady state.
+        self._ring: shm_mod.SlabRing | None = None
         self._ring_lock = threading.Lock()
         #: ring name -> steps currently using that ring's slots
         self._ring_inflight: dict[str, int] = {}
@@ -114,35 +98,21 @@ class ProcessPoolEngine:
         self._ring_retired: dict[str, shm_mod.SlabRing] = {}
         #: lifetime count of ring re-sizes (a growing workload signal)
         self.ring_resizes = 0
-        # 2 slots per worker: one in flight per scheduler thread plus one
-        # being written/read, so acquire() never blocks in steady state
-        self._ring = (shm_mod.SlabRing(max(2, 2 * workers), slot_bytes)
-                      if channel == "shm" and slot_bytes is not None
-                      else None)
-        self._use_shm = channel == "shm"
         if metrics is not None:
             self._serialized_bytes = metrics.counter(
                 "serve.worker.serialized_bytes",
                 "bytes pickled across the worker pool boundary")
             self._shm_bytes = metrics.counter(
                 "serve.worker.shm_bytes",
-                "bytes carried via shared-memory slabs instead of pickle")
+                "bytes carried via shared-memory slabs")
             self._steps_shm = metrics.counter(
-                "serve.worker.steps_shm", "steps run over the shm channel")
-            self._steps_pickle = metrics.counter(
-                "serve.worker.steps_pickle",
-                "steps run over the pickle channel")
-            self._shm_fallbacks = metrics.counter(
-                "serve.worker.shm_fallbacks",
-                "steps that fell back from shm to pickle "
-                "(oversized / non-contiguous payloads)")
+                "serve.worker.steps_shm", "steps run over the shm ring")
             self._ring_resizes = metrics.counter(
                 "serve.worker.ring_resizes",
                 "shm slab rings re-created for a larger model frame")
         else:
             self._serialized_bytes = self._shm_bytes = None
-            self._steps_shm = self._steps_pickle = self._shm_fallbacks = None
-            self._ring_resizes = None
+            self._steps_shm = self._ring_resizes = None
         self._pool = self._make_pool()
 
     @staticmethod
@@ -161,49 +131,51 @@ class ProcessPoolEngine:
                  fetch: Iterable[str],
                  trace=None):
         """One plan step on some worker; see
-        :func:`repro.deploy.stepworker.run_step`.
+        :func:`repro.deploy.stepworker.run_step_shm`. Returns ``(fetched,
+        peak_transient_bytes, fresh_allocs, obs_payload)``.
 
-        ``trace`` (a :class:`repro.obs.TraceCarrier` or None) crosses the
-        pickle boundary with the task; the worker's observations ride back
-        in the result tuple's ``obs_payload`` slot.
+        ``state`` is updated in place: the worker mutates the overlay's
+        shared-memory views and this method copies them back into the
+        caller's arrays. ``trace`` (a :class:`repro.obs.TraceCarrier` or
+        None) crosses the pickle boundary with the task; the worker's
+        observations ride back in ``obs_payload``.
         """
         if artifact_dir is None:
             raise ServeError(
                 f"program {key[:12]}… has no persisted artifact; the "
                 f"process backend needs a writable cache_dir")
-        if self._use_shm:
-            try:
-                return self._run_step_shm(
-                    artifact_dir, key, state, feeds, tuple(fetch), trace)
-            except WireError:
-                # payload can't be framed (oversized for a pinned slot,
-                # non-contiguous, or state/feed name collision): this
-                # step takes the pickle path, the channel stays shm
-                self._count(self._shm_fallbacks)
-        return self._run_step_pickle(
-            artifact_dir, key, state, feeds, tuple(fetch), trace)
-
-    def _run_step_pickle(self, artifact_dir, key, state, feeds, fetch,
-                         trace):
-        pool = self._pool
+        # a graph's inputs and initializers share one namespace, so state
+        # and feed names never collide in one frame
+        meta = {"state": sorted(state), "feeds": sorted(feeds)}
+        ring = self._ensure_ring(meta, {**state, **feeds})
         try:
-            result = pool.submit(
-                stepworker.run_step, str(artifact_dir), key, state, feeds,
-                fetch, trace).result()
-        except BrokenProcessPool as exc:
-            self._rebuild(pool)
-            raise ServeError(
-                f"worker process died while executing program "
-                f"{key[:12]}…; this batch failed, the worker pool was "
-                f"rebuilt — retry the step"
-            ) from exc
-        self._count(self._steps_pickle)
+            slot = ring.acquire(timeout=60.0)
+            try:
+                frame_len = ring.write_frame(slot, meta, {**state, **feeds})
+                pool = self._pool
+                try:
+                    result = pool.submit(
+                        stepworker.run_step_shm, str(artifact_dir), key,
+                        ring.name, slot, ring.slot_bytes, tuple(fetch),
+                        trace).result()
+                except BrokenProcessPool as exc:
+                    self._rebuild(pool)
+                    raise ServeError(
+                        f"worker process died while executing program "
+                        f"{key[:12]}…; this batch failed, the worker pool "
+                        f"was rebuilt — retry the step") from exc
+                _, updated = ring.read_frame(slot)
+                for name, array in state.items():
+                    np.copyto(array, updated[name], casting="no")
+                del updated
+            finally:
+                ring.release(slot)
+        finally:
+            self._ring_unref(ring)
+        self._count(self._steps_shm)
         if self._serialized_bytes is not None:
-            # task: state + feeds by value; result: state + fetched back
-            fetched = result[0]
-            self._serialized_bytes.inc(
-                2 * _nbytes(state) + _nbytes(feeds) + _nbytes(fetched)
-                + _STUB_OVERHEAD)
+            self._serialized_bytes.inc(_nbytes(result[0]) + _STUB_OVERHEAD)
+            self._shm_bytes.inc(frame_len)
         return result
 
     # -- slab-ring sizing ----------------------------------------------------
@@ -214,33 +186,21 @@ class ProcessPoolEngine:
 
         12.5% headroom (meta name lists vary a little across programs
         sharing the engine) rounded up to 64 KiB, so a small MLP's ring
-        costs kilobytes, not the 4 MiB fixed slab — and a model bigger
-        than the old slab gets zero-copy steps instead of silently
-        falling back to pickle forever.
+        costs kilobytes, not a fixed multi-MiB slab.
         """
         granule = 64 << 10
         sized = need + need // 8 + 4096
         return max(granule, -(-sized // granule) * granule)
 
     def _ensure_ring(self, meta, tensors) -> shm_mod.SlabRing:
-        """The ring this step's frame fits in, creating/growing if auto.
-
-        Raises :class:`WireError` (→ pickle fallback) for unframeable
-        payloads, and for oversized payloads when ``slot_bytes`` was
-        pinned explicitly.
-        """
+        """The ring this step's frame fits in, created or grown on demand."""
         need = wire.frame_nbytes(meta, tensors)
-        if self._slot_bytes is not None and need > self._slot_bytes:
-            raise WireError(
-                f"frame needs {need} bytes but slot_bytes is pinned at "
-                f"{self._slot_bytes}")
         to_close = None
         with self._ring_lock:
             if self._shutdown:
                 raise ServeError("worker engine is shut down")
             ring = self._ring
-            if ring is None or (self._slot_bytes is None
-                                and ring.slot_bytes < need):
+            if ring is None or ring.slot_bytes < need:
                 new = shm_mod.SlabRing(max(2, 2 * self.workers),
                                        self._auto_slot_bytes(need))
                 if ring is not None:
@@ -270,56 +230,6 @@ class ProcessPoolEngine:
                 self._ring_inflight[ring.name] = count
         if to_close is not None:
             to_close.close()
-
-    def _run_step_shm(self, artifact_dir, key, state, feeds, fetch, trace):
-        """One step over the slab ring; ``WireError`` means "use pickle".
-
-        The returned state dict **is** the caller's ``state``: the worker
-        mutated the shared-memory views in place and this method copied
-        them back into the caller's arrays, so there is no second dict to
-        reconcile (the service skips its copy-back when it sees identity).
-        """
-        if set(state) & set(feeds):
-            raise WireError(
-                f"state/feed name collision: "
-                f"{sorted(set(state) & set(feeds))}")
-        meta = {"state": sorted(state), "feeds": sorted(feeds)}
-        ring = self._ensure_ring(meta, {**state, **feeds})
-        try:
-            return self._run_step_shm_on(
-                ring, artifact_dir, key, state, feeds, fetch, trace, meta)
-        finally:
-            self._ring_unref(ring)
-
-    def _run_step_shm_on(self, ring, artifact_dir, key, state, feeds,
-                         fetch, trace, meta):
-        slot = ring.acquire(timeout=60.0)
-        try:
-            frame_len = ring.write_frame(slot, meta, {**state, **feeds})
-            pool = self._pool
-            try:
-                fetched, peak, allocs, obs = pool.submit(
-                    stepworker.run_step_shm, str(artifact_dir), key,
-                    ring.name, slot, ring.slot_bytes, fetch,
-                    trace).result()
-            except BrokenProcessPool as exc:
-                self._rebuild(pool)
-                raise ServeError(
-                    f"worker process died while executing program "
-                    f"{key[:12]}…; this batch failed, the worker pool was "
-                    f"rebuilt — retry the step"
-                ) from exc
-            _, updated = ring.read_frame(slot)
-            for name, array in state.items():
-                np.copyto(array, updated[name], casting="no")
-            del updated
-        finally:
-            ring.release(slot)
-        self._count(self._steps_shm)
-        if self._serialized_bytes is not None:
-            self._serialized_bytes.inc(_nbytes(fetched) + _STUB_OVERHEAD)
-            self._shm_bytes.inc(frame_len)
-        return fetched, state, peak, allocs, obs
 
     def _rebuild(self, broken: ProcessPoolExecutor) -> None:
         """Replace ``broken`` with a fresh pool (idempotent per pool).

@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from repro.errors import (CheckpointError, DeadlineExpired, FaultInjected,
                           ServeError)
 from repro.serve import (FAULTS, CheckpointStore, FineTuneService,
-                         GatewayError, GatewayServer, ResponseLost,
-                         ServeClient, SessionCheckpoint, dump_checkpoint,
+                         GatewayError, GatewayServer, ServeClient,
+                         SessionCheckpoint, dump_checkpoint,
                          load_checkpoint, read_checkpoint, write_checkpoint)
 from repro.serve.faults import FaultRegistry
 
@@ -118,6 +118,16 @@ class TestCheckpointFormat:
     def test_not_a_checkpoint(self):
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(b"x" * 100)
+
+    def test_wire_frame_is_not_a_checkpoint(self):
+        """A step frame — the one other binary body the gateway reads —
+        is refused by the loader, not half-parsed."""
+        from repro.serve import wire
+
+        frame = wire.encode_frame(
+            {"kind": "checkpoint"}, {"x": np.zeros(3, np.float32)})
+        with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(frame)
 
     def test_unsupported_version(self):
         import json as json_mod
@@ -323,81 +333,6 @@ class TestMalformedHeaders:
         assert {f.name: f.default is dataclasses.MISSING for f in fields} \
             == {name: required
                 for name, (required, _) in STEP_RESULT_FIELDS.items()}
-
-    def test_the_wire_form_is_checked_alike(self):
-        from repro.serve.checkpoint import (checkpoint_from_wire,
-                                            checkpoint_to_wire)
-
-        ckpt = sample_ckpt()
-        ckpt.session["step_seq"] = "x"
-        with pytest.raises(CheckpointError, match="session.step_seq"):
-            checkpoint_from_wire(checkpoint_to_wire(ckpt))
-
-
-class TestCheckpointWireForm:
-    """The transport form: a checkpoint as one serve.wire frame."""
-
-    def test_wire_roundtrip_is_exact(self):
-        from repro.serve import wire
-        from repro.serve.checkpoint import (checkpoint_from_wire,
-                                            checkpoint_to_wire)
-
-        ckpt = sample_ckpt()
-        frame = checkpoint_to_wire(ckpt)
-        assert frame.startswith(wire.MAGIC)
-        back = checkpoint_from_wire(frame)
-        assert back.session == ckpt.session
-        assert back.family == ckpt.family
-        assert back.idempotency == ckpt.idempotency
-        assert set(back.state) == set(ckpt.state)
-        for name in ckpt.state:
-            assert back.state[name].dtype == ckpt.state[name].dtype
-            assert np.array_equal(back.state[name], ckpt.state[name])
-            # copy=True decode: the checkpoint outlives the request body
-            assert back.state[name].flags.writeable
-
-    def test_wire_form_matches_ckpt_form_values(self):
-        from repro.serve.checkpoint import checkpoint_from_wire, \
-            checkpoint_to_wire
-
-        ckpt = sample_ckpt()
-        via_wire = checkpoint_from_wire(checkpoint_to_wire(ckpt))
-        via_ckpt = load_checkpoint(dump_checkpoint(ckpt))
-        assert via_wire.session == via_ckpt.session
-        for name in via_ckpt.state:
-            assert via_wire.state[name].tobytes() \
-                == via_ckpt.state[name].tobytes()
-
-    def test_damaged_wire_frame_is_checkpoint_error(self):
-        from repro.serve.checkpoint import checkpoint_from_wire, \
-            checkpoint_to_wire
-
-        frame = checkpoint_to_wire(sample_ckpt())
-        with pytest.raises(CheckpointError):
-            checkpoint_from_wire(frame[: len(frame) // 2])
-        with pytest.raises(CheckpointError, match="magic|wire"):
-            checkpoint_from_wire(b"x" * 64)
-
-    def test_step_frame_is_not_a_checkpoint(self):
-        """A valid wire frame that is not a checkpoint must be refused —
-        the restore route dispatches on the same magic."""
-        from repro.serve import wire
-        from repro.serve.checkpoint import checkpoint_from_wire
-
-        frame = wire.encode_frame(
-            {"kind": "step"}, {"x": np.zeros(3, np.float32)})
-        with pytest.raises(CheckpointError, match="kind"):
-            checkpoint_from_wire(frame)
-
-    def test_wrong_version_is_refused(self):
-        from repro.serve import wire
-        from repro.serve.checkpoint import checkpoint_from_wire
-
-        frame = wire.encode_frame(
-            {"kind": "checkpoint", "checkpoint_version": 99,
-             "session": {}, "family": {}}, {})
-        with pytest.raises(CheckpointError, match="version"):
-            checkpoint_from_wire(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +797,7 @@ class TestGatewayDurability:
     def test_healthz_advertises_features(self):
         with mlp_gateway() as (_service, _gw, client, _session):
             features = client.healthz()["features"]
-            assert set(features) >= {"binary_checkpoint", "checkpoint",
+            assert set(features) == {"binary_step", "checkpoint",
                                      "deadline", "idempotency"}
 
     def test_lost_response_is_retried_exactly_once_applied(self):
@@ -877,16 +812,6 @@ class TestGatewayDurability:
             assert result["step"] == 1
             assert session.examples == 1           # applied exactly once
             assert FAULTS.fired("gateway.reset_after_send") == 1
-
-    def test_legacy_client_does_not_retry_lost_response(self):
-        with mlp_gateway() as (service, _gw, client, session):
-            client._features_cache = frozenset()   # server "predates" keys
-            rng = np.random.default_rng(1)
-            FAULTS.arm("gateway.reset_after_send", times=1)
-            with pytest.raises(ResponseLost):
-                client.step(session.id, *mlp_example(rng))
-            service.drain()
-            assert session.examples == 1           # applied, just unacked
 
     def test_pre_expired_deadline_504(self):
         with mlp_gateway() as (_service, _gw, client, session):
@@ -936,7 +861,7 @@ class TestGatewayDurability:
             meta = client.checkpoint(sid)
             assert meta["step_seq"] == 1
             assert meta["versions"] == [1]
-            blob = client.download_checkpoint(sid, binary=False)
+            blob = client.download_checkpoint(sid)
             assert blob[:8] == b"RPCKPT1\n"
             frozen = {k: v.copy() for k, v in session.state.items()}
 
@@ -957,49 +882,75 @@ class TestGatewayDurability:
             client.close_session(sid)
             assert client.restore(blob)["step_seq"] == 1
 
-    def test_binary_checkpoint_download_and_restore(self, tmp_path):
-        """Negotiated wire-frame checkpoint transport: the default
-        download against a ``binary_checkpoint`` server is a frame, both
-        forms decode to identical state, and both restore."""
-        from repro.serve import wire
-        from repro.serve.checkpoint import checkpoint_from_wire
+    def test_checkpoint_download_ignores_a_wire_accept(self):
+        """``GET …/checkpoint`` has one answer: ``.ckpt`` bytes, even to a
+        request that asks for a wire frame."""
+        import http.client as hc
 
-        with mlp_gateway(tmp_path) as (service, _gw, client, _mlp):
+        from repro.serve import wire
+
+        with mlp_gateway() as (service, gateway, client, session):
+            rng = np.random.default_rng(6)
+            client.step(session.id, *mlp_example(rng))
+            conn = hc.HTTPConnection(gateway.host, gateway.port, timeout=30)
+            try:
+                conn.request("GET", f"/v1/sessions/{session.id}/checkpoint",
+                             headers={"Accept": wire.CONTENT_TYPE})
+                response = conn.getresponse()
+                blob = response.read()
+            finally:
+                conn.close()
+            assert response.status == 200
+            assert response.headers["Content-Type"] \
+                == "application/octet-stream"
+            assert blob[:8] == b"RPCKPT1\n"
+            ckpt = load_checkpoint(blob)
+            assert ckpt.session["step_seq"] == 1
+            for name, array in session.state.items():
+                assert ckpt.state[name].tobytes() == array.tobytes(), name
+
+    def test_wire_frame_restore_is_refused(self, tmp_path):
+        """A checkpoint has one form on the wire, ``.ckpt`` bytes. A wire
+        frame uploaded to restore — labelled as one or not — is a 4xx
+        that opens no session and leaves the keep-alive connection
+        usable."""
+        import http.client as hc
+
+        from repro.serve import wire
+
+        with mlp_gateway(tmp_path) as (service, gateway, client, _mlp):
             doc = client.create_session("mcunet_micro")
             sid = doc["session_id"]
             rng = np.random.default_rng(5)
-            x = rng.standard_normal(doc["input_shape"])
-            y = int(rng.integers(0, doc["num_classes"]))
-            client.step(sid, x, y)
-
-            framed = client.download_checkpoint(sid)   # negotiated
-            legacy = client.download_checkpoint(sid, binary=False)
-            assert framed.startswith(wire.MAGIC)
-            assert legacy.startswith(b"RPCKPT1\n")
-            via_wire = checkpoint_from_wire(framed)
-            via_ckpt = load_checkpoint(legacy)
-            assert via_wire.session == via_ckpt.session
-            assert set(via_wire.state) == set(via_ckpt.state)
-            for name in via_ckpt.state:
-                assert via_wire.state[name].tobytes() \
-                    == via_ckpt.state[name].tobytes()
-
-            # a wire-framed upload restores bit-for-bit
-            frozen = {k: v.copy()
-                      for k, v in service.sessions.get(sid).state.items()}
-            client.close_session(sid)
-            restored_doc = client.restore(framed)
-            assert restored_doc["restored"]
-            assert restored_doc["session_id"] == sid
-            restored = service.sessions.get(sid)
-            for name, array in frozen.items():
-                assert np.array_equal(restored.state[name], array)
-
-            # garbled frame uploads are 422 (content, not request shape)
-            client.close_session(sid)
-            with pytest.raises(GatewayError) as info:
-                client.restore(framed[: len(framed) // 2])
-            assert info.value.status == 422
+            client.step(sid, rng.standard_normal(doc["input_shape"]),
+                        int(rng.integers(0, doc["num_classes"])))
+            ckpt = service._checkpoint_payload(service.sessions.get(sid))
+            client.close_session(sid)  # straight after the ack
+            frame = wire.encode_frame(
+                {"kind": "checkpoint", "family": ckpt.family}, ckpt.state)
+            live = len(service.sessions)
+            conn = hc.HTTPConnection(gateway.host, gateway.port, timeout=30)
+            try:
+                for ctype, status in ((wire.CONTENT_TYPE, 415),
+                                      ("application/octet-stream", 422),
+                                      (None, 400)):
+                    headers = {"Content-Type": ctype} if ctype else {}
+                    conn.request("POST", "/v1/sessions/restore", frame,
+                                 headers)
+                    response = conn.getresponse()
+                    assert response.status == status, ctype
+                    assert "error" in json.loads(response.read())
+                    assert len(service.sessions) == live
+                    # same connection, next request: the stream is clean
+                    conn.request("GET", "/v1/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+            finally:
+                conn.close()
+            # the .ckpt bytes of the same state still restore
+            blob = dump_checkpoint(ckpt)
+            assert client.restore(blob)["session_id"] == sid
 
     def test_restore_over_a_live_session_named_closed_is_409(self):
         """Regression: a conflict whose message happens to contain

@@ -8,7 +8,9 @@ whose scheduler can be stalled deterministically.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import sys
 import threading
 import time
@@ -41,6 +43,18 @@ def wait_until(predicate, timeout=10.0, interval=0.01):
 def mlp_example(rng):
     return (rng.standard_normal(5).astype(np.float32),
             int(rng.integers(0, 3)))
+
+
+def json_step(conn: http.client.HTTPConnection, session_id: str, x,
+              y: int) -> dict:
+    """One step on the gateway's JSON route, the one ``curl`` uses."""
+    conn.request("POST", f"/v1/sessions/{session_id}/step",
+                 json.dumps({"x": np.asarray(x).tolist(), "y": y}),
+                 {"Content-Type": "application/json"})
+    response = conn.getresponse()
+    body = response.read()
+    assert response.status == 200, body
+    return json.loads(body)
 
 
 @contextmanager
@@ -390,6 +404,44 @@ class TestShutdown:
                     call()
                 assert info.value.status == 503, route
 
+    def test_close_does_not_stall_on_a_handler_ending_mid_stop(self):
+        """A connection handler that ends after ``close()`` began but
+        before it stopped accepting must not stop the event loop under
+        the stop-accepting coroutine (which ``close()`` then waited 5 s
+        for). ``_stop_accepting`` is held on a future so the handler ends
+        inside that window every time."""
+        service = FineTuneService(max_batch=1, workers=1)
+        gateway = GatewayServer(service).start()
+        loop, original = gateway._loop, gateway._stop_accepting
+        held: dict = {}
+        entered = threading.Event()
+
+        async def stop_accepting_held():
+            held["gate"] = loop.create_future()
+            entered.set()
+            await held["gate"]
+            await original()
+
+        gateway._stop_accepting = stop_accepting_held
+        sock = socket.create_connection((gateway.host, gateway.port))
+        wait_until(lambda: len(gateway._conn_busy) == 1)
+        closer = threading.Thread(target=gateway.close, daemon=True)
+        closer.start()
+        assert entered.wait(timeout=10)
+        sock.close()  # the idle handler reads EOF and ends in the window
+        wait_until(lambda: not gateway._conn_busy)
+        # Had the handler stopped the loop, its thread retires within the
+        # loop's 1 s grace for pending tasks, before the gate opens.
+        gateway._thread.join(timeout=1.5)
+        try:
+            loop.call_soon_threadsafe(
+                lambda: held["gate"].done() or held["gate"].set_result(None))
+        except RuntimeError:
+            pass  # the loop is already closed: close() is stuck
+        closer.join(timeout=2.0)
+        assert not closer.is_alive(), \
+            "close() waited on a stop-accepting coroutine the loop dropped"
+
     def test_drained_close_resolves_everything(self):
         rng = np.random.default_rng(8)
         with mlp_gateway() as (service, gateway, client, (session,)):
@@ -475,24 +527,65 @@ class TestBinaryStepProtocol:
 
     def test_binary_and_json_steps_are_byte_identical(self):
         """Two sessions with identical initial state, one driven binary
-        and one JSON, must see exactly the same losses — the formats
-        carry the same bits into the same kernels."""
+        (the client) and one JSON (the route ``curl`` uses), must see
+        exactly the same losses — the formats carry the same bits into
+        the same kernels."""
         rng = np.random.default_rng(11)
         examples = [mlp_example(rng) for _ in range(6)]
-        with mlp_gateway(sessions=2) as (_service, gateway, _c, sessions):
-            json_client = ServeClient(gateway.url, binary=False)
-            bin_client = ServeClient(gateway.url, binary=True)
+        with mlp_gateway(sessions=2) as (_service, gateway, client,
+                                         sessions):
+            conn = http.client.HTTPConnection(gateway.host, gateway.port,
+                                              timeout=30)
             try:
-                json_losses = [
-                    json_client.step(sessions[0].id, x, y)["loss"]
-                    for x, y in examples]
-                bin_losses = [
-                    bin_client.step(sessions[1].id, x, y)["loss"]
-                    for x, y in examples]
+                json_losses = [json_step(conn, sessions[0].id, x, y)["loss"]
+                               for x, y in examples]
             finally:
-                json_client.close()
-                bin_client.close()
+                conn.close()
+            bin_losses = [client.step(sessions[1].id, x, y)["loss"]
+                          for x, y in examples]
             assert json_losses == bin_losses
+
+    def test_client_steps_are_binary_keyed_and_unprobed(self):
+        """The client has one way to step: a binary frame carrying a
+        fresh ``Idempotency-Key``, with no ``/v1/healthz`` probe first."""
+        rng = np.random.default_rng(4)
+        with mlp_gateway() as (service, _gateway, client, (session,)):
+            for _ in range(3):
+                client.step(session.id, *mlp_example(rng))
+            metrics = service.metrics.as_dict()
+            keys = session.idempotency_window()
+        assert metrics["serve.http.steps_binary"] == 3
+        assert metrics.get("serve.http.steps_json", 0) == 0
+        assert metrics["serve.http_requests_total"] == 3   # steps only
+        assert len(keys) == 3
+        assert all(key.startswith(f"{session.id}:") for key in keys)
+
+    def test_binary_step_body_is_a_quarter_of_json(self, real_gateway):
+        """Per the gateway's own ``serve.http.step_bytes_*`` counters, one
+        ``mcunet_micro`` step costs at most a quarter of the HTTP body
+        bytes as a frame that it costs as JSON."""
+        client = ServeClient(real_gateway.url)
+        doc = client.create_session("mcunet_micro")
+        rng = np.random.default_rng(2)
+        conn = http.client.HTTPConnection(real_gateway.host,
+                                          real_gateway.port, timeout=60)
+        try:
+            for _ in range(2):
+                x = rng.standard_normal(doc["input_shape"]) \
+                    .astype(np.float32)
+                y = int(rng.integers(0, doc["num_classes"]))
+                json_step(conn, doc["session_id"], x, y)
+                client.step(doc["session_id"], x, y)
+        finally:
+            conn.close()
+        metrics = client.metrics()
+        client.close_session(doc["session_id"])
+        client.close()
+        per_json = metrics["serve.http.step_bytes_json"] \
+            / metrics["serve.http.steps_json"]
+        per_binary = metrics["serve.http.step_bytes_binary"] \
+            / metrics["serve.http.steps_binary"]
+        assert 4 * per_binary <= per_json
 
     def test_binary_response_negotiated_by_accept(self):
         from repro.serve import wire

@@ -12,6 +12,9 @@ promises:
 * ``step_seq`` strictly increases across acked updates;
 * a keyed retry of an acked key replays (``replayed=True``) and moves no
   state byte;
+* a step whose label is no class id (outside ``[0, classes)``) is
+  refused before it is queued and moves nothing: no counter, no state
+  byte, no idempotency key;
 * restore ∘ checkpoint is byte-identical in state and counters;
 * a shadow session in a second service, fed the same examples in the
   same batches but only through the worker pool, holds byte-identical
@@ -26,12 +29,14 @@ import threading
 import time
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule,
                                  run_state_machine_as_test)
 
+from repro.errors import ServeError
 from repro.serve import FineTuneService, load_checkpoint
 
 from conftest import make_mlp_graph
@@ -199,6 +204,22 @@ class ServeMachine(RuleBasedStateMachine):
         assert (replay.step, replay.loss) == (recorded.step, recorded.loss)
         assert state_bytes(self.session) == before
         assert not self.service.scheduler.pending(self.session.id)
+
+    @rule(example=examples, label=st.integers(-4, -1) | st.integers(3, 7),
+          claim=st.booleans())
+    def refused_label(self, example, label, claim):
+        self._settle()
+        key = self._next_key()
+        before = (state_bytes(self.session), counters(self.session))
+        with pytest.raises(ServeError, match="class ids"):
+            self.service.submit(self.session.id, example[0],
+                                np.int64(label), idempotency_key=key,
+                                claim=claim)
+        assert not self.service.scheduler.pending(self.session.id)
+        assert self.session.recall(key) is None
+        assert self.session.pending_future(key) is None
+        assert (state_bytes(self.session), counters(self.session)) == before
+        assert before == (state_bytes(self.twin), counters(self.twin))
 
     @rule()
     def checkpoint_bytes(self):

@@ -1,9 +1,9 @@
 """Tests for the binary step wire format and the shared-memory slab ring.
 
-Correctness oracle throughout: the binary/shm fast paths must be
-*byte-identical* to the JSON/pickle paths they replace — same losses,
-same final state bytes — because they feed the same kernels; any drift
-means the transport changed alignment or dtype somewhere.
+Correctness oracle throughout: the process backend's shm ring must be
+*byte-identical* to the in-process thread backend — same losses, same
+final state bytes — because both feed the same kernels; any drift means
+the transport changed alignment or dtype somewhere.
 """
 
 from __future__ import annotations
@@ -13,14 +13,15 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve import FineTuneService, shm, wire
+from repro.serve.scheduler import StepRequest
 from repro.serve.shm import SlabRing
 from repro.serve.wire import WireError
 
 from conftest import make_mlp_graph
 
 
-def build_mlp(batch: int):
-    return make_mlp_graph(batch=batch, din=5, dhidden=6, dout=3,
+def build_mlp(batch: int, dhidden: int = 6):
+    return make_mlp_graph(batch=batch, din=5, dhidden=dhidden, dout=3,
                           seed=0)[0].graph
 
 
@@ -96,10 +97,15 @@ class TestFrameRoundTrip:
         for name, arr in tensors.items():
             assert (arr.ctypes.data - base) % 64 == 0, name
 
-    def test_non_contiguous_tensor_is_refused(self):
-        arr = np.ones((4, 4), np.float32).T[::2]
-        with pytest.raises(WireError):
-            wire.encode_frame(None, {"x": arr})
+    def test_non_contiguous_tensor_is_copied_in_c_order(self):
+        arr = np.arange(16, dtype=np.float32).reshape(4, 4).T[::2]
+        assert not arr.flags.c_contiguous
+        frame = wire.encode_frame(None, {"x": arr})
+        assert frame == wire.encode_frame(
+            None, {"x": np.ascontiguousarray(arr)})
+        _, got = wire.decode_frame(frame)
+        assert got["x"].flags.c_contiguous
+        assert np.array_equal(got["x"], arr)
 
     def test_encode_into_overflow_is_clean(self):
         tensors = {"x": np.ones(1024, np.float64)}
@@ -190,6 +196,25 @@ class TestSlabRing:
             del meta, tensors, again
             ring.release(slot)
 
+    def test_strided_tensor_is_copied_into_the_slot(self):
+        """A view is written once, in C order, straight into the slot —
+        the same bytes and length as its contiguous copy would take."""
+        base = np.arange(48, dtype=np.float32).reshape(6, 8)
+        views = {"t": base.T, "s": base[::2, 1::3],
+                 "f": np.asfortranarray(base)}
+        assert not any(v.flags.c_contiguous for v in views.values())
+        dense = {k: np.ascontiguousarray(v) for k, v in views.items()}
+        with SlabRing(1, 1 << 16) as ring:
+            slot = ring.acquire()
+            length = ring.write_frame(slot, None, views)
+            assert length == wire.frame_nbytes(None, dense)
+            _, tensors = ring.read_frame(slot, copy=True)
+            for name, view in views.items():
+                assert tensors[name].flags.c_contiguous, name
+                assert tensors[name].shape == view.shape, name
+                assert tensors[name].tobytes() == dense[name].tobytes(), name
+            ring.release(slot)
+
     def test_torn_write_is_detected(self):
         with SlabRing(1, 1 << 12) as ring:
             slot = ring.acquire()
@@ -230,16 +255,16 @@ class TestSlabRing:
 
 
 # ---------------------------------------------------------------------------
-# channel parity: shm vs pickle vs thread — the byte-exactness oracle
+# backend parity: process (shm ring) vs thread — the byte-exactness oracle
 # ---------------------------------------------------------------------------
 
 
-def _run_losses_and_state(backend: str, channel: str = "shm"):
+def _run_losses_and_state(backend: str):
     rng = np.random.default_rng(7)
     examples = [(rng.standard_normal(5).astype(np.float32),
                  np.int64(rng.integers(0, 3))) for _ in range(10)]
-    with FineTuneService(workers=2, max_batch=4, backend=backend,
-                         worker_channel=channel) as service:
+    with FineTuneService(workers=2, max_batch=4,
+                         backend=backend) as service:
         session = service.create_session(build_mlp, model_id="mlp",
                                          scheme="full")
         losses = [service.submit(session.id, x, y).result(60).loss
@@ -249,38 +274,121 @@ def _run_losses_and_state(backend: str, channel: str = "shm"):
     return losses, snapshot, metrics
 
 
-class TestChannelParity:
-    def test_shm_channel_is_byte_identical_to_pickle_and_thread(self):
-        l_thread, s_thread, _ = _run_losses_and_state("thread")
-        l_shm, s_shm, m_shm = _run_losses_and_state("process", "shm")
-        l_pkl, s_pkl, m_pkl = _run_losses_and_state("process", "pickle")
-        assert l_shm == l_pkl == l_thread
-        assert set(s_shm) == set(s_pkl) == set(s_thread)
-        for key in s_shm:
-            assert s_shm[key].tobytes() == s_pkl[key].tobytes() \
-                == s_thread[key].tobytes(), key
-        # and the steps really took the channels they claim
-        assert m_shm.get("serve.worker.steps_shm", 0) == 10
-        assert m_shm.get("serve.worker.steps_pickle", 0) == 0
-        assert m_pkl.get("serve.worker.steps_pickle", 0) == 10
-        # the whole point: the shm channel pickles far fewer bytes
-        assert m_shm["serve.worker.serialized_bytes"] \
-            < m_pkl["serve.worker.serialized_bytes"]
+def _run_batches(backend: str, batches, dhidden: int = 6):
+    """Feed ``batches`` (lists of ``(x, y)``) to one session through
+    ``_run_batch``, so both backends see exactly the same batching: a
+    batch of one takes the ``x[None, ...]`` path, a longer one is
+    stacked."""
+    with FineTuneService(workers=1, max_batch=4,
+                         backend=backend) as service:
+        session = service.create_session(
+            lambda batch: build_mlp(batch, dhidden),
+            model_id=f"mlp{dhidden}", scheme="full")
+        losses = [service._run_batch(session, [
+            StepRequest(session=session, x=x, y=y) for x, y in batch]).loss
+            for batch in batches]
+        snapshot = service.snapshot(session.id)
+        metrics = service.metrics.as_dict()
+    return losses, snapshot, metrics
 
-    def test_oversized_payload_falls_back_to_pickle(self):
-        # a ring too small for the frame must degrade, not fail
-        rng = np.random.default_rng(3)
-        with FineTuneService(workers=1, max_batch=2, backend="process",
-                             worker_channel="shm",
-                             shm_slot_bytes=256) as service:
-            session = service.create_session(build_mlp, model_id="mlp",
-                                             scheme="full")
-            x = rng.standard_normal(5).astype(np.float32)
-            result = service.submit(session.id, x, np.int64(1)).result(60)
-            assert np.isfinite(result.loss)
-            metrics = service.metrics.as_dict()
-            assert metrics.get("serve.worker.shm_fallbacks", 0) >= 1
-            assert metrics.get("serve.worker.steps_pickle", 0) >= 1
+
+def _strided_batches(sizes=(1, 1, 4, 1, 2)):
+    """Batches whose every ``x`` is a non-C-contiguous view."""
+    rng = np.random.default_rng(11)
+    batches = []
+    for size in sizes:
+        batch = []
+        for _ in range(size):
+            x = rng.standard_normal((5, 2)).astype(np.float32)[:, 1]
+            assert not x.flags.c_contiguous
+            batch.append((x, np.int64(rng.integers(0, 3))))
+        batches.append(batch)
+    return batches
+
+
+class TestBackendParity:
+    def test_shm_ring_is_byte_identical_to_thread(self):
+        l_thread, s_thread, _ = _run_losses_and_state("thread")
+        l_shm, s_shm, m_shm = _run_losses_and_state("process")
+        assert l_shm == l_thread
+        assert set(s_shm) == set(s_thread)
+        for key in s_shm:
+            assert s_shm[key].tobytes() == s_thread[key].tobytes(), key
+        # and every step really crossed the ring
+        assert m_shm.get("serve.worker.steps_shm", 0) == 10
+
+    def test_strided_inputs_are_byte_identical_to_thread(self):
+        """A non-contiguous ``x`` is copied once into the slot: batch-1
+        (``x[None, ...]`` stays a strided view) and coalesced (stacked)
+        batches alike match the thread backend bit for bit."""
+        batches = _strided_batches()
+        l_thread, s_thread, _ = _run_batches("thread", batches)
+        l_shm, s_shm, m_shm = _run_batches("process", batches)
+        assert l_shm == l_thread
+        assert set(s_shm) == set(s_thread)
+        for key in s_shm:
+            assert s_shm[key].tobytes() == s_thread[key].tobytes(), key
+        assert m_shm["serve.worker.steps_shm"] == len(batches)
+
+    def test_serialized_bytes_do_not_grow_with_the_state(self):
+        """Only the fetched loss and a fixed stub are pickled per step;
+        the state overlay travels through shared memory, so a model with
+        ~10x the state pickles the same bytes per step."""
+        from repro.serve.workers import _STUB_OVERHEAD
+
+        batches = _strided_batches((1, 2, 1))
+        per_step, shm_per_step, state_bytes = {}, {}, {}
+        for dhidden in (6, 64):
+            _, state, metrics = _run_batches("process", batches, dhidden)
+            steps = metrics["serve.worker.steps_shm"]
+            per_step[dhidden] = \
+                metrics["serve.worker.serialized_bytes"] / steps
+            shm_per_step[dhidden] = metrics["serve.worker.shm_bytes"] / steps
+            state_bytes[dhidden] = sum(a.nbytes for a in state.values())
+        loss_bytes = np.dtype(np.float32).itemsize
+        assert per_step[6] == per_step[64] <= loss_bytes + _STUB_OVERHEAD
+        # the overlay went through the ring instead, all of it
+        assert state_bytes[64] > 8 * state_bytes[6]
+        for dhidden, nbytes in state_bytes.items():
+            assert shm_per_step[dhidden] > nbytes
+
+    def test_ring_grows_mid_run_and_stays_byte_identical(self):
+        """A bigger model joining a live pool grows the ring once; both
+        sessions' losses and state still match the thread backend, and
+        the small model's later steps reuse the grown ring."""
+        rng = np.random.default_rng(13)
+        examples = [(rng.standard_normal(5).astype(np.float32),
+                     np.int64(rng.integers(0, 3))) for _ in range(6)]
+        order = ("small", "big", "small", "big", "small", "small")
+
+        def run(backend):
+            with FineTuneService(workers=1, max_batch=1,
+                                 backend=backend) as service:
+                sessions = {
+                    "small": service.create_session(
+                        lambda batch: build_mlp(batch, 6),
+                        model_id="mlp6", scheme="full"),
+                    "big": service.create_session(
+                        lambda batch: build_mlp(batch, 8192),
+                        model_id="mlp8192", scheme="full")}
+                losses = [service.submit(sessions[name].id, x, y)
+                          .result(60).loss
+                          for name, (x, y) in zip(order, examples)]
+                states = {name: service.snapshot(session.id)
+                          for name, session in sessions.items()}
+                metrics = service.metrics.as_dict()
+            return losses, states, metrics
+
+        l_thread, s_thread, _ = run("thread")
+        l_shm, s_shm, m_shm = run("process")
+        assert l_shm == l_thread
+        for name in s_thread:
+            assert set(s_shm[name]) == set(s_thread[name])
+            for key in s_thread[name]:
+                assert s_shm[name][key].tobytes() \
+                    == s_thread[name][key].tobytes(), (name, key)
+        assert m_shm["serve.worker.steps_shm"] == len(order)
+        assert m_shm["serve.worker.ring_resizes"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +412,7 @@ class TestRingAutoSizing:
     def test_ring_created_lazily_and_grows_for_bigger_frames(self):
         from repro.serve.workers import ProcessPoolEngine
 
-        engine = ProcessPoolEngine(1, channel="shm")
+        engine = ProcessPoolEngine(1)
         try:
             assert engine._ring is None  # no frame measured yet
             small = {"x": np.zeros(8, np.float32)}
@@ -329,7 +437,7 @@ class TestRingAutoSizing:
     def test_retired_ring_stays_open_until_inflight_steps_drain(self):
         from repro.serve.workers import ProcessPoolEngine
 
-        engine = ProcessPoolEngine(1, channel="shm")
+        engine = ProcessPoolEngine(1)
         try:
             small = {"x": np.zeros(8, np.float32)}
             ring1 = engine._ensure_ring({"state": [], "feeds": ["x"]}, small)
@@ -347,20 +455,5 @@ class TestRingAutoSizing:
             with pytest.raises(ServeError, match="closed"):
                 ring1.acquire(timeout=0.05)
             engine._ring_unref(ring2)
-        finally:
-            engine.shutdown()
-
-    def test_pinned_slot_bytes_still_creates_eagerly(self):
-        from repro.serve.workers import ProcessPoolEngine
-
-        engine = ProcessPoolEngine(1, channel="shm", slot_bytes=1 << 12)
-        try:
-            assert engine._ring is not None
-            assert engine._ring.slot_bytes == 1 << 12
-            # pinned rings never grow: oversized frames raise WireError
-            # (run_step turns that into the per-step pickle fallback)
-            big = {"x": np.zeros(1 << 14, np.float64)}
-            with pytest.raises(WireError):
-                engine._ensure_ring({"state": [], "feeds": ["x"]}, big)
         finally:
             engine.shutdown()
