@@ -16,7 +16,10 @@ a training step is decided here, once. A smooth activation's adjoint reads
 the activation's *input*, as one op (``silu_grad(g, x)``,
 ``gelu_grad(g, x)``): a chain of primitives would leave intermediates the
 scheduler can hoist into the forward and hold to the backward, or stack
-at the peak. Two rules cooperate for the
+at the peak. SwiGLU's gate ``swiglu(gate, up) = silu(gate) * up`` reads
+the same way: its adjoints are ``silu_grad(g·up, gate)`` and
+``swiglu(gate, g)``, so the forward keeps the two projections it already
+keeps and no ``silu`` output. Two rules cooperate for the
 cross-entropy loss: ``pick``'s adjoint is a scatter, and ``log_softmax``'s
 rule, handed that scatter, takes its row gradients and ids instead
 (``log_softmax_grad(g, x, ids)``) — the loss region then holds the logits
@@ -250,6 +253,17 @@ def _silu_grad(ctx, node, g):
 @rule("gelu")
 def _gelu_grad(ctx, node, g):
     return [ctx.b.emit("gelu_grad", [g, node.inputs[0]])]
+
+
+@rule("swiglu")
+def _swiglu_grad(ctx, node, g):
+    # silu(gate) is constant over the dims gate is broadcast along, so
+    # unbroadcasting g·up before silu_grad is the chain rule through
+    # mul(silu(gate), up), product for product
+    gate, up = node.inputs
+    g_silu = ctx.unbroadcast(ctx.b.mul(g, up), ctx.shape(gate))
+    return [ctx.b.emit("silu_grad", [g_silu, gate]),
+            ctx.unbroadcast(ctx.b.emit("swiglu", [gate, g]), ctx.shape(up))]
 
 
 # ---------------------------------------------------------------------------

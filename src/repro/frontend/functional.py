@@ -91,6 +91,10 @@ class Sym:
     def silu(self) -> "Sym":
         return self._wrap(self.b.emit("silu", [self.name]))
 
+    def swiglu(self, up: "Sym") -> "Sym":
+        """``silu(self) * up``, as one op (see ``ir/ops.py``)."""
+        return self._wrap(self.b.emit("swiglu", [self.name, up.name]))
+
     def sigmoid(self) -> "Sym":
         return self._wrap(self.b.emit("sigmoid", [self.name]))
 

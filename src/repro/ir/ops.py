@@ -13,7 +13,10 @@ training-flavoured ops are ``conv2d_dx`` (a transposed convolution, itself
 used by inference decoders), ``conv2d_dw``, ``maxpool2d_grad``,
 ``embedding_grad`` (a scatter-add), ``pick_grad`` (a scatter),
 ``log_softmax_grad``, the activation adjoints ``silu_grad`` /
-``gelu_grad`` and the in-place ``apply_*`` optimizer steps.
+``gelu_grad`` and the in-place ``apply_*`` optimizer steps. One forward
+op is a fusion an inference backend runs too: ``swiglu(gate, up) =
+silu(gate) * up``, the SwiGLU FFN's gate, whose adjoint reads ``gate`` and
+``up`` and so keeps no ``silu`` output for the backward.
 """
 
 from __future__ import annotations
@@ -139,6 +142,11 @@ for _name in ("relu", "relu6", "sigmoid", "tanh", "silu"):
     register_op(_name, 1, flops=_act_flops)(_unary_infer)
 
 register_op("gelu", 1, flops=lambda i, o, a: 8 * o[0].num_elements)(_unary_infer)
+
+# SwiGLU's gate, ``silu(gate) * up``: ``mul``'s broadcast and one silu of
+# ``gate`` plus one product per output element.
+register_op("swiglu", 2, flops=lambda i, o, a: 4 * i[0].num_elements
+            + o[0].num_elements)(_binary_infer)
 
 
 # A smooth activation's adjoint ``op_grad(g, x)`` reads the activation's

@@ -343,11 +343,13 @@ def _tanh(inputs, attrs):
     return [np.tanh(inputs[0])]
 
 
-# silu(x) = x * sigmoid(x), the gate of a SwiGLU FFN, and the adjoints of
-# silu and GELU. An adjoint reads the activation's *input*, so the forward
-# keeps nothing else for it, and it is one kernel: its intermediates are
-# workspace scratch, gone when it returns, never values the scheduler could
-# hoist into the forward or stack at the peak. Each computes the products
+# silu(x) = x * sigmoid(x), the SwiGLU FFN's gate swiglu(g, u) =
+# silu(g) * u, and the adjoints of silu and GELU. An adjoint reads the
+# activation's *input*, so the forward keeps nothing else for it (the gate
+# differentiates into silu_grad and swiglu, which read g and u), and it is
+# one kernel: its intermediates are workspace scratch, gone when it
+# returns, never values the scheduler could hoist into the forward or
+# stack at the peak. Each computes the products
 # and sums of the primitive chain it replaces (x * sigmoid(x) under the
 # ``mul`` and ``sigmoid`` rules; GELU's textbook derivative), in the same
 # grouping and with the same float32 constants, hence the same bytes; and
@@ -377,6 +379,31 @@ def _silu(inputs, attrs):
 @out_kernel("silu", alias_safe=True)
 def _silu_out(inputs, attrs, out):
     return _silu_into(inputs[0], out)
+
+
+def _swiglu_into(gate: np.ndarray, up: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """``silu(gate) * up``: ``_silu_into``'s ufuncs into its own sigmoid
+    row, then ``mul``'s product. ``out`` is written once, last, so it may
+    alias either input."""
+    s, e = _scratch(gate, 2)
+    np.multiply(gate, _sigmoid_into(gate, s, e), out=s)
+    np.multiply(s, up, out=out)
+    workspace.give(s)
+    return out
+
+
+@kernel("swiglu")
+def _swiglu(inputs, attrs):
+    gate, up = inputs
+    return [_swiglu_into(gate, up, np.empty(
+        np.broadcast_shapes(gate.shape, up.shape),
+        np.result_type(gate, up)))]
+
+
+@out_kernel("swiglu", alias_safe=True)
+def _swiglu_out(inputs, attrs, out):
+    return _swiglu_into(*inputs, out)
 
 
 def _silu_grad_into(g: np.ndarray, x: np.ndarray,

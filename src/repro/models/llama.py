@@ -43,7 +43,8 @@ CONFIGS = {
 
 
 class GatedFeedForward(Module):
-    """SwiGLU-style FFN: down(silu(gate(x)) * up(x))."""
+    """SwiGLU-style FFN: down(silu(gate(x)) * up(x)), the gate one
+    ``swiglu`` op."""
 
     def __init__(self, dim: int, hidden: int,
                  rng: np.random.Generator | None = None) -> None:
@@ -56,7 +57,7 @@ class GatedFeedForward(Module):
         self.down.meta["role_in_block"] = "ffn_second"
 
     def forward(self, x: Sym) -> Sym:
-        return self.down(self.gate(x).silu() * self.up(x))
+        return self.down(self.gate(x).swiglu(self.up(x)))
 
 
 class LlamaBlock(Module):

@@ -38,7 +38,7 @@ _ELEMENTWISE = {
     "add", "sub", "mul", "div", "neg", "exp", "log", "sqrt", "abs", "sign",
     "step", "relu", "relu6", "gelu", "sigmoid", "tanh", "silu", "maximum",
     "minimum", "equal", "bias_add", "range_mask", "mask_mul", "silu_grad",
-    "gelu_grad",
+    "gelu_grad", "swiglu",
 }
 
 

@@ -15,6 +15,11 @@
   ``tests/test_activation_adjoints.py`` holds the one-op adjoints to the
   same bytes and less memory; ``swap_in_primitive_activations`` installs
   the old forms.
+* **The SwiGLU gate as two ops.** Until ``swiglu(gate, up)`` was one op
+  whose adjoint reads ``gate`` and ``up``, the Llama FFN traced
+  ``mul(silu(gate), up)``, and the ``mul`` rule's adjoint for ``up`` read
+  the ``silu`` output, which the forward held for the backward.
+  ``swap_in_primitive_swiglu`` traces it that way again.
 
 The function bodies are the previous ones, copied without edits.
 """
@@ -76,8 +81,20 @@ def _silu_as_primitives(self: Sym) -> Sym:
     return self * self.sigmoid()
 
 
+def _swiglu_as_primitives(self: Sym, up: Sym) -> Sym:
+    # GatedFeedForward.forward's gate: self.gate(x).silu() * self.up(x)
+    return self.silu() * up
+
+
+def swap_in_primitive_swiglu(monkeypatch) -> None:
+    """Trace the SwiGLU gate as ``mul(silu(gate), up)``, for this test."""
+    monkeypatch.setattr(Sym, "swiglu", _swiglu_as_primitives)
+
+
 def swap_in_primitive_activations(monkeypatch) -> None:
-    """Trace SiLU as ``x * sigmoid(x)`` and differentiate GELU by its
+    """Trace SiLU as ``x * sigmoid(x)`` (the SwiGLU gate as
+    ``mul(silu(gate), up)`` around it) and differentiate GELU by its
     primitive chain, for this test."""
     monkeypatch.setitem(GRAD_RULES, "gelu", _gelu_grad)
     monkeypatch.setattr(Sym, "silu", _silu_as_primitives)
+    swap_in_primitive_swiglu(monkeypatch)

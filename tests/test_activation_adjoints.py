@@ -1,9 +1,11 @@
 """A smooth activation's adjoint is one op that reads the activation's input.
 
 ``silu`` differentiates into ``silu_grad(g, x)`` and ``gelu`` into
-``gelu_grad(g, x)``. The forms they replaced — SiLU traced as
-``x * sigmoid(x)`` under the ``mul`` / ``sigmoid`` rules, GELU's rule as a
-chain of elementwise primitives — live on in
+``gelu_grad(g, x)``; the SwiGLU gate ``swiglu(gate, up) = silu(gate) * up``
+into ``silu_grad(g·up, gate)`` and ``swiglu(gate, g)``. The forms they
+replaced — SiLU traced as ``x * sigmoid(x)`` under the ``mul`` /
+``sigmoid`` rules, GELU's rule as a chain of elementwise primitives, the
+gate traced as ``mul(silu(gate), up)`` — live on in
 ``tests/reference_autodiff.py``; this file requires, against them,
 
 * the same bytes: loss of four steps and every mutable state tensor, on
@@ -11,8 +13,9 @@ chain of elementwise primitives — live on in
 * less memory: the plan's ``peak_transient_bytes`` strictly lower on every
   one of them, and no more instructions;
 * the structure that buys it: no ``sigmoid`` or ``tanh`` is left in the
-  training graph, each adjoint reads the input its activation reads, and
-  runs after the loss (nothing of it is hoisted into the forward).
+  training graph, no ``silu`` either on ``llama_micro``, each adjoint
+  reads the inputs its activation reads, and runs after the loss (nothing
+  of it is hoisted into the forward).
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ from repro.runtime.compiler import compile_training
 from repro.sparse import full_update
 from repro.train import SGD, Adam
 
-from reference_autodiff import swap_in_primitive_activations
+from reference_autodiff import (swap_in_primitive_activations,
+                                swap_in_primitive_swiglu)
 from test_activation_masks import position_of_loss, train
 from test_codegen import assert_same_bytes
 
-MODELS = {"llama_micro": "silu", "bert_micro": "gelu"}
+#: model -> (the forward activation op, the adjoint its rule emits)
+MODELS = {"llama_micro": ("swiglu", "silu_grad"),
+          "bert_micro": ("gelu", "gelu_grad")}
 SCHEMES = {"paper_scheme": paper_scheme, "full_update": full_update}
 
 
@@ -39,21 +45,7 @@ def compile_at(model, scheme, batch):
                             scheme=SCHEMES[scheme](forward))
 
 
-@pytest.mark.parametrize("batch", [1, 2, 8])
-@pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("model", MODELS)
-def test_same_bytes_less_memory(model, scheme, batch, monkeypatch):
-    program = compile_at(model, scheme, batch)
-    with monkeypatch.context() as patch:
-        swap_in_primitive_activations(patch)
-        reference = compile_at(model, scheme, batch)
-    ops = {node.op_type for node in program.graph.nodes}
-    old_ops = {node.op_type for node in reference.graph.nodes}
-    adjoint = f"{MODELS[model]}_grad"
-    assert adjoint in ops and not ops & {"sigmoid", "tanh"}
-    assert "tanh" in old_ops or "sigmoid" in old_ops
-    assert adjoint not in old_ops
-
+def assert_same_bytes_less_memory(program, reference):
     losses, state = train(program)
     want_losses, want_state = train(reference)
     for step, (got, want) in enumerate(zip(losses, want_losses)):
@@ -67,17 +59,54 @@ def test_same_bytes_less_memory(model, scheme, batch, monkeypatch):
     assert len(spec.instructions) <= len(old.instructions)
 
 
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("model", MODELS)
+def test_same_bytes_less_memory(model, scheme, batch, monkeypatch):
+    program = compile_at(model, scheme, batch)
+    with monkeypatch.context() as patch:
+        swap_in_primitive_activations(patch)
+        reference = compile_at(model, scheme, batch)
+    ops = {node.op_type for node in program.graph.nodes}
+    old_ops = {node.op_type for node in reference.graph.nodes}
+    adjoint = MODELS[model][1]
+    assert adjoint in ops and not ops & {"sigmoid", "tanh"}
+    assert "tanh" in old_ops or "sigmoid" in old_ops
+    assert adjoint not in old_ops
+    assert_same_bytes_less_memory(program, reference)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 8])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_swiglu_same_bytes_less_memory(scheme, batch, monkeypatch):
+    """Against the gate traced as ``mul(silu(gate), up)``, ``silu`` itself
+    one op: the held ``silu`` outputs are all the difference."""
+    program = compile_at("llama_micro", scheme, batch)
+    with monkeypatch.context() as patch:
+        swap_in_primitive_swiglu(patch)
+        reference = compile_at("llama_micro", scheme, batch)
+    ops = {node.op_type for node in program.graph.nodes}
+    old_ops = {node.op_type for node in reference.graph.nodes}
+    assert "swiglu" in ops and "silu" not in ops
+    assert "silu" in old_ops and "swiglu" not in old_ops
+    assert_same_bytes_less_memory(program, reference)
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("model", MODELS)
 def test_the_adjoint_reads_the_input_after_the_loss(model, scheme):
     program = compile_at(model, scheme, 2)
-    activation = MODELS[model]
+    activation, adjoint = MODELS[model]
     loss_at = position_of_loss(program)
-    inputs = {node.inputs[0] for node in program.graph.nodes
+    inputs = {node.inputs[0] for node in program.schedule[:loss_at]
               if node.op_type == activation}
     adjoints = [(at, node) for at, node in enumerate(program.schedule)
-                if node.op_type == f"{activation}_grad"]
+                if node.op_type == adjoint]
     assert adjoints and inputs
     for at, node in adjoints:
         assert node.inputs[1] in inputs
         assert at > loss_at, f"{node.name} runs at {at}, before the loss"
+    # the backward swiglu, up's adjoint, reads its forward's gate
+    for node in program.schedule[loss_at:]:
+        if node.op_type == activation:
+            assert node.inputs[0] in inputs, node.name

@@ -31,6 +31,18 @@ class TestElementwiseGrads:
         gradcheck_single_op("add", None, make_inputs=mk)
         gradcheck_single_op("mul", None, make_inputs=mk)
 
+    @pytest.mark.parametrize("up_shape", [(3, 4), (4,), (2, 1, 4)])
+    def test_swiglu_both_inputs(self, up_shape):
+        """``silu(gate) * up`` against finite differences in ``gate`` and
+        in ``up``, with ``up`` of the gate's shape, broadcast into it and
+        broadcasting it."""
+        def mk(rng):
+            return [rng.standard_normal((3, 4)).astype(np.float32) * 2,
+                    rng.standard_normal(up_shape).astype(np.float32)]
+        gradcheck_single_op("swiglu", None, make_inputs=mk)
+        gradcheck_single_op("swiglu", None, make_inputs=lambda rng:
+                            mk(rng)[::-1])
+
     @pytest.mark.parametrize("op", ["neg", "exp", "tanh", "sigmoid",
                                     "silu", "gelu", "abs"])
     def test_unary(self, op):

@@ -165,7 +165,8 @@ class TestSameStepAsTheLoop:
 
 # -- (ii) every into-form equals its kernel ----------------------------------
 
-BINARY = ("add", "sub", "mul", "div", "maximum", "minimum", "equal")
+BINARY = ("add", "sub", "mul", "div", "maximum", "minimum", "equal",
+          "swiglu")
 UNARY = ("neg", "exp", "log", "sqrt", "abs", "sign", "tanh", "step", "relu",
          "relu6", "sigmoid", "silu", "gelu")
 #: an activation's adjoint ``op_grad(g, x)``: two operands of one shape

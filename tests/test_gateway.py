@@ -552,6 +552,10 @@ class TestBinaryStepProtocol:
         with mlp_gateway() as (service, _gateway, client, (session,)):
             for _ in range(3):
                 client.step(session.id, *mlp_example(rng))
+            # the gateway counts a step after writing its response, so
+            # the client can hold the third response before it is counted
+            wait_until(lambda: service.metrics.as_dict().get(
+                "serve.http.steps_binary", 0) >= 3)
             metrics = service.metrics.as_dict()
             keys = session.idempotency_window()
         assert metrics["serve.http.steps_binary"] == 3

@@ -226,6 +226,18 @@ class TestNNOps:
             with pytest.raises(ShapeError):
                 infer(op, shapes, dtypes=dtypes)
 
+    def test_swiglu_broadcasts_like_mul(self):
+        [(shape, dtype)] = infer("swiglu", [(2, 24, 64), (2, 24, 64)],
+                                 dtypes=[DType.FLOAT16] * 2)
+        assert shape == (2, 24, 64) and dtype == DType.FLOAT16
+        for gate, up, want in (((2, 1, 4), (3, 4), (2, 3, 4)),
+                               ((4,), (2, 3, 4), (2, 3, 4)),
+                               ((), (2, 3), (2, 3))):
+            [(shape, _)] = infer("swiglu", [gate, up])
+            assert shape == want
+        with pytest.raises(ShapeError):
+            infer("swiglu", [(2, 3), (2, 4)])
+
     def test_unknown_op(self):
         with pytest.raises(ShapeError):
             get_schema("not_an_op")

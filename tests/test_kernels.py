@@ -702,6 +702,52 @@ class TestActivationAdjoints:
                                        rtol=0, atol=1e-30)
 
 
+def ref_swiglu(gate, up):
+    """The SwiGLU gate as it was traced: ``mul(silu(gate), up)``."""
+    return primitive("mul", primitive("silu", gate), up)
+
+
+class TestSwiGLU:
+    """``swiglu(gate, up)`` is ``silu`` then ``mul``, byte for byte, in
+    its base form and its into-form, whichever input ``out`` is over."""
+
+    @given(adjoint_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_silu_then_mul(self, operands):
+        up, gate = operands
+        want = ref_swiglu(gate, up)
+        same_bytes(primitive("swiglu", gate, up), want)
+        out = np.full_like(want, np.nan)
+        assert OUT_KERNELS["swiglu"]([gate, up], {}, out) is out
+        same_bytes(out, want)
+
+    def test_out_may_alias_either_input(self, rng):
+        gate = (rng.standard_normal((2, 24, 64)) * 4).astype(np.float32)
+        up = rng.standard_normal((2, 24, 64)).astype(np.float32)
+        want = ref_swiglu(gate, up)
+        for alias in (0, 1):
+            ins = [gate.copy(), up.copy()]
+            assert OUT_KERNELS["swiglu"](ins, {}, ins[alias]) is ins[alias]
+            same_bytes(ins[alias], want)
+            same_bytes(ins[1 - alias], (gate, up)[1 - alias])
+        both = gate.copy()  # gate and up one buffer, out over it too
+        OUT_KERNELS["swiglu"]([both, both], {}, both)
+        same_bytes(both, ref_swiglu(gate, gate))
+
+    def test_broadcasts_like_mul(self, rng):
+        gate = rng.standard_normal((3, 1, 4)).astype(np.float32)
+        up = rng.standard_normal((5, 4)).astype(np.float32)
+        for a, b in ((gate, up), (up, gate)):
+            same_bytes(primitive("swiglu", a, b), ref_swiglu(a, b))
+
+    def test_finite_at_the_edges(self):
+        gate = np.array([0.0, -0.0, 20.0, -20.0, 90.0, -90.0], np.float32)
+        y = primitive("swiglu", gate, np.full_like(gate, 3.0))
+        assert np.isfinite(y).all(), y
+        same_bytes(y, ref_swiglu(gate, np.full_like(gate, 3.0)))
+        np.testing.assert_allclose(y[4:], [270.0, 0.0], rtol=0, atol=1e-30)
+
+
 @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6))
 @settings(max_examples=25, deadline=None)
 def test_elementwise_ops_match_numpy(n, h, w):

@@ -16,11 +16,15 @@ promises:
   refused before it is queued and moves nothing: no counter, no state
   byte, no idempotency key;
 * restore ∘ checkpoint is byte-identical in state and counters;
+* a session aged past the session TTL goes at the next forced sweep once
+  nothing of it is queued or running, strands none of its futures, and
+  its next submit is refused before it is queued, moving no byte of the
+  shadow session;
 * a shadow session in a second service, fed the same examples in the
   same batches but only through the worker pool, holds byte-identical
   state: where a step runs never changes its bytes.
 
-TTL eviction and worker crashes are not rules yet.
+Worker crashes are not a rule yet.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ from repro.serve import FineTuneService, load_checkpoint
 from conftest import make_mlp_graph
 
 WAIT_S = 30.0
+#: the machine's session TTL: long enough that no session expires unless
+#: a rule ages it
+TTL_S = 3600.0
 #: futures the machine may hold unresolved at once; with one worker, two
 #: held plus a step that queues behind them is what coalesces a batch
 MAX_HELD = 2
@@ -221,6 +228,33 @@ class ServeMachine(RuleBasedStateMachine):
         assert (state_bytes(self.session), counters(self.session)) == before
         assert before == (state_bytes(self.twin), counters(self.twin))
 
+    @rule(example=examples, claim=st.booleans())
+    def ttl_evict(self, example, claim):
+        manager = self.service.sessions
+        evictions = self.service.stats()["serve.sessions_evicted"]
+        self.session.last_used -= TTL_S + 1.0
+        evicted = manager.sweep(force=True)
+        self._settle()  # every future it holds resolves, evicted or not
+        if not evicted:  # busy at that sweep; idle now, it goes
+            self.session.last_used -= TTL_S + 1.0
+            evicted = manager.sweep(force=True)
+        assert evicted == [self.session]
+        assert self.service.stats()["serve.sessions_evicted"] \
+            == evictions + 1
+        twin = (state_bytes(self.twin), counters(self.twin))
+        key = self._next_key()
+        with pytest.raises(ServeError, match="unknown session"):
+            self.service.submit(self.session.id, *example,
+                                idempotency_key=key, claim=claim)
+        assert not self.service.scheduler.pending(self.session.id)
+        assert self.service.scheduler.queue_depth() == 0
+        assert self.session.pending_future(key) is None
+        assert self.session.recall(key) is None
+        assert (state_bytes(self.twin), counters(self.twin)) == twin
+        assert state_bytes(self.session) == twin[0]
+        self.shadow.service.close_session(self.twin.id)
+        self._open_pair()
+
     @rule()
     def checkpoint_bytes(self):
         self._settle()
@@ -265,7 +299,7 @@ class ServeMachine(RuleBasedStateMachine):
 def test_serving_state_machine(monkeypatch):
     # a loaded host must not push the MLP step past the claim bound
     monkeypatch.setattr("sys.getswitchinterval", lambda: 1.0)
-    service = FineTuneService(max_batch=2, workers=1)
+    service = FineTuneService(max_batch=2, workers=1, session_ttl=TTL_S)
     shadow = Shadow(FineTuneService(max_batch=2, workers=1))
     try:
         run_state_machine_as_test(

@@ -200,22 +200,25 @@ class TestCLI:
         """An in-place reuse chain is one buffer holding several values
         over its life; each table names the one in it at the instruction
         it shows. On llama_micro's full update every FFN block's
-        ``silu_grad`` writes over the up-projection output the forward
-        keeps for the backward, so a buffer named after its chain's last
-        value would count a backward op as held for the backward."""
+        up-projection output, which the forward keeps for the backward,
+        is the buffer the backward's ``g·up`` and then its ``silu_grad``
+        write over, so a buffer named after its chain's last value would
+        count a backward op as held for the backward."""
         assert cli_main(["memory", "--model", "llama_micro",
                          "--batch", "2"]) == 0
         tables = capsys.readouterr().out.split("\n\n")
         title = tables[1].splitlines()[0]
-        assert title == ("live at the plan's peak: instruction 116 of 372 "
-                         "(pick), 518784 bytes")
+        assert title == ("live at the plan's peak: instruction 112 of 368 "
+                         "(pick), 469632 bytes")
         *rows, total = [[cell.strip() for cell in line.split("|")]
                         for line in tables[3].splitlines()[3:]]
         held = {row[0]: int(row[2]) for row in rows}
-        assert total[0] == "total" and int(total[2]) == 499780
-        # one silu output per block, the value its adjoint reads besides
-        # the gate's matmul output
-        assert held["silu"] == 4 * 2 * 24 * 64 * 4
+        assert total[0] == "total" and int(total[2]) == 450628
+        # no silu output: the gate's adjoints read the two projections;
+        # one swiglu output per block, which the down projection's weight
+        # gradient reads
+        assert "silu" not in held
+        assert held["swiglu"] == 4 * 2 * 24 * 64 * 4
         assert "silu_grad" not in held and "mul" in held
         # every producer runs by the loss: forward ops, the rule-emitted
         # ops the schedule starts there (RMSNorm's reciprocal, the
