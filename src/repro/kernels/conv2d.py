@@ -126,8 +126,8 @@ def _pad2d(x: np.ndarray, ph: int, pw: int,
     the padded input up to whole tiles). np.pad's generic machinery costs
     tens of µs per call, which dominates small-resolution convs;
     border-zero + interior-assign is ~5x cheaper, writes every element
-    exactly once (so the buffer can come from the recycled workspace), and
-    padding-free convs (every 1x1) skip the copy entirely."""
+    exactly once (so a dirty scratch buffer is safe), and padding-free
+    convs (every 1x1) skip the copy entirely."""
     if not (ph or pw or extra_h or extra_w):
         return x
     n, c, h, w = x.shape
@@ -145,10 +145,8 @@ def im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
            ph: int, pw: int) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` [N,C,H,W] into columns [N, C*kh*kw, Ho*Wo].
 
-    The column matrix is workspace scratch, owned and never a view of ``x``
-    (:func:`repro.kernels.workspace.give` pools whatever it is handed):
-    callers that finish consuming it (and every view of it) should give it
-    back so the next step's unfold recycles the buffer.
+    The column matrix is kernel scratch
+    (:func:`repro.kernels.workspace.take`), owned, never a view of ``x``.
     """
     n, c, h, w = x.shape
     if sh == sw == 1 and 2 * ph == kh - 1 and 2 * pw == kw - 1 \
@@ -161,8 +159,6 @@ def im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
-    if xp is not x:  # pad scratch dies here; the input is caller-owned
-        workspace.give(xp)
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
@@ -195,28 +191,23 @@ def _unfold_same(x: np.ndarray, kh: int, kw: int, ph: int, pw: int
 
 
 def _columns(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-             ph: int, pw: int) -> tuple[np.ndarray, int, int, bool]:
-    """An ungrouped conv's GEMM operand, and whether it is scratch to give
-    back. Rule 3: over C-contiguous ``x`` a 1x1 / stride 1 / pad 0 conv's
-    column matrix *is* ``x.reshape(n, c, h * w)`` — a view, which the
-    workspace must never be given (it would pool whoever owns ``x``)."""
+             ph: int, pw: int) -> tuple[np.ndarray, int, int]:
+    """An ungrouped conv's GEMM operand. Rule 3: over C-contiguous ``x`` a
+    1x1 / stride 1 / pad 0 conv's column matrix *is*
+    ``x.reshape(n, c, h * w)`` — a view, no scratch."""
     if kh == kw == sh == sw == 1 and ph == pw == 0 and x.flags.c_contiguous:
         n, c, h, w = x.shape
-        return x.reshape(n, c, h * w), h, w, False
-    return *im2col(x, kh, kw, sh, sw, ph, pw), True
+        return x.reshape(n, c, h * w), h, w
+    return im2col(x, kh, kw, sh, sw, ph, pw)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
            sh: int, sw: int, ph: int, pw: int) -> np.ndarray:
     """Fold columns [N, C*kh*kw, Ho*Wo] back, accumulating overlaps.
 
-    The padded fold target is workspace scratch (the last un-pooled conv
-    scratch path): for padded convs it is copied out and recycled, so each
-    step's fold reuses the previous step's buffer instead of allocating.
-    Padding-free folds return the buffer itself — it escapes the kernel as
-    the gradient, so it is deliberately never given back (take-without-
-    give is always safe; the plan copies the result into its slab and the
-    buffer is simply freed).
+    The padded fold target is kernel scratch: for padded convs the interior
+    is copied out of it; padding-free folds return the buffer itself as the
+    gradient.
     """
     n, c, h, w = x_shape
     ho = (h + 2 * ph - kh) // sh + 1
@@ -230,11 +221,10 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
     if ph == 0 and pw == 0:
         return xp
     # Copy the interior out instead of returning a strided view: values are
-    # identical, the scratch can be recycled, and the result keeps the
+    # identical, the padded scratch is freed, and the result keeps the
     # kernel layout contract (C-contiguous in, C-contiguous out).
     dx = np.empty((n, c, h, w), dtype=cols.dtype)
     dx[...] = xp[:, :, ph:ph + h, pw:pw + w]
-    workspace.give(xp)
     return dx
 
 
@@ -265,12 +255,10 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
     n, cin, _, _ = x.shape
     cout, cin_g, kh, kw = w.shape
     if groups == 1:
-        cols, ho, wo, scratch = _columns(x, kh, kw, sh, sw, ph, pw)
+        cols, ho, wo = _columns(x, kh, kw, sh, sw, ph, pw)
         # (cout, k) @ (n, k, l) broadcasts over the batch dim -> (n, cout, l)
         y = np.matmul(w.reshape(cout, -1), cols, out=None if out is None
                       else out.reshape(n, cout, ho * wo))
-        if scratch:
-            workspace.give(cols)
         return y.reshape(n, cout, ho, wo)
     # Grouped path: batched matmul over (batch, group) chunks — im2col's
     # column layout is channel-major, so each group's rows are contiguous.
@@ -289,8 +277,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
         colsg = cols.reshape(n, g1 - g0, k, ho * wo)
         yg = np.matmul(wg[None, g0:g1], colsg,  # (n, g1-g0, cg_out, l)
                        out=None if out4 is None else out4[:, g0:g1])
-        workspace.give(cols)  # next chunk's im2col recycles the buffer
         outs.append(yg.reshape(n, (g1 - g0) * cg_out, ho, wo))
+        del cols, colsg  # freed before the next chunk's unfold
     if out is not None:
         return out
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
@@ -381,7 +369,7 @@ def _dilate(grad: np.ndarray, in_hw: tuple[int, int], k_hw: tuple[int, int],
     — and the halo ``(k - 1) / 2`` is the conv's to pad; otherwise it is
     materialised here (``k - 1 - p`` zero rows on top). Rows/cols past the
     last window (``(h + 2p - k) % s != 0``) never reached the forward output
-    and stay zero. Workspace scratch — the caller gives it back.
+    and stay zero. Kernel scratch.
     """
     n, c, gh, gw = grad.shape
     (kh, kw), (ph, pw) = k_hw, pad
@@ -435,7 +423,6 @@ def _conv2d_dx_into(inputs, attrs, out):
         z, halo = _dilate(grad, (h, wdim), (kh, kw), (sh, sw), (ph, pw))
         dx = conv2d_forward(z, _flip_transpose(w, groups), 1, halo, groups,
                             out)
-        workspace.give(z)
     if out is not None:
         dx = out
     return mask_mul_into(dx, inputs[2], dx) if len(inputs) == 3 else dx
@@ -472,6 +459,7 @@ def _conv2d_dx_fold(grad, w, in_shape, sh, sw, ph, pw, groups):
         dcols = dcols.reshape(n, (g1 - g0) * k, l)
         dx[:, g0 * cin_g:g1 * cin_g] = col2im(
             dcols, (n, (g1 - g0) * cin_g, h, wdim), kh, kw, sh, sw, ph, pw)
+        del dcols  # freed before the next chunk's GEMM
     return dx
 
 
@@ -486,15 +474,13 @@ def _conv2d_dw(inputs, attrs):
     cout = grad.shape[1]
     cin_g = cin // groups
     if groups == 1:
-        cols, _, _, scratch = _columns(x, kh, kw, sh, sw, ph, pw)
+        cols, _, _ = _columns(x, kh, kw, sh, sw, ph, pw)
         # np.tensordot's own GEMM over batch and plane, without its Python
         # bookkeeping: at batch 1 both operands reshape to views (BLAS gets
         # a transposed one), where a copy would change the summation order
         dw = np.dot(grad.reshape(n, cout, -1).transpose(1, 0, 2)
                     .reshape(cout, -1),
                     cols.transpose(0, 2, 1).reshape(-1, cols.shape[1]))
-        if scratch:
-            workspace.give(cols)
         return [dw.reshape(cout, cin, kh, kw)]
     # Grouped path: batched grad @ cols^T per (batch, group) chunk,
     # reduced over the batch (scratch bounded by _GROUP_SCRATCH_CAP).
@@ -510,7 +496,7 @@ def _conv2d_dw(inputs, attrs):
         cols, _, _ = im2col(xg, kh, kw, sh, sw, ph, pw)
         colsg = cols.reshape(n, g1 - g0, k, l)
         dwg = np.matmul(g2[:, g0:g1], colsg.transpose(0, 1, 3, 2)).sum(axis=0)
-        workspace.give(cols)
         dw[g0 * cg_out:g1 * cg_out] = dwg.reshape(
             (g1 - g0) * cg_out, cin_g, kh, kw)
+        del cols, colsg  # freed before the next chunk's unfold
     return [dw]

@@ -171,10 +171,8 @@ def _range_mask(inputs, attrs):
     There is no into-form: ``np.packbits`` has no ``out=``, and the forms
     that have one cost more than this call plus the plan's copy into the
     slot. The bool compare buffers (``y.size`` bytes each) are plain
-    temporaries, dead on return: pooling them as workspace scratch costs
-    more per call than allocating them, and would keep resident what is
-    now gone before the backward pass starts (README "What the backward
-    pass keeps").
+    temporaries, dead on return, so nothing of them is resident when the
+    backward pass starts (README "What the backward pass keeps").
     """
     y = inputs[0]
     inside = y > attrs["lo"]
@@ -259,7 +257,7 @@ def epilogue_into(y: np.ndarray, bias: np.ndarray | None,
 def gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """tanh-approximated GELU (the variant BERT uses), into ``out``.
 
-    ``0.5*x * (1 + tanh(c * (x + 0.044715*x*x*x)))`` with one workspace
+    ``0.5*x * (1 + tanh(c * (x + 0.044715*x*x*x)))`` with one kernel
     scratch, every product in the textbook order. ``out`` is written only
     once the polynomial is done, so it may be ``x`` itself.
     """
@@ -276,7 +274,6 @@ def gelu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     wide += 1.0
     np.multiply(x, 0.5, out=out)
     out *= wide
-    workspace.give(inner)
     return out
 
 
@@ -347,7 +344,7 @@ def _tanh(inputs, attrs):
 # silu(g) * u, and the adjoints of silu and GELU. An adjoint reads the
 # activation's *input*, so the forward keeps nothing else for it (the gate
 # differentiates into silu_grad and swiglu, which read g and u), and it is
-# one kernel: its intermediates are workspace scratch, gone when it
+# one kernel: its intermediates are kernel scratch, gone when it
 # returns, never values the scheduler could hoist into the forward or
 # stack at the peak. Each computes the products
 # and sums of the primitive chain it replaces (x * sigmoid(x) under the
@@ -358,8 +355,7 @@ def _tanh(inputs, attrs):
 
 def _scratch(x: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
     """``count`` scratch arrays of ``x``'s shape and dtype: the rows of one
-    workspace buffer, one ``take`` a kernel call, and one
-    ``workspace.give`` of any row returns them all."""
+    scratch buffer, one ``take`` a kernel call."""
     block = workspace.take((count,) + x.shape, x.dtype)
     return tuple(block[i, ...] for i in range(count))
 
@@ -367,7 +363,6 @@ def _scratch(x: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
 def _silu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     s, e = _scratch(x, 2)
     np.multiply(x, _sigmoid_into(x, s, e), out=out)
-    workspace.give(s)
     return out
 
 
@@ -389,7 +384,6 @@ def _swiglu_into(gate: np.ndarray, up: np.ndarray,
     s, e = _scratch(gate, 2)
     np.multiply(gate, _sigmoid_into(gate, s, e), out=s)
     np.multiply(s, up, out=out)
-    workspace.give(s)
     return out
 
 
@@ -418,7 +412,6 @@ def _silu_grad_into(g: np.ndarray, x: np.ndarray,
     np.multiply(gx, ds, out=gx)
     np.multiply(g, s, out=out)
     np.add(out, gx, out=out)
-    workspace.give(s)
     return out
 
 
@@ -461,7 +454,6 @@ def _gelu_grad_into(g: np.ndarray, x: np.ndarray,
     np.multiply(right, x2, out=right)
     np.add(t, right, out=t)
     np.multiply(g, t, out=out)
-    workspace.give(x2)
     return out
 
 

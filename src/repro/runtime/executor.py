@@ -36,7 +36,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..ir import Graph
 from ..ir.node import Node
-from ..kernels import run_op, workspace
+from ..kernels import run_op
 from ..ir.ops import get_schema
 from .plan import ExecutionPlan, SlabPool
 from .program import Program
@@ -74,9 +74,6 @@ class Executor:
         #: bytes of the slab the last plan-backed run executed in, read
         #: off the buffer itself (equals ``plan.spec.slab_bytes``)
         self.slab_bytes = 0
-        #: kernel-internal scratch pool (im2col columns, pad buffers),
-        #: installed thread-locally around plan runs
-        self.workspace = workspace.BufferArena()
         self._registers: list[np.ndarray | None] | None = None
         #: (name, shape, numpy dtype) per graph input, in declaration
         #: order — what _validate_feeds checks every step
@@ -173,13 +170,11 @@ class Executor:
             regs[slot] = cached[1]
 
         # The slab belongs to this running step: borrowed here, back in
-        # the plan's pool before the caller sees the outputs. Kernels
-        # likewise borrow internal scratch from this executor's workspace
-        # pool for the run; the interpreter backend installs none and
-        # stays the allocation-naive oracle.
+        # the plan's pool before the caller sees the outputs. Kernel
+        # scratch (im2col columns, pad buffers) is not pooled: each kernel
+        # call allocates its own, on either backend.
         buffers = plan.slabs.take()
         arrays = buffers.arrays
-        previous_workspace = workspace.set_arena(self.workspace)
         try:
             self._execute_instructions(plan, regs, arrays)
             # Returned values leave the slab as copies (in their own
@@ -193,7 +188,6 @@ class Executor:
             self.detach()
             raise
         finally:
-            workspace.set_arena(previous_workspace)
             plan.slabs.give(buffers)
 
         self.slab_bytes = buffers.slab.nbytes

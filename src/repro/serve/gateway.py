@@ -480,15 +480,14 @@ class GatewayServer:
 
     def _send_body(self, request: _Request, status: int, body: bytes,
                    content_type: str,
-                   headers: dict[str, str] | None = None) -> int:
+                   headers: dict[str, str] | None = None) -> None:
         self._write_response(request.writer, status, body, content_type,
                              headers, request_id=request.request_id,
                              close=request.wants_close)
-        return len(body)
 
     def _send_json(self, request: _Request, status: int, payload: dict,
-                   headers: dict[str, str] | None = None) -> int:
-        return self._send_body(
+                   headers: dict[str, str] | None = None) -> None:
+        self._send_body(
             request, status, json.dumps(_json_safe(payload)).encode(),
             "application/json", headers)
 
@@ -1000,13 +999,15 @@ class GatewayServer:
             if transport is not None:
                 transport.abort()
             return
-        sent = self._send_body(request, 200, body, content_type, headers={
+        # Counted before the write: a client holding the response must
+        # find its step in the metrics.
+        if binary:
+            self._steps_binary.inc()
+            self._step_bytes_binary.inc(len(request.body) + len(body))
+        else:
+            self._steps_json.inc()
+            self._step_bytes_json.inc(len(request.body) + len(body))
+        self._send_body(request, 200, body, content_type, headers={
             "Server-Timing": server_timing_header(
                 trace.timings_ms(), trace.total_ms()),
         })
-        if binary:
-            self._steps_binary.inc()
-            self._step_bytes_binary.inc(len(request.body) + sent)
-        else:
-            self._steps_json.inc()
-            self._step_bytes_json.inc(len(request.body) + sent)

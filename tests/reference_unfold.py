@@ -7,7 +7,8 @@ input's own size), every conv built its GEMM operand like this: a
 zero-padded copy of the input (``_pad2d``), then one strided slice copy per
 kernel tap — ``h`` runs of ``w`` elements each, 64 bytes at 16 columns of
 float32. These are the previous bodies of ``_pad2d``, ``im2col`` and
-``_dilate``, copied without edits, so that ``tests/test_conv_unfold.py``
+``_dilate``, copied without edits but for the scratch pool's hand-backs
+(the pool is gone), so that ``tests/test_conv_unfold.py``
 can require the new unfold to produce the *same bytes*.
 
 ``swap_in_padded_unfold`` installs the old ``im2col`` on the compile path.
@@ -26,8 +27,8 @@ def _pad2d(x: np.ndarray, ph: int, pw: int,
     the padded input up to whole tiles). np.pad's generic machinery costs
     tens of µs per call, which dominates small-resolution convs;
     border-zero + interior-assign is ~5x cheaper, writes every element
-    exactly once (so the buffer can come from the recycled workspace), and
-    padding-free convs (every 1x1) skip the copy entirely."""
+    exactly once (so a dirty scratch buffer is safe), and padding-free
+    convs (every 1x1) skip the copy entirely."""
     if not (ph or pw or extra_h or extra_w):
         return x
     n, c, h, w = x.shape
@@ -45,10 +46,8 @@ def im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
            ph: int, pw: int) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` [N,C,H,W] into columns [N, C*kh*kw, Ho*Wo].
 
-    The column matrix is workspace scratch: callers that finish consuming
-    it (and every view of it) should hand it back via
-    :func:`repro.kernels.workspace.give` so the next step's unfold
-    recycles the buffer instead of allocating.
+    The column matrix is kernel scratch
+    (:func:`repro.kernels.workspace.take`).
     """
     n, c, h, w = x.shape
     ho = (h + 2 * ph - kh) // sh + 1
@@ -58,8 +57,6 @@ def im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
-    if xp is not x:  # pad scratch dies here; the input is caller-owned
-        workspace.give(xp)
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
@@ -70,7 +67,7 @@ def _dilate(grad: np.ndarray, in_hw: tuple[int, int], k_hw: tuple[int, int],
 
     Rows/cols past the last window (``(h + 2p - k) % s != 0``) stay zero:
     they never reached the forward output, so they receive no gradient.
-    Workspace scratch — the caller gives it back.
+    Kernel scratch.
     """
     n, c, gh, gw = grad.shape
     top, left = k_hw[0] - 1 - pad[0], k_hw[1] - 1 - pad[1]

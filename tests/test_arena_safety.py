@@ -10,11 +10,16 @@ randomized program is also cross-checked value-for-value against the
 interpreter: an overlap or lifetime hole would surface as silent
 corruption there.
 
-The kernels' own scratch pool (``executor.workspace``: im2col columns, pad
-buffers) is held to the same property. It recycles whatever allocation it
-is given, so a kernel giving back a *view of its input* would pool the
-slab, a feed or a weight — and the next unfold would scribble over it.
+Kernel scratch (im2col columns, pad buffers) is a fresh allocation per
+call and never pooled; what is checked of it is that every buffer a zoo
+step takes is its own memory and dies with the step — nothing the plan
+keeps (the slab, an output, a state entry) is or views it — and that the
+column matrix is never a view of the input an in-place depthwise conv
+writes its output over.
 """
+
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.errors import AutodiffError
 from repro.ir import GraphBuilder
+from repro.kernels import workspace
 from repro.kernels.conv2d import im2col
 from repro.models import build_model, paper_scheme
 from repro.runtime import Executor, Program
@@ -343,6 +349,9 @@ class TestKernelScratchNeverAliasesThePlan:
                                        "resnet_micro"])
     def test_zoo_workspace_holds_only_its_own_buffers(self, model, scheme,
                                                       batch, rng):
+        """Every scratch buffer a step takes owns its memory and is gone
+        when the step returns: no output, state entry or slab is (or is
+        a view of) kernel scratch."""
         forward = build_model(model, batch=batch)
         program = compile_training(
             forward, scheme=scheme(forward),
@@ -350,30 +359,36 @@ class TestKernelScratchNeverAliasesThePlan:
         graph, labels = program.graph, program.meta["labels"]
         classes = graph.spec(program.meta["logits"]).shape[-1]
         executor = Executor(program)
+        taken = []
+
+        def take(shape, dtype):
+            scratch = np.empty(shape, dtype)
+            assert scratch.flags.owndata
+            taken.append(weakref.ref(scratch))
+            return scratch
+
         for _ in range(3):
             feeds = {name: rng.integers(0, classes, graph.spec(name).shape)
                      .astype(graph.spec(name).dtype.np) if name == labels
                      else rng.standard_normal(graph.spec(name).shape)
                      .astype(graph.spec(name).dtype.np)
                      for name in graph.inputs}
-            executor.run(feeds)
-            pooled = executor.workspace.buffers()
-            assert pooled, "conv scratch is recycled through the workspace"
-            assert len({id(scratch) for scratch in pooled}) == len(pooled)
-            live = pooled_slabs(executor) + list(feeds.values()) \
-                + list(program.state.values())
-            for scratch in pooled:
-                assert scratch.flags.owndata
-                assert not any(np.may_share_memory(scratch, array)
-                               for array in live), \
-                    f"pooled scratch {scratch.shape} aliases the plan"
+            taken.clear()
+            with mock.patch.object(workspace, "take", take):
+                outputs = executor.run(feeds)
+            assert taken, "conv scratch comes from workspace.take"
+            kept = [ref() for ref in taken if ref() is not None]
+            assert not kept, \
+                f"{len(kept)} scratch buffers outlived the step " \
+                f"({[scratch.shape for scratch in kept]})"
+            assert_arena_disjoint(executor, outputs)
 
     @pytest.mark.parametrize("conv", [
         (1, 1, 1, 1, 0, 0), (3, 3, 1, 1, 1, 1), (3, 3, 2, 2, 1, 1),
         (1, 1, 2, 2, 0, 0), (2, 2, 1, 1, 0, 0), (1, 3, 1, 1, 0, 1)])
     def test_im2col_returns_owned_scratch(self, rng, conv):
-        """Also where the column matrix is a plain copy of the input: a
-        caller may ``give`` whatever ``im2col`` returned."""
+        """Also where the column matrix is a plain copy of the input: it
+        owns its memory and shares none with ``x``."""
         x = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
         cols, _, _ = im2col(x, *conv)
         owner = cols

@@ -8,7 +8,7 @@ they replaced lives on in ``tests/reference_unfold.py``; this file
 requires, against it,
 
 * ``im2col`` byte-equal on generated cases — every kernel size, padding,
-  stride and float dtype, channel slices, over NaN-dirtied scratch — so the
+  stride and float dtype, channel slices, over NaN-filled scratch — so the
   rule *and* its fallbacks (even kernels, asymmetric padding, strides) are
   pinned, and every plane too small for the kernel on an exhaustive grid;
 * the rules to be taken where they are claimed: no stride-1 "same" conv,
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,6 @@ from hypothesis import strategies as st
 import repro.kernels.conv2d as conv2d
 from repro.kernels import OUT_KERNELS, run_op, workspace
 from repro.kernels.conv2d import _flip_transpose, conv2d_forward, im2col
-from repro.kernels.workspace import BufferArena
 
 import reference_unfold as reference
 from reference_unfold import swap_in_padded_unfold
@@ -43,27 +43,19 @@ from test_activation_masks import CNN_MODELS, SCHEMES, compile_at, train
 from test_codegen import assert_same_bytes
 
 
-class DirtyArena(BufferArena):
-    """A workspace whose every buffer, recycled or fresh, arrives full of
-    NaN: an element the unfold does not write shows in the bytes."""
-
-    def take(self, key):
-        buffer = super().take(key)
-        if buffer is None:
-            buffer = np.empty(*key)
-        buffer.fill(np.nan)
-        return buffer
+def dirty_take(shape, dtype):
+    """Kernel scratch that arrives full of NaN: an element the unfold does
+    not write shows in the bytes."""
+    return np.full(shape, np.nan, dtype)
 
 
 @contextlib.contextmanager
-def scratch_from(arena=None):
-    """``arena`` (a fresh :class:`DirtyArena` unless given) as this
-    thread's kernel workspace."""
-    previous = workspace.set_arena(arena or DirtyArena())
-    try:
-        yield
-    finally:
-        workspace.set_arena(previous)
+def scratch_from():
+    """Every kernel's scratch from a call-counting :func:`dirty_take` for
+    the block; yields the counter."""
+    take = mock.Mock(side_effect=dirty_take)
+    with mock.patch.object(workspace, "take", take):
+        yield take
 
 
 def plane_contiguous(rng, shape, dtype, sliced):
@@ -102,17 +94,14 @@ def unfold_cases(draw):
 
 
 class TestSameBytesAsThePaddedUnfold:
-    #: one pool for all examples: each unfolds into an earlier one's bytes
-    arena = DirtyArena()
-
     @given(case=unfold_cases(), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=300, deadline=None)
     def test_generated_cases(self, case, seed):
         shape, dtype, sliced, conv = case
         x = plane_contiguous(np.random.default_rng(seed), shape, dtype,
                              sliced)
-        with scratch_from(self.arena):
-            workspace.give(assert_same_unfold(x, *conv))
+        with scratch_from():
+            assert_same_unfold(x, *conv)
 
     def test_every_plane_smaller_than_the_kernel(self, rng):
         """Taps whose shift is past the plane, row fills that would start
@@ -121,8 +110,7 @@ class TestSameBytesAsThePaddedUnfold:
             for h, w in itertools.product(range(1, 5), range(1, 5)):
                 x = rng.standard_normal((2, 2, h, w)).astype(np.float32)
                 for kh, kw in itertools.product((1, 3, 5, 7), repeat=2):
-                    workspace.give(assert_same_unfold(
-                        x, kh, kw, 1, 1, kh // 2, kw // 2))
+                    assert_same_unfold(x, kh, kw, 1, 1, kh // 2, kw // 2)
 
     def test_other_layouts_take_the_padded_path(self, rng):
         """Planes that are not one flat run each: no hidden copy to make
@@ -179,15 +167,50 @@ class TestTheRulesAreTaken:
         other = rng.standard_normal((7, 5, 1, 1) if op == "conv2d"
                                     else (2, 7, 4, 3)).astype(np.float32)
         attrs = {"kernel_hw": (1, 1)}
-        arena = BufferArena()
-        with scratch_from(arena):
+        with scratch_from() as take:
             [got] = run_op(op, [x, other], attrs)
-            assert arena.takes + arena.misses == 0 and not arena.buffers()
+            assert take.call_count == 0
             # any other layout is copied, as it always was
             [strided] = run_op(op, [np.asfortranarray(x), other], attrs)
-            assert arena.misses == 1
+            assert take.call_count == 1
         assert not np.shares_memory(got, x)
         assert_same_bytes(strided, got, "copied operand")
+
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_dw"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_a_grouped_conv_holds_one_chunk_of_scratch(self, rng,
+                                                       monkeypatch, op,
+                                                       stride):
+        """``_GROUP_SCRATCH_CAP`` bounds a grouped conv's scratch: a
+        chunk's column (and pad buffer) is freed before the next chunk
+        takes its own."""
+        n, c, h, k = 2, 12, 6, 3
+        ho = (h + 2 - k) // stride + 1
+        monkeypatch.setattr(conv2d, "_GROUP_SCRATCH_CAP",
+                            5 * n * k * k * ho * ho * 4)
+        x = rng.standard_normal((n, c, h, h)).astype(np.float32)
+        other = rng.standard_normal((c, 1, k, k) if op == "conv2d"
+                                    else (n, c, ho, ho)).astype(np.float32)
+        attrs = {"stride": stride, "padding": 1, "groups": c,
+                 "kernel_hw": (k, k)}
+        # a same conv unfolds unpadded; a strided one pads, then unfolds
+        per_chunk = 1 if stride == 1 else 2
+        held, stale = [], []
+
+        def take(shape, dtype):
+            chunk_began = len(held) - len(held) % per_chunk
+            stale.extend(i for i, ref in enumerate(held[:chunk_began])
+                         if ref() is not None)
+            buf = np.empty(shape, dtype)
+            held.append(weakref.ref(buf))
+            return buf
+
+        want = run_op(op, [x, other], attrs)[0]
+        with mock.patch.object(workspace, "take", take):
+            got = run_op(op, [x, other], attrs)[0]
+        assert len(held) == 3 * per_chunk  # 5 + 5 + 2 groups
+        assert stale == []
+        assert_same_bytes(got, want, op)
 
 
 class TestSameOperandsIntoTheSameGemm:

@@ -552,10 +552,6 @@ class TestBinaryStepProtocol:
         with mlp_gateway() as (service, _gateway, client, (session,)):
             for _ in range(3):
                 client.step(session.id, *mlp_example(rng))
-            # the gateway counts a step after writing its response, so
-            # the client can hold the third response before it is counted
-            wait_until(lambda: service.metrics.as_dict().get(
-                "serve.http.steps_binary", 0) >= 3)
             metrics = service.metrics.as_dict()
             keys = session.idempotency_window()
         assert metrics["serve.http.steps_binary"] == 3
@@ -563,6 +559,42 @@ class TestBinaryStepProtocol:
         assert metrics["serve.http_requests_total"] == 3   # steps only
         assert len(keys) == 3
         assert all(key.startswith(f"{session.id}:") for key in keys)
+
+    def test_a_step_is_counted_before_its_response_is_written(self):
+        """A client holding a step's response finds that step in the
+        metrics: at the moment the gateway writes the response, the step
+        and its request + response bytes are already on its counters."""
+        rng = np.random.default_rng(6)
+        with mlp_gateway() as (service, gateway, client, (session,)):
+            seen = []
+            write = gateway._write_response
+
+            def counting_write(writer, status, body, content_type,
+                               *args, **kwargs):
+                metrics = service.metrics.as_dict()
+                seen.append((len(body), *(metrics.get(f"serve.http.{name}", 0)
+                                          for name in ("steps_binary",
+                                                       "step_bytes_binary",
+                                                       "steps_json",
+                                                       "step_bytes_json"))))
+                write(writer, status, body, content_type, *args, **kwargs)
+
+            gateway._write_response = counting_write
+            for _ in range(2):
+                client.step(session.id, *mlp_example(rng))
+            conn = http.client.HTTPConnection(gateway.host, gateway.port,
+                                              timeout=30)
+            try:
+                json_step(conn, session.id, *mlp_example(rng))
+            finally:
+                conn.close()
+        (b1, n1, bytes1, j1, _), (b2, n2, bytes2, j2, _), \
+            (b3, n3, bytes3, j3, jbytes3) = seen
+        assert (n1, n2, n3) == (1, 2, 2)
+        assert (j1, j2, j3) == (0, 0, 1)
+        # each step's bytes are its request's plus its response's
+        assert bytes1 > b1 and bytes2 - bytes1 > b2 and bytes3 == bytes2
+        assert jbytes3 > b3
 
     def test_binary_step_body_is_a_quarter_of_json(self, real_gateway):
         """Per the gateway's own ``serve.http.step_bytes_*`` counters, one

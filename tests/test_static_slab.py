@@ -18,12 +18,17 @@ plan declared, and nothing in a step depends on what the slab held before.
   shadow run on the zoo and on random graphs;
 * the slab belongs to a running step: borrowed from the plan's pool, back
   in it whether the step returns or raises; ``detach()`` still leaves an
-  executor holding nothing borrowed.
+  executor holding nothing borrowed;
+* kernel scratch is not pooled: a warm step's tracemalloc peak includes
+  its largest im2col column, and what a step leaves traced beyond the
+  slab, its outputs and the precomputed constants is less than that one
+  column.
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -341,3 +346,32 @@ class TestSlabBelongsToTheStep:
             want = Executor(fork(program), backend=backend).run(feeds)
             for key in want:
                 assert_same_bytes(got[key], want[key], f"{backend} {key}")
+
+
+class TestKernelScratchIsNotPooled:
+    #: the im2col column of mcunet_micro's 2x24x16x16 3x3 depthwise input
+    COLUMN = 2 * 24 * 9 * 16 * 16 * 4
+
+    def test_scratch_is_seen_per_step_and_not_kept(self):
+        program = compile_at("mcunet_micro", "paper_scheme", 2)
+        program.plan().step_function()  # generated code is not the step's
+        executor = Executor(program)
+        rng = np.random.default_rng(0)
+        feeds = [make_feeds(program, rng) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            outputs = executor.run(feeds[0])
+            left = tracemalloc.get_traced_memory()[0] - base
+            held = executor.slab_bytes \
+                + sum(array.nbytes for array in outputs.values()) \
+                + sum(value.nbytes
+                      for _, value in executor._precomputed.values())
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            executor.run(feeds[1])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert left - held < self.COLUMN, "scratch outlived its step"
+        assert peak >= self.COLUMN, "a warm step allocated no column"
