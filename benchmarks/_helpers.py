@@ -1,11 +1,10 @@
 """Importable helpers shared by the benchmark modules.
 
-These used to live in ``benchmarks/conftest.py``, but test modules under
-``tests/`` also do ``from conftest import ...``; when pytest collected both
-directories in one run, whichever conftest imported first claimed the
-``conftest`` module name and the other directory's imports broke. Plain
-helpers now live here (benchmark files import them directly); only pytest
-fixtures stay in the conftest.
+A plain module, not a ``conftest.py``: test modules under ``tests/`` do
+``from conftest import ...``, and when pytest collected both directories
+in one run, whichever conftest imported first claimed the ``conftest``
+module name and the other directory's imports broke. Benchmark files
+import these directly.
 """
 
 from __future__ import annotations

@@ -305,7 +305,10 @@ class GatewayServer:
            :meth:`FineTuneService.shutdown` — drained, failed, or
            cancelled, never hung; awaiting handlers answer their clients;
         3. drop idle keep-alive connections and let the loop retire once
-           the last busy handler has answered. A handler still awaiting
+           the last busy handler has answered. After a full drain every
+           future has resolved, so close() waits (up to 5 s) for those
+           answers to be written: a process exiting next would cut the
+           clients off. After a timed-out drain a handler still awaiting
            a genuinely running batch keeps the (daemon) loop alive until
            its client is answered — close() does not wait for that.
         """
@@ -327,6 +330,8 @@ class GatewayServer:
                 self._loop.call_soon_threadsafe(self._begin_settling)
             except RuntimeError:
                 pass  # the loop already settled itself (no connections)
+            if self._drained:
+                self._thread.join(timeout=5)
         else:
             self._sock.close()
         self._offload.shutdown(wait=False)

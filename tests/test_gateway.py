@@ -10,16 +10,21 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 import urllib.request
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ServeError
 from repro.serve import (FineTuneService, GatewayError, GatewayServer,
                          RateLimited, RateLimiter, ServeClient)
@@ -78,12 +83,15 @@ def mlp_gateway(*, workers=1, max_batch=2, max_queue_depth=64,
         gateway.close(drain_timeout=10.0)
 
 
-def stall_scheduler(service):
-    """Wrap the scheduler's batch runner behind a release event."""
+def stall_scheduler(service, running: threading.Event | None = None):
+    """Wrap the scheduler's batch runner behind a release event;
+    ``running`` is set once a batch waits there."""
     release = threading.Event()
     original = service.scheduler._run_batch
 
     def stalled(session, batch):
+        if running is not None:
+            running.set()
         assert release.wait(timeout=30)
         return original(session, batch)
 
@@ -341,7 +349,8 @@ class TestShutdown:
         session = service.create_session(build_mlp, model_id="mlp",
                                          scheme="full")
         client = ServeClient(gateway.url)
-        release = stall_scheduler(service)
+        running = threading.Event()
+        release = stall_scheduler(service, running)
         outcomes: list[object] = []
 
         def blocked_step():
@@ -355,7 +364,13 @@ class TestShutdown:
                    for _ in range(3)]
         for thread in threads:
             thread.start()
-        wait_until(lambda: service.scheduler.queue_depth() >= 2)
+        # All three steps are on the server: one batch stalled, two queued
+        # behind it. Two queued alone can be the first two steps before
+        # the batch is cut, with the third client not yet connected: a
+        # close() then refuses its connection, and that client gets no
+        # HTTP status at all.
+        wait_until(lambda: running.is_set()
+                   and service.scheduler.queue_depth() >= 2)
 
         try:
             # Bounded shutdown against a stalled worker: drain times out,
@@ -450,6 +465,131 @@ class TestShutdown:
             assert all(np.isfinite(r["loss"]) for r in results)
         # context manager closed with no queued work -> full drain
         assert gateway.close() is True  # idempotent, reports drained
+
+    def test_sigint_with_steps_in_flight_drains_and_exits_0(self):
+        """``repro serve --http`` as its own process, SIGINT landing while
+        four steps sit in its scheduler (a batch hold keeps them queued):
+        the process exits 0 within its deadline, having drained, and every
+        client gets its step's answer."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1]) \
+            + os.pathsep + env.get("PYTHONPATH", "")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--http", "0",
+             "--workers", "1", "--max-batch", "8", "--batch-hold-ms", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        watchdog = threading.Timer(120, server.kill)
+        watchdog.start()
+        outcomes: list[object] = []
+        try:
+            line = ""
+            while "listening on " not in line:
+                line = server.stdout.readline()
+                assert line, "the server exited before listening"
+            url = line.split("listening on ")[1].split()[0]
+            client, admin = ServeClient(url), ServeClient(url)
+            doc = admin.create_session("mcunet_micro")
+            rng = np.random.default_rng(14)
+            examples = [
+                (rng.standard_normal(doc["input_shape"]).astype(np.float32),
+                 int(rng.integers(0, doc["num_classes"]))) for _ in range(4)]
+
+            def step(x, y):
+                try:
+                    outcomes.append(client.step(doc["session_id"], x, y,
+                                                wait=False))
+                except GatewayError as exc:
+                    outcomes.append(exc)
+
+            threads = [threading.Thread(target=step, args=example,
+                                        daemon=True) for example in examples]
+            for thread in threads:
+                thread.start()
+            # the single worker holds the batch for fill: all four queued
+            wait_until(lambda: admin.metrics()["serve.queue_depth"] == 4,
+                       timeout=30)
+            admin.close()
+            server.send_signal(signal.SIGINT)
+            output, _ = server.communicate(timeout=30)
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "a client was left hanging"
+            client.close()
+        finally:
+            watchdog.cancel()
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, output
+        assert "shutdown: queue drained cleanly" in output
+        assert len(outcomes) == 4
+        assert all(isinstance(o, dict) and np.isfinite(o["loss"])
+                   for o in outcomes), outcomes
+
+
+# ---------------------------------------------------------------------------
+# many connections held at once
+# ---------------------------------------------------------------------------
+
+class TestHeldConnections:
+
+    def test_512_keep_alive_connections_are_held_and_served(self):
+        """The event loop holds 512 keep-alive connections open at once;
+        each answers two healthz round trips while all the others stay
+        open, and a real step is served in the middle of the hold."""
+        resource = pytest.importorskip("resource")
+        target, senders = 512, 16
+        # this process holds both ends of every connection
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        want = 2 * target + 256
+        if hard != resource.RLIM_INFINITY and hard < want:
+            pytest.skip(f"RLIMIT_NOFILE hard limit {hard} < {want}")
+        if soft != resource.RLIM_INFINITY and soft < want:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (want, hard))
+        rng = np.random.default_rng(15)
+        conns: list[http.client.HTTPConnection] = []
+        try:
+            with mlp_gateway() as (_service, gateway, client, (session,)):
+                for _ in range(target):
+                    conn = http.client.HTTPConnection(
+                        gateway.host, gateway.port, timeout=60)
+                    conn.connect()
+                    conns.append(conn)
+                wait_until(lambda: len(gateway._conn_busy) >= target)
+                answered: list[int] = []
+                failures: list[Exception] = []
+
+                def sweep(shard):
+                    for conn in shard:
+                        try:
+                            conn.request("GET", "/v1/healthz")
+                            response = conn.getresponse()
+                            response.read()
+                            answered.append(response.status)
+                        except (OSError, http.client.HTTPException) as exc:
+                            failures.append(exc)
+
+                for round_no in range(2):
+                    threads = [threading.Thread(target=sweep,
+                                                args=(conns[i::senders],))
+                               for i in range(senders)]
+                    for thread in threads:
+                        thread.start()
+                    if round_no == 0:
+                        result = client.step(session.id, *mlp_example(rng))
+                    for thread in threads:
+                        thread.join(timeout=60)
+                        assert not thread.is_alive()
+                assert len(gateway._conn_busy) >= target
+        finally:
+            for conn in conns:
+                conn.close()
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert len(conns) == target
+        assert not failures, failures[:3]
+        assert answered == [200] * (2 * target)
+        assert np.isfinite(result["loss"])
 
 
 # ---------------------------------------------------------------------------

@@ -421,10 +421,24 @@ class TestFoldScalarsStructure:
 
     def test_default_pipeline_keeps_oracle_peak(self):
         """The default pipeline's peak transient never exceeds the
-        unoptimized plan's."""
-        tuned = _mcunet_sparse_program().plan_spec()
+        unoptimized plan's, nor do its instructions or the arrays a warm
+        step allocates outside the slab."""
+        program = _mcunet_sparse_program()
+        tuned = program.plan_spec()
         oracle = build_plan_spec(_mcunet_sparse_program(), passes="none")
         assert tuned.peak_transient_bytes <= oracle.peak_transient_bytes
+        assert len(tuned.instructions) <= len(oracle.instructions)
+        name = [n for n in program.graph.inputs
+                if n != program.meta["labels"]][0]
+        feeds = {name: np.ones(program.graph.spec(name).shape, np.float32),
+                 program.meta["labels"]: np.array([1, 2], np.int64)}
+        allocs = []
+        for passes in ("default", "none"):
+            executor = Executor(with_passes(program, passes))
+            for _ in range(2):
+                executor.run(feeds)
+            allocs.append(executor.last_step_fresh_allocs)
+        assert allocs[0] <= allocs[1]
 
 
 class TestAutotune:
@@ -437,10 +451,13 @@ class TestAutotune:
             docs.append(json.dumps(spec.to_dict(), sort_keys=True))
         assert docs[0] == docs[1]
         spec = PlanSpec.from_dict(json.loads(docs[0]))
-        assert spec.tuned_variants
+        assert any(t.variant != "base" for t in spec.tuned_variants)
         assert all(t.source == "cost" for t in spec.tuned_variants)
         assert all(t.predicted_us >= 0 for t in spec.tuned_variants)
         assert "autotune" in spec.passes
+        # tuning picks variants; it never lengthens the stream
+        default = _mcunet_sparse_program().plan_spec()
+        assert len(spec.instructions) <= len(default.instructions)
 
     def test_cost_mode_byte_exact_vs_oracle(self, rng):
         program = _mcunet_sparse_program(autotune="cost")

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ServeError
 from repro.runtime.compiler import compile_training
-from repro.serve import FineTuneService, ProgramCache, SessionManager
+from repro.serve import (FAULTS, FineTuneService, GatewayServer,
+                         ProgramCache, ServeClient, SessionManager)
 from repro.train import SGD
 
 from conftest import make_mlp_graph
@@ -47,6 +56,39 @@ class TestPersistentProgramCache:
         from repro.runtime import Executor
         out = Executor(program).run({"x": x, program.meta["labels"]: y})
         assert np.isfinite(out[program.meta["loss"]])
+
+    def test_a_second_process_binds_without_compiling(self, tmp_path):
+        """Two service lifetimes in two processes, under different
+        ``PYTHONHASHSEED``s, on one ``cache_dir``: the second compiles
+        nothing, binds the first one's artifacts from disk and takes the
+        same first step."""
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from repro.serve import FineTuneService\n"
+            "with FineTuneService(workers=1, cache_dir=sys.argv[1]) as s:\n"
+            "    session = s.create_session('mcunet_micro', scheme='paper')\n"
+            "    x = np.ones(session.family.example_shape, np.float32)\n"
+            "    loss = s.step(session.id, x, np.int64(1)).loss\n"
+            "    stats = s.cache.stats\n"
+            "print(json.dumps({'compiles': stats.compiles,\n"
+            "                  'disk_hits': stats.disk_hits,\n"
+            "                  'loss': float(loss)}))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path)], env=env,
+                capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            runs.append(json.loads(result.stdout.splitlines()[-1]))
+        first, second = runs
+        assert first["compiles"] >= 1
+        assert second["compiles"] == 0
+        assert second["disk_hits"] >= 1
+        assert second["loss"] == first["loss"]
 
     def test_unreadable_artifact_recompiles_and_repairs(self, tmp_path):
         cache = ProgramCache(capacity=4, cache_dir=tmp_path)
@@ -363,3 +405,45 @@ class TestWorkerCrashRecovery:
             assert service.stats()["serve.worker_restarts"] == 1
             probe = service.engine.probe()
             assert not probe["compiler_imported"]
+
+    def test_killed_worker_step_is_retried_through_the_gateway(
+            self, tmp_path, rng):
+        """Over HTTP: the step that failed on a killed worker is retried by
+        the client under its ``Idempotency-Key`` and applied once on the
+        rebuilt pool; a later step whose response is lost after it applied
+        is answered from the replay window. The session's examples are
+        exactly the client's acks."""
+        with FineTuneService(workers=1, max_batch=2, backend="process",
+                             cache_dir=tmp_path) as service:
+            gateway = GatewayServer(service).start()
+            client = ServeClient(gateway.url)
+            try:
+                session = service.create_session(
+                    lambda batch: make_mlp_graph(batch=batch)[0].graph,
+                    scheme="full", model_id="mlp")
+
+                def step():
+                    x = rng.standard_normal(session.family.example_shape) \
+                        .astype(np.float32)
+                    return client.step(session.id, x,
+                                       int(rng.integers(0, 3)))
+
+                acks = [step()]
+                for pid in service.engine.worker_pids():
+                    os.kill(pid, signal.SIGKILL)
+                acks.append(step())    # a 500 from the dead pool, retried
+                FAULTS.arm("gateway.reset_after_send", times=1)
+                acks.append(step())    # applied, response lost, replayed
+                stats = service.stats()
+            finally:
+                FAULTS.disarm()
+                client.close()
+                gateway.close(drain_timeout=10.0)
+        assert [ack["step"] for ack in acks] == [1, 2, 3]
+        assert [ack.get("replayed", False) for ack in acks] \
+            == [False, False, True]
+        assert session.examples == len(acks)
+        assert stats["serve.worker_restarts"] >= 1
+        # three logical steps, each retry under its first attempt's key
+        assert stats["serve.http_requests_total"] == 5
+        assert len(session.idempotency_window()) == 3
