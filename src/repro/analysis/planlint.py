@@ -1,19 +1,19 @@
 """Static plan verifier: prove a PlanSpec safe before anything executes it.
 
 The pass pipeline (``lower -> fuse_elementwise -> fold_scalars ->
-precompute_frozen [-> autotune] -> allocate``) rewrites slot tables,
-layouts, slab offsets, in-place reuse and kernel variants on every compile
+allocate``) rewrites slot tables, layouts, slab offsets, in-place reuse
+and kernel variants on every compile
 — and the step that runs the result has no runtime checks left:
 contiguity, aliasing and buffer lifetimes are facts of the spec. They are
 proven here, by a pure-static checker over :class:`~repro.runtime.plan.
 PlanSpec` + the program it claims to lower. Views resolved at bind time
 (``spec.aliases``) are walked in stream order with the instructions:
 
-* **def-before-use** — every slot read was bound before (feed, state,
-  precomputed constant, or an earlier output), each defined exactly once;
+* **def-before-use** — every slot read was bound before (feed, state, or
+  an earlier output), each defined exactly once;
 * **register lifetimes** — no read of a register an earlier free-list
   entry dropped, only live registers the step owns are freed (never
-  state, an output, a plan constant or a slab slot), and every dying
+  state, an output or a slab slot), and every dying
   register is on a free-list;
 * **slab-overlap** — lifetimes are recomputed from the reads (closed
   intervals; a returned output lives to the end) and two live slab buffers
@@ -37,9 +37,8 @@ PlanSpec` + the program it claims to lower. Views resolved at bind time
   attrs (:func:`repro.kernels.aliasable_inputs`: any input of an
   elementwise op, input 0 of a stride-1 depthwise conv), and — for fused
   chains — only the first link reads it; a ``donating``-variant
-  instruction's clobbered inputs all die there;
-* **precomputed slots** — a registered transform over frozen state,
-  declaring exactly the C-contiguous shape/dtype that transform emits;
+  instruction's clobbered inputs all die there, and no instruction names
+  a variant but ``base`` or ``donating``;
 * **dtype/shape consistency** — slots map to exactly the node's
   input/output names, and the graph they name is itself schema-valid
   (:func:`repro.ir.validate.validate_graph`);
@@ -54,9 +53,6 @@ PlanSpec` + the program it claims to lower. Views resolved at bind time
   profiled;
 * **const-arg splices** — a folded scalar names frozen shape-``()``
   state at an in-range position;
-* **honest tuning decisions** (``tuned-*`` rules) — every
-  ``tuned_variants`` row names a real instruction, the registered variant
-  it actually binds, a known source and finite non-negative costs, once;
 * **the byte ledger, rebuilt** — the live load of the storage the plan
   holds, rebuilt from the reads alone (:func:`plan_intervals`), must be
   the ``peak_transient_bytes`` that ``allocate`` recorded.
@@ -80,9 +76,8 @@ from ..errors import (GraphError, MemoryPlanError, PlanVerifyError,
 from ..ir.ops import get_schema
 from ..ir.validate import validate_graph
 from ..kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
-                       OUT_ALIAS_SAFE, OUT_KERNELS, PRECOMPUTE_TRANSFORMS,
-                       VARIANT_KERNELS, VIEW_OPS, aliasable_inputs,
-                       into_form)
+                       OUT_ALIAS_SAFE, OUT_KERNELS, VIEW_OPS,
+                       aliasable_inputs)
 from ..kernels.shape import (c_strides, is_c_contiguous, normal_strides,
                              view_layout)
 from ..memory.planner import SlabPlan, live_load
@@ -239,40 +234,11 @@ class _PlanChecker:
             return
         self.names[slot] = name
 
-    def _check_precomputed_shape(self, entry, where: str) -> None:
-        """The declared slot shape/dtype is what the transform emits.
-
-        Transforms are layout changes of the weight — output shape and
-        dtype depend on the source's shape and dtype only — so a zero
-        stand-in of the source's declared spec decides it without state.
-        """
-        transform = PRECOMPUTE_TRANSFORMS.get(entry.transform)
-        if transform is None:
-            return  # already flagged as unknown-transform
-        source = self.graph.spec(entry.state)
-        try:
-            out = transform(np.zeros(source.shape, source.dtype.np))
-        except (ValueError, IndexError, TypeError) as exc:
-            self.flag("precompute-shape", where,
-                      f"transform rejects source {entry.state!r} "
-                      f"{tuple(source.shape)}: {exc!r}")
-            return
-        declared = (tuple(entry.shape), np.dtype(entry.dtype))
-        if (out.shape, out.dtype) != declared:
-            self.flag("precompute-shape", where,
-                      f"declares {declared[0]} {declared[1].name} but "
-                      f"{entry.transform!r} emits {out.shape} "
-                      f"{out.dtype.name}")
-        elif not out.flags.c_contiguous:
-            self.flag("slab-layout", where,
-                      f"{entry.transform!r} emits a non-C-contiguous "
-                      f"constant; its consumers' layouts assume one")
-
     # -- main walk ------------------------------------------------------------
 
     def _bind_static(self) -> None:
-        """Feeds, state, precomputed constants: register slots bound per
-        step, C-contiguous by the executor's contract."""
+        """Feeds and state: register slots bound per step, C-contiguous by
+        the executor's contract."""
         spec, graph = self.spec, self.graph
         feed_names = [name for name, _ in spec.feed_specs]
         if feed_names != list(graph.inputs):
@@ -297,27 +263,6 @@ class _PlanChecker:
         self.state_slots = {slot for slot, _ in spec.state_bindings}
         for _, slot in spec.feed_specs:
             self.charged[slot] = [0, self.end]
-        self.pre_slots = set()
-        for entry in spec.precomputed:
-            where = f"precomputed {entry.state}.{entry.transform}"
-            self.bind(entry.slot,
-                      f"__precomputed__{entry.state}.{entry.transform}",
-                      where)
-            self.status[entry.slot] = _LIVE
-            self.dense.add(entry.slot)  # _check_precomputed_shape's job
-            self.pre_slots.add(entry.slot)
-            if entry.transform not in PRECOMPUTE_TRANSFORMS:
-                self.flag("unknown-transform", where,
-                          f"transform {entry.transform!r} is not registered")
-            if entry.state not in self.state_names:
-                self.flag("precompute-source", where,
-                          f"source {entry.state!r} is not program state")
-            elif entry.state in self.mutable:
-                self.flag("precompute-mutable", where,
-                          f"source {entry.state!r} is mutated in-place; "
-                          f"hoisting it is not bitwise-safe")
-            else:
-                self._check_precomputed_shape(entry, where)
 
     def run(self) -> list[Finding]:
         spec = self.spec
@@ -456,7 +401,7 @@ class _PlanChecker:
         dying.update(
             slot for slot in reads
             if self.last_read.get(slot) == when
-            and slot not in self.state_slots and slot not in self.pre_slots
+            and slot not in self.state_slots
             and self.names.get(slot) not in self.keep)
         return dying
 
@@ -584,8 +529,8 @@ class _PlanChecker:
         legal = instr.mode in (MODE_OUT, MODE_COPY) and not inplace \
             and all(slot in self.slab for slot, _ in outs) \
             and (instr.mode == MODE_COPY or (
-                len(outs) == 1 and (instr.fused is not None or into_form(
-                    instr.kernel, instr.variant) is not None)))
+                len(outs) == 1 and (instr.fused is not None
+                                    or instr.kernel in OUT_KERNELS)))
         if not legal:
             self.flag("invalid-use-out", where,
                       f"mode {instr.mode!r} needs slab output slots on a "
@@ -623,13 +568,12 @@ class _PlanChecker:
         for slot in instr.frees:
             name = self.names.get(slot)
             if self.status.get(slot) != _LIVE or slot in self.slab \
-                    or slot in self.state_slots or slot in self.pre_slots \
-                    or name in self.keep:
+                    or slot in self.state_slots or name in self.keep:
                 self.flag("bad-free", where,
                           f"frees slot {slot} ({name!r}), which is not a "
                           f"live register this step owns (undefined, freed "
-                          f"before, a slab slot, state, a plan constant or "
-                          f"a returned output)")
+                          f"before, a slab slot, state or a returned "
+                          f"output)")
             else:
                 self.status[slot] = _FREED
         for slot in sorted(dying - self.slab.keys()):
@@ -727,22 +671,10 @@ class _PlanChecker:
                               f"const position {pos} splices {want!r}, "
                               f"node reads {name!r}")
             expected_inputs = kept
-        if instr.fused is None \
-                and instr.variant not in (VARIANT_BASE, VARIANT_DONATING):
-            if (instr.kernel, instr.variant) not in VARIANT_KERNELS:
-                self.flag("unknown-variant", where,
-                          f"variant {instr.variant!r} is not registered "
-                          f"for {instr.kernel!r}")
-            entry = next((e for e in self.spec.precomputed
-                          if instr.input_slots
-                          and e.slot == instr.input_slots[-1]), None)
-            if entry is None:
-                self.flag("precompute-slot", where,
-                          f"variant {instr.variant!r} lacks a trailing "
-                          f"precomputed input slot")
-            else:
-                expected_inputs.append(
-                    f"__precomputed__{entry.state}.{entry.transform}")
+        if instr.variant not in (VARIANT_BASE, VARIANT_DONATING):
+            self.flag("unknown-variant", where,
+                      f"variant {instr.variant!r} is neither "
+                      f"{VARIANT_BASE!r} nor {VARIANT_DONATING!r}")
         if len(instr.input_slots) != len(expected_inputs):
             self.flag("input-arity", where,
                       f"{len(instr.input_slots)} input slots for "
@@ -891,11 +823,11 @@ class _PlanChecker:
             out = self.value_spec(node.outputs[0], where) \
                 if node.outputs else None
             safe_args = () if out is None else aliasable_inputs(
-                instr.kernel, instr.variant, node.attrs, tuple(out.shape),
-                total)
-        else:
+                instr.kernel, node.attrs, tuple(out.shape), total)
+        else:  # an empty chain is ``fused-empty``'s finding
             later = {a for link in instr.fused[1:] for a in link.args}
-            safe_args = set(instr.fused[0].args) - later
+            safe_args = set(instr.fused[0].args) - later \
+                if instr.fused else ()
         if not all(arg in safe_args for arg in args):
             self.flag("donation-alias-unsafe", where,
                       f"{instr.kernel!r} may read slot {slot} after "
@@ -923,52 +855,6 @@ class _PlanChecker:
                           f"clobbered input slot {slot} ({name!r}) is not "
                           f"a dying unaliased buffer")
 
-    def _check_tuned(self) -> None:
-        """Tuned-variant table: every decision names a real instruction,
-        a registered (or base) variant, and matches what the instruction
-        actually runs — a table that lies about tuning is rejected."""
-        by_node = {instr.node: instr for instr in self.spec.instructions}
-        seen: set[str] = set()
-        for entry in self.spec.tuned_variants:
-            where = f"tuned_variants {entry.node!r}"
-            if entry.node in seen:
-                self.flag("tuned-duplicate", where,
-                          "two tuning decisions for one instruction")
-            seen.add(entry.node)
-            if entry.source not in ("cost", "measure"):
-                self.flag("tuned-source", where,
-                          f"unknown tuning source {entry.source!r}")
-            for label in ("predicted_us", "measured_us"):
-                value = getattr(entry, label)
-                if value is not None and not (
-                        isinstance(value, (int, float)) and value >= 0):
-                    self.flag("tuned-cost-invalid", where,
-                              f"{label} {value!r} is not a non-negative "
-                              f"number")
-            instr = by_node.get(entry.node)
-            if instr is None:
-                self.flag("tuned-unknown-node", where,
-                          "no instruction with this node in the stream")
-                continue
-            if instr.kernel != entry.kernel:
-                self.flag("tuned-kernel-mismatch", where,
-                          f"table says {entry.kernel!r}, instruction runs "
-                          f"{instr.kernel!r}")
-            if entry.variant == VARIANT_BASE:
-                if instr.variant not in (VARIANT_BASE, VARIANT_DONATING):
-                    self.flag("tuned-variant-mismatch", where,
-                              f"table says base but instruction runs "
-                              f"{instr.variant!r}")
-                continue
-            if (entry.kernel, entry.variant) not in VARIANT_KERNELS:
-                self.flag("tuned-unregistered-variant", where,
-                          f"variant {entry.variant!r} is not registered "
-                          f"for {entry.kernel!r}")
-            if instr.variant != entry.variant:
-                self.flag("tuned-variant-mismatch", where,
-                          f"table says {entry.variant!r}, instruction "
-                          f"runs {instr.variant!r}")
-
     def _check_schedule_order(self) -> None:
         """Instructions and fused links run in strictly increasing
         schedule position (an unknown node is ``unknown-node``'s
@@ -994,7 +880,6 @@ class _PlanChecker:
                          interior_names) -> None:
         spec = self.spec
         where = "plan"
-        self._check_tuned()
         self._check_schedule_order()
 
         for name in sorted(self.mutable - written_state):

@@ -111,11 +111,6 @@ def save_artifact(program: Program, path: str | Path) -> Path:
             for name, variants in sorted(plan_spec.required_kernels().items())
         },
         "plan_passes": list(plan_spec.passes),
-        "transforms": sorted(plan_spec.required_transforms()),
-        "tuned_variants": {
-            entry.node: entry.variant
-            for entry in plan_spec.tuned_variants
-        },
         "arena": {
             "bytes": plan_spec.slab_bytes,
             "offsets": {slot_names[entry.slot]: entry.offset

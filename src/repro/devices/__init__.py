@@ -1,8 +1,7 @@
 """Simulated edge devices: specifications and the roofline cost model."""
 
 from .catalog import DEVICES, get_device
-from .cost import (LAYOUT_MISMATCH_PENALTY, STRIDED_GEMM_PENALTY,
-                   WINOGRAD_SPEEDUP, LatencyReport, PlanCostModel,
+from .cost import (LAYOUT_MISMATCH_PENALTY, WINOGRAD_SPEEDUP, LatencyReport,
                    estimate_latency, op_class)
 from .energy import (EnergyReport, estimate_energy, local_vs_cloud,
                      transmission_energy_mj)
@@ -17,8 +16,6 @@ __all__ = [
     "transmission_energy_mj",
     "LAYOUT_MISMATCH_PENALTY",
     "LatencyReport",
-    "PlanCostModel",
-    "STRIDED_GEMM_PENALTY",
     "WINOGRAD_SPEEDUP",
     "estimate_latency",
     "get_device",

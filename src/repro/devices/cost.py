@@ -47,16 +47,6 @@ VIEW_OPS = {"reshape", "slice"}
 WINOGRAD_SPEEDUP = 2.25
 LAYOUT_MISMATCH_PENALTY = 0.55
 
-#: Strided-operand GEMM penalty: a ``trans_b`` matmul reads B through a
-#: transposed (non-contiguous) view, which costs BLAS a packing pass the
-#: contiguous layout skips. Only the plan-level model applies this — the
-#: schedule-level estimate keeps its historical calibration.
-STRIDED_GEMM_PENALTY = 0.85
-
-#: FLOPs of the per-call Winograd weight transform ``U = G g Gᵀ`` per
-#: (cout, cin) filter: two small (4x3)·(3x3) and (4x3)·(3x4) products.
-_WINOGRAD_TRANSFORM_FLOPS_PER_FILTER = 168
-
 
 @dataclass
 class LatencyReport:
@@ -219,109 +209,3 @@ def estimate_latency(
         report.total_us += tape
     return report
 
-
-def _conv_cols_bytes(in_specs, attrs: dict) -> int:
-    """Bytes of the im2col scratch a direct conv materialises per call:
-    (cin/groups * kh * kw) x (n * ho * wo), written once and read once."""
-    if len(in_specs) < 2:
-        return 0
-    x, w = in_specs[0], in_specs[1]
-    if len(w.shape) < 4 or len(x.shape) < 4:
-        return 0
-    groups = int(attrs.get("groups", 1)) if attrs else 1
-    kh, kw = int(w.shape[2]), int(w.shape[3])
-    n = int(x.shape[0])
-    elems_out = 1
-    cin = int(x.shape[1])
-    # Output spatial extent ~= input extent / stride (padding ignored:
-    # this feeds a *ranking*, not a wall-clock promise).
-    stride = attrs.get("stride", 1) if attrs else 1
-    sh, sw = (stride if isinstance(stride, (tuple, list))
-              else (stride, stride))
-    ho = max(1, int(x.shape[2]) // max(int(sh), 1))
-    wo = max(1, int(x.shape[3]) // max(int(sw), 1))
-    elems_out = n * ho * wo
-    cols = (cin // max(groups, 1)) * kh * kw * elems_out
-    return 2 * cols * x.dtype.itemsize  # write + read
-
-
-class PlanCostModel:
-    """Memoized per-instruction roofline estimates for one plan compile.
-
-    The autotune pass scores every candidate kernel variant of every
-    lowered instruction. The facts shared across a node's variants — op
-    class, FLOPs, boundary byte traffic, attainable peak — are derived
-    once per node and cached for the lifetime of the model (one compile),
-    so scoring V variants costs V cheap adjustments, not V full
-    re-derivations.
-
-    The per-variant adjustments model exactly what the registered variant
-    kernels change:
-
-    * ``winograd_precomputed`` — skips the per-call ``U = G g Gᵀ`` weight
-      transform (the 2.25x multiply reduction is shared with plain
-      ``algo="winograd"``);
-    * ``pretransposed_b`` — lifts the strided-operand GEMM penalty a
-      ``trans_b`` matmul pays for reading B through a transposed view.
-
-    Unlike :func:`estimate_latency` (schedule-level, calibration frozen
-    since the paper-figure experiments), this model *does* charge direct
-    convolutions their im2col traffic and strided GEMMs their packing
-    penalty — the candidates it ranks differ in precisely those terms.
-    """
-
-    def __init__(self, device: DeviceSpec, *, kernel_quality=1.0,
-                 layout_match: bool = True):
-        self.device = device
-        self.kernel_quality = kernel_quality
-        self.layout_match = layout_match
-        self._facts: dict[str, tuple] = {}
-
-    def _base_facts(self, key: str, op_type: str, in_specs, out_specs,
-                    attrs: dict) -> tuple:
-        facts = self._facts.get(key)
-        if facts is not None:
-            return facts
-        cls = op_class(op_type, attrs)
-        flops = op_flops(op_type, in_specs, out_specs, attrs)
-        moved = op_bytes(in_specs, out_specs)
-        itemsize = _compute_itemsize(op_type, in_specs, out_specs)
-        dev_cls = "gemm" if cls == "depthwise" else cls
-        eff = self.device.efficiency(dev_cls) \
-            * _quality_for(self.kernel_quality, cls)
-        if op_type in _SPATIAL and not self.layout_match:
-            eff *= LAYOUT_MISMATCH_PENALTY
-        peak = self.device.peak_for(itemsize) * 1e3  # flops / microsecond
-        facts = (cls, float(flops), float(moved), eff, peak)
-        self._facts[key] = facts
-        return facts
-
-    def estimate_us(self, key: str, op_type: str, in_specs, out_specs,
-                    attrs: dict | None, variant: str = "base") -> float:
-        """Latency estimate for one instruction under one kernel variant.
-
-        ``key`` names the node (the memo key); ``variant`` is ``"base"``
-        or a registered variant name. Unknown variants cost the same as
-        base — the ranking then keeps base, which is always safe.
-        """
-        attrs = attrs or {}
-        cls, flops, moved, eff, peak = self._base_facts(
-            key, op_type, in_specs, out_specs, attrs)
-        winograd = attrs.get("algo") == "winograd" \
-            or variant == "winograd_precomputed"
-        if winograd:
-            flops = flops / WINOGRAD_SPEEDUP
-            if len(in_specs) >= 2 and len(in_specs[1].shape) >= 2:
-                w = in_specs[1]
-                transform = (_WINOGRAD_TRANSFORM_FLOPS_PER_FILTER
-                             * int(w.shape[0]) * int(w.shape[1]))
-                if variant != "winograd_precomputed":
-                    flops += transform  # base re-derives U every call
-        if op_type in ("conv2d", "conv2d_i8") and not winograd:
-            moved += _conv_cols_bytes(in_specs, attrs)
-        if op_type in ("matmul", "matmul_i8") and attrs.get("trans_b"):
-            if variant != "pretransposed_b":
-                eff = eff * STRIDED_GEMM_PENALTY
-        compute_us = flops / max(peak * eff, 1e-9)
-        memory_us = moved / max(self.device.mem_bw_gbs * 1e3, 1e-9)
-        return max(compute_us, memory_us) + self.device.kernel_launch_us

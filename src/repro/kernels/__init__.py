@@ -78,9 +78,8 @@ VIEW_OPS: set[str] = set()
 #: laid out ``[(shape, byte strides), ...]`` (slot inputs, in order)?
 DENSE_OPS: dict[str, Callable[[list[tuple]], bool]] = {}
 
-#: single-output into-forms writing a caller-provided buffer, by op — or
-#: by ``(op, variant)`` for the into-form of a :data:`VARIANT_KERNELS` entry
-OUT_KERNELS: dict[str | tuple[str, str], OutKernel] = {}
+#: single-output into-forms writing a caller-provided buffer, by op
+OUT_KERNELS: dict[str, OutKernel] = {}
 
 #: out-capable ops where ``out`` may alias any same-shape input, whatever
 #: the attrs (elementwise ufuncs) — the ops a fused chain may link
@@ -90,9 +89,8 @@ OUT_ALIAS_SAFE: set[str] = set()
 #: over its input 0 (of the output's shape and dtype)?
 AliasRule = Callable[[dict[str, Any], tuple[int, ...]], bool]
 
-#: into-form key (as in :data:`OUT_KERNELS`) -> when its ``out`` may alias
-#: input 0
-OUT_ALIAS_RULES: dict[str | tuple[str, str], AliasRule] = {}
+#: op -> when its into-form's ``out`` may alias input 0
+OUT_ALIAS_RULES: dict[str, AliasRule] = {}
 
 #: source form of one-statement into-forms (see :data:`OutEmitter`)
 OUT_EMITTERS: dict[str, OutEmitter] = {}
@@ -102,18 +100,6 @@ DONATING_KERNELS: dict[str, Kernel] = {}
 
 #: op -> input indices the donating variant may clobber
 DONATED_INPUTS: dict[str, tuple[int, ...]] = {}
-
-#: (op, variant name) -> special kernel forms the plan's optimization
-#: passes select (e.g. ``("conv2d", "winograd_precomputed")`` takes the
-#: hoisted weight transform as an extra trailing input). Outputs must be
-#: bitwise identical to the base kernel's.
-VARIANT_KERNELS: dict[tuple[str, str], Kernel] = {}
-
-#: transform name -> fn(array) -> array, applied once to frozen state to
-#: fill a plan-owned precomputed slot (:mod:`repro.runtime.passes.
-#: precompute_frozen`). Must be deterministic: the hoist is bitwise-safe
-#: only because recomputing yields identical bytes.
-PRECOMPUTE_TRANSFORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {}
 
 
 def kernel(name: str, *, view: bool = False, dense=None
@@ -137,41 +123,34 @@ def kernel(name: str, *, view: bool = False, dense=None
     return wrap
 
 
-def out_kernel(name: str, *, variant: str | None = None,
-               alias_safe: bool | AliasRule = False
+def out_kernel(name: str, *, alias_safe: bool | AliasRule = False
                ) -> Callable[[OutKernel], OutKernel]:
-    """Decorator registering the into-form of ``name`` (of its ``variant``
-    kernel when given). ``alias_safe=True``: ``out`` may alias any input of
-    its shape and dtype; a rule: it may alias input 0 where the rule holds.
+    """Decorator registering the into-form of ``name``. ``alias_safe=True``:
+    ``out`` may alias any input of its shape and dtype; a rule: it may alias
+    input 0 where the rule holds.
     """
 
     def wrap(fn: OutKernel) -> OutKernel:
-        key = name if variant is None else (name, variant)
-        OUT_KERNELS[key] = fn
+        OUT_KERNELS[name] = fn
         if alias_safe is True:
             OUT_ALIAS_SAFE.add(name)
         elif alias_safe:
-            OUT_ALIAS_RULES[key] = alias_safe
+            OUT_ALIAS_RULES[name] = alias_safe
         return fn
 
     return wrap
 
 
-def into_form(op: str, variant: str = "base") -> OutKernel | None:
-    """The into-form of ``op`` — of its ``variant`` kernel when not base."""
-    return OUT_KERNELS.get(op if variant == "base" else (op, variant))
-
-
-def aliasable_inputs(op: str, variant: str, attrs: dict[str, Any],
+def aliasable_inputs(op: str, attrs: dict[str, Any],
                      out_shape: tuple[int, ...], arity: int) -> range:
-    """The inputs the into-form of ``op`` (its ``variant``) may write a
-    node's output over, given one of the output's shape and dtype: every
-    input of an :data:`OUT_ALIAS_SAFE` op, input 0 where the into-form's
+    """The inputs the into-form of ``op`` may write a node's output over,
+    given one of the output's shape and dtype: every input of an
+    :data:`OUT_ALIAS_SAFE` op, input 0 where the into-form's
     :data:`OUT_ALIAS_RULES` entry holds for ``attrs``, none otherwise. The
     one rule the plan's in-place reuse and its verifier both apply."""
     if op in OUT_ALIAS_SAFE:
         return range(arity)
-    rule = OUT_ALIAS_RULES.get(op if variant == "base" else (op, variant))
+    rule = OUT_ALIAS_RULES.get(op)
     return range(1 if rule is not None and rule(attrs, out_shape) else 0)
 
 
@@ -203,26 +182,6 @@ def donating_kernel(name: str, clobbers: tuple[int, ...]
     return wrap
 
 
-def variant_kernel(name: str, variant: str) -> Callable[[Kernel], Kernel]:
-    """Decorator registering a special plan-selected variant of ``name``."""
-
-    def wrap(fn: Kernel) -> Kernel:
-        VARIANT_KERNELS[(name, variant)] = fn
-        return fn
-
-    return wrap
-
-
-def register_transform(name: str):
-    """Decorator registering a precompute transform under ``name``."""
-
-    def wrap(fn):
-        PRECOMPUTE_TRANSFORMS[name] = fn
-        return fn
-
-    return wrap
-
-
 def run_op(op_type: str, inputs: list[np.ndarray],
            attrs: dict[str, Any]) -> list[np.ndarray]:
     """Execute one operator; raises :class:`ExecutionError` on failure."""
@@ -244,7 +203,6 @@ from . import pooling  # noqa: E402,F401
 from . import quantized  # noqa: E402,F401
 from . import reduce  # noqa: E402,F401
 from . import shape  # noqa: E402,F401
-from . import winograd  # noqa: E402,F401
 
 from .elementwise import make_fused_kernel  # noqa: E402
 
@@ -257,18 +215,13 @@ __all__ = [
     "OUT_ALIAS_SAFE",
     "OUT_EMITTERS",
     "OUT_KERNELS",
-    "PRECOMPUTE_TRANSFORMS",
-    "VARIANT_KERNELS",
     "VIEW_OPS",
     "aliasable_inputs",
     "donating_kernel",
     "int_tuple",
-    "into_form",
     "kernel",
     "make_fused_kernel",
     "out_emitter",
     "out_kernel",
-    "register_transform",
     "run_op",
-    "variant_kernel",
 ]

@@ -78,7 +78,7 @@ shift-and-accumulate with no column matrix 136; ``einsum`` over the window
 
 In place (:func:`_depthwise_in_place`, MCUNet's in-place depthwise
 convolution): a stride-1 depthwise ``conv2d`` / ``conv2d_dx`` (groups ==
-output channels > 1, ``algo`` direct) may write its output over input 0
+output channels > 1) may write its output over input 0
 (``x`` / ``grad``) of the output's own shape. The grouped path copies each
 chunk of groups into the im2col scratch before its GEMM writes
 ``out[:, g0:g1]``; with one channel in per channel out that slice is the
@@ -87,15 +87,21 @@ epilogue and the mask run elementwise over ``out``. A 1x1 dense conv has
 no such order: its
 operand is a view of ``x`` (rule 3), and ``np.matmul`` handed an ``out``
 over it copies ``x`` first, so the bytes the slab would save come back as
-a temporary nothing accounts for. Dense convs, strided and Winograd ones
-keep their own buffers.
+a temporary nothing accounts for. Dense and strided convs keep their own
+buffers.
+
+``algo`` (``"winograd"`` on frozen 3x3 stride-1 dense convs, set by
+:class:`repro.passes.WinogradSelectionPass`) is a cost-model annotation
+for the target device (:func:`repro.devices.estimate_latency` prices its
+multiply reduction); the kernels read no ``algo`` and run every conv
+direct.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernel, out_kernel, variant_kernel, workspace
+from . import kernel, out_kernel, workspace
 from .elementwise import epilogue_into, mask_mul_into
 
 
@@ -120,19 +126,16 @@ def _pair(value) -> tuple[int, int]:
     return pair
 
 
-def _pad2d(x: np.ndarray, ph: int, pw: int,
-           extra_h: int = 0, extra_w: int = 0) -> np.ndarray:
-    """Zero-pad H/W (``extra_*`` more trailing rows/cols: Winograd rounds
-    the padded input up to whole tiles). np.pad's generic machinery costs
-    tens of µs per call, which dominates small-resolution convs;
-    border-zero + interior-assign is ~5x cheaper, writes every element
-    exactly once (so a dirty scratch buffer is safe), and padding-free
-    convs (every 1x1) skip the copy entirely."""
-    if not (ph or pw or extra_h or extra_w):
+def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad H/W. np.pad's generic machinery costs tens of µs per call,
+    which dominates small-resolution convs; border-zero + interior-assign
+    is ~5x cheaper, writes every element exactly once (so a dirty scratch
+    buffer is safe), and padding-free convs (every 1x1) skip the copy
+    entirely."""
+    if not (ph or pw):
         return x
     n, c, h, w = x.shape
-    xp = workspace.take((n, c, h + 2 * ph + extra_h, w + 2 * pw + extra_w),
-                        x.dtype)
+    xp = workspace.take((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
     xp[:, :, :ph] = 0
     xp[:, :, ph + h:] = 0
     xp[:, :, ph:ph + h, :pw] = 0
@@ -287,8 +290,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
 def _depthwise_in_place(attrs, out_shape) -> bool:
     """The alias rule of ``conv2d`` and ``conv2d_dx`` (module docstring)."""
     return int(attrs.get("groups", 1)) == out_shape[1] > 1 \
-        and _pair(attrs.get("stride", 1)) == (1, 1) \
-        and attrs.get("algo", "direct") == "direct"
+        and _pair(attrs.get("stride", 1)) == (1, 1)
 
 
 def _epilogue(y: np.ndarray, bias: np.ndarray | None, attrs,
@@ -301,16 +303,9 @@ def _epilogue(y: np.ndarray, bias: np.ndarray | None, attrs,
 
 
 def _conv2d_into(inputs, attrs, out):
-    x, w = inputs[0], inputs[1]
-    algo = attrs.get("algo", "direct")
-    if algo == "winograd":
-        from .winograd import winograd_conv2d
-
-        y = winograd_conv2d(x, w, padding=attrs.get("padding", 0), out=out)
-    else:
-        y = conv2d_forward(x, w, attrs.get("stride", 1),
-                           attrs.get("padding", 0),
-                           int(attrs.get("groups", 1)), out)
+    y = conv2d_forward(inputs[0], inputs[1], attrs.get("stride", 1),
+                       attrs.get("padding", 0), int(attrs.get("groups", 1)),
+                       out)
     return _epilogue(y, inputs[2] if len(inputs) == 3 else None, attrs,
                      out)
 
@@ -321,30 +316,6 @@ def _conv2d(inputs, attrs):
 
 
 out_kernel("conv2d", alias_safe=_depthwise_in_place)(_conv2d_into)
-
-
-@variant_kernel("conv2d", "winograd_precomputed")
-def _conv2d_winograd_precomputed(inputs, attrs):
-    return [_winograd_precomputed_into(inputs, attrs, None)]
-
-
-@out_kernel("conv2d", variant="winograd_precomputed")
-def _winograd_precomputed_into(inputs, attrs, out):
-    """Winograd conv with the weight transform hoisted to a plan slot.
-
-    The precompute_frozen pass appends the plan-owned ``U`` as the trailing
-    input; everything else mirrors the ``algo == "winograd"`` branch of the
-    base kernel, so outputs are bitwise identical — the transform was
-    computed by the same function the base kernel would call inline, in
-    the ``(16, O, C)`` layout the batched GEMM consumes as is.
-    """
-    from .winograd import winograd_conv2d
-
-    x, w, u = inputs[0], inputs[1], inputs[-1]
-    y = winograd_conv2d(x, w, padding=attrs.get("padding", 0), u=u, out=out)
-    # a fused bias rides between the weights and U
-    return _epilogue(y, inputs[2] if len(inputs) == 4 else None, attrs,
-                     out)
 
 
 def _flip_transpose(w: np.ndarray, groups: int) -> np.ndarray:

@@ -9,41 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import (kernel, out_emitter, out_kernel, register_transform,
-               variant_kernel)
+from . import kernel, out_emitter, out_kernel
 from .elementwise import epilogue_into
-
-
-@register_transform("transpose_last2")
-def _transpose_last2(w: np.ndarray) -> np.ndarray:
-    """Materialise a frozen matmul operand's transpose once, contiguously."""
-    return np.ascontiguousarray(np.swapaxes(w, -1, -2))
-
-
-@variant_kernel("matmul", "pretransposed_b")
-def _matmul_pretransposed_b(inputs, attrs):
-    return [_pretransposed_b_into(inputs, attrs, None)]
-
-
-@out_kernel("matmul", variant="pretransposed_b")
-def _pretransposed_b_into(inputs, attrs, out):
-    """``trans_b`` matmul with the frozen B operand pre-transposed.
-
-    The plan-owned trailing input is B's contiguous transpose, so the GEMM
-    runs on a plain (non-strided) operand instead of a transposed view.
-    BLAS may pick a *different* code path for the two layouts, with
-    results a ulp apart at some shapes — so the precompute pass only
-    selects this variant after a compile-time bitwise probe on the real
-    frozen operand proved both layouts identical at this op's shapes
-    (GEMM dispatch depends on shapes/strides, never on values).
-    """
-    a, bt = inputs[0], inputs[-1]
-    if attrs.get("trans_a"):
-        a = np.swapaxes(a, -1, -2)
-    # a fused bias rides between B and the transpose
-    return epilogue_into(np.matmul(a, bt, out=out),
-                         inputs[2] if len(inputs) == 4 else None,
-                         attrs.get("activation"), out)
 
 
 def _dense_output(layouts) -> bool:

@@ -4,9 +4,11 @@ Winograd convolution trades a per-weight transform for 2.25x fewer
 multiplies. Training frameworks never use it because the transform must be
 redone whenever weights change — but under sparse backpropagation most
 convolutions are *frozen*, so the transform is paid once at compile time.
-This pass binds every eligible frozen conv to the Winograd algorithm (the
-executor genuinely runs the F(2x2,3x3) kernel; the device cost model prices
-the multiply reduction).
+This pass binds every eligible frozen conv to the Winograd algorithm for
+the *target device*: the device cost model (:mod:`repro.devices.cost`)
+prices the multiply reduction. The host executes the conv direct — an
+F(2x2,3x3) kernel here made the whole numpy step slower, so the
+annotation changes no byte.
 """
 
 from __future__ import annotations

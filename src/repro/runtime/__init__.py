@@ -7,7 +7,7 @@ pass pipeline is assembled.
 
 from .executor import Executor, interpret
 from .plan import (BufferSet, ExecutionPlan, FusedLinkSpec, PlanSpec,
-                   PrecomputedSpec, bind_plan, build_plan, build_plan_spec)
+                   bind_plan, build_plan, build_plan_spec)
 from .profiler import (NodeTiming, RuntimeProfile, analytical_profile,
                        profile_run)
 from .program import Program
@@ -19,7 +19,6 @@ __all__ = [
     "FusedLinkSpec",
     "NodeTiming",
     "PlanSpec",
-    "PrecomputedSpec",
     "Program",
     "RuntimeProfile",
     "analytical_profile",

@@ -30,9 +30,9 @@ of slab slots (their bytes are simply some later slot's), and no alias scan
 
 * *out*: the into-form writes the output's slab array; a fused elementwise
   chain is emitted link by link through it (``pc = 10``);
-* *copy*: a kernel without an into-form (conv, pooling, plan-selected
-  variants) runs as is and its fresh result is copied into the slab —
-  ``np.copyto(b[7], k_conv2d_base([b[4], r[2]], at7)[0])``;
+* *copy*: a kernel without an into-form (``conv2d_dw``, pooling,
+  ``range_mask``) runs as is and its fresh result is copied into the
+  slab — ``np.copyto(b[7], k_conv2d_dw_base([b[4], r[2]], at7)[0])``;
 * *base*: the kernel's result is the value — in-place optimizer applies,
   views of feeds, values of unknown layout — stored in a register and
   dropped (``r[12] = None``) when its last reader has run.

@@ -10,12 +10,17 @@ This is the module that realises the paper's Figure 4 workflow:
 5. run graph optimizations (folding, CSE, fusion, Winograd, layout),
 6. schedule memory-aware (operator reordering + immediate updates),
 7. emit an executable :class:`~repro.runtime.program.Program`.
+
+Winograd and layout selection are decisions for the *target device*: they
+annotate nodes the device cost model (:mod:`repro.devices.cost`) prices,
+and the numpy kernels compute the same convolution whatever the
+annotation says.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from ..autodiff import build_backward
 from ..errors import CompileError
@@ -48,6 +53,8 @@ class CompileOptions:
     fusion: bool = True
     #: merge frozen same-input linear branches (Q/K/V) into one wide matmul
     parallel_fusion: bool = True
+    #: annotate frozen 3x3 stride-1 dense convs ``algo="winograd"`` for the
+    #: target device's cost model (paper §3.2); the host runs them direct
     winograd: bool = True
     layout: bool = True
     reorder: bool = True
@@ -59,8 +66,8 @@ class CompileOptions:
     #: keeps zero-stride placeholder views instead of copying real buffers
     materialize_state: bool = True
     #: plan-lowering pass pipeline (:mod:`repro.runtime.passes`):
-    #: ``"default"`` fuses adjacent elementwise instructions and hoists
-    #: frozen-weight Winograd transforms; ``"none"`` is the unoptimized
+    #: ``"default"`` fuses adjacent elementwise instructions and folds
+    #: frozen scalars into their instructions; ``"none"`` is the unoptimized
     #: oracle stream (byte-exact interpreter accounting); an explicit
     #: tuple of pass names runs exactly those. Part of the program cache
     #: key — differently-lowered plans never share a cached artifact.
@@ -71,15 +78,6 @@ class CompileOptions:
     #: force it for this compile. Not part of the cache key — verification
     #: never changes the plan, only whether a bad one is allowed to exist.
     verify_plans: bool | None = None
-    #: per-instruction kernel-variant selection (:mod:`repro.runtime.
-    #: passes.autotune`): ``None`` disables, ``"cost"`` ranks proposed
-    #: variants with the device latency model, ``"measure"`` confirms the
-    #: ranking with cached on-host microbenchmarks. Decisions land in the
-    #: PlanSpec's ``tuned_variants`` table; part of the cache key.
-    autotune: Any = None
-    #: device key (:mod:`repro.devices.catalog`) the autotune pass ranks
-    #: against; ``None`` uses the pass's default edge CPU.
-    autotune_device: str | None = None
     device: Any = None
     debug_validate: bool = False
 
@@ -126,10 +124,6 @@ def _request_lowering(program: Program, options: CompileOptions) -> None:
     program.meta["plan_passes"] = options.plan_passes
     if options.verify_plans is not None:
         program.meta["verify_plans"] = options.verify_plans
-    if options.autotune:
-        program.meta["autotune"] = options.autotune
-        if options.autotune_device:
-            program.meta["autotune_device"] = options.autotune_device
 
 
 def compile_training(
@@ -251,12 +245,19 @@ def compile_training(
 
 
 def compile_inference(forward: Graph,
-                      options: CompileOptions | None = None) -> Program:
-    """Compile a forward-only program with inference optimizations."""
+                      options: CompileOptions | None = None, *,
+                      updated: Iterable[str] = ()) -> Program:
+    """Compile a forward-only program with inference optimizations.
+
+    ``updated`` names parameters something else writes after this compile
+    (a training program sharing its state arrays): the graph passes treat
+    them as trainable, so no folded constant or merged weight holds a
+    copy of their compile-time values.
+    """
     options = options or CompileOptions()
     graph = forward.clone()
     graph.name = f"{forward.name}.infer"
-    ctx = PassContext(updated_params=set(), device=options.device)
+    ctx = PassContext(updated_params=set(updated), device=options.device)
     graph_pass_manager(options).run(graph, ctx)
     schedule = memory_aware_schedule(graph) if options.reorder \
         else default_schedule(graph)

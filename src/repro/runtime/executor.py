@@ -4,8 +4,8 @@ Two backends share one feed-validation front door:
 
 * ``"plan"`` (default) — runs the compiled
   :class:`~repro.runtime.plan.ExecutionPlan`'s generated step function
-  (:mod:`repro.runtime.codegen`) over this executor's registers (feeds,
-  state, plan constants) and a buffer set — one slab holding every
+  (:mod:`repro.runtime.codegen`) over this executor's registers (feeds
+  and state) and a buffer set — one slab holding every
   intermediate at its compile-time offset — borrowed from the plan's pool
   for the step. The executor reports what it really held: ``slab_bytes``
   is the size of that ``uint8`` buffer, ``last_step_fresh_allocs`` the
@@ -81,12 +81,6 @@ class Executor:
         self._feed_specs = tuple(
             (name, graph.spec(name).shape, graph.spec(name).dtype.np)
             for name in graph.inputs)
-        #: per-executor cache of plan-owned precomputed constants
-        #: (slot -> (source state array, transformed value)). Keyed by the
-        #: source array's *identity*: frozen state is never written by the
-        #: program, so the same array always yields the same bytes, and a
-        #: with_state overlay swapping the array in is recomputed.
-        self._precomputed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def plan(self) -> ExecutionPlan:
@@ -158,16 +152,6 @@ class Executor:
             regs[slot] = state[name]
         for name, slot in spec.feed_specs:
             regs[slot] = feeds[name]
-        # Plan-owned constants hoisted from frozen state (e.g. Winograd
-        # weight transforms): computed on this executor's first step,
-        # republished for free afterwards.
-        for slot, name, transform in plan.precomputed:
-            source = state[name]
-            cached = self._precomputed.get(slot)
-            if cached is None or cached[0] is not source:
-                cached = (source, transform(source))
-                self._precomputed[slot] = cached
-            regs[slot] = cached[1]
 
         # The slab belongs to this running step: borrowed here, back in
         # the plan's pool before the caller sees the outputs. Kernel

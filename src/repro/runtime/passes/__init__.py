@@ -12,13 +12,6 @@ This package is the optimizing half of plan construction
     instructions (the intermediate slots vanish; no instruction moves);
   - :mod:`fold_scalars` — bake frozen shape-() state out of the
     register/slot machinery into per-instruction const splices;
-  - :mod:`precompute_frozen` — hoist frozen-weight computation
-    (Winograd transforms, pre-transposed matmul operands) into
-    plan-owned constant slots bound once per session;
-  - :mod:`autotune` — per-instruction kernel-variant selection against
-    the device cost model (optionally confirmed by cached on-host
-    microbenchmarks); runs when ``CompileOptions.autotune`` is set, not
-    in :data:`DEFAULT_PASSES`;
 
 * :mod:`allocate` — slots, static layouts, the slab placement (every
   intermediate's offset in one buffer; views resolved into aliases) and
@@ -45,26 +38,20 @@ from typing import Any, Sequence
 from ...errors import ExecutionError
 from ..plan import PlanSpec
 from .allocate import allocate
-from .autotune import autotune
 from .fold_scalars import fold_scalars
 from .fuse_elementwise import fuse_elementwise
 from .lower import LoweredOp, LoweringContext, lower
-from .precompute_frozen import precompute_frozen
 
 #: name -> pass fn(stream, ctx) -> (stream, stats)
 PASSES = {
     "fuse_elementwise": fuse_elementwise,
     "fold_scalars": fold_scalars,
-    "precompute_frozen": precompute_frozen,
-    "autotune": autotune,
 }
 
 #: the pipeline ``passes="default"`` runs, in order. ``fold_scalars``
 #: runs after fusion so folded positions splice into assembled (fused)
-#: input lists; ``autotune`` is opt-in via ``CompileOptions.autotune``
-#: (run_pipeline appends it), never part of the default set.
-DEFAULT_PASSES: tuple[str, ...] = (
-    "fuse_elementwise", "fold_scalars", "precompute_frozen")
+#: input lists.
+DEFAULT_PASSES: tuple[str, ...] = ("fuse_elementwise", "fold_scalars")
 
 
 def resolve_passes(passes: Any) -> tuple[str, ...]:
@@ -119,11 +106,6 @@ def run_pipeline(program, passes: Any = None,
     if passes is None:
         passes = program.meta.get("plan_passes")
     names = resolve_passes(passes)
-    # CompileOptions.autotune opts the compile into variant selection:
-    # append the pass unless already requested explicitly. passes="none"
-    # stays untouched — that configuration is the byte-exactness oracle.
-    if program.meta.get("autotune") and names and "autotune" not in names:
-        names = names + ("autotune",)
     if verify is None:
         verify = program.meta.get("verify_plans")
     if verify is None:
@@ -161,8 +143,7 @@ def run_pipeline(program, passes: Any = None,
              "num_slots": spec.num_slots,
              "aliases": len(spec.aliases),
              "slab_bytes": spec.slab_bytes,
-             "peak_transient_bytes": spec.peak_transient_bytes,
-             "precomputed_bytes": spec.precomputed_bytes})
+             "peak_transient_bytes": spec.peak_transient_bytes})
     return spec
 
 
@@ -172,11 +153,9 @@ __all__ = [
     "LoweringContext",
     "PASSES",
     "allocate",
-    "autotune",
     "fold_scalars",
     "fuse_elementwise",
     "lower",
-    "precompute_frozen",
     "resolve_passes",
     "run_pipeline",
 ]

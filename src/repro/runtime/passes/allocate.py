@@ -4,8 +4,8 @@ Runs *after* the optimization passes, so everything it derives describes
 the optimized stream: fused-away intermediates get no slot and no bytes.
 One walk over the stream decides, per value:
 
-* **layout** — C-contiguous, known strides, or unknown. Feeds, state and
-  precomputed constants are C-contiguous (the executor's front door and
+* **layout** — C-contiguous, known strides, or unknown. Feeds and state
+  are C-contiguous (the executor's front door and
   :meth:`Program.with_state` see to that); a kernel keeps C-contiguous
   inputs C-contiguous, and a dense kernel (matmul) takes transposed
   operands too; a view's strides are what numpy says they are
@@ -47,13 +47,13 @@ peak bounds this one, equal when the plan has no alias and no reuse.
 from __future__ import annotations
 
 from ...kernels import (DENSE_OPS, DONATED_INPUTS, DONATING_KERNELS,
-                        OUT_KERNELS, aliasable_inputs, into_form)
+                        OUT_KERNELS, aliasable_inputs)
 from ...kernels.shape import (c_strides, is_c_contiguous, normal_strides,
                              view_layout)
 from ...memory.planner import live_load, place
 from ..plan import (MODE_BASE, MODE_COPY, MODE_OUT, SLAB_ALIGNMENT,
-                    AliasSpec, InstructionSpec, PlanSpec, PrecomputedSpec,
-                    SlotSpec, VARIANT_BASE, VARIANT_DONATING)
+                    AliasSpec, InstructionSpec, PlanSpec, SlotSpec,
+                    VARIANT_BASE, VARIANT_DONATING)
 from .fuse_elementwise import donatable_inputs
 from .lower import LoweredOp, LoweringContext
 
@@ -149,7 +149,6 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
     # --- walk the stream ---------------------------------------------------
     instructions: list[InstructionSpec] = []
     aliases: list[AliasSpec] = []
-    precomputed: dict[tuple[str, str], PrecomputedSpec] = {}
 
     slot_at = slots.__getitem__
     for op in stream:
@@ -170,19 +169,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                 dying_inputs.append(name)
 
         variant = VARIANT_BASE
-        if op.precompute is not None:
-            variant = op.precompute.variant
-            key = (op.precompute.state, op.precompute.transform)
-            entry = precomputed.get(key)
-            if entry is None:
-                entry = precomputed[key] = PrecomputedSpec(
-                    slot=slot_of(f"__precomputed__{key[0]}.{key[1]}"),
-                    state=op.precompute.state,
-                    transform=op.precompute.transform,
-                    shape=op.precompute.shape,
-                    dtype=op.precompute.dtype)
-            input_slots = input_slots + (entry.slot,)
-        elif op.fused is None and op.kernel in DONATING_KERNELS:
+        if op.fused is None and op.kernel in DONATING_KERNELS:
             clobbered = DONATED_INPUTS[op.kernel]
             if all(i < len(op.inputs)
                    and op.inputs[i] in dying_inputs
@@ -241,7 +228,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             # only inputs read exclusively by the first link are eligible —
             # a later link would read the overwritten bytes.
             into = len(op.outputs) == 1 and (
-                op.fused is not None or into_form(op.kernel, variant))
+                op.fused is not None or op.kernel in OUT_KERNELS)
             mode = MODE_OUT if into else MODE_COPY
             dense.update(op.outputs)
             reused = None
@@ -255,9 +242,8 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                 out_form = ctx.shape_dtype(op.outputs[0])
                 reusable = {assembled[i] for i in (
                     donatable_inputs(op) if op.fused is not None
-                    else aliasable_inputs(op.kernel, variant,
-                                          ctx.attrs(op.node), out_form[0],
-                                          len(assembled)))}
+                    else aliasable_inputs(op.kernel, ctx.attrs(op.node),
+                                          out_form[0], len(assembled)))}
                 for name in dying_inputs:
                     if name in reusable and name in buffer_of \
                             and name in private \
@@ -318,7 +304,6 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             strided.get(name) or c_strides(shape, dtype.itemsize),
             ctx.spec(name).dtype.value))
 
-    entries = tuple(sorted(precomputed.values(), key=lambda e: e.slot))
     return PlanSpec(
         num_slots=len(slots),
         feed_specs=tuple((name, slots[name]) for name in graph.inputs),
@@ -333,6 +318,4 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
         peak_transient_bytes=max(live_load(ledger, 1)),
         instructions=tuple(instructions),
         passes=passes,
-        precomputed=entries,
-        tuned_variants=tuple(ctx.tuned),
     )

@@ -42,7 +42,7 @@ from .lower import LoweredOp, LoweringContext
 
 
 def _fusable(op: LoweredOp) -> bool:
-    if op.fused is not None or op.precompute is not None:
+    if op.fused is not None:
         return False
     k = op.kernel
     return (len(op.outputs) == 1

@@ -21,24 +21,7 @@ import numpy as np
 from ...errors import ExecutionError
 from ...ir.ops import get_schema
 from ...kernels import KERNELS, VIEW_OPS
-from ..plan import FusedLinkSpec, TunedVariantSpec
-
-
-@dataclass(frozen=True)
-class PrecomputeRequest:
-    """A pass's request for a plan-owned constant slot (pre-allocation).
-
-    ``allocate`` turns this into a :class:`~repro.runtime.plan.
-    PrecomputedSpec` (assigning the slot, deduplicating identical
-    requests) and switches the instruction to ``variant``, which receives
-    the precomputed value as an extra trailing input.
-    """
-
-    state: str          #: source state name (must be frozen)
-    transform: str      #: repro.kernels.PRECOMPUTE_TRANSFORMS entry
-    variant: str        #: kernel variant that consumes the extra input
-    shape: tuple[int, ...]
-    dtype: str
+from ..plan import FusedLinkSpec
 
 
 @dataclass
@@ -46,10 +29,7 @@ class LoweredOp:
     """One pre-allocation instruction: names in, names out.
 
     ``fused`` (set by fuse_elementwise) lists the constituent elementwise
-    links; ``precompute`` (set by precompute_frozen, possibly vetoed by
-    autotune) requests a hoisted constant input. At most one of the two is
-    ever set — fusable ops are elementwise, precomputable ones are
-    convolutions/matmuls. ``const_inputs`` (set by fold_scalars) lists
+    links. ``const_inputs`` (set by fold_scalars) lists
     (position, state name) pairs folded out of ``inputs``: the positions
     index the *assembled* input list the kernel sees, so splicing the
     state values back in reconstructs the pre-fold list exactly (fused
@@ -61,7 +41,6 @@ class LoweredOp:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     fused: tuple[FusedLinkSpec, ...] | None = None
-    precompute: PrecomputeRequest | None = None
     const_inputs: tuple[tuple[int, str], ...] = ()
 
     @property
@@ -89,9 +68,6 @@ class LoweringContext:
         self.keep = set(program.outputs)
         self.mutable_state = program.mutable_state_names()
         self.nodes = {node.name: node for node in program.schedule}
-        #: autotune decisions accumulated by the autotune pass; allocate
-        #: embeds them into the PlanSpec's ``tuned_variants`` table
-        self.tuned: list[TunedVariantSpec] = []
 
     def spec(self, name: str):
         value = self._specs.get(name)
@@ -113,7 +89,7 @@ class LoweringContext:
         return self.spec(name).nbytes
 
     def frozen_state(self, name: str) -> bool:
-        """True for state no in-place node ever writes (safe to hoist)."""
+        """True for state no in-place node ever writes (safe to fold)."""
         return name in self.state_names and name not in self.mutable_state
 
 

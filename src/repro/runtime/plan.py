@@ -7,8 +7,8 @@ pass pipeline of :mod:`repro.runtime.passes` (``lower``, the optimization
 passes, then ``allocate`` over the stream that actually runs), into a flat
 instruction stream plus a static memory plan:
 
-* every value name is an integer slot. Feeds, state and plan-owned
-  precomputed constants are *register* slots, bound per step; every other
+* every value name is an integer slot. Feeds and state are *register*
+  slots, bound per step; every other
   value the plan can lay out statically is a *slab* slot: a fixed
   ``(offset, shape, strides)`` (:class:`SlotSpec`) in one byte slab of
   ``slab_bytes``. An executor builds each slab slot's ``ndarray`` once, as
@@ -50,8 +50,7 @@ The plan depends on state *names* only, so one plan is shared by every
 step*, not to a session: executors borrow a :class:`BufferSet` from the
 plan's :class:`SlabPool` for one step (every slot is written before it is
 read; returned outputs are copied out), so N sessions on W workers build
-at most W slabs. Registers and the precomputed-transform cache live on the
-executor.
+at most W slabs. Registers live on the executor.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ import numpy as np
 from ..errors import ExecutionError, PlanVersionError
 from ..ir.node import Node
 from ..ir.ops import get_schema
-from ..kernels import (DONATING_KERNELS, KERNELS, PRECOMPUTE_TRANSFORMS,
-                       VARIANT_KERNELS, into_form, make_fused_kernel)
+from ..kernels import (DONATING_KERNELS, KERNELS, OUT_KERNELS,
+                       make_fused_kernel)
 from .codegen import generate
 
 #: bump when the serialized PlanSpec layout — or the contract of anything
@@ -78,22 +77,23 @@ from .codegen import generate
 #: and the state-alias scan are gone (v4 ran a dynamic buffer arena).
 #: v6: ``peak_transient_bytes`` is the live load of the storage the plan
 #: holds, each slab buffer once; ``final_transient_bytes`` is gone.
-PLAN_SPEC_VERSION = 6
+#: v7: the plan-owned constant slots and the variant decision table are
+#: gone; an instruction's variant is ``base`` or ``donating``.
+PLAN_SPEC_VERSION = 7
 
 #: every owning slab slot starts on a multiple of this (a cache line)
 SLAB_ALIGNMENT = 64
 
-#: kernel variants an instruction may reference (resolved at bind time);
-#: anything else is looked up in :data:`repro.kernels.VARIANT_KERNELS`
-#: (e.g. ``winograd_precomputed``).
+#: the kernel variants an instruction may reference (resolved at bind time)
 VARIANT_BASE = "base"
 VARIANT_DONATING = "donating"
 
 #: how an instruction produces its outputs: the into-form writes the slab
 #: slot directly; the base kernel's fresh result is copied into the slab
-#: (no into-form yet: conv, pooling, kernel variants); or the base kernel's
-#: result is the value, held in a register (in-place ops, views of
-#: register values, anything whose layout is not statically C-contiguous)
+#: (no into-form: pooling, ``conv2d_dw``, ``range_mask``, ...); or the
+#: base kernel's result is the value, held in a register (in-place ops,
+#: views of register values, anything whose layout is not statically
+#: C-contiguous)
 MODE_OUT = "out"
 MODE_COPY = "copy"
 MODE_BASE = "base"
@@ -196,87 +196,12 @@ class FusedLinkSpec:
                    args=tuple(None if a is None else int(a) for a in args))
 
 
-@dataclass(frozen=True)
-class TunedVariantSpec:
-    """One autotune decision: which kernel variant an instruction runs.
-
-    Emitted by the ``autotune`` pass for every instruction that had more
-    than one applicable variant. ``variant`` is what the plan actually
-    binds (it may be ``base`` — keeping the default *is* a decision).
-    ``predicted_us`` comes from the :mod:`repro.devices.cost` model;
-    ``measured_us`` is filled in only under
-    ``CompileOptions(autotune="measure")``.
-    """
-
-    node: str                       #: instruction this decision applies to
-    kernel: str                     #: kernel registry name (== op type)
-    variant: str                    #: the chosen variant
-    predicted_us: float
-    measured_us: float | None = None
-    #: how the winner was picked: ``cost`` (model only) or ``measure``
-    source: str = "cost"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"node": self.node, "kernel": self.kernel,
-                "variant": self.variant,
-                "predicted_us": self.predicted_us,
-                "measured_us": self.measured_us,
-                "source": self.source}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "TunedVariantSpec":
-        measured = doc.get("measured_us")
-        return cls(node=doc["node"], kernel=doc["kernel"],
-                   variant=doc["variant"],
-                   predicted_us=float(doc["predicted_us"]),
-                   measured_us=float(measured)
-                   if measured is not None else None,
-                   source=doc.get("source", "cost"))
-
-
-@dataclass(frozen=True)
-class PrecomputedSpec:
-    """A plan-owned constant slot derived from frozen state at bind time.
-
-    ``transform`` names an entry in
-    :data:`repro.kernels.PRECOMPUTE_TRANSFORMS`; the executor applies it to
-    ``state[state_name]`` once (cached per executor, keyed by the source
-    array's identity — frozen inputs never change, which is what makes the
-    hoist bitwise-safe) and publishes the result in ``slot``.
-    """
-
-    slot: int
-    state: str
-    transform: str
-    shape: tuple[int, ...]
-    dtype: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"slot": self.slot, "state": self.state,
-                "transform": self.transform, "shape": list(self.shape),
-                "dtype": self.dtype}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "PrecomputedSpec":
-        return cls(slot=int(doc["slot"]), state=doc["state"],
-                   transform=doc["transform"],
-                   shape=tuple(int(d) for d in doc["shape"]),
-                   dtype=doc["dtype"])
-
-    @property
-    def nbytes(self) -> int:
-        count = 1
-        for dim in self.shape:
-            count *= int(dim)
-        return count * np.dtype(self.dtype).itemsize
-
-
 class InstructionSpec(NamedTuple):
     """One lowered node as pure data: slots, names, static decisions.
 
     The kernel is referenced by registry name (``kernel`` — the op type)
-    plus ``variant`` (:data:`VARIANT_BASE`, :data:`VARIANT_DONATING`, or a
-    :data:`repro.kernels.VARIANT_KERNELS` name); ``mode`` says how its
+    plus ``variant`` (:data:`VARIANT_BASE` or :data:`VARIANT_DONATING`);
+    ``mode`` says how its
     outputs reach their slots (:data:`MODE_OUT` / :data:`MODE_COPY` /
     :data:`MODE_BASE`). ``fused`` (when set) lists the elementwise links
     this instruction collapsed; the bound kernel then runs the whole chain
@@ -289,7 +214,7 @@ class InstructionSpec(NamedTuple):
 
     node: str                       #: schedule node name
     kernel: str                     #: kernel registry name (== op type)
-    variant: str                    #: base | donating | registered variant
+    variant: str                    #: base | donating
     input_slots: tuple[int, ...]
     output_slots: tuple[int, ...]
     mode: str                       #: out | copy | base
@@ -381,12 +306,6 @@ class PlanSpec:
     instructions: tuple[InstructionSpec, ...]
     #: names of the optimization passes that shaped this stream, in order
     passes: tuple[str, ...] = ()
-    #: plan-owned constant slots bound from frozen state (see
-    #: :class:`PrecomputedSpec`)
-    precomputed: tuple[PrecomputedSpec, ...] = ()
-    #: autotune decision table (empty unless the ``autotune`` pass ran):
-    #: one entry per instruction that had more than one applicable variant
-    tuned_variants: tuple[TunedVariantSpec, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe encoding (embedded in artifact manifests)."""
@@ -405,9 +324,6 @@ class PlanSpec:
             "peak_transient_bytes": self.peak_transient_bytes,
             "instructions": [instr.to_dict() for instr in self.instructions],
             "passes": list(self.passes),
-            "precomputed": [entry.to_dict() for entry in self.precomputed],
-            "tuned_variants": [entry.to_dict()
-                               for entry in self.tuned_variants],
         }
 
     @classmethod
@@ -444,27 +360,16 @@ class PlanSpec:
                 instructions=tuple(InstructionSpec.from_dict(entry)
                                    for entry in doc["instructions"]),
                 passes=tuple(doc["passes"]),
-                precomputed=tuple(PrecomputedSpec.from_dict(entry)
-                                  for entry in doc["precomputed"]),
-                tuned_variants=tuple(TunedVariantSpec.from_dict(entry)
-                                     for entry in doc["tuned_variants"]),
             )
         except ExecutionError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ExecutionError(f"garbled plan spec: {exc!r}") from None
 
-    @property
-    def precomputed_bytes(self) -> int:
-        """Resident bytes the precomputed slots add (not transient — they
-        live for the plan's lifetime, like state)."""
-        return sum(entry.nbytes for entry in self.precomputed)
-
     def required_kernels(self) -> dict[str, set[str]]:
         """Kernel registry names -> the variants this plan binds.
 
-        Variants: ``base``, ``donating``, ``out`` (the into-form), plus any
-        registered special variant (``winograd_precomputed``). Fused
+        Variants: ``base``, ``donating`` and ``out`` (the into-form). Fused
         instructions contribute their constituent links (each needing
         ``base`` and ``out``). What a runtime must provide to execute the
         plan (the deployment manifest records it).
@@ -481,10 +386,6 @@ class PlanSpec:
             if instr.mode == MODE_OUT:
                 variants.add("out")
         return needed
-
-    def required_transforms(self) -> set[str]:
-        """Precompute transforms the runtime must provide at bind time."""
-        return {entry.transform for entry in self.precomputed}
 
 
 @dataclass(slots=True, eq=False)
@@ -505,8 +406,7 @@ class Instruction:
     #: arrays this instruction allocates per step: none when it writes the
     #: slab, one per result the base kernel returns otherwise
     allocs: int
-    #: kernel-variant label for profiling ("base", "donating", "fused", or
-    #: a registry variant like "winograd_precomputed")
+    #: kernel-variant label for profiling ("base", "donating" or "fused")
     variant: str = VARIANT_BASE
     #: (position, state name) scalar constants folded out of the slot space
     #: — the step splices live state values in at these positions
@@ -526,18 +426,15 @@ class ExecutionPlan:
     ``slabs``.
     """
 
-    __slots__ = ("spec", "instructions", "precomputed", "in_slab",
-                 "outputs", "clear_slots", "slabs", "allocs_per_step",
-                 "_generated", "_generating", "__weakref__")
+    __slots__ = ("spec", "instructions", "in_slab", "outputs", "clear_slots",
+                 "slabs", "allocs_per_step", "_generated", "_generating",
+                 "__weakref__")
 
-    def __init__(self, spec: PlanSpec, instructions, precomputed) -> None:
+    def __init__(self, spec: PlanSpec, instructions) -> None:
         #: the serializable half this plan was bound from (slot table,
         #: feed / state bindings, static byte accounting)
         self.spec = spec
         self.instructions = instructions
-        #: (slot, state name, transform fn) constant slots the executor
-        #: computes once from frozen state and re-publishes every step
-        self.precomputed = precomputed
         #: slots that live in the slab (everything else is a register)
         self.in_slab = frozenset(entry.slot for entry in spec.slab_slots)
         #: (name, slot, lives in the slab?) per program output — slab
@@ -546,8 +443,7 @@ class ExecutionPlan:
                              for name, slot in spec.output_slots)
         #: non-state registers reset after each run (don't pin caller
         #: arrays or dynamic values)
-        kept = {slot for slot, _ in spec.state_bindings} \
-            | {slot for slot, _, _ in precomputed} | self.in_slab
+        kept = {slot for slot, _ in spec.state_bindings} | self.in_slab
         self.clear_slots = tuple(slot for slot in range(spec.num_slots)
                                  if slot not in kept)
         #: free list of buffer sets, shared by every executor of this plan
@@ -616,13 +512,11 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
     This is the *entire* load-time step — no graph analysis, no compiler,
     and no memory: buffer sets are built by the first steps that need
     them. Fused instructions bind each constituent link's base and
-    into-form kernels into one chain executor; precomputed slots bind
-    their transform functions (the executor applies them lazily, once per
-    session).
+    into-form kernels into one chain executor.
 
     Raises:
         ExecutionError: when the spec references a node the schedule lacks,
-            a kernel/variant/transform the registry lacks, or a kernel
+            a kernel/variant the registry lacks, or a kernel
             whose op type disagrees with the node's.
     """
     instructions: list[Instruction] = []
@@ -646,22 +540,19 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
         elif ispec.variant == VARIANT_BASE:
             kernel = KERNELS.get(ispec.kernel)
         else:
-            kernel = VARIANT_KERNELS.get((ispec.kernel, ispec.variant))
-            if kernel is None:
-                raise ExecutionError(
-                    f"unknown kernel variant {ispec.variant!r} for "
-                    f"{ispec.kernel!r}")
+            raise ExecutionError(
+                f"unknown kernel variant {ispec.variant!r} for "
+                f"{ispec.kernel!r}")
         if kernel is None:
             raise ExecutionError(
                 f"runtime lacks {ispec.variant!r} kernel for "
                 f"{ispec.kernel!r}")
         if ispec.mode == MODE_OUT and out_kernel is None:
             # fused chains bound theirs above
-            out_kernel = into_form(ispec.kernel, ispec.variant)
+            out_kernel = OUT_KERNELS.get(ispec.kernel)
             if out_kernel is None:
                 raise ExecutionError(
-                    f"runtime lacks an into-form for {ispec.variant!r} "
-                    f"{ispec.kernel!r}")
+                    f"runtime lacks an into-form for {ispec.kernel!r}")
         if ispec.mode == MODE_OUT or \
                 (links is None and get_schema(ispec.kernel).inplace):
             allocs = 0
@@ -674,14 +565,7 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
             allocs=allocs,
             variant="fused" if ispec.fused is not None else ispec.variant,
             const_args=ispec.const_args, links=links))
-    precomputed = []
-    for entry in spec.precomputed:
-        transform = PRECOMPUTE_TRANSFORMS.get(entry.transform)
-        if transform is None:
-            raise ExecutionError(
-                f"runtime lacks precompute transform {entry.transform!r}")
-        precomputed.append((entry.slot, entry.state, transform))
-    return ExecutionPlan(spec, tuple(instructions), tuple(precomputed))
+    return ExecutionPlan(spec, tuple(instructions))
 
 
 def _bind_fused(ispec: InstructionSpec, nodes: Mapping[str, Node]):
@@ -698,7 +582,7 @@ def _bind_fused(ispec: InstructionSpec, nodes: Mapping[str, Node]):
                 f"fused link {link.node!r} binds kernel {link.kernel!r} "
                 f"but the node is {node.op_type!r}")
         base = KERNELS.get(link.kernel)
-        out = into_form(link.kernel)
+        out = OUT_KERNELS.get(link.kernel)
         if base is None or out is None:
             raise ExecutionError(
                 f"runtime lacks base/out kernels for fused link "

@@ -285,10 +285,16 @@ class GatewayServer:
         ready.set()
         loop.run_forever()
         # stopped by the settle path: give just-finishing handler tasks a
-        # beat to unwind, then close the loop
-        pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-        if pending:
-            loop.run_until_complete(asyncio.wait(pending, timeout=1.0))
+        # beat to unwind, then close the loop. A task may spawn another
+        # while it unwinds, so collect again until none is pending, all
+        # under the one deadline.
+        deadline = loop.time() + 1.0
+        while True:
+            pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
+            remaining = deadline - loop.time()
+            if not pending or remaining <= 0:
+                break
+            loop.run_until_complete(asyncio.wait(pending, timeout=remaining))
         loop.close()
 
     def retry_after_hint(self, depth: int) -> float:

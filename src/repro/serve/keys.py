@@ -31,10 +31,13 @@ from ..train.optim import OptimizerSpec
 
 #: v2: CompileOptions grew ``plan_passes`` (the plan-lowering pipeline
 #: joins the key, so cached artifacts re-prebuild when lowering changes).
-#: v3: plan-spec v3 — autotuned variant tables, const-folded scalars, and
+#: v3: plan-spec v3 — variant decision tables, const-folded scalars, and
 #: byte-bucketed arena keys change what lowering produces for the *same*
 #: options, so every cached artifact must re-prebuild once.
-KEY_VERSION = 3
+#: v4: plan-spec v7 — the kernel-variant selection options are gone and a
+#: Winograd-annotated conv runs direct, so the same options lower (and
+#: compute) differently.
+KEY_VERSION = 4
 
 
 def scheme_token(scheme: UpdateScheme) -> dict[str, Any]:

@@ -74,12 +74,13 @@ class Trainer:
         self.input_name = input_name
         self.history = TrainHistory()
 
-        # Evaluation program sharing the training parameters. (Imported
-        # lazily: the compiler module depends on this package for losses.)
-        from ..runtime.compiler import CompileOptions, compile_inference
+        # Evaluation program sharing the training parameters, compiled
+        # knowing which ones training updates. (Imported lazily: the
+        # compiler module depends on this package for losses.)
+        from ..runtime.compiler import compile_inference
 
         eval_program = compile_inference(
-            forward, CompileOptions(winograd=False))
+            forward, updated=train_program.mutable_state_names())
         for name in eval_program.state:
             if name in train_program.state:
                 eval_program.state[name] = train_program.state[name]

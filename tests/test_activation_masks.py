@@ -266,9 +266,8 @@ def test_a_folded_mask_costs_its_bytes_and_one_multiply_per_element():
     the same FLOPs, the mask's bytes read once, the gradient's round trip
     through memory and one kernel launch gone — at the float's width,
     whatever the ``uint8`` operand suggests."""
-    from repro.devices import get_device
-    from repro.devices.cost import (PlanCostModel, _compute_itemsize,
-                                    op_class)
+    from repro.devices import estimate_latency, get_device
+    from repro.devices.cost import _compute_itemsize, op_class
     from repro.ir import TensorSpec, op_bytes, op_flops
 
     g = TensorSpec("g", (2, 24, 16, 16))
@@ -282,11 +281,22 @@ def test_a_folded_mask_costs_its_bytes_and_one_multiply_per_element():
         == op_bytes([g, w], [g]) + op_bytes([g, mask], [g]) - 2 * g.nbytes
     assert op_class("conv2d_dx", attrs) == "depthwise"
     assert _compute_itemsize("conv2d_dx", [g, w, mask], [g]) == 4
-    model = PlanCostModel(get_device("raspberry_pi_4"))
-    fused = model.estimate_us("a", "conv2d_dx", [g, w, mask], [g], attrs)
-    pair = model.estimate_us("b", "conv2d_dx", [g, w], [g], attrs) \
-        + model.estimate_us("c", "mask_mul", [g, mask], [g], {})
-    assert fused < pair
+
+    def latency_us(folded: bool) -> float:
+        b = GraphBuilder("masked_dx")
+        b.input("g", g.shape)
+        b.initializer("w", np.zeros(w.shape, np.float32))
+        b.input("m", mask.shape, DType.UINT8)
+        if folded:
+            out = b.emit("conv2d_dx", ["g", "w", "m"], attrs)
+        else:
+            out = b.emit("mask_mul",
+                         [b.emit("conv2d_dx", ["g", "w"], attrs), "m"])
+        b.mark_output(out)
+        return estimate_latency(b.graph, b.graph.nodes,
+                                get_device("raspberry_pi_4")).total_us
+
+    assert latency_us(True) < latency_us(False)
 
 
 # -- the kernels ---------------------------------------------------------------

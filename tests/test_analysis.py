@@ -27,8 +27,9 @@ from repro.analysis import (check_plan, lint_module, lint_tree,
                             lint_worker_imports, parse_waivers, report_for,
                             verify_plan_spec)
 from repro.deploy import load_artifact, save_artifact
-from repro.errors import PlanVerifyError
-from repro.kernels import OUT_ALIAS_RULES
+from repro.errors import ExecutionError, PlanVerifyError
+from repro.kernels import DONATED_INPUTS, OUT_ALIAS_RULES
+from repro.runtime import bind_plan
 from repro.runtime.compiler import CompileOptions, compile_inference, \
     compile_training
 from repro.serve import ProgramCache
@@ -105,7 +106,7 @@ class TestVerifierZeroFalsePositives:
         assert verify_plan_spec(program.plan_spec(), program) == []
 
     def test_mcunet_sparse_plan_clean(self):
-        """The paper's plan: precompute, in-place reuse, bind-time views.
+        """The paper's plan: in-place reuse, bind-time views.
         (Its one fused chain was the loss's; the folded ``log_softmax``
         adjoint took its place.)"""
         program = _sparse_program()
@@ -114,7 +115,7 @@ class TestVerifierZeroFalsePositives:
         # Make sure this plan actually exercises the interesting machinery
         # — a clean pass over a trivial plan would prove nothing.
         assert any(i.reuse_slot >= 0 for i in spec.instructions)
-        assert spec.precomputed and spec.aliases
+        assert spec.aliases
 
     def test_resnet_sparse_plan_clean(self):
         """... and one with fused chains besides (residual adds)."""
@@ -123,7 +124,7 @@ class TestVerifierZeroFalsePositives:
         assert verify_plan_spec(spec, program) == []
         assert any(i.fused for i in spec.instructions)
         assert any(i.reuse_slot >= 0 for i in spec.instructions)
-        assert spec.precomputed and spec.aliases
+        assert spec.aliases
 
     @pytest.mark.parametrize("model", ["mcunet_micro", "mobilenetv2_micro"])
     @pytest.mark.parametrize("batch", [1, 2, 8])
@@ -368,13 +369,12 @@ class TestMutationHarness:
                         "donation-alias-unsafe", "donation-shape-mismatch"}
 
     def test_dense_conv_writing_over_its_input(self, monkeypatch):
-        """resnet_micro's dense 3x3 convs (Winograd, weight hoisted)
-        lowered as if their output could take over their dying input:
+        """resnet_micro's frozen dense 3x3 convs lowered as if their
+        output could take over their dying input:
         offsets, lifetimes and the peak all agree with that — only the
         kernel may not, and that is the one finding."""
         with monkeypatch.context() as patched:
-            patched.setitem(OUT_ALIAS_RULES,
-                            ("conv2d", "winograd_precomputed"),
+            patched.setitem(OUT_ALIAS_RULES, "conv2d",
                             lambda attrs, out_shape: True)
             program = _sparse_program("resnet_micro")
             spec = program.plan_spec()
@@ -463,95 +463,199 @@ class TestMutationHarness:
         with pytest.raises(PlanVerifyError, match="unknown-node"):
             check_plan(bad, program, stage="mutation harness")
 
-    def test_stale_precomputed_layout(self):
-        """A slot declaring the pre-v4 ``(O, I, 4, 4)`` Winograd layout —
-        same bytes, so the byte ledger alone would pass it — is refused:
-        the declared shape must be what the registered transform emits."""
-        program = _sparse_program()
-        spec = program.plan_spec()
-        idx, entry = next((i, e) for i, e in enumerate(spec.precomputed)
-                          if e.transform == "winograd_weight")
-        sixteen, cout, cin = entry.shape
-        assert sixteen == 16
-        stale = dataclasses.replace(entry, shape=(cout, cin, 4, 4))
-        assert stale.nbytes == entry.nbytes
-        pre = spec.precomputed[:idx] + (stale,) + spec.precomputed[idx + 1:]
-        bad = dataclasses.replace(spec, precomputed=pre)
-        assert "precompute-shape" in _rules(bad, program)
+    def test_unknown_variant(self, victim):
+        """A kernel variant this runtime does not have (a v6 plan's
+        ``winograd_precomputed``): planlint names it, and binding it
+        fails closed."""
+        program, spec = victim
+        bad = _mutate_instr(spec, 0, variant="winograd_precomputed")
+        assert "unknown-variant" in _rules(bad, program)
+        nodes = {node.name: node for node in program.schedule}
+        with pytest.raises(ExecutionError, match="unknown kernel variant"):
+            bind_plan(bad, nodes)
+
+    def test_donating_variant_without_a_donating_kernel(self, victim):
+        program, spec = victim
+        idx = next(i for i, ins in enumerate(spec.instructions)
+                   if ins.kernel == "matmul")
+        bad = _mutate_instr(spec, idx, variant="donating")
+        assert "unknown-variant" in _rules(bad, program)
+
+    def test_donated_input_still_read_later(self, victim):
+        """The optimizer apply clobbers its gradient as scratch: handing
+        it a gradient something reads afterwards corrupts that reader."""
+        program, spec = victim
+        last_read: dict[int, int] = {}
+        for i, ins in enumerate(spec.instructions):
+            for slot in ins.input_slots:
+                last_read[slot] = i
+        idx = next(i for i, ins in enumerate(spec.instructions)
+                   if ins.variant == "donating")
+        ins = spec.instructions[idx]
+        [clobbered] = DONATED_INPUTS[ins.kernel]
+        live = next(slot for prior in spec.instructions[:idx]
+                    if prior.mode == "out"
+                    for slot in prior.output_slots
+                    if last_read.get(slot, -1) > idx)
+        slots = list(ins.input_slots)
+        slots[clobbered] = live
+        bad = _mutate_instr(spec, idx, input_slots=tuple(slots))
+        assert "donating-variant-unsafe" in _rules(bad, program)
+
+    def test_wrong_kernel(self, victim):
+        program, spec = victim
+        idx = next(i for i, ins in enumerate(spec.instructions)
+                   if ins.kernel == "log_softmax")
+        bad = _mutate_instr(spec, idx, kernel="softmax")
+        assert "kernel-mismatch" in _rules(bad, program)
+
+    def test_read_before_definition(self, victim):
+        program, spec = victim
+        later = spec.instructions[-1].output_slots[0]
+        first = spec.instructions[0]
+        bad = _mutate_instr(spec, 0,
+                            input_slots=first.input_slots[:-1] + (later,))
+        assert "def-before-use" in _rules(bad, program)
+
+    def test_dropped_input_slot(self, victim):
+        program, spec = victim
+        idx = next(i for i, ins in enumerate(spec.instructions)
+                   if len(ins.input_slots) >= 2 and not ins.fused)
+        ins = spec.instructions[idx]
+        bad = _mutate_instr(spec, idx, input_slots=ins.input_slots[:-1])
+        assert "input-arity" in _rules(bad, program)
+
+    def test_extra_output_slot(self, victim):
+        program, spec = victim
+        ins = spec.instructions[0]
+        bad = dataclasses.replace(
+            _mutate_instr(spec, 0,
+                          output_slots=ins.output_slots + (spec.num_slots,)),
+            num_slots=spec.num_slots + 1)
+        assert "output-arity" in _rules(bad, program)
+
+    def test_output_slot_out_of_range(self, victim):
+        program, spec = victim
+        idx = next(i for i, ins in enumerate(spec.instructions)
+                   if ins.mode == "base")
+        bad = _mutate_instr(spec, idx, output_slots=(spec.num_slots,))
+        assert "slot-range" in _rules(bad, program)
+
+    def test_slot_defined_twice(self, victim):
+        program, spec = victim
+        first, second = [i for i, ins in enumerate(spec.instructions)
+                         if ins.mode == "out" and ins.reuse_slot < 0][:2]
+        taken = spec.instructions[first].output_slots
+        bad = _mutate_instr(spec, second, output_slots=taken)
+        assert {"slot-redefined", "slot-collision"} <= _rules(bad, program)
+
+    def test_feeds_out_of_order(self, victim):
+        program, spec = victim
+        assert len(spec.feed_specs) >= 2
+        names = [name for name, _ in spec.feed_specs]
+        slots = [slot for _, slot in spec.feed_specs]
+        bad = dataclasses.replace(
+            spec, feed_specs=tuple(zip(reversed(names), slots)))
+        assert "feed-mismatch" in _rules(bad, program)
+
+    def test_dropped_state_binding(self, victim):
+        program, spec = victim
+        bad = dataclasses.replace(spec,
+                                  state_bindings=spec.state_bindings[1:])
+        assert "state-binding-mismatch" in _rules(bad, program)
+
+    def test_freed_state(self, victim):
+        """State is the program's across steps: no step may drop it."""
+        program, spec = victim
+        slot, _ = spec.state_bindings[0]
+        ins = spec.instructions[0]
+        bad = _mutate_instr(spec, 0, frees=ins.frees + (slot,))
+        assert "bad-free" in _rules(bad, program)
+
+    def test_into_form_over_a_register(self, victim):
+        program, spec = victim
+        idx = next(i for i, ins in enumerate(spec.instructions)
+                   if ins.mode == "base" and not ins.fused)
+        bad = _mutate_instr(spec, idx, mode="out")
+        assert "invalid-use-out" in _rules(bad, program)
+
+    def test_reuse_without_an_into_form(self, victim):
+        program, spec = victim
+        idx = next(i for i, ins in enumerate(spec.instructions)
+                   if ins.mode == "base" and ins.input_slots)
+        ins = spec.instructions[idx]
+        bad = _mutate_instr(spec, idx, reuse_slot=ins.input_slots[-1])
+        assert "donation-without-out" in _rules(bad, program)
+
+    def test_reuse_of_a_slot_it_does_not_read(self, victim):
+        program, spec = victim
+        idx = next(i for i, ins in enumerate(spec.instructions)
+                   if ins.reuse_slot >= 0)
+        ins = spec.instructions[idx]
+        stranger = next(slot for slot, _ in spec.state_bindings
+                        if slot not in ins.input_slots)
+        bad = _mutate_instr(spec, idx, reuse_slot=stranger)
+        assert "donation-not-input" in _rules(bad, program)
+
+    def test_miscounted_slots(self, victim):
+        program, spec = victim
+        bad = dataclasses.replace(spec, num_slots=spec.num_slots + 1)
+        assert "slot-count-mismatch" in _rules(bad, program)
+
+    def test_dropped_output(self, victim):
+        program, spec = victim
+        bad = dataclasses.replace(spec, output_slots=spec.output_slots[1:])
+        assert "output-set-mismatch" in _rules(bad, program)
 
 
-class TestTunedVariantMutations:
-    """A lying ``tuned_variants`` table must not verify: every claim in
-    it (node exists, kernel matches, the chosen variant is registered and
-    is what the instruction actually binds, costs are sane) is checked."""
+class TestFusedChainMutations:
+    """A fused elementwise instruction's links are checked one by one:
+    which nodes they stand for, what they read and where the chain ends."""
 
     @pytest.fixture(scope="class")
     def victim(self):
-        from repro.models import build_model, paper_scheme
-
-        forward = build_model("mcunet_micro", batch=2, num_classes=3)
-        program = compile_training(
-            forward, optimizer=SGD(0.05), scheme=paper_scheme(forward),
-            options=CompileOptions(autotune="cost"))
+        # the squared error's chain: the cross-entropy loss fuses nothing
+        program = _program(loss="mse")
         spec = program.plan_spec()
-        assert spec.tuned_variants, "fixture lost its tuning decisions"
-        return program, spec
-
-    def _mutate_tuned(self, spec, idx=0, *, append=None, **changes):
-        tuned = list(spec.tuned_variants)
-        if append is not None:
-            tuned.append(append)
-        else:
-            tuned[idx] = dataclasses.replace(tuned[idx], **changes)
-        return dataclasses.replace(spec, tuned_variants=tuple(tuned))
-
-    def test_autotuned_plan_verifies_clean(self, victim):
-        program, spec = victim
+        idx = next(i for i, ins in enumerate(spec.instructions)
+                   if ins.fused and len(ins.input_slots) >= 2)
         assert verify_plan_spec(spec, program) == []
-        assert any(t.variant != "base" for t in spec.tuned_variants)
+        return program, spec, idx
 
-    def test_unknown_node(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, node="no_such_node")
-        assert "tuned-unknown-node" in _rules(bad, program)
+    def test_empty_chain(self, victim):
+        program, spec, idx = victim
+        bad = _mutate_instr(spec, idx, fused=())
+        assert "fused-empty" in _rules(bad, program)
 
-    def test_kernel_mismatch(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, kernel="matmul")
-        assert "tuned-kernel-mismatch" in _rules(bad, program)
+    def test_chain_ends_before_its_instruction(self, victim):
+        program, spec, idx = victim
+        links = spec.instructions[idx].fused
+        bad = _mutate_instr(spec, idx, fused=links[:-1])
+        assert "fused-tail-mismatch" in _rules(bad, program)
 
-    def test_unregistered_variant(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, variant="turbo_v2")
-        assert "tuned-unregistered-variant" in _rules(bad, program)
+    def test_non_elementwise_link(self, victim):
+        from repro.runtime import FusedLinkSpec
 
-    def test_variant_disagrees_with_instruction(self, victim):
-        """Claiming the base kernel where the instruction binds a variant:
-        the decision table and the stream must tell one story."""
-        program, spec = victim
-        idx = next(i for i, t in enumerate(spec.tuned_variants)
-                   if t.variant == "winograd_precomputed")
-        for claim in ("base", "pretransposed_b"):  # matmul's: not bound
-            bad = self._mutate_tuned(spec, idx, variant=claim)
-            assert "tuned-variant-mismatch" in _rules(bad, program), claim
+        program, spec, idx = victim
+        gemm = next(ins for ins in spec.instructions
+                    if ins.kernel == "matmul")
+        first = spec.instructions[idx].fused[0]
+        link = FusedLinkSpec(gemm.node, "matmul", first.args)
+        bad = _mutate_instr(spec, idx, fused=(link,) +
+                            spec.instructions[idx].fused[1:])
+        assert "fused-ineligible-link" in _rules(bad, program)
 
-    def test_duplicate_decision(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, append=spec.tuned_variants[0])
-        assert "tuned-duplicate" in _rules(bad, program)
+    def test_an_input_no_link_reads(self, victim):
+        from repro.runtime import FusedLinkSpec
 
-    def test_bad_source(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, source="vibes")
-        assert "tuned-source" in _rules(bad, program)
-
-    def test_invalid_costs(self, victim):
-        program, spec = victim
-        for changes in ({"predicted_us": float("nan")},
-                        {"predicted_us": -1.0},
-                        {"measured_us": float("nan")}):
-            bad = self._mutate_tuned(spec, **changes)
-            assert "tuned-cost-invalid" in _rules(bad, program), changes
+        program, spec, idx = victim
+        first = spec.instructions[idx].fused[0]
+        assert len(first.args) == 2 and None not in first.args
+        narrowed = FusedLinkSpec(first.node, first.kernel,
+                                 (first.args[0], first.args[0]))
+        bad = _mutate_instr(spec, idx, fused=(narrowed,) +
+                            spec.instructions[idx].fused[1:])
+        assert "fused-input-mismatch" in _rules(bad, program)
 
 
 class TestArtifactAndCacheIntegration:

@@ -61,7 +61,7 @@ def generated(seed: int, ratio: float, passes: str):
     drew a graph there is nothing to train in (or a refused sparse
     update)."""
     try:
-        return compile_random(seed, ratio, passes, None)
+        return compile_random(seed, ratio, passes)
     except AutodiffError:
         return None
     except CompileError as exc:

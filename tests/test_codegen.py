@@ -6,8 +6,8 @@ that exist before the first step. ``tests/reference_executor.py`` holds
 the generic loop over the same plan; this file requires
 
 * outputs, mutable state and allocation counts equal to that loop's, over
-  three steps, on the twelve zoo programs (default plan, ``passes="none"``,
-  ``autotune="cost"``) and random graphs x {full, sparse};
+  three steps, on the twelve zoo programs (default plan and
+  ``passes="none"``) and random graphs x {full, sparse};
 * every into-form to equal its base kernel byte for byte on generated
   inputs — called, emitted, and with ``out`` aliasing each input
   :func:`repro.kernels.aliasable_inputs` names for the attrs — for every
@@ -47,8 +47,7 @@ import repro
 from repro.deploy import save_artifact
 from repro.errors import AutodiffError, ExecutionError
 from repro.kernels import (DENSE_OPS, KERNELS, OUT_EMITTERS, OUT_KERNELS,
-                           PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS, VIEW_OPS,
-                           aliasable_inputs)
+                           VIEW_OPS, aliasable_inputs)
 from repro.kernels import conv2d as conv_module
 from repro.runtime import Executor, codegen
 from repro.runtime import plan as plan_module
@@ -59,7 +58,8 @@ from repro.train import SGD
 from conftest import make_mlp_graph
 from reference_executor import ReferenceExecutor
 from test_arena_safety import random_feed, random_forward
-from test_compile_single_sweep import ZOO_PROGRAMS, compile_zoo
+from test_compile_single_sweep import (UNFUSED_ZOO_PROGRAMS,
+                                       ZOO_PROGRAMS, compile_zoo)
 from test_kernels import conv_cases
 from test_plan import fork
 
@@ -133,11 +133,12 @@ class TestSameStepAsTheLoop:
         assert_same_steps(program, batches)
         assert_same_steps(relowered(program, "none"), batches)
 
-    @pytest.mark.parametrize("model,scheme", [
-        ("mcunet_micro", "paper_scheme"), ("resnet_micro", "full_update"),
-        ("bert_micro", "paper_scheme"), ("llama_micro", "full_update")])
-    def test_zoo_autotuned_plans(self, model, scheme):
-        program = compile_zoo(model, scheme, autotune="cost")
+    @pytest.mark.parametrize("model,scheme", UNFUSED_ZOO_PROGRAMS)
+    def test_zoo_unfused_graph_plans(self, model, scheme):
+        """Graph-level fusion off: the stream keeps its separate bias,
+        activation and Q/K/V instructions for the emitters to run."""
+        program = compile_zoo(model, scheme, fusion=False,
+                              parallel_fusion=False)
         rng = np.random.default_rng(11)
         assert_same_steps(program,
                           [make_feeds(program, rng) for _ in range(3)])
@@ -418,35 +419,8 @@ def broadcast_to_case(draw):
         {"shape": draw(st.sampled_from([tuple, list]))(shape)}
 
 
-@st.composite
-def precomputed_case(draw, variant):
-    """A plan-selected variant's inputs: the base op's, plus the hoisted
-    transform of its frozen operand as the trailing input."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    values = lambda *shape: rng.standard_normal(shape)  # noqa: E731
-    bias = draw(st.booleans())
-    attrs = {"activation": draw(st.sampled_from(
-        [None, "relu", "relu6", "gelu"]))}
-    if variant == "pretransposed_b":
-        m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
-        ins = [values(2, m, k), values(n, k)] + [values(n)] * bias
-        attrs["trans_b"] = True
-        transform = "transpose_last2"
-    else:
-        n, cin, cout = (draw(st.integers(1, 3)) for _ in range(3))
-        h, w = draw(st.integers(2, 7)), draw(st.integers(2, 7))
-        ins = [values(n, cin, h, w), values(cout, cin, 3, 3)] \
-            + [values(cout)] * bias
-        attrs.update(algo="winograd", padding=draw(st.integers(0, 1)))
-        transform = "winograd_weight"
-    ins = [x.astype(np.float32) for x in ins]
-    return ins + [PRECOMPUTE_TRANSFORMS[transform](ins[1])], attrs
-
-
 STRATEGIES = {
     "conv2d": conv_case(False), "conv2d_dx": conv_case(True),
-    **{key: precomputed_case(key[1]) for key in OUT_KERNELS
-       if isinstance(key, tuple)},
     **{op: elementwise_case(2, False) for op in BINARY},
     **{op: elementwise_case(1, op in POSITIVE) for op in UNARY},
     **{op: adjoint_case() for op in ADJOINTS},
@@ -476,19 +450,14 @@ def poisoned(like):
 class TestEmittersEqualTheirKernels:
     """Every into-form, called and (where it has an emitter) emitted."""
 
-    @pytest.mark.parametrize("key", sorted(set(OUT_KERNELS)
-                                           | set(OUT_EMITTERS), key=str),
-                             ids=lambda key: key if isinstance(key, str)
-                             else "-".join(key))
+    @pytest.mark.parametrize("op", sorted(set(OUT_KERNELS) | set(OUT_EMITTERS)))
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_registry_wide_parity(self, key, data):
-        assert key in STRATEGIES, \
-            f"{key!r} has an into-form but no input strategy in this file"
-        ins, attrs = data.draw(STRATEGIES[key])
-        # a plan-selected variant is keyed (op, variant)
-        op, base = (key, KERNELS[key]) if isinstance(key, str) \
-            else (key[0], VARIANT_KERNELS[key])
+    def test_registry_wide_parity(self, op, data):
+        assert op in STRATEGIES, \
+            f"{op!r} has an into-form but no input strategy in this file"
+        ins, attrs = data.draw(STRATEGIES[op])
+        base = KERNELS[op]
         if op in DENSE_OPS:
             # beyond C-contiguous inputs: the layouts its predicate takes
             assume(DENSE_OPS[op]([(x.shape, x.strides) for x in ins]))
@@ -502,10 +471,10 @@ class TestEmittersEqualTheirKernels:
             assert want.flags.c_contiguous
 
         buf = poisoned(want)
-        assert OUT_KERNELS[key](ins, attrs, buf) is buf
+        assert OUT_KERNELS[op](ins, attrs, buf) is buf
         assert_same_bytes(buf, want, "into-form against base")
 
-        emit = OUT_EMITTERS.get(key)
+        emit = OUT_EMITTERS.get(op)
         source = emit([f"ins[{i}]" for i in range(len(ins))], attrs,
                       "buf") if emit is not None else None
         if source is not None:
@@ -515,14 +484,13 @@ class TestEmittersEqualTheirKernels:
 
         # ``out`` may be any input the alias rule names for these attrs, of
         # the output's own shape and dtype
-        variant = "base" if isinstance(key, str) else key[1]
-        for i in aliasable_inputs(op, variant, attrs, buf.shape, len(ins)):
+        for i in aliasable_inputs(op, attrs, buf.shape, len(ins)):
             x = ins[i]
             if (x.shape, x.dtype) != (buf.shape, buf.dtype):
                 continue
             alias = x.copy()
             same = [alias if y is x else y for y in ins]
-            assert OUT_KERNELS[key](same, attrs, alias) is alias
+            assert OUT_KERNELS[op](same, attrs, alias) is alias
             assert_same_bytes(alias, want, f"out aliasing input {i}")
 
     def test_emitters_decline_what_is_not_one_expression(self):
@@ -573,8 +541,8 @@ class TestDepthwiseWritesOverItsInput:
     def assert_aliased_equal(key, ins, attrs):
         want = KERNELS[key](ins, attrs)[0]
         assert want.shape == ins[0].shape
-        assert list(aliasable_inputs(key, "base", attrs, want.shape,
-                                     len(ins))) == [0]
+        assert list(aliasable_inputs(key, attrs, want.shape, len(ins))) \
+            == [0]
         alias = ins[0].copy()
         assert OUT_KERNELS[key]([alias, *ins[1:]], attrs, alias) is alias
         assert_same_bytes(alias, want, f"{key} writing over input 0")
@@ -623,17 +591,13 @@ class TestDepthwiseWritesOverItsInput:
             {**depthwise, "groups": 1},
             {**depthwise, "stride": 2},
             {**depthwise, "stride": (1, 2)},
-            {**depthwise, "algo": "winograd"},
         ]
         for attrs in refused:
-            assert not aliasable_inputs(key, "base", attrs, shape, 3), attrs
-        assert not aliasable_inputs(key, "base", depthwise, (2, 1, 6, 6), 3)
+            assert not aliasable_inputs(key, attrs, shape, 3), attrs
+        assert not aliasable_inputs(key, depthwise, (2, 1, 6, 6), 3)
         # the weight, the bias and the mask are never written over
-        assert list(aliasable_inputs(key, "base", depthwise, shape, 3)) \
+        assert list(aliasable_inputs(key, depthwise, shape, 3)) \
             == [0]
-        if key == "conv2d":
-            assert not aliasable_inputs(key, "winograd_precomputed",
-                                        depthwise, shape, 4)
 
     def test_a_dense_1x1_conv_would_copy_its_input(self):
         """Refused for groups 1: the 1x1 operand is a view of ``x``, and
@@ -645,7 +609,7 @@ class TestDepthwiseWritesOverItsInput:
         x = rng.standard_normal((2, 16, 8, 8)).astype(np.float32)
         w = rng.standard_normal((16, 16, 1, 1)).astype(np.float32)
         attrs = {"stride": 1, "padding": 0, "groups": 1}
-        assert not aliasable_inputs("conv2d", "base", attrs, x.shape, 2)
+        assert not aliasable_inputs("conv2d", attrs, x.shape, 2)
         fresh, alias = np.empty_like(x), x.copy()
         OUT_KERNELS["conv2d"]([x, w], attrs, fresh)  # warm
 

@@ -5,8 +5,8 @@ once and keep them exact across rewrites. ``tests/reference_passes.py``
 holds the bodies they replaced; this file requires
 
 * identical node lists, schedules, fingerprints and plan specs from both,
-  on the twelve zoo programs, their inference compiles, ``autotune="cost"``
-  and random graphs x {full, sparse} schemes;
+  on the twelve zoo programs, their inference compiles and random graphs
+  x {full, sparse} schemes;
 * whole-graph rebuild counts that do not grow with model depth;
 * compiling twice to give the same fingerprint and plan (the cache key).
 """
@@ -47,6 +47,10 @@ ZOO_MODELS = ("mcunet_micro", "mobilenetv2_micro", "resnet_micro",
               "bert_micro", "distilbert_micro", "llama_micro")
 SCHEMES = {"paper_scheme": paper_scheme, "full_update": full_update}
 ZOO_PROGRAMS = [(model, scheme) for model in ZOO_MODELS for scheme in SCHEMES]
+#: one per model family and scheme, for the compiles with graph fusion off
+UNFUSED_ZOO_PROGRAMS = [
+    ("mcunet_micro", "paper_scheme"), ("resnet_micro", "full_update"),
+    ("bert_micro", "paper_scheme"), ("llama_micro", "full_update")]
 
 
 def compile_zoo(model, scheme, **option_kwargs):
@@ -103,14 +107,14 @@ class TestZooIdentity:
         swap_in_references(monkeypatch)
         assert_same_compile(got, compile_inference(build_model(model)))
 
-    @pytest.mark.parametrize("model,scheme", [
-        ("mcunet_micro", "paper_scheme"), ("resnet_micro", "full_update"),
-        ("bert_micro", "paper_scheme"), ("llama_micro", "full_update")])
-    def test_autotune_cost_matches_reference(self, model, scheme,
-                                             monkeypatch):
-        got = compile_zoo(model, scheme, autotune="cost")
+    @pytest.mark.parametrize("model,scheme", UNFUSED_ZOO_PROGRAMS)
+    def test_unfused_compile_matches_reference(self, model, scheme,
+                                               monkeypatch):
+        options = {"fusion": False, "parallel_fusion": False}
+        got = compile_zoo(model, scheme, **options)
+        assert not got.graph.metadata.get("fusion_groups")
         swap_in_references(monkeypatch)
-        assert_same_compile(got, compile_zoo(model, scheme, autotune="cost"))
+        assert_same_compile(got, compile_zoo(model, scheme, **options))
 
     @pytest.mark.parametrize("name", sorted(REFERENCES))
     @pytest.mark.parametrize("model,scheme", [

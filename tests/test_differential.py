@@ -2,7 +2,7 @@
 everything a compile can be told.
 
 Random graph x {full, sparse} x plan-pass selection {``default``,
-``none``, each pass alone} x ``autotune`` {off, ``cost``}: the plan backend
+``none``, each pass alone}: the plan backend
 against ``backend="interpreter"`` from copies of the same state, with the
 static plan verifier on after every pass stage. Outputs and all state are
 byte-equal on every step; ``peak_transient_bytes`` equals the
@@ -58,7 +58,7 @@ def loss_for(seed: int) -> str:
     return "softmax_ce" if seed % 3 == 0 else "mse"
 
 
-def compile_random(seed: int, ratio: float, passes, autotune, fusion=True):
+def compile_random(seed: int, ratio: float, passes, fusion=True):
     """The seed's random training program under one compile configuration,
     and the generator's rng (for feeds).
 
@@ -72,8 +72,8 @@ def compile_random(seed: int, ratio: float, passes, autotune, fusion=True):
     program = compile_training(
         b.graph, loss=loss_for(seed), optimizer=SGD(0.01, momentum=0.9),
         scheme=UpdateScheme("w", {"w": ratio}),
-        options=CompileOptions(plan_passes=passes, autotune=autotune,
-                               fusion=fusion, verify_plans=True))
+        options=CompileOptions(plan_passes=passes, fusion=fusion,
+                               verify_plans=True))
     return program, rng
 
 
@@ -121,7 +121,6 @@ def assert_matches_interpreter(program, rng, steps: int = 3) -> None:
             assert dut.peak_transient_bytes <= ref.peak_transient_bytes
 
 
-@pytest.mark.parametrize("autotune", [None, "cost"], ids=["plain", "tuned"])
 @pytest.mark.parametrize("passes", PASS_CONFIGS, ids=config_id)
 @pytest.mark.parametrize("ratio", [1.0, 0.5], ids=["full", "sparse"])
 @given(seed=st.integers(0, 100_000))
@@ -129,9 +128,9 @@ def assert_matches_interpreter(program, rng, steps: int = 3) -> None:
 # plan's peak 64 B above the oracle's); kept as a plan peak <= oracle input
 @example(seed=330)
 @settings(max_examples=25, deadline=None)
-def test_plan_equals_interpreter(ratio, passes, autotune, seed):
+def test_plan_equals_interpreter(ratio, passes, seed):
     try:
-        program, rng = compile_random(seed, ratio, passes, autotune)
+        program, rng = compile_random(seed, ratio, passes)
     except AutodiffError:
         assume(False)  # nothing to train
     except CompileError as exc:
@@ -149,8 +148,8 @@ def test_graph_fusion_changes_no_byte(passes, seed):
     nodes and ``conv2d_dx -> mask_mul`` two. That plan equals its
     interpreter too — and, fed the same batches, the fused program's."""
     try:
-        program, rng = compile_random(seed, 1.0, passes, None, fusion=False)
-        fused, _ = compile_random(seed, 1.0, passes, None)
+        program, rng = compile_random(seed, 1.0, passes, fusion=False)
+        fused, _ = compile_random(seed, 1.0, passes)
     except AutodiffError:
         assume(False)
     assert not any(len(node.inputs) == 3 for node in program.graph.nodes
@@ -203,7 +202,7 @@ def test_the_generator_reaches_the_relu_family():
     seen = set()
     for seed in range(60):
         try:
-            program, rng = compile_random(seed, 1.0, "default", None)
+            program, rng = compile_random(seed, 1.0, "default")
         except AutodiffError:
             continue
         graph = program.graph
@@ -240,7 +239,7 @@ def test_the_generator_reaches_the_relu_family():
                 seen.add("a pre-activation exactly on both boundaries")
 
         try:
-            compile_random(seed, 0.5, "default", None)
+            compile_random(seed, 0.5, "default")
             seen.add("a sub-layer update that compiles")
         except CompileError:
             seen.add("a sub-layer update that is refused")

@@ -272,7 +272,89 @@ class TestKernelSelect:
         before = interpret(b.graph, {"x": xa})[y]
         WinogradSelectionPass().run(b.graph, PassContext())
         after = interpret(b.graph, {"x": xa})[y]
-        np.testing.assert_allclose(before, after, atol=1e-3)
+        assert after.tobytes() == before.tobytes()
+
+    @staticmethod
+    def _one_conv(rng, w_shape, fed_weight=False, **conv):
+        b = GraphBuilder("g")
+        x = b.input("x", (1, 4, 8, 8))
+        w = b.input("w", w_shape) if fed_weight else b.initializer(
+            "w", rng.standard_normal(w_shape).astype(np.float32))
+        b.mark_output(b.conv2d(x, w, **conv))
+        return b.graph
+
+    @pytest.mark.parametrize("w_shape,fed_weight,conv", [
+        ((4, 2, 3, 3), False, {"padding": 1, "groups": 2}),
+        ((4, 1, 3, 3), False, {"padding": 1, "groups": 4}),
+        ((4, 4, 3, 3), True, {"padding": 1}),
+        ((4, 4, 1, 3), False, {"padding": (0, 1)}),
+        ((4, 4, 3, 1), False, {"padding": (1, 0)}),
+        ((4, 4, 3, 3), False, {"padding": 1, "stride": (2, 1)}),
+        ((4, 4, 3, 3), False, {"padding": 1, "stride": (1, 2)}),
+    ], ids=["grouped", "depthwise", "fed_weight", "1x3", "3x1",
+            "strided_rows", "strided_cols"])
+    def test_winograd_skips(self, rng, w_shape, fed_weight, conv):
+        """F(2x2,3x3) needs a dense 3x3 stride-1 conv over a weight the
+        compile can see: anything else stays on the direct algorithm."""
+        graph = self._one_conv(rng, w_shape, fed_weight, **conv)
+        result = WinogradSelectionPass().run(graph, PassContext())
+        assert [n.attrs.get("algo") for n in graph.nodes] == [None]
+        assert result.stats["winograd_convs"] == 0 and not result.changed
+
+    @pytest.mark.parametrize("conv", [
+        {"padding": 0}, {"padding": (1, 0)}, {"padding": 1, "stride": (1, 1)},
+    ], ids=["unpadded", "row_padded", "tuple_stride"])
+    def test_winograd_selects_any_padding(self, rng, conv):
+        graph = self._one_conv(rng, (4, 4, 3, 3), **conv)
+        xa = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
+        [out] = graph.outputs
+        before = interpret(graph, {"x": xa})[out]
+        result = WinogradSelectionPass().run(graph, PassContext())
+        assert [n.attrs.get("algo") for n in graph.nodes] == ["winograd"]
+        assert result.stats["winograd_convs"] == 1 and result.changed
+        assert interpret(graph, {"x": xa})[out].tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    @pytest.mark.parametrize("model", ["mcunet_micro", "mobilenetv2_micro",
+                                       "resnet_micro"])
+    def test_annotation_changes_no_byte_on_the_zoo(self, model, batch):
+        """The frozen 3x3 stride-1 dense convs the pass annotates (the
+        stems, resnet's block convs) are priced for the device and run
+        direct on the host: a paper-scheme step compiled with and without
+        the pass gives the same outputs, state and plan peak."""
+        from repro.models import build_model, paper_scheme
+        from repro.runtime import Executor
+        from repro.runtime.compiler import CompileOptions, compile_training
+        from repro.train import SGD
+
+        programs = []
+        for winograd in (True, False):
+            forward = build_model(model, batch=batch)
+            programs.append(compile_training(
+                forward, optimizer=SGD(0.05), scheme=paper_scheme(forward),
+                options=CompileOptions(winograd=winograd)))
+        annotated, direct = programs
+        assert any(node.attrs.get("algo") == "winograd"
+                   for node in annotated.schedule)
+        assert annotated.plan_spec().peak_transient_bytes \
+            == direct.plan_spec().peak_transient_bytes
+        labels = annotated.meta["labels"]
+        classes = annotated.graph.spec(annotated.meta["logits"]).shape[-1]
+        feed_rng = np.random.default_rng(batch)
+        runs = [Executor(annotated), Executor(direct)]
+        for _ in range(2):
+            feeds = {name: feed_rng.integers(0, classes, spec.shape)
+                     if name == labels
+                     else feed_rng.standard_normal(spec.shape)
+                     .astype(np.float32)
+                     for name, spec in ((name, annotated.graph.spec(name))
+                                        for name in annotated.graph.inputs)}
+            got, want = (run.run(feeds) for run in runs)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+        for name in direct.state:
+            assert annotated.state[name].tobytes() \
+                == direct.state[name].tobytes(), name
 
     def test_layout_pass_records_device_preference(self):
         from repro.devices import get_device

@@ -3,12 +3,10 @@
 Every optimization pass must be a pure lowering decision: byte-identical
 outputs and mutable state against the interpreter (and against
 ``passes="none"``) for any program, under any on/off combination —
-including scalar-constant folding and the autotune variant-selection
-pass. On top of that, the structural claims: fused chains really remove
-instructions and slots, precomputed transforms really bind once per
-session, donation never hands a fused chain a buffer a later link still
-reads, autotuning is deterministic, and version-1/2 plan specs still
-load through the compat shims.
+including scalar-constant folding. On top of that, the structural claims:
+fused chains really remove instructions and slots, donation never hands a
+fused chain a buffer a later link still reads, a Winograd-annotated conv
+binds its base kernel, and older plan specs are refused, not shimmed.
 """
 
 from __future__ import annotations
@@ -32,10 +30,8 @@ from repro.train import SGD
 from conftest import make_mlp_graph
 
 PASS_CONFIGS = ["none", "default",
-                ("fuse_elementwise",), ("precompute_frozen",),
-                ("fuse_elementwise", "fold_scalars"),
-                ("fuse_elementwise", "fold_scalars", "precompute_frozen",
-                 "autotune")]
+                ("fuse_elementwise",), ("fold_scalars",),
+                ("fuse_elementwise", "fold_scalars")]
 
 
 def with_passes(program, passes):
@@ -104,10 +100,11 @@ class TestEquivalenceMatrix:
         labels = program.meta["labels"]
         runners = assert_all_configs_equivalent(
             program, lambda step: {forward.inputs[0]: x, labels: y})
+        # the annotation prices the conv for the device; the host runs
+        # the base (direct) kernel for it
         spec = runners["default"].program.plan_spec()
-        assert len(spec.precomputed) == 1
-        assert spec.precomputed[0].transform == "winograd_weight"
-        assert spec.precomputed_bytes > 0
+        assert {i.variant for i in spec.instructions
+                if i.kernel == "conv2d"} == {"base"}
 
     def test_int8_inference(self, rng):
         from repro.frontend.keras_like import (Conv2D, Dense,
@@ -327,80 +324,12 @@ class TestDonationInterplay:
                 assert got[name].tobytes() == want[name].tobytes()
 
 
-def _frozen_conv_program():
-    """Training step whose 3x3 conv is frozen -> winograd + precompute."""
-    from repro.frontend.keras_like import (Conv2D, Dense,
-                                           GlobalAveragePooling2D,
-                                           build_sequential)
-
-    forward = build_sequential([
-        Conv2D(8, 3, padding="same", activation="relu"),
-        GlobalAveragePooling2D(),
-        Dense(4),
-    ], input_shape=(2, 3, 8, 8), seed=23)
-    params = sorted(forward.trainable)
-    scheme = UpdateScheme("tail", {params[-1]: 1.0, params[-2]: 1.0})
-    return compile_training(forward, optimizer=SGD(0.1), scheme=scheme)
-
-
-class TestPrecomputeFrozen:
-    def test_transform_computed_once_per_session(self, rng):
-        program = _frozen_conv_program()
-        spec = program.plan_spec()
-        assert len(spec.precomputed) == 1
-        entry = spec.precomputed[0]
-        ex = Executor(program)
-        name = [n for n in program.graph.inputs
-                if n != program.meta["labels"]][0]
-        feeds = {name: rng.standard_normal((2, 3, 8, 8)).astype(np.float32),
-                 program.meta["labels"]: np.array([0, 1], np.int64)}
-        ex.run(feeds)
-        first = ex._precomputed[entry.slot][1]
-        assert first.shape == entry.shape
-        ex.run(feeds)
-        assert ex._precomputed[entry.slot][1] is first  # cached, not redone
-
-    def test_overlayed_frozen_weights_recompute(self, rng):
-        """A with_state overlay swapping the frozen weight must invalidate
-        the cached transform (identity keying) — and the overlaid session
-        must then match a from-scratch session bit for bit."""
-        program = _frozen_conv_program()
-        entry = program.plan_spec().precomputed[0]
-        name = [n for n in program.graph.inputs
-                if n != program.meta["labels"]][0]
-        feeds = {name: rng.standard_normal((2, 3, 8, 8)).astype(np.float32),
-                 program.meta["labels"]: np.array([0, 1], np.int64)}
-        ex = Executor(program.with_state(
-            {n: a.copy() for n, a in program.state.items()}))
-        ex.run(feeds)
-        first = ex._precomputed[entry.slot][1]
-        new_w = rng.standard_normal(
-            program.state[entry.state].shape).astype(np.float32)
-        overlay = {n: a.copy() for n, a in program.state.items()}
-        overlay[entry.state] = new_w
-        ex.program = program.with_state(overlay)
-        got = ex.run(feeds)[program.meta["loss"]]
-        assert ex._precomputed[entry.slot][1] is not first
-        fresh_overlay = {n: a.copy() for n, a in program.state.items()}
-        fresh_overlay[entry.state] = new_w.copy()
-        fresh = Executor(program.with_state(fresh_overlay))
-        want = fresh.run(feeds)[program.meta["loss"]]
-        assert got.tobytes() == want.tobytes()
-
-    def test_precomputed_variant_in_required_kernels(self):
-        program = _frozen_conv_program()
-        spec = program.plan_spec()
-        assert "winograd_precomputed" in spec.required_kernels()["conv2d"]
-        assert spec.required_transforms() == {"winograd_weight"}
-
-
-def _mcunet_sparse_program(**option_kwargs):
+def _mcunet_sparse_program():
     from repro.models import build_model, paper_scheme
 
     forward = build_model("mcunet_micro", batch=2)
-    options = CompileOptions(**option_kwargs) if option_kwargs else None
     return compile_training(forward, optimizer=SGD(0.05),
-                            scheme=paper_scheme(forward), options=options)
+                            scheme=paper_scheme(forward))
 
 
 class TestFoldScalarsStructure:
@@ -441,188 +370,14 @@ class TestFoldScalarsStructure:
         assert allocs[0] <= allocs[1]
 
 
-class TestAutotune:
-    def test_cost_mode_is_deterministic(self):
-        """Same program, same options -> byte-identical PlanSpec JSON,
-        compile after compile (no wall-clock in the ranking)."""
-        docs = []
-        for _ in range(2):
-            spec = _mcunet_sparse_program(autotune="cost").plan_spec()
-            docs.append(json.dumps(spec.to_dict(), sort_keys=True))
-        assert docs[0] == docs[1]
-        spec = PlanSpec.from_dict(json.loads(docs[0]))
-        assert any(t.variant != "base" for t in spec.tuned_variants)
-        assert all(t.source == "cost" for t in spec.tuned_variants)
-        assert all(t.predicted_us >= 0 for t in spec.tuned_variants)
-        assert "autotune" in spec.passes
-        # tuning picks variants; it never lengthens the stream
-        default = _mcunet_sparse_program().plan_spec()
-        assert len(spec.instructions) <= len(default.instructions)
-
-    def test_cost_mode_byte_exact_vs_oracle(self, rng):
-        program = _mcunet_sparse_program(autotune="cost")
-        oracle = _mcunet_sparse_program()
-        name = [n for n in program.graph.inputs
-                if n != program.meta["labels"]][0]
-        feeds = {name: rng.standard_normal(
-            program.graph.spec(name).shape).astype(np.float32),
-                 program.meta["labels"]: np.array([1, 2], np.int64)}
-        ex = Executor(program)
-        ex_int = Executor(with_passes(oracle, "none"),
-                          backend="interpreter")
-        for _ in range(3):
-            got = ex.run(feeds)
-            want = ex_int.run(feeds)
-            for key in want:
-                assert got[key].tobytes() == want[key].tobytes()
-        for key in ex_int.program.state:
-            assert ex.program.state[key].tobytes() \
-                == ex_int.program.state[key].tobytes()
-
-    def test_measure_mode_byte_exact_and_caches_benchmarks(self, rng):
-        from repro.runtime.passes.autotune import (clear_measure_cache,
-                                                   measure_cache_stats)
-
-        clear_measure_cache()
-        program = _mcunet_sparse_program(autotune="measure")
-        spec = program.plan_spec()
-        assert spec.tuned_variants
-        assert all(t.source == "measure" for t in spec.tuned_variants)
-        assert all(t.measured_us is not None and t.measured_us >= 0
-                   for t in spec.tuned_variants)
-        entries = measure_cache_stats()["entries"]
-        assert entries > 0
-        # Repeat compile: every (op, variant, shapes, dtype) timing is
-        # served from the cache — no new microbenchmarks run.
-        _mcunet_sparse_program(autotune="measure").plan_spec()
-        assert measure_cache_stats()["entries"] == entries
-
-        name = [n for n in program.graph.inputs
-                if n != program.meta["labels"]][0]
-        feeds = {name: rng.standard_normal(
-            program.graph.spec(name).shape).astype(np.float32),
-                 program.meta["labels"]: np.array([0, 1], np.int64)}
-        got = Executor(program).run(feeds)
-        want = Executor(with_passes(_mcunet_sparse_program(), "none"),
-                        backend="interpreter").run(feeds)
-        for key in want:
-            assert got[key].tobytes() == want[key].tobytes()
-
-    def test_none_pipeline_is_never_tuned(self):
-        """``passes="none"`` stays the untouched byte-exactness oracle
-        even when the compile asks for autotuning."""
-        program = _mcunet_sparse_program(autotune="cost",
-                                         plan_passes="none")
-        spec = program.plan_spec()
-        assert spec.passes == ()
-        assert spec.tuned_variants == ()
-        assert spec.precomputed == ()
-        assert all(i.fused is None and not i.const_args
-                   for i in spec.instructions)
-
-    def test_autotune_separates_program_keys(self):
-        from repro.serve.keys import program_key
+class TestGraphOnlyCompile:
+    def test_a_graph_only_llama_compiles_without_a_copy(self):
+        """``llama_micro`` built lazily, as ``llama7b`` is (how ``repro
+        memory`` compiles a paper-scale model): the merged Q/K/V weight of
+        ``parallel_fusion`` is still a zero-stride placeholder, not a
+        concatenated copy."""
         from repro.models import build_model, paper_scheme
 
-        forward = build_model("mcunet_micro", batch=2)
-        base = dict(scheme=paper_scheme(forward), optimizer=SGD(0.05))
-        k_plain = program_key(forward, options=CompileOptions(), **base)
-        k_tuned = program_key(
-            forward, options=CompileOptions(autotune="cost"), **base)
-        k_device = program_key(
-            forward, options=CompileOptions(autotune="cost",
-                                            autotune_device="jetson_nano"),
-            **base)
-        assert len({k_plain, k_tuned, k_device}) == 3
-
-    def test_tuned_variants_reach_manifest_and_probe(self, tmp_path):
-        from repro.deploy import load_artifact, save_artifact
-
-        program = _mcunet_sparse_program(autotune="cost")
-        spec = program.plan_spec()
-        save_artifact(program, tmp_path / "tuned")
-        manifest = json.loads(
-            (tmp_path / "tuned" / "manifest.json").read_text())
-        assert manifest["tuned_variants"] \
-            == {t.node: t.variant for t in spec.tuned_variants}
-        deployed = load_artifact(tmp_path / "tuned")
-        assert deployed.program.plan_spec().tuned_variants \
-            == spec.tuned_variants
-
-
-class TestPretransposedMatmul:
-    def _trans_b_program(self, rng):
-        b = GraphBuilder("transb")
-        x = b.input("x", (4, 8))
-        b.initializer("w", rng.standard_normal((16, 8)).astype(np.float32),
-                      trainable=False)
-        h = b.emit("matmul", ["x", "w"], {"trans_b": True})
-        y = b.emit("reduce_sum", [h])
-        b.mark_output(y)
-        return Program.from_graph(b.graph)
-
-    def test_frozen_trans_b_operand_is_pretransposed(self, rng):
-        program = self._trans_b_program(rng)
-        spec = build_plan_spec(program, passes=("precompute_frozen",))
-        assert len(spec.precomputed) == 1
-        assert spec.precomputed[0].transform == "transpose_last2"
-        assert spec.precomputed[0].shape == (8, 16)
-        assert "pretransposed_b" in spec.required_kernels()["matmul"]
-
-    def test_pretransposed_runs_byte_identically(self, rng):
-        program = self._trans_b_program(rng)
-        feeds = {"x": rng.standard_normal((4, 8)).astype(np.float32)}
-        ex = Executor(with_passes(program, ("precompute_frozen",)))
-        ex_int = Executor(with_passes(program, "none"),
-                          backend="interpreter")
-        for _ in range(3):
-            got = ex.run(feeds)
-            want = ex_int.run(feeds)
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes()
-
-    def test_placeholder_state_is_never_probed(self, rng, monkeypatch):
-        """``materialize_state=False`` over lazy init (how ``repro memory``
-        compiles a paper-scale model) leaves zero-stride placeholders as
-        state: the probe would run a full-size GEMM pair on bytes that
-        decide nothing, so it is not entered and the base kernel stays.
-        The same small shape materialised is probed and hoisted."""
-        import importlib
-
-        module = importlib.import_module(
-            "repro.runtime.passes.precompute_frozen")
-        probed = []
-
-        def probe(ctx, op, b):
-            probed.append(b)
-            return real(ctx, op, b)
-
-        real = module._pretransposed_probe
-        monkeypatch.setattr(module, "_pretransposed_probe", probe)
-
-        program = self._trans_b_program(rng)
-        lazy = replace(program, state={
-            "w": np.broadcast_to(np.float32(0.0), (16, 8))})
-        spec = build_plan_spec(lazy, passes=("precompute_frozen",))
-        assert probed == [] and spec.precomputed == ()
-        build_plan_spec(program, passes=("precompute_frozen",))
-        assert len(probed) == 1 and probed[0] is program.state["w"]
-
-    def test_a_graph_only_llama_compiles_without_a_probe_or_a_copy(
-            self, monkeypatch):
-        """The same through the front door, on ``llama_micro`` built lazily
-        as ``llama7b`` is: no probe, and the merged Q/K/V weight of
-        ``parallel_fusion`` is still a placeholder, not a concatenated
-        copy."""
-        import importlib
-
-        from repro.models import build_model, paper_scheme
-
-        module = importlib.import_module(
-            "repro.runtime.passes.precompute_frozen")
-        monkeypatch.setattr(
-            module, "_pretransposed_probe",
-            lambda *args: pytest.fail("probed a placeholder"))
         forward = build_model("llama_micro", batch=1, lazy=True)
         program = compile_training(
             forward, optimizer=SGD(0.01), scheme=paper_scheme(forward),
@@ -630,32 +385,21 @@ class TestPretransposedMatmul:
         merged = [array for name, array in program.state.items()
                   if name.endswith(".qkv")]
         assert merged and all(not any(a.strides) for a in merged)
-        assert program.plan_spec().precomputed == ()
-
-    def test_cost_model_keeps_the_variant(self, rng):
-        """The strided-GEMM penalty on base trans_b matmuls makes the
-        pretransposed variant win the cost ranking."""
-        program = self._trans_b_program(rng)
-        spec = build_plan_spec(
-            program, passes=("precompute_frozen", "autotune"))
-        tuned = {t.node: t for t in spec.tuned_variants}
-        assert len(tuned) == 1
-        (entry,) = tuned.values()
-        assert entry.kernel == "matmul"
-        assert entry.variant == "pretransposed_b"
+        program.plan_spec()
 
 
 class TestSpecCompatAndConfig:
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_older_spec_versions_refused(self, version):
         """No compat shims: an older document — a v3 whose Winograd slot
         declares the ``(O, C, 4, 4)`` layout this runtime's kernel cannot
         consume, a v4 written for the dynamic buffer arena, a v5 whose
-        peak charges a view beside its base — raises ``PlanVersionError``
-        and the cache recompiles."""
+        peak charges a view beside its base, a v6 that may bind a
+        precomputed Winograd slot or a tuned kernel variant — raises
+        ``PlanVersionError`` and the cache recompiles."""
         b, _ = make_mlp_graph()
         doc = build_plan_spec(Program.from_graph(b.graph)).to_dict()
-        assert doc["plan_version"] == 6
+        assert doc["plan_version"] == 7
         doc["plan_version"] = version
         with pytest.raises(PlanVersionError):
             PlanSpec.from_dict(json.loads(json.dumps(doc)))
@@ -696,7 +440,7 @@ class TestSpecCompatAndConfig:
         run_pipeline(program, passes="default", report=report)
         stages = [s["stage"] for s in report["stages"]]
         assert stages == ["lower", "fuse_elementwise", "fold_scalars",
-                          "precompute_frozen", "allocate"]
+                          "allocate"]
         counts = [s["instructions"] for s in report["stages"]]
         assert counts[-1] <= counts[0]
 
@@ -715,12 +459,11 @@ class TestSpecCompatAndConfig:
 
 
 class TestArtifactRoundTripOptimized:
-    def test_fused_and_precomputed_plan_survives_artifact(self, tmp_path,
-                                                          rng):
-        """ResNet sparse exercises both passes at once through a full
-        save/load/execute cycle: a hoisted Winograd weight and fused
-        residual chains. (MCUNet sparse, the paper workload, fuses nothing
-        since its one chain, the loss's, became a ``log_softmax_grad``.)"""
+    def test_fused_plan_survives_artifact(self, tmp_path, rng):
+        """ResNet sparse through a full save/load/execute cycle: fused
+        residual chains and Winograd-annotated frozen convs. (MCUNet
+        sparse, the paper workload, fuses nothing since its one chain, the
+        loss's, became a ``log_softmax_grad``.)"""
         from repro.deploy import load_artifact, save_artifact
         from repro.models import build_model, paper_scheme
 
@@ -728,13 +471,13 @@ class TestArtifactRoundTripOptimized:
         program = compile_training(forward, optimizer=SGD(0.05),
                                    scheme=paper_scheme(forward))
         spec = program.plan_spec()
-        assert spec.precomputed and any(
-            i.fused is not None for i in spec.instructions)
+        assert any(i.fused is not None for i in spec.instructions)
+        assert any(node.attrs.get("algo") == "winograd"
+                   for node in program.schedule)
         save_artifact(program, tmp_path / "model")
         manifest = json.loads(
             (tmp_path / "model" / "manifest.json").read_text())
         assert manifest["plan_passes"] == list(DEFAULT_PASSES)
-        assert manifest["transforms"] == ["winograd_weight"]
         deployed = load_artifact(tmp_path / "model")
         assert deployed.program.plan_spec() == spec
         name = [n for n in program.graph.inputs

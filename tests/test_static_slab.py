@@ -21,8 +21,7 @@ plan declared, and nothing in a step depends on what the slab held before.
   executor holding nothing borrowed;
 * kernel scratch is not pooled: a warm step's tracemalloc peak includes
   its largest im2col column, and what a step leaves traced beyond the
-  slab, its outputs and the precomputed constants is less than that one
-  column.
+  slab and its outputs is less than that one column.
 """
 
 from __future__ import annotations
@@ -233,7 +232,7 @@ class TestStaticLayoutFacts:
         compiled = 0
         for seed in range(40):
             try:
-                program, rng = compile_random(seed, 1.0, "default", None)
+                program, rng = compile_random(seed, 1.0, "default")
             except AutodiffError:
                 continue  # the random DAG routed the output around w
             graph = program.graph
@@ -364,9 +363,7 @@ class TestKernelScratchIsNotPooled:
             outputs = executor.run(feeds[0])
             left = tracemalloc.get_traced_memory()[0] - base
             held = executor.slab_bytes \
-                + sum(array.nbytes for array in outputs.values()) \
-                + sum(value.nbytes
-                      for _, value in executor._precomputed.values())
+                + sum(array.nbytes for array in outputs.values())
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             executor.run(feeds[1])

@@ -83,6 +83,45 @@ class TestTrainerMechanics:
         after = trainer.predict(x)
         assert not np.allclose(before, after)
 
+    @pytest.mark.parametrize("model", ["mcunet_micro", "mobilenetv2_micro",
+                                       "resnet_micro", "bert_micro",
+                                       "distilbert_micro", "llama_micro"])
+    def test_eval_after_training_equals_a_fresh_inference_compile(
+            self, model):
+        """After a few sparse steps, the trainer's eval program reads the
+        updated weights exactly as a fresh ``compile_inference`` of the
+        updated model does: no frozen-weight rewrite of the eval compile
+        (a merged Q/K/V weight, a folded constant, a Winograd stem) keeps
+        a stale copy of a weight that training moves."""
+        from repro.runtime import Executor
+        from repro.runtime.compiler import compile_inference
+
+        forward = build_model(model, batch=2)
+        program = compile_training(forward, optimizer=SGD(0.05),
+                                   scheme=paper_scheme(forward))
+        labels = program.meta["labels"]
+        (name,) = [n for n in program.graph.inputs if n != labels]
+        trainer = Trainer(program, forward, input_name=name)
+        spec = program.graph.spec(name)
+        classes = program.graph.spec(program.meta["logits"]).shape[-1]
+        rng = np.random.default_rng(5)
+
+        def batch():
+            if spec.dtype.is_float:
+                return rng.standard_normal(spec.shape).astype(np.float32)
+            return rng.integers(0, classes, spec.shape)
+
+        for _ in range(3):
+            trainer.step(batch(), rng.integers(
+                0, classes, program.graph.spec(labels).shape))
+        x = batch()
+        got = trainer.predict(x)
+        updated = build_model(model, batch=2)
+        load_checkpoint(updated, snapshot_weights(program, forward))
+        fresh = compile_inference(updated)
+        want = Executor(fresh).run({name: x})[fresh.outputs[0]]
+        assert got.tobytes() == want.tobytes()
+
     def test_evaluate_handles_ragged_tail(self):
         forward = build_model("mobilenetv2_micro", batch=4, num_classes=4)
         program = compile_training(forward, optimizer=SGD(0.1))
