@@ -1,13 +1,13 @@
 """Static plan verifier: prove a PlanSpec safe before anything executes it.
 
-The pass pipeline (``lower -> fuse_elementwise -> fold_scalars ->
-allocate``) rewrites slot tables, layouts, slab offsets, in-place reuse
-and kernel variants on every compile
-— and the step that runs the result has no runtime checks left:
-contiguity, aliasing and buffer lifetimes are facts of the spec. They are
-proven here, by a pure-static checker over :class:`~repro.runtime.plan.
-PlanSpec` + the program it claims to lower. Views resolved at bind time
-(``spec.aliases``) are walked in stream order with the instructions:
+The pass pipeline (``lower -> fuse_elementwise -> allocate``) rewrites
+slot tables, layouts, slab offsets, in-place reuse and kernel variants on
+every compile — and the step that runs the result has no runtime checks
+left: contiguity, aliasing and buffer lifetimes are facts of the spec.
+They are proven here, by a pure-static checker over
+:class:`~repro.runtime.plan.PlanSpec` + the program it claims to lower.
+Views resolved at bind time (``spec.aliases``) are walked in stream order
+with the instructions:
 
 * **def-before-use** — every slot read was bound before (feed, state, or
   an earlier output), each defined exactly once;
@@ -51,8 +51,6 @@ PlanSpec` + the program it claims to lower. Views resolved at bind time
   links, name schedule nodes in strictly increasing schedule position: no
   pass moves a computation, so the plan runs the order the scheduler
   profiled;
-* **const-arg splices** — a folded scalar names frozen shape-``()``
-  state at an in-range position;
 * **the byte ledger, rebuilt** — the live load of the storage the plan
   holds, rebuilt from the reads alone (:func:`plan_intervals`), must be
   the ``peak_transient_bytes`` that ``allocate`` recorded.
@@ -245,13 +243,10 @@ class _PlanChecker:
             self.flag("feed-mismatch", "feed_specs",
                       f"plan feeds {feed_names} != graph inputs "
                       f"{list(graph.inputs)}")
-        bound_state = {name for _, name in spec.state_bindings}
-        const_state = {name for instr in spec.instructions
-                       for _, name in instr.const_args}
-        if bound_state | const_state != self.state_names:
+        bound_state = [name for _, name in spec.state_bindings]
+        if sorted(bound_state) != sorted(self.state_names):
             self.flag("state-binding-mismatch", "state_bindings",
-                      f"plan binds state {sorted(bound_state)} (+ "
-                      f"{sorted(const_state)} const-folded) but the "
+                      f"plan binds state {sorted(bound_state)} but the "
                       f"program owns {sorted(self.state_names)}")
         for where, pairs in (
                 ("feed_specs", [(s, n) for n, s in spec.feed_specs]),
@@ -334,8 +329,6 @@ class _PlanChecker:
                     self.flag("use-after-free", where,
                               f"reads slot {slot} after it was freed")
                 self._touch(slot, position)
-            if instr.const_args:
-                self._check_const_args(instr, where, inplace, view)
             if instr.fused is not None:
                 self._check_fused(position, instr, node, where,
                                   interior_names)
@@ -636,51 +629,18 @@ class _PlanChecker:
 
     # -- per-instruction helpers ----------------------------------------------
 
-    def _check_const_args(self, instr, where: str, inplace: bool,
-                          view: bool) -> None:
-        """Folded-scalar splices: frozen shape-() state at distinct,
-        in-range positions of a non-view, non-in-place instruction."""
-        total = len(instr.input_slots) + len(instr.const_args)
-        positions = [pos for pos, _ in instr.const_args]
-        if inplace or view or len(set(positions)) != len(positions) \
-                or not all(0 <= pos < total for pos in positions):
-            self.flag("const-arg-position", where,
-                      f"const splices at {positions} of {total} assembled "
-                      f"inputs (in-place / view instructions take none)")
-        for pos, name in instr.const_args:
-            spec = self.graph.values.get(name) \
-                if name in self.state_names else None
-            if spec is None or name in self.mutable \
-                    or tuple(spec.shape) != ():
-                self.flag("const-arg-source", f"{where} const_arg {pos}",
-                          f"{name!r} is not frozen shape-() program state; "
-                          f"only that may fold")
-
     def _check_plain(self, instr, node, where: str, inplace: bool) -> None:
         """Non-fused: arity, slot->name mapping, schema inference."""
-        expected_inputs = list(node.inputs)
-        if instr.const_args:
-            consts = dict(instr.const_args)
-            kept = []
-            for pos, name in enumerate(expected_inputs):
-                want = consts.pop(pos, None)
-                if want is None:
-                    kept.append(name)
-                elif want != name:
-                    self.flag("const-arg-mismatch", where,
-                              f"const position {pos} splices {want!r}, "
-                              f"node reads {name!r}")
-            expected_inputs = kept
         if instr.variant not in (VARIANT_BASE, VARIANT_DONATING):
             self.flag("unknown-variant", where,
                       f"variant {instr.variant!r} is neither "
                       f"{VARIANT_BASE!r} nor {VARIANT_DONATING!r}")
-        if len(instr.input_slots) != len(expected_inputs):
+        if len(instr.input_slots) != len(node.inputs):
             self.flag("input-arity", where,
                       f"{len(instr.input_slots)} input slots for "
-                      f"{len(expected_inputs)} node inputs")
+                      f"{len(node.inputs)} node inputs")
         else:
-            for slot, name in zip(instr.input_slots, expected_inputs):
+            for slot, name in zip(instr.input_slots, node.inputs):
                 bound = self.names.get(slot)
                 if bound is not None and bound != name:
                     self.flag("input-slot-mismatch", where,
@@ -700,13 +660,9 @@ class _PlanChecker:
                       f"({links[-1].node!r}/{links[-1].kernel!r})")
         final_spec = self.value_spec(node.outputs[0], where) \
             if node.outputs else None
-        # Link args index the *assembled* input list: slots in order, with
-        # const-folded state spliced back at its recorded positions.
-        const_at = dict(instr.const_args)
-        total = len(instr.input_slots) + len(const_at)
-        slots = iter(instr.input_slots)
-        assembled = [None if pos in const_at else next(slots, None)
-                     for pos in range(total)]
+        # Link args index the instruction's input slots.
+        slots = instr.input_slots
+        total = len(slots)
         external: dict[int, str] = {}
         prev_value: str | None = None
         for pos, link in enumerate(links):
@@ -748,7 +704,7 @@ class _PlanChecker:
                 if known != name:
                     self.flag("fused-arg-mismatch", lwhere,
                               f"arg {arg} stands for {known!r} (of {total} "
-                              f"assembled inputs) but node reads {name!r}")
+                              f"inputs) but node reads {name!r}")
             # mid-chain shape/dtype stability
             lspec = self.value_spec(lnode.outputs[0], lwhere) \
                 if lnode.outputs else None
@@ -762,19 +718,18 @@ class _PlanChecker:
             if lnode.outputs and pos < len(links) - 1:
                 interior_names.append((lnode.outputs[0], where))
             prev_value = lnode.outputs[0] if lnode.outputs else None
-        # every assembled position (slot or const splice) must be some
-        # link's external arg, and the position->name mapping must agree
+        # every input position must be some link's external arg, and the
+        # position->name mapping must agree
         if set(external) != set(range(total)):
             self.flag("fused-input-mismatch", where,
                       f"external args {sorted(external)} do not cover "
-                      f"assembled positions 0..{total - 1}")
+                      f"input positions 0..{total - 1}")
             return
         for arg, name in external.items():
-            bound = const_at.get(arg) or self.names.get(assembled[arg])
+            bound = self.names.get(slots[arg])
             if bound is not None and bound != name:
-                self.flag("input-slot-mismatch" if arg not in const_at
-                          else "const-arg-mismatch", where,
-                          f"assembled position {arg} holds {bound!r}, "
+                self.flag("input-slot-mismatch", where,
+                          f"input position {arg} holds {bound!r}, "
                           f"link arg reads {name!r}")
 
     def _check_reuse(self, instr, node, where: str, when: int) -> bool:
@@ -812,18 +767,13 @@ class _PlanChecker:
                       f"output is {mine and mine[1:]}: in-place reuse "
                       f"needs the same offset, shape, strides and dtype")
         shared = len(self.findings) == findings
-        # kernel inputs and link args index the assembled list: the
-        # slot's positions shifted past the const splices before them
-        consts = {pos for pos, _ in instr.const_args}
-        total = len(instr.input_slots) + len(consts)
-        free = [pos for pos in range(total) if pos not in consts]
-        args = [free[i] for i, s in enumerate(instr.input_slots)
-                if s == slot]
+        args = [i for i, s in enumerate(instr.input_slots) if s == slot]
         if instr.fused is None:
             out = self.value_spec(node.outputs[0], where) \
                 if node.outputs else None
             safe_args = () if out is None else aliasable_inputs(
-                instr.kernel, node.attrs, tuple(out.shape), total)
+                instr.kernel, node.attrs, tuple(out.shape),
+                len(instr.input_slots))
         else:  # an empty chain is ``fused-empty``'s finding
             later = {a for link in instr.fused[1:] for a in link.args}
             safe_args = set(instr.fused[0].args) - later \

@@ -55,8 +55,9 @@ def _load_fault_spec() -> dict | None:
     :mod:`repro.serve.faults` — this module must NOT import anything
     under ``repro.serve`` (the package init drags in the compiler, which
     :func:`probe` verifies never loads inside a worker). Spawned workers
-    inherit the parent's environment, so chaos tests arm worker kills by
-    exporting ``REPRO_FAULTS='{"worker.step": {"times": null, "skip": 5,
+    inherit the parent's environment, so tests
+    (``tests/test_durability.py``) arm worker kills by exporting
+    ``REPRO_FAULTS='{"worker.step": {"times": null, "skip": 5,
     "action": "kill"}}'`` before the pool starts.
     """
     raw = os.environ.get("REPRO_FAULTS")
@@ -217,8 +218,8 @@ def _execute(artifact_dir: str, key: str,
 
 def probe():
     """Report what this worker process actually imported (honesty check),
-    plus the lowering shape of every bound plan (fused instruction counts,
-    const-folded scalars) so operators can see which optimizations the
+    plus the lowering shape of every bound plan (passes, instruction and
+    fused instruction counts) so operators can see which optimizations the
     data plane is actually running."""
     plans = {}
     for key, (program, _executor) in _BOUND.items():
@@ -228,8 +229,6 @@ def probe():
             "instructions": len(spec.instructions),
             "fused_instructions": sum(
                 1 for instr in spec.instructions if instr.fused is not None),
-            "const_folded_args": sum(
-                len(instr.const_args) for instr in spec.instructions),
         }
     return {
         "pid": os.getpid(),

@@ -95,7 +95,8 @@ class DeadlineExpired(ServeError):
 
 
 class FaultInjected(ReproError):
-    """An armed fault point fired (test/chaos harness only).
+    """An armed fault point fired (fault-injection tests only, such as
+    ``tests/test_durability.py``).
 
     Never raised in production paths unless a fault was explicitly armed
     through :mod:`repro.serve.faults`.

@@ -15,14 +15,11 @@ from ..kernels import run_op
 from .base import Pass, PassContext, PassResult
 
 #: do not materialise folded tensors above this size (bytes)
-DEFAULT_FOLD_LIMIT = 4 << 20
+FOLD_LIMIT = 4 << 20
 
 
 class ConstantFoldingPass(Pass):
     name = "constant_folding"
-
-    def __init__(self, size_limit: int = DEFAULT_FOLD_LIMIT) -> None:
-        self.size_limit = size_limit
 
     def run(self, graph: Graph, ctx: PassContext) -> PassResult:
         frozen = {
@@ -45,7 +42,7 @@ class ConstantFoldingPass(Pass):
                 out_bytes = sum(
                     graph.spec(o).nbytes for o in node.outputs
                 )
-                if out_bytes > self.size_limit:
+                if out_bytes > FOLD_LIMIT:
                     continue
                 arrays = [graph.initializers[i] for i in node.inputs]
                 results = run_op(node.op_type, arrays, node.attrs)

@@ -26,6 +26,9 @@ from ..ir import Graph, GraphBuilder
 from ..ir.node import Node
 from .base import Pass, PassContext, PassResult
 
+#: the fewest branches worth merging into one matmul
+MIN_GROUP = 2
+
 
 def _concatenate(parts: list[np.ndarray], axis: int) -> np.ndarray:
     """``np.concatenate``, except that zero-stride placeholders of one fill
@@ -42,9 +45,6 @@ def _concatenate(parts: list[np.ndarray], axis: int) -> np.ndarray:
 
 class ParallelLinearFusionPass(Pass):
     name = "parallel_fusion"
-
-    def __init__(self, min_group: int = 2) -> None:
-        self.min_group = min_group
 
     def run(self, graph: Graph, ctx: PassContext) -> PassResult:
         groups = self._find_groups(graph, ctx)
@@ -83,7 +83,7 @@ class ParallelLinearFusionPass(Pass):
             key = (x, in_dim, has_bias)
             candidates.setdefault(key, []).append(branch)
         return [group for group in candidates.values()
-                if len(group) >= self.min_group]
+                if len(group) >= MIN_GROUP]
 
     @staticmethod
     def _match_branch(graph: Graph, ctx: PassContext, node: Node,

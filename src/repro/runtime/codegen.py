@@ -2,34 +2,36 @@
 
 Binding resolves every name in a plan and ``allocate`` every byte: each
 value's array exists before the first step, as a view over the plan's slab
-(``b[slot]``) or — feeds, state, plan constants, the rare value whose layout
-is not a static fact — as a register (``r[slot]``). What is left per
+(``b[slot]``) or — feeds, state, the rare value whose layout is not a
+static fact — as a register (``r[slot]``). What is left per
 instruction is one kernel call. :func:`generate` emits exactly that, with
 kernels and attrs bound as names in the function's globals, shapes and
 axes as literals, and — for into-forms whose body is one numpy statement
 (:data:`repro.kernels.OUT_EMITTERS`) — the statement itself in place of the
 call. From ``llama_micro``'s step::
 
+    pc = 6
+    np.matmul(b[64], b[69], out=b[71])
+    pc = 7
+    np.multiply(b[71], r[47], out=b[72])
+    np.add(b[72], r[56], out=b[72])
+    pc = 8
+    o_softmax([b[72]], at8, b[73])
     pc = 9
-    np.matmul(b[239], b[243], out=b[246])
-    pc = 10
-    np.multiply(b[246], state['const.32.33'], out=b[247])
-    np.add(b[247], r[226], out=b[247])
-    pc = 11
-    o_softmax([b[247]], at11, b[248])
-    pc = 12
-    np.matmul(b[248], b[241], out=b[249])
+    np.matmul(b[73], b[70], out=b[74])
 
-``b[239]`` / ``b[243]`` / ``b[241]`` are the Q / Kᵀ / V heads: transposed
-reshapes of three matmul results, the same bytes under other strides, built
-with the buffer set — the ``reshape`` and ``transpose`` nodes do not appear.
-There is no layout gate (contiguity is a per-slot fact
-:mod:`repro.analysis.planlint` proves), no buffer pool traffic, no release
-of slab slots (their bytes are simply some later slot's), and no alias scan
-(a view of mutable state is statically a copy). Three statement shapes:
+``b[64]`` / ``b[69]`` / ``b[70]`` are the Q / Kᵀ / V heads: transposed
+reshapes of the merged Q/K/V projection's three column blocks, the same
+bytes under other strides, built with the buffer set — the ``reshape`` and
+``transpose`` nodes do not appear. ``r[47]`` is the attention scale,
+program state bound per step like any other. There is no layout gate
+(contiguity is a per-slot fact :mod:`repro.analysis.planlint` proves), no
+buffer pool traffic, no release of slab slots (their bytes are simply some
+later slot's), and no alias scan (a view of mutable state is statically a
+copy). Three statement shapes:
 
 * *out*: the into-form writes the output's slab array; a fused elementwise
-  chain is emitted link by link through it (``pc = 10``);
+  chain is emitted link by link through it (``pc = 7``);
 * *copy*: a kernel without an into-form (``conv2d_dw``, pooling,
   ``range_mask``) runs as is and its fresh result is copied into the
   slab — ``np.copyto(b[7], k_conv2d_dw_base([b[4], r[2]], at7)[0])``;
@@ -65,7 +67,7 @@ from ..kernels import OUT_EMITTERS, OUT_KERNELS
 #: instructions per compiled function (see the module docstring)
 CHUNK = 24
 
-_ARGS = "r, b, state, observer, instr_observer"
+_ARGS = "r, b, observer, instr_observer"
 _INDENT = "    "
 
 
@@ -147,10 +149,6 @@ class _Generator:
         """One instruction as (kernel lines, register bookkeeping)."""
         instr = self.instructions[index]
         args = [self.ref(slot) for slot in instr.input_slots]
-        # Folded scalar constants are read from live state (the overlay's
-        # value, not a baked copy) at their original positions.
-        for pos, name in instr.const_args:
-            args.insert(pos, f"state[{name!r}]")
         outs = [self.ref(slot) for slot in instr.output_slots]
         if instr.mode == "out":  # repro.runtime.plan.MODE_OUT / _COPY
             kernel = self.out_call(index, args, outs[0])
@@ -199,7 +197,7 @@ def generate(plan, observed: bool
              ) -> tuple[Callable[..., None], str]:
     """Generate, compile and load one variant of ``plan``'s step.
 
-    Returns ``(step, source)``. ``step(regs, arrays, state, observer,
+    Returns ``(step, source)``. ``step(regs, arrays, observer,
     instr_observer)`` runs the whole stream over the registers and a
     buffer set's arrays; ``source`` is the text of every chunk in stream
     order. The linecache entries are dropped when ``plan`` is collected.
@@ -220,9 +218,9 @@ def generate(plan, observed: bool
     weakref.finalize(plan, _forget_sources, files)
     chunks = tuple(chunks)
 
-    def step(regs, arrays, state, observer=None, instr_observer=None):
+    def step(regs, arrays, observer=None, instr_observer=None):
         for chunk in chunks:
-            chunk(regs, arrays, state, observer, instr_observer)
+            chunk(regs, arrays, observer, instr_observer)
 
     return step, "\n".join(sources)
 

@@ -66,11 +66,11 @@ class CompileOptions:
     #: keeps zero-stride placeholder views instead of copying real buffers
     materialize_state: bool = True
     #: plan-lowering pass pipeline (:mod:`repro.runtime.passes`):
-    #: ``"default"`` fuses adjacent elementwise instructions and folds
-    #: frozen scalars into their instructions; ``"none"`` is the unoptimized
-    #: oracle stream (byte-exact interpreter accounting); an explicit
-    #: tuple of pass names runs exactly those. Part of the program cache
-    #: key — differently-lowered plans never share a cached artifact.
+    #: ``"default"`` fuses adjacent elementwise instructions; ``"none"`` is
+    #: the unoptimized oracle stream (byte-exact interpreter accounting);
+    #: an explicit tuple of pass names runs exactly those. Part of the
+    #: program cache key — differently-lowered plans never share a cached
+    #: artifact.
     plan_passes: Any = "default"
     #: run the static plan verifier (:mod:`repro.analysis.planlint`) after
     #: every pass stage of plan lowering. ``None`` defers to the

@@ -189,7 +189,7 @@ class Executor:
         observer, instr_observer = self.observer, self.instr_observer
         step = plan.step_function(
             observer is not None or instr_observer is not None)
-        step(regs, arrays, self.program.state, observer, instr_observer)
+        step(regs, arrays, observer, instr_observer)
 
     # -- interpreter backend -------------------------------------------------
 

@@ -10,13 +10,16 @@ This package is the optimizing half of plan construction
   - :mod:`fuse_elementwise` — collapse runs of adjacent elementwise
     instructions, each feeding only the next, into single fused
     instructions (the intermediate slots vanish; no instruction moves);
-  - :mod:`fold_scalars` — bake frozen shape-() state out of the
-    register/slot machinery into per-instruction const splices;
 
 * :mod:`allocate` — slots, static layouts, the slab placement (every
   intermediate's offset in one buffer; views resolved into aliases) and
   the plan's byte ledger, computed *after* the passes so the numbers
-  describe the optimized stream.
+  describe the optimized stream. Every feed and every state value is a
+  register slot the executor binds per step.
+
+Constants are decided once, on the graph, by
+:class:`repro.passes.constant_folding.ConstantFoldingPass`; the plan
+passes never fold state.
 
 Adding a pass: write ``fn(stream, ctx) -> (stream, stats)`` in a new
 module, register it in :data:`PASSES`, and (if it should run by default)
@@ -38,20 +41,16 @@ from typing import Any, Sequence
 from ...errors import ExecutionError
 from ..plan import PlanSpec
 from .allocate import allocate
-from .fold_scalars import fold_scalars
 from .fuse_elementwise import fuse_elementwise
 from .lower import LoweredOp, LoweringContext, lower
 
 #: name -> pass fn(stream, ctx) -> (stream, stats)
 PASSES = {
     "fuse_elementwise": fuse_elementwise,
-    "fold_scalars": fold_scalars,
 }
 
-#: the pipeline ``passes="default"`` runs, in order. ``fold_scalars``
-#: runs after fusion so folded positions splice into assembled (fused)
-#: input lists.
-DEFAULT_PASSES: tuple[str, ...] = ("fuse_elementwise", "fold_scalars")
+#: the pipeline ``passes="default"`` runs, in order
+DEFAULT_PASSES: tuple[str, ...] = ("fuse_elementwise",)
 
 
 def resolve_passes(passes: Any) -> tuple[str, ...]:
@@ -153,7 +152,6 @@ __all__ = [
     "LoweringContext",
     "PASSES",
     "allocate",
-    "fold_scalars",
     "fuse_elementwise",
     "lower",
     "resolve_passes",

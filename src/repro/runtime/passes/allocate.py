@@ -74,21 +74,9 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             slot = slots[name] = len(slots)
         return slot
 
-    # State whose every use was scalar-constant folded needs no register
-    # slot (and no per-step rebind): the step splices the live state
-    # value straight into the kernel's inputs. Anything still referenced
-    # by an instruction or returned to the caller keeps its slot.
-    folded_states = {name for op in stream for _, name in op.const_inputs}
-    if folded_states:
-        referenced = set(keep)
-        for op in stream:
-            referenced.update(op.inputs)
-            referenced.update(op.outputs)
-        folded_states -= referenced
-
     #: names whose layout is known C-contiguous. Feeds and state are, by
     #: the executor's / Program.with_state's contract.
-    dense: set[str] = set(graph.inputs)
+    dense: set[str] = set(graph.inputs) | state_names
     #: name -> strides of the values laid out otherwise, when known (views)
     strided: dict[str, tuple[int, ...]] = {}
 
@@ -99,12 +87,9 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             return c_strides(shape, dtype.itemsize)
         return strided.get(name)
 
-    for name in graph.inputs:
+    # feeds and state: register slots the executor binds per step
+    for name in (*graph.inputs, *sorted(state_names)):
         slot_of(name)
-    for name in sorted(state_names):
-        if name not in folded_states:
-            slot_of(name)
-            dense.add(name)
 
     # Consumer facts over the *optimized* stream (fused chains consume
     # their deduplicated external inputs once each). ``private`` holds the
@@ -233,17 +218,11 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             dense.update(op.outputs)
             reused = None
             if into and dying_inputs:
-                # Kernel inputs and fused link args index the assembled
-                # input list (folded scalar constants spliced back in), not
-                # ``op.inputs``.
-                assembled = list(op.inputs)
-                for at, const_name in op.const_inputs:
-                    assembled.insert(at, const_name)
                 out_form = ctx.shape_dtype(op.outputs[0])
-                reusable = {assembled[i] for i in (
+                reusable = {op.inputs[i] for i in (
                     donatable_inputs(op) if op.fused is not None
                     else aliasable_inputs(op.kernel, ctx.attrs(op.node),
-                                          out_form[0], len(assembled)))}
+                                          out_form[0], len(op.inputs)))}
                 for name in dying_inputs:
                     if name in reusable and name in buffer_of \
                             and name in private \
@@ -277,8 +256,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             if dead_outputs or dying_inputs else ()
         instructions.append(InstructionSpec(
             op.node, op.kernel, variant, input_slots, output_slots, mode,
-            frees, reuse_slot, op.fused,
-            tuple(sorted(op.const_inputs)) if op.const_inputs else ()))
+            frees, reuse_slot, op.fused))
 
     # --- place the slab ---------------------------------------------------
     end = len(instructions)
@@ -308,8 +286,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
         num_slots=len(slots),
         feed_specs=tuple((name, slots[name]) for name in graph.inputs),
         state_bindings=tuple(
-            (slots[name], name) for name in sorted(state_names)
-            if name in slots),
+            (slots[name], name) for name in sorted(state_names)),
         output_slots=tuple((name, slots[name])
                            for name in ctx.program.outputs),
         slab_bytes=plan.slab_bytes,

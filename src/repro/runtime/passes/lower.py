@@ -29,11 +29,8 @@ class LoweredOp:
     """One pre-allocation instruction: names in, names out.
 
     ``fused`` (set by fuse_elementwise) lists the constituent elementwise
-    links. ``const_inputs`` (set by fold_scalars) lists
-    (position, state name) pairs folded out of ``inputs``: the positions
-    index the *assembled* input list the kernel sees, so splicing the
-    state values back in reconstructs the pre-fold list exactly (fused
-    link args therefore stay valid unchanged).
+    links; their args index ``inputs``, which is exactly the input list
+    the kernel sees.
     """
 
     node: str
@@ -41,7 +38,6 @@ class LoweredOp:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     fused: tuple[FusedLinkSpec, ...] | None = None
-    const_inputs: tuple[tuple[int, str], ...] = ()
 
     @property
     def is_view(self) -> bool:
@@ -66,7 +62,6 @@ class LoweringContext:
         self.graph = program.graph
         self.state_names = set(program.state)
         self.keep = set(program.outputs)
-        self.mutable_state = program.mutable_state_names()
         self.nodes = {node.name: node for node in program.schedule}
 
     def spec(self, name: str):
@@ -87,10 +82,6 @@ class LoweringContext:
 
     def nbytes(self, name: str) -> int:
         return self.spec(name).nbytes
-
-    def frozen_state(self, name: str) -> bool:
-        """True for state no in-place node ever writes (safe to fold)."""
-        return name in self.state_names and name not in self.mutable_state
 
 
 def lower(ctx: LoweringContext) -> list[LoweredOp]:

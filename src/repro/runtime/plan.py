@@ -79,7 +79,10 @@ from .codegen import generate
 #: holds, each slab buffer once; ``final_transient_bytes`` is gone.
 #: v7: the plan-owned constant slots and the variant decision table are
 #: gone; an instruction's variant is ``base`` or ``donating``.
-PLAN_SPEC_VERSION = 7
+#: v8: instructions no longer splice folded scalars into their inputs;
+#: every state input is a register slot in ``state_bindings``, bound per
+#: step.
+PLAN_SPEC_VERSION = 8
 
 #: every owning slab slot starts on a multiple of this (a cache line)
 SLAB_ALIGNMENT = 64
@@ -226,12 +229,6 @@ class InstructionSpec(NamedTuple):
     #: one declared exception to "an output shares no bytes with an input"
     reuse_slot: int = -1
     fused: tuple[FusedLinkSpec, ...] | None = None
-    #: scalar-constant folded inputs: (position, state name) pairs. The
-    #: step assembles the kernel's input list by inserting
-    #: ``program.state[name]`` (a live lookup — overlay-safe by
-    #: construction) at ``position``; ``input_slots`` covers the remaining
-    #: positions in order. Folded states need no register slot at all.
-    const_args: tuple[tuple[int, str], ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         doc = {
@@ -246,9 +243,6 @@ class InstructionSpec(NamedTuple):
         }
         if self.fused is not None:
             doc["fused"] = [link.to_dict() for link in self.fused]
-        if self.const_args:
-            doc["const_args"] = [[pos, name]
-                                 for pos, name in self.const_args]
         return doc
 
     @classmethod
@@ -270,8 +264,6 @@ class InstructionSpec(NamedTuple):
                 fused=tuple(FusedLinkSpec.from_dict(entry)
                             for entry in fused_doc)
                 if fused_doc is not None else None,
-                const_args=tuple((int(pos), name) for pos, name
-                                 in doc.get("const_args", ())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ExecutionError(
@@ -408,9 +400,6 @@ class Instruction:
     allocs: int
     #: kernel-variant label for profiling ("base", "donating" or "fused")
     variant: str = VARIANT_BASE
-    #: (position, state name) scalar constants folded out of the slot space
-    #: — the step splices live state values in at these positions
-    const_args: tuple[tuple[int, str], ...] = ()
     #: fused instructions only: the bound ``(base_fn, out_fn, attrs, args)``
     #: links ``kernel`` / ``out_kernel`` run in order
     links: tuple | None = None
@@ -460,8 +449,8 @@ class ExecutionPlan:
         return len(self.instructions)
 
     def step_function(self, observed: bool = False) -> Callable[..., None]:
-        """The generated ``step(regs, arrays, state, observer,
-        instr_observer)`` for this plan.
+        """The generated ``step(regs, arrays, observer, instr_observer)``
+        for this plan.
 
         ``observed`` selects the variant that times each kernel and calls
         the observers; the plain one has no trace of them. Each is
@@ -564,7 +553,7 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
             mode=ispec.mode, out_kernel=out_kernel, frees=ispec.frees,
             allocs=allocs,
             variant="fused" if ispec.fused is not None else ispec.variant,
-            const_args=ispec.const_args, links=links))
+            links=links))
     return ExecutionPlan(spec, tuple(instructions))
 
 

@@ -1,11 +1,12 @@
-"""Fault injection for the serving stack (tests and chaos benchmarks).
+"""Fault injection for the serving stack (tests only).
 
 A *fault point* is a named place in the serving code where a failure can
 be injected: the code calls :func:`fire` unconditionally, and ``fire`` is
 a no-op unless that point has been explicitly armed. Arming happens from
-tests (``FAULTS.arm(...)``), from the chaos benchmark, or — for code
-running in spawned worker processes, which share no Python state with the
-parent — through the ``REPRO_FAULTS`` environment variable.
+tests (``FAULTS.arm(...)``; the crash and retry drills are in
+``tests/test_durability.py``) or — for code running in spawned worker
+processes, which share no Python state with the parent — through the
+``REPRO_FAULTS`` environment variable.
 
 Catalog of instrumented points:
 

@@ -37,7 +37,9 @@ from ..train.optim import OptimizerSpec
 #: v4: plan-spec v7 — the kernel-variant selection options are gone and a
 #: Winograd-annotated conv runs direct, so the same options lower (and
 #: compute) differently.
-KEY_VERSION = 4
+#: v5: plan-spec v8 — the plan no longer folds frozen scalars, so the
+#: default pipeline lowers the same options to a different plan.
+KEY_VERSION = 5
 
 
 def scheme_token(scheme: UpdateScheme) -> dict[str, Any]:

@@ -153,9 +153,11 @@ class BatchScheduler:
         #: the one request claimed by an idle-time submit and not yet run
         #: or released; its session is in ``_inflight`` meanwhile
         self._claim: StepRequest | None = None
-        #: batches executed and released but whose futures are still being
-        #: resolved — keeps drain() meaning "and every result delivered"
-        self._acking = 0
+        #: sessions whose executed batch's futures are still being resolved
+        #: — a later batch of one waits its turn, so a session's acks
+        #: resolve in step order; keeps drain() meaning "and every result
+        #: delivered"
+        self._acking: set[str] = set()
         self._closing = False
         self._closed = False
         self._pool = ThreadPoolExecutor(
@@ -459,10 +461,12 @@ class BatchScheduler:
             if request.trace is not None:
                 request.trace.add("queue_wait", request.submitted_at, cut)
         # Run first, acknowledge last: "ack" and "not busy" must be one
-        # transition, so the session leaves ``_inflight`` (or is re-queued)
-        # *before* any future resolves. A client holding a step response
-        # may immediately close or checkpoint the session; it must never
-        # see ``pending()`` still true for the step it was just acked.
+        # transition, so the session leaves ``_inflight`` *before* any
+        # future resolves. A client holding a step response may immediately
+        # close or checkpoint the session; it must never see ``pending()``
+        # still true for the step it was just acked. A batch that ran while
+        # the session's previous one is still acking waits its turn (still
+        # in flight), so no ack of step N+1 overtakes one of step N.
         outcomes: list = []
         error: BaseException | None = None
         try:
@@ -490,12 +494,14 @@ class BatchScheduler:
                     request.session.release(request.idem_key)
         finally:
             with self._work:
+                while session_id in self._acking:
+                    self._idle.wait()
                 self._inflight.discard(session_id)
                 if session_id in self._queues \
                         and session_id not in self._ready:
                     self._ready.append(session_id)
                     self._work.notify_all()
-                self._acking += 1
+                self._acking.add(session_id)
         try:
             if error is not None:
                 for request in batch:
@@ -505,6 +511,6 @@ class BatchScheduler:
                     request.future.set_result(final)
         finally:
             with self._idle:
-                self._acking -= 1
+                self._acking.discard(session_id)
                 self._idle.notify_all()
         return outcomes, error

@@ -4,8 +4,8 @@
 one generic loop that re-takes, per instruction and per step, every
 decision the generated step (:mod:`repro.runtime.codegen`) has baked into
 its text — where each slot lives, which of the three statement shapes
-applies, which constants to splice — and always *calls* the bound kernels,
-never their emitted source. ``tests/test_codegen.py`` requires the
+applies — and always *calls* the bound kernels, never their emitted
+source. ``tests/test_codegen.py`` requires the
 generated step to be the *same step*: outputs, mutable state and
 allocation count. (Until spec v5 this file held the arena-era loop
 verbatim and also pinned arena traffic — take / miss / recycle counts —
@@ -31,16 +31,10 @@ class ReferenceExecutor(Executor):
         instr_observer = self.instr_observer
         timed = observer is not None or instr_observer is not None
         perf_counter = time.perf_counter
-        state = self.program.state
         in_slab = plan.in_slab
         for instr in plan.instructions:
             inputs = [arrays[slot] if slot in in_slab else regs[slot]
                       for slot in instr.input_slots]
-            # Scalar-constant folded inputs: spliced from live state (the
-            # overlay's value, not a baked copy) at their original
-            # positions, so the kernel sees the exact pre-fold input list.
-            for pos, name in instr.const_args:
-                inputs.insert(pos, state[name])
             began = perf_counter() if timed else 0.0
             try:
                 if instr.mode == "out":

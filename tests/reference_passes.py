@@ -34,7 +34,9 @@ from repro.kernels import run_op
 from repro.passes import (AlgebraicRewritePass, BiasActivationFusionPass,
                           ConstantFoldingPass, ParallelLinearFusionPass)
 from repro.passes.base import Pass, PassContext, PassResult
+from repro.passes.constant_folding import FOLD_LIMIT
 from repro.passes.fusion import _PRODUCERS
+from repro.passes.parallel_fusion import MIN_GROUP
 
 
 class ReferenceBiasActivationFusionPass(BiasActivationFusionPass):
@@ -165,7 +167,7 @@ class ReferenceParallelLinearFusionPass(ParallelLinearFusionPass):
             key = (x, in_dim, has_bias)
             candidates.setdefault(key, []).append(branch)
         for group in candidates.values():
-            if len(group) >= self.min_group:
+            if len(group) >= MIN_GROUP:
                 return group
         return None
 
@@ -228,7 +230,7 @@ class ReferenceConstantFoldingPass(ConstantFoldingPass):
                 out_bytes = sum(
                     graph.spec(o).nbytes for o in node.outputs
                 )
-                if out_bytes > self.size_limit:
+                if out_bytes > FOLD_LIMIT:
                     continue
                 arrays = [graph.initializers[i] for i in node.inputs]
                 results = run_op(node.op_type, arrays, node.attrs)

@@ -426,9 +426,6 @@ class TestMutationHarness:
                                  (None,) + first.args[1:])
         bad = _mutate_instr(spec, idx, fused=(headless,) + ins.fused[1:])
         assert "fused-chain-break" in _rules(bad, program)
-        bad = _mutate_instr(spec, idx, const_args=((99, "nope"),))
-        assert {"const-arg-position", "const-arg-source"} \
-            <= _rules(bad, program)
 
     def test_swapped_independent_instructions(self):
         """Two adjacent zoo instructions with no dataflow between them,
@@ -562,6 +559,16 @@ class TestMutationHarness:
         program, spec = victim
         bad = dataclasses.replace(spec,
                                   state_bindings=spec.state_bindings[1:])
+        assert "state-binding-mismatch" in _rules(bad, program)
+
+    def test_state_bound_twice(self, victim):
+        """Every program state is one register the step binds: a name
+        bound to a second slot is flagged as well as a missing one."""
+        program, spec = victim
+        _, name = spec.state_bindings[0]
+        bad = dataclasses.replace(
+            spec, num_slots=spec.num_slots + 1,
+            state_bindings=spec.state_bindings + ((spec.num_slots, name),))
         assert "state-binding-mismatch" in _rules(bad, program)
 
     def test_freed_state(self, victim):

@@ -2,11 +2,13 @@
 
 Every optimization pass must be a pure lowering decision: byte-identical
 outputs and mutable state against the interpreter (and against
-``passes="none"``) for any program, under any on/off combination —
-including scalar-constant folding. On top of that, the structural claims:
-fused chains really remove instructions and slots, donation never hands a
-fused chain a buffer a later link still reads, a Winograd-annotated conv
-binds its base kernel, and older plan specs are refused, not shimmed.
+``passes="none"``) for any program, under any on/off combination. On top
+of that, the structural claims: fused chains really remove instructions
+and slots, donation never hands a fused chain a buffer a later link still
+reads, a Winograd-annotated conv binds its base kernel, every program
+state is a register slot bound per step (so a ``with_state`` overlay of a
+frozen scalar takes effect on the next step), and older plan specs are
+refused, not shimmed.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from repro.sparse import LoRAConfig, UpdateScheme, inject_lora, lora_scheme
 from repro.train import SGD
 
 from conftest import make_mlp_graph
+from test_codegen import make_feeds
 
-PASS_CONFIGS = ["none", "default",
-                ("fuse_elementwise",), ("fold_scalars",),
-                ("fuse_elementwise", "fold_scalars")]
+PASS_CONFIGS = ["none", "default", ("fuse_elementwise",)]
 
 
 def with_passes(program, passes):
@@ -332,21 +333,50 @@ def _mcunet_sparse_program():
                             scheme=paper_scheme(forward))
 
 
-class TestFoldScalarsStructure:
-    def test_mcunet_folds_scalars_and_meets_instruction_budget(self):
-        """The second-wave pipeline target: fusion plus constant folding
-        push the MCUNet sparse step under 99 instructions, with scalar
-        hyperparameters spliced as const args instead of occupying
-        slots."""
-        spec = _mcunet_sparse_program().plan_spec()
+class TestInstructionBudget:
+    def test_mcunet_meets_instruction_budget_and_binds_every_state(self):
+        """Fusion pushes the MCUNet sparse step under 99 instructions, and
+        every program state is one register slot bound per step: named
+        exactly once in ``state_bindings``, never spliced in."""
+        program = _mcunet_sparse_program()
+        spec = program.plan_spec()
         assert len(spec.instructions) < 99
-        folded = sum(len(i.const_args) for i in spec.instructions)
-        assert folded > 0
-        const_names = {name for i in spec.instructions
-                       for _, name in i.const_args}
-        bound_names = {name for _, name in spec.state_bindings}
-        # A folded-only scalar holds no slot; nothing is double-bound.
-        assert not (const_names & bound_names)
+        bound = [name for _, name in spec.state_bindings]
+        assert sorted(bound) == sorted(program.state)
+        slots = [slot for slot, _ in spec.state_bindings]
+        assert len(set(slots)) == len(slots)
+
+    def test_frozen_scalar_overlay_changes_the_next_step(self, rng):
+        """A ``with_state`` overlay that swaps a frozen shape-() state
+        value (llama_micro's attention scale) changes the very next step's
+        output through the one shared plan, and the default plan and the
+        interpreter agree bytewise with and without it."""
+        from repro.models import build_model, paper_scheme
+
+        forward = build_model("llama_micro", batch=1)
+        program = compile_training(forward, optimizer=SGD(0.01),
+                                   scheme=paper_scheme(forward))
+        mutable = program.mutable_state_names()
+        name = max((n for n, a in program.state.items()
+                    if a.shape == () and n not in mutable and 0 < a < 1),
+                   key=lambda n: float(program.state[n]))
+        feeds = make_feeds(program, rng)
+        loss = program.meta["loss"]
+
+        def first_loss(overlay: dict, backend: str) -> bytes:
+            # fresh trainable state, so each step starts from the same
+            # weights and only the overlay differs
+            fresh = program.with_state(
+                {n: program.state[n].copy() for n in mutable} | overlay)
+            assert fresh.plan() is program.plan()
+            return Executor(fresh, backend=backend).run(feeds)[loss] \
+                .tobytes()
+
+        scaled = {name: np.asarray(program.state[name] * 4)}
+        plain = first_loss({}, "plan")
+        assert plain == first_loss({}, "interpreter")
+        assert first_loss(scaled, "plan") \
+            == first_loss(scaled, "interpreter") != plain
 
     def test_default_pipeline_keeps_oracle_peak(self):
         """The default pipeline's peak transient never exceeds the
@@ -389,17 +419,18 @@ class TestGraphOnlyCompile:
 
 
 class TestSpecCompatAndConfig:
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_older_spec_versions_refused(self, version):
         """No compat shims: an older document — a v3 whose Winograd slot
         declares the ``(O, C, 4, 4)`` layout this runtime's kernel cannot
         consume, a v4 written for the dynamic buffer arena, a v5 whose
         peak charges a view beside its base, a v6 that may bind a
-        precomputed Winograd slot or a tuned kernel variant — raises
+        precomputed Winograd slot or a tuned kernel variant, a v7 that
+        splices folded scalars into an instruction's inputs — raises
         ``PlanVersionError`` and the cache recompiles."""
         b, _ = make_mlp_graph()
         doc = build_plan_spec(Program.from_graph(b.graph)).to_dict()
-        assert doc["plan_version"] == 7
+        assert doc["plan_version"] == 8
         doc["plan_version"] = version
         with pytest.raises(PlanVersionError):
             PlanSpec.from_dict(json.loads(json.dumps(doc)))
@@ -439,8 +470,7 @@ class TestSpecCompatAndConfig:
         report: dict = {}
         run_pipeline(program, passes="default", report=report)
         stages = [s["stage"] for s in report["stages"]]
-        assert stages == ["lower", "fuse_elementwise", "fold_scalars",
-                          "allocate"]
+        assert stages == ["lower", "fuse_elementwise", "allocate"]
         counts = [s["instructions"] for s in report["stages"]]
         assert counts[-1] <= counts[0]
 

@@ -606,6 +606,52 @@ class TestSchedulerLifecycle:
                                    workers=workers, metrics=metrics)
         return scheduler, release
 
+    def test_a_sessions_acks_resolve_in_step_order(self):
+        """No ack of a session's step N+1 overtakes one of step N: while a
+        done callback of step 1 is still running, step 2 may run on the
+        free worker, but its future resolves only after step 1's."""
+        from concurrent.futures import wait
+
+        from repro.serve import BatchScheduler, StepResult
+
+        release, entered, gate = (threading.Event() for _ in range(3))
+        steps = iter(range(1, 10))
+
+        def runner(session, batch):
+            assert release.wait(timeout=30)
+            return StepResult(session_id=session.id, loss=0.0,
+                              step=next(steps), batch_size=len(batch),
+                              program_key="k")
+
+        acked = []
+
+        def held(future):
+            entered.set()
+            gate.wait(timeout=30)
+            acked.append(future.result().step)
+
+        scheduler = BatchScheduler(runner, max_batch=1, workers=2)
+        try:
+            session = self.StubSession("s")
+            first = scheduler.submit(session, np.int64(0), np.int64(0))
+            first.add_done_callback(held)
+            second = scheduler.submit(session, np.int64(1), np.int64(0))
+            second.add_done_callback(
+                lambda future: acked.append(future.result().step))
+            release.set()
+            assert entered.wait(timeout=30)
+            # time for the free worker to run step 2 (and, were acks not
+            # ordered, to resolve it)
+            wait([second], timeout=0.5)
+            gate.set()
+            assert second.result(timeout=30).step == 2
+            assert scheduler.drain(timeout=30)
+            assert acked == [1, 2]
+        finally:
+            release.set()
+            gate.set()
+            scheduler.close()
+
     @pytest.mark.parametrize("fail", [False, True])
     def test_ack_implies_not_busy(self, fail):
         """A resolved step future means the session is no longer busy.
@@ -746,9 +792,14 @@ class TestSchedulerLifecycle:
         try:
             session = self.StubSession("s")
             future = scheduler.submit(session, np.int64(0), np.int64(0))
-            began = time.monotonic()
-            assert scheduler.drain(timeout=0.2) is False
-            assert time.monotonic() - began < 5
+            drained = []
+            waiter = threading.Thread(
+                target=lambda: drained.append(scheduler.drain(timeout=0.2)),
+                daemon=True)
+            waiter.start()
+            waiter.join(timeout=30)
+            # the timeout path returned on its own, the batch still stalled
+            assert not waiter.is_alive() and drained == [False]
             release.set()
             assert scheduler.drain(timeout=30) is True
             assert future.result(timeout=10).batch_size == 1
