@@ -87,6 +87,7 @@ def cmd_simulate(args) -> int:
 def cmd_memory(args) -> int:
     from .analysis.planlint import plan_intervals
     from .memory import live_load, profile_memory
+    from .passes.recompute import SUFFIX as RECOMPUTED
     from .runtime.compiler import CompileOptions, compile_training
     from .runtime.plan import SLAB_ALIGNMENT
 
@@ -128,6 +129,9 @@ def cmd_memory(args) -> int:
     at = timeline.index(spec.peak_transient_bytes)
     producer = {out: node.op_type for node in program.schedule
                 for out in node.outputs}
+    for value in producer:
+        if value.endswith(RECOMPUTED):
+            producer[value] += " (recomputed)"
     live = sorted((i for i in intervals if i.birth <= at <= i.death),
                   key=lambda i: -i.nbytes)
 
@@ -178,6 +182,10 @@ def cmd_memory(args) -> int:
         + [["total", sum(c for c, _ in held.values()), total, "100.0%"]],
         title=f"held for backward: born by the loss (instruction "
               f"{loss_at}), read after it"))
+    recomputed = program.meta["report"].pass_stats.get("recompute", {})
+    print()
+    print(f"recomputed for the backward: {recomputed.get('clones', 0)} "
+          f"values, {recomputed.get('bytes', 0)} bytes")
     return 0
 
 

@@ -9,7 +9,8 @@ from .fusion import (BiasActivationFusionPass, ElementwiseGroupPass,
 from .kernel_select import WinogradSelectionPass
 from .layout import LayoutSelectionPass
 from .parallel_fusion import ParallelLinearFusionPass
-from .reorder import default_schedule, memory_aware_schedule
+from .recompute import recompute_for_backward
+from .reorder import default_schedule, greedy_schedule, memory_aware_schedule
 from .rewrite import AlgebraicRewritePass
 
 __all__ = [
@@ -28,5 +29,7 @@ __all__ = [
     "PassResult",
     "WinogradSelectionPass",
     "default_schedule",
+    "greedy_schedule",
     "memory_aware_schedule",
+    "recompute_for_backward",
 ]

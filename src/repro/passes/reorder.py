@@ -46,6 +46,7 @@ with it "never worse than the natural order" holds by construction.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Iterable
 
 from ..errors import CompileError
 from ..ir import Graph
@@ -83,7 +84,26 @@ def memory_aware_schedule(graph: Graph) -> list[Node]:
     return ProfiledSchedule(best, graph, profile)
 
 
-def _greedy_schedule(graph: Graph) -> list[Node]:
+def greedy_schedule(graph: Graph,
+                    after: Iterable[tuple[Node, Node]]) -> list[Node]:
+    """The greedy candidate of :func:`memory_aware_schedule` alone, with
+    ``(first, then)`` ordering edges honoured the way an ``apply_*``'s
+    write-after-read hazards are: ``then`` is not ready before ``first``
+    has run. A clone from
+    :func:`~repro.passes.recompute.recompute_for_backward` waits so for the
+    gradient its reader takes with it. The compiler keeps this schedule
+    only where its peak is below :func:`memory_aware_schedule`'s on the
+    graph without clones, so the other two candidates are not profiled
+    again. Returned as a :class:`~repro.memory.profiler.ProfiledSchedule`.
+    """
+    from ..memory.profiler import ProfiledSchedule, profile_memory
+
+    order = _greedy_schedule(graph, after)
+    return ProfiledSchedule(order, graph, profile_memory(graph, order))
+
+
+def _greedy_schedule(graph: Graph,
+                     after: Iterable[tuple[Node, Node]] = ()) -> list[Node]:
     """Greedy minimum-live-bytes list scheduling (see module docstring).
 
     Nodes are handled by their position in ``graph.nodes``. Everything a
@@ -122,6 +142,12 @@ def _greedy_schedule(graph: Graph) -> list[Node]:
                 deps[i].add(reader)
                 dependents[reader].append(i)
                 hazards.append((reader, i, param))
+    # Ordering edges: ``then`` is not ready before ``first`` has run.
+    for first, then in after:
+        i, j = index[id(first)], index[id(then)]
+        if i not in deps[j]:
+            deps[j].add(i)
+            dependents[i].append(j)
 
     # Remaining-reader counts, and per node what scoring it takes: the
     # bytes it allocates and, for each transient input, how many of the

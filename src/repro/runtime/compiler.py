@@ -8,7 +8,9 @@ This is the module that realises the paper's Figure 4 workflow:
    the sparse-update scheme selects (pruned by construction),
 4. attach the optimizer as in-place graph nodes,
 5. run graph optimizations (folding, CSE, fusion, Winograd, layout),
-6. schedule memory-aware (operator reordering + immediate updates),
+6. schedule memory-aware (operator reordering + immediate updates), with
+   an FFN activation recomputed beside its backward readers rather than
+   held where that lowers the peak (:mod:`repro.passes.recompute`),
 7. emit an executable :class:`~repro.runtime.program.Program`.
 
 Winograd and layout selection are decisions for the *target device*: they
@@ -32,7 +34,8 @@ from ..passes import (AlgebraicRewritePass, BiasActivationFusionPass,
                       GradientMaskFusionPass, LayoutSelectionPass,
                       ParallelLinearFusionPass, PassContext, PassManager,
                       WinogradSelectionPass, default_schedule,
-                      memory_aware_schedule)
+                      greedy_schedule, memory_aware_schedule,
+                      recompute_for_backward)
 from ..sparse import ResolvedScheme, UpdateScheme, full_update
 from ..train.loss import add_loss
 from ..train.optim import OptimizerSpec, SGD, attach_optimizer
@@ -213,8 +216,21 @@ def compile_training(
     graph.outputs = graph.outputs[count:]
     graph.dead_code_elimination()
 
+    pass_stats = {k: v.stats for k, v in pass_report.items()}
     if options.reorder:
         schedule = memory_aware_schedule(graph)
+        # after CSE, which would merge the clones back into their originals;
+        # kept only where they lower the schedule's peak, so the guarantee
+        # of ``memory_aware_schedule`` covers the graph without them too
+        recompute = recompute_for_backward(graph, loss_value)
+        if recompute.after:
+            cloned = greedy_schedule(graph, after=recompute.after)
+            if cloned.profile.peak_transient_bytes \
+                    < schedule.profile.peak_transient_bytes:
+                schedule = cloned
+            else:
+                recompute.undo(graph)
+        pass_stats["recompute"] = recompute.stats
     else:
         schedule = default_schedule(graph, applies_last=options.applies_last)
 
@@ -236,7 +252,7 @@ def compile_training(
         report=CompileReport(
             scheme=scheme.name,
             num_nodes=len(graph.nodes),
-            pass_stats={k: v.stats for k, v in pass_report.items()},
+            pass_stats=pass_stats,
             peak_transient_bytes=profile.peak_transient_bytes,
             resident_bytes=profile.resident_bytes,
         ),

@@ -39,7 +39,10 @@ from ..train.optim import OptimizerSpec
 #: compute) differently.
 #: v5: plan-spec v8 — the plan no longer folds frozen scalars, so the
 #: default pipeline lowers the same options to a different plan.
-KEY_VERSION = 5
+#: v6: memory-aware compiles recompute a one-pass FFN activation beside its
+#: weight gradient instead of holding it, so the same options lower to a
+#: different (smaller-peak) plan and a warm cache must recompile.
+KEY_VERSION = 6
 
 
 def scheme_token(scheme: UpdateScheme) -> dict[str, Any]:

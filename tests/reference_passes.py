@@ -253,8 +253,9 @@ class ReferenceAlgebraicRewritePass(AlgebraicRewritePass):
         return changed
 
 
-def reference_greedy_schedule(graph: Graph) -> list[Node]:
-    """Greedy minimum-live-bytes list scheduling (see module docstring)."""
+def reference_greedy_schedule(graph: Graph, after=()) -> list[Node]:
+    """Greedy minimum-live-bytes list scheduling (see module docstring);
+    ``after`` holds ``(first, then)`` ordering edges."""
     nodes = graph.nodes
     producers = graph.producer_map()
     index = {node.name: i for i, node in enumerate(nodes)}
@@ -283,6 +284,10 @@ def reference_greedy_schedule(graph: Graph) -> list[Node]:
             if reader.name != node.name:
                 deps[node.name].add(reader.name)
                 dependents[reader.name].append(node.name)
+    for first, then in after:
+        if first.name not in deps[then.name]:
+            deps[then.name].add(first.name)
+            dependents[first.name].append(then.name)
 
     # Remaining-consumer counts for freed-bytes scoring.
     remaining: dict[str, int] = defaultdict(int)

@@ -11,7 +11,12 @@ gate traced as ``mul(silu(gate), up)`` — live on in
 * the same bytes: loss of four steps and every mutable state tensor, on
   ``llama_micro`` and ``bert_micro``, sparse and full, at batch 1, 2 and 8;
 * less memory: the plan's ``peak_transient_bytes`` strictly lower on every
-  one of them, and no more instructions;
+  one of them, and no more instructions — except the SwiGLU gate against
+  its two-op form, where the compile that recomputes a held FFN activation
+  for the backward (:mod:`repro.passes.recompute`) gives the two-op form
+  its ``silu`` back too: never higher there, lower at the full update, for
+  a stated number of instructions more (``tests/test_recompute.py`` holds
+  the gate's comparison without that rewrite);
 * the structure that buys it: no ``sigmoid`` or ``tanh`` is left in the
   training graph, no ``silu`` either on ``llama_micro``, each adjoint
   reads the inputs its activation reads, and runs after the loss (nothing
@@ -45,7 +50,8 @@ def compile_at(model, scheme, batch):
                             scheme=SCHEMES[scheme](forward))
 
 
-def assert_same_bytes_less_memory(program, reference):
+def assert_same_training(program, reference):
+    """Loss of every step and every mutable state tensor, byte for byte."""
     losses, state = train(program)
     want_losses, want_state = train(reference)
     for step, (got, want) in enumerate(zip(losses, want_losses)):
@@ -54,6 +60,9 @@ def assert_same_bytes_less_memory(program, reference):
     for name in state:
         assert_same_bytes(state[name], want_state[name], name)
 
+
+def assert_same_bytes_less_memory(program, reference):
+    assert_same_training(program, reference)
     spec, old = program.plan_spec(), reference.plan_spec()
     assert spec.peak_transient_bytes < old.peak_transient_bytes
     assert len(spec.instructions) <= len(old.instructions)
@@ -76,11 +85,24 @@ def test_same_bytes_less_memory(model, scheme, batch, monkeypatch):
     assert_same_bytes_less_memory(program, reference)
 
 
+#: scheme -> instructions the one-op gate may run beyond the two-op form,
+#: as shipped (at batch 1, 2 and 8 alike)
+SWIGLU_EXTRA_INSTRUCTIONS = {"paper_scheme": 1, "full_update": 8}
+
+
 @pytest.mark.parametrize("batch", [1, 2, 8])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_swiglu_same_bytes_less_memory(scheme, batch, monkeypatch):
     """Against the gate traced as ``mul(silu(gate), up)``, ``silu`` itself
-    one op: the held ``silu`` outputs are all the difference."""
+    one op, both as shipped. The two-op form's ``silu`` output is
+    recomputed for the backward rather than held; with no held reader
+    left, ``silu`` and ``mul`` fuse, and that form runs two instructions
+    fewer than without the rewrite at the paper scheme, eight at the full
+    update. So at the paper scheme the peaks are equal and the one-op gate
+    runs one instruction more; at the full update its own output is
+    recomputed too (four clones, four instructions) where the two-op
+    form's product stays held: its peak is lower, for eight instructions
+    more."""
     program = compile_at("llama_micro", scheme, batch)
     with monkeypatch.context() as patch:
         swap_in_primitive_swiglu(patch)
@@ -89,7 +111,14 @@ def test_swiglu_same_bytes_less_memory(scheme, batch, monkeypatch):
     old_ops = {node.op_type for node in reference.graph.nodes}
     assert "swiglu" in ops and "silu" not in ops
     assert "silu" in old_ops and "swiglu" not in old_ops
-    assert_same_bytes_less_memory(program, reference)
+    assert_same_training(program, reference)
+    spec, old = program.plan_spec(), reference.plan_spec()
+    if scheme == "full_update":
+        assert spec.peak_transient_bytes < old.peak_transient_bytes
+    else:
+        assert spec.peak_transient_bytes == old.peak_transient_bytes
+    assert len(spec.instructions) \
+        <= len(old.instructions) + SWIGLU_EXTRA_INSTRUCTIONS[scheme]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

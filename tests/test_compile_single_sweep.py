@@ -333,8 +333,10 @@ class TestWorkDoesNotGrowWithDepth:
             large, large_calls = count_whole_graph_work(patch, deep)
         assert len(large.graph.nodes) > 1.5 * len(small.graph.nodes)
         assert large_calls == small_calls
-        assert small_calls["live_ranges"] == 3   # the three candidates
-        assert small_calls["profile_memory"] == 3
+        # the three candidates, and the greedy one again with the FFN
+        # activations recomputed for the backward (both models clone them)
+        assert small_calls["live_ranges"] == 4
+        assert small_calls["profile_memory"] == 4
 
     def test_reference_counts_did_grow(self, monkeypatch):
         """What the counters above would have read before: one rebuild per

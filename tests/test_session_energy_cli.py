@@ -137,7 +137,9 @@ class TestCLI:
         assert cli_main(["memory", "--model", "mcunet_micro", "--sparse",
                          "--batch", "2"]) == 0
         tables = capsys.readouterr().out.split("\n\n")
-        assert len(tables) == 4
+        assert len(tables) == 5
+        # nothing on a CNN qualifies for recomputation
+        assert tables[4] == "recomputed for the backward: 0 values, 0 bytes\n"
 
         def parse(table):
             title, header, _, *rows = table.splitlines()
@@ -196,6 +198,23 @@ class TestCLI:
                                       if op != "total"))
         assert "step" not in by_op  # no float mask is kept
 
+    def test_memory_marks_what_is_recomputed(self, capsys):
+        """On distilbert_micro full at batch 2 the plan's peak is the last
+        block's down-projection weight gradient, beside the GELU output
+        recomputed for it: the listing marks that row, and the last line
+        counts both blocks' clones."""
+        assert cli_main(["memory", "--model", "distilbert_micro",
+                         "--batch", "2"]) == 0
+        tables = capsys.readouterr().out.split("\n\n")
+        rows = [[cell.strip() for cell in line.split("|")]
+                for line in tables[1].splitlines()[3:]]
+        marked = [row for row in rows if row[1].endswith("(recomputed)")]
+        assert [(row[1], row[2], row[4]) for row in marked] == [
+            ("gelu (recomputed)", "2x16x64", "8192")]
+        assert marked[0][0].endswith(".recompute")
+        assert tables[4] == ("recomputed for the backward: 2 values, "
+                             f"{2 * 2 * 16 * 64 * 4} bytes\n")
+
     def test_memory_names_what_a_buffer_holds_then(self, capsys):
         """An in-place reuse chain is one buffer holding several values
         over its life; each table names the one in it at the instruction
@@ -208,17 +227,18 @@ class TestCLI:
                          "--batch", "2"]) == 0
         tables = capsys.readouterr().out.split("\n\n")
         title = tables[1].splitlines()[0]
-        assert title == ("live at the plan's peak: instruction 112 of 368 "
-                         "(pick), 469632 bytes")
+        assert title == ("live at the plan's peak: instruction 112 of 372 "
+                         "(pick), 420480 bytes")
         *rows, total = [[cell.strip() for cell in line.split("|")]
                         for line in tables[3].splitlines()[3:]]
         held = {row[0]: int(row[2]) for row in rows}
-        assert total[0] == "total" and int(total[2]) == 450628
-        # no silu output: the gate's adjoints read the two projections;
-        # one swiglu output per block, which the down projection's weight
-        # gradient reads
-        assert "silu" not in held
-        assert held["swiglu"] == 4 * 2 * 24 * 64 * 4
+        assert total[0] == "total" and int(total[2]) == 401476
+        # no silu output: the gate's adjoints read the two projections; no
+        # swiglu output either: the down projection's weight gradient reads
+        # one recomputed from them beside it
+        assert "silu" not in held and "swiglu" not in held
+        assert tables[4] == ("recomputed for the backward: 4 values, "
+                             f"{4 * 2 * 24 * 64 * 4} bytes\n")
         assert "silu_grad" not in held and "mul" in held
         # every producer runs by the loss: forward ops, the rule-emitted
         # ops the schedule starts there (RMSNorm's reciprocal, the
